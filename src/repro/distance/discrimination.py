@@ -13,13 +13,18 @@ dissimilarity sits near the novelty threshold could flip between
 ``unknown`` and a near-miss type across calls, across restarts, and
 between two gateways serving the same model bundle.  The default here is
 therefore a **deterministic per-fingerprint draw**: the subset is selected
-by a generator seeded from the fingerprint's content hash, the candidate
-type, the registry ``salt`` (the identifier's revision counter) and the
-reference-pool size -- the same fingerprint meets the same references
-until the registry actually changes, in any process, under any
-``PYTHONHASHSEED``.  The paper's random draw remains available as
-``selection="random"`` for the ablation experiment
-(:func:`repro.eval.experiments.run_selection_ablation`).
+by a self-contained splitmix64 shuffle seeded from the fingerprint's
+content hash, the candidate type, the registry ``salt`` (the identifier's
+revision counter) and the reference-pool size -- the same fingerprint
+meets the same references until the registry actually changes, in any
+process, under any ``PYTHONHASHSEED`` or numpy version.  The paper's
+random draw remains available as the in-memory ``selection="random"``
+ablation (:func:`repro.eval.experiments.run_selection_ablation`); model
+bundles refuse it.
+
+Edit distances always go through the vectorised batch kernel
+(:func:`~repro.distance.damerau_levenshtein.normalized_distances`); the
+scalar dynamic program is the test suite's oracle.
 
 Tie-breaking contract: two candidates with *exactly* equal dissimilarity
 scores are ordered lexicographically by ``device_type`` -- the winner of a
@@ -29,7 +34,6 @@ tie is the alphabetically first type, never dict-insertion order.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,7 +41,6 @@ import numpy as np
 
 from repro.distance.damerau_levenshtein import (
     GLOBAL_INTERNER,
-    normalized_damerau_levenshtein,
     normalized_distances,
     splitmix_subset,
 )
@@ -55,29 +58,10 @@ RANDOM_SELECTION = "random"
 _SELECTION_MODES = (DETERMINISTIC_SELECTION, RANDOM_SELECTION)
 
 #: The deterministic draw expands the selection seed with a self-contained
-#: splitmix64 + Fisher-Yates shuffle (the default): the drawn subset
-#: depends on nothing but the seed, so verdicts are stable across numpy
-#: versions.
+#: splitmix64 + Fisher-Yates shuffle: the drawn subset depends on nothing
+#: but the seed, so verdicts are stable across numpy versions.  Model
+#: bundles record this name as their ``draw``.
 SPLITMIX_DRAW = "splitmix64"
-
-#: The retired numpy-backed draw (``default_rng(seed).choice``), kept so
-#: schema-v3 model bundles reproduce their historical verdict streams --
-#: ``Generator.choice`` internals may change between numpy releases.
-NUMPY_DRAW = "numpy"
-
-_DRAW_MODES = (SPLITMIX_DRAW, NUMPY_DRAW)
-
-#: Edit distances are computed by the vectorised batch kernel
-#: (:func:`~repro.distance.damerau_levenshtein.damerau_levenshtein_matrix`),
-#: one matrix op per fingerprint across all candidate references.
-BATCHED_KERNEL = "batched"
-
-#: Edit distances are computed by the scalar dynamic program, one
-#: reference pair at a time.  Kept as the reference oracle for the
-#: differential suite; results are bitwise-identical either way.
-SCALAR_KERNEL = "scalar"
-
-_KERNEL_MODES = (BATCHED_KERNEL, SCALAR_KERNEL)
 
 
 def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
@@ -177,31 +161,18 @@ class EditDistanceDiscriminator:
     Attributes:
         references_per_type: how many reference fingerprints of each
             candidate type to compare against (5 in the paper).
-        selection: ``"deterministic"`` (default) seeds each reference draw
-            from the fingerprint's content hash so the same fingerprint
-            always meets the same references; ``"random"`` reproduces the
-            paper's shared-generator draw (nondeterministic across calls,
-            kept for the ablation experiment).
-        draw: how the deterministic seed expands into a subset.
-            ``"splitmix64"`` (default) is the self-contained
-            splitmix64 + Fisher-Yates draw, stable across numpy versions;
-            ``"numpy"`` replays the retired ``Generator.choice`` draw and
-            is what schema-v3 bundles load with, so their historical
-            verdict streams survive the migration.  Ignored by
-            ``selection="random"``.
-        kernel: ``"batched"`` (default) computes edit distances through
-            the vectorised matrix kernel; ``"scalar"`` runs the per-pair
-            dynamic program (the differential oracle).  Results are
-            bitwise-identical; this is purely a performance knob and is
-            not persisted in model bundles.
-        rng: the shared generator used by ``"random"`` mode only; ignored
-            (and left ``None``) in deterministic mode.
+        selection: ``"deterministic"`` (default) seeds each splitmix64
+            reference draw from the fingerprint's content hash so the same
+            fingerprint always meets the same references; ``"random"``
+            reproduces the paper's shared-generator draw (nondeterministic
+            across calls, an in-memory ablation only).
+        rng: the shared generator of ``"random"`` mode.  Passing one under
+            deterministic selection raises
+            :class:`~repro.exceptions.IdentificationError`.
     """
 
     references_per_type: int = 5
     selection: str = DETERMINISTIC_SELECTION
-    draw: str = SPLITMIX_DRAW
-    kernel: str = BATCHED_KERNEL
     rng: Optional[np.random.Generator] = None
 
     def __post_init__(self) -> None:
@@ -211,30 +182,14 @@ class EditDistanceDiscriminator:
             raise IdentificationError(
                 f"selection must be one of {_SELECTION_MODES}, got {self.selection!r}"
             )
-        if self.draw not in _DRAW_MODES:
-            raise IdentificationError(
-                f"draw must be one of {_DRAW_MODES}, got {self.draw!r}"
-            )
-        if self.kernel not in _KERNEL_MODES:
-            raise IdentificationError(
-                f"kernel must be one of {_KERNEL_MODES}, got {self.kernel!r}"
-            )
         if self.selection == RANDOM_SELECTION and self.rng is None:
             # repro-lint: disable=no-unseeded-rng -- selection="random" is the paper's deliberately nondeterministic legacy mode; callers wanting replayable draws use the default deterministic selection
             self.rng = np.random.default_rng()
         if self.selection == DETERMINISTIC_SELECTION and self.rng is not None:
-            # A pre-deterministic-draw caller seeding the old shared
-            # generator must not silently get different semantics than it
-            # asked for: surface the migration, then honour the documented
-            # contract (rng stays None in deterministic mode).
-            warnings.warn(
-                "EditDistanceDiscriminator ignores rng under the default "
-                "deterministic selection; pass selection=\"random\" for the "
-                "paper-style seeded draw",
-                RuntimeWarning,
-                stacklevel=2,
+            raise IdentificationError(
+                "rng is only used by selection=\"random\"; the deterministic "
+                "selection draws from each fingerprint's content hash"
             )
-            self.rng = None
 
     @property
     def is_deterministic(self) -> bool:
@@ -259,12 +214,7 @@ class EditDistanceDiscriminator:
             seed = selection_seed_from_key(
                 content_key, device_type, len(references), self.references_per_type, salt
             )
-            if self.draw == SPLITMIX_DRAW:
-                indices = splitmix_subset(seed, len(references), self.references_per_type)
-            else:
-                indices = np.random.default_rng(seed).choice(
-                    len(references), size=self.references_per_type, replace=False
-                )
+            indices = splitmix_subset(seed, len(references), self.references_per_type)
         chosen_indices = tuple(sorted(int(index) for index in indices))
         return [references[index] for index in chosen_indices], chosen_indices, seed
 
@@ -308,23 +258,11 @@ class EditDistanceDiscriminator:
     def _summed_distance(
         self, fingerprint: Fingerprint, chosen: Sequence[Fingerprint]
     ) -> float:
-        """Sum of normalised distances to ``chosen``, kernel-dispatched.
-
-        Both kernels accumulate the per-reference values in the same
-        (ascending-index) order with the same float additions, so the sum
-        is bitwise identical either way.
-        """
-        if self.kernel == BATCHED_KERNEL:
-            word = _encoded_word(fingerprint)
-            values = normalized_distances(
-                word, len(word), [_encoded_word(reference) for reference in chosen]
-            )
-        else:
-            word = fingerprint.as_symbol_sequence()
-            values = [
-                normalized_damerau_levenshtein(word, reference.as_symbol_sequence())
-                for reference in chosen
-            ]
+        """Sum of normalised distances to ``chosen``, in ascending-index order."""
+        word = _encoded_word(fingerprint)
+        values = normalized_distances(
+            word, len(word), [_encoded_word(reference) for reference in chosen]
+        )
         total = 0.0
         for value in values:
             total += value
@@ -352,18 +290,11 @@ class EditDistanceDiscriminator:
             if self.selection == DETERMINISTIC_SELECTION
             else None
         )
-        if self.kernel != BATCHED_KERNEL:
-            scores = sorted(
-                self.score_type(fingerprint, device_type, references, salt, content_key)
-                for device_type, references in candidates.items()
-            )
-            return scores[0].device_type, scores
-
-        # Batched kernel: draw every candidate's subset first, then score
-        # the fingerprint against the union of chosen references in ONE
-        # matrix-kernel invocation, and split the per-pair values back per
-        # type.  Per-type sums accumulate in the same ascending-index
-        # order as the scalar path, so every score is bitwise identical.
+        # Draw every candidate's subset first, then score the fingerprint
+        # against the union of chosen references in ONE matrix-kernel
+        # invocation, and split the per-pair values back per type.  Per-type
+        # sums accumulate in ascending-index order, exactly as
+        # :meth:`score_type` does, so both return bitwise-equal scores.
         selections: list[tuple[str, list[Fingerprint], tuple[int, ...], Optional[int]]] = []
         for device_type, references in candidates.items():
             if not references:

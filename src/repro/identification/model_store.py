@@ -23,19 +23,19 @@ Bundle layout (one zip archive written by :func:`numpy.savez_compressed`):
 
 Robustness guarantees:
 
-* loading a bundle with a different ``schema_version`` (or missing magic)
+* loading a bundle with any other ``schema_version`` (or missing magic)
   raises :class:`~repro.exceptions.ModelStoreError` instead of
   misinterpreting bytes;
 * every data array is checksummed; truncated or bit-flipped files fail
   loudly at load time, not at serve time;
-* verdict reproducibility is *structural*, not stateful: since schema v3
-  the discrimination stage selects its references deterministically from
-  each fingerprint's content hash (plus the persisted identifier
-  ``revision``), so a reloaded identifier returns bit-identical verdicts
-  with **no** generator state in the bundle.  Legacy v1/v2 bundles, which
-  captured the discriminator's rng state, still load -- the stored state
-  is discarded in favour of the deterministic draw (see
-  :func:`legacy_fallback_counts`);
+* verdict reproducibility is *structural*, not stateful: the
+  discrimination stage selects its references with the deterministic
+  splitmix64 draw seeded from each fingerprint's content hash (plus the
+  persisted identifier ``revision``), so a reloaded identifier returns
+  bit-identical verdicts with **no** discriminator generator state in the
+  bundle.  A bundle missing the bank ``rng_state`` or the ``revision``,
+  or recording any other ``draw`` or ``selection``, is rejected with a
+  :class:`~repro.exceptions.ModelStoreError` naming the field;
 * a bundle may be stamped with the cache-generation *epoch* it was saved
   under (see :mod:`repro.identification.lifecycle`); loading with
   ``expected_epoch`` rejects bundles from any other epoch, so a runtime
@@ -48,15 +48,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 import numpy as np
 
-from repro.distance.discrimination import NUMPY_DRAW, EditDistanceDiscriminator
+from repro.distance.discrimination import (
+    DETERMINISTIC_SELECTION,
+    SPLITMIX_DRAW,
+    EditDistanceDiscriminator,
+)
 from repro.exceptions import ModelError, ModelStoreError
 from repro.features.fingerprint import Fingerprint
 from repro.identification.classifier_bank import ClassifierBank, DeviceTypeClassifier
@@ -67,23 +70,9 @@ from repro.ml.compiled import CompiledForest
 #: Identifies a file as an IoT SENTINEL model bundle.
 STORE_MAGIC = "iot-sentinel-model-store"
 
-#: Bump on any incompatible change to the bundle layout.
-#: Version 2 added the optional cache-generation ``epoch`` stamp.
-#: Version 3 dropped the discriminator rng-state capture (reference
-#: selection is deterministic per fingerprint) and added the identifier
-#: ``revision`` (the discrimination draw salt) to the metadata.
-#: Version 4 records the discriminator's ``draw`` algorithm (the
-#: self-contained splitmix64 draw vs the legacy numpy ``Generator.choice``
-#: draw), so verdict streams survive numpy upgrades.
+#: The one bundle layout this build writes and reads.  Bump on any
+#: incompatible change; a bundle with any other version is rejected.
 SCHEMA_VERSION = 4
-
-#: Versions this build can still read.  Version 1 bundles predate the
-#: epoch stamp (an additive change); they load with ``epoch=None``.
-#: Version 1/2 bundles carry a discriminator rng state that v3+ runtimes
-#: discard -- see :func:`legacy_fallback_counts`.  Version 3 bundles
-#: predate the ``draw`` field and load with the legacy numpy draw, so
-#: their historical verdict streams replay unchanged.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
 
 
 # --------------------------------------------------------------------- #
@@ -100,57 +89,12 @@ def _checksum(arrays: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _rng_state(rng: Optional[np.random.Generator]) -> Optional[dict]:
-    if rng is None:
-        return None
-    return rng.bit_generator.state
-
-
-#: Lifetime counters of legacy-bundle loads that could not restore exact
-#: state and fell back to documented defaults.  Keys:
-#:
-#: * ``"bank_rng"`` -- the bundle recorded no bank generator state, so a
-#:   fresh *nondeterministic* generator was created.  Verdicts are
-#:   unaffected (serving never draws from the bank rng); future
-#:   ``train_type`` negative subsampling on the loaded bank is not
-#:   reproducible.
-#: * ``"discriminator_rng"`` -- either a v1/v2 bundle carried a captured
-#:   discriminator generator state that a deterministic-selection runtime
-#:   discarded (verdicts are reproducible but may *differ* from the
-#:   retired random-draw stream), or a ``selection="random"`` bundle was
-#:   missing its state and got a fresh nondeterministic generator.
-_LEGACY_FALLBACKS = {"bank_rng": 0, "discriminator_rng": 0}
-
-
-def legacy_fallback_counts() -> dict[str, int]:
-    """A snapshot of the legacy-bundle fallback counters (see above)."""
-    return dict(_LEGACY_FALLBACKS)
-
-
-def _restore_rng(state: Optional[dict], context: str = "bank") -> np.random.Generator:
-    """Restore a captured generator state, or *explicitly* fall back.
-
-    A ``None`` state historically returned a fresh nondeterministic
-    generator in silence; the fallback is now documented, warned about and
-    counted (``legacy_fallback_counts()[f"{context}_rng"]``) so an
-    operator auditing reproducibility can tell exactly which loads of
-    which subsystem degraded.
-    """
-    if state is None:
-        _LEGACY_FALLBACKS[f"{context}_rng"] = _LEGACY_FALLBACKS.get(f"{context}_rng", 0) + 1
-        warnings.warn(
-            f"legacy model bundle recorded no {context} rng state; "
-            "falling back to a fresh nondeterministic generator "
-            f"(future draws from the {context} generator are not reproducible)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        # repro-lint: disable=no-unseeded-rng -- the documented, warned, counted legacy fallback: the bundle recorded no state, so no seed exists to restore
-        return np.random.default_rng()
-    # repro-lint: disable=no-unseeded-rng -- seed irrelevant: the captured bit-generator state is installed on the next line
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
+def _required(meta: dict, key: str, section: str = "") -> Any:
+    """``meta[key]``, or a :class:`ModelStoreError` naming the missing field."""
+    value = meta.get(key)
+    if value is None:
+        raise ModelStoreError(f"model bundle has no {section}{key}")
+    return value
 
 
 def _registry_arrays(registry: FingerprintRegistry) -> tuple[list[dict], dict[str, np.ndarray]]:
@@ -229,7 +173,7 @@ def _bank_payload(bank: ClassifierBank) -> tuple[dict, dict[str, np.ndarray]]:
         "random_state": bank.random_state,
         "n_jobs": bank.n_jobs,
         "compile_models": bank.compile_models,
-        "rng_state": _rng_state(bank._rng),
+        "rng_state": bank._rng.bit_generator.state,
         "classifiers": classifiers_meta,
     }
     return meta, arrays
@@ -242,10 +186,13 @@ def _rebuild_bank(meta: dict, arrays: dict[str, np.ndarray]) -> ClassifierBank:
         max_depth=meta["max_depth"],
         fixed_packet_count=meta["fixed_packet_count"],
         random_state=meta["random_state"],
-        n_jobs=meta.get("n_jobs"),
-        compile_models=meta.get("compile_models", True),
+        n_jobs=meta["n_jobs"],
+        compile_models=meta["compile_models"],
     )
-    bank._rng = _restore_rng(meta.get("rng_state"), context="bank")
+    state = _required(meta, "rng_state", "bank ")
+    # repro-lint: disable=no-unseeded-rng -- seed irrelevant: the captured bit-generator state is installed on the next line
+    bank._rng = np.random.default_rng()
+    bank._rng.bit_generator.state = state
     for index, record in enumerate(meta["classifiers"]):
         prefix = f"bank{index}_"
         packed = {
@@ -298,7 +245,7 @@ def _write_bundle(
 def _read_bundle(
     path: Union[str, Path],
     magic: str = STORE_MAGIC,
-    supported_versions: tuple[int, ...] = SUPPORTED_SCHEMA_VERSIONS,
+    schema_version: int = SCHEMA_VERSION,
     kind: str = "model bundle",
 ) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
@@ -317,10 +264,10 @@ def _read_bundle(
         raise ModelStoreError(f"{kind} metadata is not valid JSON: {path}") from exc
     if meta.get("magic") != magic:
         raise ModelStoreError(f"not an IoT SENTINEL {kind}: {path}")
-    if meta.get("schema_version") not in supported_versions:
+    if meta.get("schema_version") != schema_version:
         raise ModelStoreError(
             f"unsupported {kind} schema version {meta.get('schema_version')!r} "
-            f"(this build reads versions {supported_versions})"
+            f"(this build reads only schema_version {schema_version})"
         )
     recorded = meta.get("checksum")
     actual = _checksum(contents)
@@ -349,9 +296,9 @@ def _check_epoch(
         return
     recorded = meta.get("epoch")
     if recorded is None and expected_epoch == 0:
-        # Unstamped bundle (schema v1, or a plain save_identifier call)
-        # loaded by a runtime that has never learned a type: no staleness
-        # is possible yet, so the migration path stays open.
+        # Unstamped bundle (a plain save_identifier call) loaded by a
+        # runtime that has never learned a type: no staleness is
+        # possible yet.
         return
     if recorded != expected_epoch:
         raise ModelStoreError(
@@ -395,9 +342,6 @@ QUARANTINE_MAGIC = "iot-sentinel-quarantine-log"
 
 #: Bump on any incompatible change to the quarantine-log layout.
 QUARANTINE_SCHEMA_VERSION = 1
-
-#: Versions this build can still read.
-SUPPORTED_QUARANTINE_SCHEMA_VERSIONS = (1,)
 
 _QUARANTINE_KIND = "quarantine log"
 
@@ -462,7 +406,7 @@ def load_quarantine_records(
     meta, arrays = _read_bundle(
         path,
         magic=QUARANTINE_MAGIC,
-        supported_versions=SUPPORTED_QUARANTINE_SCHEMA_VERSIONS,
+        schema_version=QUARANTINE_SCHEMA_VERSION,
         kind=_QUARANTINE_KIND,
     )
     _check_epoch(meta, expected_epoch, path, kind=_QUARANTINE_KIND)
@@ -546,32 +490,32 @@ def save_identifier(
     Captures the bank (compiled forests), the registry, the discriminator
     configuration, the identifier ``revision`` (the salt of the
     deterministic reference draw) and the novelty threshold, so the
-    reloaded identifier returns bit-identical verdicts -- with no
-    generator state in the bundle (schema v3) for the default
-    deterministic selection.  An ablation identifier running the
-    paper-style ``selection="random"`` draw *does* keep its generator
-    state captured, so its (deliberately history-dependent) verdict
-    stream also continues exactly after a reload.  ``epoch`` stamps the
-    bundle with the cache generation it belongs to (see
-    :class:`~repro.identification.lifecycle.LifecycleCoordinator`).
+    reloaded identifier returns bit-identical verdicts with no
+    discriminator generator state in the bundle.  An ablation identifier
+    running the paper-style ``selection="random"`` draw is refused: its
+    verdicts depend on call history, which a bundle cannot carry.
+    ``epoch`` stamps the bundle with the cache generation it belongs to
+    (see :class:`~repro.identification.lifecycle.LifecycleCoordinator`).
     """
+    if not identifier.discriminator.is_deterministic:
+        raise ModelStoreError(
+            f"cannot persist discriminator selection {identifier.discriminator.selection!r}: "
+            f"model bundles hold only selection={DETERMINISTIC_SELECTION!r}"
+        )
     bank_meta, arrays = _bank_payload(identifier.bank)
     registry_records, registry_arrays = _registry_arrays(identifier.registry)
     arrays.update(registry_arrays)
-    discriminator_meta = {
-        "references_per_type": identifier.discriminator.references_per_type,
-        "selection": identifier.discriminator.selection,
-        "draw": identifier.discriminator.draw,
-    }
-    if not identifier.discriminator.is_deterministic:
-        discriminator_meta["rng_state"] = _rng_state(identifier.discriminator.rng)
     meta = {
         "bank": bank_meta,
         "registry": {
             "fixed_packet_count": identifier.registry.fixed_packet_count,
             "fingerprints": registry_records,
         },
-        "discriminator": discriminator_meta,
+        "discriminator": {
+            "references_per_type": identifier.discriminator.references_per_type,
+            "selection": DETERMINISTIC_SELECTION,
+            "draw": SPLITMIX_DRAW,
+        },
         "novelty_threshold": identifier.novelty_threshold,
         "revision": identifier.revision,
         "epoch": epoch,
@@ -609,46 +553,17 @@ def load_identifier_with_epoch(
         bank = _rebuild_bank(meta["bank"], arrays)
         registry = _rebuild_registry(meta["registry"], arrays)
         discriminator_meta = meta["discriminator"]
-        selection = discriminator_meta.get("selection", "deterministic")
-        if selection == "random":
-            # An ablation identifier: the shared generator *is* the
-            # semantics, so its captured state is restored exactly (a
-            # random-mode bundle missing the state falls back loudly via
-            # _restore_rng's counted warning).
-            discriminator = EditDistanceDiscriminator(
-                references_per_type=discriminator_meta["references_per_type"],
-                selection=selection,
-                rng=_restore_rng(
-                    discriminator_meta.get("rng_state"), context="discriminator"
-                ),
-            )
-        else:
-            if discriminator_meta.get("rng_state") is not None:
-                # A v1/v2 bundle: the discriminator's generator state was
-                # captured to replay the old random reference draw.  The
-                # draw is deterministic per fingerprint now, so the state
-                # is discarded -- explicitly: the reloaded identifier's
-                # verdicts are reproducible but may differ from the
-                # retired random stream on borderline fingerprints.
-                _LEGACY_FALLBACKS["discriminator_rng"] += 1
-                warnings.warn(
-                    f"legacy model bundle (schema v{meta.get('schema_version')}) "
-                    "captured a discriminator rng state; discarding it in favour "
-                    "of the deterministic per-fingerprint reference draw",
-                    RuntimeWarning,
-                    stacklevel=2,
+        for key, expected in (("selection", DETERMINISTIC_SELECTION), ("draw", SPLITMIX_DRAW)):
+            if discriminator_meta.get(key) != expected:
+                raise ModelStoreError(
+                    f"model bundle discriminator {key} {discriminator_meta.get(key)!r} "
+                    f"is not supported (expected {expected!r}): {path}"
                 )
-            # Schema v3 and earlier predate the ``draw`` field: those
-            # bundles were trained under the numpy ``Generator.choice``
-            # reference draw, which stays pinned so their verdict
-            # streams replay byte-for-byte.
-            discriminator = EditDistanceDiscriminator(
-                references_per_type=discriminator_meta["references_per_type"],
-                selection=selection,
-                draw=discriminator_meta.get("draw", NUMPY_DRAW),
-            )
+        discriminator = EditDistanceDiscriminator(
+            references_per_type=discriminator_meta["references_per_type"]
+        )
         novelty_threshold = meta["novelty_threshold"]
-        revision = int(meta.get("revision", 0))
+        revision = int(_required(meta, "revision"))
     except (KeyError, TypeError, ModelError) as exc:
         raise ModelStoreError(f"model bundle is structurally invalid: {path}") from exc
     identifier = DeviceTypeIdentifier(

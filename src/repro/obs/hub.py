@@ -21,7 +21,6 @@ import json
 from typing import TYPE_CHECKING, Optional
 
 from repro.features.fingerprint import fingerprint_key
-from repro.identification.model_store import legacy_fallback_counts
 from repro.obs.evidence import (
     EVIDENCE_KINDS,
     KIND_APPLY,
@@ -91,9 +90,6 @@ class Observability:
             "pipeline.assemble_batch_seconds"
         )
         self._score_batch_seconds = self.metrics.histogram("pipeline.score_batch_seconds")
-        # Legacy-bundle fallbacks are process-global (see model_store);
-        # surfaced here so a reproducibility audit reads one snapshot.
-        self.metrics.register_source("model_store", legacy_fallback_counts)
 
     # ------------------------------------------------------------------ #
     # The one read API.

@@ -49,7 +49,6 @@ from repro.streaming.sources import (
     iter_packet_batches,
     replay_trace,
 )
-from repro.streaming.workers import ParallelShardAssembler
 
 __all__ = [
     "AssemblerStats",
@@ -74,5 +73,4 @@ __all__ = [
     "interleave_traces",
     "iter_packet_batches",
     "replay_trace",
-    "ParallelShardAssembler",
 ]

@@ -298,17 +298,9 @@ class ShardedFingerprintAssembler:
         the pipeline splits batches at eviction boundaries so sweeps fire
         between the same two packets as on the per-packet path.
         """
-        return [ready for _, ready in self.observe_batch_indexed(batch)]
-
-    def observe_batch_indexed(
-        self, batch: PacketBatch
-    ) -> list[tuple[int, ReadyFingerprint]]:
-        """:meth:`observe_batch`, tagging each emission with the in-batch
-        index of its trigger packet (what shard workers merge on)."""
         if len(batch) == 0:
             return []
-        prepared = self.prepare_batch(batch)
-        return self.observe_prepared(prepared, len(batch))
+        return self.observe_prepared(self.prepare_batch(batch), len(batch))
 
     def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
         """Run the vectorised per-batch work once, ahead of observation.
@@ -378,8 +370,11 @@ class ShardedFingerprintAssembler:
 
     def observe_prepared(
         self, prepared: "_PreparedBatch", stop: int
-    ) -> list[tuple[int, ReadyFingerprint]]:
+    ) -> list[ReadyFingerprint]:
         """Fold every not-yet-observed packet before index ``stop`` in.
+
+        Completed fingerprints come back ordered by the in-batch index of
+        the packet that triggered them.
 
         Windows are consumed consecutively (each group keeps a cursor), so
         calling with increasing ``stop`` values walks the batch exactly
@@ -502,7 +497,7 @@ class ShardedFingerprintAssembler:
             prepared.devices[group] = device
             group += 1
         emissions.sort(key=lambda pair: pair[0])
-        return emissions
+        return [ready for _, ready in emissions]
 
     # ------------------------------------------------------------------ #
     # Eviction and flushing.

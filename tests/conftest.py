@@ -12,6 +12,7 @@ import pytest
 from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
+from repro.distance.damerau_levenshtein import normalized_damerau_levenshtein
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.net.addresses import MACAddress
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
@@ -62,6 +63,29 @@ def simulator(lab_environment):
 def aria_trace(simulator):
     """One simulated setup run of the Fitbit Aria profile."""
     return simulator.simulate(DEVICE_CATALOG["Aria"])
+
+
+def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:
+    """Re-derive every dissimilarity score of ``result`` with the scalar kernel.
+
+    For each :class:`~repro.distance.discrimination.DissimilarityScore`
+    the oracle sums :func:`normalized_damerau_levenshtein` (the per-pair
+    dynamic program) over the recorded ``reference_indices`` in ascending
+    order and asserts the production score is bitwise equal.  Returns how
+    many scores were checked.
+    """
+    word = fingerprint.as_symbol_sequence()
+    for score in result.discrimination_scores:
+        references = identifier.registry.fingerprints_of(score.device_type)
+        assert list(score.reference_indices) == sorted(score.reference_indices)
+        assert score.comparisons == len(score.reference_indices)
+        total = 0.0
+        for index in score.reference_indices:
+            total += normalized_damerau_levenshtein(
+                word, references[index].as_symbol_sequence()
+            )
+        assert score.score == total, (score.device_type, score.score, total)
+    return len(result.discrimination_scores)
 
 
 def make_device_mac(index: int = 1) -> MACAddress:

@@ -196,13 +196,10 @@ class TestDeterministicSelection:
         with pytest.raises(IdentificationError):
             EditDistanceDiscriminator(selection="sometimes")
 
-    def test_rng_with_deterministic_selection_warns_and_is_dropped(self):
-        """A pre-migration caller seeding the old shared generator is told
-        about the semantics change instead of silently losing it."""
-        with pytest.warns(RuntimeWarning, match="ignores rng"):
-            discriminator = EditDistanceDiscriminator(rng=np.random.default_rng(0))
-        assert discriminator.rng is None
-        assert discriminator.is_deterministic
+    def test_rng_with_deterministic_selection_rejected(self):
+        """A generator only means something to the random ablation mode."""
+        with pytest.raises(IdentificationError, match="rng"):
+            EditDistanceDiscriminator(rng=np.random.default_rng(0))
 
 
 class TestRandomSelectionMode:

@@ -1,5 +1,6 @@
 """Tests for the persistent model store (save/load of trained banks)."""
 
+import copy
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from repro.features.fingerprint import Fingerprint
 from repro.identification.model_store import (
     SCHEMA_VERSION,
     STORE_MAGIC,
-    legacy_fallback_counts,
     load_bank,
     load_identifier,
     save_bank,
@@ -98,7 +98,30 @@ class TestIdentifierRoundTrip:
         assert "BrandNewDevice" in loaded.bank.device_types
 
 
-class TestSchemaV3:
+def _set_schema(version):
+    def mutate(meta):
+        meta["schema_version"] = version
+
+    return mutate
+
+
+def _drop_bank_rng(meta):
+    meta["bank"]["rng_state"] = None
+
+
+def _drop_revision(meta):
+    meta.pop("revision")
+
+
+def _numpy_draw(meta):
+    meta["discriminator"]["draw"] = "numpy"
+
+
+def _random_selection(meta):
+    meta["discriminator"]["selection"] = "random"
+
+
+class TestSchemaV4:
     def test_v4_bundle_has_no_discriminator_rng_state(
         self, trained_identifier, bundle_path
     ):
@@ -111,111 +134,50 @@ class TestSchemaV3:
         assert meta["discriminator"]["draw"] == "splitmix64"
         assert meta["revision"] == trained_identifier.revision
 
-    def test_v3_bundle_without_draw_field_loads_with_numpy_draw(
-        self, trained_identifier, bundle_path, tmp_path
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (_set_schema(1), "schema_version"),
+            (_set_schema(2), "schema_version"),
+            (_set_schema(3), "schema_version"),
+            (_set_schema(5), "schema_version"),
+            (_drop_bank_rng, "rng_state"),
+            (_drop_revision, "revision"),
+            (_numpy_draw, "draw"),
+            (_random_selection, "selection"),
+        ],
+        ids=[
+            "schema-1",
+            "schema-2",
+            "schema-3",
+            "schema-5",
+            "no-bank-rng-state",
+            "no-revision",
+            "numpy-draw",
+            "random-selection",
+        ],
+    )
+    def test_legacy_shape_rejected_naming_the_field(
+        self, trained_identifier, bundle_path, tmp_path, mutate, field
     ):
-        """Schema-v3 bundles predate the draw field: their historical
-        numpy ``Generator.choice`` reference draw stays pinned on load."""
         save_identifier(bundle_path, trained_identifier)
-        legacy = tmp_path / "v3.npz"
+        legacy = rewrite_bundle(bundle_path, tmp_path / "legacy.npz", mutate)
+        with pytest.raises(ModelStoreError, match=field):
+            load_identifier(legacy)
 
-        def downgrade(meta):
-            meta["schema_version"] = 3
-            meta["discriminator"].pop("draw")
-
-        rewrite_bundle(bundle_path, legacy, downgrade)
-        loaded = load_identifier(legacy)
-        assert loaded.discriminator.draw == "numpy"
-        assert loaded.discriminator.is_deterministic
-
-    def test_legacy_v2_bundle_loads_with_explicit_migration(
-        self, trained_identifier, bundle_path, tmp_path
-    ):
-        """A v1/v2 bundle's captured discriminator rng state is discarded
-        loudly (warning + counter), never silently."""
-        save_identifier(bundle_path, trained_identifier)
-        legacy = tmp_path / "legacy.npz"
-
-        def downgrade(meta):
-            meta["schema_version"] = 2
-            meta.pop("revision")
-            meta["discriminator"].pop("selection")
-            meta["discriminator"]["rng_state"] = np.random.default_rng(0).bit_generator.state
-
-        rewrite_bundle(bundle_path, legacy, downgrade)
-        before = legacy_fallback_counts()
-        with pytest.warns(RuntimeWarning, match="discriminator rng state"):
-            loaded = load_identifier(legacy)
-        after = legacy_fallback_counts()
-        assert after["discriminator_rng"] == before["discriminator_rng"] + 1
-        assert loaded.revision == 0
-        assert loaded.discriminator.is_deterministic
-        assert loaded.bank.device_types == trained_identifier.bank.device_types
-
-    def test_missing_bank_rng_state_falls_back_loudly(
-        self, trained_identifier, bundle_path, tmp_path
-    ):
-        """_restore_rng's None path: documented fallback, warned and counted."""
-        save_identifier(bundle_path, trained_identifier)
-        hollow = tmp_path / "no-bank-rng.npz"
-
-        def drop_bank_rng(meta):
-            meta["bank"]["rng_state"] = None
-
-        rewrite_bundle(bundle_path, hollow, drop_bank_rng)
-        before = legacy_fallback_counts()
-        with pytest.warns(RuntimeWarning, match="nondeterministic generator"):
-            loaded = load_identifier(hollow)
-        after = legacy_fallback_counts()
-        assert after["bank_rng"] == before["bank_rng"] + 1
-        assert loaded.bank.device_types == trained_identifier.bank.device_types
-
-    def test_random_mode_identifier_keeps_its_generator_state(
-        self, small_dataset, bundle_path
-    ):
-        """An ablation identifier (selection="random") round-trips its
-        shared generator exactly: the reloaded identifier continues the
-        original's history-dependent verdict stream."""
+    def test_save_refuses_random_selection(self, trained_identifier, bundle_path):
         from repro.distance.discrimination import (
             RANDOM_SELECTION,
             EditDistanceDiscriminator,
         )
-        from repro.identification.identifier import DeviceTypeIdentifier
 
-        identifier = DeviceTypeIdentifier.train(
-            small_dataset.to_registry(), n_estimators=5, random_state=0
-        )
+        identifier = copy.copy(trained_identifier)
         identifier.discriminator = EditDistanceDiscriminator(
             selection=RANDOM_SELECTION, rng=np.random.default_rng(1234)
         )
-        # Advance the generator: the captured state must be the *current*
-        # one, not the seed.
-        identifier.identify_many(small_dataset.fingerprints[:6])
-        state_at_save = identifier.discriminator.rng.bit_generator.state
-
-        save_identifier(bundle_path, identifier)
-        before = legacy_fallback_counts()
-        loaded = load_identifier(bundle_path)
-        assert legacy_fallback_counts() == before  # exact restore, no fallback
-        assert not loaded.discriminator.is_deterministic
-        assert loaded.discriminator.rng.bit_generator.state == state_at_save
-
-        probes = small_dataset.fingerprints[6:18]
-        original = identifier.identify_many(probes)
-        reloaded = loaded.identify_many(probes)
-        for first, second in zip(original, reloaded):
-            assert first.device_type == second.device_type
-            assert first.discrimination_scores == second.discrimination_scores
-
-    def test_fresh_v3_load_emits_no_fallback(self, trained_identifier, bundle_path):
-        save_identifier(bundle_path, trained_identifier)
-        before = legacy_fallback_counts()
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            load_identifier(bundle_path)
-        assert legacy_fallback_counts() == before
+        with pytest.raises(ModelStoreError, match="selection"):
+            save_identifier(bundle_path, identifier)
+        assert list(bundle_path.parent.iterdir()) == []
 
 
 class TestBankRoundTrip:
