@@ -65,7 +65,7 @@ def build_quarantined_stack():
     identifier = DeviceTypeIdentifier.train(dataset.to_registry(), random_state=BENCH_SEED)
 
     service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(security_service=service)
+    gateway = SecurityGateway()
     coordinator = LifecycleCoordinator(identifier=identifier)
     coordinator.sink = GatewayEnforcementSink(
         gateway=gateway, security_service=service, lifecycle=coordinator
@@ -176,7 +176,7 @@ def build_autopilot_stack():
     identifier = DeviceTypeIdentifier.train(dataset.to_registry(), random_state=BENCH_SEED)
 
     service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(security_service=service)
+    gateway = SecurityGateway()
     coordinator = LifecycleCoordinator(identifier=identifier)
     sink = GatewayEnforcementSink(
         gateway=gateway, security_service=service, lifecycle=coordinator

@@ -64,7 +64,7 @@ def main() -> None:
 
     store_dir = Path(tempfile.mkdtemp(prefix="iot-sentinel-lifecycle-"))
     service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(security_service=service)
+    gateway = SecurityGateway()
     coordinator = LifecycleCoordinator(
         identifier=identifier, store_path=store_dir / "model.npz"
     )

@@ -2,26 +2,27 @@
 """Smart-home onboarding: the full IoT SENTINEL loop with security enforcement.
 
 A Security Gateway watches a (simulated) home network.  Several consumer IoT
-devices are connected one after the other; for each one the gateway captures
-the setup traffic, asks the IoT Security Service for an assessment and
-enforces the returned isolation level (trusted / restricted / strict) with
-per-device rules on its software switch.  Finally a few packets are pushed
-through the datapath to show the policy in action.
+devices are connected one after the other; for each one the gateway streams
+the setup traffic through fingerprint assembly and identification, asks the
+IoT Security Service for an assessment and enforces the returned isolation
+level (trusted / restricted / strict) with per-device rules on its software
+switch.  Finally a few packets are pushed through the datapath to show the
+policy in action.
 
 Run with ``python examples/smart_home_onboarding.py``.
 """
 
+from repro import GatewayConfig, build_gateway
 from repro.datasets import generate_fingerprint_dataset
 from repro.devices import DEVICE_CATALOG, SetupTrafficSimulator
 from repro.eval.reporting import format_table
-from repro.gateway import SecurityGateway
 from repro.identification import DeviceTypeIdentifier
 from repro.net.addresses import MACAddress
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP
 from repro.net.layers.tcp import TCPSegment
 from repro.net.packet import Packet
-from repro.security_service import IoTSecurityService
+from repro.streaming import IterableSource
 
 
 def make_tcp_packet(src_mac, dst_mac, src_ip, dst_ip, dst_port=443):
@@ -50,16 +51,20 @@ def main() -> None:
     print("== Training the IoT Security Service ==")
     dataset = generate_fingerprint_dataset(runs_per_type=20, device_names=TRAINING_TYPES, seed=1)
     identifier = DeviceTypeIdentifier.train(dataset.to_registry(), random_state=1)
-    service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(security_service=service)
-    simulator = SetupTrafficSimulator(environment=service.environment, seed=99)
+    handle = build_gateway(GatewayConfig(identifier=identifier))
+    gateway = handle.gateway
+    simulator = SetupTrafficSimulator(environment=handle.security_service.environment, seed=99)
 
     print("== Onboarding devices through the Security Gateway ==")
     records = []
+    ips = {}
     for name in NEW_DEVICES:
         trace = simulator.simulate(DEVICE_CATALOG[name])
-        record = gateway.onboard_device(trace.packets)
-        records.append((name, record))
+        handle.run_until_idle(IterableSource(trace.packets))
+        records.append((name, gateway.device_record(trace.device_mac)))
+        # The pipeline does not track addresses; the probes below use the
+        # lease the simulator handed out.
+        ips[trace.device_mac] = trace.device_ip
 
     rows = []
     for actual, record in records:
@@ -96,28 +101,28 @@ def main() -> None:
     if restricted is not None and restricted.enforcement_rule.allowed_destinations:
         probes.append(
             ("restricted device -> its vendor cloud",
-             make_tcp_packet(restricted.mac, external, restricted.ip_address,
+             make_tcp_packet(restricted.mac, external, ips[restricted.mac],
                              restricted.enforcement_rule.allowed_destinations[0], dst_port=443))
         )
         probes.append(
             ("restricted device -> arbitrary internet host",
-             make_tcp_packet(restricted.mac, external, restricted.ip_address, "8.8.8.8", dst_port=80))
+             make_tcp_packet(restricted.mac, external, ips[restricted.mac], "8.8.8.8", dst_port=80))
         )
     if trusted is not None:
         probes.append(
             ("trusted device -> arbitrary internet host",
-             make_tcp_packet(trusted.mac, external, trusted.ip_address, "93.184.216.34", dst_port=443))
+             make_tcp_packet(trusted.mac, external, ips[trusted.mac], "93.184.216.34", dst_port=443))
         )
     if trusted is not None and restricted is not None:
         probes.append(
             ("trusted device -> untrusted (restricted) device",
-             make_tcp_packet(trusted.mac, restricted.mac, trusted.ip_address,
-                             restricted.ip_address, dst_port=80))
+             make_tcp_packet(trusted.mac, restricted.mac, ips[trusted.mac],
+                             ips[restricted.mac], dst_port=80))
         )
     if strict is not None:
         probes.append(
             ("strict (unknown) device -> internet host",
-             make_tcp_packet(strict.mac, external, strict.ip_address, "1.1.1.1", dst_port=443))
+             make_tcp_packet(strict.mac, external, ips[strict.mac], "1.1.1.1", dst_port=443))
         )
     for label, packet in probes:
         decision = gateway.authorize(packet)

@@ -324,7 +324,8 @@ class GatewayHandle:
         flows through dispatch, caching, the ledger and enforcement
         exactly like a streamed one.  With ``flush`` (default) the
         dispatcher is drained so the verdict is returned immediately
-        instead of waiting for a full batch.
+        instead of waiting for a full batch; captures still being
+        assembled are left alone, so this is safe during :meth:`stream`.
         """
         pipeline = self.pipeline if self.pipeline is not None else self._build_pipeline(
             IterableSource([])
@@ -334,7 +335,7 @@ class GatewayHandle:
         )
         identified = pipeline.inject(ready)
         if flush:
-            identified = identified + pipeline.finish()
+            identified = identified + pipeline.drain()
         return identified
 
     # ------------------------------------------------------------------ #
@@ -526,9 +527,7 @@ def build_gateway(config: GatewayConfig) -> GatewayHandle:
             )
 
     security_service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(
-        security_service=security_service, clock=clock, name=config.name
-    )
+    gateway = SecurityGateway(clock=clock, name=config.name)
     sink = GatewayEnforcementSink(
         gateway=gateway,
         security_service=security_service,

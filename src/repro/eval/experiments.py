@@ -278,7 +278,6 @@ class LatencyTable:
 def _build_loaded_gateway(filtering_enabled: bool, device_count: int, seed: int) -> SecurityGateway:
     """A gateway with ``device_count`` devices and enforcement rules installed."""
     gateway = SecurityGateway(
-        security_service=None,
         filtering_enabled=filtering_enabled,
         resource_model=GatewayResourceModel(seed=seed),
     )

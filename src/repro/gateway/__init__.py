@@ -1,7 +1,6 @@
-"""The Security Gateway: monitoring, enforcement and isolation overlays.
+"""The Security Gateway: enforcement, rule caching and isolation overlays.
 
 This subpackage models the gateway-side half of IoT SENTINEL (Fig. 1): the
-device monitor that captures setup traffic of newly seen devices, the
 enforcement-rule generator and its hash-table rule cache, the network
 overlay bookkeeping (trusted vs untrusted), the per-device WPA2-PSK manager
 and the gateway itself, which plugs into the SDN controller as the paper's
@@ -9,7 +8,6 @@ custom Floodlight module does.
 """
 
 from repro.gateway.enforcement import DeviceRecord, EnforcementRule, NetworkOverlay
-from repro.gateway.monitoring import DeviceMonitor
 from repro.gateway.rule_cache import EnforcementRuleCache
 from repro.gateway.security_gateway import AuthorizationDecision, SecurityGateway
 from repro.gateway.wireless import WirelessCredential, WPSKeyManager
@@ -18,7 +16,6 @@ __all__ = [
     "EnforcementRule",
     "DeviceRecord",
     "NetworkOverlay",
-    "DeviceMonitor",
     "EnforcementRuleCache",
     "SecurityGateway",
     "AuthorizationDecision",

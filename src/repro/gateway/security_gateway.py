@@ -1,4 +1,4 @@
-"""The Security Gateway: the SDN module tying monitoring and enforcement together."""
+"""The Security Gateway: the SDN module that enforces per-device isolation."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions import EnforcementError
-from repro.features.fingerprint import Fingerprint
 from repro.gateway.enforcement import DeviceRecord, EnforcementRule, NetworkOverlay
-from repro.gateway.monitoring import DeviceMonitor
 from repro.gateway.rule_cache import EVICT_STALE, EnforcementRuleCache
 from repro.gateway.wireless import WPSKeyManager
 from repro.net.addresses import MACAddress
@@ -17,7 +15,7 @@ from repro.sdn.controller import SdnController
 from repro.sdn.openflow import FlowAction
 from repro.sdn.switch import OpenVSwitch, SwitchPort
 from repro.security_service.isolation import IsolationLevel
-from repro.security_service.service import IoTSecurityService, SecurityAssessment
+from repro.security_service.service import SecurityAssessment
 from repro.simulation.clock import SimulatedClock
 from repro.simulation.resources import GatewayResourceModel, ResourceSample
 
@@ -58,25 +56,23 @@ class AuthorizationDecision:
 class SecurityGateway:
     """The software-defined Security Gateway of Fig. 1.
 
-    The gateway monitors traffic of newly connected devices, obtains a
-    security assessment for each from the :class:`IoTSecurityService`,
+    The gateway applies the :class:`IoTSecurityService` assessment of each
+    identified device (:meth:`apply_assessment`, driven by the streaming
+    pipeline's :class:`~repro.streaming.pipeline.GatewayEnforcementSink`),
     generates per-device enforcement rules, and filters every subsequent
     packet according to the device's isolation level and overlay membership.
 
     Attributes:
-        security_service: the IoTSSP client used for assessments.
         filtering_enabled: when False the gateway forwards everything
             (the "no filtering" baseline of the paper's evaluation).
         clock: simulated time source.
         resource_model: CPU/memory model used for the Fig. 6 experiments.
     """
 
-    security_service: Optional[IoTSecurityService] = None
     filtering_enabled: bool = True
     clock: SimulatedClock = field(default_factory=SimulatedClock)
     controller: SdnController = field(default_factory=SdnController)
     switch: OpenVSwitch = field(default_factory=OpenVSwitch)
-    monitor: DeviceMonitor = field(default_factory=DeviceMonitor)
     rule_cache: EnforcementRuleCache = field(default_factory=EnforcementRuleCache)
     wps: WPSKeyManager = field(default_factory=WPSKeyManager)
     resource_model: GatewayResourceModel = field(default_factory=GatewayResourceModel)
@@ -168,7 +164,6 @@ class SecurityGateway:
         self.rule_cache.remove(mac)
         self.switch.remove_rules(f"enforce-{mac}")
         self.wps.revoke(mac)
-        self.monitor.forget(mac)
         if self.lifecycle is not None:
             self.lifecycle.note_disconnected(mac)
 
@@ -181,10 +176,9 @@ class SecurityGateway:
         keeps ``ip_to_mac`` coherent under lease churn: when a device shows
         up with a new address, the previous mapping is evicted *only if it
         still points at this device* -- another device may have claimed the
-        old lease in the meantime, and its mapping must survive.  This is
-        the address-tracking half of :meth:`observe_setup_packet`, exposed
-        so streaming-path callers (which bypass the monitor) can drive the
-        same logic per packet.
+        old lease in the meantime, and its mapping must survive.  The
+        streaming pipeline never calls this: callers that know a device's
+        address (DHCP lease events, the scenario campaigns) report it here.
         """
         record = self.connect_device(mac)
         record.touch(now)
@@ -200,51 +194,9 @@ class SecurityGateway:
             self.ip_to_mac[ip_address] = mac
         return record
 
-    def observe_setup_packet(self, packet: Packet) -> Optional[DeviceRecord]:
-        """Feed one setup-phase packet of a device being profiled.
-
-        When the monitor decides the setup phase is over, the fingerprint is
-        sent to the IoT Security Service and the resulting enforcement is
-        applied; the updated device record is then returned.
-        """
-        record = self.note_address_claim(packet.src_mac, packet.src_ip, packet.timestamp)
-        fingerprint = self.monitor.observe(packet)
-        if fingerprint is None:
-            return None
-        return self._assess_and_enforce(record, fingerprint)
-
-    def finalize_device_setup(self, mac: MACAddress) -> Optional[DeviceRecord]:
-        """Force the end of a device's setup capture (idle timer fired)."""
-        fingerprint = self.monitor.finalize(mac)
-        if fingerprint is None:
-            return None
-        record = self.devices.get(mac)
-        if record is None:
-            record = self.connect_device(mac)
-        return self._assess_and_enforce(record, fingerprint)
-
-    def onboard_device(self, packets: list[Packet]) -> DeviceRecord:
-        """Convenience: run a full setup capture through monitoring + enforcement."""
-        if not packets:
-            raise EnforcementError("cannot onboard a device from an empty capture")
-        record = None
-        for packet in packets:
-            record = self.observe_setup_packet(packet) or record
-        if record is None:
-            record = self.finalize_device_setup(packets[0].src_mac)
-        if record is None:
-            raise EnforcementError("device onboarding produced no fingerprint")
-        return record
-
     # ------------------------------------------------------------------ #
-    # Assessment and enforcement.
+    # Enforcement.
     # ------------------------------------------------------------------ #
-    def _assess_and_enforce(self, record: DeviceRecord, fingerprint: Fingerprint) -> DeviceRecord:
-        if self.security_service is None:
-            raise EnforcementError("no IoT Security Service is configured")
-        assessment = self.security_service.assess_fingerprint(fingerprint)
-        return self.apply_assessment(record.mac, assessment)
-
     def apply_assessment(self, mac: MACAddress, assessment: SecurityAssessment) -> DeviceRecord:
         """Apply an IoTSSP assessment: cache the rule and program the switch."""
         record = self.devices.get(mac)

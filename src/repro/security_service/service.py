@@ -8,8 +8,7 @@ from typing import Optional
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.profiles import StepKind
 from repro.devices.simulator import LabEnvironment
-from repro.features.fingerprint import Fingerprint
-from repro.identification.identifier import DeviceTypeIdentifier, IdentificationResult
+from repro.identification.identifier import DeviceTypeIdentifier
 from repro.security_service.isolation import IsolationLevel, isolation_level_for
 from repro.security_service.vulnerability import (
     VulnerabilityDatabase,
@@ -57,20 +56,17 @@ class SecurityAssessment:
     isolation_level: IsolationLevel
     vulnerabilities: tuple[VulnerabilityRecord, ...] = ()
     allowed_destinations: tuple[str, ...] = ()
-    identification: Optional[IdentificationResult] = None
-
-    @property
-    def is_unknown_device(self) -> bool:
-        return self.isolation_level is IsolationLevel.STRICT and not self.vulnerabilities
 
 
 @dataclass
 class IoTSecurityService:
     """The cloud-side service combining identification and risk assessment.
 
-    The service is stateless with respect to its gateway clients, exactly as
-    the paper prescribes for privacy: it receives a fingerprint and returns
-    an assessment, storing nothing about who asked.
+    The gateway's identification stage (the streaming dispatcher) labels
+    each fingerprint with :attr:`identifier`; the service turns that
+    device-type label into an assessment.  It is stateless with respect to
+    its gateway clients, exactly as the paper prescribes for privacy: it
+    stores nothing about who asked.
 
     Attributes:
         identifier: the trained two-stage device-type identifier.
@@ -89,36 +85,19 @@ class IoTSecurityService:
     vulnerability_db: VulnerabilityDatabase = field(default_factory=build_default_database)
     environment: LabEnvironment = field(default_factory=LabEnvironment)
     provisional_types: set[str] = field(default_factory=set)
-    assessments_served: int = 0
-
-    def assess_fingerprint(self, fingerprint: Fingerprint) -> SecurityAssessment:
-        """Identify a fingerprint and derive the isolation level to enforce."""
-        result = self.identifier.identify(fingerprint)
-        return self._assess(result)
 
     def assess_device_type(self, device_type: str) -> SecurityAssessment:
-        """Assessment for an already-known device-type (used for re-checks)."""
+        """Derive the isolation level to enforce for an identified device-type.
+
+        A label the identifier does not know (``"unknown"`` included) gets
+        strict isolation; a known one is graded by its vulnerabilities.
+        """
         known = device_type in self.identifier.known_device_types
         vulnerabilities = tuple(self.vulnerability_db.query(device_type)) if known else ()
         level = isolation_level_for(known, vulnerabilities)
-        return self._build_assessment(device_type if known else "unknown", level, vulnerabilities, None)
-
-    def _assess(self, result: IdentificationResult) -> SecurityAssessment:
-        self.assessments_served += 1
-        if result.is_new_device_type:
-            return self._build_assessment(result.device_type, IsolationLevel.STRICT, (), result)
-        vulnerabilities = tuple(self.vulnerability_db.query(result.device_type))
-        level = isolation_level_for(True, vulnerabilities)
-        return self._build_assessment(result.device_type, level, vulnerabilities, result)
-
-    def _build_assessment(
-        self,
-        device_type: str,
-        level: IsolationLevel,
-        vulnerabilities: tuple[VulnerabilityRecord, ...],
-        result: Optional[IdentificationResult],
-    ) -> SecurityAssessment:
-        if level is IsolationLevel.TRUSTED and device_type in self.provisional_types:
+        if not known:
+            device_type = "unknown"
+        elif level is IsolationLevel.TRUSTED and device_type in self.provisional_types:
             # No vulnerabilities on record means "nobody has looked yet"
             # for an auto-learned type, not "audited clean".
             level = IsolationLevel.RESTRICTED
@@ -130,5 +109,4 @@ class IoTSecurityService:
             isolation_level=level,
             vulnerabilities=vulnerabilities,
             allowed_destinations=allowed,
-            identification=result,
         )

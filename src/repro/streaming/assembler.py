@@ -1,7 +1,8 @@
 """Sharded, incremental assembly of device fingerprints from a packet stream.
 
-The offline pipeline buffers a device's whole setup capture and only then
-extracts features (:class:`~repro.gateway.monitoring.DeviceMonitor`).  The
+The offline path buffers a device's whole setup capture, cuts it with
+:class:`~repro.features.session.SetupPhaseDetector` and only then extracts
+features (:meth:`~repro.features.fingerprint.Fingerprint.from_packets`).  The
 streaming assembler instead folds each packet into the device's fingerprint
 matrix the moment it arrives: one stateful
 :class:`~repro.features.packet_features.PacketFeatureExtractor` per device,
@@ -175,16 +176,15 @@ class ShardedFingerprintAssembler:
     Attributes:
         shards: number of hash buckets devices are partitioned into.
         packet_budget: raw packets per device after which the fingerprint
-            is emitted (250 in the reproduction's device monitor).
+            is emitted (250 by default).
         min_packets: the cut guard of the end-of-setup rule -- a capture is
             never cut before this many raw packets, exactly as in the
             offline detector.
         min_rows: captures whose deduplicated fingerprint matrix has fewer
-            rows than this are discarded instead of emitted.  The default
-            of 1 matches the offline device monitor (every non-empty
-            capture is assessed, low-signal ones simply come back
-            "unknown"/strict); raise it to shed e.g. beacon-only devices
-            that collapse to a single repeated row, at the cost of those
+            rows than this are discarded instead of emitted.  With the
+            default of 1 every non-empty capture is assessed (low-signal
+            ones simply come back "unknown"/strict); raise it to shed
+            e.g. beacon-only devices that collapse to a single repeated row, at the cost of those
             devices never receiving a verdict.
         idle_timeout: silence, in stream-time seconds, after which an
             :meth:`evict_idle` sweep considers a device's capture complete

@@ -16,7 +16,6 @@ scanning every device on every packet.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -329,6 +328,16 @@ class StreamingPipeline:
             cache.epoch.advance_to(epoch)
         return previous
 
+    def drain(self) -> list[IdentifiedDevice]:
+        """Identify and deliver every queued fingerprint.
+
+        Captures still being assembled are left alone, so this is safe in
+        the middle of a stream; :meth:`finish` also flushes them.
+        """
+        identified = self.dispatcher.drain()
+        self._deliver(identified)
+        return identified
+
     def finish(self) -> list[IdentifiedDevice]:
         """Flush the assembler and drain the dispatcher (end of stream)."""
         identified: list[IdentifiedDevice] = []
@@ -398,10 +407,7 @@ class GatewayEnforcementSink:
     can re-identify them and upgrade their strict rules), successful
     identifications release any quarantine entry for the MAC.  The
     :class:`~repro.identification.autopilot.ReprofileScheduler` flips
-    :attr:`sticky` off for the duration of a steady-state pass (it
-    toggles the attribute directly so any sink exposing ``sticky``
-    works); :meth:`reprofiling` offers the same escape hatch as a
-    context manager for manual operator use.
+    :attr:`sticky` off for the duration of a steady-state pass.
     """
 
     gateway: SecurityGateway
@@ -415,22 +421,6 @@ class GatewayEnforcementSink:
     def __post_init__(self) -> None:
         if self.observability is not None:
             self.observability.register_sink(self)
-
-    @contextmanager
-    def reprofiling(self):
-        """Apply every verdict verbatim for the duration of the block.
-
-        The deliberate-re-profiling escape hatch from sticky enforcement:
-        inside the block, an "unknown" verdict on an already-identified
-        device downgrades it (fingerprint drift is acted on) instead of
-        being dropped as steady-state noise.
-        """
-        was_sticky = self.sticky
-        self.sticky = False
-        try:
-            yield self
-        finally:
-            self.sticky = was_sticky
 
     def __call__(self, identified: IdentifiedDevice) -> None:
         if self.sticky and identified.result.is_new_device_type:

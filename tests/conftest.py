@@ -20,6 +20,9 @@ from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP, PROTO_UDP
 from repro.net.layers.tcp import TCPSegment
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
+from repro.streaming.dispatcher import BatchDispatcher
+from repro.streaming.pipeline import GatewayEnforcementSink, StreamingPipeline
+from repro.streaming.sources import IterableSource
 
 #: A small but representative subset of device-types used by the fast tests:
 #: a few distinctive devices plus two confusable families.
@@ -86,6 +89,23 @@ def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:
             )
         assert score.score == total, (score.device_type, score.score, total)
     return len(result.discrimination_scores)
+
+
+def onboard_trace(gateway, service, trace):
+    """Onboard one simulated setup trace into ``gateway``; returns its record.
+
+    The device's address is claimed first, as the scenario campaigns do:
+    the streaming pipeline never learns IPs, and tests build packets from
+    ``record.ip_address``.  The capture then runs through the one
+    onboarding path -- assembly, dispatch and the enforcement sink.
+    """
+    gateway.note_address_claim(trace.device_mac, trace.device_ip, trace.packets[-1].timestamp)
+    StreamingPipeline(
+        IterableSource(trace.packets),
+        BatchDispatcher(service.identifier),
+        on_identified=GatewayEnforcementSink(gateway, service),
+    ).run()
+    return gateway.devices[trace.device_mac]
 
 
 def make_device_mac(index: int = 1) -> MACAddress:

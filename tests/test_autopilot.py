@@ -74,7 +74,7 @@ def quarantine_cluster(coordinator, size: int, seed: int = 55, now: float = 0.0,
 def build_stack(identifier, tmp_path=None, policy=None, confirm=None):
     """Gateway + coordinator + sink + dispatcher + autopilot, fully wired."""
     service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(security_service=service)
+    gateway = SecurityGateway()
     coordinator = LifecycleCoordinator(
         identifier=identifier,
         store_path=(tmp_path / "model.npz") if tmp_path is not None else None,
@@ -548,7 +548,7 @@ class TestEndToEnd:
         assert len(resumed.quarantine) == 2  # no lost pending devices
         assert resumed.epoch.generation == 0
         service2 = IoTSecurityService(identifier=resumed.identifier)
-        gateway2 = SecurityGateway(security_service=service2)
+        gateway2 = SecurityGateway()
         sink2 = GatewayEnforcementSink(
             gateway=gateway2, security_service=service2, lifecycle=resumed
         )

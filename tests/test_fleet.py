@@ -252,6 +252,59 @@ class TestGatewayConfig:
         assert handle.sink.enforced == 2
         assert handle.gateway.connected_device_count == 2
 
+    def test_identify_mid_stream_leaves_captures_in_progress(
+        self, trained_identifier, simulator
+    ):
+        # Aria goes idle before the other two start, so its verdict leaves
+        # the stream while HueBridge and EdnetCam are still being captured.
+        traces = [
+            simulator.simulate(DEVICE_CATALOG[name], start_time=start)
+            for name, start in (("Aria", 0.0), ("HueBridge", 30.0), ("EdnetCam", 31.0))
+        ]
+        uninterrupted = build_gateway(GatewayConfig(identifier=trained_identifier))
+        expected = [
+            verdict_signature(item)
+            for item in uninterrupted.stream(SimulatedSource(traces=traces))
+        ]
+
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        stream = handle.stream(SimulatedSource(traces=traces))
+        streamed = [next(stream)]
+        mac, fingerprint = probe_fingerprints(1)[0]
+        identified = handle.identify(mac, fingerprint)
+        streamed.extend(stream)
+
+        assert [item.mac for item in identified] == [mac]
+        assert all(item.completion_reason != "flush" for item in identified)
+        assert [verdict_signature(item) for item in streamed] == expected
+        macs = [item.mac for item in streamed + identified]
+        assert sorted(macs) == sorted({trace.device_mac for trace in traces} | {mac})
+
+    def test_ledger_explains_every_onboarding(self, trained_identifier, tmp_path):
+        ledger_path = tmp_path / "ledger.ndjson"
+        handle = build_gateway(
+            GatewayConfig(identifier=trained_identifier, ledger_path=ledger_path)
+        )
+        traces = [
+            SetupTrafficSimulator(seed=seed).simulate(DEVICE_CATALOG[name])
+            for name, seed in (
+                ("EdnetCam", 812), ("Aria", 813), ("MAXGateway", 814), ("D-LinkCam", 815)
+            )
+        ]
+        for trace in traces:
+            handle.run_until_idle(SimulatedSource(traces=[trace]))
+        handle.close()
+
+        ledger = replay_ledger(ledger_path)
+        for trace in traces:
+            records = ledger.for_mac(str(trace.device_mac))
+            verdicts = [record for record in records if record.kind == "verdict"]
+            enforcements = [record for record in records if record.kind == "enforcement"]
+            assert len(verdicts) == 1 and len(enforcements) == 1
+            device = handle.gateway.devices[trace.device_mac]
+            assert enforcements[0].verdict == device.device_type
+            assert enforcements[0].enforcement_action == device.isolation_level.name
+
 
 # --------------------------------------------------------------------- #
 # Hot model swap on a live gateway.

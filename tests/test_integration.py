@@ -13,6 +13,8 @@ from repro.net.pcap import read_pcap, write_pcap
 from repro.security_service.isolation import IsolationLevel
 from repro.security_service.service import IoTSecurityService
 
+from tests.conftest import onboard_trace
+
 
 class TestPcapToIdentificationPipeline:
     def test_full_pipeline_from_capture_file(self, tmp_path, trained_identifier):
@@ -55,13 +57,13 @@ class TestGatewayEndToEnd:
     def test_household_onboarding_scenario(self, trained_identifier):
         """Onboard several devices and verify the resulting network policy."""
         service = IoTSecurityService(identifier=trained_identifier)
-        gateway = SecurityGateway(security_service=service)
+        gateway = SecurityGateway()
         simulator = SetupTrafficSimulator(environment=service.environment, seed=4242)
 
         records = {}
         for name in ("Aria", "EdnetCam", "HueBridge"):
             trace = simulator.simulate(DEVICE_CATALOG[name])
-            records[name] = gateway.onboard_device(trace.packets)
+            records[name] = onboard_trace(gateway, service, trace)
 
         assert records["Aria"].isolation_level is IsolationLevel.TRUSTED
         assert records["EdnetCam"].isolation_level is IsolationLevel.RESTRICTED
@@ -75,13 +77,13 @@ class TestGatewayEndToEnd:
         registry = small_dataset.to_registry()
         identifier = DeviceTypeIdentifier.train(registry, n_estimators=6, random_state=3)
         service = IoTSecurityService(identifier=identifier)
-        gateway = SecurityGateway(security_service=service)
+        gateway = SecurityGateway()
 
         simulator = SetupTrafficSimulator(seed=777)
         # Before: the Lightify gateway cannot be recognised as its real type
         # (it is not part of the training registry yet).
         unknown_trace = simulator.simulate(DEVICE_CATALOG["Lightify"])
-        record = gateway.onboard_device(unknown_trace.packets)
+        record = onboard_trace(gateway, service, unknown_trace)
         assert record.device_type != "Lightify"
 
         # The IoTSSP learns the new type from lab fingerprints.
@@ -94,7 +96,7 @@ class TestGatewayEndToEnd:
         # After: a freshly connected Lightify is identified and trusted
         # (no seeded vulnerabilities for it).
         second_trace = simulator.simulate(DEVICE_CATALOG["Lightify"])
-        second_record = gateway.onboard_device(second_trace.packets)
+        second_record = onboard_trace(gateway, service, second_trace)
         assert second_record.device_type == "Lightify"
         assert second_record.isolation_level is IsolationLevel.TRUSTED
 

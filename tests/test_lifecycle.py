@@ -277,7 +277,7 @@ class TestCoordinator:
 class TestEndToEnd:
     def build_stack(self, identifier, tmp_path=None):
         service = IoTSecurityService(identifier=identifier)
-        gateway = SecurityGateway(security_service=service)
+        gateway = SecurityGateway()
         coordinator = LifecycleCoordinator(
             identifier=identifier,
             store_path=(tmp_path / "model.npz") if tmp_path is not None else None,
@@ -412,7 +412,7 @@ class TestEndToEnd:
         # Wire the full streaming path: an unknown-model device flows
         # source -> assembler -> dispatcher -> sink and lands quarantined.
         service = IoTSecurityService(identifier=partial_identifier)
-        gateway = SecurityGateway(security_service=service)
+        gateway = SecurityGateway()
         coordinator = LifecycleCoordinator(identifier=partial_identifier)
         sink = GatewayEnforcementSink(
             gateway=gateway, security_service=service, lifecycle=coordinator

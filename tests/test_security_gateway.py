@@ -12,7 +12,7 @@ from repro.security_service.isolation import IsolationLevel
 from repro.security_service.service import IoTSecurityService, SecurityAssessment
 from repro.security_service.vulnerability import VulnerabilityRecord
 
-from tests.conftest import make_tcp_packet, make_udp_packet
+from tests.conftest import make_tcp_packet, make_udp_packet, onboard_trace
 
 EXTERNAL_MAC = MACAddress.from_string("02:00:00:00:0e:ee")
 
@@ -23,20 +23,19 @@ def service(trained_identifier):
 
 
 @pytest.fixture()
-def gateway(service):
-    return SecurityGateway(security_service=service)
+def gateway():
+    return SecurityGateway()
 
 
-def _onboard(gateway, name, seed=812):
+def _onboard(gateway, service, name, seed=812):
     simulator = SetupTrafficSimulator(seed=seed)
     trace = simulator.simulate(DEVICE_CATALOG[name])
-    record = gateway.onboard_device(trace.packets)
-    return record, trace
+    return onboard_trace(gateway, service, trace), trace
 
 
 class TestOnboarding:
-    def test_vulnerable_device_restricted_and_untrusted(self, gateway):
-        record, _ = _onboard(gateway, "EdnetCam")
+    def test_vulnerable_device_restricted_and_untrusted(self, gateway, service):
+        record, _ = _onboard(gateway, service, "EdnetCam")
         assert record.device_type == "EdnetCam"
         assert record.isolation_level is IsolationLevel.RESTRICTED
         assert record.overlay is NetworkOverlay.UNTRUSTED
@@ -45,8 +44,8 @@ class TestOnboarding:
         assert gateway.rule_cache.lookup(record.mac) is record.enforcement_rule
         assert gateway.switch.rule_count >= 2
 
-    def test_clean_device_trusted_and_rekeyed(self, gateway):
-        record, _ = _onboard(gateway, "Aria", seed=813)
+    def test_clean_device_trusted_and_rekeyed(self, gateway, service):
+        record, _ = _onboard(gateway, service, "Aria", seed=813)
         assert record.isolation_level is IsolationLevel.TRUSTED
         assert record.overlay is NetworkOverlay.TRUSTED
         credential = gateway.wps.credential_of(record.mac)
@@ -54,30 +53,19 @@ class TestOnboarding:
         assert credential.overlay is NetworkOverlay.TRUSTED
         assert gateway.wps.rekey_count == 1
 
-    def test_unknown_device_strict(self, gateway):
-        record, _ = _onboard(gateway, "MAXGateway", seed=814)
+    def test_unknown_device_strict(self, gateway, service):
+        record, _ = _onboard(gateway, service, "MAXGateway", seed=814)
         assert record.device_type == "unknown"
         assert record.isolation_level is IsolationLevel.STRICT
 
-    def test_empty_capture_rejected(self, gateway):
-        with pytest.raises(EnforcementError):
-            gateway.onboard_device([])
-
-    def test_onboarding_without_service_rejected(self):
-        gateway = SecurityGateway(security_service=None)
-        simulator = SetupTrafficSimulator(seed=1)
-        trace = simulator.simulate(DEVICE_CATALOG["Aria"])
-        with pytest.raises(EnforcementError):
-            gateway.onboard_device(trace.packets)
-
-    def test_critical_vulnerability_triggers_notification(self, gateway):
-        record, _ = _onboard(gateway, "D-LinkCam", seed=815)  # severity 9.1 in the seeded DB
+    def test_critical_vulnerability_triggers_notification(self, gateway, service):
+        record, _ = _onboard(gateway, service, "D-LinkCam", seed=815)  # severity 9.1 in the seeded DB
         assert record.device_type == "D-LinkCam"
         assert gateway.notifications
         assert "D-LinkCam" in gateway.notifications[0]
 
-    def test_disconnect_cleans_up(self, gateway):
-        record, _ = _onboard(gateway, "EdnetCam", seed=816)
+    def test_disconnect_cleans_up(self, gateway, service):
+        record, _ = _onboard(gateway, service, "EdnetCam", seed=816)
         gateway.disconnect_device(record.mac)
         assert record.mac not in gateway.devices
         assert gateway.rule_cache.lookup(record.mac) is None
@@ -85,31 +73,31 @@ class TestOnboarding:
 
 
 class TestAuthorization:
-    def _record_of(self, gateway, name, seed):
-        record, _ = _onboard(gateway, name, seed=seed)
+    def _record_of(self, gateway, service, name, seed):
+        record, _ = _onboard(gateway, service, name, seed=seed)
         return record
 
-    def test_restricted_device_cloud_only(self, gateway):
-        record = self._record_of(gateway, "EdnetCam", 820)
+    def test_restricted_device_cloud_only(self, gateway, service):
+        record = self._record_of(gateway, service, "EdnetCam", 820)
         allowed_ip = record.enforcement_rule.allowed_destinations[0]
         to_cloud = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, allowed_ip, dst_port=443)
         to_other = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8", dst_port=80)
         assert gateway.authorize(to_cloud).allowed
         assert not gateway.authorize(to_other).allowed
 
-    def test_trusted_device_reaches_internet(self, gateway):
-        record = self._record_of(gateway, "Aria", 821)
+    def test_trusted_device_reaches_internet(self, gateway, service):
+        record = self._record_of(gateway, service, "Aria", 821)
         packet = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "93.184.216.34", dst_port=443)
         assert gateway.authorize(packet).allowed
 
-    def test_strict_device_blocked_from_internet(self, gateway):
-        record = self._record_of(gateway, "MAXGateway", 822)
+    def test_strict_device_blocked_from_internet(self, gateway, service):
+        record = self._record_of(gateway, service, "MAXGateway", 822)
         packet = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "93.184.216.34", dst_port=80)
         assert not gateway.authorize(packet).allowed
 
-    def test_overlay_separation(self, gateway):
-        trusted = self._record_of(gateway, "Aria", 823)
-        untrusted = self._record_of(gateway, "EdnetCam", 824)
+    def test_overlay_separation(self, gateway, service):
+        trusted = self._record_of(gateway, service, "Aria", 823)
+        untrusted = self._record_of(gateway, service, "EdnetCam", 824)
         trusted_to_untrusted = make_tcp_packet(
             trusted.mac, untrusted.mac, trusted.ip_address, untrusted.ip_address, dst_port=80
         )
@@ -119,20 +107,20 @@ class TestAuthorization:
         assert not gateway.authorize(trusted_to_untrusted).allowed
         assert not gateway.authorize(untrusted_to_untrusted_peer).allowed
 
-    def test_untrusted_devices_may_talk_to_each_other(self, gateway):
-        first = self._record_of(gateway, "EdnetCam", 825)
-        second = self._record_of(gateway, "MAXGateway", 826)
+    def test_untrusted_devices_may_talk_to_each_other(self, gateway, service):
+        first = self._record_of(gateway, service, "EdnetCam", 825)
+        second = self._record_of(gateway, service, "MAXGateway", 826)
         packet = make_udp_packet(first.mac, second.mac, first.ip_address, second.ip_address, dst_port=5000)
         assert gateway.authorize(packet).allowed
 
     def test_filtering_disabled_allows_everything(self, service):
-        gateway = SecurityGateway(security_service=service, filtering_enabled=False)
-        record, _ = _onboard(gateway, "EdnetCam", seed=827)
+        gateway = SecurityGateway(filtering_enabled=False)
+        record, _ = _onboard(gateway, service, "EdnetCam", seed=827)
         packet = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8", dst_port=80)
         assert gateway.authorize(packet).allowed
 
-    def test_counters(self, gateway):
-        record = self._record_of(gateway, "MAXGateway", 828)
+    def test_counters(self, gateway, service):
+        record = self._record_of(gateway, service, "MAXGateway", 828)
         allowed_before = gateway.packets_allowed
         blocked_before = gateway.packets_blocked
         gateway.authorize(make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8"))
@@ -157,19 +145,15 @@ class TestAuthorization:
         # _destination_record can resolve the dead IP to the wrong device
         # once another device claims it.
         device = MACAddress.from_string("02:00:00:00:00:42")
-        first = make_udp_packet(device, EXTERNAL_MAC, "192.168.0.50", "192.168.0.1")
-        second = make_udp_packet(device, EXTERNAL_MAC, "192.168.0.77", "192.168.0.1")
-        gateway.observe_setup_packet(first)
-        gateway.observe_setup_packet(second)
+        gateway.note_address_claim(device, "192.168.0.50", now=1.0)
+        gateway.note_address_claim(device, "192.168.0.77", now=2.0)
         assert gateway.ip_to_mac.get("192.168.0.77") == device
         assert "192.168.0.50" not in gateway.ip_to_mac
         assert gateway.devices[device].ip_address == "192.168.0.77"
 
         # The freed address can be claimed by a different device.
         newcomer = MACAddress.from_string("02:00:00:00:00:43")
-        gateway.observe_setup_packet(
-            make_udp_packet(newcomer, EXTERNAL_MAC, "192.168.0.50", "192.168.0.1")
-        )
+        gateway.note_address_claim(newcomer, "192.168.0.50", now=3.0)
         assert gateway.ip_to_mac.get("192.168.0.50") == newcomer
 
 
@@ -195,21 +179,21 @@ class TestDatapath:
         )
         assert blocked.dropped
 
-    def test_processing_delay_larger_with_filtering(self, service):
-        filtering = SecurityGateway(security_service=service, filtering_enabled=True)
-        plain = SecurityGateway(security_service=service, filtering_enabled=False)
+    def test_processing_delay_larger_with_filtering(self):
+        filtering = SecurityGateway(filtering_enabled=True)
+        plain = SecurityGateway(filtering_enabled=False)
         assert filtering.processing_delay_ms() > plain.processing_delay_ms()
 
-    def test_resource_sample_reflects_rule_cache(self, gateway):
-        _onboard(gateway, "EdnetCam", seed=831)
+    def test_resource_sample_reflects_rule_cache(self, gateway, service):
+        _onboard(gateway, service, "EdnetCam", seed=831)
         sample = gateway.resource_sample(concurrent_flows=50)
         assert sample.filtering_enabled
         assert sample.enforcement_rules == len(gateway.rule_cache)
         assert 0 < sample.cpu_percent <= 100
         assert sample.memory_mb > 0
 
-    def test_device_record_lookup(self, gateway):
-        record, _ = _onboard(gateway, "Aria", seed=832)
+    def test_device_record_lookup(self, gateway, service):
+        record, _ = _onboard(gateway, service, "Aria", seed=832)
         assert gateway.device_record(record.mac) is record
         with pytest.raises(EnforcementError):
             gateway.device_record(MACAddress(424242))
@@ -227,9 +211,9 @@ class TestLifecycleCoupling:
         gateway.attach_lifecycle(coordinator)
         return coordinator
 
-    def _quarantined_record(self, gateway, coordinator, seed=814):
+    def _quarantined_record(self, gateway, service, coordinator, seed=814):
         # MAXGateway is not in the trained bank: it onboards as unknown.
-        record, trace = _onboard(gateway, "MAXGateway", seed=seed)
+        record, trace = _onboard(gateway, service, "MAXGateway", seed=seed)
         from repro.features.fingerprint import Fingerprint
 
         coordinator.quarantine.record(
@@ -239,7 +223,7 @@ class TestLifecycleCoupling:
 
     def test_disconnect_informs_lifecycle(self, gateway, service):
         coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, coordinator)
+        record = self._quarantined_record(gateway, service, coordinator)
         assert record.mac in coordinator.quarantine
 
         gateway.disconnect_device(record.mac)
@@ -248,7 +232,7 @@ class TestLifecycleCoupling:
 
     def test_stale_rule_eviction_counts_as_departure(self, gateway, service):
         coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, coordinator)
+        record = self._quarantined_record(gateway, service, coordinator)
         evicted = gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
         assert evicted >= 1
         assert record.mac not in coordinator.quarantine
@@ -259,18 +243,16 @@ class TestLifecycleCoupling:
         # that is still connected; it must not drop quarantine state.
         from repro.gateway.rule_cache import EnforcementRuleCache
 
-        gateway = SecurityGateway(
-            security_service=service, rule_cache=EnforcementRuleCache(max_entries=1)
-        )
+        gateway = SecurityGateway(rule_cache=EnforcementRuleCache(max_entries=1))
         coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, coordinator)
-        _onboard(gateway, "Aria", seed=815)  # second rule: LRU evicts the first
+        record = self._quarantined_record(gateway, service, coordinator)
+        _onboard(gateway, service, "Aria", seed=815)  # second rule: LRU evicts the first
         assert gateway.rule_cache.lookup(record.mac) is None
         assert record.mac in coordinator.quarantine  # still pending a learn
         assert coordinator.disconnects == 0
 
-    def test_unattached_gateway_disconnect_still_works(self, gateway):
-        record, _ = _onboard(gateway, "EdnetCam", seed=816)
+    def test_unattached_gateway_disconnect_still_works(self, gateway, service):
+        record, _ = _onboard(gateway, service, "EdnetCam", seed=816)
         gateway.disconnect_device(record.mac)  # no lifecycle: no error
         assert record.mac not in gateway.devices
 
@@ -279,7 +261,7 @@ class TestLifecycleCoupling:
         observed = []
         gateway.rule_cache.on_evict = lambda mac, reason: observed.append((mac, reason))
         coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, coordinator)
+        record = self._quarantined_record(gateway, service, coordinator)
         gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
         assert (record.mac, "stale") in observed  # the original hook ran
         assert record.mac not in coordinator.quarantine  # and so did the wiring
@@ -360,7 +342,7 @@ class TestDhcpChurn:
 
         coordinator = LifecycleCoordinator(identifier=service.identifier)
         gateway.attach_lifecycle(coordinator)
-        record, trace = _onboard(gateway, "MAXGateway", seed=910)
+        record, trace = _onboard(gateway, service, "MAXGateway", seed=910)
         fingerprint = Fingerprint.from_packets(trace.packets)
         # The same rotated identity re-runs setup repeatedly: the log
         # refreshes its one entry instead of growing per sighting.

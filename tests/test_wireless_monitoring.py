@@ -1,17 +1,13 @@
-"""Tests for the WPS key manager and the device monitor."""
+"""Tests for the WPS key manager."""
 
 import pytest
 
 from repro.exceptions import EnforcementError
 from repro.gateway.enforcement import NetworkOverlay
-from repro.gateway.monitoring import DeviceMonitor
 from repro.gateway.wireless import WPSKeyManager
 from repro.net.addresses import MACAddress
 
-from tests.conftest import make_udp_packet
-
 DEVICE = MACAddress.from_string("02:00:00:00:00:31")
-GATEWAY = MACAddress.from_string("02:00:00:00:00:01")
 
 
 class TestWPSKeyManager:
@@ -55,66 +51,3 @@ class TestWPSKeyManager:
         credential = manager.issue(DEVICE)
         assert credential.fingerprint != credential.psk
         assert len(credential.fingerprint) == 12
-
-
-class TestDeviceMonitor:
-    def _packet(self, timestamp, dst_ip="8.8.8.8"):
-        packet = make_udp_packet(DEVICE, GATEWAY, "192.168.0.20", dst_ip)
-        packet.timestamp = timestamp
-        return packet
-
-    def test_monitoring_starts_on_first_packet(self):
-        monitor = DeviceMonitor()
-        assert monitor.observe(self._packet(0.0)) is None
-        assert monitor.is_monitoring(DEVICE)
-        assert monitor.packet_count(DEVICE) == 1
-        assert DEVICE in monitor.monitored_devices
-
-    def test_finalize_produces_fingerprint(self):
-        monitor = DeviceMonitor()
-        for index in range(5):
-            monitor.observe(self._packet(index * 0.2, dst_ip=f"8.8.8.{index + 1}"))
-        fingerprint = monitor.finalize(DEVICE)
-        assert fingerprint is not None
-        assert fingerprint.packet_count == 5
-        assert not monitor.is_monitoring(DEVICE)
-
-    def test_finalize_twice_returns_none(self):
-        monitor = DeviceMonitor()
-        monitor.observe(self._packet(0.0))
-        assert monitor.finalize(DEVICE) is not None
-        assert monitor.finalize(DEVICE) is None
-
-    def test_finalize_unknown_device(self):
-        assert DeviceMonitor().finalize(DEVICE) is None
-
-    def test_idle_timeout_completes_capture(self):
-        monitor = DeviceMonitor(idle_timeout=10.0)
-        for index in range(4):
-            monitor.observe(self._packet(index * 0.5, dst_ip=f"1.1.1.{index + 1}"))
-        fingerprint = monitor.observe(self._packet(100.0))
-        assert fingerprint is not None
-        assert fingerprint.packet_count == 4
-
-    def test_max_packets_completes_capture(self):
-        monitor = DeviceMonitor(max_packets=6)
-        fingerprint = None
-        for index in range(10):
-            fingerprint = monitor.observe(self._packet(index * 0.1, dst_ip=f"2.2.2.{index + 1}"))
-            if fingerprint is not None:
-                break
-        assert fingerprint is not None
-        assert not monitor.is_monitoring(DEVICE)
-
-    def test_packets_after_completion_ignored(self):
-        monitor = DeviceMonitor(max_packets=3)
-        for index in range(3):
-            monitor.observe(self._packet(index * 0.1, dst_ip=f"3.3.3.{index + 1}"))
-        assert monitor.observe(self._packet(1.0)) is None
-
-    def test_forget(self):
-        monitor = DeviceMonitor()
-        monitor.observe(self._packet(0.0))
-        monitor.forget(DEVICE)
-        assert not monitor.is_monitoring(DEVICE)
-        assert monitor.packet_count(DEVICE) == 0
