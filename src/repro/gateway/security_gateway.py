@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.exceptions import EnforcementError
 from repro.gateway.enforcement import DeviceRecord, EnforcementRule, NetworkOverlay
@@ -84,12 +84,16 @@ class SecurityGateway:
     notifications: list[str] = field(default_factory=list)
     packets_allowed: int = 0
     packets_blocked: int = 0
+    _evict_hook: Optional[Callable[[MACAddress, str], None]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.switch.name not in self.controller.switches:
             self.controller.attach_switch(self.switch)
         if not any(module.name == self.name for module in self.controller.modules):
             self.controller.register_module(self)
+        self._wire_evictions()
 
     # ------------------------------------------------------------------ #
     # Device lifecycle.
@@ -127,28 +131,43 @@ class SecurityGateway:
         coordinator, which drops it from the quarantine log and from any
         pending autopilot proposal -- a device that left the network is
         never re-identified, enforced or counted toward a learning
-        cluster.  Capacity (LRU) evictions do *not* count as departure:
-        a rule squeezed out of a full cache may belong to a device that
-        is still very much connected.
+        cluster.
 
-        A callback already installed on ``rule_cache.on_evict`` (e.g. a
-        metrics hook) keeps firing: the lifecycle wiring chains after it
-        instead of replacing it.
+        A callback already on ``rule_cache.on_evict`` (e.g. a metrics
+        hook, passed in with the cache or set later) keeps firing: the
+        eviction wiring chains after it instead of replacing it.
         """
         self.lifecycle = coordinator
+        self._wire_evictions()
+
+    def _wire_evictions(self) -> None:
+        """Route rule-cache evictions to :meth:`_on_rule_evicted`, after any hook already set."""
         existing = self.rule_cache.on_evict
-        if existing is None or existing is self._on_rule_evicted:
-            self.rule_cache.on_evict = self._on_rule_evicted
-        else:
+        if existing is not None and existing is self._evict_hook:
+            return
+        hook = self._on_rule_evicted
+        if existing is not None:
 
             def chained(mac: MACAddress, reason: str) -> None:
                 existing(mac, reason)
                 self._on_rule_evicted(mac, reason)
 
-            self.rule_cache.on_evict = chained
+            hook = chained
+        self.rule_cache.on_evict = self._evict_hook = hook
 
     def _on_rule_evicted(self, mac: MACAddress, reason: str) -> None:
-        if reason == EVICT_STALE and self.lifecycle is not None:
+        """Treat a stale eviction as departure: drop the flow rules, tell the lifecycle.
+
+        Without the switch cleanup the flow table would keep forwarding
+        for a device the rule cache no longer knows, and would never
+        shrink under MAC churn.  Capacity (LRU) evictions are left alone:
+        a rule squeezed out of a full cache may belong to a device that
+        is still connected, so its flow rules and quarantine state stay.
+        """
+        if reason != EVICT_STALE:
+            return
+        self.switch.remove_rules(f"enforce-{mac}")
+        if self.lifecycle is not None:
             self.lifecycle.note_disconnected(mac)
 
     def disconnect_device(self, mac: MACAddress) -> None:

@@ -196,7 +196,7 @@ class Observability:
         self.register_dispatcher(pipeline.dispatcher)
 
     def register_sink(self, sink: "GatewayEnforcementSink") -> None:
-        """Absorb the enforcement sink's counters and the rule cache's."""
+        """Absorb the counters of the enforcement sink, the rule cache and the switch."""
 
         def sink_source() -> dict[str, Scalar]:
             return {
@@ -217,8 +217,19 @@ class Observability:
                 "size": len(rule_cache),
             }
 
+        switch = sink.gateway.switch
+
+        def switch_source() -> dict[str, Scalar]:
+            return {
+                "rules": switch.rule_count,
+                "packets_processed": switch.packets_processed,
+                "packets_dropped": switch.packets_dropped,
+                "packets_to_controller": switch.packets_to_controller,
+            }
+
         self.metrics.register_source("enforcement_sink", sink_source)
         self.metrics.register_source("rule_cache", rule_cache_source)
+        self.metrics.register_source("switch", switch_source)
 
     def register_lifecycle(self, coordinator: "LifecycleCoordinator") -> None:
         """Absorb the quarantine log, epoch and coordinator counters."""

@@ -1,9 +1,11 @@
-"""A software switch with a priority-ordered flow table (Open vSwitch stand-in)."""
+"""A software switch with a source-MAC-indexed flow table (Open vSwitch stand-in)."""
 
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 from repro.exceptions import SdnError
@@ -38,19 +40,33 @@ class ForwardingDecision:
         return self.action == FlowAction.DROP
 
 
+#: One flow-table entry: ``(-priority, -specificity, install sequence, rule)``.
+#: Tuple order is the table's match order, and the install sequence is
+#: unique, so two entries never compare their rules.
+_Entry = tuple[int, int, int, FlowRule]
+
+
 @dataclass
 class OpenVSwitch:
     """A minimal Open vSwitch model: flow table, packet-in, statistics.
 
-    Packets are matched against the flow table in priority order (ties
-    broken by match specificity).  Misses are handed to the controller's
-    packet-in handler when one is registered, otherwise the
-    ``default_action`` applies.
+    A packet matches the first rule in match order: higher priority
+    first, then higher match specificity, then earlier install.  The
+    table is indexed by the rule's source MAC -- the paper keeps
+    enforcement rules in a hash table so the per-packet cost stays flat
+    as rules grow.  Each bucket (``None`` holds the wildcard-source
+    rules) is kept in match order, so :meth:`lookup` checks only the
+    packet's own bucket and the wildcard bucket, and a
+    ``cookie -> {src_mac}`` map lets :meth:`remove_rules` touch only the
+    buckets that hold the cookie.  Rules enter only via
+    :meth:`install_rule` (there is no ``rules=`` constructor argument),
+    and :attr:`rules` is a read-only view of the whole table in match
+    order.  Misses are handed to the controller's packet-in handler when
+    one is registered, otherwise the ``default_action`` applies.
     """
 
     name: str = "ovs-br0"
     default_action: FlowAction = FlowAction.FORWARD
-    rules: list[FlowRule] = field(default_factory=list)
     packet_in_handler: Optional[Callable[[Packet, "OpenVSwitch"], Optional[FlowAction]]] = None
 
     packets_processed: int = 0
@@ -58,29 +74,53 @@ class OpenVSwitch:
     packets_to_controller: int = 0
     port_of_device: dict[MACAddress, SwitchPort] = field(default_factory=dict)
 
+    _buckets: dict[Optional[MACAddress], list[_Entry]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _cookie_macs: dict[str, set[Optional[MACAddress]]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _installs: int = field(default=0, init=False, repr=False)
+
     # ------------------------------------------------------------------ #
     # Flow table management.
     # ------------------------------------------------------------------ #
     def install_rule(self, rule: FlowRule) -> None:
-        """Install a rule, keeping the table sorted by descending priority."""
-        self.rules.append(rule)
-        self.rules.sort(key=lambda entry: (entry.priority, entry.match.specificity), reverse=True)
+        """Install a rule after every rule that precedes it in match order."""
+        src_mac = rule.match.src_mac
+        entry = (-rule.priority, -rule.match.specificity, self._installs, rule)
+        self._installs += 1
+        insort(self._buckets.setdefault(src_mac, []), entry)
+        self._cookie_macs.setdefault(rule.cookie, set()).add(src_mac)
 
     def remove_rules(self, cookie: str) -> int:
         """Remove every rule carrying ``cookie``; returns the removal count."""
         if not cookie:
             raise SdnError("a non-empty cookie is required to remove rules")
-        before = len(self.rules)
-        self.rules = [rule for rule in self.rules if rule.cookie != cookie]
-        return before - len(self.rules)
+        removed = 0
+        for src_mac in self._cookie_macs.pop(cookie, ()):
+            bucket = self._buckets[src_mac]
+            kept = [entry for entry in bucket if entry[3].cookie != cookie]
+            removed += len(bucket) - len(kept)
+            if kept:
+                self._buckets[src_mac] = kept
+            else:
+                del self._buckets[src_mac]
+        return removed
 
     def flush(self) -> None:
         """Drop the entire flow table."""
-        self.rules.clear()
+        self._buckets.clear()
+        self._cookie_macs.clear()
+
+    @property
+    def rules(self) -> list[FlowRule]:
+        """Every installed rule in match order (a copy; install to change it)."""
+        return [entry[3] for entry in sorted(chain.from_iterable(self._buckets.values()))]
 
     @property
     def rule_count(self) -> int:
-        return len(self.rules)
+        return sum(map(len, self._buckets.values()))
 
     # ------------------------------------------------------------------ #
     # Port learning (which devices sit behind which interface).
@@ -95,11 +135,19 @@ class OpenVSwitch:
     # Datapath.
     # ------------------------------------------------------------------ #
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
-        """Find the highest-priority rule matching the packet, if any."""
-        for rule in self.rules:
-            if rule.match.matches_packet(packet):
-                return rule
-        return None
+        """Find the first rule in match order that matches the packet, if any.
+
+        Only the packet's own source-MAC bucket and the wildcard bucket
+        can hold a match; the earlier of their first matches wins.
+        """
+        best: Optional[_Entry] = None
+        for src_mac in (packet.src_mac, None):
+            for entry in self._buckets.get(src_mac, ()):
+                if entry[3].match.matches_packet(packet):
+                    if best is None or entry < best:
+                        best = entry
+                    break
+        return None if best is None else best[3]
 
     def process(self, packet: Packet, ingress_port: Optional[SwitchPort] = None) -> ForwardingDecision:
         """Process one packet: match, apply the action, update statistics."""

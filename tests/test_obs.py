@@ -383,6 +383,7 @@ class TestWiring:
             "identification_cache.hit_rate",
             "enforcement_sink.enforced",
             "rule_cache.lookups",
+            "switch.rules",
             "lifecycle.relearns",
             "quarantine.recorded",
             "cache_epoch.generation",

@@ -1,6 +1,8 @@
 """Tests for the SDN substrate: flow rules, switch and controller."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import SdnError
 from repro.net.addresses import MACAddress
@@ -13,6 +15,8 @@ from tests.conftest import make_tcp_packet, make_udp_packet
 DEVICE = MACAddress.from_string("02:00:00:00:00:10")
 OTHER = MACAddress.from_string("02:00:00:00:00:20")
 GATEWAY = MACAddress.from_string("02:00:00:00:00:01")
+THIRD = MACAddress.from_string("02:00:00:00:00:30")
+STRANGER = MACAddress.from_string("02:00:00:00:00:40")
 
 
 class TestFlowMatch:
@@ -200,3 +204,113 @@ class TestSdnController:
         controller.attach_switch(switch)
         controller.detach_switch(switch.name)
         assert switch.packet_in_handler is None
+
+
+# --------------------------------------------------------------------------- #
+# The flow-table index against the linear scan it replaced.
+# --------------------------------------------------------------------------- #
+
+
+def table_order(rules_in_install_order):
+    """The match order: priority, then specificity, descending; ties by install."""
+    return sorted(
+        rules_in_install_order,
+        key=lambda rule: (rule.priority, rule.match.specificity),
+        reverse=True,
+    )
+
+
+def linear_lookup(rules_in_install_order, packet):
+    """Oracle: scan the whole table in match order for the first match."""
+    for rule in table_order(rules_in_install_order):
+        if rule.match.matches_packet(packet):
+            return rule
+    return None
+
+
+def _arp_from(mac):
+    from repro.net.layers.arp import OP_REQUEST, ARPPacket
+    from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
+    from repro.net.packet import Packet
+
+    return Packet(
+        ethernet=EthernetFrame(dst=MACAddress.broadcast(), src=mac, ethertype=ETHERTYPE.ARP),
+        arp=ARPPacket(OP_REQUEST, mac, "0.0.0.0", MACAddress.zero(), "10.0.0.1"),
+    )
+
+
+ORACLE_IPS = ("52.1.1.1", "52.2.2.2")
+#: Every (source, destination, protocol/port) combination the rules below
+#: can tell apart, plus a non-IP frame per source.
+ORACLE_PACKETS = [
+    make(mac, GATEWAY, "10.0.0.2", dst_ip, dst_port=port)
+    for mac in (DEVICE, OTHER, THIRD, STRANGER)
+    for dst_ip in (*ORACLE_IPS, "8.8.8.8")
+    for make, port in ((make_tcp_packet, 443), (make_udp_packet, 53))
+] + [_arp_from(mac) for mac in (DEVICE, OTHER, THIRD, STRANGER)]
+
+oracle_rules = st.builds(
+    lambda src_mac, dst_ip, proto_port, action, priority, cookie: FlowRule(
+        FlowMatch(src_mac=src_mac, dst_ip=dst_ip, protocol=proto_port[0], dst_port=proto_port[1]),
+        action,
+        priority=priority,
+        cookie=cookie,
+    ),
+    src_mac=st.sampled_from([None, DEVICE, OTHER, THIRD]),
+    dst_ip=st.sampled_from([None, *ORACLE_IPS]),
+    proto_port=st.sampled_from([(None, None), ("tcp", None), ("tcp", 443), ("udp", 53)]),
+    action=st.sampled_from(list(FlowAction)),
+    priority=st.integers(min_value=0, max_value=2),
+    cookie=st.sampled_from(["", "x", "y", "z"]),
+)
+
+oracle_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("install"), oracle_rules),
+        st.tuples(st.just("remove"), st.sampled_from(["x", "y", "z", "absent"])),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=25,
+)
+
+
+def _prelude():
+    """Rules every sequence starts with: ties, wildcards, a shared and an empty cookie."""
+    return [
+        FlowRule(FlowMatch(src_mac=DEVICE), FlowAction.FORWARD, priority=1, cookie="x"),
+        FlowRule(FlowMatch(src_mac=DEVICE), FlowAction.DROP, priority=1, cookie="y"),
+        FlowRule(FlowMatch(dst_ip=ORACLE_IPS[0]), FlowAction.DROP, priority=1, cookie="x"),
+        FlowRule(FlowMatch(src_mac=OTHER), FlowAction.FORWARD, priority=1, cookie="x"),
+        FlowRule(FlowMatch(protocol="udp", dst_port=53), FlowAction.FORWARD, priority=1, cookie=""),
+        FlowRule(FlowMatch(), FlowAction.SEND_TO_CONTROLLER, priority=0, cookie=""),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_steps)
+def test_indexed_lookup_matches_linear_scan(steps):
+    switch = OpenVSwitch()
+    installed = []  # the oracle's table, in install order
+
+    def check():
+        assert [id(rule) for rule in switch.rules] == [id(rule) for rule in table_order(installed)]
+        assert switch.rule_count == len(switch.rules) == len(installed)
+        for packet in ORACLE_PACKETS:
+            assert switch.lookup(packet) is linear_lookup(installed, packet)
+
+    for rule in _prelude():
+        switch.install_rule(rule)
+        installed.append(rule)
+    check()
+    for step in steps:
+        if step[0] == "install":
+            switch.install_rule(step[1])
+            installed.append(step[1])
+        elif step[0] == "remove":
+            kept = [rule for rule in installed if rule.cookie != step[1]]
+            assert switch.remove_rules(step[1]) == len(installed) - len(kept)
+            installed = kept
+        else:
+            switch.flush()
+            installed = []
+        check()

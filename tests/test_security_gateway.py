@@ -250,6 +250,7 @@ class TestLifecycleCoupling:
         assert gateway.rule_cache.lookup(record.mac) is None
         assert record.mac in coordinator.quarantine  # still pending a learn
         assert coordinator.disconnects == 0
+        assert any(rule.cookie == f"enforce-{record.mac}" for rule in gateway.switch.rules)
 
     def test_unattached_gateway_disconnect_still_works(self, gateway, service):
         record, _ = _onboard(gateway, service, "EdnetCam", seed=816)
@@ -265,6 +266,35 @@ class TestLifecycleCoupling:
         gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
         assert (record.mac, "stale") in observed  # the original hook ran
         assert record.mac not in coordinator.quarantine  # and so did the wiring
+        assert gateway.switch.rule_count == 0
+
+    def test_stale_eviction_drops_flow_rules_without_lifecycle(self, gateway, service):
+        # The switch must stop forwarding for a device the rule cache has
+        # forgotten, or the datapath and authorize() disagree and the flow
+        # table never shrinks under MAC churn.
+        record, _ = _onboard(gateway, service, "Aria", seed=813)
+        assert record.isolation_level is IsolationLevel.TRUSTED
+        assert gateway.switch.rule_count == 1
+        assert gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0) == 1
+        packet = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8")
+        assert gateway.authorize(packet).reason == "unidentified device, internet blocked"
+        decision = gateway.handle_packet(packet)
+        assert decision.rule is None
+        assert decision.dropped
+        assert gateway.switch.rule_count == 0
+
+    def test_evict_hook_passed_with_cache_keeps_firing(self, service):
+        from repro.gateway.rule_cache import EnforcementRuleCache
+
+        observed = []
+        cache = EnforcementRuleCache(on_evict=lambda mac, reason: observed.append((mac, reason)))
+        gateway = SecurityGateway(rule_cache=cache)
+        coordinator = self._wired(gateway, service)
+        record = self._quarantined_record(gateway, service, coordinator)
+        gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
+        assert observed == [(record.mac, "stale")]  # once, despite two wirings
+        assert coordinator.disconnects == 1
+        assert gateway.switch.rule_count == 0
 
 
 class TestDhcpChurn:
