@@ -92,12 +92,12 @@ def run_stream(identifier, source: SimulatedSource, observability=None):
         max_batch=8,
         queue_capacity=64,
         cache=IdentificationCache(capacity=256),
+        observability=observability,
     )
     pipeline = StreamingPipeline(
         source=source,
         dispatcher=dispatcher,
         assembler=ShardedFingerprintAssembler(shards=8),
-        observability=observability,
     )
     identified = []
     pipeline.on_identified = identified.append

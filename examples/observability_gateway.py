@@ -73,7 +73,6 @@ def main() -> None:
     handle = build_gateway(
         GatewayConfig(
             identifier=identifier,
-            source=SimulatedSource(traces=traces),
             max_batch=4,
             shards=4,
             autopilot=True,
@@ -89,7 +88,7 @@ def main() -> None:
     print(f"   metric sources wired: {', '.join(hub.metrics.sources)}")
 
     print("== 3. Streaming a fleet (including 3 devices of the unknown model) ==")
-    stats = handle.run_until_idle()
+    stats = handle.run_until_idle(SimulatedSource(traces=traces))
     print(f"   {stats.summary()}")
     print(f"   quarantined unknowns: {len(handle.lifecycle.quarantine)}")
 

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
-from repro.exceptions import ConfigError, FleetError, ObservabilityError
+from repro.exceptions import ConfigError, FleetError
 from repro.features.fingerprint import Fingerprint
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.autopilot import LifecycleAutopilot, TriggerPolicy
@@ -72,24 +72,12 @@ class GatewayConfig:
             :meth:`LifecycleCoordinator.resume` -- the restart path.
         name: the gateway's name (ledger apply records and fleet health
             rows are keyed by it).
-        source: optional packet source consumed by
-            :meth:`GatewayHandle.run_until_idle`; one can also be passed
-            per run.
         max_batch: fingerprints per classifier-bank invocation.
         queue_capacity: bounded staging queue in front of the dispatcher.
         backpressure: ``"block"`` or ``"drop"`` (or a
             :class:`~repro.streaming.backpressure.BackpressurePolicy`).
-        cache_capacity: LRU verdict-cache entries; ``0`` disables caching.
-        use_discrimination: forward the edit-distance stage flag.
-        max_linger: stream-seconds a queued fingerprint may wait before a
-            partial batch is forced.
+        cache_capacity: LRU verdict-cache entries (positive).
         shards: fingerprint-assembler shard count.
-        eviction_interval: stream-seconds between idle-eviction sweeps.
-        sticky: enforcement stickiness (unknown verdicts never downgrade
-            an identified device).
-        lifecycle: build a :class:`LifecycleCoordinator` (quarantine,
-            epoch coherence, runtime learning).  Required by
-            ``autopilot`` and by fleet membership.
         store_path: model snapshots land here after every learn (and
             ``resume`` reads from here).
         quarantine_path: write-through quarantine persistence.
@@ -97,12 +85,10 @@ class GatewayConfig:
             coordinator.
         trigger_policy: autopilot trigger knobs (defaults to
             :class:`TriggerPolicy`'s defaults).
-        observability: build an :class:`Observability` hub and
-            single-source it through every layer.  Without it there is
-            no ``snapshot()`` and no ledger.
-        ledger_path: when set (requires ``observability``), evidence
-            records are written to this NDJSON ledger.
+        ledger_path: when set, evidence records are written to this
+            NDJSON ledger.
         ledger_max_bytes: ledger rotation threshold.
+        ledger_max_files: rotated ledger files kept beside the live one.
         clock: shared stream clock for the pipeline *and* the gateway
             (one clock means verdict and enforcement ledger stamps
             agree); a fresh one is created when omitted.
@@ -112,28 +98,20 @@ class GatewayConfig:
     bundle_path: Optional[Union[str, Path]] = None
     resume: bool = False
     name: str = "gateway"
-    source: Optional[PacketSource] = None
     # Dispatch stage.
     max_batch: int = 16
     queue_capacity: int = 64
     backpressure: Union[str, BackpressurePolicy] = BackpressurePolicy.BLOCK
     cache_capacity: int = 512
-    use_discrimination: bool = True
-    max_linger: float = 5.0
     # Assembly stage.
     shards: int = 4
-    eviction_interval: float = 1.0
-    # Enforcement.
-    sticky: bool = True
     # Lifecycle.
-    lifecycle: bool = True
     store_path: Optional[Union[str, Path]] = None
     quarantine_path: Optional[Union[str, Path]] = None
     # Autopilot.
     autopilot: bool = False
     trigger_policy: Optional[TriggerPolicy] = None
     # Observability.
-    observability: bool = True
     ledger_path: Optional[Union[str, Path]] = None
     ledger_max_bytes: int = 4 * 1024 * 1024
     ledger_max_files: int = 4
@@ -168,33 +146,20 @@ class GatewayConfig:
                 "identifier/bundle_path/resume: these are mutually exclusive; "
                 "set exactly one model source"
             )
-        if self.resume:
-            if self.store_path is None:
-                problems.append("store_path: resume=True reads the bundle from store_path")
-            if not self.lifecycle:
-                problems.append("lifecycle: resume=True rebuilds lifecycle state; set lifecycle=True")
+        if self.resume and self.store_path is None:
+            problems.append("store_path: resume=True reads the bundle from store_path")
         if not self.name:
             problems.append("name: must be non-empty")
         if self.max_batch <= 0:
             problems.append(f"max_batch: must be positive, got {self.max_batch}")
         if self.queue_capacity <= 0:
             problems.append(f"queue_capacity: must be positive, got {self.queue_capacity}")
-        if self.cache_capacity < 0:
-            problems.append(f"cache_capacity: must be >= 0 (0 disables), got {self.cache_capacity}")
-        if self.max_linger < 0:
-            problems.append(f"max_linger: must be non-negative, got {self.max_linger}")
+        if self.cache_capacity <= 0:
+            problems.append(f"cache_capacity: must be positive, got {self.cache_capacity}")
         if self.shards <= 0:
             problems.append(f"shards: must be positive, got {self.shards}")
-        if self.eviction_interval <= 0:
-            problems.append(
-                f"eviction_interval: must be positive, got {self.eviction_interval}"
-            )
-        if self.autopilot and not self.lifecycle:
-            problems.append("autopilot: requires lifecycle=True (the coordinator it drives)")
         if self.trigger_policy is not None and not self.autopilot:
             problems.append("trigger_policy: set autopilot=True to use it")
-        if self.ledger_path is not None and not self.observability:
-            problems.append("ledger_path: requires observability=True (the hub owns the ledger)")
         if self.ledger_max_bytes <= 0:
             problems.append(f"ledger_max_bytes: must be positive, got {self.ledger_max_bytes}")
         if self.ledger_max_files <= 0:
@@ -239,11 +204,11 @@ class GatewayHandle:
     dispatcher: BatchDispatcher
     assembler: ShardedFingerprintAssembler
     clock: SimulatedClock
-    cache: Optional[IdentificationCache] = None
-    lifecycle: Optional[LifecycleCoordinator] = None
+    cache: IdentificationCache
+    lifecycle: LifecycleCoordinator
+    observability: Observability
     autopilot: Optional[LifecycleAutopilot] = None
-    observability: Optional[Observability] = None
-    pipeline: Optional[StreamingPipeline] = None
+    pipeline: StreamingPipeline = field(init=False, repr=False)
     applied_swaps: int = 0
     duplicate_swaps: int = 0
     _closed: bool = field(default=False, repr=False)
@@ -255,21 +220,12 @@ class GatewayHandle:
     @property
     def epoch(self) -> int:
         """The cache generation this gateway is serving at."""
-        if self.lifecycle is not None:
-            return self.lifecycle.epoch.generation
-        if self.cache is not None:
-            return self.cache.epoch.generation
-        return self._epoch.generation
+        return self.lifecycle.epoch.generation
 
     @property
     def revision(self) -> int:
         """The identifier revision this gateway is serving (the draw salt)."""
         return self.dispatcher.identifier.revision
-
-    def __post_init__(self) -> None:
-        # Epoch bookkeeping for the (cache-less, lifecycle-less) minimal
-        # gateway, so swap_bundle still tracks the watermark it serves.
-        self._epoch = CacheEpoch()
 
     # ------------------------------------------------------------------ #
     # Running.
@@ -281,35 +237,23 @@ class GatewayHandle:
             assembler=self.assembler,
             on_identified=self.sink,
             clock=self.clock,
-            eviction_interval=self.config.eviction_interval,
-            observability=self.observability,
         )
         return self.pipeline
 
-    def _resolve_source(self, source: Optional[PacketSource]) -> PacketSource:
-        resolved = source if source is not None else self.config.source
-        if resolved is None:
-            raise ConfigError(
-                "source: no packet source to run; set GatewayConfig.source "
-                "or pass one to run_until_idle()/stream()"
-            )
-        return resolved
-
-    def run_until_idle(self, source: Optional[PacketSource] = None) -> PipelineStats:
+    def run_until_idle(self, source: PacketSource) -> PipelineStats:
         """Consume a packet source to exhaustion and drain every verdict.
 
-        Uses ``config.source`` unless one is passed.  Each call runs a
-        fresh :class:`StreamingPipeline` over the shared warm components
-        (assembler, dispatcher + cache, sink, clock, hub), so per-run
-        stats start clean while caches stay hot -- the multi-run warm
-        start the pipeline layer already supports, without the caller
-        re-wiring anything.
+        Each call runs a fresh :class:`StreamingPipeline` over the shared
+        warm components (assembler, dispatcher + cache, sink, clock, hub),
+        so per-run stats start clean while caches stay hot -- the
+        multi-run warm start the pipeline layer already supports, without
+        the caller re-wiring anything.
         """
-        return self._build_pipeline(self._resolve_source(source)).run()
+        return self._build_pipeline(source).run()
 
-    def stream(self, source: Optional[PacketSource] = None) -> Iterator[IdentifiedDevice]:
+    def stream(self, source: PacketSource) -> Iterator[IdentifiedDevice]:
         """Like :meth:`run_until_idle` but yielding verdicts as they happen."""
-        return self._build_pipeline(self._resolve_source(source)).results()
+        return self._build_pipeline(source).results()
 
     def identify(
         self,
@@ -327,15 +271,12 @@ class GatewayHandle:
         instead of waiting for a full batch; captures still being
         assembled are left alone, so this is safe during :meth:`stream`.
         """
-        pipeline = self.pipeline if self.pipeline is not None else self._build_pipeline(
-            IterableSource([])
-        )
         ready = ReadyFingerprint(
             mac=mac, fingerprint=fingerprint, reason=reason, completed_at=self.clock.now()
         )
-        identified = pipeline.inject(ready)
+        identified = self.pipeline.inject(ready)
         if flush:
-            identified = identified + pipeline.drain()
+            identified = identified + self.pipeline.drain()
         return identified
 
     # ------------------------------------------------------------------ #
@@ -396,14 +337,8 @@ class GatewayHandle:
                 "re-stamp the bundle with a fresh epoch before pushing"
             )
 
-        pipeline = self.pipeline if self.pipeline is not None else self._build_pipeline(
-            IterableSource([])
-        )
-        pipeline.swap_identifier(identifier)
-        if self.lifecycle is not None:
-            self.lifecycle.adopt_identifier(identifier, target)
-        else:
-            self.adopt_epoch(target)
+        self.dispatcher.swap_identifier(identifier)
+        self.lifecycle.adopt_identifier(identifier, target)
         self.security_service.identifier = identifier
         self.identifier = identifier
         self.applied_swaps += 1
@@ -419,15 +354,10 @@ class GatewayHandle:
     def adopt_epoch(self, generation: int) -> int:
         """Advance this gateway's cache generation to a fleet watermark.
 
-        Routed through whichever layer owns the epoch here (lifecycle
-        coordinator when present, else the dispatcher cache, else the
-        handle's own bookkeeping counter); refuses to move backwards.
+        Routed through the lifecycle coordinator, which owns the epoch;
+        refuses to move backwards.
         """
-        if self.lifecycle is not None:
-            return self.lifecycle.adopt_epoch(generation)
-        if self.cache is not None:
-            return self.cache.epoch.advance_to(generation)
-        return self._epoch.advance_to(generation)
+        return self.lifecycle.adopt_epoch(generation)
 
     def _record_apply(
         self,
@@ -437,27 +367,21 @@ class GatewayHandle:
         push_id: Optional[int],
         reason: str = "",
     ) -> None:
-        if self.observability is not None:
-            self.observability.record_apply(
-                gateway=self.name,
-                epoch=epoch,
-                revision=revision,
-                applied=applied,
-                push_id=push_id,
-                reason=reason,
-                stream_time=self.clock.now(),
-            )
+        self.observability.record_apply(
+            gateway=self.name,
+            epoch=epoch,
+            revision=revision,
+            applied=applied,
+            push_id=push_id,
+            reason=reason,
+            stream_time=self.clock.now(),
+        )
 
     # ------------------------------------------------------------------ #
     # Reading and shutdown.
     # ------------------------------------------------------------------ #
     def snapshot(self, include_timings: bool = True) -> dict:
-        """The gateway's unified metrics snapshot (requires observability)."""
-        if self.observability is None:
-            raise ObservabilityError(
-                f"gateway {self.name!r} was built with observability=False; "
-                "no snapshot surface exists"
-            )
+        """The gateway's unified metrics snapshot."""
         return self.observability.snapshot(include_timings=include_timings)
 
     def close(self) -> None:
@@ -465,7 +389,7 @@ class GatewayHandle:
         if self._closed:
             return
         self._closed = True
-        if self.observability is not None and self.observability.ledger is not None:
+        if self.observability.ledger is not None:
             self.observability.ledger.close()
 
 
@@ -473,42 +397,35 @@ def build_gateway(config: GatewayConfig) -> GatewayHandle:
     """Assemble the seven-object gateway stack from one declarative config.
 
     Validates the config (:class:`ConfigError` names every bad field),
-    then wires source -> assembler -> dispatcher -> pipeline -> sink ->
-    lifecycle -> autopilot with the observability hub single-sourced
-    through every constructor -- the cross-references the hand-wired
-    path was prone to missing (sink <-> coordinator, gateway lifecycle
-    attachment, cache <-> epoch) are always made.  The underlying
+    then wires assembler -> dispatcher -> pipeline -> sink -> lifecycle
+    -> autopilot with the observability hub single-sourced through every
+    constructor -- the cross-references the hand-wired path was prone to
+    missing (sink <-> coordinator, gateway lifecycle attachment, cache
+    <-> epoch) are always made.  Every gateway has the same shape: a hub,
+    a lifecycle coordinator and a verdict cache.  The underlying
     constructors are unchanged; the facade only removes the wiring
     burden.
     """
     config.validate()
     policy = config.resolved_policy()
 
-    hub: Optional[Observability] = None
-    if config.observability:
-        ledger = None
-        if config.ledger_path is not None:
-            ledger = VerdictLedger(
-                config.ledger_path,
-                max_bytes=config.ledger_max_bytes,
-                max_files=config.ledger_max_files,
-            )
-        hub = Observability(ledger=ledger)
+    ledger = None
+    if config.ledger_path is not None:
+        ledger = VerdictLedger(
+            config.ledger_path,
+            max_bytes=config.ledger_max_bytes,
+            max_files=config.ledger_max_files,
+        )
+    hub = Observability(ledger=ledger)
 
     clock = config.clock if config.clock is not None else SimulatedClock()
 
-    coordinator: Optional[LifecycleCoordinator] = None
     if config.resume:
         coordinator = LifecycleCoordinator.resume(
-            config.store_path,
-            quarantine_path=config.quarantine_path,
-            use_discrimination=config.use_discrimination,
+            config.store_path, quarantine_path=config.quarantine_path
         )
-        if hub is not None:
-            coordinator.observability = hub
-            hub.register_lifecycle(coordinator)
-        identifier = coordinator.identifier
-        epoch = coordinator.epoch
+        coordinator.observability = hub
+        hub.register_lifecycle(coordinator)
     else:
         if config.bundle_path is not None:
             identifier, stamped = load_identifier_with_epoch(config.bundle_path)
@@ -516,44 +433,33 @@ def build_gateway(config: GatewayConfig) -> GatewayHandle:
         else:
             identifier = config.identifier
             epoch = CacheEpoch()
-        if config.lifecycle:
-            coordinator = LifecycleCoordinator(
-                identifier=identifier,
-                epoch=epoch,
-                store_path=config.store_path,
-                quarantine_path=config.quarantine_path,
-                use_discrimination=config.use_discrimination,
-                observability=hub,
-            )
+        coordinator = LifecycleCoordinator(
+            identifier=identifier,
+            epoch=epoch,
+            store_path=config.store_path,
+            quarantine_path=config.quarantine_path,
+            observability=hub,
+        )
+    identifier = coordinator.identifier
 
     security_service = IoTSecurityService(identifier=identifier)
     gateway = SecurityGateway(clock=clock, name=config.name)
     sink = GatewayEnforcementSink(
         gateway=gateway,
         security_service=security_service,
-        sticky=config.sticky,
         lifecycle=coordinator,
         observability=hub,
     )
-    if coordinator is not None:
-        coordinator.sink = sink
-        gateway.attach_lifecycle(coordinator)
+    coordinator.sink = sink
+    gateway.attach_lifecycle(coordinator)
 
-    cache: Optional[IdentificationCache] = None
-    if config.cache_capacity > 0:
-        if coordinator is not None:
-            cache = coordinator.make_cache(capacity=config.cache_capacity)
-        else:
-            cache = IdentificationCache(capacity=config.cache_capacity, epoch=epoch)
-
+    cache = coordinator.make_cache(capacity=config.cache_capacity)
     dispatcher = BatchDispatcher(
         identifier,
         max_batch=config.max_batch,
         queue_capacity=config.queue_capacity,
         policy=policy,
         cache=cache,
-        use_discrimination=config.use_discrimination,
-        max_linger=config.max_linger,
         observability=hub,
     )
     assembler = ShardedFingerprintAssembler(shards=config.shards)
@@ -578,14 +484,11 @@ def build_gateway(config: GatewayConfig) -> GatewayHandle:
         clock=clock,
         cache=cache,
         lifecycle=coordinator,
-        autopilot=autopilot,
         observability=hub,
+        autopilot=autopilot,
     )
-    # The pipeline is built eagerly when a source is configured so the
-    # hub's pipeline/assembler sources are registered from construction
-    # (snapshot key-set stability); otherwise lazily on first run.
-    if config.source is not None:
-        handle._build_pipeline(config.source)
-    elif hub is not None:
-        handle._build_pipeline(IterableSource([]))
+    # Built eagerly so the hub's pipeline/assembler sources are
+    # registered from construction (snapshot key-set stability) and
+    # identify() has a pipeline before the first run.
+    handle._build_pipeline(IterableSource([]))
     return handle

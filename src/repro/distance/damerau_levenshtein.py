@@ -39,7 +39,7 @@ Empty-sequence semantics (documented contract):
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import ObservabilityError
 from repro.fleet.channel import FleetCoordinator
 
 
@@ -63,8 +62,7 @@ class ConvergenceReport:
 class FleetHealthView:
     """Aggregates per-member snapshots into a convergence report.
 
-    Every member must have been built with observability (the facade's
-    default): the view reads ``cache_epoch.generation`` /
+    The view reads ``cache_epoch.generation`` /
     ``identification_cache.hit_rate`` / ``quarantine.size`` straight out
     of each gateway's unified snapshot rather than poking components.
     """
@@ -78,14 +76,8 @@ class FleetHealthView:
         rows = []
         for name, subscriber in sorted(self.coordinator.members.items()):
             handle = subscriber.handle
-            if handle.observability is None:
-                raise ObservabilityError(
-                    f"fleet member {name!r} was built without observability; "
-                    "FleetHealthView reads member snapshots -- build members "
-                    "with GatewayConfig(observability=True)"
-                )
             snapshot = handle.snapshot(include_timings=False)
-            epoch = int(snapshot.get("cache_epoch.generation", handle.epoch))
+            epoch = int(snapshot["cache_epoch.generation"])
             rows.append(
                 GatewayHealth(
                     name=name,
@@ -94,10 +86,8 @@ class FleetHealthView:
                     lag=max(0, target - epoch),
                     applied=subscriber.applied,
                     duplicates=subscriber.duplicates,
-                    cache_hit_rate=float(
-                        snapshot.get("identification_cache.hit_rate", 0.0)
-                    ),
-                    quarantine_depth=int(snapshot.get("quarantine.size", 0)),
+                    cache_hit_rate=float(snapshot["identification_cache.hit_rate"]),
+                    quarantine_depth=int(snapshot["quarantine.size"]),
                 )
             )
         laggards = tuple(row.name for row in rows if row.lag > 0)

@@ -279,10 +279,11 @@ class Observability:
     # Evidence records (the durable half).
     # ------------------------------------------------------------------ #
     def _emit(self, record: EvidenceRecord) -> Optional[EvidenceRecord]:
+        # Count only once the record has landed: a failed append must not
+        # leave the snapshot reporting a record the ledger never got.
+        appended = self.ledger.append(record) if self.ledger is not None else None
         self._kind_counters[record.kind].inc()
-        if self.ledger is not None:
-            return self.ledger.append(record)
-        return None
+        return appended
 
     def record_verdict(
         self,

@@ -266,11 +266,7 @@ class Campaign:
         gateway = handle.gateway
         now = handle.clock.now()
         records_by_mac = {str(mac): record for mac, record in gateway.devices.items()}
-        quarantined_macs = (
-            {str(mac) for mac in handle.lifecycle.quarantine.macs()}
-            if handle.lifecycle is not None
-            else set()
-        )
+        quarantined_macs = {str(mac) for mac in handle.lifecycle.quarantine.macs()}
         replay = replay_ledger(handle.config.ledger_path)
         verdict_trail: dict[str, set[str]] = {}
         ledger_kinds: dict[str, int] = {}
@@ -385,8 +381,6 @@ def _rate(numerator: int, denominator: int) -> float:
 
 
 def _quarantine_metrics(handle: GatewayHandle, now: float) -> dict:
-    if handle.lifecycle is None:
-        return {"size": 0, "recorded": 0, "evicted": 0, "released": 0, "max_age": 0.0, "mean_age": 0.0}
     log = handle.lifecycle.quarantine
     ages = [now - entry.quarantined_at for entry in log.devices()]
     return {

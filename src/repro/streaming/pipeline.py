@@ -19,11 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
-import numpy as np
-
-from repro.exceptions import SimulationError
 from repro.gateway.security_gateway import SecurityGateway
-from repro.identification.identifier import UNKNOWN_DEVICE_TYPE, DeviceTypeIdentifier
+from repro.identification.identifier import UNKNOWN_DEVICE_TYPE
 from repro.identification.lifecycle import LifecycleCoordinator
 from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
@@ -101,10 +98,9 @@ class StreamingPipeline:
         clock: shared stream clock; advanced to each packet's timestamp.
         eviction_interval: stream-seconds between idle-eviction sweeps
             (one shard per sweep, round-robin).
-        observability: optional hub; when attached (here or on the
-            dispatcher), every verdict leaving the pipeline lands in the
-            evidence ledger and the assembler/dispatcher counters become
-            snapshot sources.
+        observability: the dispatcher's hub, if it has one; every
+            verdict leaving the pipeline then lands in the evidence ledger
+            and the assembler counters become snapshot sources.
     """
 
     def __init__(
@@ -115,7 +111,6 @@ class StreamingPipeline:
         on_identified: Optional[Callable[[IdentifiedDevice], None]] = None,
         clock: Optional[SimulatedClock] = None,
         eviction_interval: float = 1.0,
-        observability: Optional["Observability"] = None,
     ):
         self.source = source
         self.assembler = assembler or ShardedFingerprintAssembler()
@@ -123,27 +118,8 @@ class StreamingPipeline:
         self.on_identified = on_identified
         self.clock = clock or SimulatedClock()
         self.eviction_interval = eviction_interval
-        self.observability = (
-            observability if observability is not None else dispatcher.observability
-        )
+        self.observability = dispatcher.observability
         if self.observability is not None:
-            # A hub handed to the pipeline covers its dispatcher too (and
-            # vice versa): the identify-batch histogram must fire whichever
-            # constructor the hub was attached through.  Adoption order
-            # (pinned by the streaming regression suite): a dispatcher-only
-            # hub is adopted by the pipeline, a pipeline-only hub is handed
-            # down to the dispatcher, and two *different* hubs are refused
-            # outright -- split-brain observability would scatter one
-            # gateway's evidence across two ledgers.  The build_gateway()
-            # facade sidesteps the question by single-sourcing the hub.
-            if dispatcher.observability is None:
-                dispatcher.observability = self.observability
-            elif dispatcher.observability is not self.observability:
-                raise SimulationError(
-                    "pipeline and dispatcher were given two different "
-                    "observability hubs; wire one hub through both "
-                    "(or use repro.api.build_gateway, which single-sources it)"
-                )
             self.observability.register_pipeline(self)
         self.stats = PipelineStats()
         self._next_eviction = self.clock.now() + eviction_interval
@@ -197,10 +173,7 @@ class StreamingPipeline:
         ready = self.assembler.observe(packet)
         completed = [ready] if ready is not None else []
         now = self.clock.now()
-        if now >= self._next_eviction:
-            completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
-            self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
-            self._next_eviction = now + self.eviction_interval
+        self._sweep_if_due(now, completed)
         self.stats.assemble_seconds += time.perf_counter() - start
 
         identified: list[IdentifiedDevice] = []
@@ -271,11 +244,7 @@ class StreamingPipeline:
             if end_time > self.clock.now():
                 self.clock.advance(end_time - self.clock.now())
             completed.extend(self.assembler.observe_prepared(prepared, stop))
-            now = self.clock.now()
-            if now >= self._next_eviction:
-                completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
-                self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
-                self._next_eviction = now + self.eviction_interval
+            self._sweep_if_due(self.clock.now(), completed)
             position = stop
         assemble_elapsed = time.perf_counter() - assemble_start
         self.stats.assemble_seconds += assemble_elapsed
@@ -307,27 +276,6 @@ class StreamingPipeline:
         self._deliver(identified)
         return identified
 
-    def swap_identifier(
-        self, identifier: DeviceTypeIdentifier, epoch: Optional[int] = None
-    ) -> DeviceTypeIdentifier:
-        """Hot-swap the serving model between batches (fleet push apply).
-
-        Delegates to :meth:`BatchDispatcher.swap_identifier` -- in-flight
-        fingerprints stay queued and are identified by the new model --
-        and, when ``epoch`` is given, advances the dispatcher cache's
-        generation to the pushed bundle's watermark so every pre-swap
-        verdict becomes unreachable (the PR 3 invalidation path).  The
-        returned value is the replaced identifier.  Callers with a
-        lifecycle coordinator should prefer
-        :meth:`repro.api.GatewayHandle.swap_bundle`, which also adopts
-        the epoch into the coordinator and records the apply event.
-        """
-        previous = self.dispatcher.swap_identifier(identifier)
-        cache = self.dispatcher.cache
-        if epoch is not None and cache is not None:
-            cache.epoch.advance_to(epoch)
-        return previous
-
     def drain(self) -> list[IdentifiedDevice]:
         """Identify and deliver every queued fingerprint.
 
@@ -352,6 +300,13 @@ class StreamingPipeline:
         self._deliver(identified)
         self._collect_stats()
         return identified
+
+    def _sweep_if_due(self, now: float, completed: list[ReadyFingerprint]) -> None:
+        """Sweep one shard for idle captures once the eviction deadline passes."""
+        if now >= self._next_eviction:
+            completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
+            self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
+            self._next_eviction = now + self.eviction_interval
 
     def _deliver(self, identified: list[IdentifiedDevice]) -> None:
         self.stats.identified += len(identified)

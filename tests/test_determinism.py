@@ -317,11 +317,13 @@ class TestObservabilityDeterminism:
             # path (from_cache verdict records) is part of the compared
             # bytes.
             dispatcher=BatchDispatcher(
-                identifier, max_batch=1, cache=IdentificationCache(capacity=32)
+                identifier,
+                max_batch=1,
+                cache=IdentificationCache(capacity=32),
+                observability=hub,
             ),
             assembler=ShardedFingerprintAssembler(shards=4),
             on_identified=lambda item: None,
-            observability=hub,
         )
         pipeline.run()
         snapshot = hub.snapshot(include_timings=False)

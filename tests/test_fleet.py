@@ -17,22 +17,19 @@ Three surfaces under test:
 
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.api import GatewayConfig, GatewayHandle, build_gateway
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
-from repro.exceptions import (
-    ConfigError,
-    FleetError,
-    LifecycleError,
-    ObservabilityError,
-)
+from repro.exceptions import ConfigError, FleetError, LifecycleError
 from repro.features.fingerprint import Fingerprint
 from repro.fleet import FleetCoordinator, FleetHealthView
 from repro.identification.identifier import DeviceTypeIdentifier, UNKNOWN_DEVICE_TYPE
 from repro.identification.model_store import save_identifier
-from repro.net.addresses import MACAddress
 from repro.obs import replay_ledger
 from repro.streaming import SimulatedSource
 from repro.streaming.backpressure import BackpressurePolicy
@@ -110,7 +107,6 @@ class TestGatewayConfig:
                 backpressure="drop",
                 cache_capacity=128,
                 shards=2,
-                sticky=False,
                 store_path=tmp_path / "store.json",
                 quarantine_path=tmp_path / "quarantine.json",
                 autopilot=True,
@@ -119,13 +115,11 @@ class TestGatewayConfig:
         )
         # The facade made every cross-reference the hand-wired path
         # required the caller to remember.
-        assert handle.lifecycle is not None
         assert handle.lifecycle.sink is handle.sink
         assert handle.sink.lifecycle is handle.lifecycle
         assert handle.gateway.lifecycle is handle.lifecycle
         assert handle.autopilot is not None
         assert handle.autopilot.coordinator is handle.lifecycle
-        assert handle.cache is not None
         assert handle.cache.epoch is handle.lifecycle.epoch
         assert handle.dispatcher.cache is handle.cache
         assert handle.dispatcher.queue.policy is BackpressurePolicy.DROP
@@ -151,37 +145,26 @@ class TestGatewayConfig:
             )
 
     def test_invalid_numeric_fields_all_named_in_one_error(self, trained_identifier):
-        with pytest.raises(ConfigError) as excinfo:
-            build_gateway(
-                GatewayConfig(
-                    identifier=trained_identifier,
-                    max_batch=0,
-                    queue_capacity=-1,
-                    cache_capacity=-5,
-                    shards=0,
+        for cache_capacity in (-5, 0):
+            with pytest.raises(ConfigError) as excinfo:
+                build_gateway(
+                    GatewayConfig(
+                        identifier=trained_identifier,
+                        max_batch=0,
+                        queue_capacity=-1,
+                        cache_capacity=cache_capacity,
+                        shards=0,
+                    )
                 )
-            )
-        message = str(excinfo.value)
-        for field in ("max_batch", "queue_capacity", "cache_capacity", "shards"):
-            assert field in message
+            message = str(excinfo.value)
+            for field in ("max_batch", "queue_capacity", "cache_capacity", "shards"):
+                assert field in message
 
-    def test_autopilot_requires_lifecycle(self, trained_identifier):
-        with pytest.raises(ConfigError, match="autopilot"):
-            build_gateway(
-                GatewayConfig(
-                    identifier=trained_identifier, autopilot=True, lifecycle=False
-                )
-            )
-
-    def test_ledger_requires_observability(self, trained_identifier, tmp_path):
-        with pytest.raises(ConfigError, match="ledger_path"):
-            build_gateway(
-                GatewayConfig(
-                    identifier=trained_identifier,
-                    observability=False,
-                    ledger_path=tmp_path / "ledger.ndjson",
-                )
-            )
+    def test_docstring_documents_every_field(self):
+        attributes = GatewayConfig.__doc__.split("Attributes:", 1)[1]
+        documented = set(re.findall(r"^ {8}(\w+):", attributes, flags=re.MULTILINE))
+        missing = [f.name for f in dataclasses.fields(GatewayConfig) if f.name not in documented]
+        assert not missing, f"GatewayConfig docstring omits {missing}"
 
     def test_resume_requires_store_path(self):
         with pytest.raises(ConfigError, match="store_path"):
@@ -199,26 +182,6 @@ class TestGatewayConfig:
         )
         assert handle.dispatcher.queue.policy is BackpressurePolicy.BLOCK
 
-    def test_cache_capacity_zero_disables_caching(self, trained_identifier):
-        handle = build_gateway(
-            GatewayConfig(identifier=trained_identifier, cache_capacity=0)
-        )
-        assert handle.cache is None
-        assert handle.dispatcher.cache is None
-
-    def test_observability_false_means_no_snapshot(self, trained_identifier):
-        handle = build_gateway(
-            GatewayConfig(identifier=trained_identifier, observability=False)
-        )
-        assert handle.observability is None
-        with pytest.raises(ObservabilityError, match="observability=False"):
-            handle.snapshot()
-
-    def test_run_without_source_names_the_field(self, trained_identifier):
-        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
-        with pytest.raises(ConfigError, match="source"):
-            handle.run_until_idle()
-
     def test_resume_rebuilds_the_stack_from_disk(self, trained_identifier, tmp_path):
         store = tmp_path / "store.json"
         quarantine = tmp_path / "quarantine.json"
@@ -233,12 +196,10 @@ class TestGatewayConfig:
         resumed = build_gateway(
             GatewayConfig(resume=True, store_path=store, quarantine_path=quarantine)
         )
-        assert resumed.lifecycle is not None
         assert (
             resumed.identifier.known_device_types
             == trained_identifier.known_device_types
         )
-        assert resumed.observability is not None
         assert resumed.lifecycle.observability is resumed.observability
 
     def test_run_until_idle_streams_and_enforces(self, trained_identifier, simulator):
@@ -606,10 +567,3 @@ class TestFleetConvergence:
         assert len(applies) == 1
         assert applies[0].detail["gateway"] == "gw-0"
         assert applies[0].cache_epoch == 2
-
-    def test_health_view_requires_member_observability(self, bundle_v1):
-        fleet = FleetCoordinator()
-        fleet.push(bundle_v1)
-        fleet.spawn_gateway("gw-0", GatewayConfig(observability=False))
-        with pytest.raises(ObservabilityError, match="gw-0"):
-            FleetHealthView(fleet).collect()

@@ -204,6 +204,13 @@ class TestLedger:
         with pytest.raises(LedgerError, match="closed"):
             ledger.append(EvidenceRecord(kind="verdict"))
 
+    def test_failed_append_is_not_counted(self, tmp_path):
+        hub = Observability(ledger=VerdictLedger(tmp_path / "ledger.ndjson"))
+        hub.ledger.close()
+        with pytest.raises(LedgerError, match="closed"):
+            hub.record_apply(gateway="gw", epoch=1, revision=0, applied=True)
+        assert hub.snapshot()["ledger.apply_records"] == 0
+
 
 # --------------------------------------------------------------------- #
 # Metrics registry.
@@ -314,11 +321,12 @@ def build_wired_gateway(identifier, tmp_path, seed=42):
 
     pipeline = StreamingPipeline(
         source=SimulatedSource(traces=traces),
-        dispatcher=BatchDispatcher(identifier, max_batch=4, cache=coordinator.make_cache()),
+        dispatcher=BatchDispatcher(
+            identifier, max_batch=4, cache=coordinator.make_cache(), observability=hub
+        ),
         assembler=ShardedFingerprintAssembler(shards=4),
         on_identified=sink,
         clock=clock,
-        observability=hub,
     )
     return hub, pipeline, autopilot, coordinator
 

@@ -706,52 +706,10 @@ class TestSourcesAndPipeline:
 
 
 # --------------------------------------------------------------------- #
-# Observability hub adoption between pipeline and dispatcher.
+# The pipeline shares its dispatcher's observability hub.
 # --------------------------------------------------------------------- #
 class TestHubAdoption:
-    """Regression net for the hub adoption asymmetry in the pipeline ctor.
-
-    The pipeline used to hand its hub down to a hub-less dispatcher but
-    silently kept two hubs when the dispatcher arrived with its own --
-    dispatcher counters then landed in one snapshot and pipeline/sink
-    counters in another.  The rule is now symmetric: a lone hub (on
-    either side) is adopted by the other, and two *different* hubs are a
-    configuration error.
-    """
-
-    def _pipeline(self, trained_identifier, dispatcher, hub=None):
-        from repro.obs import Observability  # local: keep module imports streaming-only
-
-        return StreamingPipeline(
-            source=IterableSource([]),
-            dispatcher=dispatcher,
-            observability=hub,
-        )
-
-    def test_pipeline_hub_adopted_by_bare_dispatcher(self, trained_identifier):
-        from repro.obs import Observability
-
-        hub = Observability()
-        dispatcher = BatchDispatcher(trained_identifier)
-        self._pipeline(trained_identifier, dispatcher, hub=hub)
-        assert dispatcher.observability is hub
-
-    def test_dispatcher_hub_adopted_by_bare_pipeline(self, trained_identifier):
-        from repro.obs import Observability
-
-        hub = Observability()
-        dispatcher = BatchDispatcher(trained_identifier, observability=hub)
-        pipeline = self._pipeline(trained_identifier, dispatcher)
-        assert pipeline.observability is hub
-
-    def test_two_different_hubs_raise_instead_of_splitting_metrics(
-        self, trained_identifier
-    ):
-        from repro.obs import Observability
-
-        dispatcher = BatchDispatcher(trained_identifier, observability=Observability())
-        with pytest.raises(SimulationError, match="two different"):
-            self._pipeline(trained_identifier, dispatcher, hub=Observability())
+    """The pipeline reports through its dispatcher's hub: one hub per stack."""
 
     def test_single_hub_sees_both_layers_counters(self, trained_identifier, simulator):
         from repro.obs import Observability
@@ -761,7 +719,6 @@ class TestHubAdoption:
         pipeline = StreamingPipeline(
             source=SimulatedSource(traces=[simulator.simulate(DEVICE_CATALOG["Aria"])]),
             dispatcher=dispatcher,
-            observability=hub,
         )
         pipeline.run()
         snapshot = hub.snapshot()
