@@ -8,8 +8,11 @@ benchmark measures both on the paper's fixed-length fingerprints:
 * *forest level* -- one Random Forest scoring a large fingerprint batch,
   the unit of work every per-device-type classifier performs; and
 * *bank level* -- a full :class:`~repro.identification.ClassifierBank`
-  scoring a ``(batch x device-types)`` matrix the way the streaming
-  dispatcher now does, against the historical per-sample/per-type loop.
+  scoring a ``(batch x device-types)`` matrix through its fused forest
+  stack the way the streaming dispatcher does, against the historical
+  per-sample/per-type interpreted loop (at batch 192) and against one
+  compiled-forest call per type (at batch 12, the facade's mean batch).
+  The fused scores must be bitwise equal to the per-type forests.
 
 Headline numbers land in ``BENCH_compiled_inference.json`` so CI tracks
 the speedup over time.  ``REPRO_BENCH_QUICK=1`` shrinks the batch for
@@ -23,10 +26,14 @@ import time
 import numpy as np
 
 from conftest import BENCH_QUICK, BENCH_SEED
+from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.ml.forest import RandomForestClassifier
 
 FOREST_BATCH = 2000 if BENCH_QUICK else 6000
 BANK_BATCH = 48 if BENCH_QUICK else 192
+#: The facade's mean dispatch batch (``identification.mean_batch`` of the
+#: end-to-end benchmark's ``onboard_unique`` workload).
+FACADE_BATCH = 12
 COMPILED_REPEATS = 3
 
 # The acceptance floor for the subsystem is 5x at full scale.  Quick mode
@@ -89,6 +96,20 @@ def test_compiled_forest_speedup(bench_dataset, bench_report):
     )
 
 
+def _per_type_scores(bank, matrix):
+    """One compiled-forest call per type: the pre-fusion bank, as the oracle."""
+    types = bank.device_types
+    positive = np.zeros((len(matrix), len(types)))
+    accepted = np.zeros((len(matrix), len(types)), dtype=bool)
+    for column, device_type in enumerate(types):
+        forest = bank.classifier_of(device_type).compiled
+        probabilities = forest.predict_proba(matrix)
+        positive_column = list(forest.classes_).index(POSITIVE_LABEL)
+        positive[:, column] = probabilities[:, positive_column]
+        accepted[:, column] = np.argmax(probabilities, axis=1) == positive_column
+    return positive, accepted
+
+
 def test_bank_batch_scoring_speedup(bench_identifier, bench_dataset, bench_report):
     bank = bench_identifier.bank
     fingerprints = bench_dataset.fingerprints
@@ -113,15 +134,26 @@ def test_bank_batch_scoring_speedup(bench_identifier, bench_dataset, bench_repor
     batched_seconds, scores = _timed(lambda: bank.score_batch(matrix), repeats=COMPILED_REPEATS)
     speedup = legacy_seconds / batched_seconds
 
+    facade = matrix[:FACADE_BATCH]
+    per_type_seconds, _ = _timed(lambda: _per_type_scores(bank, facade), repeats=COMPILED_REPEATS)
+    fused_seconds, _ = _timed(lambda: bank.score_batch(facade), repeats=COMPILED_REPEATS)
+    fusion_speedup = per_type_seconds / fused_seconds
+
     print()
     print("Classifier bank batch scoring (batch x device-types)")
     print(f"  batch size                     {len(matrix)}")
     print(f"  device-types                   {len(bank.device_types)}")
     print(f"  legacy nested loop             {legacy_seconds * 1000:.1f} ms")
-    print(f"  compiled batch scoring         {batched_seconds * 1000:.2f} ms")
+    print(f"  fused batch scoring            {batched_seconds * 1000:.2f} ms")
     print(f"  speedup                        {speedup:.1f}x")
+    print(f"  batch {FACADE_BATCH}: per-type forests      {per_type_seconds * 1000:.2f} ms")
+    print(f"  batch {FACADE_BATCH}: fused stack           {fused_seconds * 1000:.2f} ms")
+    print(f"  batch {FACADE_BATCH}: speedup               {fusion_speedup:.1f}x")
 
-    assert scores.positive.shape == (len(matrix), len(bank.device_types))
+    # The fused stack must be a pure optimisation: bitwise-equal scores.
+    positive, accepted = _per_type_scores(bank, matrix)
+    assert scores.positive.tobytes() == positive.tobytes()
+    assert np.array_equal(scores.accepted, accepted)
     assert speedup >= SPEEDUP_FLOOR
 
     bench_report(
@@ -133,6 +165,13 @@ def test_bank_batch_scoring_speedup(bench_identifier, bench_dataset, bench_repor
                 "legacy_seconds": legacy_seconds,
                 "batched_seconds": batched_seconds,
                 "speedup": speedup,
-            }
+            },
+            "bank_facade_batch": {
+                "batch_size": FACADE_BATCH,
+                "device_types": len(bank.device_types),
+                "per_type_seconds": per_type_seconds,
+                "fused_seconds": fused_seconds,
+                "speedup": fusion_speedup,
+            },
         },
     )

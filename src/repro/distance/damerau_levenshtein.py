@@ -46,6 +46,12 @@ import numpy as np
 from repro.exceptions import FingerprintError
 
 
+#: Code of a symbol the interner has never seen (lookup-only encoding).
+#: Interner codes are non-negative and the pair kernel pads references
+#: with -1, so an unseen symbol equals nothing it is compared with.
+UNSEEN_SYMBOL = -2
+
+
 class SymbolInterner:
     """An append-only mapping of hashable symbols to dense integer codes.
 
@@ -56,7 +62,8 @@ class SymbolInterner:
     symbols are equal iff their codes are equal, forever.  The module-level
     :data:`GLOBAL_INTERNER` is what the discrimination stage encodes
     reference fingerprints through (their cached encodings stay valid for
-    the life of the process).
+    the life of the process).  Queries are encoded with :meth:`lookup`,
+    which adds nothing, so the alphabet grows only with the references.
     """
 
     def __init__(self) -> None:
@@ -77,101 +84,135 @@ class SymbolInterner:
             out[index] = code
         return out
 
+    def lookup(self, symbols: Sequence[Hashable]) -> np.ndarray:
+        """Encode without interning: unseen symbols become :data:`UNSEEN_SYMBOL`.
+
+        Distances against sequences encoded by :meth:`encode` stay exact,
+        because an unseen symbol cannot equal any interned one.  The
+        result is only valid *now*: a later :meth:`encode` may intern the
+        symbol, so callers must not cache it.
+        """
+        get = self._codes.get
+        return np.array([get(symbol, UNSEEN_SYMBOL) for symbol in symbols], dtype=np.int64)
+
 
 #: The process-wide alphabet shared by every batch-kernel caller.
 GLOBAL_INTERNER = SymbolInterner()
 
+_NO_TRANSPOSITION = np.iinfo(np.int64).max
 
-def damerau_levenshtein_matrix(
-    query: np.ndarray, references: Sequence[np.ndarray]
+
+def damerau_levenshtein_pairs(
+    queries: Sequence[np.ndarray], references: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Distances of one encoded query against many encoded references.
+    """Distance of every ``(queries[k], references[k])`` pair, in one pass.
 
-    All inputs are integer code arrays produced by one shared
-    :class:`SymbolInterner`.  The dynamic program runs once over the query
-    axis with every reference advanced in lockstep as a numpy matrix: for
-    each query row the deletion/substitution/transposition candidates are
-    computed in one vectorised step and the insertion recurrence
+    All inputs are integer code arrays over one shared alphabet (see
+    :class:`SymbolInterner`; a query may also carry
+    :data:`UNSEEN_SYMBOL`).  Each pair is one row of a stacked dynamic
+    program that runs once over the query axis: at step ``i`` every row
+    still inside its query advances one DP row as a numpy matrix, with
+    its own query symbol.  The deletion/substitution/transposition
+    candidates take one vectorised step, and the insertion recurrence
     ``current[j] = min(current[j-1] + 1, cand[j])`` is folded with the
     prefix-minimum identity ``current[j] = min_{k<=j}(cand[k] + j - k)``
     (a single ``minimum.accumulate``), so no per-cell Python executes.
 
-    Returns one absolute Damerau-Levenshtein distance per reference, as an
-    int64 array, bitwise-equal to calling :func:`damerau_levenshtein` per
-    pair (the differential property suite asserts this).
+    Rows are sorted by query length, longest first, so the rows still
+    live at step ``i`` are a prefix; a row's answer is read at
+    ``(len(query), len(reference))`` on the step its query ends.
+
+    Returns one absolute Damerau-Levenshtein distance per pair, as an
+    int64 array, bitwise-equal to :func:`damerau_levenshtein` per pair
+    (the differential property suite asserts this).
     """
-    lengths = np.array([len(reference) for reference in references], dtype=np.int64)
-    count = len(references)
+    count = len(queries)
+    if count != len(references):
+        raise ValueError("damerau_levenshtein_pairs needs one reference per query")
+    query_lengths = np.array([len(query) for query in queries], dtype=np.int64)
+    reference_lengths = np.array([len(reference) for reference in references], dtype=np.int64)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    m = len(query)
-    if m == 0:
-        return lengths.copy()
-    max_len = int(lengths.max())
-    if max_len == 0:
-        return np.full(count, m, dtype=np.int64)
+    order = np.argsort(-query_lengths, kind="stable")
+    lengths = query_lengths[order]
+    ends = reference_lengths[order]
+    depth = int(lengths[0])
+    max_len = int(ends.max())
+    if depth == 0 or max_len == 0:
+        # One side empty: the distance is the other side's length.
+        return np.maximum(query_lengths, reference_lengths)
 
-    # Pad with -1: interner codes are non-negative, so padding never
-    # equals a query symbol and padded columns charge full substitution
-    # cost.  The answer is read at each reference's own length, so the
-    # padded tail never leaks into a result.
+    # Pad references with -1: codes are >= 0 and unseen query symbols are
+    # -2, so padding never equals a query symbol and padded columns
+    # charge full substitution cost.  The answer is read at each
+    # reference's own length, so the padded tail never leaks into a
+    # result.  Query padding is never read: a row is dead past its length.
     refs = np.full((count, max_len), -1, dtype=np.int64)
-    for row, reference in enumerate(references):
-        if len(reference):
-            refs[row, : len(reference)] = reference
+    symbols = np.full((count, depth), -1, dtype=np.int64)
+    for row, pair in enumerate(order):
+        refs[row, : ends[row]] = references[pair]
+        symbols[row, : lengths[row]] = queries[pair]
+    # live[i]: rows whose query has at least i symbols (a prefix).
+    live = np.searchsorted(-lengths, -np.arange(depth + 2), side="right")
 
+    answers = np.empty(count, dtype=np.int64)
+    silent = lengths == 0
+    answers[silent] = ends[silent]
     offsets = np.arange(max_len + 1, dtype=np.int64)
     previous = np.broadcast_to(offsets, (count, max_len + 1)).copy()
     previous_previous = np.zeros_like(previous)
     candidate = np.empty_like(previous)
-    for i in range(1, m + 1):
-        symbol = query[i - 1]
-        # Deletion vs substitution, vectorised across every (ref, j) cell.
-        candidate[:, 0] = i
+    for i in range(1, depth + 1):
+        rows = int(live[i])
+        symbol = symbols[:rows, i - 1 : i]
+        # Deletion vs substitution, vectorised across every (row, j) cell.
+        candidate[:rows, 0] = i
         np.minimum(
-            previous[:, 1:] + 1,
-            previous[:, :-1] + (refs != symbol),
-            out=candidate[:, 1:],
+            previous[:rows, 1:] + 1,
+            previous[:rows, :-1] + (refs[:rows] != symbol),
+            out=candidate[:rows, 1:],
         )
         if i > 1:
-            previous_symbol = query[i - 2]
+            previous_symbol = symbols[:rows, i - 2 : i - 1]
             # Adjacent transposition: q[i-2..i-1] crossed with ref[j-2..j-1].
-            swap = (refs[:, : max_len - 1] == symbol) & (refs[:, 1:] == previous_symbol)
+            swap = (refs[:rows, :-1] == symbol) & (refs[:rows, 1:] == previous_symbol)
             np.minimum(
-                candidate[:, 2:],
-                np.where(swap, previous_previous[:, : max_len - 1] + 1, np.iinfo(np.int64).max),
-                out=candidate[:, 2:],
+                candidate[:rows, 2:],
+                np.where(swap, previous_previous[:rows, : max_len - 1] + 1, _NO_TRANSPOSITION),
+                out=candidate[:rows, 2:],
             )
         # Insertion as a prefix-minimum over candidate costs.
-        current = np.minimum.accumulate(candidate - offsets, axis=1) + offsets
-        previous_previous, previous, candidate = previous, current, previous_previous
-    return previous[np.arange(count), lengths]
+        current = previous_previous
+        current[:rows] = np.minimum.accumulate(candidate[:rows] - offsets, axis=1) + offsets
+        # Rows whose query ends at step i: a contiguous block.
+        done = np.arange(int(live[i + 1]), rows)
+        answers[done] = current[done, ends[done]]
+        previous_previous, previous = previous, current
+    distances = np.empty(count, dtype=np.int64)
+    distances[order] = answers
+    return distances
 
 
-def normalized_distances(
-    query: np.ndarray,
-    query_length: int,
-    references: Sequence[np.ndarray],
-) -> list[float]:
-    """Batch counterpart of :func:`normalized_damerau_levenshtein`.
+def normalized_pair_distances(
+    queries: Sequence[np.ndarray], references: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Pairwise counterpart of :func:`normalized_damerau_levenshtein`.
 
-    ``query``/``references`` are interned code arrays; ``query_length`` is
-    ``len(query)`` (passed explicitly so callers holding an encoded view
-    need not re-measure).  Pair semantics are identical to the scalar
-    function, including the empty-sequence contract: one empty side yields
-    exactly 1.0, an empty query against an empty reference raises
-    :class:`FingerprintError`.  Each result is the integer distance divided
-    by the longer length -- the same two machine numbers the scalar path
-    divides, so the floats are bitwise identical.
+    ``queries``/``references`` are code arrays as for
+    :func:`damerau_levenshtein_pairs`.  Pair semantics are identical to
+    the scalar function, including the empty-sequence contract: one empty
+    side yields exactly 1.0, two empty sides raise
+    :class:`FingerprintError`.  Each result is the integer distance
+    divided by the longer length -- the same two machine numbers the
+    scalar path divides, so the float64 values are bitwise identical.
     """
-    for reference in references:
-        if query_length == 0 and len(reference) == 0:
-            raise FingerprintError("cannot normalise the distance of two empty sequences")
-    distances = damerau_levenshtein_matrix(query, references)
-    return [
-        int(distance) / max(query_length, len(reference))
-        for distance, reference in zip(distances, references)
-    ]
+    longest = np.array(
+        [max(len(query), len(reference)) for query, reference in zip(queries, references)],
+        dtype=np.int64,
+    )
+    if np.any(longest == 0):
+        raise FingerprintError("cannot normalise the distance of two empty sequences")
+    return damerau_levenshtein_pairs(queries, references) / longest
 
 
 # --------------------------------------------------------------------- #

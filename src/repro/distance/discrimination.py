@@ -22,9 +22,11 @@ random draw remains available as the in-memory ``selection="random"``
 ablation (:func:`repro.eval.experiments.run_selection_ablation`); model
 bundles refuse it.
 
-Edit distances always go through the vectorised batch kernel
-(:func:`~repro.distance.damerau_levenshtein.normalized_distances`); the
-scalar dynamic program is the test suite's oracle.
+Edit distances always go through the stacked pair kernel
+(:func:`~repro.distance.damerau_levenshtein.normalized_pair_distances`):
+:meth:`EditDistanceDiscriminator.score_many` draws every subset of a
+batch first and then scores all (fingerprint, reference) pairs in one
+call.  The scalar dynamic program is the test suite's oracle.
 
 Tie-breaking contract: two candidates with *exactly* equal dissimilarity
 scores are ordered lexicographically by ``device_type`` -- the winner of a
@@ -35,13 +37,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.distance.damerau_levenshtein import (
     GLOBAL_INTERNER,
-    normalized_distances,
+    normalized_pair_distances,
     splitmix_subset,
 )
 from repro.exceptions import IdentificationError
@@ -65,7 +67,7 @@ SPLITMIX_DRAW = "splitmix64"
 
 
 def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
-    """The fingerprint's symbol sequence, interned over the global alphabet.
+    """A reference fingerprint's symbol sequence, interned over the global alphabet.
 
     Cached on the fingerprint instance: reference fingerprints live for
     the process lifetime and are compared on every discrimination, so
@@ -79,6 +81,21 @@ def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
         codes = GLOBAL_INTERNER.encode(fingerprint.as_symbol_sequence())
         fingerprint._symbol_codes = codes
     return codes
+
+
+def _query_word(fingerprint: Fingerprint) -> np.ndarray:
+    """A queried fingerprint's codes, looked up without growing the alphabet.
+
+    Fingerprints seen on the wire are unbounded, so interning them would
+    grow :data:`GLOBAL_INTERNER` forever.  A symbol no reference has is
+    encoded as ``UNSEEN_SYMBOL``, which keeps every distance exact.  The
+    result is never cached: the fingerprint may later become a reference
+    (autopilot promotion), and its cached codes must then be interned ones.
+    """
+    codes = getattr(fingerprint, "_symbol_codes", None)
+    if codes is not None:
+        return codes
+    return GLOBAL_INTERNER.lookup(fingerprint.as_symbol_sequence())
 
 
 def selection_seed_from_key(
@@ -218,60 +235,98 @@ class EditDistanceDiscriminator:
         chosen_indices = tuple(sorted(int(index) for index in indices))
         return [references[index] for index in chosen_indices], chosen_indices, seed
 
+    def score_many(
+        self,
+        requests: Sequence[tuple[Fingerprint, Mapping[str, Sequence[Fingerprint]]]],
+        salt: int = 0,
+    ) -> list[list[DissimilarityScore]]:
+        """Score a batch of fingerprints against their candidate types.
+
+        Each request pairs a fingerprint with the candidate types it is
+        scored against, each mapped to its reference fingerprints.  Every
+        subset is drawn first, in request and candidate order; then every
+        (fingerprint, chosen reference) pair goes through ONE pair-kernel
+        call, and the values are split back per request and per type.
+        Per-type sums accumulate in ascending-index order.  Returns, per
+        request, one score per candidate in candidate order (unsorted).
+
+        ``salt`` feeds the deterministic draw seed; the identifier passes
+        its ``revision`` counter so a registry change (and only a registry
+        change) re-randomises which references are met.
+        """
+        plan: list[list[tuple[str, list[Fingerprint], tuple[int, ...], Optional[int]]]] = []
+        for fingerprint, candidates in requests:
+            if not candidates:
+                raise IdentificationError("discrimination requires at least one candidate type")
+            content_key: Optional[bytes] = None
+            selections = []
+            for device_type, references in candidates.items():
+                if not references:
+                    raise IdentificationError(
+                        f"no reference fingerprints for type {device_type!r}"
+                    )
+                if (
+                    content_key is None
+                    and self.is_deterministic
+                    and len(references) > self.references_per_type
+                ):
+                    # Hashed once per fingerprint, reused for every candidate.
+                    content_key = fingerprint_key(fingerprint)
+                chosen, indices, seed = self._select_references(
+                    content_key, device_type, references, salt
+                )
+                selections.append((device_type, chosen, indices, seed))
+            plan.append(selections)
+
+        # References are encoded first: they intern their symbols, so the
+        # lookup-only query encoding below already sees every one of them.
+        reference_words = [
+            _encoded_word(reference)
+            for selections in plan
+            for _, chosen, _, _ in selections
+            for reference in chosen
+        ]
+        query_words = []
+        for (fingerprint, _), selections in zip(requests, plan):
+            word = _query_word(fingerprint)
+            query_words.extend(word for _, chosen, _, _ in selections for _ in chosen)
+        values = normalized_pair_distances(query_words, reference_words).tolist()
+
+        results = []
+        cursor = 0
+        for selections in plan:
+            scores = []
+            for device_type, chosen, indices, seed in selections:
+                total = 0.0
+                for value in values[cursor : cursor + len(chosen)]:
+                    total += value
+                cursor += len(chosen)
+                scores.append(
+                    DissimilarityScore(
+                        device_type=device_type,
+                        score=total,
+                        comparisons=len(chosen),
+                        reference_indices=indices,
+                        selection_seed=seed,
+                    )
+                )
+            results.append(scores)
+        return results
+
     def score_type(
         self,
         fingerprint: Fingerprint,
         device_type: str,
         references: Sequence[Fingerprint],
         salt: int = 0,
-        content_key: Optional[bytes] = None,
     ) -> DissimilarityScore:
-        """Dissimilarity score of ``fingerprint`` with one candidate type.
-
-        ``salt`` feeds the deterministic draw seed; the identifier passes
-        its ``revision`` counter so a registry change (and only a registry
-        change) re-randomises which references are met.  ``content_key``
-        lets a caller that already hashed the fingerprint
-        (:meth:`discriminate` hashes it once for all candidates) skip the
-        re-hash; it must equal ``fingerprint_key(fingerprint)``.
-        """
-        if not references:
-            raise IdentificationError(f"no reference fingerprints for type {device_type!r}")
-        if (
-            content_key is None
-            and self.selection == DETERMINISTIC_SELECTION
-            and len(references) > self.references_per_type
-        ):
-            content_key = fingerprint_key(fingerprint)
-        chosen, indices, seed = self._select_references(
-            content_key, device_type, references, salt
-        )
-        total = self._summed_distance(fingerprint, chosen)
-        return DissimilarityScore(
-            device_type=device_type,
-            score=total,
-            comparisons=len(chosen),
-            reference_indices=indices,
-            selection_seed=seed,
-        )
-
-    def _summed_distance(
-        self, fingerprint: Fingerprint, chosen: Sequence[Fingerprint]
-    ) -> float:
-        """Sum of normalised distances to ``chosen``, in ascending-index order."""
-        word = _encoded_word(fingerprint)
-        values = normalized_distances(
-            word, len(word), [_encoded_word(reference) for reference in chosen]
-        )
-        total = 0.0
-        for value in values:
-            total += value
-        return total
+        """Dissimilarity score of ``fingerprint`` with one candidate type."""
+        return self.score_many([(fingerprint, {device_type: references})], salt)[0][0]
 
     def discriminate(
         self,
         fingerprint: Fingerprint,
-        candidates: dict[str, Sequence[Fingerprint]],
+        candidates: Mapping[str, Sequence[Fingerprint]],
         salt: int = 0,
     ) -> tuple[str, list[DissimilarityScore]]:
         """Pick the best-matching type among ``candidates``.
@@ -283,50 +338,6 @@ class EditDistanceDiscriminator:
         ``device_type``, so the verdict never depends on the insertion
         order of the candidate dict.
         """
-        if not candidates:
-            raise IdentificationError("discrimination requires at least one candidate type")
-        content_key = (
-            fingerprint_key(fingerprint)
-            if self.selection == DETERMINISTIC_SELECTION
-            else None
-        )
-        # Draw every candidate's subset first, then score the fingerprint
-        # against the union of chosen references in ONE matrix-kernel
-        # invocation, and split the per-pair values back per type.  Per-type
-        # sums accumulate in ascending-index order, exactly as
-        # :meth:`score_type` does, so both return bitwise-equal scores.
-        selections: list[tuple[str, list[Fingerprint], tuple[int, ...], Optional[int]]] = []
-        for device_type, references in candidates.items():
-            if not references:
-                raise IdentificationError(
-                    f"no reference fingerprints for type {device_type!r}"
-                )
-            chosen, indices, seed = self._select_references(
-                content_key, device_type, references, salt
-            )
-            selections.append((device_type, chosen, indices, seed))
-        word = _encoded_word(fingerprint)
-        pooled = [
-            _encoded_word(reference)
-            for _, chosen, _, _ in selections
-            for reference in chosen
-        ]
-        values = normalized_distances(word, len(word), pooled)
-        scores = []
-        cursor = 0
-        for device_type, chosen, indices, seed in selections:
-            total = 0.0
-            for value in values[cursor : cursor + len(chosen)]:
-                total += value
-            cursor += len(chosen)
-            scores.append(
-                DissimilarityScore(
-                    device_type=device_type,
-                    score=total,
-                    comparisons=len(chosen),
-                    reference_indices=indices,
-                    selection_seed=seed,
-                )
-            )
+        scores = self.score_many([(fingerprint, candidates)], salt)[0]
         scores.sort()
         return scores[0].device_type, scores

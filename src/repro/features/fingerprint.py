@@ -112,16 +112,12 @@ class Fingerprint:
     def unique_vectors(self) -> np.ndarray:
         """The unique packet vectors of F, in order of first appearance."""
         seen: set[tuple[int, ...]] = set()
-        rows = []
-        for row in self.vectors:
-            key = tuple(int(value) for value in row)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(row)
-        if not rows:
-            return np.zeros((0, FEATURE_COUNT), dtype=np.int64)
-        return np.stack(rows)
+        first = []
+        for index, key in enumerate(self.as_symbol_sequence()):
+            if key not in seen:
+                seen.add(key)
+                first.append(index)
+        return self.vectors[first]
 
     def to_fixed_vector(self, packet_count: int = FIXED_PACKET_COUNT) -> np.ndarray:
         """Produce the fixed-length fingerprint F'.
@@ -146,7 +142,7 @@ class Fingerprint:
         distance in the discrimination stage: two characters are equal when
         *all* 23 features of the two packets are equal.
         """
-        return [tuple(int(value) for value in row) for row in self.vectors]
+        return [tuple(row) for row in self.vectors.tolist()]
 
     def __len__(self) -> int:
         return self.packet_count

@@ -11,14 +11,14 @@ added without retraining the existing classifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import IdentificationError
 from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint
 from repro.identification.registry import FingerprintRegistry
-from repro.ml.compiled import CompiledForest
+from repro.ml.compiled import CompiledForest, ForestStack
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.sampling import negative_subsample
 
@@ -30,43 +30,21 @@ POSITIVE_LABEL = 1
 class DeviceTypeClassifier:
     """The binary accept/reject classifier of a single device-type.
 
-    Either of ``model`` (the interpreted forest) and ``compiled`` (its
-    flattened-array form) may be absent: freshly trained classifiers carry
-    both, classifiers reloaded by the model store carry only the compiled
-    arrays.  Predictions are identical through either path; the compiled
-    one is preferred because it scores whole batches without touching
-    Python node objects.
+    ``compiled`` (the flattened-array forest) is what scores.  ``model``,
+    the interpreted forest it was compiled from, is kept only on freshly
+    trained classifiers; the model store reloads the compiled arrays alone.
     """
 
     device_type: str
-    model: Optional[RandomForestClassifier]
-    compiled: Optional[CompiledForest] = None
+    compiled: CompiledForest
+    model: Optional[RandomForestClassifier] = None
     positive_count: int = 0
     negative_count: int = 0
 
-    @property
-    def scorer(self) -> Union[RandomForestClassifier, CompiledForest]:
-        """The prediction backend: compiled when available, else interpreted."""
-        backend = self.compiled if self.compiled is not None else self.model
-        if backend is None:
-            raise IdentificationError(
-                f"classifier for type {self.device_type!r} has no model attached"
-            )
-        return backend
-
     def accepts(self, fixed_vector: np.ndarray) -> bool:
         """True when the classifier predicts the fingerprint matches its type."""
-        prediction = self.scorer.predict(np.atleast_2d(fixed_vector))[0]
+        prediction = self.compiled.predict(np.atleast_2d(fixed_vector))[0]
         return int(prediction) == POSITIVE_LABEL
-
-    def acceptance_probability(self, fixed_vector: np.ndarray) -> float:
-        """The forest's probability that the fingerprint matches its type."""
-        scorer = self.scorer
-        probabilities = scorer.predict_proba(np.atleast_2d(fixed_vector))[0]
-        classes = list(scorer.classes_)
-        if POSITIVE_LABEL not in classes:
-            return 0.0
-        return float(probabilities[classes.index(POSITIVE_LABEL)])
 
 
 @dataclass(frozen=True)
@@ -113,9 +91,11 @@ class ClassifierBank:
         random_state: seed controlling negative subsampling and forests.
         n_jobs: worker processes per forest fit (see
             :class:`~repro.ml.forest.RandomForestClassifier`).
-        compile_models: flatten each freshly trained forest into a
-            :class:`~repro.ml.compiled.CompiledForest` so that batch
-            scoring never walks Python node objects (default True).
+
+    Every classifier's compiled forest is also fused into one
+    :class:`~repro.ml.compiled.ForestStack` (in sorted type order), which
+    :meth:`score_batch` descends once per batch.  Every mutation
+    (:meth:`train_type`, :meth:`remove_type`, :meth:`install`) rebuilds it.
     """
 
     negative_ratio: float = 10.0
@@ -124,13 +104,21 @@ class ClassifierBank:
     fixed_packet_count: int = FIXED_PACKET_COUNT
     random_state: Optional[int] = None
     n_jobs: Optional[int] = None
-    compile_models: bool = True
 
     _classifiers: dict[str, DeviceTypeClassifier] = field(default_factory=dict)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
+    _stack: ForestStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.random_state)
+        self._fuse()
+
+    def _fuse(self) -> None:
+        """Rebuild the fused forest stack over every classifier, sorted by type."""
+        self._stack = ForestStack(
+            forests=tuple(self._classifiers[name].compiled for name in self.device_types),
+            classes_=np.array([NEGATIVE_LABEL, POSITIVE_LABEL]),
+        )
 
     # ------------------------------------------------------------------ #
     # Training.
@@ -181,13 +169,20 @@ class ClassifierBank:
         model.fit(X, y)
         classifier = DeviceTypeClassifier(
             device_type=device_type,
+            compiled=model.compile(),
             model=model,
-            compiled=model.compile() if self.compile_models else None,
             positive_count=len(positive_matrix),
             negative_count=len(negative_matrix),
         )
         self._classifiers[device_type] = classifier
+        self._fuse()
         return classifier
+
+    def install(self, classifiers: Sequence[DeviceTypeClassifier]) -> None:
+        """Add already-trained classifiers (e.g. reloaded from a bundle)."""
+        for classifier in classifiers:
+            self._classifiers[classifier.device_type] = classifier
+        self._fuse()
 
     def train_from_registry(self, registry: FingerprintRegistry) -> None:
         """Train one classifier per device-type present in the registry."""
@@ -221,6 +216,7 @@ class ClassifierBank:
     def remove_type(self, device_type: str) -> None:
         """Drop the classifier of a device-type (e.g. a retired model)."""
         self._classifiers.pop(device_type, None)
+        self._fuse()
 
     # ------------------------------------------------------------------ #
     # Batch scoring.
@@ -228,27 +224,20 @@ class ClassifierBank:
     def score_batch(self, fixed_matrix: np.ndarray) -> BankScores:
         """Score a ``(batch, d)`` fixed-vector matrix against every type.
 
-        One call replaces the historical nested loop (per sample, per
-        type, per tree, per node): each classifier scores the whole batch
-        through its compiled forest, producing the ``(batch x types)``
-        probability and accept matrices in ``n_types`` vectorized calls.
+        One descent of the fused forest stack yields every type's mean
+        ``(negative, positive)`` probabilities, bitwise equal to scoring
+        each type's compiled forest on its own.  A sample is accepted iff
+        the argmax lands on the positive class (ties reject).
         """
         fixed_matrix = np.atleast_2d(np.asarray(fixed_matrix, dtype=np.float64))
-        types = tuple(self.device_types)
-        positive = np.zeros((len(fixed_matrix), len(types)), dtype=np.float64)
-        accepted = np.zeros((len(fixed_matrix), len(types)), dtype=bool)
-        for column, device_type in enumerate(types):
-            scorer = self._classifiers[device_type].scorer
-            probabilities = scorer.predict_proba(fixed_matrix)
-            positions = np.nonzero(np.asarray(scorer.classes_) == POSITIVE_LABEL)[0]
-            if not len(positions):
-                continue
-            positive_column = int(positions[0])
-            positive[:, column] = probabilities[:, positive_column]
-            # Same rule as the per-sample path: accepted iff argmax lands on
-            # the positive class (ties resolve to the lower label = reject).
-            accepted[:, column] = np.argmax(probabilities, axis=1) == positive_column
-        return BankScores(device_types=types, positive=positive, accepted=accepted)
+        # Stack columns are (NEGATIVE_LABEL, POSITIVE_LABEL) = (0, 1), so a
+        # label doubles as its column index.
+        probabilities = self._stack.predict_proba(fixed_matrix)
+        return BankScores(
+            device_types=tuple(self.device_types),
+            positive=np.ascontiguousarray(probabilities[:, :, POSITIVE_LABEL]),
+            accepted=np.argmax(probabilities, axis=2) == POSITIVE_LABEL,
+        )
 
     def score_fingerprints(self, fingerprints: Sequence[Fingerprint]) -> BankScores:
         """Batch-score fingerprints (fixed vectors are built here)."""

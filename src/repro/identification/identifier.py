@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from repro.distance.discrimination import DissimilarityScore, EditDistanceDiscriminator
 from repro.exceptions import IdentificationError
 from repro.features.fingerprint import Fingerprint
-from repro.identification.classifier_bank import BankScores, ClassifierBank
+from repro.identification.classifier_bank import ClassifierBank
 from repro.identification.registry import FingerprintRegistry
 
 #: Label returned for fingerprints rejected by every per-type classifier.
@@ -162,127 +162,91 @@ class DeviceTypeIdentifier:
     # Identification.
     # ------------------------------------------------------------------ #
     def identify(self, fingerprint: Fingerprint, use_discrimination: bool = True) -> IdentificationResult:
-        """Identify the device-type of a fingerprint.
+        """Identify the device-type of a fingerprint (a batch of one).
 
         ``use_discrimination=False`` disables the edit-distance stage (used
         by the ablation experiment); ties are then broken by the classifier
         acceptance probability.
         """
-        start = time.perf_counter()
-        scores = self.bank.score_fingerprints([fingerprint])
-        classification_seconds = time.perf_counter() - start
-        return self._resolve(
-            fingerprint, scores, 0, classification_seconds, use_discrimination
-        )
-
-    def _resolve(
-        self,
-        fingerprint: Fingerprint,
-        scores: BankScores,
-        row: int,
-        classification_seconds: float,
-        use_discrimination: bool,
-    ) -> IdentificationResult:
-        """Stages 1.5-2: turn one sample's bank scores into a verdict."""
-        matched = scores.matched_types(row)
-
-        if not matched:
-            return IdentificationResult(
-                device_type=UNKNOWN_DEVICE_TYPE,
-                matched_types=(),
-                classification_seconds=classification_seconds,
-            )
-        if len(matched) == 1:
-            start = time.perf_counter()
-            best, guard_score = self._apply_novelty_guard(fingerprint, matched[0])
-            discrimination_seconds = time.perf_counter() - start
-            return IdentificationResult(
-                device_type=best,
-                matched_types=tuple(matched),
-                # The guard's score is surfaced so single-match borderline
-                # verdicts carry the same audit provenance (reference
-                # indices + draw seed) as multi-match ones; ablation mode
-                # (use_discrimination=False) keeps the scores empty.
-                discrimination_scores=(guard_score,)
-                if use_discrimination and guard_score is not None
-                else (),
-                classification_seconds=classification_seconds,
-                discrimination_seconds=discrimination_seconds,
-            )
-
-        if not use_discrimination:
-            probabilities = scores.probabilities_of(row)
-            best = max(matched, key=lambda device_type: probabilities[device_type])
-            return IdentificationResult(
-                device_type=best,
-                matched_types=tuple(matched),
-                classification_seconds=classification_seconds,
-            )
-
-        start = time.perf_counter()
-        candidates = {
-            device_type: self.registry.fingerprints_of(device_type) for device_type in matched
-        }
-        best, discrimination_scores = self.discriminator.discriminate(
-            fingerprint, candidates, salt=self.revision
-        )
-        if self.novelty_threshold is not None:
-            winning = discrimination_scores[0]
-            if winning.comparisons and winning.score / winning.comparisons > self.novelty_threshold:
-                best = UNKNOWN_DEVICE_TYPE
-        discrimination_seconds = time.perf_counter() - start
-        return IdentificationResult(
-            device_type=best,
-            matched_types=tuple(matched),
-            discrimination_scores=tuple(discrimination_scores),
-            classification_seconds=classification_seconds,
-            discrimination_seconds=discrimination_seconds,
-        )
-
-    def _apply_novelty_guard(
-        self, fingerprint: Fingerprint, device_type: str
-    ) -> tuple[str, Optional[DissimilarityScore]]:
-        """Reject a single-classifier match whose fingerprints look nothing alike.
-
-        Returns the (possibly downgraded) verdict plus the guard's
-        dissimilarity score for provenance (``None`` when the guard is
-        disabled).  The score's reference draw is salted with
-        :attr:`revision`, so a borderline single-match verdict is exactly
-        as reproducible as a discriminated one.
-        """
-        if self.novelty_threshold is None:
-            return device_type, None
-        score = self.discriminator.score_type(
-            fingerprint,
-            device_type,
-            self.registry.fingerprints_of(device_type),
-            salt=self.revision,
-        )
-        if score.comparisons and score.score / score.comparisons > self.novelty_threshold:
-            return UNKNOWN_DEVICE_TYPE, score
-        return device_type, score
+        return self.identify_many([fingerprint], use_discrimination)[0]
 
     def identify_many(
         self, fingerprints: Sequence[Fingerprint], use_discrimination: bool = True
     ) -> list[IdentificationResult]:
-        """Identify a batch of fingerprints.
+        """Identify a batch of fingerprints, one pass per stage.
 
         Stage 1 scores the whole batch as one ``(batch x device-types)``
-        matrix through the bank's compiled forests instead of looping
-        ``identify`` per fingerprint; the edit-distance stage still runs
-        per sample (it only fires on multi-match or novelty-guard cases).
+        matrix through the bank's fused forest stack.  Stage 2 then draws
+        the reference subsets of every row that needs the edit distance --
+        each multi-match's candidates, and the novelty guard of each
+        single match -- and scores them in one
+        :meth:`~repro.distance.discrimination.EditDistanceDiscriminator.score_many`
+        call.  A multi-match's guard reuses the winner's score.
+
         Each result's ``classification_seconds`` is the batch's stage-1
-        wall-clock divided evenly across its members.
+        wall-clock divided evenly across the batch, and its
+        ``discrimination_seconds`` is the stage-2 wall-clock divided
+        evenly across the rows that needed it (0 for the others), so both
+        sum back to the two stage times.
         """
         if not fingerprints:
             return []
         start = time.perf_counter()
         scores = self.bank.score_fingerprints(fingerprints)
         classification_seconds = (time.perf_counter() - start) / len(fingerprints)
-        return [
-            self._resolve(fingerprint, scores, row, classification_seconds, use_discrimination)
-            for row, fingerprint in enumerate(fingerprints)
-        ]
+
+        start = time.perf_counter()
+        matched_rows = [scores.matched_types(row) for row in range(len(fingerprints))]
+        scored_rows: list[int] = []
+        requests = []
+        for row, (fingerprint, matched) in enumerate(zip(fingerprints, matched_rows)):
+            guarded = len(matched) == 1 and self.novelty_threshold is not None
+            discriminated = len(matched) > 1 and use_discrimination
+            if guarded or discriminated:
+                scored_rows.append(row)
+                requests.append(
+                    (fingerprint, {name: self.registry.fingerprints_of(name) for name in matched})
+                )
+        row_scores = dict(
+            zip(scored_rows, self.discriminator.score_many(requests, salt=self.revision))
+        )
+        discrimination_seconds = (
+            (time.perf_counter() - start) / len(scored_rows) if scored_rows else 0.0
+        )
+
+        results = []
+        for row, matched in enumerate(matched_rows):
+            best = matched[0] if matched else UNKNOWN_DEVICE_TYPE
+            discrimination: tuple[DissimilarityScore, ...] = ()
+            if row in row_scores:
+                ranked = sorted(row_scores[row])
+                winning = ranked[0]
+                best = winning.device_type
+                if (
+                    self.novelty_threshold is not None
+                    and winning.comparisons
+                    and winning.score / winning.comparisons > self.novelty_threshold
+                ):
+                    best = UNKNOWN_DEVICE_TYPE
+                # The single-match guard's score is surfaced so borderline
+                # verdicts carry the same audit provenance (reference indices
+                # + draw seed) as multi-match ones; ablation mode
+                # (use_discrimination=False) keeps the scores empty.
+                if use_discrimination:
+                    discrimination = tuple(ranked)
+            elif len(matched) > 1:
+                probabilities = scores.probabilities_of(row)
+                best = max(matched, key=lambda device_type: probabilities[device_type])
+            results.append(
+                IdentificationResult(
+                    device_type=best,
+                    matched_types=tuple(matched),
+                    discrimination_scores=discrimination,
+                    classification_seconds=classification_seconds,
+                    discrimination_seconds=discrimination_seconds if row in row_scores else 0.0,
+                )
+            )
+        return results
 
     @property
     def known_device_types(self) -> list[str]:

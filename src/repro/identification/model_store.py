@@ -72,7 +72,9 @@ STORE_MAGIC = "iot-sentinel-model-store"
 
 #: The one bundle layout this build writes and reads.  Bump on any
 #: incompatible change; a bundle with any other version is rejected.
-SCHEMA_VERSION = 4
+#: v5 dropped the bank's ``compile_models`` key (every bank forest is
+#: compiled), so a v4 reader gets a clean version error, not a KeyError.
+SCHEMA_VERSION = 5
 
 
 # --------------------------------------------------------------------- #
@@ -148,14 +150,7 @@ def _bank_payload(bank: ClassifierBank) -> tuple[dict, dict[str, np.ndarray]]:
     arrays: dict[str, np.ndarray] = {}
     for index, device_type in enumerate(bank.device_types):
         classifier = bank.classifier_of(device_type)
-        compiled = classifier.compiled
-        if compiled is None:
-            if classifier.model is None:
-                raise ModelStoreError(
-                    f"classifier for type {device_type!r} has no model to persist"
-                )
-            compiled = classifier.model.compile()
-        packed = compiled.pack()
+        packed = classifier.compiled.pack()
         for key, array in packed.items():
             arrays[f"bank{index}_{key}"] = array
         classifiers_meta.append(
@@ -172,7 +167,6 @@ def _bank_payload(bank: ClassifierBank) -> tuple[dict, dict[str, np.ndarray]]:
         "fixed_packet_count": bank.fixed_packet_count,
         "random_state": bank.random_state,
         "n_jobs": bank.n_jobs,
-        "compile_models": bank.compile_models,
         "rng_state": bank._rng.bit_generator.state,
         "classifiers": classifiers_meta,
     }
@@ -187,12 +181,12 @@ def _rebuild_bank(meta: dict, arrays: dict[str, np.ndarray]) -> ClassifierBank:
         fixed_packet_count=meta["fixed_packet_count"],
         random_state=meta["random_state"],
         n_jobs=meta["n_jobs"],
-        compile_models=meta["compile_models"],
     )
     state = _required(meta, "rng_state", "bank ")
     # repro-lint: disable=no-unseeded-rng -- seed irrelevant: the captured bit-generator state is installed on the next line
     bank._rng = np.random.default_rng()
     bank._rng.bit_generator.state = state
+    classifiers = []
     for index, record in enumerate(meta["classifiers"]):
         prefix = f"bank{index}_"
         packed = {
@@ -200,15 +194,15 @@ def _rebuild_bank(meta: dict, arrays: dict[str, np.ndarray]) -> ClassifierBank:
             for key, array in arrays.items()
             if key.startswith(prefix)
         }
-        forest = CompiledForest.unpack(packed)
-        device_type = record["device_type"]
-        bank._classifiers[device_type] = DeviceTypeClassifier(
-            device_type=device_type,
-            model=None,
-            compiled=forest,
-            positive_count=record["positive_count"],
-            negative_count=record["negative_count"],
+        classifiers.append(
+            DeviceTypeClassifier(
+                device_type=record["device_type"],
+                compiled=CompiledForest.unpack(packed),
+                positive_count=record["positive_count"],
+                negative_count=record["negative_count"],
+            )
         )
+    bank.install(classifiers)
     return bank
 
 

@@ -8,6 +8,8 @@ index, threshold, child pointers and a per-node class-probability matrix)
 and evaluates whole batches level by level: every iteration advances *all*
 still-descending samples one level with a handful of vectorized gathers,
 so the Python-loop count drops from ``n x depth`` to ``depth``.
+:class:`ForestStack` goes one step further for a bank of forests: every
+forest's nodes share one array set, so a whole bank descends in one loop.
 
 The arrays are also the on-disk representation used by
 :mod:`repro.identification.model_store`: a compiled forest round-trips
@@ -156,6 +158,33 @@ def _aligned_probabilities(tree: CompiledTree, classes: np.ndarray) -> np.ndarra
     return aligned
 
 
+def _descend(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    X: np.ndarray,
+) -> np.ndarray:
+    """Leaf row of every ``(sample, root)`` descent, shape ``(n, len(roots))``.
+
+    ``feature``/``threshold``/``left``/``right`` form one node array set
+    whose child pointers are global rows.  Every pair advances one level
+    per Python iteration, so the loop count is the deepest descent.
+    """
+    samples, width = len(X), len(roots)
+    positions = np.tile(roots, samples)
+    sample_of = np.repeat(np.arange(samples), width)
+    active = np.nonzero(feature[positions] != LEAF)[0]
+    while active.size:
+        current = positions[active]
+        go_left = X[sample_of[active], feature[current]] <= threshold[current]
+        advanced = np.where(go_left, left[current], right[current])
+        positions[active] = advanced
+        active = active[feature[advanced] != LEAF]
+    return positions.reshape(samples, width)
+
+
 @dataclass(frozen=True)
 class CompiledForest:
     """A bank-ready compiled Random Forest: a tuple of compiled trees.
@@ -262,16 +291,9 @@ class CompiledForest:
                 f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
             )
         samples = len(X)
-        positions = np.tile(self._roots, (samples, 1))
-        rows, columns = np.nonzero(self._feature[positions] != LEAF)
-        while rows.size:
-            current = positions[rows, columns]
-            go_left = X[rows, self._feature[current]] <= self._threshold[current]
-            advanced = np.where(go_left, self._left[current], self._right[current])
-            positions[rows, columns] = advanced
-            descending = self._feature[advanced] != LEAF
-            rows = rows[descending]
-            columns = columns[descending]
+        positions = _descend(
+            self._feature, self._threshold, self._left, self._right, self._roots, X
+        )
         accumulated = np.zeros((samples, len(self.classes_)), dtype=np.float64)
         for column in range(len(self.trees)):
             accumulated += self._probabilities[positions[:, column]]
@@ -376,3 +398,75 @@ class CompiledForest:
                 )
             )
         return cls(trees=tuple(trees), classes_=classes, n_features_=n_features)
+
+
+@dataclass(frozen=True)
+class ForestStack:
+    """Many compiled forests fused into one node array set.
+
+    A bank of per-type forests scored forest by forest pays one Python
+    descent loop per forest.  The stack concatenates every forest's
+    merged nodes (child pointers rebased onto stack rows, as
+    :class:`CompiledForest` does for its trees) and descends every
+    ``(sample, forest, tree)`` triple of a batch together.
+
+    Every forest must have the same tree and feature counts, and its
+    classes must be a subset of ``classes_``, onto which its probability
+    columns are aligned.  Leaf probabilities are then accumulated one
+    tree position at a time, in tree order, so each forest's mean is
+    bitwise identical to its own :meth:`CompiledForest.predict_proba`.
+    """
+
+    forests: tuple[CompiledForest, ...]
+    classes_: np.ndarray
+
+    def __post_init__(self) -> None:
+        classes = np.asarray(self.classes_)
+        shapes = {(forest.n_features_, forest.n_estimators) for forest in self.forests}
+        if len(shapes) > 1:
+            raise ModelError(f"stacked forests disagree on (features, trees): {sorted(shapes)}")
+        n_features, depth = shapes.pop() if shapes else (0, 0)
+        blocks: list[tuple[np.ndarray, ...]] = []
+        offset = 0
+        for forest in self.forests:
+            unknown = np.setdiff1d(forest.classes_, classes)
+            if len(unknown):
+                raise ModelError(f"stacked forest has classes outside the stack: {unknown}")
+            probabilities = np.zeros((len(forest._feature), len(classes)), dtype=np.float64)
+            probabilities[:, np.searchsorted(classes, forest.classes_)] = forest._probabilities
+            blocks.append(
+                (
+                    forest._feature,
+                    forest._threshold,
+                    forest._left + offset,
+                    forest._right + offset,
+                    probabilities,
+                    forest._roots + offset,
+                )
+            )
+            offset += len(forest._feature)
+        names = ("_feature", "_threshold", "_left", "_right", "_probabilities", "_roots")
+        for index, name in enumerate(names):
+            parts = [block[index] for block in blocks]
+            joined = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+            object.__setattr__(self, name, joined)
+        object.__setattr__(self, "_roots", self._roots.reshape(len(self.forests), depth))
+        object.__setattr__(self, "n_features_", n_features)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Per-forest mean class probabilities, shape ``(n, n_forests, n_classes)``."""
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        forests, depth = self._roots.shape
+        accumulated = np.zeros((len(X), forests, len(self.classes_)), dtype=np.float64)
+        if not forests:
+            return accumulated
+        if X.shape[1] != self.n_features_:
+            raise ModelError(
+                f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
+            )
+        positions = _descend(
+            self._feature, self._threshold, self._left, self._right, self._roots.ravel(), X
+        ).reshape(len(X), forests, depth)
+        for column in range(depth):
+            accumulated += self._probabilities[positions[:, :, column]]
+        return accumulated / depth

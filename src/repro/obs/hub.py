@@ -80,6 +80,13 @@ class Observability:
         self._identify_batch_seconds = self.metrics.histogram(
             "dispatcher.identify_batch_seconds"
         )
+        # The batch's two identification stages (the paper's Table IV split).
+        self._classify_batch_seconds = self.metrics.histogram(
+            "dispatcher.classify_batch_seconds"
+        )
+        self._discriminate_batch_seconds = self.metrics.histogram(
+            "dispatcher.discriminate_batch_seconds"
+        )
         self._assembler_flush_seconds = self.metrics.histogram(
             "pipeline.assembler_flush_seconds"
         )
@@ -107,10 +114,13 @@ class Observability:
     # ------------------------------------------------------------------ #
     # Timing instruments (hot path: one histogram observe, no alloc).
     # ------------------------------------------------------------------ #
-    def observe_identify_batch(self, seconds: float, batch_size: int) -> None:
-        """One dispatcher identify call: per-batch latency."""
-        del batch_size  # the denominator lives in dispatcher.batches
+    def observe_identify_batch(
+        self, seconds: float, classify_seconds: float, discriminate_seconds: float
+    ) -> None:
+        """One dispatcher identify call: its latency and its two stage times."""
         self._identify_batch_seconds.observe(seconds)
+        self._classify_batch_seconds.observe(classify_seconds)
+        self._discriminate_batch_seconds.observe(discriminate_seconds)
 
     def observe_assembler_flush(self, seconds: float) -> None:
         """One end-of-stream assembler flush."""

@@ -4,15 +4,16 @@ Completed fingerprints are staged in a :class:`BoundedQueue` and handed to
 the identifier ``max_batch`` at a time.  Two distinct effects are at work,
 and it is worth being precise about which buys what:
 
-* *Batching* shapes the work and, since the compiled-inference refactor,
-  also removes it: identification runs at controlled moments in bulk, and
+* *Batching* shapes the work and also removes it: identification runs at
+  controlled moments in bulk, and
   :meth:`~repro.identification.identifier.DeviceTypeIdentifier.identify_many`
-  scores the whole batch as one ``(batch x device-types)`` matrix through
-  the bank's compiled forests (:mod:`repro.ml.compiled`) instead of
-  walking Python tree nodes per fingerprint.  ``max_batch`` therefore
-  tunes both latency *and* per-fingerprint classification cost, and the
-  bounded queue in front of the dispatcher is where overload policy
-  (drop/block) and load shedding live.
+  runs each stage once per batch -- one descent of the bank's fused
+  forest stack (:mod:`repro.ml.compiled`) for the whole
+  ``(batch x device-types)`` matrix, then one edit-distance kernel call
+  over every (fingerprint, reference) pair the batch needs.  ``max_batch``
+  therefore tunes both latency *and* per-fingerprint identification
+  cost, and the bounded queue in front of the dispatcher is where
+  overload policy (drop/block) and load shedding live.
 * The *LRU result cache*, keyed by the fingerprint's content hash, removes
   repeat work outright: a second device of an identical model skips
   classification and discrimination entirely -- the dominant cost of the
@@ -184,7 +185,9 @@ class BatchDispatcher:
             ``max_batch``) would starve until end-of-stream drain.
         observability: optional hub; when attached, the dispatcher's
             counters become snapshot sources and every identify batch
-            lands in the ``dispatcher.identify_batch_seconds`` histogram.
+            lands in the ``dispatcher.identify_batch_seconds`` histogram,
+            its two stages in ``dispatcher.classify_batch_seconds`` and
+            ``dispatcher.discriminate_batch_seconds``.
     """
 
     def __init__(
@@ -342,7 +345,11 @@ class BatchDispatcher:
         self.stats.identify_seconds += elapsed
         self.stats.last_batch_seconds = elapsed
         if self.observability is not None:
-            self.observability.observe_identify_batch(elapsed, len(pending))
+            self.observability.observe_identify_batch(
+                elapsed,
+                sum(result.classification_seconds for result in unique_outcomes),
+                sum(result.discrimination_seconds for result in unique_outcomes),
+            )
         self.stats.batches += 1
         self.stats.batched += len(pending)
         self.stats.largest_batch = max(self.stats.largest_batch, len(pending))

@@ -7,12 +7,14 @@ so that the full suite stays fast; the benchmarks exercise full scale.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.distance.damerau_levenshtein import normalized_damerau_levenshtein
+from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.net.addresses import MACAddress
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
@@ -89,6 +91,25 @@ def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:
             )
         assert score.score == total, (score.device_type, score.score, total)
     return len(result.discrimination_scores)
+
+
+def per_type_bank_scores(bank, matrix):
+    """The bank's scores rebuilt one compiled forest per type (the oracle).
+
+    Returns ``(positive, accepted)`` exactly as the pre-fusion per-type
+    loop computed them: each type's own ``CompiledForest.predict_proba``,
+    its positive column, and accept iff argmax lands on it (ties reject).
+    """
+    types = bank.device_types
+    positive = np.zeros((len(matrix), len(types)))
+    accepted = np.zeros((len(matrix), len(types)), dtype=bool)
+    for column, device_type in enumerate(types):
+        forest = bank.classifier_of(device_type).compiled
+        probabilities = forest.predict_proba(matrix)
+        positive_column = list(forest.classes_).index(POSITIVE_LABEL)
+        positive[:, column] = probabilities[:, positive_column]
+        accepted[:, column] = np.argmax(probabilities, axis=1) == positive_column
+    return positive, accepted
 
 
 def onboard_trace(gateway, service, trace):

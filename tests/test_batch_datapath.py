@@ -20,10 +20,12 @@ from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
 from repro.distance.damerau_levenshtein import (
     GLOBAL_INTERNER,
+    UNSEEN_SYMBOL,
+    SymbolInterner,
     damerau_levenshtein,
-    damerau_levenshtein_matrix,
+    damerau_levenshtein_pairs,
     normalized_damerau_levenshtein,
-    normalized_distances,
+    normalized_pair_distances,
 )
 from repro.exceptions import FingerprintError, SimulationError
 from repro.features.packet_features import (
@@ -58,59 +60,91 @@ def _random_words(rng: random.Random, count: int, alphabet: int = 6, max_len: in
 # --------------------------------------------------------------------- #
 # Distance layer: the vectorised kernel against the per-pair oracle.
 # --------------------------------------------------------------------- #
+def _cross_pairs(queries, references):
+    """Every (query, reference) combination as two aligned, encoded lists."""
+    encoded_queries = [GLOBAL_INTERNER.encode(query) for query in queries]
+    encoded_refs = [GLOBAL_INTERNER.encode(ref) for ref in references]
+    return (
+        [query for query in encoded_queries for _ in encoded_refs],
+        [ref for _ in encoded_queries for ref in encoded_refs],
+    )
+
+
 class TestBatchDistanceKernel:
     def test_matrix_matches_scalar_on_random_words(self):
         rng = random.Random(1234)
         queries = _random_words(rng, 40)
         references = _random_words(rng, 25)
-        encoded_refs = [GLOBAL_INTERNER.encode(ref) for ref in references]
-        for query in queries:
-            expected = np.array(
-                [damerau_levenshtein(query, ref) for ref in references], dtype=np.int64
+        got = damerau_levenshtein_pairs(*_cross_pairs(queries, references))
+        expected = np.array(
+            [damerau_levenshtein(query, ref) for query in queries for ref in references],
+            dtype=np.int64,
+        )
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_ragged_pairs_match_scalar(self):
+        # Mixed query lengths in one call, empty queries and empty
+        # references included: rows leave the stacked DP at different steps.
+        rng = random.Random(7)
+        for _ in range(60):
+            count = rng.randrange(1, 14)
+            queries = _random_words(rng, count, max_len=12)
+            references = _random_words(rng, count, max_len=12)
+            got = damerau_levenshtein_pairs(
+                [GLOBAL_INTERNER.encode(query) for query in queries],
+                [GLOBAL_INTERNER.encode(ref) for ref in references],
             )
-            got = damerau_levenshtein_matrix(GLOBAL_INTERNER.encode(query), encoded_refs)
-            assert got.dtype == np.int64
+            expected = [damerau_levenshtein(q, r) for q, r in zip(queries, references)]
             np.testing.assert_array_equal(got, expected)
 
     def test_normalized_is_bitwise_equal_to_scalar(self):
         rng = random.Random(99)
         queries = _random_words(rng, 20)
         references = [word for word in _random_words(rng, 20) if word]
-        encoded_refs = [GLOBAL_INTERNER.encode(ref) for ref in references]
-        for query in queries:
-            got = normalized_distances(
-                GLOBAL_INTERNER.encode(query), len(query), encoded_refs
-            )
-            for value, reference in zip(got, references):
-                # Same division of the same two machine numbers: `==`, not
-                # approx -- bitwise float parity is the whole point.
-                assert value == normalized_damerau_levenshtein(query, reference)
+        got = normalized_pair_distances(*_cross_pairs(queries, references))
+        expected = [
+            normalized_damerau_levenshtein(query, ref) for query in queries for ref in references
+        ]
+        # Same division of the same two machine numbers: `==`, not approx
+        # -- bitwise float parity is the whole point.
+        assert got.tolist() == expected
 
     def test_empty_sequence_contract_matches_scalar(self):
         word = GLOBAL_INTERNER.encode(("a", "b"))
         empty = GLOBAL_INTERNER.encode(())
         # One empty side: distance is the other side's length, norm is 1.0.
         np.testing.assert_array_equal(
-            damerau_levenshtein_matrix(word, [empty]), np.array([2])
+            damerau_levenshtein_pairs([word, empty], [empty, word]), np.array([2, 2])
         )
-        np.testing.assert_array_equal(
-            damerau_levenshtein_matrix(empty, [word]), np.array([2])
-        )
-        assert normalized_distances(word, 2, [empty]) == [1.0]
-        assert normalized_distances(empty, 0, [word]) == [1.0]
-        # Both sides empty: the scalar function raises, so must the batch.
+        assert normalized_pair_distances([word], [empty]).tolist() == [1.0]
+        assert normalized_pair_distances([empty], [word]).tolist() == [1.0]
+        # Both sides empty: the scalar function raises, so must the batch,
+        # even when the two-empty pair hides among valid ones.
         with pytest.raises(FingerprintError):
             normalized_damerau_levenshtein((), ())
         with pytest.raises(FingerprintError):
-            normalized_distances(empty, 0, [word, empty])
+            normalized_pair_distances([empty, word, empty], [word, word, empty])
 
     def test_reference_set_edges(self):
         word = GLOBAL_INTERNER.encode(("x", "y", "z"))
-        assert damerau_levenshtein_matrix(word, []).shape == (0,)
+        assert damerau_levenshtein_pairs([], []).shape == (0,)
         empties = [GLOBAL_INTERNER.encode(()) for _ in range(3)]
         np.testing.assert_array_equal(
-            damerau_levenshtein_matrix(word, empties), np.full(3, 3)
+            damerau_levenshtein_pairs([word] * 3, empties), np.full(3, 3)
         )
+        with pytest.raises(ValueError):
+            damerau_levenshtein_pairs([word], [])
+
+    def test_lookup_only_queries_keep_distances_exact(self):
+        interner = SymbolInterner()
+        reference = interner.encode(("a", "b", "c"))
+        query = interner.lookup(("new", "b", "other", "a"))
+        assert len(interner) == 3
+        assert query.tolist() == [UNSEEN_SYMBOL, 1, UNSEEN_SYMBOL, 0]
+        assert damerau_levenshtein_pairs([query], [reference]).tolist() == [
+            damerau_levenshtein(("new", "b", "other", "a"), ("a", "b", "c"))
+        ]
 
 
 # --------------------------------------------------------------------- #

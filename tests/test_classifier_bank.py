@@ -1,10 +1,14 @@
 """Tests for the per-device-type classifier bank."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import IdentificationError
+from repro.features.fingerprint import Fingerprint
 from repro.identification.classifier_bank import ClassifierBank
+from repro.identification.model_store import load_identifier, save_identifier
 from repro.identification.registry import FingerprintRegistry
+from tests.conftest import per_type_bank_scores
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +105,56 @@ class TestMatching:
     def test_unknown_classifier_lookup_rejected(self, trained_identifier):
         with pytest.raises(IdentificationError):
             trained_identifier.bank.classifier_of("NotADevice")
+
+
+def _fixed_matrix(bank, fingerprints):
+    return np.stack(
+        [fingerprint.to_fixed_vector(bank.fixed_packet_count) for fingerprint in fingerprints]
+    ).astype(np.float64)
+
+
+def _assert_fused_equals_per_type(bank, matrix):
+    scores = bank.score_batch(matrix)
+    positive, accepted = per_type_bank_scores(bank, matrix)
+    assert scores.device_types == tuple(bank.device_types)
+    # Bitwise, not approximate: the fused stack sums each type's trees in
+    # the same order as its own forest does.
+    assert scores.positive.tobytes() == positive.tobytes()
+    assert np.array_equal(scores.accepted, accepted)
+
+
+class TestFusedStack:
+    def test_fused_scores_equal_per_type_forests(self, small_dataset, trained_identifier):
+        bank = trained_identifier.bank
+        for size in (1, 3, 12, len(small_dataset.fingerprints)):
+            _assert_fused_equals_per_type(
+                bank, _fixed_matrix(bank, small_dataset.fingerprints[:size])
+            )
+
+    def test_every_mutation_rebuilds_the_stack(self, small_dataset):
+        registry = small_dataset.to_registry()
+        bank = ClassifierBank(n_estimators=4, random_state=0)
+        bank.train_from_registry(registry)
+        matrix = _fixed_matrix(bank, small_dataset.fingerprints[:10])
+        _assert_fused_equals_per_type(bank, matrix)
+        bank.remove_type(bank.device_types[0])
+        _assert_fused_equals_per_type(bank, matrix)
+        assert bank.score_batch(matrix).positive.shape == (10, len(registry.device_types) - 1)
+
+    def test_reloaded_bank_after_add_device_type(self, small_dataset, trained_identifier, tmp_path):
+        path = save_identifier(tmp_path / "bundle.npz", trained_identifier)
+        loaded = load_identifier(path)
+        matrix = _fixed_matrix(loaded.bank, small_dataset.fingerprints[:16])
+        _assert_fused_equals_per_type(loaded.bank, matrix)
+        donors = small_dataset.of_type(loaded.bank.device_types[0])[:3]
+        loaded.add_device_type(
+            "BrandNewDevice",
+            [Fingerprint(vectors=donor.vectors, device_type="BrandNewDevice") for donor in donors],
+        )
+        assert "BrandNewDevice" in loaded.bank.device_types
+        _assert_fused_equals_per_type(loaded.bank, matrix)
+
+    def test_empty_bank_scores_no_types(self):
+        scores = ClassifierBank().score_batch(np.zeros((2, 5)))
+        assert scores.positive.shape == (2, 0)
+        assert scores.accepted.shape == (2, 0)

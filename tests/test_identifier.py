@@ -1,14 +1,18 @@
 """Tests for the two-stage device-type identifier."""
 
+import numpy as np
 import pytest
 
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
+from repro.distance.damerau_levenshtein import GLOBAL_INTERNER
+from repro.distance.discrimination import _encoded_word
 from repro.exceptions import IdentificationError
 from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import FEATURE_COUNT
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE, DeviceTypeIdentifier
 from repro.identification.registry import FingerprintRegistry
+from tests.conftest import assert_scores_match_scalar_oracle
 
 
 class TestTrainAndIdentify:
@@ -99,3 +103,61 @@ class TestIncrementalLearning:
     def test_training_empty_registry_rejected(self):
         with pytest.raises(IdentificationError):
             DeviceTypeIdentifier.train(FingerprintRegistry())
+
+
+def _verdict(result):
+    """A result without its wall-clock fields."""
+    return result.device_type, result.matched_types, result.discrimination_scores
+
+
+class TestBatchPass:
+    @pytest.mark.parametrize("use_discrimination", [True, False])
+    def test_identify_equals_its_identify_many_row(
+        self, small_dataset, trained_identifier, use_discrimination
+    ):
+        fingerprints = small_dataset.fingerprints[::3]
+        batch = trained_identifier.identify_many(fingerprints, use_discrimination)
+        assert any(result.needed_discrimination for result in batch)
+        for fingerprint, result in zip(fingerprints, batch):
+            single = trained_identifier.identify(fingerprint, use_discrimination)
+            assert _verdict(single) == _verdict(result)
+
+    def test_batched_scores_equal_the_scalar_oracle(self, small_dataset, trained_identifier):
+        fingerprints = small_dataset.fingerprints[::2]
+        checked = 0
+        for fingerprint, result in zip(
+            fingerprints, trained_identifier.identify_many(fingerprints)
+        ):
+            checked += assert_scores_match_scalar_oracle(trained_identifier, fingerprint, result)
+        assert checked > len(fingerprints) // 2
+
+    def test_stage_times_are_split_per_result(self, small_dataset, trained_identifier):
+        results = trained_identifier.identify_many(small_dataset.fingerprints[:12])
+        assert all(result.classification_seconds > 0 for result in results)
+        for result in results:
+            assert (result.discrimination_seconds > 0) == bool(result.discrimination_scores)
+
+    def test_fresh_query_symbols_do_not_grow_the_interner(
+        self, small_dataset, trained_identifier
+    ):
+        for reference in trained_identifier.registry:
+            _encoded_word(reference)
+        before = len(GLOBAL_INTERNER)
+        # Rows past the twelfth unique packet leave the fixed vector (and
+        # so the classifier verdict) unchanged; the appended rows carry
+        # packet sizes no reference has, so the edit-distance stage meets
+        # symbols the alphabet has never seen.
+        base = next(
+            fingerprint
+            for fingerprint in small_dataset.fingerprints
+            if len(fingerprint.unique_vectors()) > 12
+            and trained_identifier.identify(fingerprint).discrimination_scores
+        )
+        fresh_rows = np.repeat(base.vectors[-1:], 3, axis=0)
+        fresh_rows[:, 18] = [70001, 70002, 70003]
+        fresh = Fingerprint(vectors=np.vstack([base.vectors, fresh_rows]))
+        result = trained_identifier.identify(fresh)
+        assert result.discrimination_scores
+        assert len(GLOBAL_INTERNER) == before
+        assert getattr(fresh, "_symbol_codes", None) is None
+        assert_scores_match_scalar_oracle(trained_identifier, fresh, result)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.ml.compiled import CompiledForest
+from repro.ml.compiled import CompiledForest, ForestStack
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -97,6 +97,34 @@ class TestCompiledForest:
     def test_compile_before_fit_raises(self):
         with pytest.raises(ModelError):
             RandomForestClassifier().compile()
+
+
+class TestForestStack:
+    def test_each_forest_bitwise_equal_to_its_own_predict(self):
+        # Forests over different class subsets, aligned onto one stack order.
+        X, y = _dataset(classes=3, seed=2)
+        forests = [
+            RandomForestClassifier(n_estimators=4, random_state=seed).fit(X[keep], y[keep]).compile()
+            for seed, keep in enumerate([y >= 0, y <= 1, y != 0])
+        ]
+        classes = np.unique(y)
+        stack = ForestStack(forests=tuple(forests), classes_=classes)
+        queries = np.random.default_rng(5).normal(size=(37, X.shape[1]))
+        stacked = stack.predict_proba(queries)
+        assert stacked.shape == (37, 3, len(classes))
+        for index, forest in enumerate(forests):
+            columns = np.searchsorted(classes, forest.classes_)
+            own = forest.predict_proba(queries)
+            assert stacked[:, index, columns].tobytes() == own.tobytes()
+
+    def test_mismatched_forests_rejected(self):
+        X, y = _dataset(classes=2)
+        small = RandomForestClassifier(n_estimators=2, random_state=0).fit(X, y).compile()
+        large = RandomForestClassifier(n_estimators=3, random_state=0).fit(X, y).compile()
+        with pytest.raises(ModelError, match="disagree"):
+            ForestStack(forests=(small, large), classes_=np.array([0, 1]))
+        with pytest.raises(ModelError, match="outside"):
+            ForestStack(forests=(small,), classes_=np.array([0]))
 
 
 class TestPackUnpack:

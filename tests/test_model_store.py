@@ -105,6 +105,12 @@ def _set_schema(version):
     return mutate
 
 
+def _v4_bundle(meta):
+    # The v4 layout: same fields plus the bank's retired compile_models key.
+    meta["schema_version"] = 4
+    meta["bank"]["compile_models"] = True
+
+
 def _drop_bank_rng(meta):
     meta["bank"]["rng_state"] = None
 
@@ -122,13 +128,17 @@ def _random_selection(meta):
 
 
 class TestSchemaV4:
+    """The deterministic-draw rules schema v4 introduced; v5 keeps them all
+    and only drops the bank's ``compile_models`` key."""
+
     def test_v4_bundle_has_no_discriminator_rng_state(
         self, trained_identifier, bundle_path
     ):
         save_identifier(bundle_path, trained_identifier)
         with np.load(bundle_path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        assert meta["schema_version"] == SCHEMA_VERSION == 4
+        assert meta["schema_version"] == SCHEMA_VERSION == 5
+        assert "compile_models" not in meta["bank"]
         assert "rng_state" not in meta["discriminator"]
         assert meta["discriminator"]["selection"] == "deterministic"
         assert meta["discriminator"]["draw"] == "splitmix64"
@@ -140,7 +150,8 @@ class TestSchemaV4:
             (_set_schema(1), "schema_version"),
             (_set_schema(2), "schema_version"),
             (_set_schema(3), "schema_version"),
-            (_set_schema(5), "schema_version"),
+            (_v4_bundle, "schema_version"),
+            (_set_schema(6), "schema_version"),
             (_drop_bank_rng, "rng_state"),
             (_drop_revision, "revision"),
             (_numpy_draw, "draw"),
@@ -150,7 +161,8 @@ class TestSchemaV4:
             "schema-1",
             "schema-2",
             "schema-3",
-            "schema-5",
+            "schema-4",
+            "schema-6",
             "no-bank-rng-state",
             "no-revision",
             "numpy-draw",

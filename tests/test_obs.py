@@ -398,9 +398,21 @@ class TestWiring:
             "autopilot.triggers_fired",
             "ledger.verdict_records",
             "dispatcher.identify_batch_seconds.count",
+            "dispatcher.classify_batch_seconds.count",
+            "dispatcher.discriminate_batch_seconds.count",
         ):
             assert key in snapshot, key
-        assert snapshot["dispatcher.identify_batch_seconds.count"] > 0
+        batches = snapshot["dispatcher.identify_batch_seconds.count"]
+        assert batches > 0
+        # One observation per stage per batch: the Table IV split.
+        assert snapshot["dispatcher.classify_batch_seconds.count"] == batches
+        assert snapshot["dispatcher.discriminate_batch_seconds.count"] == batches
+        assert 0 < snapshot["dispatcher.classify_batch_seconds.sum"]
+        assert (
+            snapshot["dispatcher.classify_batch_seconds.sum"]
+            + snapshot["dispatcher.discriminate_batch_seconds.sum"]
+            <= snapshot["dispatcher.identify_batch_seconds.sum"] * 1.000001
+        )
         hub.ledger.close()
 
     def test_check_ledger_tool_passes_on_wired_output(self, wired):
