@@ -89,13 +89,12 @@ class ClassifierBank:
         max_depth: optional per-tree depth limit.
         fixed_packet_count: number of packets in the fixed fingerprint F'.
         random_state: seed controlling negative subsampling and forests.
-        n_jobs: worker processes per forest fit (see
-            :class:`~repro.ml.forest.RandomForestClassifier`).
 
     Every classifier's compiled forest is also fused into one
     :class:`~repro.ml.compiled.ForestStack` (in sorted type order), which
     :meth:`score_batch` descends once per batch.  Every mutation
-    (:meth:`train_type`, :meth:`remove_type`, :meth:`install`) rebuilds it.
+    (:meth:`train_type`, :meth:`remove_type`, :meth:`install`) rebuilds it;
+    :meth:`train_from_registry` rebuilds it once, after its last type.
     """
 
     negative_ratio: float = 10.0
@@ -103,7 +102,6 @@ class ClassifierBank:
     max_depth: Optional[int] = None
     fixed_packet_count: int = FIXED_PACKET_COUNT
     random_state: Optional[int] = None
-    n_jobs: Optional[int] = None
 
     _classifiers: dict[str, DeviceTypeClassifier] = field(default_factory=dict)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
@@ -134,47 +132,12 @@ class ClassifierBank:
         Only this type's classifier is touched; the paper highlights that
         adding a new device-type never requires relearning existing models.
         """
-        if not positives:
-            raise IdentificationError(f"no positive fingerprints for type {device_type!r}")
-        if not negatives:
-            raise IdentificationError(f"no negative fingerprints for type {device_type!r}")
-
-        chosen_negative_indices = negative_subsample(
-            range(len(negatives)), len(positives), ratio=self.negative_ratio, rng=self._rng
+        chosen = self._choose_negatives(device_type, len(positives), len(negatives))
+        classifier = self._fit(
+            device_type,
+            self._fixed_matrix(positives),
+            self._fixed_matrix([negatives[int(index)] for index in chosen]),
         )
-        chosen_negatives = [negatives[int(index)] for index in chosen_negative_indices]
-
-        positive_matrix = np.stack(
-            [fingerprint.to_fixed_vector(self.fixed_packet_count) for fingerprint in positives]
-        )
-        negative_matrix = np.stack(
-            [
-                fingerprint.to_fixed_vector(self.fixed_packet_count)
-                for fingerprint in chosen_negatives
-            ]
-        )
-        X = np.vstack([positive_matrix, negative_matrix]).astype(np.float64)
-        y = np.concatenate(
-            [
-                np.full(len(positive_matrix), POSITIVE_LABEL),
-                np.full(len(negative_matrix), NEGATIVE_LABEL),
-            ]
-        )
-        model = RandomForestClassifier(
-            n_estimators=self.n_estimators,
-            max_depth=self.max_depth,
-            random_state=int(self._rng.integers(0, 2**31 - 1)),
-            n_jobs=self.n_jobs,
-        )
-        model.fit(X, y)
-        classifier = DeviceTypeClassifier(
-            device_type=device_type,
-            compiled=model.compile(),
-            model=model,
-            positive_count=len(positive_matrix),
-            negative_count=len(negative_matrix),
-        )
-        self._classifiers[device_type] = classifier
         self._fuse()
         return classifier
 
@@ -185,15 +148,73 @@ class ClassifierBank:
         self._fuse()
 
     def train_from_registry(self, registry: FingerprintRegistry) -> None:
-        """Train one classifier per device-type present in the registry."""
+        """Train one classifier per device-type present in the registry.
+
+        The bank equals one :meth:`train_type` call per type (sorted type
+        order, negatives from :meth:`FingerprintRegistry.fingerprints_excluding`)
+        bit for bit, but each registry fingerprint's fixed vector is built
+        once, not once per type that samples it as a negative, and the
+        forest stack is fused once.
+        """
         if not registry.device_types:
             raise IdentificationError("the fingerprint registry is empty")
-        for device_type in registry.device_types:
-            self.train_type(
-                device_type,
-                registry.fingerprints_of(device_type),
-                registry.fingerprints_excluding(device_type),
-            )
+        groups = registry.groups()
+        matrix = self._fixed_matrix([member for group in groups.values() for member in group])
+        ends = dict(zip(groups, np.cumsum([len(group) for group in groups.values()]).tolist()))
+        try:
+            for device_type in registry.device_types:
+                stop = ends[device_type]
+                start = stop - len(groups[device_type])
+                negatives = np.delete(matrix, np.s_[start:stop], axis=0)
+                chosen = self._choose_negatives(device_type, stop - start, len(negatives))
+                self._fit(device_type, matrix[start:stop], negatives[chosen])
+        finally:
+            self._fuse()
+
+    def _fixed_matrix(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
+        """The fixed vectors F' of ``fingerprints``, one row each."""
+        packets = self.fixed_packet_count
+        vectors = [fingerprint.to_fixed_vector(packets) for fingerprint in fingerprints]
+        return np.stack(vectors).astype(np.float64)
+
+    def _choose_negatives(
+        self, device_type: str, positive_count: int, negative_count: int
+    ) -> np.ndarray:
+        """Indices of the negatives one type trains on (draws from the RNG)."""
+        if not positive_count:
+            raise IdentificationError(f"no positive fingerprints for type {device_type!r}")
+        if not negative_count:
+            raise IdentificationError(f"no negative fingerprints for type {device_type!r}")
+        return negative_subsample(
+            range(negative_count), positive_count, ratio=self.negative_ratio, rng=self._rng
+        )
+
+    def _fit(
+        self, device_type: str, positive_matrix: np.ndarray, negative_matrix: np.ndarray
+    ) -> DeviceTypeClassifier:
+        """Fit and store one type's forest; the caller fuses the stack."""
+        X = np.vstack([positive_matrix, negative_matrix])
+        y = np.concatenate(
+            [
+                np.full(len(positive_matrix), POSITIVE_LABEL),
+                np.full(len(negative_matrix), NEGATIVE_LABEL),
+            ]
+        )
+        model = RandomForestClassifier(
+            n_estimators=self.n_estimators,
+            max_depth=self.max_depth,
+            random_state=int(self._rng.integers(0, 2**31 - 1)),
+        )
+        model.fit(X, y)
+        classifier = DeviceTypeClassifier(
+            device_type=device_type,
+            compiled=model.compile(),
+            model=model,
+            positive_count=len(positive_matrix),
+            negative_count=len(negative_matrix),
+        )
+        self._classifiers[device_type] = classifier
+        return classifier
 
     # ------------------------------------------------------------------ #
     # Queries.

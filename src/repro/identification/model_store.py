@@ -73,8 +73,9 @@ STORE_MAGIC = "iot-sentinel-model-store"
 #: The one bundle layout this build writes and reads.  Bump on any
 #: incompatible change; a bundle with any other version is rejected.
 #: v5 dropped the bank's ``compile_models`` key (every bank forest is
-#: compiled), so a v4 reader gets a clean version error, not a KeyError.
-SCHEMA_VERSION = 5
+#: compiled); v6 dropped its ``n_jobs`` key (forests fit in-process).
+#: An older bundle gets a clean version error, not a KeyError.
+SCHEMA_VERSION = 6
 
 
 # --------------------------------------------------------------------- #
@@ -166,7 +167,6 @@ def _bank_payload(bank: ClassifierBank) -> tuple[dict, dict[str, np.ndarray]]:
         "max_depth": bank.max_depth,
         "fixed_packet_count": bank.fixed_packet_count,
         "random_state": bank.random_state,
-        "n_jobs": bank.n_jobs,
         "rng_state": bank._rng.bit_generator.state,
         "classifiers": classifiers_meta,
     }
@@ -180,7 +180,6 @@ def _rebuild_bank(meta: dict, arrays: dict[str, np.ndarray]) -> ClassifierBank:
         max_depth=meta["max_depth"],
         fixed_packet_count=meta["fixed_packet_count"],
         random_state=meta["random_state"],
-        n_jobs=meta["n_jobs"],
     )
     state = _required(meta, "rng_state", "bank ")
     # repro-lint: disable=no-unseeded-rng -- seed irrelevant: the captured bit-generator state is installed on the next line

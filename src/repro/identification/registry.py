@@ -65,13 +65,22 @@ class FingerprintRegistry:
             raise IdentificationError(f"unknown device-type: {device_type!r}")
         return list(self._by_type[device_type])
 
+    def groups(self) -> dict[str, list[Fingerprint]]:
+        """Every device-type's fingerprints, types in first-registration order.
+
+        :meth:`fingerprints_excluding` concatenates the other types' groups
+        in this order.
+        """
+        return {label: list(group) for label, group in self._by_type.items()}
+
     def fingerprints_excluding(self, device_type: str) -> list[Fingerprint]:
         """All fingerprints whose type differs from ``device_type``."""
-        others: list[Fingerprint] = []
-        for label, group in self._by_type.items():
-            if label != device_type:
-                others.extend(group)
-        return others
+        return [
+            fingerprint
+            for label, group in self.groups().items()
+            if label != device_type
+            for fingerprint in group
+        ]
 
     def __iter__(self) -> Iterator[Fingerprint]:
         for label in sorted(self._by_type):

@@ -30,13 +30,59 @@ class _Node:
         return self.left is None
 
 
-def _gini_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Gini impurity for rows of class counts with the given row totals."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proportions = counts / totals[:, None]
-        impurity = 1.0 - np.sum(proportions**2, axis=1)
-    impurity[totals == 0] = 0.0
-    return impurity
+def _best_split(
+    columns: np.ndarray, y: np.ndarray, n_classes: int, min_samples_leaf: int
+) -> tuple[int, float]:
+    """The ``(column, threshold)`` split minimising weighted child Gini.
+
+    ``columns`` holds a node's ``(n, k)`` candidate feature values and ``y``
+    its encoded labels.  Every column is scored in one pass: one stable
+    argsort of the columns, one cumulative sum of the one-hot labels
+    and one impurity evaluation over every valid ``(position, column)``
+    pair -- a position between two distinct values that leaves both
+    children at least ``min_samples_leaf`` samples; every other position
+    scores ``inf``.  Across columns, candidate order decides: a later
+    column wins only if it beats the best so far by more than ``1e-12``.
+    Returns ``(-1, 0.0)`` when no valid split exists.
+    """
+    n_samples, n_columns = columns.shape
+    order = np.argsort(columns, axis=0, kind="stable")
+    sorted_values = columns[order, np.arange(n_columns)]
+    # Splitting after sorted position i sends the i + 1 smallest values left.
+    left_sizes = np.arange(1, n_samples)[:, None]
+    valid = (
+        (sorted_values[1:] != sorted_values[:-1])
+        & (left_sizes >= min_samples_leaf)
+        & (n_samples - left_sizes >= min_samples_leaf)
+    )
+    valid_rows, valid_columns = np.nonzero(valid)
+    # cumulative[i, j] counts each class among the i + 1 smallest values
+    # of column j; its last row is the node's class counts.
+    cumulative = np.cumsum(np.eye(n_classes)[y[order]], axis=0)
+    left_counts = cumulative[valid_rows, valid_columns]
+    right_counts = cumulative[-1, 0] - left_counts
+    left = valid_rows + 1
+    right = n_samples - left
+    left_gini = 1.0 - np.sum((left_counts / left[:, None]) ** 2, axis=1)
+    right_gini = 1.0 - np.sum((right_counts / right[:, None]) ** 2, axis=1)
+    weighted = np.full(valid.shape, np.inf)
+    weighted[valid_rows, valid_columns] = (left * left_gini + right * right_gini) / n_samples
+    positions = np.argmin(weighted, axis=0)
+    scores = weighted[positions, np.arange(n_columns)]
+
+    best_column = -1
+    best_impurity = np.inf
+    for column, score in enumerate(scores.tolist()):
+        if score < best_impurity - 1e-12:
+            best_impurity = score
+            best_column = column
+    if best_column < 0:
+        return -1, 0.0
+    position = positions[best_column]
+    threshold = (
+        sorted_values[position, best_column] + sorted_values[position + 1, best_column]
+    ) / 2.0
+    return best_column, float(threshold)
 
 
 @dataclass
@@ -87,7 +133,7 @@ class DecisionTreeClassifier:
         self.n_features_ = X.shape[1]
         self._rng = np.random.default_rng(self.random_state)
         self.node_count_ = 0
-        self._root = self._build(X, encoded.astype(np.int64), depth=0)
+        self._root = self._build(X, encoded.astype(np.int64))
         return self
 
     def _resolve_max_features(self) -> int:
@@ -103,85 +149,59 @@ class DecisionTreeClassifier:
             return max(1, min(self.n_features_, int(self.max_features * self.n_features_)))
         return max(1, min(self.n_features_, int(self.max_features)))
 
-    def _leaf(self, y: np.ndarray) -> _Node:
-        counts = np.bincount(y, minlength=len(self.classes_)).astype(np.float64)
-        self.node_count_ += 1
-        return _Node(probabilities=counts / counts.sum(), n_samples=len(y))
-
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        n_samples = len(y)
-        if (
-            n_samples < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or len(np.unique(y)) == 1
-        ):
-            return self._leaf(y)
-
-        feature, threshold = self._best_split(X, y)
-        if feature < 0:
-            return self._leaf(y)
-
-        mask = X[:, feature] <= threshold
-        left_count = int(mask.sum())
-        if left_count < self.min_samples_leaf or n_samples - left_count < self.min_samples_leaf:
-            return self._leaf(y)
-
-        node = _Node(feature=feature, threshold=threshold, n_samples=n_samples)
-        self.node_count_ += 1
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray) -> tuple[int, float]:
-        n_samples = len(y)
-        n_classes = len(self.classes_)
+    def _split_candidates(self) -> np.ndarray:
+        """The features one node's split search examines (draws from the RNG)."""
         n_candidates = self._resolve_max_features()
         if n_candidates < self.n_features_:
-            candidates = self._rng.choice(self.n_features_, size=n_candidates, replace=False)
-        else:
-            candidates = np.arange(self.n_features_)
+            return self._rng.choice(self.n_features_, size=n_candidates, replace=False)
+        return np.arange(self.n_features_)
 
-        one_hot = np.zeros((n_samples, n_classes), dtype=np.float64)
-        one_hot[np.arange(n_samples), y] = 1.0
+    def _build(self, X: np.ndarray, y: np.ndarray) -> _Node:
+        """Grow the tree iteratively with an explicit stack.
 
-        best_feature = -1
-        best_threshold = 0.0
-        best_impurity = np.inf
-        min_leaf = self.min_samples_leaf
-
-        for feature in candidates:
-            values = X[:, feature]
-            order = np.argsort(values, kind="stable")
-            sorted_values = values[order]
-            cumulative = np.cumsum(one_hot[order], axis=0)
-
-            # Candidate split positions: between consecutive distinct values.
-            boundaries = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0]
-            if len(boundaries) == 0:
+        Nodes are expanded in pre-order, left child before right, exactly
+        as a recursive build would, so the per-node candidate draws (and
+        hence the fitted tree) do not depend on how the build is driven --
+        and a tree deeper than Python's recursion limit still fits.
+        """
+        n_classes = len(self.classes_)
+        root = _Node()
+        # Nodes carry row indices into X; a split gathers only its
+        # candidate columns.
+        stack: list[tuple[_Node, np.ndarray, int]] = [(root, np.arange(len(y)), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            labels = y[rows]
+            node.n_samples = n_samples = len(rows)
+            self.node_count_ += 1
+            counts = np.bincount(labels, minlength=n_classes)
+            if (
+                n_samples < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or np.count_nonzero(counts) == 1
+            ):
+                node.probabilities = counts / n_samples
                 continue
-            left_sizes = boundaries + 1
-            valid = (left_sizes >= min_leaf) & (n_samples - left_sizes >= min_leaf)
-            if not np.any(valid):
+
+            candidates = self._split_candidates()
+            column, threshold = _best_split(
+                X[rows[:, None], candidates], labels, n_classes, self.min_samples_leaf
+            )
+            if column < 0:
+                node.probabilities = counts / n_samples
                 continue
-            boundaries = boundaries[valid]
-            left_sizes = left_sizes[valid]
+            feature = int(candidates[column])
+            mask = X[rows, feature] <= threshold
+            left_count = int(mask.sum())
+            if left_count < self.min_samples_leaf or n_samples - left_count < self.min_samples_leaf:
+                node.probabilities = counts / n_samples
+                continue
 
-            left_counts = cumulative[boundaries]
-            right_counts = cumulative[-1] - left_counts
-            right_sizes = n_samples - left_sizes
-
-            left_gini = _gini_from_counts(left_counts, left_sizes.astype(np.float64))
-            right_gini = _gini_from_counts(right_counts, right_sizes.astype(np.float64))
-            weighted = (left_sizes * left_gini + right_sizes * right_gini) / n_samples
-
-            index = int(np.argmin(weighted))
-            if weighted[index] < best_impurity - 1e-12:
-                best_impurity = float(weighted[index])
-                best_feature = int(feature)
-                position = boundaries[index]
-                best_threshold = float((sorted_values[position] + sorted_values[position + 1]) / 2.0)
-
-        return best_feature, best_threshold
+            node.feature, node.threshold = feature, threshold
+            node.left, node.right = _Node(), _Node()
+            stack.append((node.right, rows[~mask], depth + 1))
+            stack.append((node.left, rows[mask], depth + 1))
+        return root
 
     # ------------------------------------------------------------------ #
     # Prediction.

@@ -57,6 +57,46 @@ class TestTraining:
         with pytest.raises(IdentificationError):
             bank.train_type("Aria", registry.fingerprints_of("Aria"), [])
 
+    def test_registry_training_equals_one_train_type_per_type(self, small_dataset):
+        # Register types out of sorted order: negatives are pooled in
+        # registration order, which the one-pass path must reproduce.
+        registry = FingerprintRegistry()
+        registry.add_all(reversed(small_dataset.fingerprints))
+        assert list(registry.groups()) != registry.device_types
+        batched = ClassifierBank(n_estimators=3, random_state=5)
+        batched.train_from_registry(registry)
+        per_type = ClassifierBank(n_estimators=3, random_state=5)
+        for device_type in registry.device_types:
+            per_type.train_type(
+                device_type,
+                registry.fingerprints_of(device_type),
+                registry.fingerprints_excluding(device_type),
+            )
+
+        assert batched.device_types == per_type.device_types
+        for device_type in registry.device_types:
+            first = batched.classifier_of(device_type)
+            second = per_type.classifier_of(device_type)
+            assert (first.positive_count, first.negative_count) == (
+                second.positive_count,
+                second.negative_count,
+            )
+            expected = second.compiled.pack()
+            for key, array in first.compiled.pack().items():
+                assert array.tobytes() == expected[key].tobytes(), (device_type, key)
+        for name in ("_feature", "_threshold", "_left", "_right", "_probabilities", "_roots"):
+            expected = getattr(per_type._stack, name)
+            assert getattr(batched._stack, name).tobytes() == expected.tobytes(), name
+        assert batched._rng.bit_generator.state == per_type._rng.bit_generator.state
+
+    def test_single_type_registry_rejected(self, small_dataset):
+        registry = FingerprintRegistry()
+        registry.add_all(small_dataset.of_type("Aria"))
+        bank = ClassifierBank()
+        with pytest.raises(IdentificationError, match="no negative"):
+            bank.train_from_registry(registry)
+        assert bank.score_batch(np.zeros((1, 5))).positive.shape == (1, 0)
+
     def test_incremental_add_does_not_touch_existing(self, small_dataset):
         registry = small_dataset.to_registry()
         types = registry.device_types

@@ -8,7 +8,8 @@ generator, so a fingerprint near the novelty threshold could flip between
 one bundle disagreed after divergent traffic histories).  CI runs this
 file twice under different ``PYTHONHASHSEED`` values (the determinism
 gate); the subprocess tests below additionally compare verdicts across
-*fresh interpreters* with differing hash seeds inside a single run.
+*fresh interpreters* with differing hash seeds inside a single run, and
+train a bundle in two such interpreters to compare their bytes.
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ for result in identifier.identify_many(probes):
         }
     )
 print(json.dumps(verdicts, sort_keys=True))
+"""
+
+
+#: The training script a fresh interpreter runs: simulate a small
+#: registry, train an identifier on it, save the bundle and print the
+#: bundle's sha256.  Any hash-seed-dependent ordering in data generation,
+#: negative sampling or forest growth shows up as a digest diff.
+TRAIN_SCRIPT = """
+import hashlib, sys
+from repro.datasets.builder import DatasetBuilder
+from repro.identification.identifier import DeviceTypeIdentifier
+from repro.identification.model_store import save_identifier
+
+bundle_path, device_types = sys.argv[1], sys.argv[2].split(",")
+dataset = DatasetBuilder(runs_per_type=4, seed=99).build_synthetic(device_types)
+identifier = DeviceTypeIdentifier.train(dataset.to_registry(), n_estimators=4, random_state=3)
+save_identifier(bundle_path, identifier)
+with open(bundle_path, "rb") as handle:
+    print(hashlib.sha256(handle.read()).hexdigest())
 """
 
 
@@ -223,6 +243,35 @@ class TestCrossProcess:
                 assert row[1] == score.score
                 assert tuple(row[3]) == score.reference_indices
                 assert row[4] == score.selection_seed
+
+
+class TestCrossProcessTraining:
+    """Training is inside the determinism contract: the same seed gives a
+    byte-identical bundle in any interpreter, under any hash seed."""
+
+    DEVICE_TYPES = ("Aria", "HueBridge", "EdnetCam", "WeMoSwitch", "D-LinkCam")
+
+    def _train(self, bundle: Path, hash_seed: str) -> str:
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = hash_seed
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", TRAIN_SCRIPT, str(bundle), ",".join(self.DEVICE_TYPES)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return completed.stdout.strip()
+
+    def test_two_hash_seeds_train_byte_identical_bundles(self, tmp_path):
+        first = self._train(tmp_path / "first.npz", hash_seed="0")
+        second = self._train(tmp_path / "second.npz", hash_seed="4242")
+        assert len(first) == 64
+        assert first == second
+        assert (tmp_path / "first.npz").read_bytes() == (tmp_path / "second.npz").read_bytes()
 
 
 # --------------------------------------------------------------------- #

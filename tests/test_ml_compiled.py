@@ -161,27 +161,6 @@ class TestPackUnpack:
                 CompiledForest.unpack(packed)
 
 
-class TestParallelFit:
-    def test_n_jobs_is_deterministic(self):
-        X, y = _dataset(200, seed=20)
-        sequential = RandomForestClassifier(n_estimators=6, random_state=20).fit(X, y)
-        parallel = RandomForestClassifier(n_estimators=6, random_state=20, n_jobs=2).fit(X, y)
-        queries = np.random.default_rng(21).normal(size=(100, X.shape[1]))
-        assert np.array_equal(
-            sequential.predict_proba(queries), parallel.predict_proba(queries)
-        )
-
-    def test_invalid_n_jobs_rejected(self):
-        X, y = _dataset(50, seed=22)
-        with pytest.raises(ModelError):
-            RandomForestClassifier(n_estimators=2, n_jobs=0).fit(X, y)
-
-    def test_n_jobs_minus_one_uses_all_cpus(self):
-        X, y = _dataset(60, seed=23)
-        forest = RandomForestClassifier(n_estimators=3, random_state=23, n_jobs=-1).fit(X, y)
-        assert len(forest.estimators_) == 3
-
-
 class TestDeepTrees:
     def test_depth_and_importances_survive_deep_trees(self):
         # A monotone single-feature staircase forces one split per distinct

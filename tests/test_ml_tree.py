@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml import tree as tree_module
+from repro.ml.forest import RandomForestClassifier
+from repro.ml.tree import DecisionTreeClassifier, _best_split
 
 
 def _linearly_separable(n=100, seed=0):
@@ -117,3 +121,130 @@ class TestFeatureSubsampling:
         assert importances.shape == (4,)
         assert importances.sum() == pytest.approx(1.0)
         assert importances[0] > importances[3]
+
+
+# --------------------------------------------------------------------------- #
+# The vectorised split search against the per-feature oracle.
+# --------------------------------------------------------------------------- #
+
+
+def per_feature_best_split(columns, y, n_classes, min_samples_leaf):
+    """The split search one candidate column at a time (the oracle).
+
+    Each column gets its own argsort, cumulative class counts and Gini
+    evaluation over the positions between distinct values; a column
+    replaces the best so far only if it beats it by more than ``1e-12``.
+    """
+    n_samples = len(y)
+    one_hot = np.zeros((n_samples, n_classes), dtype=np.float64)
+    one_hot[np.arange(n_samples), y] = 1.0
+
+    def gini(counts, totals):
+        return 1.0 - np.sum((counts / totals[:, None]) ** 2, axis=1)
+
+    best_column, best_threshold, best_impurity = -1, 0.0, np.inf
+    for column in range(columns.shape[1]):
+        values = columns[:, column]
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        cumulative = np.cumsum(one_hot[order], axis=0)
+        boundaries = np.nonzero(sorted_values[1:] != sorted_values[:-1])[0]
+        left_sizes = boundaries + 1
+        valid = (left_sizes >= min_samples_leaf) & (n_samples - left_sizes >= min_samples_leaf)
+        if not np.any(valid):
+            continue
+        boundaries, left_sizes = boundaries[valid], left_sizes[valid]
+        right_sizes = n_samples - left_sizes
+        left_counts = cumulative[boundaries]
+        right_counts = cumulative[-1] - left_counts
+        weighted = (
+            left_sizes * gini(left_counts, left_sizes.astype(np.float64))
+            + right_sizes * gini(right_counts, right_sizes.astype(np.float64))
+        ) / n_samples
+        index = int(np.argmin(weighted))
+        if weighted[index] < best_impurity - 1e-12:
+            best_impurity = float(weighted[index])
+            best_column = column
+            position = boundaries[index]
+            best_threshold = float((sorted_values[position] + sorted_values[position + 1]) / 2.0)
+    return best_column, best_threshold
+
+
+@st.composite
+def split_problems(draw):
+    """Small integer-valued nodes: heavy ties, some constant columns."""
+    n_samples = draw(st.integers(min_value=2, max_value=40))
+    n_features = draw(st.integers(min_value=1, max_value=9))
+    n_classes = draw(st.sampled_from([2, 3]))
+    levels = draw(st.integers(min_value=1, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, levels, size=(n_samples, n_features)).astype(np.float64)
+    constant = draw(st.lists(st.booleans(), min_size=n_features, max_size=n_features))
+    X[:, np.array(constant)] = float(levels)
+    y = rng.integers(0, n_classes, size=n_samples)
+    return X, y, n_classes, seed
+
+
+def _candidates(n_features, max_features, seed):
+    """The candidate draw of a tree node, via the production helper."""
+    tree = DecisionTreeClassifier(max_features=max_features)
+    tree.n_features_ = n_features
+    tree._rng = np.random.default_rng(seed)
+    return tree._split_candidates()
+
+
+def _oracle_forest(monkeypatch, X, y, **params):
+    with monkeypatch.context() as patched:
+        patched.setattr(tree_module, "_best_split", per_feature_best_split)
+        return RandomForestClassifier(**params).fit(X, y)
+
+
+class TestVectorisedSplit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        split_problems(),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([None, "sqrt"]),
+    )
+    def test_matches_per_feature_oracle(self, problem, min_samples_leaf, max_features):
+        X, y, n_classes, seed = problem
+        columns = X[:, _candidates(X.shape[1], max_features, seed)]
+        assert _best_split(columns, y, n_classes, min_samples_leaf) == (
+            per_feature_best_split(columns, y, n_classes, min_samples_leaf)
+        )
+
+    def test_no_valid_split(self):
+        columns = np.ones((6, 3))
+        y = np.array([0, 1, 0, 1, 0, 1])
+        assert _best_split(columns, y, 2, 1) == (-1, 0.0)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("max_features", ["sqrt", None])
+    def test_forest_compiles_bitwise_equal_to_oracle_forest(
+        self, monkeypatch, classes, max_features
+    ):
+        rng = np.random.default_rng(classes)
+        X = rng.integers(0, 5, size=(150, 16)).astype(np.float64)
+        X[:, 3] = 7.0
+        y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, size=150)) % classes
+        params = dict(n_estimators=4, max_features=max_features, random_state=11)
+        expected = _oracle_forest(monkeypatch, X, y, **params).compile().pack()
+        actual = RandomForestClassifier(**params).fit(X, y).compile().pack()
+        assert expected.keys() == actual.keys()
+        for key in expected:
+            assert expected[key].dtype == actual[key].dtype
+            assert expected[key].tobytes() == actual[key].tobytes(), key
+
+
+class TestDeepBuild:
+    def test_deeper_than_the_recursion_limit(self):
+        # Alternating labels on one feature: every split peels off one
+        # sample, so the tree is ~n deep -- beyond Python's recursion limit.
+        n = 2000
+        X = np.arange(n, dtype=np.float64).reshape(-1, 1)
+        y = np.arange(n) % 2
+        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
+        assert tree.depth >= 1000
+        assert tree.node_count_ == tree.compile().node_count
+        assert tree.score(X, y) == 1.0

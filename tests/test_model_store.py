@@ -111,6 +111,12 @@ def _v4_bundle(meta):
     meta["bank"]["compile_models"] = True
 
 
+def _v5_bundle(meta):
+    # The v5 layout: same fields plus the bank's retired n_jobs key.
+    meta["schema_version"] = 5
+    meta["bank"]["n_jobs"] = None
+
+
 def _drop_bank_rng(meta):
     meta["bank"]["rng_state"] = None
 
@@ -128,8 +134,8 @@ def _random_selection(meta):
 
 
 class TestSchemaV4:
-    """The deterministic-draw rules schema v4 introduced; v5 keeps them all
-    and only drops the bank's ``compile_models`` key."""
+    """The deterministic-draw rules schema v4 introduced; v5 and v6 keep
+    them all and only drop the bank's ``compile_models`` and ``n_jobs`` keys."""
 
     def test_v4_bundle_has_no_discriminator_rng_state(
         self, trained_identifier, bundle_path
@@ -137,8 +143,9 @@ class TestSchemaV4:
         save_identifier(bundle_path, trained_identifier)
         with np.load(bundle_path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        assert meta["schema_version"] == SCHEMA_VERSION == 5
+        assert meta["schema_version"] == SCHEMA_VERSION == 6
         assert "compile_models" not in meta["bank"]
+        assert "n_jobs" not in meta["bank"]
         assert "rng_state" not in meta["discriminator"]
         assert meta["discriminator"]["selection"] == "deterministic"
         assert meta["discriminator"]["draw"] == "splitmix64"
@@ -151,7 +158,8 @@ class TestSchemaV4:
             (_set_schema(2), "schema_version"),
             (_set_schema(3), "schema_version"),
             (_v4_bundle, "schema_version"),
-            (_set_schema(6), "schema_version"),
+            (_v5_bundle, "schema_version"),
+            (_set_schema(7), "schema_version"),
             (_drop_bank_rng, "rng_state"),
             (_drop_revision, "revision"),
             (_numpy_draw, "draw"),
@@ -162,7 +170,8 @@ class TestSchemaV4:
             "schema-2",
             "schema-3",
             "schema-4",
-            "schema-6",
+            "schema-5",
+            "schema-7",
             "no-bank-rng-state",
             "no-revision",
             "numpy-draw",
