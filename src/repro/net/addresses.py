@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import ipaddress
 import re
+import socket
 from dataclasses import dataclass
 
 from repro.exceptions import PacketDecodeError
 
 _MAC_RE = re.compile(r"^([0-9A-Fa-f]{2}[:-]){5}[0-9A-Fa-f]{2}$")
 
+#: Wire bytes -> shared :class:`MACAddress`.  Every frame carries two MACs
+#: and a network has few distinct ones, so decoded frames share instances;
+#: the memo is emptied when full, so a spoofed-MAC flood cannot grow it.
+_MAC_MEMO: dict[bytes, "MACAddress"] = {}
+_MAC_MEMO_LIMIT = 4096
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, slots=True)
 class MACAddress:
     """A 48-bit IEEE 802 MAC address.
 
@@ -36,10 +43,24 @@ class MACAddress:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "MACAddress":
-        """Parse a 6-byte big-endian MAC address."""
+        """Parse a 6-byte big-endian MAC address.
+
+        >>> MACAddress.from_bytes(bytes.fromhex("b0c554123456"))
+        MACAddress('b0:c5:54:12:34:56')
+        """
+        try:
+            return _MAC_MEMO[raw]
+        except (KeyError, TypeError):  # not seen yet, or an unhashable bytearray
+            pass
         if len(raw) != 6:
             raise PacketDecodeError(f"MAC address must be 6 bytes, got {len(raw)}")
-        return cls(int.from_bytes(raw, "big"))
+        if len(_MAC_MEMO) >= _MAC_MEMO_LIMIT:
+            _MAC_MEMO.clear()
+        # Six bytes always lie in range: skip ``__post_init__``'s check.
+        mac = object.__new__(cls)
+        object.__setattr__(mac, "value", int.from_bytes(raw, "big"))
+        _MAC_MEMO[bytes(raw)] = mac
+        return mac
 
     @classmethod
     def broadcast(cls) -> "MACAddress":
@@ -111,10 +132,14 @@ def ipv4_to_bytes(text: str) -> bytes:
 
 
 def ipv4_from_bytes(raw: bytes) -> str:
-    """Parse 4 bytes into a dotted-quad IPv4 address string."""
+    """Parse 4 bytes into a dotted-quad IPv4 address string.
+
+    >>> ipv4_from_bytes(bytes([192, 168, 1, 20]))
+    '192.168.1.20'
+    """
     if len(raw) != 4:
         raise PacketDecodeError(f"IPv4 address must be 4 bytes, got {len(raw)}")
-    return str(ipaddress.IPv4Address(raw))
+    return socket.inet_ntoa(raw)
 
 
 def ipv6_to_bytes(text: str) -> bytes:

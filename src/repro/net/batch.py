@@ -293,9 +293,7 @@ class PacketBatch:
                 size = original or len(data)
                 mac_value = int.from_bytes(data[6:12], "big")
             else:
-                packet = Packet.dissect(data, timestamp=timestamp)
-                if original:
-                    packet.wire_length = original
+                packet = Packet.dissect(data, timestamp, original)
                 flags, src_port, dst_port, size, dst_ip = _packet_fields(packet)
                 mac_value = packet.ethernet.src.value
             timestamps.append(timestamp)
@@ -389,9 +387,7 @@ class PacketBatch:
             if self.frames is None:
                 raise IndexError("batch has neither packets nor frames")
             timestamp, data, original = self.frames[index]
-            cached = Packet.dissect(data, timestamp=timestamp)
-            if original:
-                cached.wire_length = original
+            cached = Packet.dissect(data, timestamp, original)
             self.packets[index] = cached
         return cached
 

@@ -8,7 +8,7 @@ from typing import Optional
 from repro.net.packet import Packet
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FlowKey:
     """A (src IP, dst IP, protocol, src port, dst port) flow identifier.
 

@@ -13,8 +13,10 @@ HEADER_LEN = 28
 OP_REQUEST = 1
 OP_REPLY = 2
 
+_HEADER = struct.Struct("!HHBBH6s4s6s4s")
 
-@dataclass
+
+@dataclass(slots=True)
 class ARPPacket:
     """An ARP request or reply for IPv4 over Ethernet.
 
@@ -44,13 +46,16 @@ class ARPPacket:
 
     def to_bytes(self) -> bytes:
         """Serialise the 28-byte ARP payload (Ethernet/IPv4 flavour)."""
-        header = struct.pack("!HHBBH", 1, 0x0800, 6, 4, self.operation)
-        return (
-            header
-            + self.sender_mac.to_bytes()
-            + ipv4_to_bytes(self.sender_ip)
-            + self.target_mac.to_bytes()
-            + ipv4_to_bytes(self.target_ip)
+        return _HEADER.pack(
+            1,
+            0x0800,
+            6,
+            4,
+            self.operation,
+            self.sender_mac.to_bytes(),
+            ipv4_to_bytes(self.sender_ip),
+            self.target_mac.to_bytes(),
+            ipv4_to_bytes(self.target_ip),
         )
 
     @classmethod
@@ -58,21 +63,26 @@ class ARPPacket:
         """Parse an ARP packet, returning it and any trailing bytes (padding)."""
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"ARP packet too short: {len(raw)} bytes")
-        hw_type, proto_type, hw_len, proto_len, operation = struct.unpack("!HHBBH", raw[:8])
+        (
+            _hw_type,
+            _proto_type,
+            hw_len,
+            proto_len,
+            operation,
+            sender_mac,
+            sender_ip,
+            target_mac,
+            target_ip,
+        ) = _HEADER.unpack_from(raw)
         if hw_len != 6 or proto_len != 4:
             raise PacketDecodeError(
                 f"unsupported ARP address lengths: hw={hw_len} proto={proto_len}"
             )
-        del hw_type, proto_type
-        sender_mac = MACAddress.from_bytes(raw[8:14])
-        sender_ip = ipv4_from_bytes(raw[14:18])
-        target_mac = MACAddress.from_bytes(raw[18:24])
-        target_ip = ipv4_from_bytes(raw[24:28])
         packet = cls(
             operation=operation,
-            sender_mac=sender_mac,
-            sender_ip=sender_ip,
-            target_mac=target_mac,
-            target_ip=target_ip,
+            sender_mac=MACAddress.from_bytes(sender_mac),
+            sender_ip=ipv4_from_bytes(sender_ip),
+            target_mac=MACAddress.from_bytes(target_mac),
+            target_ip=ipv4_from_bytes(target_ip),
         )
         return packet, raw[HEADER_LEN:]

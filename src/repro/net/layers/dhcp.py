@@ -31,8 +31,10 @@ MSG_INFORM = 8
 CLIENT_PORT = 68
 SERVER_PORT = 67
 
+_FIXED = struct.Struct("!BBBBIHH4s4s4s4s16s64s128s")
 
-@dataclass
+
+@dataclass(slots=True)
 class DHCPOption:
     """A single DHCP option (code / raw value)."""
 
@@ -43,7 +45,7 @@ class DHCPOption:
         return bytes([self.code, len(self.data)]) + self.data
 
 
-@dataclass
+@dataclass(slots=True)
 class DHCPMessage:
     """A DHCP message; without options and magic cookie it is plain BOOTP.
 
@@ -81,8 +83,7 @@ class DHCPMessage:
 
     def to_bytes(self) -> bytes:
         chaddr = self.client_mac.to_bytes() + b"\x00" * 10
-        fixed = struct.pack(
-            "!BBBBIHH4s4s4s4s16s64s128s",
+        fixed = _FIXED.pack(
             self.op,
             1,  # htype: Ethernet
             6,  # hlen
@@ -122,7 +123,7 @@ class DHCPMessage:
             chaddr,
             _sname,
             _file,
-        ) = struct.unpack("!BBBBIHH4s4s4s4s16s64s128s", raw[:FIXED_LEN])
+        ) = _FIXED.unpack_from(raw)
         if hlen != 6:
             raise PacketDecodeError(f"unsupported BOOTP hardware address length: {hlen}")
         rest = raw[FIXED_LEN:]

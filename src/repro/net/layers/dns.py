@@ -23,8 +23,12 @@ PORT_MDNS = 5353
 MDNS_GROUP_V4 = "224.0.0.251"
 MDNS_GROUP_V6 = "ff02::fb"
 
+_HEADER = struct.Struct("!HHHHHH")
+_QUESTION = struct.Struct("!HH")
+_ANSWER = struct.Struct("!HHIH")
 
-@dataclass
+
+@dataclass(slots=True)
 class DNSQuestion:
     """A single DNS question entry."""
 
@@ -33,7 +37,7 @@ class DNSQuestion:
     qclass: int = CLASS_IN
 
 
-@dataclass
+@dataclass(slots=True)
 class DNSResourceRecord:
     """A single DNS answer/authority/additional record."""
 
@@ -44,7 +48,7 @@ class DNSResourceRecord:
     data: bytes = b""
 
 
-@dataclass
+@dataclass(slots=True)
 class DNSMessage:
     """A DNS or mDNS message.
 
@@ -64,8 +68,7 @@ class DNSMessage:
 
     def to_bytes(self) -> bytes:
         flags = 0x8400 if self.is_response else 0x0100
-        header = struct.pack(
-            "!HHHHHH",
+        header = _HEADER.pack(
             self.transaction_id,
             flags,
             len(self.questions),
@@ -75,11 +78,11 @@ class DNSMessage:
         )
         body = b""
         for question in self.questions:
-            body += _encode_name(question.name) + struct.pack("!HH", question.qtype, question.qclass)
+            body += _encode_name(question.name) + _QUESTION.pack(question.qtype, question.qclass)
         for record in self.answers:
             body += (
                 _encode_name(record.name)
-                + struct.pack("!HHIH", record.rtype, record.rclass, record.ttl, len(record.data))
+                + _ANSWER.pack(record.rtype, record.rclass, record.ttl, len(record.data))
                 + record.data
             )
         return header + body
@@ -88,14 +91,14 @@ class DNSMessage:
     def from_bytes(cls, raw: bytes) -> tuple["DNSMessage", bytes]:
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"DNS message too short: {len(raw)} bytes")
-        transaction_id, flags, qdcount, ancount, _ns, _ar = struct.unpack("!HHHHHH", raw[:HEADER_LEN])
+        transaction_id, flags, qdcount, ancount, _ns, _ar = _HEADER.unpack_from(raw)
         offset = HEADER_LEN
         questions: list[DNSQuestion] = []
         for _ in range(qdcount):
             name, offset = _decode_name(raw, offset)
             if offset + 4 > len(raw):
                 raise PacketDecodeError("truncated DNS question")
-            qtype, qclass = struct.unpack("!HH", raw[offset : offset + 4])
+            qtype, qclass = _QUESTION.unpack_from(raw, offset)
             offset += 4
             questions.append(DNSQuestion(name=name, qtype=qtype, qclass=qclass))
         answers: list[DNSResourceRecord] = []
@@ -103,7 +106,7 @@ class DNSMessage:
             name, offset = _decode_name(raw, offset)
             if offset + 10 > len(raw):
                 raise PacketDecodeError("truncated DNS answer")
-            rtype, rclass, ttl, rdlength = struct.unpack("!HHIH", raw[offset : offset + 10])
+            rtype, rclass, ttl, rdlength = _ANSWER.unpack_from(raw, offset)
             offset += 10
             data = raw[offset : offset + rdlength]
             if len(data) < rdlength:

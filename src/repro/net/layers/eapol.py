@@ -14,8 +14,10 @@ TYPE_START = 1
 TYPE_LOGOFF = 2
 TYPE_KEY = 3
 
+_HEADER = struct.Struct("!BBH")
 
-@dataclass
+
+@dataclass(slots=True)
 class EAPOLFrame:
     """An EAPoL frame header.
 
@@ -38,12 +40,12 @@ class EAPOLFrame:
         return self.packet_type == TYPE_START
 
     def to_bytes(self) -> bytes:
-        return struct.pack("!BBH", self.version, self.packet_type, len(self.body)) + self.body
+        return _HEADER.pack(self.version, self.packet_type, len(self.body)) + self.body
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["EAPOLFrame", bytes]:
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"EAPoL frame too short: {len(raw)} bytes")
-        version, packet_type, length = struct.unpack("!BBH", raw[:HEADER_LEN])
+        version, packet_type, length = _HEADER.unpack_from(raw)
         body = raw[HEADER_LEN : HEADER_LEN + length]
         return cls(packet_type=packet_type, version=version, body=body), raw[HEADER_LEN + length :]

@@ -25,8 +25,10 @@ _MAX_8023_LENGTH = 0x05DC
 
 HEADER_LEN = 14
 
+_HEADER = struct.Struct("!6s6sH")
 
-@dataclass
+
+@dataclass(slots=True)
 class EthernetFrame:
     """An Ethernet frame header (Ethernet II or 802.3).
 
@@ -48,14 +50,13 @@ class EthernetFrame:
 
     def to_bytes(self) -> bytes:
         """Serialise the 14-byte Ethernet header."""
-        return self.dst.to_bytes() + self.src.to_bytes() + struct.pack("!H", self.ethertype)
+        return _HEADER.pack(self.dst.to_bytes(), self.src.to_bytes(), self.ethertype)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["EthernetFrame", bytes]:
         """Parse an Ethernet header, returning the header and remaining payload."""
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"Ethernet frame too short: {len(raw)} bytes")
-        dst = MACAddress.from_bytes(raw[0:6])
-        src = MACAddress.from_bytes(raw[6:12])
-        (ethertype,) = struct.unpack("!H", raw[12:14])
-        return cls(dst=dst, src=src, ethertype=ethertype), raw[HEADER_LEN:]
+        dst, src, ethertype = _HEADER.unpack_from(raw)
+        frame = cls(MACAddress.from_bytes(dst), MACAddress.from_bytes(src), ethertype)
+        return frame, raw[HEADER_LEN:]

@@ -12,7 +12,7 @@ PORT_HTTP_ALT = 8080
 _METHODS = ("GET", "POST", "PUT", "HEAD", "DELETE", "OPTIONS", "PATCH", "NOTIFY", "M-SEARCH", "SUBSCRIBE")
 
 
-@dataclass
+@dataclass(slots=True)
 class HTTPMessage:
     """An HTTP/1.x request or response.
 
@@ -57,14 +57,15 @@ class HTTPMessage:
             text = head.decode("ascii")
         except UnicodeDecodeError as exc:
             raise PacketDecodeError("HTTP header is not ASCII") from exc
-        lines = text.split("\r\n")
-        if not lines or not lines[0]:
+        # Judge the start line before splitting the header lines, so a
+        # payload that is not HTTP is rejected without splitting all of it.
+        start_line, _, header_text = text.partition("\r\n")
+        if not start_line:
             raise PacketDecodeError("empty HTTP message")
-        start_line = lines[0]
         if not (start_line.upper().startswith("HTTP/") or start_line.split(" ", 1)[0].upper() in _METHODS):
             raise PacketDecodeError(f"not an HTTP start line: {start_line!r}")
         headers: dict[str, str] = {}
-        for line in lines[1:]:
+        for line in header_text.split("\r\n"):
             if not line:
                 continue
             key, _, value = line.partition(":")

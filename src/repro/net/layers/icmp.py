@@ -14,8 +14,10 @@ TYPE_ECHO_REPLY = 0
 TYPE_DEST_UNREACHABLE = 3
 TYPE_ECHO_REQUEST = 8
 
+_HEADER = struct.Struct("!BBHHH")
 
-@dataclass
+
+@dataclass(slots=True)
 class ICMPMessage:
     """An ICMPv4 message (echo request/reply, destination unreachable, ...)."""
 
@@ -35,7 +37,7 @@ class ICMPMessage:
 
     def to_bytes(self) -> bytes:
         """Serialise with a valid ICMP checksum."""
-        header = struct.pack("!BBHHH", self.icmp_type, self.code, 0, self.identifier, self.sequence)
+        header = _HEADER.pack(self.icmp_type, self.code, 0, self.identifier, self.sequence)
         raw = header + self.payload
         csum = checksum(raw)
         return raw[:2] + struct.pack("!H", csum) + raw[4:]
@@ -44,7 +46,7 @@ class ICMPMessage:
     def from_bytes(cls, raw: bytes) -> tuple["ICMPMessage", bytes]:
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"ICMP message too short: {len(raw)} bytes")
-        icmp_type, code, _csum, identifier, sequence = struct.unpack("!BBHHH", raw[:HEADER_LEN])
+        icmp_type, code, _csum, identifier, sequence = _HEADER.unpack_from(raw)
         return (
             cls(
                 icmp_type=icmp_type,

@@ -17,8 +17,10 @@ TYPE_NEIGHBOR_ADVERTISEMENT = 136
 TYPE_ECHO_REQUEST = 128
 TYPE_ECHO_REPLY = 129
 
+_HEADER = struct.Struct("!BBH")
 
-@dataclass
+
+@dataclass(slots=True)
 class ICMPv6Message:
     """An ICMPv6 message.
 
@@ -46,11 +48,11 @@ class ICMPv6Message:
     def to_bytes(self) -> bytes:
         # The real ICMPv6 checksum requires an IPv6 pseudo-header; the
         # dissector never validates it, so zero is written here.
-        return struct.pack("!BBH", self.icmp_type, self.code, 0) + self.body
+        return _HEADER.pack(self.icmp_type, self.code, 0) + self.body
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["ICMPv6Message", bytes]:
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"ICMPv6 message too short: {len(raw)} bytes")
-        icmp_type, code, _csum = struct.unpack("!BBH", raw[:HEADER_LEN])
+        icmp_type, code, _csum = _HEADER.unpack_from(raw)
         return cls(icmp_type=icmp_type, code=code, body=raw[HEADER_LEN:]), b""

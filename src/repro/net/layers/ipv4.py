@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from socket import inet_ntoa
 
 from repro.exceptions import PacketBuildError, PacketDecodeError
-from repro.net.addresses import ipv4_from_bytes, ipv4_to_bytes
+from repro.net.addresses import ipv4_to_bytes
 
 MIN_HEADER_LEN = 20
 
@@ -18,8 +19,10 @@ OPTION_END = 0
 OPTION_NOP = 1
 OPTION_ROUTER_ALERT = 148  # copied=1, class=0, number=20
 
+_HEADER = struct.Struct("!BBHHHBBH4s4s")
 
-@dataclass
+
+@dataclass(slots=True)
 class IPOption:
     """A single IPv4 header option (type / optional data)."""
 
@@ -78,7 +81,7 @@ def checksum(data: bytes) -> int:
     return (~total) & 0xFFFF
 
 
-@dataclass
+@dataclass(slots=True)
 class IPv4Header:
     """An IPv4 header with options.
 
@@ -118,8 +121,7 @@ class IPv4Header:
         options_raw = self._options_bytes()
         ihl = (MIN_HEADER_LEN + len(options_raw)) // 4
         total_length = self.total_length or (ihl * 4 + len(payload))
-        header = struct.pack(
-            "!BBHHHBBH4s4s",
+        header = _HEADER.pack(
             (4 << 4) | ihl,
             self.dscp << 2,
             total_length,
@@ -159,19 +161,21 @@ class IPv4Header:
             _checksum,
             src_raw,
             dst_raw,
-        ) = struct.unpack("!BBHHHBBH4s4s", raw[:MIN_HEADER_LEN])
+        ) = _HEADER.unpack_from(raw)
         options = _parse_options(raw[MIN_HEADER_LEN:ihl]) if ihl > MIN_HEADER_LEN else []
+        # Positional, in field order: src, dst, protocol, ttl,
+        # identification, dscp, flags, fragment_offset, total_length, options.
         header = cls(
-            src=ipv4_from_bytes(src_raw),
-            dst=ipv4_from_bytes(dst_raw),
-            protocol=protocol,
-            ttl=ttl,
-            identification=identification,
-            dscp=tos >> 2,
-            flags=flags_fragment >> 13,
-            fragment_offset=flags_fragment & 0x1FFF,
-            total_length=total_length,
-            options=options,
+            inet_ntoa(src_raw),  # the Struct fixes both addresses at 4 bytes
+            inet_ntoa(dst_raw),
+            protocol,
+            ttl,
+            identification,
+            tos >> 2,
+            flags_fragment >> 13,
+            flags_fragment & 0x1FFF,
+            total_length,
+            options,
         )
         payload_end = min(len(raw), total_length) if total_length >= ihl else len(raw)
         return header, raw[ihl:payload_end]

@@ -19,8 +19,10 @@ HBH_OPTION_PAD1 = 0
 HBH_OPTION_PADN = 1
 HBH_OPTION_ROUTER_ALERT = 5
 
+_HEADER = struct.Struct("!IHBB16s16s")
 
-@dataclass
+
+@dataclass(slots=True)
 class IPv6Header:
     """An IPv6 header, optionally followed by a hop-by-hop options header.
 
@@ -74,26 +76,27 @@ class IPv6Header:
             first_next_header = self.next_header
         payload_length = self.payload_length or len(payload)
         vtf = (6 << 28) | (self.traffic_class << 20) | self.flow_label
-        header = struct.pack(
-            "!IHBB",
+        header = _HEADER.pack(
             vtf,
             payload_length,
             first_next_header,
             self.hop_limit,
+            ipv6_to_bytes(self.src),
+            ipv6_to_bytes(self.dst),
         )
-        return header + ipv6_to_bytes(self.src) + ipv6_to_bytes(self.dst) + payload
+        return header + payload
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["IPv6Header", bytes]:
         """Parse an IPv6 header (and hop-by-hop header), returning payload."""
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"IPv6 header too short: {len(raw)} bytes")
-        vtf, payload_length, next_header, hop_limit = struct.unpack("!IHBB", raw[:8])
+        vtf, payload_length, next_header, hop_limit, src_raw, dst_raw = _HEADER.unpack_from(raw)
         version = vtf >> 28
         if version != 6:
             raise PacketDecodeError(f"not an IPv6 packet (version={version})")
-        src = ipv6_from_bytes(raw[8:24])
-        dst = ipv6_from_bytes(raw[24:40])
+        src = ipv6_from_bytes(src_raw)
+        dst = ipv6_from_bytes(dst_raw)
         payload = raw[HEADER_LEN:]
         hbh_options: list[int] = []
         if next_header == NEXT_HEADER_HOP_BY_HOP:

@@ -14,7 +14,7 @@ SAP_SPANNING_TREE = 0x42
 SAP_NETBIOS = 0xF0
 
 
-@dataclass
+@dataclass(slots=True)
 class LLCHeader:
     """An 802.2 LLC header (DSAP, SSAP, control).
 

@@ -13,8 +13,10 @@ PORT_NTP = 123
 MODE_CLIENT = 3
 MODE_SERVER = 4
 
+_TRANSMIT_TIMESTAMP = struct.Struct("!Q")
 
-@dataclass
+
+@dataclass(slots=True)
 class NTPMessage:
     """An NTP packet.
 
@@ -35,7 +37,7 @@ class NTPMessage:
     def to_bytes(self) -> bytes:
         first = (0 << 6) | (self.version << 3) | self.mode
         header = struct.pack("!BBBb", first, self.stratum, 0, -20)
-        body = b"\x00" * 36 + struct.pack("!Q", self.transmit_timestamp)
+        body = b"\x00" * 36 + _TRANSMIT_TIMESTAMP.pack(self.transmit_timestamp)
         return header + body
 
     @classmethod
@@ -46,7 +48,7 @@ class NTPMessage:
         version = (first >> 3) & 0x07
         mode = first & 0x07
         stratum = raw[1]
-        (transmit_timestamp,) = struct.unpack("!Q", raw[40:48])
+        (transmit_timestamp,) = _TRANSMIT_TIMESTAMP.unpack_from(raw, 40)
         return (
             cls(mode=mode, version=version, stratum=stratum, transmit_timestamp=transmit_timestamp),
             raw[HEADER_LEN:],

@@ -12,7 +12,7 @@ MULTICAST_GROUP_V4 = "239.255.255.250"
 MULTICAST_GROUP_V6 = "ff02::c"
 
 
-@dataclass
+@dataclass(slots=True)
 class SSDPMessage:
     """An SSDP M-SEARCH, NOTIFY or response message.
 

@@ -15,8 +15,10 @@ FLAG_RST = 0x04
 FLAG_PSH = 0x08
 FLAG_ACK = 0x10
 
+_HEADER = struct.Struct("!HHIIBBHHH")
 
-@dataclass
+
+@dataclass(slots=True)
 class TCPSegment:
     """A TCP segment (header fields + payload).
 
@@ -47,8 +49,7 @@ class TCPSegment:
         return len(self.payload) > 0
 
     def to_bytes(self) -> bytes:
-        header = struct.pack(
-            "!HHIIBBHHH",
+        header = _HEADER.pack(
             self.src_port,
             self.dst_port,
             self.seq,
@@ -65,8 +66,8 @@ class TCPSegment:
     def from_bytes(cls, raw: bytes) -> tuple["TCPSegment", bytes]:
         if len(raw) < MIN_HEADER_LEN:
             raise PacketDecodeError(f"TCP segment too short: {len(raw)} bytes")
-        (src_port, dst_port, seq, ack, offset_reserved, flags, window, _csum, _urg) = struct.unpack(
-            "!HHIIBBHHH", raw[:MIN_HEADER_LEN]
+        src_port, dst_port, seq, ack, offset_reserved, flags, window, _csum, _urg = (
+            _HEADER.unpack_from(raw)
         )
         data_offset = (offset_reserved >> 4) * 4
         if data_offset < MIN_HEADER_LEN or data_offset > len(raw):

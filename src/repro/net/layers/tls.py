@@ -18,8 +18,10 @@ HANDSHAKE_SERVER_HELLO = 2
 
 RECORD_HEADER_LEN = 5
 
+_HEADER = struct.Struct("!BHH")
 
-@dataclass
+
+@dataclass(slots=True)
 class TLSRecord:
     """A single TLS record.
 
@@ -42,13 +44,13 @@ class TLSRecord:
         return self.is_handshake and len(self.payload) > 0 and self.payload[0] == HANDSHAKE_CLIENT_HELLO
 
     def to_bytes(self) -> bytes:
-        return struct.pack("!BHH", self.content_type, self.version, len(self.payload)) + self.payload
+        return _HEADER.pack(self.content_type, self.version, len(self.payload)) + self.payload
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> tuple["TLSRecord", bytes]:
         if len(raw) < RECORD_HEADER_LEN:
             raise PacketDecodeError(f"TLS record too short: {len(raw)} bytes")
-        content_type, version, length = struct.unpack("!BHH", raw[:RECORD_HEADER_LEN])
+        content_type, version, length = _HEADER.unpack_from(raw)
         if content_type not in (20, 21, 22, 23):
             raise PacketDecodeError(f"unknown TLS content type: {content_type}")
         payload = raw[RECORD_HEADER_LEN : RECORD_HEADER_LEN + length]

@@ -9,8 +9,10 @@ from repro.exceptions import PacketDecodeError
 
 HEADER_LEN = 8
 
+_HEADER = struct.Struct("!HHHH")
 
-@dataclass
+
+@dataclass(slots=True)
 class UDPDatagram:
     """A UDP datagram (header fields + payload).
 
@@ -29,7 +31,7 @@ class UDPDatagram:
 
     def to_bytes(self) -> bytes:
         return (
-            struct.pack("!HHHH", self.src_port, self.dst_port, HEADER_LEN + len(self.payload), 0)
+            _HEADER.pack(self.src_port, self.dst_port, HEADER_LEN + len(self.payload), 0)
             + self.payload
         )
 
@@ -37,7 +39,7 @@ class UDPDatagram:
     def from_bytes(cls, raw: bytes) -> tuple["UDPDatagram", bytes]:
         if len(raw) < HEADER_LEN:
             raise PacketDecodeError(f"UDP datagram too short: {len(raw)} bytes")
-        src_port, dst_port, length, _csum = struct.unpack("!HHHH", raw[:HEADER_LEN])
+        src_port, dst_port, length, _csum = _HEADER.unpack_from(raw)
         if length < HEADER_LEN:
             raise PacketDecodeError(f"invalid UDP length: {length}")
         payload = raw[HEADER_LEN : max(HEADER_LEN, min(len(raw), length))]

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from repro.exceptions import PacketDecodeError
 from repro.net.addresses import MACAddress
@@ -43,7 +43,7 @@ from repro.net.layers.udp import UDPDatagram
 ApplicationLayer = Union[DHCPMessage, DNSMessage, HTTPMessage, SSDPMessage, NTPMessage, TLSRecord]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A dissected (or constructed) network packet.
 
@@ -68,7 +68,6 @@ class Packet:
     payload: bytes = b""
     timestamp: float = 0.0
     wire_length: int = 0
-    metadata: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     # Convenience accessors used by the feature extractor and gateway.
@@ -211,103 +210,113 @@ class Packet:
         return raw
 
     @classmethod
-    def dissect(cls, raw: bytes, timestamp: float = 0.0) -> "Packet":
+    def dissect(cls, raw: bytes, timestamp: float = 0.0, wire_length: int = 0) -> "Packet":
         """Parse a raw Ethernet frame into a :class:`Packet`.
 
-        Unknown or malformed upper layers never raise: the undissected bytes
-        are kept in ``payload`` so that capture processing is robust against
-        exotic traffic, mirroring how the original system only needs
-        header-level information.
+        ``wire_length`` is the frame's length on the wire when a capture
+        truncated it (a pcap record's original length); ``0`` means
+        ``len(raw)``.  Unknown or malformed upper layers never raise: the
+        undissected bytes are kept in ``payload`` so that capture processing
+        is robust against exotic traffic, mirroring how the original system
+        only needs header-level information.
         """
         ethernet, rest = EthernetFrame.from_bytes(raw)
-        packet = cls(ethernet=ethernet, timestamp=timestamp, wire_length=len(raw))
+        packet = cls(ethernet, timestamp=timestamp, wire_length=wire_length or len(raw))
         try:
-            cls._dissect_network(packet, rest)
+            _dissect_network(packet, rest)
         except PacketDecodeError:
             packet.payload = rest
         return packet
 
-    @classmethod
-    def _dissect_network(cls, packet: Packet, rest: bytes) -> None:
-        ethertype = packet.ethernet.ethertype
-        if packet.ethernet.is_llc:
-            packet.llc, packet.payload = LLCHeader.from_bytes(rest)
-            return
-        if ethertype == ETHERTYPE.ARP:
-            packet.arp, _ = ARPPacket.from_bytes(rest)
-            return
-        if ethertype == ETHERTYPE.EAPOL:
-            packet.eapol, packet.payload = EAPOLFrame.from_bytes(rest)
-            return
-        if ethertype == ETHERTYPE.IPV4:
-            packet.ipv4, transport = IPv4Header.from_bytes(rest)
-            cls._dissect_transport_v4(packet, transport)
-            return
-        if ethertype == ETHERTYPE.IPV6:
-            packet.ipv6, transport = IPv6Header.from_bytes(rest)
-            cls._dissect_transport_v6(packet, transport)
-            return
+
+def _dissect_network(packet: Packet, rest: bytes) -> None:
+    # The EtherType tests are disjoint, so the common case goes first.
+    ethertype = packet.ethernet.ethertype
+    if ethertype == ETHERTYPE.IPV4:
+        packet.ipv4, transport = IPv4Header.from_bytes(rest)
+        protocol = packet.ipv4.protocol
+        if protocol == ipv4_mod.PROTO_UDP:
+            packet.udp, _ = UDPDatagram.from_bytes(transport)
+            _dissect_application(packet, packet.udp)
+        elif protocol == ipv4_mod.PROTO_TCP:
+            packet.tcp, _ = TCPSegment.from_bytes(transport)
+            _dissect_application(packet, packet.tcp)
+        elif protocol == ipv4_mod.PROTO_ICMP:
+            packet.icmp, _ = ICMPMessage.from_bytes(transport)
+        else:
+            packet.payload = transport
+    elif ethertype == ETHERTYPE.IPV6:
+        packet.ipv6, transport = IPv6Header.from_bytes(rest)
+        next_header = packet.ipv6.next_header
+        if next_header == ipv6_mod.NEXT_HEADER_UDP:
+            packet.udp, _ = UDPDatagram.from_bytes(transport)
+            _dissect_application(packet, packet.udp)
+        elif next_header == ipv6_mod.NEXT_HEADER_TCP:
+            packet.tcp, _ = TCPSegment.from_bytes(transport)
+            _dissect_application(packet, packet.tcp)
+        elif next_header == ipv6_mod.NEXT_HEADER_ICMPV6:
+            packet.icmpv6, _ = ICMPv6Message.from_bytes(transport)
+        else:
+            packet.payload = transport
+    elif ethertype == ETHERTYPE.ARP:
+        packet.arp, _ = ARPPacket.from_bytes(rest)
+    elif ethertype == ETHERTYPE.EAPOL:
+        packet.eapol, packet.payload = EAPOLFrame.from_bytes(rest)
+    elif packet.ethernet.is_llc:
+        packet.llc, packet.payload = LLCHeader.from_bytes(rest)
+    else:
         packet.payload = rest
 
-    @classmethod
-    def _dissect_transport_v4(cls, packet: Packet, transport: bytes) -> None:
-        protocol = packet.ipv4.protocol if packet.ipv4 is not None else -1
-        if protocol == ipv4_mod.PROTO_ICMP:
-            packet.icmp, _ = ICMPMessage.from_bytes(transport)
-        elif protocol == ipv4_mod.PROTO_TCP:
-            packet.tcp, payload = TCPSegment.from_bytes(transport)
-            cls._dissect_application(packet, payload)
-        elif protocol == ipv4_mod.PROTO_UDP:
-            packet.udp, payload = UDPDatagram.from_bytes(transport)
-            cls._dissect_application(packet, payload)
-        else:
-            packet.payload = transport
 
-    @classmethod
-    def _dissect_transport_v6(cls, packet: Packet, transport: bytes) -> None:
-        next_header = packet.ipv6.next_header if packet.ipv6 is not None else -1
-        if next_header == ipv6_mod.NEXT_HEADER_ICMPV6:
-            packet.icmpv6, _ = ICMPv6Message.from_bytes(transport)
-        elif next_header == ipv6_mod.NEXT_HEADER_TCP:
-            packet.tcp, payload = TCPSegment.from_bytes(transport)
-            cls._dissect_application(packet, payload)
-        elif next_header == ipv6_mod.NEXT_HEADER_UDP:
-            packet.udp, payload = UDPDatagram.from_bytes(transport)
-            cls._dissect_application(packet, payload)
-        else:
-            packet.payload = transport
-
-    @classmethod
-    def _dissect_application(cls, packet: Packet, payload: bytes) -> None:
-        if not payload:
+def _dissect_application(packet: Packet, transport: Union[TCPSegment, UDPDatagram]) -> None:
+    """Parse ``transport``'s payload with the first parser that accepts it."""
+    payload = transport.payload
+    if not payload:
+        return
+    chain = _PARSER_CHAINS[
+        _PARSER_OF_PORT.get(transport.src_port), _PARSER_OF_PORT.get(transport.dst_port)
+    ]
+    for parser in chain:
+        try:
+            packet.application, _ = parser(payload)
             return
-        ports = {packet.src_port, packet.dst_port}
-        parsers = []
-        if ports & {dhcp_mod.SERVER_PORT, dhcp_mod.CLIENT_PORT}:
-            parsers.append(DHCPMessage.from_bytes)
-        if ports & {dns_mod.PORT_DNS, dns_mod.PORT_MDNS}:
-            parsers.append(DNSMessage.from_bytes)
-        if ssdp_mod.PORT_SSDP in ports:
-            parsers.append(SSDPMessage.from_bytes)
-        if ntp_mod.PORT_NTP in ports:
-            parsers.append(NTPMessage.from_bytes)
-        if ports & {tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT}:
-            parsers.append(TLSRecord.from_bytes)
-        if ports & {http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT}:
-            parsers.append(HTTPMessage.from_bytes)
-        for parser in parsers:
-            try:
-                packet.application, _ = parser(payload)
-                return
-            except PacketDecodeError:
-                continue
-        # Fall back to protocol sniffing independent of port numbers.
-        for parser in (HTTPMessage.from_bytes, TLSRecord.from_bytes):
-            try:
-                packet.application, _ = parser(payload)
-                return
-            except PacketDecodeError:
-                continue
+        except PacketDecodeError:
+            continue
+
+
+_Parser = Callable[[bytes], tuple[ApplicationLayer, bytes]]
+
+#: The application parsers a well-known port names, in the order tried.
+_PORT_PARSERS: tuple[tuple[tuple[int, ...], _Parser], ...] = (
+    ((dhcp_mod.SERVER_PORT, dhcp_mod.CLIENT_PORT), DHCPMessage.from_bytes),
+    ((dns_mod.PORT_DNS, dns_mod.PORT_MDNS), DNSMessage.from_bytes),
+    ((ssdp_mod.PORT_SSDP,), SSDPMessage.from_bytes),
+    ((ntp_mod.PORT_NTP,), NTPMessage.from_bytes),
+    ((tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT), TLSRecord.from_bytes),
+    ((http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT), HTTPMessage.from_bytes),
+)
+#: Tried after the port parsers: protocol sniffing independent of ports.
+_SNIFF_PARSERS: tuple[_Parser, ...] = (HTTPMessage.from_bytes, TLSRecord.from_bytes)
+
+_PARSER_OF_PORT: dict[int, _Parser] = {
+    port: parser for ports, parser in _PORT_PARSERS for port in ports
+}
+_NAMED_PARSERS: tuple[Optional[_Parser], ...] = (None, *(parser for _, parser in _PORT_PARSERS))
+
+
+def _parser_chain(*named: Optional[_Parser]) -> tuple[_Parser, ...]:
+    """The parsers the ports' ``named`` parsers select, then the sniffers.
+
+    Parsers are pure, so a sniffer the ports already tried is not re-run.
+    """
+    chain = [parser for _, parser in _PORT_PARSERS if parser in named]
+    return tuple(chain + [parser for parser in _SNIFF_PARSERS if parser not in chain])
+
+
+#: (source port's parser, destination port's parser) -> the parsers to try.
+_PARSER_CHAINS: dict[tuple[Optional[_Parser], Optional[_Parser]], tuple[_Parser, ...]] = {
+    (src, dst): _parser_chain(src, dst) for src in _NAMED_PARSERS for dst in _NAMED_PARSERS
+}
 
 
 __all__ = [

@@ -26,7 +26,7 @@ MAGIC_NANOSECONDS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class CapturedPacket:
     """A raw captured frame together with its capture timestamp."""
 
@@ -36,10 +36,7 @@ class CapturedPacket:
 
     def dissect(self) -> Packet:
         """Dissect the raw frame into a :class:`~repro.net.packet.Packet`."""
-        packet = Packet.dissect(self.data, timestamp=self.timestamp)
-        if self.original_length:
-            packet.wire_length = self.original_length
-        return packet
+        return Packet.dissect(self.data, self.timestamp, self.original_length)
 
 
 class PcapReader:
@@ -56,24 +53,19 @@ class PcapReader:
         with open(self.path, "rb") as handle:
             header = handle.read(GLOBAL_HEADER_LEN)
             self._parse_global_header(header)
+            record = struct.Struct(self._endianness + "IIII")
+            divisor = 1e9 if self._nanoseconds else 1e6
             while True:
                 record_header = handle.read(RECORD_HEADER_LEN)
                 if not record_header:
                     break
                 if len(record_header) < RECORD_HEADER_LEN:
                     raise PcapFormatError("truncated pcap record header")
-                seconds, subseconds, captured_len, original_len = struct.unpack(
-                    self._endianness + "IIII", record_header
-                )
+                seconds, subseconds, captured_len, original_len = record.unpack(record_header)
                 data = handle.read(captured_len)
                 if len(data) < captured_len:
                     raise PcapFormatError("truncated pcap record body")
-                divisor = 1e9 if self._nanoseconds else 1e6
-                yield CapturedPacket(
-                    timestamp=seconds + subseconds / divisor,
-                    data=data,
-                    original_length=original_len,
-                )
+                yield CapturedPacket(seconds + subseconds / divisor, data, original_len)
 
     def _parse_global_header(self, header: bytes) -> None:
         if len(header) < GLOBAL_HEADER_LEN:
@@ -149,6 +141,11 @@ class PcapWriter:
             data = packet
         seconds = int(timestamp)
         microseconds = int(round((timestamp - seconds) * 1e6))
+        if microseconds >= 1_000_000:
+            # The fraction rounded up to a whole second: carry it, since the
+            # subsecond field must stay below 10**6.
+            seconds += 1
+            microseconds -= 1_000_000
         captured = data[: self.snaplen]
         record = struct.pack("<IIII", seconds, microseconds, len(captured), len(data))
         self._handle.write(record + captured)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import PacketDecodeError
+from repro.net import addresses
 from repro.net.addresses import (
     MACAddress,
     ip_to_int,
@@ -37,6 +38,20 @@ class TestMACAddress:
     def test_from_bytes_wrong_length(self):
         with pytest.raises(PacketDecodeError):
             MACAddress.from_bytes(b"\x00\x01\x02")
+
+    def test_from_bytes_accepts_any_bytes_like(self):
+        raw = bytes.fromhex("deadbeef0001")
+        expected = MACAddress.from_string("de:ad:be:ef:00:01")
+        for view in (raw, bytearray(raw), memoryview(raw)):
+            assert MACAddress.from_bytes(view) == expected
+        with pytest.raises(PacketDecodeError):
+            MACAddress.from_bytes(bytearray(7))
+
+    def test_from_bytes_memo_stays_bounded(self):
+        # A spoofed-MAC flood: every frame a new source address.
+        for value in range(2 * addresses._MAC_MEMO_LIMIT + 3):
+            assert MACAddress.from_bytes(value.to_bytes(6, "big")) == MACAddress(value)
+            assert len(addresses._MAC_MEMO) <= addresses._MAC_MEMO_LIMIT
 
     def test_out_of_range_value(self):
         with pytest.raises(ValueError):

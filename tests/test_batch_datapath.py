@@ -11,10 +11,13 @@ verdict as the per-packet run.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
@@ -27,14 +30,32 @@ from repro.distance.damerau_levenshtein import (
     normalized_damerau_levenshtein,
     normalized_pair_distances,
 )
-from repro.exceptions import FingerprintError, SimulationError
+from repro.exceptions import FingerprintError, PacketDecodeError, SimulationError
 from repro.features.packet_features import (
     FEATURE_INDEX,
     PacketFeatureExtractor,
     batch_feature_matrix,
 )
+from repro.net.addresses import MACAddress
 from repro.net.batch import PacketBatch
-from repro.net.pcap import PcapReader, read_pcap, write_pcap
+from repro.net.layers import dhcp as dhcp_mod
+from repro.net.layers import dns as dns_mod
+from repro.net.layers import http as http_mod
+from repro.net.layers import ntp as ntp_mod
+from repro.net.layers import ssdp as ssdp_mod
+from repro.net.layers import tls as tls_mod
+from repro.net.layers.dhcp import DHCPMessage
+from repro.net.layers.dns import DNSMessage
+from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
+from repro.net.layers.http import HTTPMessage
+from repro.net.layers.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Header
+from repro.net.layers.ntp import NTPMessage
+from repro.net.layers.ssdp import SSDPMessage
+from repro.net.layers.tcp import TCPSegment
+from repro.net.layers.tls import TLSRecord
+from repro.net.layers.udp import UDPDatagram
+from repro.net.packet import Packet
+from repro.net.pcap import CapturedPacket, PcapReader, read_pcap, write_pcap
 from repro.streaming import (
     BatchDispatcher,
     IdentificationCache,
@@ -342,6 +363,70 @@ class TestBatchedPipeline:
             checked += assert_scores_match_scalar_oracle(trained_identifier, probe, result)
         assert checked > 0
 
+
+def _set_based_application(src_port, dst_port, payload):
+    """Oracle: the per-payload set-based parser choice the port table replaced."""
+    ports = {src_port, dst_port}
+    parsers = []
+    if ports & {dhcp_mod.SERVER_PORT, dhcp_mod.CLIENT_PORT}:
+        parsers.append(DHCPMessage.from_bytes)
+    if ports & {dns_mod.PORT_DNS, dns_mod.PORT_MDNS}:
+        parsers.append(DNSMessage.from_bytes)
+    if ssdp_mod.PORT_SSDP in ports:
+        parsers.append(SSDPMessage.from_bytes)
+    if ntp_mod.PORT_NTP in ports:
+        parsers.append(NTPMessage.from_bytes)
+    if ports & {tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT}:
+        parsers.append(TLSRecord.from_bytes)
+    if ports & {http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT}:
+        parsers.append(HTTPMessage.from_bytes)
+    for parser in parsers + [HTTPMessage.from_bytes, TLSRecord.from_bytes]:
+        try:
+            return parser(payload)[0]
+        except PacketDecodeError:
+            continue
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_frames():
+    """Every frame one setup run of each catalog device sends."""
+    simulator = SetupTrafficSimulator(seed=5)
+    return tuple(
+        packet.to_bytes()
+        for name in sorted(DEVICE_CATALOG)
+        for packet in simulator.simulate(DEVICE_CATALOG[name]).packets
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_payloads():
+    """The distinct non-empty transport payloads of the catalog's frames."""
+    payloads = {
+        Packet.dissect(frame).transport_payload for frame in _catalog_frames()
+    }
+    payloads.discard(b"")
+    return tuple(sorted(payloads))
+
+
+def _transport_frame(src_port, dst_port, payload, tcp=False):
+    """An Ethernet/IPv4 frame carrying ``payload`` in one TCP or UDP segment."""
+    segment = (TCPSegment if tcp else UDPDatagram)(src_port, dst_port, payload=payload)
+    return Packet(
+        ethernet=EthernetFrame(MACAddress(2), MACAddress(1), ETHERTYPE.IPV4),
+        ipv4=IPv4Header("10.0.0.2", "10.0.0.1", PROTO_TCP if tcp else PROTO_UDP),
+        tcp=segment if tcp else None,
+        udp=None if tcp else segment,
+    ).to_bytes()
+
+
+#: Every port the parser table names.
+_NAMED_PORTS = (53, 67, 68, 80, 123, 443, 1900, 5353, 8080, 8443)
+_APPLICATION_PORTS = st.one_of(
+    st.sampled_from(_NAMED_PORTS), st.integers(min_value=0, max_value=65535)
+)
+
+
 # --------------------------------------------------------------------- #
 # Fuzz: the struct-batched frame parser vs Packet.dissect on hostile
 # input -- truncated, byte-flipped and garbage frames (the wire the
@@ -416,6 +501,53 @@ class TestFromFramesFuzz:
             np.testing.assert_array_equal(
                 batch_feature_matrix(batch), batch_feature_matrix(oracle)
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        payload=st.sampled_from(_catalog_payloads()),
+        cut=st.integers(min_value=0, max_value=400),
+        flips=st.lists(st.tuples(st.integers(0, 399), st.integers(0, 255)), max_size=3),
+        src_port=_APPLICATION_PORTS,
+        dst_port=_APPLICATION_PORTS,
+        tcp=st.booleans(),
+    )
+    def test_application_matches_set_based_parser_choice(
+        self, payload, cut, flips, src_port, dst_port, tcp
+    ):
+        mutant = bytearray(payload[: max(1, cut)])
+        for index, value in flips:
+            mutant[index % len(mutant)] = value
+        mutant = bytes(mutant)
+        packet = Packet.dissect(_transport_frame(src_port, dst_port, mutant, tcp))
+        assert (packet.tcp if tcp else packet.udp).payload == mutant
+        assert packet.application == _set_based_application(src_port, dst_port, mutant)
+
+    def test_application_matches_set_based_choice_on_every_named_port_pair(self):
+        ports = _NAMED_PORTS + (9999,)
+        for payload in _catalog_payloads():
+            for src_port in ports:
+                for dst_port in ports:
+                    packet = Packet.dissect(_transport_frame(src_port, dst_port, payload))
+                    expected = _set_based_application(src_port, dst_port, payload)
+                    assert packet.application == expected, (src_port, dst_port, payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        frame=st.sampled_from(_catalog_frames()),
+        keep=st.integers(min_value=14, max_value=1600),
+        extra=st.integers(min_value=0, max_value=64),
+    )
+    def test_wire_length_argument_matches_overriding_after_dissect(self, frame, keep, extra):
+        # A snaplen-truncated capture: the record keeps ``keep`` bytes of a
+        # frame that was ``len(frame) + extra`` bytes long on the wire.
+        data, original = frame[:keep], len(frame) + extra
+        expected = Packet.dissect(data, timestamp=1.5)
+        expected.wire_length = original
+        assert Packet.dissect(data, 1.5, original) == expected
+        assert CapturedPacket(1.5, data, original).dissect() == expected
+        batch = PacketBatch.from_frames([(1.5, data, original)])
+        assert batch.sizes[0] == original
+        assert batch.packet(0) == expected
 
     def test_truncated_ethernet_header_raises_like_dissect(self):
         from repro.exceptions import PacketDecodeError

@@ -14,12 +14,14 @@ import pytest
 import repro.features.fingerprint
 import repro.identification.autopilot
 import repro.identification.lifecycle
+import repro.net.addresses
 import repro.streaming.dispatcher
 
 DOCTESTED_MODULES = [
     repro.features.fingerprint,
     repro.identification.autopilot,
     repro.identification.lifecycle,
+    repro.net.addresses,
     repro.streaming.dispatcher,
 ]
 

@@ -1,12 +1,52 @@
 """Tests for the application-layer dissectors (DHCP, DNS, HTTP, SSDP, NTP, TLS)."""
 
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PacketDecodeError
 from repro.net.addresses import MACAddress
 from repro.net.layers import dhcp, dns, http, ntp, ssdp, tls
 
 MAC = MACAddress.from_string("02:00:00:00:00:11")
+
+
+def _oracle_http(raw):
+    """The HTTP decoder that split every header line before judging the start line."""
+    try:
+        head, _, body = raw.partition(b"\r\n\r\n")
+        text = head.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise PacketDecodeError("HTTP header is not ASCII") from exc
+    lines = text.split("\r\n")
+    if not lines or not lines[0]:
+        raise PacketDecodeError("empty HTTP message")
+    start_line = lines[0]
+    if not (
+        start_line.upper().startswith("HTTP/")
+        or start_line.split(" ", 1)[0].upper() in http._METHODS
+    ):
+        raise PacketDecodeError(f"not an HTTP start line: {start_line!r}")
+    headers = {}
+    for line in lines[1:]:
+        if not line:
+            continue
+        key, _, value = line.partition(":")
+        headers[key.strip()] = value.strip()
+    return start_line, headers, body
+
+
+_http_tokens = st.sampled_from(
+    ["GET", "get", "NOTIFY", "M-SEARCH", "HTTP/1.1", "http/1.0", "HTTP", "FOO", "", " ", "*",
+     "/x", "200", "OK", ":", "Host: a", "\r\n", "\r\n\r\n", "\r", "\n", "\x80", "\xff"]
+)
+#: Text assembled from HTTP-ish tokens, so start lines and header blocks
+#: come up often and the non-ASCII and empty-line branches are reached.
+http_like_payloads = st.lists(_http_tokens, max_size=12).map(
+    lambda tokens: "".join(tokens).encode("latin-1")
+)
 
 
 class TestDHCP:
@@ -117,6 +157,19 @@ class TestHTTP:
     def test_binary_garbage(self):
         with pytest.raises(PacketDecodeError):
             http.HTTPMessage.from_bytes(bytes(range(256)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.binary(max_size=120), http_like_payloads))
+    def test_accepts_and_rejects_like_the_split_all_lines_oracle(self, raw):
+        try:
+            expected = _oracle_http(raw)
+        except PacketDecodeError as exc:
+            with pytest.raises(PacketDecodeError, match=f"^{re.escape(str(exc))}$"):
+                http.HTTPMessage.from_bytes(raw)
+        else:
+            message, rest = http.HTTPMessage.from_bytes(raw)
+            assert (message.start_line, message.headers, message.body) == expected
+            assert rest == b""
 
 
 class TestSSDP:

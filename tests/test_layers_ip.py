@@ -1,8 +1,13 @@
 """Tests for IPv4/IPv6/ICMP/ICMPv6 dissectors."""
 
+import ipaddress
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PacketDecodeError
+from repro.net.addresses import ipv4_from_bytes
 from repro.net.layers.icmp import ICMPMessage, TYPE_ECHO_REPLY, TYPE_ECHO_REQUEST
 from repro.net.layers.icmpv6 import (
     ICMPv6Message,
@@ -20,6 +25,22 @@ from repro.net.layers.ipv4 import (
     checksum,
 )
 from repro.net.layers.ipv6 import HBH_OPTION_ROUTER_ALERT, IPv6Header, NEXT_HEADER_UDP
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(min_size=4, max_size=4))
+def test_ipv4_from_bytes_matches_ipaddress_text(raw):
+    # Oracle: the ipaddress round trip the decoder used before inet_ntoa.
+    assert ipv4_from_bytes(raw) == str(ipaddress.IPv4Address(raw))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=20, max_size=20), st.binary(max_size=20))
+def test_ipv4_header_addresses_match_ipaddress_text(header, payload):
+    raw = bytes([0x45]) + header[1:] + payload
+    parsed, _ = IPv4Header.from_bytes(raw)
+    assert parsed.src == str(ipaddress.IPv4Address(raw[12:16]))
+    assert parsed.dst == str(ipaddress.IPv4Address(raw[16:20]))
 
 
 class TestIPv4Header:

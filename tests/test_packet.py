@@ -1,6 +1,14 @@
 """Tests for the layered Packet model and the top-level dissector."""
 
+import copy
+import dataclasses
+import importlib
+import pickle
+import pkgutil
+
 from repro.net.addresses import MACAddress
+from repro.net.batch import PacketBatch
+from repro.net.flow import FlowKey
 from repro.net.layers import dhcp, dns, http, ssdp, tls
 from repro.net.layers.arp import OP_REQUEST, ARPPacket
 from repro.net.layers.eapol import EAPOLFrame, TYPE_KEY
@@ -12,6 +20,7 @@ from repro.net.layers.llc import LLCHeader
 from repro.net.layers.tcp import FLAG_ACK, FLAG_PSH, TCPSegment
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
+from repro.net.pcap import CapturedPacket
 
 SRC = MACAddress.from_string("02:00:00:00:00:aa")
 DST = MACAddress.from_string("02:00:00:00:00:bb")
@@ -173,3 +182,41 @@ class TestPacketProperties:
         summary = packet.summary
         assert "UDP 5353->5353" in summary
         assert "DNSMessage" in summary
+
+
+class TestSlottedObjects:
+    def test_every_per_packet_net_dataclass_defines_slots(self):
+        import repro.net
+
+        modules = [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.net.__path__, "repro.net.")
+        ]
+        classes = {
+            value
+            for module in modules
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and dataclasses.is_dataclass(value)
+            and value.__module__.startswith("repro.net.")
+        }
+        classes.discard(PacketBatch)  # one per batch of packets, not per packet
+        assert {Packet, CapturedPacket, MACAddress, FlowKey, EthernetFrame} <= classes
+        unslotted = sorted(cls.__name__ for cls in classes if "__slots__" not in vars(cls))
+        assert unslotted == []
+
+    def test_dissected_packet_pickles_and_deep_copies(self):
+        packet = Packet.dissect(
+            Packet(
+                ethernet=_eth(),
+                ipv4=IPv4Header(src="10.0.0.1", dst="10.0.0.2", protocol=PROTO_UDP),
+                udp=UDPDatagram(src_port=68, dst_port=67),
+                application=dhcp.discover(SRC, hostname="cam"),
+            ).to_bytes(),
+            timestamp=3.25,
+        )
+        assert not hasattr(packet, "__dict__")
+        assert pickle.loads(pickle.dumps(packet)) == packet
+        clone = copy.deepcopy(packet)
+        assert clone == packet
+        assert clone.ethernet.src == SRC and hash(clone.ethernet.src) == hash(SRC)

@@ -83,6 +83,15 @@ class TestPcapRoundtrip:
         assert captured[0].original_length == len(packet.to_bytes())
         assert captured[0].dissect().wire_length == len(packet.to_bytes())
 
+    def test_subsecond_rounding_carries_into_seconds(self, tmp_path):
+        # 1.9999996 s rounds to 2 s; the microsecond field must stay < 10**6.
+        path = tmp_path / "carry.pcap"
+        with PcapWriter(path) as writer:
+            writer.write(b"\x00" * 60, timestamp=1.9999996)
+        seconds, microseconds = struct.unpack_from("<II", path.read_bytes(), 24)
+        assert (seconds, microseconds) == (2, 0)
+        assert next(iter(PcapReader(path))).timestamp == 2.0
+
 
 class TestPcapErrors:
     def test_bad_magic(self, tmp_path):
