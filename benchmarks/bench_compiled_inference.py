@@ -1,18 +1,17 @@
-"""Compiled vs interpreted forest inference on the identification workload.
+"""Batched vs per-sample forest inference on the identification workload.
 
-The interpreted predict path walks ``_Node`` objects one sample at a time;
-the compiled path (:mod:`repro.ml.compiled`) flattens every fitted tree
-into contiguous arrays and descends whole batches level by level.  This
-benchmark measures both on the paper's fixed-length fingerprints:
+A fitted forest is flat node arrays (:mod:`repro.ml.compiled`) whose
+descent advances a whole batch level by level.  This benchmark measures
+what batching buys on the paper's fixed-length fingerprints:
 
-* *forest level* -- one Random Forest scoring a large fingerprint batch,
-  the unit of work every per-device-type classifier performs; and
+* *forest level* -- one Random Forest scoring a large fingerprint batch
+  in one call, against one call per sample of the same forest; and
 * *bank level* -- a full :class:`~repro.identification.ClassifierBank`
   scoring a ``(batch x device-types)`` matrix through its fused forest
-  stack the way the streaming dispatcher does, against the historical
-  per-sample/per-type interpreted loop (at batch 192) and against one
-  compiled-forest call per type (at batch 12, the facade's mean batch).
-  The fused scores must be bitwise equal to the per-type forests.
+  stack the way the streaming dispatcher does, against a per-sample,
+  per-type loop of forest calls (at batch 192) and against one forest
+  call per type (at batch 12, the facade's mean batch).  The fused scores
+  must be bitwise equal to the per-type forests.
 
 Headline numbers land in ``BENCH_compiled_inference.json`` so CI tracks
 the speedup over time.  ``REPRO_BENCH_QUICK=1`` shrinks the batch for
@@ -58,27 +57,28 @@ def test_compiled_forest_speedup(bench_dataset, bench_report):
     registry = bench_dataset.to_registry()
     X, labels = registry.training_matrices()
     forest = RandomForestClassifier(n_estimators=10, random_state=BENCH_SEED).fit(X, labels)
-    compiled = forest.compile()
 
     rng = np.random.default_rng(BENCH_SEED)
     batch = X[rng.integers(0, len(X), size=FOREST_BATCH)].astype(np.float64)
 
-    interpreted_seconds, interpreted = _timed(lambda: forest.predict_proba(batch))
-    compiled_seconds, vectorized = _timed(
-        lambda: compiled.predict_proba(batch), repeats=COMPILED_REPEATS
+    per_sample_seconds, per_sample = _timed(
+        lambda: np.vstack([forest.predict_proba(row) for row in batch])
     )
-    speedup = interpreted_seconds / compiled_seconds
+    batched_seconds, vectorized = _timed(
+        lambda: forest.predict_proba(batch), repeats=COMPILED_REPEATS
+    )
+    speedup = per_sample_seconds / batched_seconds
 
     print()
-    print("Compiled forest inference (single multiclass forest)")
+    print("Forest inference (single multiclass forest)")
     print(f"  batch size                     {len(batch)}")
-    print(f"  trees / total nodes            {compiled.n_estimators} / {compiled.node_count}")
-    print(f"  interpreted predict_proba      {interpreted_seconds * 1000:.1f} ms")
-    print(f"  compiled predict_proba         {compiled_seconds * 1000:.2f} ms")
+    print(f"  trees / total nodes            {forest.n_estimators} / {forest.node_count}")
+    print(f"  per-sample predict_proba       {per_sample_seconds * 1000:.1f} ms")
+    print(f"  batched predict_proba          {batched_seconds * 1000:.2f} ms")
     print(f"  speedup                        {speedup:.1f}x")
 
-    # The compiled path must be a pure optimisation: identical outputs.
-    assert np.array_equal(interpreted, vectorized)
+    # Batching must be a pure optimisation: identical outputs.
+    assert np.array_equal(per_sample, vectorized)
     assert speedup >= SPEEDUP_FLOOR
 
     bench_report(
@@ -86,10 +86,10 @@ def test_compiled_forest_speedup(bench_dataset, bench_report):
         {
             "forest": {
                 "batch_size": int(len(batch)),
-                "n_estimators": compiled.n_estimators,
-                "node_count": compiled.node_count,
-                "interpreted_seconds": interpreted_seconds,
-                "compiled_seconds": compiled_seconds,
+                "n_estimators": forest.n_estimators,
+                "node_count": forest.node_count,
+                "per_sample_seconds": per_sample_seconds,
+                "batched_seconds": batched_seconds,
                 "speedup": speedup,
             }
         },
@@ -119,20 +119,17 @@ def test_bank_batch_scoring_speedup(bench_identifier, bench_dataset, bench_repor
         [fingerprint.to_fixed_vector(bank.fixed_packet_count) for fingerprint in chosen]
     ).astype(np.float64)
 
-    def legacy_nested_loop():
-        # The pre-refactor shape: per sample, per type, one interpreted
-        # forest call on a single row.
+    def per_sample_loop():
+        # Per sample, per type, one forest call on a single row.
         verdicts = []
         for row in matrix:
-            sample = np.atleast_2d(row)
             for device_type in bank.device_types:
-                classifier = bank.classifier_of(device_type)
-                verdicts.append(classifier.model.predict_proba(sample))
+                verdicts.append(bank.classifier_of(device_type).compiled.predict_proba(row))
         return verdicts
 
-    legacy_seconds, _ = _timed(legacy_nested_loop)
+    per_sample_seconds, _ = _timed(per_sample_loop)
     batched_seconds, scores = _timed(lambda: bank.score_batch(matrix), repeats=COMPILED_REPEATS)
-    speedup = legacy_seconds / batched_seconds
+    speedup = per_sample_seconds / batched_seconds
 
     facade = matrix[:FACADE_BATCH]
     per_type_seconds, _ = _timed(lambda: _per_type_scores(bank, facade), repeats=COMPILED_REPEATS)
@@ -143,7 +140,7 @@ def test_bank_batch_scoring_speedup(bench_identifier, bench_dataset, bench_repor
     print("Classifier bank batch scoring (batch x device-types)")
     print(f"  batch size                     {len(matrix)}")
     print(f"  device-types                   {len(bank.device_types)}")
-    print(f"  legacy nested loop             {legacy_seconds * 1000:.1f} ms")
+    print(f"  per-sample, per-type loop      {per_sample_seconds * 1000:.1f} ms")
     print(f"  fused batch scoring            {batched_seconds * 1000:.2f} ms")
     print(f"  speedup                        {speedup:.1f}x")
     print(f"  batch {FACADE_BATCH}: per-type forests      {per_type_seconds * 1000:.2f} ms")
@@ -162,7 +159,7 @@ def test_bank_batch_scoring_speedup(bench_identifier, bench_dataset, bench_repor
             "bank": {
                 "batch_size": int(len(matrix)),
                 "device_types": len(bank.device_types),
-                "legacy_seconds": legacy_seconds,
+                "per_sample_seconds": per_sample_seconds,
                 "batched_seconds": batched_seconds,
                 "speedup": speedup,
             },

@@ -6,8 +6,8 @@ The package is organised in layers that mirror the paper's system design:
   (stand-in for scapy, which is not available offline).
 * :mod:`repro.features` -- the 23 per-packet features of Table I and the
   variable-length / fixed-length device fingerprints ``F`` and ``F'``.
-* :mod:`repro.ml` -- CART decision trees, Random Forests, cross-validation
-  and metrics (stand-in for scikit-learn).
+* :mod:`repro.ml` -- CART decision trees, Random Forests as flat node
+  arrays, stratified k-fold splits and metrics (stand-in for scikit-learn).
 * :mod:`repro.distance` -- Damerau-Levenshtein edit distance over packet
   sequences used by the discrimination stage.
 * :mod:`repro.identification` -- the two-stage device-type identification

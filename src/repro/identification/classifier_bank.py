@@ -30,21 +30,19 @@ POSITIVE_LABEL = 1
 class DeviceTypeClassifier:
     """The binary accept/reject classifier of a single device-type.
 
-    ``compiled`` (the flattened-array forest) is what scores.  ``model``,
-    the interpreted forest it was compiled from, is kept only on freshly
-    trained classifiers; the model store reloads the compiled arrays alone.
+    ``compiled`` is the fitted forest's node arrays: what scores, and what
+    the model store saves and reloads.
     """
 
     device_type: str
     compiled: CompiledForest
-    model: Optional[RandomForestClassifier] = None
     positive_count: int = 0
     negative_count: int = 0
 
     def accepts(self, fixed_vector: np.ndarray) -> bool:
         """True when the classifier predicts the fingerprint matches its type."""
-        prediction = self.compiled.predict(np.atleast_2d(fixed_vector))[0]
-        return int(prediction) == POSITIVE_LABEL
+        probabilities = self.compiled.predict_proba(fixed_vector)[0]
+        return int(self.compiled.classes_[np.argmax(probabilities)]) == POSITIVE_LABEL
 
 
 @dataclass(frozen=True)
@@ -200,16 +198,14 @@ class ClassifierBank:
                 np.full(len(negative_matrix), NEGATIVE_LABEL),
             ]
         )
-        model = RandomForestClassifier(
+        forest = RandomForestClassifier(
             n_estimators=self.n_estimators,
             max_depth=self.max_depth,
             random_state=int(self._rng.integers(0, 2**31 - 1)),
         )
-        model.fit(X, y)
         classifier = DeviceTypeClassifier(
             device_type=device_type,
-            compiled=model.compile(),
-            model=model,
+            compiled=forest.fit(X, y),
             positive_count=len(positive_matrix),
             negative_count=len(negative_matrix),
         )

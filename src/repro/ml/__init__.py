@@ -1,14 +1,15 @@
 """Machine-learning substrate: a scikit-learn stand-in.
 
 The paper trains one binary Random Forest classifier per device-type.  This
-subpackage provides a from-scratch implementation of CART decision trees,
-bootstrap-aggregated Random Forests, stratified k-fold cross-validation,
-common classification metrics and two simple baselines (Gaussian naive
-Bayes and k-nearest-neighbours) used for comparison experiments.
+subpackage provides a from-scratch implementation of CART decision trees
+and bootstrap-aggregated Random Forests (fitted straight into the flat
+node arrays of :class:`CompiledForest`), stratified k-fold splits, negative
+subsampling, common classification metrics and three simple baselines
+(majority class, Gaussian naive Bayes and k-nearest-neighbours).
 """
 
 from repro.ml.baselines import GaussianNaiveBayes, KNeighborsClassifier, MajorityClassClassifier
-from repro.ml.compiled import CompiledForest, CompiledTree
+from repro.ml.compiled import CompiledForest
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.metrics import (
     accuracy_score,
@@ -18,13 +19,12 @@ from repro.ml.metrics import (
     precision_score,
     recall_score,
 )
-from repro.ml.sampling import bootstrap_indices, negative_subsample, train_test_split
+from repro.ml.sampling import negative_subsample, train_test_split
 from repro.ml.tree import DecisionTreeClassifier
-from repro.ml.validation import StratifiedKFold, cross_val_predict
+from repro.ml.validation import StratifiedKFold
 
 __all__ = [
     "CompiledForest",
-    "CompiledTree",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
     "GaussianNaiveBayes",
@@ -37,8 +37,6 @@ __all__ = [
     "f1_score",
     "classification_report",
     "StratifiedKFold",
-    "cross_val_predict",
-    "bootstrap_indices",
     "negative_subsample",
     "train_test_split",
 ]

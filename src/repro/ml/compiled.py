@@ -1,161 +1,41 @@
-"""Compiled (flattened, vectorized) inference for CART trees and forests.
+"""Fitted forests as flat node arrays, scored by one vectorised descent.
 
-The interpreted predict path walks ``_Node`` objects one sample at a time
-in a Python loop, so a batch of ``n`` fingerprints against a bank of ``T``
-device-type forests costs ``n x T x trees x depth`` Python iterations.
-Compiling a fitted tree flattens it into contiguous numpy arrays (feature
-index, threshold, child pointers and a per-node class-probability matrix)
-and evaluates whole batches level by level: every iteration advances *all*
-still-descending samples one level with a handful of vectorized gathers,
-so the Python-loop count drops from ``n x depth`` to ``depth``.
-:class:`ForestStack` goes one step further for a bank of forests: every
-forest's nodes share one array set, so a whole bank descends in one loop.
+A fitted Random Forest exists in one form only: every tree's nodes
+(feature index, threshold, child pointers and a per-node class-probability
+matrix) stacked back to back in one array set, with ``offsets`` marking
+where each tree starts.  The trees grow straight into these rows
+(:mod:`repro.ml.tree`), the model store ships them
+(:meth:`CompiledForest.pack` / :meth:`CompiledForest.unpack`) and the
+gateway scores them.  :func:`_descend` advances *every* ``(sample, tree)``
+pair of a batch one level per Python iteration with a handful of
+vectorised gathers, so the loop count is the deepest descent, not
+``n x trees x depth``.  :class:`ForestStack` fuses a bank of forests into
+one array set, so a whole bank descends in one loop.
 
-The arrays are also the on-disk representation used by
-:mod:`repro.identification.model_store`: a compiled forest round-trips
-through :meth:`CompiledForest.pack` / :meth:`CompiledForest.unpack`
-without ever rebuilding ``_Node`` objects.
-
-Compiled predictions are bitwise-identical to the interpreted path: leaf
-probability vectors are copied verbatim and the split comparison
-(``x <= threshold``) is evaluated on the same float64 values.
+>>> import numpy as np
+>>> from repro.ml.forest import RandomForestClassifier
+>>> X = np.array([[0.0], [1.0], [2.0], [3.0]])
+>>> forest = RandomForestClassifier(n_estimators=2, bootstrap=False, random_state=0).fit(
+...     X, np.array([0, 0, 1, 1]))
+>>> sorted(forest.pack())
+['classes', 'feature', 'left', 'n_features', 'offsets', 'probabilities', 'right', 'threshold']
+>>> forest.offsets.tolist(), forest.feature.tolist(), forest.threshold.tolist()
+([0, 3, 6], [0, -1, -1, 0, -1, -1], [1.5, 0.0, 0.0, 1.5, 0.0, 0.0])
+>>> forest.predict_proba(np.array([[0.5], [2.5]])).tolist()
+[[1.0, 0.0], [0.0, 1.0]]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.exceptions import ModelError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.ml.tree import DecisionTreeClassifier, _Node
-
-#: Sentinel feature index marking a leaf row in the flattened arrays.
+#: Sentinel feature index marking a leaf row in the node arrays.
 LEAF = -1
-
-
-def _flatten_nodes(root: "_Node") -> list["_Node"]:
-    """Collect every node of a tree iteratively (no recursion), preorder."""
-    nodes: list["_Node"] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if not node.is_leaf:
-            # Push right first so the left child is visited (and numbered)
-            # immediately after its parent.
-            stack.append(node.right)
-            stack.append(node.left)
-    return nodes
-
-
-@dataclass(frozen=True)
-class CompiledTree:
-    """A fitted decision tree flattened into contiguous arrays.
-
-    Attributes:
-        feature: per-node split feature index, ``LEAF`` (-1) for leaves.
-        threshold: per-node split threshold (``x <= t`` goes left).
-        left / right: per-node child row indices (0 for leaves).
-        probabilities: per-node class distribution; only leaf rows are read
-            at predict time, inner rows are zero.
-        classes_: class labels, in the column order of ``probabilities``.
-        n_features_: expected input dimensionality.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    probabilities: np.ndarray
-    classes_: np.ndarray
-    n_features_: int
-
-    @classmethod
-    def from_tree(cls, tree: "DecisionTreeClassifier") -> "CompiledTree":
-        """Flatten a fitted :class:`DecisionTreeClassifier`."""
-        if tree._root is None or tree.classes_ is None:
-            raise ModelError("cannot compile an unfitted tree")
-        nodes = _flatten_nodes(tree._root)
-        index_of = {id(node): index for index, node in enumerate(nodes)}
-        count = len(nodes)
-        feature = np.full(count, LEAF, dtype=np.int32)
-        threshold = np.zeros(count, dtype=np.float64)
-        left = np.zeros(count, dtype=np.int32)
-        right = np.zeros(count, dtype=np.int32)
-        probabilities = np.zeros((count, len(tree.classes_)), dtype=np.float64)
-        for index, node in enumerate(nodes):
-            if node.is_leaf:
-                probabilities[index] = node.probabilities
-            else:
-                feature[index] = node.feature
-                threshold[index] = node.threshold
-                left[index] = index_of[id(node.left)]
-                right[index] = index_of[id(node.right)]
-        return cls(
-            feature=feature,
-            threshold=threshold,
-            left=left,
-            right=right,
-            probabilities=probabilities,
-            classes_=np.asarray(tree.classes_),
-            n_features_=tree.n_features_,
-        )
-
-    @property
-    def node_count(self) -> int:
-        return len(self.feature)
-
-    @property
-    def depth(self) -> int:
-        """Depth of the compiled tree (0 for a single leaf), iteratively."""
-        depths = np.zeros(self.node_count, dtype=np.int64)
-        deepest = 0
-        for index in range(self.node_count):
-            if self.feature[index] == LEAF:
-                deepest = max(deepest, int(depths[index]))
-            else:
-                depths[self.left[index]] = depths[index] + 1
-                depths[self.right[index]] = depths[index] + 1
-        return deepest
-
-    def leaf_indices(self, X: np.ndarray) -> np.ndarray:
-        """Row index of the leaf each sample lands in, fully vectorized."""
-        positions = np.zeros(len(X), dtype=np.int64)
-        active = np.nonzero(self.feature[positions] != LEAF)[0]
-        while active.size:
-            current = positions[active]
-            go_left = X[active, self.feature[current]] <= self.threshold[current]
-            advanced = np.where(go_left, self.left[current], self.right[current])
-            positions[active] = advanced
-            active = active[self.feature[advanced] != LEAF]
-        return positions
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability estimates, shape ``(n, n_classes)``."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n_features_:
-            raise ModelError(
-                f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
-            )
-        return self.probabilities[self.leaf_indices(X)]
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels."""
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
-
-
-def _aligned_probabilities(tree: CompiledTree, classes: np.ndarray) -> np.ndarray:
-    """Expand a tree's probability columns onto the forest's class order."""
-    if len(tree.classes_) == len(classes) and np.array_equal(tree.classes_, classes):
-        return tree.probabilities
-    aligned = np.zeros((tree.node_count, len(classes)), dtype=np.float64)
-    column_map = np.searchsorted(classes, tree.classes_)
-    aligned[:, column_map] = tree.probabilities
-    return aligned
 
 
 def _descend(
@@ -185,158 +65,95 @@ def _descend(
     return positions.reshape(samples, width)
 
 
+def _tree_starts(offsets: np.ndarray) -> np.ndarray:
+    """Each node row's tree root row: what turns tree-local pointers global."""
+    return np.repeat(offsets[:-1], np.diff(offsets))
+
+
+def _checked_input(X: np.ndarray, n_features: int) -> np.ndarray:
+    """``X`` as a float64 ``(n, n_features)`` batch, or ModelError."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != n_features:
+        raise ModelError(
+            f"feature count mismatch: model has {n_features}, input has {X.shape[1]}"
+        )
+    return X
+
+
 @dataclass(frozen=True)
 class CompiledForest:
-    """A bank-ready compiled Random Forest: a tuple of compiled trees.
+    """A fitted Random Forest: every tree's nodes in one array set.
 
-    Every tree's probability matrix is pre-aligned onto the forest's class
-    order at compile time, so prediction is a plain sum over trees.  The
-    object is immutable and holds no Python node graphs, which is what the
-    model store serialises.
-
-    On construction the per-tree node blocks are additionally merged into
-    one global array set (child pointers rebased onto global rows), so
-    ``predict_proba`` descends every ``(sample, tree)`` pair of a batch
-    simultaneously: the Python-level loop count is the *maximum tree
-    depth*, not ``n_estimators x depth``.
+    Attributes:
+        offsets: ``n_estimators + 1`` row boundaries; tree ``t`` owns rows
+            ``offsets[t]:offsets[t + 1]`` and is rooted at ``offsets[t]``.
+        feature: per-node split feature index, ``LEAF`` (-1) for leaves.
+        threshold: per-node split threshold (``x <= t`` goes left).
+        left / right: per-node child rows, global across the forest (a
+            leaf points at its own tree's root row).
+        probabilities: per-node class distribution over ``classes_``;
+            only leaf rows are read, inner rows are zero.
+        classes_: class labels, in the column order of ``probabilities``.
+        n_features_: expected input dimensionality.
     """
 
-    trees: tuple[CompiledTree, ...]
+    offsets: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    probabilities: np.ndarray
     classes_: np.ndarray
     n_features_: int
 
-    def __post_init__(self) -> None:
-        if not self.trees:
-            empty = np.zeros(0, dtype=np.int64)
-            for name in ("_roots", "_feature", "_threshold", "_left", "_right"):
-                object.__setattr__(self, name, empty)
-            object.__setattr__(self, "_probabilities", np.zeros((0, len(self.classes_))))
-            return
-        offsets = np.zeros(len(self.trees) + 1, dtype=np.int64)
-        for index, tree in enumerate(self.trees):
-            offsets[index + 1] = offsets[index] + tree.node_count
-        object.__setattr__(self, "_roots", offsets[:-1])
-        object.__setattr__(
-            self, "_feature", np.concatenate([tree.feature for tree in self.trees])
-        )
-        object.__setattr__(
-            self, "_threshold", np.concatenate([tree.threshold for tree in self.trees])
-        )
-        object.__setattr__(
-            self,
-            "_left",
-            np.concatenate(
-                [tree.left.astype(np.int64) + offset for tree, offset in zip(self.trees, offsets)]
-            ),
-        )
-        object.__setattr__(
-            self,
-            "_right",
-            np.concatenate(
-                [tree.right.astype(np.int64) + offset for tree, offset in zip(self.trees, offsets)]
-            ),
-        )
-        object.__setattr__(
-            self, "_probabilities", np.concatenate([tree.probabilities for tree in self.trees])
-        )
-
-    @classmethod
-    def from_estimators(
-        cls,
-        estimators: list["DecisionTreeClassifier"],
-        classes: np.ndarray,
-        n_features: int,
-    ) -> "CompiledForest":
-        """Compile a fitted estimator list (the forest's trees)."""
-        if not estimators:
-            raise ModelError("cannot compile a forest with no fitted trees")
-        classes = np.asarray(classes)
-        compiled = []
-        for tree in estimators:
-            flat = CompiledTree.from_tree(tree)
-            compiled.append(
-                CompiledTree(
-                    feature=flat.feature,
-                    threshold=flat.threshold,
-                    left=flat.left,
-                    right=flat.right,
-                    probabilities=_aligned_probabilities(flat, classes),
-                    classes_=classes,
-                    n_features_=n_features,
-                )
-            )
-        return cls(trees=tuple(compiled), classes_=classes, n_features_=n_features)
-
     @property
     def n_estimators(self) -> int:
-        return len(self.trees)
+        return len(self.offsets) - 1
 
     @property
     def node_count(self) -> int:
-        return sum(tree.node_count for tree in self.trees)
+        return len(self.feature)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Averaged class-probability estimates over all trees.
 
         All ``(sample, tree)`` descents advance together, one tree level
         per Python iteration; leaf probabilities are then accumulated in
-        tree order, which keeps the floating-point summation -- and hence
-        the result -- bitwise identical to the interpreted forest.
+        tree order, so :class:`ForestStack` reproduces the result bitwise.
         """
-        if not self.trees:
-            raise ModelError("compiled forest has no trees")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n_features_:
-            raise ModelError(
-                f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
-            )
-        samples = len(X)
+        X = _checked_input(X, self.n_features_)
         positions = _descend(
-            self._feature, self._threshold, self._left, self._right, self._roots, X
+            self.feature, self.threshold, self.left, self.right, self.offsets[:-1], X
         )
-        accumulated = np.zeros((samples, len(self.classes_)), dtype=np.float64)
-        for column in range(len(self.trees)):
-            accumulated += self._probabilities[positions[:, column]]
-        return accumulated / len(self.trees)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels (majority probability)."""
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy on the given test data."""
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+        accumulated = np.zeros((len(X), len(self.classes_)), dtype=np.float64)
+        for column in range(self.n_estimators):
+            accumulated += self.probabilities[positions[:, column]]
+        return accumulated / self.n_estimators
 
     # ------------------------------------------------------------------ #
     # Serialisation (used by the model store).
     # ------------------------------------------------------------------ #
     def pack(self) -> dict[str, np.ndarray]:
-        """Concatenate all trees into a flat dict of arrays.
+        """The forest as a flat dict of arrays.
 
-        The per-tree node blocks are stacked back to back; ``offsets`` has
-        ``n_estimators + 1`` entries delimiting each tree's rows.  Reuses
-        the merged arrays cached at construction; only the child pointers
-        are stored tree-local (rebased back off the global rows) so that
-        :meth:`unpack` can validate each tree independently.
+        Child pointers are stored tree-local (rebased off the global
+        rows) so that :meth:`unpack` can validate each tree independently.
         """
-        offsets = np.concatenate(
-            [self._roots, np.array([len(self._feature)], dtype=np.int64)]
-        )
+        starts = _tree_starts(self.offsets)
         return {
-            "offsets": offsets,
-            "feature": self._feature,
-            "threshold": self._threshold,
-            "left": np.concatenate([tree.left for tree in self.trees]),
-            "right": np.concatenate([tree.right for tree in self.trees]),
-            "probabilities": self._probabilities,
+            "offsets": self.offsets,
+            "feature": self.feature,
+            "threshold": self.threshold,
+            "left": (self.left - starts).astype(np.int32),
+            "right": (self.right - starts).astype(np.int32),
+            "probabilities": self.probabilities,
             "classes": np.asarray(self.classes_),
             "n_features": np.array([self.n_features_], dtype=np.int64),
         }
 
     @classmethod
     def unpack(cls, arrays: Mapping[str, np.ndarray]) -> "CompiledForest":
-        """Rebuild a compiled forest from :meth:`pack` output.
+        """Rebuild a forest from :meth:`pack` output.
 
         Validates the structural invariants (offsets, child pointers and
         feature indices in range) so that corrupt or truncated payloads are
@@ -350,11 +167,14 @@ class CompiledForest:
         offsets = np.asarray(arrays["offsets"], dtype=np.int64)
         feature = np.asarray(arrays["feature"], dtype=np.int32)
         threshold = np.asarray(arrays["threshold"], dtype=np.float64)
-        left = np.asarray(arrays["left"], dtype=np.int32)
-        right = np.asarray(arrays["right"], dtype=np.int32)
+        left = np.asarray(arrays["left"], dtype=np.int64)
+        right = np.asarray(arrays["right"], dtype=np.int64)
         probabilities = np.asarray(arrays["probabilities"], dtype=np.float64)
         classes = np.asarray(arrays["classes"])
-        n_features = int(np.asarray(arrays["n_features"]).reshape(-1)[0])
+        n_features = np.asarray(arrays["n_features"]).reshape(-1)
+        if len(n_features) != 1 or n_features.dtype.kind not in "iu" or n_features[0] < 0:
+            raise ModelError("packed forest n_features must be one non-negative integer")
+        n_features = int(n_features[0])
 
         total = len(feature)
         if offsets.ndim != 1 or len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != total:
@@ -371,43 +191,36 @@ class CompiledForest:
         if np.any(feature >= n_features) or np.any(feature < LEAF):
             raise ModelError("packed forest references features beyond n_features")
 
-        trees = []
-        for index in range(len(offsets) - 1):
-            start, stop = int(offsets[index]), int(offsets[index + 1])
-            count = stop - start
-            tree_left = left[start:stop]
-            tree_right = right[start:stop]
-            inner = feature[start:stop] != LEAF
-            # Flattening is preorder, so every child row index is strictly
-            # greater than its parent's; requiring that here also rules out
-            # cyclic pointer graphs that would spin predict_proba forever.
-            own = np.arange(count, dtype=np.int64)[inner]
-            if np.any((tree_left[inner] <= own) | (tree_left[inner] >= count)) or np.any(
-                (tree_right[inner] <= own) | (tree_right[inner] >= count)
-            ):
+        # Rows are preorder, so every inner node's children lie after it
+        # and inside its own tree; requiring that here also rules out
+        # cyclic pointer graphs that would spin the descent forever.
+        starts = _tree_starts(offsets)
+        own = np.arange(total, dtype=np.int64) - starts
+        counts = np.diff(offsets)
+        sizes = np.repeat(counts, counts)
+        inner = feature != LEAF
+        for child in (left, right):
+            if np.any((child[inner] <= own[inner]) | (child[inner] >= sizes[inner])):
                 raise ModelError("packed forest child pointers are out of range")
-            trees.append(
-                CompiledTree(
-                    feature=feature[start:stop],
-                    threshold=threshold[start:stop],
-                    left=tree_left,
-                    right=tree_right,
-                    probabilities=probabilities[start:stop],
-                    classes_=classes,
-                    n_features_=n_features,
-                )
-            )
-        return cls(trees=tuple(trees), classes_=classes, n_features_=n_features)
+        return cls(
+            offsets=offsets,
+            feature=feature,
+            threshold=threshold,
+            left=left + starts,
+            right=right + starts,
+            probabilities=probabilities,
+            classes_=classes,
+            n_features_=n_features,
+        )
 
 
 @dataclass(frozen=True)
 class ForestStack:
-    """Many compiled forests fused into one node array set.
+    """Many forests fused into one node array set.
 
     A bank of per-type forests scored forest by forest pays one Python
     descent loop per forest.  The stack concatenates every forest's
-    merged nodes (child pointers rebased onto stack rows, as
-    :class:`CompiledForest` does for its trees) and descends every
+    nodes (child pointers rebased onto stack rows) and descends every
     ``(sample, forest, tree)`` triple of a batch together.
 
     Every forest must have the same tree and feature counts, and its
@@ -432,19 +245,19 @@ class ForestStack:
             unknown = np.setdiff1d(forest.classes_, classes)
             if len(unknown):
                 raise ModelError(f"stacked forest has classes outside the stack: {unknown}")
-            probabilities = np.zeros((len(forest._feature), len(classes)), dtype=np.float64)
-            probabilities[:, np.searchsorted(classes, forest.classes_)] = forest._probabilities
+            probabilities = np.zeros((forest.node_count, len(classes)), dtype=np.float64)
+            probabilities[:, np.searchsorted(classes, forest.classes_)] = forest.probabilities
             blocks.append(
                 (
-                    forest._feature,
-                    forest._threshold,
-                    forest._left + offset,
-                    forest._right + offset,
+                    forest.feature,
+                    forest.threshold,
+                    forest.left + offset,
+                    forest.right + offset,
                     probabilities,
-                    forest._roots + offset,
+                    forest.offsets[:-1] + offset,
                 )
             )
-            offset += len(forest._feature)
+            offset += forest.node_count
         names = ("_feature", "_threshold", "_left", "_right", "_probabilities", "_roots")
         for index, name in enumerate(names):
             parts = [block[index] for block in blocks]
@@ -460,10 +273,7 @@ class ForestStack:
         accumulated = np.zeros((len(X), forests, len(self.classes_)), dtype=np.float64)
         if not forests:
             return accumulated
-        if X.shape[1] != self.n_features_:
-            raise ModelError(
-                f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
-            )
+        X = _checked_input(X, self.n_features_)
         positions = _descend(
             self._feature, self._threshold, self._left, self._right, self._roots.ravel(), X
         ).reshape(len(X), forests, depth)

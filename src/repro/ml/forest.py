@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.ml.compiled import CompiledForest
+from repro.ml.compiled import CompiledForest, _tree_starts
 from repro.ml.tree import DecisionTreeClassifier
 
 
@@ -20,6 +20,9 @@ class RandomForestClassifier:
     binary models.  Each tree is grown on a bootstrap resample of the
     training set and considers a random ``sqrt(d)`` subset of features at
     every split; predictions average the trees' leaf class distributions.
+
+    The classifier holds only hyperparameters: :meth:`fit` returns the
+    fitted forest as a :class:`~repro.ml.compiled.CompiledForest`.
 
     Attributes:
         n_estimators: number of trees.
@@ -38,12 +41,8 @@ class RandomForestClassifier:
     bootstrap: bool = True
     random_state: Optional[int] = None
 
-    estimators_: list[DecisionTreeClassifier] = field(default_factory=list, repr=False, compare=False)
-    classes_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    n_features_: int = field(default=0, repr=False, compare=False)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
-        """Fit the forest on samples ``X`` (n, d) and labels ``y`` (n,)."""
+    def fit(self, X: np.ndarray, y: np.ndarray) -> CompiledForest:
+        """Fit a forest on samples ``X`` (n, d) and labels ``y`` (n,)."""
         if self.n_estimators <= 0:
             raise ModelError(f"n_estimators must be positive, got {self.n_estimators}")
         X = np.asarray(X, dtype=np.float64)
@@ -56,22 +55,21 @@ class RandomForestClassifier:
             raise ModelError("cannot fit a forest on an empty dataset")
 
         rng = np.random.default_rng(self.random_state)
-        self.classes_ = np.unique(y)
-        self.n_features_ = X.shape[1]
+        classes = np.unique(y)
         n_samples = len(X)
 
         # Each tree's seed and bootstrap sample come from the master
         # generator; a tree's own fit draws only from its seeded generator.
-        estimators = []
+        trees = []
         for _ in range(self.n_estimators):
             seed = int(rng.integers(0, 2**31 - 1))
             if self.bootstrap:
                 indices = rng.integers(0, n_samples, size=n_samples)
                 # Bootstrap resamples can miss a class entirely; redraw a few
-                # times and fall back to the full set to keep the binary
-                # classifiers well defined.
+                # times and fall back to the full set, so every tree sees
+                # every class and its probability columns are the forest's.
                 for _attempt in range(5):
-                    if len(np.unique(y[indices])) == len(self.classes_):
+                    if len(np.unique(y[indices])) == len(classes):
                         break
                     indices = rng.integers(0, n_samples, size=n_samples)
                 else:
@@ -85,54 +83,18 @@ class RandomForestClassifier:
                 max_features=self.max_features,
                 random_state=seed,
             )
-            estimators.append(tree.fit(X[indices], y[indices]))
-        self.estimators_ = estimators
-        return self
+            trees.append(tree.fit(X[indices], y[indices]))
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Averaged class-probability estimates over all trees."""
-        if not self.estimators_ or self.classes_ is None:
-            raise ModelError("RandomForestClassifier.predict_proba called before fit")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        accumulated = np.zeros((len(X), len(self.classes_)), dtype=np.float64)
-        for tree in self.estimators_:
-            tree_probabilities = tree.predict_proba(X)
-            # Trees may have seen only a subset of classes (bootstrap edge
-            # case); align their columns onto the forest's class order.
-            if len(tree.classes_) == len(self.classes_):
-                accumulated += tree_probabilities
-            else:
-                column_map = np.searchsorted(self.classes_, tree.classes_)
-                accumulated[:, column_map] += tree_probabilities
-        return accumulated / len(self.estimators_)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels (majority probability)."""
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy on the given test data."""
-        return float(np.mean(self.predict(X) == np.asarray(y)))
-
-    def feature_importances(self) -> np.ndarray:
-        """Average split-based feature importances over the trees."""
-        if not self.estimators_:
-            raise ModelError("forest is not fitted")
-        total = np.zeros(self.n_features_, dtype=np.float64)
-        for tree in self.estimators_:
-            total += tree.feature_importances()
-        return total / len(self.estimators_)
-
-    def compile(self) -> CompiledForest:
-        """Flatten the fitted forest for vectorized batch prediction.
-
-        The compiled forest's ``predict_proba`` matches the interpreted
-        path bitwise (see :mod:`repro.ml.compiled`) while replacing the
-        per-sample Python node walk with level-synchronous array gathers.
-        """
-        if not self.estimators_ or self.classes_ is None:
-            raise ModelError("RandomForestClassifier.compile called before fit")
-        return CompiledForest.from_estimators(
-            self.estimators_, classes=self.classes_, n_features=self.n_features_
+        sizes = [tree.node_count_ for tree in trees]
+        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        starts = _tree_starts(offsets)
+        return CompiledForest(
+            offsets=offsets,
+            feature=np.concatenate([tree.feature_ for tree in trees]),
+            threshold=np.concatenate([tree.threshold_ for tree in trees]),
+            left=np.concatenate([tree.left_ for tree in trees]) + starts,
+            right=np.concatenate([tree.right_ for tree in trees]) + starts,
+            probabilities=np.concatenate([tree.probabilities_ for tree in trees]),
+            classes_=classes,
+            n_features_=X.shape[1],
         )

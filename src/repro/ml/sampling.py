@@ -1,4 +1,4 @@
-"""Sampling utilities: bootstrap, negative subsampling, train/test splits."""
+"""Sampling utilities: negative subsampling and train/test splits."""
 
 from __future__ import annotations
 
@@ -9,22 +9,12 @@ import numpy as np
 from repro.exceptions import ModelError
 
 
-def bootstrap_indices(
-    n_samples: int, size: Optional[int] = None, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Indices of a bootstrap resample (sampling with replacement)."""
-    if n_samples <= 0:
-        raise ModelError("bootstrap requires at least one sample")
-    # repro-lint: disable=no-unseeded-rng -- documented exploratory default: callers wanting reproducible draws pass their own seeded generator
-    rng = rng or np.random.default_rng()
-    return rng.integers(0, n_samples, size=size or n_samples)
-
-
 def negative_subsample(
     negative_indices: Sequence[int],
     positive_count: int,
     ratio: float = 10.0,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Select a bounded random subset of negative samples.
 
@@ -40,8 +30,6 @@ def negative_subsample(
     negatives = np.asarray(list(negative_indices))
     if len(negatives) == 0:
         raise ModelError("no negative samples available")
-    # repro-lint: disable=no-unseeded-rng -- documented exploratory default: callers wanting reproducible draws pass their own seeded generator
-    rng = rng or np.random.default_rng()
     target = int(round(ratio * positive_count))
     if target >= len(negatives):
         return negatives.copy()

@@ -4,30 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.exceptions import ModelError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ml.compiled import CompiledTree
-
-
-@dataclass
-class _Node:
-    """A single tree node; leaves carry class-probability vectors."""
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-    probabilities: Optional[np.ndarray] = None
-    n_samples: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+from repro.ml.compiled import LEAF
 
 
 def _best_split(
@@ -87,12 +69,20 @@ def _best_split(
 
 @dataclass
 class DecisionTreeClassifier:
-    """A CART classification tree.
+    """A CART classification tree, grown straight into node arrays.
 
     Splits are exact threshold splits (``x <= t``) chosen to minimise the
     weighted Gini impurity of the children.  ``max_features`` limits the
     number of candidate features examined per node, which is how the Random
     Forest injects feature randomness.
+
+    A fitted tree is its node arrays, one row per node in preorder (a
+    left child right after its parent): ``feature_`` (``LEAF`` on leaves),
+    ``threshold_`` (``x <= t`` goes left), tree-local child rows
+    ``left_``/``right_`` (0 on leaves) and ``probabilities_``, the class
+    distribution of leaf rows (inner rows are zero).  These are the rows
+    :class:`~repro.ml.compiled.CompiledForest` concatenates, descends and
+    packs.
 
     Attributes:
         max_depth: maximum tree depth (None means unbounded).
@@ -109,11 +99,16 @@ class DecisionTreeClassifier:
     max_features: Union[str, int, float, None] = None
     random_state: Optional[int] = None
 
-    _root: Optional[_Node] = field(default=None, repr=False, compare=False)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
     classes_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     n_features_: int = field(default=0, repr=False, compare=False)
     node_count_: int = field(default=0, repr=False, compare=False)
+    feature_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    threshold_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    left_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    right_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    probabilities_: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _depth: int = field(default=0, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # Fitting.
@@ -132,8 +127,7 @@ class DecisionTreeClassifier:
         self.classes_, encoded = np.unique(y, return_inverse=True)
         self.n_features_ = X.shape[1]
         self._rng = np.random.default_rng(self.random_state)
-        self.node_count_ = 0
-        self._root = self._build(X, encoded.astype(np.int64))
+        self._build(X, encoded.astype(np.int64))
         return self
 
     def _resolve_max_features(self) -> int:
@@ -156,129 +150,85 @@ class DecisionTreeClassifier:
             return self._rng.choice(self.n_features_, size=n_candidates, replace=False)
         return np.arange(self.n_features_)
 
-    def _build(self, X: np.ndarray, y: np.ndarray) -> _Node:
+    def _build(self, X: np.ndarray, y: np.ndarray) -> None:
         """Grow the tree iteratively with an explicit stack.
 
-        Nodes are expanded in pre-order, left child before right, exactly
+        Nodes are expanded in preorder, left child before right, exactly
         as a recursive build would, so the per-node candidate draws (and
         hence the fitted tree) do not depend on how the build is driven --
-        and a tree deeper than Python's recursion limit still fits.
+        and a tree deeper than Python's recursion limit still fits.  A
+        node takes the next array row as it is popped and sets its
+        parent's child pointer then.
         """
         n_classes = len(self.classes_)
-        root = _Node()
-        # Nodes carry row indices into X; a split gathers only its
-        # candidate columns.
-        stack: list[tuple[_Node, np.ndarray, int]] = [(root, np.arange(len(y)), 0)]
+        inner = np.zeros(n_classes)
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        probabilities: list[np.ndarray] = []
+        deepest = 0
+        # Nodes carry row indices into X, their depth, and their parent's
+        # row in the child-pointer list (left or right) that names them;
+        # the root names itself in a throwaway list.
+        stack: list[tuple[np.ndarray, int, int, list[int]]] = [(np.arange(len(y)), 0, 0, [0])]
         while stack:
-            node, rows, depth = stack.pop()
+            rows, depth, parent, pointers = stack.pop()
+            index = len(feature)
+            pointers[parent] = index
+            deepest = max(deepest, depth)
+            left.append(0)
+            right.append(0)
             labels = y[rows]
-            node.n_samples = n_samples = len(rows)
-            self.node_count_ += 1
             counts = np.bincount(labels, minlength=n_classes)
-            if (
-                n_samples < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.count_nonzero(counts) == 1
-            ):
-                node.probabilities = counts / n_samples
+            split = self._split(X, rows, labels, counts, depth)
+            if split is None:
+                feature.append(LEAF)
+                threshold.append(0.0)
+                probabilities.append(counts / len(rows))
                 continue
+            chosen, value, mask = split
+            feature.append(chosen)
+            threshold.append(value)
+            probabilities.append(inner)
+            stack.append((rows[~mask], depth + 1, index, right))
+            stack.append((rows[mask], depth + 1, index, left))
 
-            candidates = self._split_candidates()
-            column, threshold = _best_split(
-                X[rows[:, None], candidates], labels, n_classes, self.min_samples_leaf
-            )
-            if column < 0:
-                node.probabilities = counts / n_samples
-                continue
-            feature = int(candidates[column])
-            mask = X[rows, feature] <= threshold
-            left_count = int(mask.sum())
-            if left_count < self.min_samples_leaf or n_samples - left_count < self.min_samples_leaf:
-                node.probabilities = counts / n_samples
-                continue
+        self.feature_ = np.array(feature, dtype=np.int32)
+        self.threshold_ = np.array(threshold, dtype=np.float64)
+        self.left_ = np.array(left, dtype=np.int32)
+        self.right_ = np.array(right, dtype=np.int32)
+        self.probabilities_ = np.array(probabilities, dtype=np.float64)
+        self.node_count_ = len(feature)
+        self._depth = deepest
 
-            node.feature, node.threshold = feature, threshold
-            node.left, node.right = _Node(), _Node()
-            stack.append((node.right, rows[~mask], depth + 1))
-            stack.append((node.left, rows[mask], depth + 1))
-        return root
-
-    # ------------------------------------------------------------------ #
-    # Prediction.
-    # ------------------------------------------------------------------ #
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability estimates, shape ``(n, n_classes)``."""
-        if self._root is None or self.classes_ is None:
-            raise ModelError("DecisionTreeClassifier.predict_proba called before fit")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n_features_:
-            raise ModelError(
-                f"feature count mismatch: model has {self.n_features_}, input has {X.shape[1]}"
-            )
-        output = np.empty((len(X), len(self.classes_)), dtype=np.float64)
-        for index, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            output[index] = node.probabilities
-        return output
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted class labels."""
-        probabilities = self.predict_proba(X)
-        return self.classes_[np.argmax(probabilities, axis=1)]
-
-    def score(self, X: np.ndarray, y: np.ndarray) -> float:
-        """Mean accuracy on the given test data."""
-        return float(np.mean(self.predict(X) == np.asarray(y)))
+    def _split(
+        self, X: np.ndarray, rows: np.ndarray, labels: np.ndarray, counts: np.ndarray, depth: int
+    ) -> Optional[tuple[int, float, np.ndarray]]:
+        """A node's ``(feature, threshold, goes-left mask)``, or None for a leaf."""
+        n_samples = len(rows)
+        if (
+            n_samples < self.min_samples_split
+            or (self.max_depth is not None and depth >= self.max_depth)
+            or np.count_nonzero(counts) == 1
+        ):
+            return None
+        candidates = self._split_candidates()
+        column, threshold = _best_split(
+            X[rows[:, None], candidates], labels, len(counts), self.min_samples_leaf
+        )
+        if column < 0:
+            return None
+        feature = int(candidates[column])
+        mask = X[rows, feature] <= threshold
+        left_count = int(mask.sum())
+        if left_count < self.min_samples_leaf or n_samples - left_count < self.min_samples_leaf:
+            return None
+        return feature, threshold, mask
 
     @property
     def depth(self) -> int:
-        """The depth of the fitted tree (0 for a single leaf).
-
-        Walks iteratively with an explicit stack: a pathological tree (e.g.
-        one grown on adversarially ordered data with no ``max_depth``) can
-        be deeper than Python's recursion limit.
-        """
-        if self._root is None:
+        """The depth of the fitted tree (0 for a single leaf)."""
+        if self.feature_ is None:
             raise ModelError("tree is not fitted")
-        deepest = 0
-        stack: list[tuple[_Node, int]] = [(self._root, 0)]
-        while stack:
-            node, level = stack.pop()
-            if node.is_leaf:
-                deepest = max(deepest, level)
-            else:
-                stack.append((node.left, level + 1))
-                stack.append((node.right, level + 1))
-        return deepest
-
-    def feature_importances(self) -> np.ndarray:
-        """Split-count based feature importances (normalised to sum to 1).
-
-        Iterative for the same reason as :attr:`depth`: unbounded trees may
-        exceed the recursion limit.
-        """
-        if self._root is None:
-            raise ModelError("tree is not fitted")
-        counts = np.zeros(self.n_features_, dtype=np.float64)
-        stack: list[_Node] = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            counts[node.feature] += node.n_samples
-            stack.append(node.left)
-            stack.append(node.right)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
-    def compile(self) -> "CompiledTree":
-        """Flatten the fitted tree for vectorized batch prediction.
-
-        See :mod:`repro.ml.compiled`; the compiled tree's ``predict_proba``
-        is bitwise-identical to the interpreted walk.
-        """
-        from repro.ml.compiled import CompiledTree
-
-        return CompiledTree.from_tree(self)
+        return self._depth

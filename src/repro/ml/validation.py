@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,27 +48,3 @@ class StratifiedKFold:
             if not np.any(test_mask):
                 continue
             yield np.nonzero(~test_mask)[0], np.nonzero(test_mask)[0]
-
-
-def cross_val_predict(
-    fit_predict: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    X: np.ndarray,
-    y: Sequence,
-    n_splits: int = 10,
-    random_state: Optional[int] = None,
-) -> np.ndarray:
-    """Out-of-fold predictions for every sample.
-
-    ``fit_predict(X_train, y_train, X_test)`` must return predictions for
-    ``X_test``; this helper stitches the per-fold predictions back into the
-    original sample order.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    predictions = np.empty(len(y), dtype=object)
-    splitter = StratifiedKFold(n_splits=n_splits, random_state=random_state)
-    for train_indices, test_indices in splitter.split(y):
-        fold_predictions = fit_predict(X[train_indices], y[train_indices], X[test_indices])
-        for position, prediction in zip(test_indices, fold_predictions):
-            predictions[position] = prediction
-    return predictions

@@ -16,6 +16,8 @@ from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.distance.damerau_levenshtein import normalized_damerau_levenshtein
 from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
+from repro.ml.compiled import LEAF
+from repro.ml.tree import _best_split
 from repro.net.addresses import MACAddress
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP, PROTO_UDP
@@ -110,6 +112,148 @@ def per_type_bank_scores(bank, matrix):
         positive[:, column] = probabilities[:, positive_column]
         accepted[:, column] = np.argmax(probabilities, axis=1) == positive_column
     return positive, accepted
+
+
+# --------------------------------------------------------------------------- #
+# Forest oracles: the node-graph grower and the per-sample array walk.
+# --------------------------------------------------------------------------- #
+
+
+class OracleNode:
+    """One node of the oracle grower's tree graph."""
+
+    def __init__(self):
+        self.feature = LEAF
+        self.threshold = 0.0
+        self.left = None
+        self.right = None
+        self.probabilities = None
+
+
+def oracle_tree_arrays(tree, X, y):
+    """Grow ``tree`` as a node graph, then flatten it (the grower oracle).
+
+    ``tree`` is an unfitted ``DecisionTreeClassifier`` supplying the
+    hyperparameters and, through its seeded generator, the same
+    per-node candidate draws the array grower makes.  Nodes are expanded
+    in preorder, left before right, then numbered in a second preorder
+    pass.  Returns the ``feature``/``threshold``/``left``/``right``/
+    ``probabilities`` arrays the fitted tree must hold.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    tree.classes_, encoded = np.unique(np.asarray(y), return_inverse=True)
+    y = encoded.astype(np.int64)
+    tree.n_features_ = X.shape[1]
+    tree._rng = np.random.default_rng(tree.random_state)
+    n_classes = len(tree.classes_)
+
+    root = OracleNode()
+    stack = [(root, np.arange(len(y)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        labels = y[rows]
+        n_samples = len(rows)
+        counts = np.bincount(labels, minlength=n_classes)
+        node.probabilities = counts / n_samples
+        if (
+            n_samples < tree.min_samples_split
+            or (tree.max_depth is not None and depth >= tree.max_depth)
+            or np.count_nonzero(counts) == 1
+        ):
+            continue
+        candidates = tree._split_candidates()
+        column, threshold = _best_split(
+            X[rows[:, None], candidates], labels, n_classes, tree.min_samples_leaf
+        )
+        if column < 0:
+            continue
+        feature = int(candidates[column])
+        mask = X[rows, feature] <= threshold
+        left_count = int(mask.sum())
+        if min(left_count, n_samples - left_count) < tree.min_samples_leaf:
+            continue
+        node.feature, node.threshold = feature, threshold
+        node.left, node.right = OracleNode(), OracleNode()
+        stack.append((node.right, rows[~mask], depth + 1))
+        stack.append((node.left, rows[mask], depth + 1))
+
+    nodes = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if node.left is not None:
+            stack.append(node.right)
+            stack.append(node.left)
+    index_of = {id(node): index for index, node in enumerate(nodes)}
+    count = len(nodes)
+    arrays = {
+        "feature": np.full(count, LEAF, dtype=np.int32),
+        "threshold": np.zeros(count, dtype=np.float64),
+        "left": np.zeros(count, dtype=np.int32),
+        "right": np.zeros(count, dtype=np.int32),
+        "probabilities": np.zeros((count, n_classes), dtype=np.float64),
+    }
+    for index, node in enumerate(nodes):
+        if node.left is None:
+            arrays["probabilities"][index] = node.probabilities
+        else:
+            arrays["feature"][index] = node.feature
+            arrays["threshold"][index] = node.threshold
+            arrays["left"][index] = index_of[id(node.left)]
+            arrays["right"][index] = index_of[id(node.right)]
+    return arrays
+
+
+def tree_arrays(tree):
+    """A fitted ``DecisionTreeClassifier``'s node arrays, keyed as the oracle's."""
+    return {
+        "feature": tree.feature_,
+        "threshold": tree.threshold_,
+        "left": tree.left_,
+        "right": tree.right_,
+        "probabilities": tree.probabilities_,
+    }
+
+
+def walk_leaf(feature, threshold, left, right, root, row):
+    """The leaf row one sample reaches from ``root``, one node at a time."""
+    node = int(root)
+    while feature[node] != LEAF:
+        node = int(left[node] if row[feature[node]] <= threshold[node] else right[node])
+    return node
+
+
+def walk_tree_predict(tree, X):
+    """A fitted tree's predicted labels, by the per-sample walk."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    leaves = [
+        walk_leaf(tree.feature_, tree.threshold_, tree.left_, tree.right_, 0, row) for row in X
+    ]
+    return tree.classes_[np.argmax(tree.probabilities_[leaves], axis=1)]
+
+
+def walk_forest_proba(forest, X):
+    """A ``CompiledForest``'s mean class probabilities (the descent oracle).
+
+    Each sample walks each tree in turn; leaf rows are summed in tree
+    order and divided by the tree count, the float operations the
+    vectorised descent performs, so the two must agree bitwise.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    output = np.empty((len(X), len(forest.classes_)))
+    for index, row in enumerate(X):
+        total = np.zeros(len(forest.classes_))
+        for root in forest.offsets[:-1]:
+            leaf = walk_leaf(forest.feature, forest.threshold, forest.left, forest.right, root, row)
+            total += forest.probabilities[leaf]
+        output[index] = total / forest.n_estimators
+    return output
+
+
+def walk_forest_predict(forest, X):
+    """A ``CompiledForest``'s predicted labels, by the per-sample walk."""
+    return forest.classes_[np.argmax(walk_forest_proba(forest, X), axis=1)]
 
 
 def onboard_trace(gateway, service, trace):

@@ -14,6 +14,7 @@ import pytest
 import repro.features.fingerprint
 import repro.identification.autopilot
 import repro.identification.lifecycle
+import repro.ml.compiled
 import repro.net.addresses
 import repro.streaming.dispatcher
 
@@ -21,6 +22,7 @@ DOCTESTED_MODULES = [
     repro.features.fingerprint,
     repro.identification.autopilot,
     repro.identification.lifecycle,
+    repro.ml.compiled,
     repro.net.addresses,
     repro.streaming.dispatcher,
 ]

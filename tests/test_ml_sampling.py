@@ -1,25 +1,10 @@
-"""Tests for sampling utilities (bootstrap, negative subsampling, splits)."""
+"""Tests for sampling utilities (negative subsampling, splits)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.ml.sampling import bootstrap_indices, negative_subsample, train_test_split
-
-
-class TestBootstrap:
-    def test_size_defaults_to_population(self):
-        indices = bootstrap_indices(50, rng=np.random.default_rng(0))
-        assert len(indices) == 50
-        assert indices.min() >= 0
-        assert indices.max() < 50
-
-    def test_explicit_size(self):
-        assert len(bootstrap_indices(10, size=25, rng=np.random.default_rng(0))) == 25
-
-    def test_empty_population(self):
-        with pytest.raises(ModelError):
-            bootstrap_indices(0)
+from repro.ml.sampling import negative_subsample, train_test_split
 
 
 class TestNegativeSubsample:
@@ -29,16 +14,17 @@ class TestNegativeSubsample:
         assert len(set(chosen.tolist())) == 200  # without replacement
 
     def test_returns_all_when_not_enough_negatives(self):
-        chosen = negative_subsample(range(30), positive_count=20, ratio=10.0)
+        chosen = negative_subsample(range(30), positive_count=20, ratio=10.0, rng=np.random.default_rng(0))
         assert sorted(chosen.tolist()) == list(range(30))
 
     def test_invalid_arguments(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ModelError):
-            negative_subsample(range(10), positive_count=0)
+            negative_subsample(range(10), positive_count=0, rng=rng)
         with pytest.raises(ModelError):
-            negative_subsample(range(10), positive_count=5, ratio=0)
+            negative_subsample(range(10), positive_count=5, ratio=0, rng=rng)
         with pytest.raises(ModelError):
-            negative_subsample([], positive_count=5)
+            negative_subsample([], positive_count=5, rng=rng)
 
     def test_deterministic_under_seed(self):
         first = negative_subsample(range(500), 10, rng=np.random.default_rng(4)).tolist()

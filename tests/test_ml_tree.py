@@ -7,8 +7,29 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ModelError
 from repro.ml import tree as tree_module
+from repro.ml.compiled import LEAF
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier, _best_split
+from tests.conftest import oracle_tree_arrays, tree_arrays, walk_tree_predict
+
+
+def _score(tree, X, y):
+    return float(np.mean(walk_tree_predict(tree, X) == np.asarray(y)))
+
+
+def _single_tree_forest(X, y):
+    """A one-tree forest grown on the full set (the tree's scoring form)."""
+    return RandomForestClassifier(
+        n_estimators=1, bootstrap=False, max_features=None, random_state=0
+    ).fit(X, y)
+
+
+def assert_arrays_equal(expected, actual):
+    assert expected.keys() == actual.keys()
+    for key in expected:
+        assert expected[key].dtype == actual[key].dtype, key
+        assert expected[key].shape == actual[key].shape, key
+        assert expected[key].tobytes() == actual[key].tobytes(), key
 
 
 def _linearly_separable(n=100, seed=0):
@@ -22,14 +43,15 @@ class TestFit:
     def test_perfect_fit_on_separable_data(self):
         X, y = _linearly_separable()
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        assert tree.score(X, y) >= 0.97
+        assert _score(tree, X, y) >= 0.97
 
     def test_single_class(self):
         X = np.zeros((10, 3))
         y = np.ones(10, dtype=int)
         tree = DecisionTreeClassifier().fit(X, y)
-        assert np.all(tree.predict(X) == 1)
+        assert np.all(walk_tree_predict(tree, X) == 1)
         assert tree.depth == 0
+        assert tree.feature_.tolist() == [LEAF]
 
     def test_max_depth_limits_tree(self):
         X, y = _linearly_separable(200)
@@ -47,7 +69,7 @@ class TestFit:
         X, y_int = _linearly_separable(60)
         y = np.where(y_int == 1, "device", "other")
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        predictions = tree.predict(X)
+        predictions = walk_tree_predict(tree, X)
         assert set(predictions.tolist()) <= {"device", "other"}
 
     def test_multiclass(self):
@@ -55,8 +77,9 @@ class TestFit:
         X = rng.normal(size=(150, 3))
         y = np.digitize(X[:, 0], [-0.5, 0.5])
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        assert tree.score(X, y) > 0.9
+        assert _score(tree, X, y) > 0.9
         assert len(tree.classes_) == 3
+        assert tree.probabilities_.shape == (tree.node_count_, 3)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ModelError):
@@ -72,34 +95,28 @@ class TestFit:
 
 
 class TestPredict:
-    def test_predict_before_fit(self):
-        with pytest.raises(ModelError):
-            DecisionTreeClassifier().predict(np.zeros((1, 3)))
-
     def test_predict_proba_rows_sum_to_one(self):
         X, y = _linearly_separable()
         tree = DecisionTreeClassifier(max_depth=3, random_state=0).fit(X, y)
-        probabilities = tree.predict_proba(X)
-        assert probabilities.shape == (len(X), 2)
-        np.testing.assert_allclose(probabilities.sum(axis=1), 1.0)
+        leaves = tree.feature_ == LEAF
+        assert tree.probabilities_.shape == (tree.node_count_, 2)
+        np.testing.assert_allclose(tree.probabilities_[leaves].sum(axis=1), 1.0)
+        assert not tree.probabilities_[~leaves].any()
 
     def test_feature_count_mismatch(self):
         X, y = _linearly_separable()
-        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
         with pytest.raises(ModelError):
-            tree.predict(np.zeros((1, 7)))
+            _single_tree_forest(X, y).predict_proba(np.zeros((1, 7)))
 
     def test_single_sample_predict(self):
         X, y = _linearly_separable()
-        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        assert tree.predict(X[0]).shape == (1,)
+        assert _single_tree_forest(X, y).predict_proba(X[0]).shape == (1, 2)
 
     def test_deterministic_under_seed(self):
         X, y = _linearly_separable(80)
         first = DecisionTreeClassifier(max_features="sqrt", random_state=5).fit(X, y)
         second = DecisionTreeClassifier(max_features="sqrt", random_state=5).fit(X, y)
-        probe = np.random.default_rng(2).normal(size=(20, 4))
-        np.testing.assert_array_equal(first.predict(probe), second.predict(probe))
+        assert_arrays_equal(tree_arrays(first), tree_arrays(second))
 
 
 class TestFeatureSubsampling:
@@ -107,20 +124,12 @@ class TestFeatureSubsampling:
         X, y = _linearly_separable(60)
         for max_features in ("sqrt", "log2", 2, 0.5, None):
             tree = DecisionTreeClassifier(max_features=max_features, random_state=0).fit(X, y)
-            assert tree.score(X, y) > 0.5
+            assert _score(tree, X, y) > 0.5
 
     def test_unknown_string_rejected(self):
         X, y = _linearly_separable(30)
         with pytest.raises(ModelError):
             DecisionTreeClassifier(max_features="cube").fit(X, y)
-
-    def test_feature_importances_sum_to_one(self):
-        X, y = _linearly_separable(80)
-        tree = DecisionTreeClassifier(random_state=0).fit(X, y)
-        importances = tree.feature_importances()
-        assert importances.shape == (4,)
-        assert importances.sum() == pytest.approx(1.0)
-        assert importances[0] > importances[3]
 
 
 # --------------------------------------------------------------------------- #
@@ -213,6 +222,12 @@ class TestVectorisedSplit:
         assert _best_split(columns, y, n_classes, min_samples_leaf) == (
             per_feature_best_split(columns, y, n_classes, min_samples_leaf)
         )
+        # The array grower writes the rows the node-graph grower flattens to.
+        params = dict(min_samples_leaf=min_samples_leaf, max_features=max_features, random_state=seed)
+        assert_arrays_equal(
+            oracle_tree_arrays(DecisionTreeClassifier(**params), X, y),
+            tree_arrays(DecisionTreeClassifier(**params).fit(X, y)),
+        )
 
     def test_no_valid_split(self):
         columns = np.ones((6, 3))
@@ -229,12 +244,9 @@ class TestVectorisedSplit:
         X[:, 3] = 7.0
         y = (X[:, 0] + X[:, 1] + rng.integers(0, 3, size=150)) % classes
         params = dict(n_estimators=4, max_features=max_features, random_state=11)
-        expected = _oracle_forest(monkeypatch, X, y, **params).compile().pack()
-        actual = RandomForestClassifier(**params).fit(X, y).compile().pack()
-        assert expected.keys() == actual.keys()
-        for key in expected:
-            assert expected[key].dtype == actual[key].dtype
-            assert expected[key].tobytes() == actual[key].tobytes(), key
+        expected = _oracle_forest(monkeypatch, X, y, **params).pack()
+        actual = RandomForestClassifier(**params).fit(X, y).pack()
+        assert_arrays_equal(expected, actual)
 
 
 class TestDeepBuild:
@@ -246,5 +258,5 @@ class TestDeepBuild:
         y = np.arange(n) % 2
         tree = DecisionTreeClassifier(random_state=0).fit(X, y)
         assert tree.depth >= 1000
-        assert tree.node_count_ == tree.compile().node_count
-        assert tree.score(X, y) == 1.0
+        assert tree.node_count_ == len(tree.feature_) == 2 * n - 1
+        assert _score(tree, X, y) == 1.0

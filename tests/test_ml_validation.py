@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.ml.validation import StratifiedKFold, cross_val_predict
+from repro.ml.validation import StratifiedKFold
 
 
 class TestStratifiedKFold:
@@ -49,29 +49,3 @@ class TestStratifiedKFold:
         first = [test.tolist() for _, test in StratifiedKFold(5, random_state=1).split(labels)]
         second = [test.tolist() for _, test in StratifiedKFold(5, random_state=2).split(labels)]
         assert first != second
-
-
-class TestCrossValPredict:
-    def test_majority_fit_predict(self):
-        X = np.arange(20).reshape(-1, 1)
-        y = np.array(["x"] * 10 + ["y"] * 10)
-
-        def fit_predict(X_train, y_train, X_test):
-            values, counts = np.unique(y_train, return_counts=True)
-            majority = values[np.argmax(counts)]
-            return np.full(len(X_test), majority)
-
-        predictions = cross_val_predict(fit_predict, X, y, n_splits=5, random_state=0)
-        assert len(predictions) == 20
-        assert set(predictions.tolist()) <= {"x", "y"}
-
-    def test_predictions_aligned_with_samples(self):
-        X = np.arange(12).reshape(-1, 1)
-        y = np.array([0, 1] * 6)
-
-        def fit_predict(X_train, y_train, X_test):
-            # Echo back a transformation of the test inputs so alignment is testable.
-            return X_test[:, 0] * 10
-
-        predictions = cross_val_predict(fit_predict, X, y, n_splits=3, random_state=0)
-        assert [int(value) for value in predictions] == [int(value) * 10 for value in X[:, 0]]

@@ -1,6 +1,7 @@
 """Tests for the persistent model store (save/load of trained banks)."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -222,6 +223,31 @@ class TestBankRoundTrip:
             assert np.array_equal(first.vectors, second.vectors)
 
 
+    def test_trained_classifier_equals_its_reload(self, trained_identifier, bundle_path):
+        # A freshly trained classifier holds exactly what the bundle
+        # ships: every field survives save -> load, arrays byte for byte.
+        save_identifier(bundle_path, trained_identifier)
+        reloaded = load_identifier(bundle_path).bank
+        bank = trained_identifier.bank
+        assert reloaded.device_types == bank.device_types
+        for device_type in bank.device_types:
+            trained = bank.classifier_of(device_type)
+            restored = reloaded.classifier_of(device_type)
+            for field in dataclasses.fields(trained):
+                expected = getattr(trained, field.name)
+                actual = getattr(restored, field.name)
+                if field.name != "compiled":
+                    assert actual == expected, (device_type, field.name)
+                    continue
+                for part in dataclasses.fields(expected):
+                    want, got = getattr(expected, part.name), getattr(actual, part.name)
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype, (device_type, part.name)
+                        assert got.tobytes() == want.tobytes(), (device_type, part.name)
+                    else:
+                        assert got == want, (device_type, part.name)
+
+
 class TestRejection:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ModelStoreError, match="does not exist"):
@@ -265,25 +291,30 @@ class TestRejection:
             load_identifier(corrupted)
 
     def test_missing_forest_arrays_rejected(self, trained_identifier, bundle_path, tmp_path):
-        # A bundle whose metadata lists a classifier with no matching
-        # arrays (writer bug) must fail as ModelStoreError even though the
-        # checksum over the remaining arrays is internally consistent.
+        # A bundle whose forest arrays are missing or malformed (writer
+        # bug) must fail as ModelStoreError even though the checksum over
+        # the remaining arrays is internally consistent.
         from repro.identification import model_store
 
+        def drop_bank0(contents):
+            return {key: value for key, value in contents.items() if not key.startswith("bank0_")}
+
+        def empty_n_features(contents):
+            return {**contents, "bank0_n_features": np.zeros(0, dtype=np.int64)}
+
         save_identifier(bundle_path, trained_identifier)
-        with np.load(bundle_path, allow_pickle=False) as archive:
-            contents = {key: archive[key] for key in archive.files}
-        meta = json.loads(bytes(contents.pop("meta")).decode("utf-8"))
-        contents = {
-            key: value for key, value in contents.items() if not key.startswith("bank0_")
-        }
-        meta["checksum"] = model_store._checksum(contents)
-        hollowed = tmp_path / "hollow.npz"
-        encoded = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        with open(hollowed, "wb") as handle:
-            np.savez_compressed(handle, meta=encoded, **contents)
-        with pytest.raises(ModelStoreError, match="structurally invalid"):
-            load_identifier(hollowed)
+        for mutate in (drop_bank0, empty_n_features):
+            with np.load(bundle_path, allow_pickle=False) as archive:
+                contents = {key: archive[key] for key in archive.files}
+            meta = json.loads(bytes(contents.pop("meta")).decode("utf-8"))
+            contents = mutate(contents)
+            meta["checksum"] = model_store._checksum(contents)
+            hollowed = tmp_path / f"{mutate.__name__}.npz"
+            encoded = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+            with open(hollowed, "wb") as handle:
+                np.savez_compressed(handle, meta=encoded, **contents)
+            with pytest.raises(ModelStoreError, match="structurally invalid"):
+                load_identifier(hollowed)
 
     def test_garbage_file_rejected(self, tmp_path):
         garbage = tmp_path / "garbage.npz"
