@@ -34,7 +34,7 @@ from repro.devices import DEVICE_CATALOG, SetupTrafficSimulator
 from repro.exceptions import ModelStoreError
 from repro.features import Fingerprint
 from repro.gateway import SecurityGateway
-from repro.identification import DeviceTypeIdentifier, LifecycleCoordinator, bundle_epoch
+from repro.identification import DeviceTypeIdentifier, LifecycleCoordinator, bundle_info
 from repro.security_service import IoTSecurityService
 from repro.streaming import (
     BatchDispatcher,
@@ -110,8 +110,8 @@ def main() -> None:
     print_fleet(gateway)
 
     print("== 4. Snapshots know which epoch they belong to ==")
-    print(f"   pre-learning bundle epoch:  {bundle_epoch(stale_snapshot)!r}")
-    print(f"   post-learning bundle epoch: {bundle_epoch(report.snapshot_path)!r}")
+    print(f"   pre-learning bundle epoch:  {bundle_info(stale_snapshot)['epoch']!r}")
+    print(f"   post-learning bundle epoch: {bundle_info(report.snapshot_path)['epoch']!r}")
     try:
         coordinator.load_snapshot(stale_snapshot)
     except ModelStoreError as error:

@@ -7,9 +7,12 @@ The package is organised in layers that mirror the paper's system design:
 * :mod:`repro.features` -- the 23 per-packet features of Table I and the
   variable-length / fixed-length device fingerprints ``F`` and ``F'``.
 * :mod:`repro.ml` -- CART decision trees, Random Forests as flat node
-  arrays, stratified k-fold splits and metrics (stand-in for scikit-learn).
-* :mod:`repro.distance` -- Damerau-Levenshtein edit distance over packet
-  sequences used by the discrimination stage.
+  arrays, stratified k-fold splits, negative subsampling and the
+  confusion-matrix metrics the evaluation reports (stand-in for
+  scikit-learn).
+* :mod:`repro.distance` -- the discrimination stage: one batched
+  Damerau-Levenshtein kernel over packet sequences and the deterministic
+  reference draw.
 * :mod:`repro.identification` -- the two-stage device-type identification
   pipeline (one binary classifier per device-type + edit-distance
   discrimination), plus the online-learning lifecycle: unknown-device
@@ -52,7 +55,7 @@ reach the underlying layers.
 
 from repro.api import GatewayConfig, GatewayHandle, SwapReport, build_gateway
 from repro.exceptions import ConfigError, FleetError
-from repro.features.fingerprint import Fingerprint, fingerprint_from_packets
+from repro.features.fingerprint import Fingerprint
 from repro.fleet import (
     BundleSubscriber,
     ConvergenceReport,
@@ -82,12 +85,7 @@ from repro.identification.lifecycle import (
     load_quarantine_log,
     save_quarantine_log,
 )
-from repro.identification.model_store import (
-    load_bank,
-    load_identifier,
-    save_bank,
-    save_identifier,
-)
+from repro.identification.model_store import load_identifier, save_identifier
 from repro.identification.registry import FingerprintRegistry
 from repro.obs import (
     EvidenceRecord,
@@ -125,7 +123,6 @@ __all__ = [
     "PushRecord",
     "SwapReport",
     "Fingerprint",
-    "fingerprint_from_packets",
     "SecurityGateway",
     "DeviceTypeIdentifier",
     "IdentificationResult",
@@ -140,10 +137,8 @@ __all__ = [
     "ReprofileScheduler",
     "TriggerPolicy",
     "FingerprintRegistry",
-    "load_bank",
     "load_identifier",
     "load_quarantine_log",
-    "save_bank",
     "save_identifier",
     "save_quarantine_log",
     "EvidenceRecord",

@@ -1,9 +1,5 @@
 """Edit-distance discrimination (Sect. IV-B-2 of the paper)."""
 
-from repro.distance.damerau_levenshtein import (
-    damerau_levenshtein,
-    normalized_damerau_levenshtein,
-)
 from repro.distance.discrimination import (
     DETERMINISTIC_SELECTION,
     RANDOM_SELECTION,
@@ -14,8 +10,6 @@ from repro.distance.discrimination import (
 )
 
 __all__ = [
-    "damerau_levenshtein",
-    "normalized_damerau_levenshtein",
     "EditDistanceDiscriminator",
     "DissimilarityScore",
     "DETERMINISTIC_SELECTION",

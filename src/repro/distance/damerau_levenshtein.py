@@ -7,28 +7,24 @@ deletions, substitutions and immediate (adjacent) transpositions, i.e. the
 restricted "optimal string alignment" variant originally described by
 Damerau (1964), which is what the paper cites.
 
-Symbol equality is the hot path of the dynamic program: the inner loop
-compares packet columns (23-int tuples) ``len(first) * len(second)`` times,
-and real fingerprint columns share long common prefixes (the leading
-protocol bits), defeating tuple short-circuiting.  Both sequences are
-therefore first *interned* over a shared alphabet -- every distinct symbol
-is hashed once and mapped to a small integer -- so the DP compares machine
-ints, and the row symbols are hoisted out of the inner loop.
-Micro-benchmark on this container (CPython 3.11, two simulated camera
-fingerprints of 17/18 packet columns, 10k distance calls): 1.62 s before
-vs 1.27 s after, a ~1.3x speedup of the discrimination stage's dominant
-cost with identical results (fuzz-checked against the unoptimised DP over
-int-tuple symbols).  Interning implies symbols must be hashable (as the
-signatures already declare) with ``__eq__`` consistent with ``__hash__``;
-symbol equality follows dict-key semantics (identity short-circuits, so a
-NaN symbol equals itself here even though ``nan == nan`` is False).
+Symbols are first *interned* over a shared alphabet (:class:`SymbolInterner`):
+every distinct symbol is hashed once and mapped to a small integer, so the
+kernel compares machine ints.  Interning implies symbols must be hashable
+with ``__eq__`` consistent with ``__hash__``; symbol equality follows
+dict-key semantics (identity short-circuits, so a NaN symbol equals itself
+here even though ``nan == nan`` is False).
+
+:func:`damerau_levenshtein_pairs` is the one kernel: it scores a batch of
+(query, reference) pairs in a stacked dynamic program.  The textbook
+scalar dynamic program lives in ``tests/conftest.py`` as the oracle the
+kernel is checked against, pair by pair.
 
 Empty-sequence semantics (documented contract):
 
-* ``damerau_levenshtein`` follows the textbook definition -- the distance
+* the absolute distance follows the textbook definition -- the distance
   to an empty sequence is the other sequence's length, and two empty
   sequences have distance 0.
-* ``normalized_damerau_levenshtein`` divides by the longer length, so one
+* :func:`normalized_pair_distances` divides by the longer length, so one
   empty sequence yields exactly 1.0 (maximal dissimilarity) -- *returned*,
   not raised, because an empty fingerprint legitimately occurs when a
   device stayed silent during profiling.  Two empty sequences *raise*
@@ -123,8 +119,9 @@ def damerau_levenshtein_pairs(
     ``(len(query), len(reference))`` on the step its query ends.
 
     Returns one absolute Damerau-Levenshtein distance per pair, as an
-    int64 array, bitwise-equal to :func:`damerau_levenshtein` per pair
-    (the differential property suite asserts this).
+    int64 array, bitwise-equal per pair to the scalar dynamic program
+    kept as the oracle in ``tests/conftest.py`` (the differential
+    property suite asserts this).
     """
     count = len(queries)
     if count != len(references):
@@ -196,15 +193,15 @@ def damerau_levenshtein_pairs(
 def normalized_pair_distances(
     queries: Sequence[np.ndarray], references: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Pairwise counterpart of :func:`normalized_damerau_levenshtein`.
+    """Normalised distance of every pair: the paper's per-reference score.
 
     ``queries``/``references`` are code arrays as for
-    :func:`damerau_levenshtein_pairs`.  Pair semantics are identical to
-    the scalar function, including the empty-sequence contract: one empty
-    side yields exactly 1.0, two empty sides raise
+    :func:`damerau_levenshtein_pairs`.  The empty-sequence contract holds
+    per pair: one empty side yields exactly 1.0, two empty sides raise
     :class:`FingerprintError`.  Each result is the integer distance
     divided by the longer length -- the same two machine numbers the
-    scalar path divides, so the float64 values are bitwise identical.
+    scalar oracle in ``tests/conftest.py`` divides, so the float64 values
+    are bitwise identical.
     """
     longest = np.array(
         [max(len(query), len(reference)) for query, reference in zip(queries, references)],
@@ -258,73 +255,3 @@ def splitmix_subset(seed: int, population: int, size: int) -> tuple[int, ...]:
         swap = position + (value % remaining)
         pool[position], pool[swap] = pool[swap], pool[position]
     return tuple(sorted(pool[:size]))
-
-
-def _intern(
-    first: Sequence[Hashable], second: Sequence[Hashable]
-) -> tuple[list[int], list[int]]:
-    """Map both sequences onto small ints over one shared alphabet."""
-    codes: dict[Hashable, int] = {}
-    encoded = []
-    for sequence in (first, second):
-        encoded.append([codes.setdefault(symbol, len(codes)) for symbol in sequence])
-    return encoded[0], encoded[1]
-
-
-def damerau_levenshtein(first: Sequence[Hashable], second: Sequence[Hashable]) -> int:
-    """Absolute Damerau-Levenshtein distance between two symbol sequences."""
-    len_first = len(first)
-    len_second = len(second)
-    if len_first == 0:
-        return len_second
-    if len_second == 0:
-        return len_first
-    first, second = _intern(first, second)
-
-    # Classic dynamic program with three rows (previous-previous, previous,
-    # current) which is all the adjacent-transposition case needs.  The
-    # row-i symbols are hoisted out of the inner loop; with interned
-    # symbols every comparison below is an int comparison.
-    previous_previous = [0] * (len_second + 1)
-    previous = list(range(len_second + 1))
-    for i in range(1, len_first + 1):
-        current = [i] + [0] * len_second
-        symbol = first[i - 1]
-        previous_symbol = first[i - 2] if i > 1 else None
-        for j in range(1, len_second + 1):
-            substitution_cost = 0 if symbol == second[j - 1] else 1
-            cost = min(
-                previous[j] + 1,  # deletion
-                current[j - 1] + 1,  # insertion
-                previous[j - 1] + substitution_cost,  # substitution
-            )
-            if (
-                j > 1
-                and previous_symbol is not None
-                and symbol == second[j - 2]
-                and previous_symbol == second[j - 1]
-            ):
-                transposition = previous_previous[j - 2] + 1
-                if transposition < cost:
-                    cost = transposition
-            current[j] = cost
-        previous_previous, previous = previous, current
-    return previous[len_second]
-
-
-def normalized_damerau_levenshtein(
-    first: Sequence[Hashable], second: Sequence[Hashable]
-) -> float:
-    """Distance divided by the length of the longer sequence, bounded on [0, 1].
-
-    This is the normalisation the paper applies before summing per-type
-    dissimilarity scores.  Exactly one empty sequence returns 1.0 (any
-    sequence is maximally dissimilar from silence); two empty sequences
-    raise :class:`FingerprintError` -- see the module docstring for why.
-    """
-    longest = max(len(first), len(second))
-    if longest == 0:
-        raise FingerprintError("cannot normalise the distance of two empty sequences")
-    # One empty side needs no special case: the distance equals the other
-    # side's length, so the division yields exactly 1.0.
-    return damerau_levenshtein(first, second) / longest

@@ -26,7 +26,8 @@ Edit distances always go through the stacked pair kernel
 (:func:`~repro.distance.damerau_levenshtein.normalized_pair_distances`):
 :meth:`EditDistanceDiscriminator.score_many` draws every subset of a
 batch first and then scores all (fingerprint, reference) pairs in one
-call.  The scalar dynamic program is the test suite's oracle.
+call.  The scalar dynamic program lives in ``tests/conftest.py`` as the
+test suite's oracle.
 
 Tie-breaking contract: two candidates with *exactly* equal dissimilarity
 scores are ordered lexicographically by ``device_type`` -- the winner of a

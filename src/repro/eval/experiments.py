@@ -17,7 +17,6 @@ from repro.datasets.builder import FingerprintDataset
 from repro.devices.catalog import DEVICE_NAMES, TABLE_III_DEVICES
 from repro.devices.simulator import SetupTrafficSimulator
 from repro.devices.catalog import DEVICE_CATALOG
-from repro.distance.damerau_levenshtein import normalized_damerau_levenshtein
 from repro.distance.discrimination import (
     DETERMINISTIC_SELECTION,
     RANDOM_SELECTION,
@@ -29,7 +28,6 @@ from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.metrics import confusion_matrix, per_class_accuracy
 from repro.ml.validation import StratifiedKFold
-from repro.net.addresses import MACAddress
 from repro.security_service.isolation import IsolationLevel
 from repro.simulation.latency import LatencyModel, PathType
 from repro.simulation.resources import GatewayResourceModel
@@ -163,10 +161,12 @@ def run_timing(
     """Table IV: time consumption of each identification step.
 
     Measures (a) one Random-Forest classification, (b) one edit-distance
-    computation, (c) one fingerprint extraction from a packet trace, and the
-    composite rows: one classification per known type, the average number of
-    edit-distance computations per identification (7 in the paper's setup)
-    and the resulting total type-identification time.
+    computation (one reference pair scored by the discriminator's
+    ``score_type``, the kernel identification runs), (c) one fingerprint
+    extraction from a packet trace, and the composite rows: one
+    classification per known type, the average number of edit-distance
+    computations per identification (7 in the paper's setup) and the
+    resulting total type-identification time.
     """
     if dataset is None:
         from repro.datasets.builder import generate_fingerprint_dataset
@@ -201,8 +201,8 @@ def run_timing(
         classification_times.append(time.perf_counter() - start)
 
         start = time.perf_counter()
-        normalized_damerau_levenshtein(
-            fingerprint.as_symbol_sequence(), other.as_symbol_sequence()
+        identifier.discriminator.score_type(
+            fingerprint, other.device_type, [other], salt=identifier.revision
         )
         distance_times.append(time.perf_counter() - start)
 
@@ -511,21 +511,6 @@ def run_memory_vs_rules(
     result.series["With Filtering"] = values_filtering
     result.series["Without Filtering"] = values_plain
     return result
-
-
-def populate_rule_cache(gateway: SecurityGateway, rule_count: int, seed: int = 0) -> None:
-    """Fill the gateway's rule cache with ``rule_count`` synthetic device rules."""
-    rng = np.random.default_rng(seed)
-    for index in range(rule_count):
-        mac = MACAddress(int(rng.integers(0, 1 << 48)))
-        gateway.rule_cache.store(
-            EnforcementRule(
-                device_mac=mac,
-                isolation_level=IsolationLevel.RESTRICTED,
-                allowed_destinations=("52.10.0.1",),
-                device_type=f"bulk-{index}",
-            )
-        )
 
 
 # --------------------------------------------------------------------------- #

@@ -10,7 +10,6 @@ from repro.features.fingerprint import (
     FIXED_PACKET_COUNT,
     FIXED_VECTOR_SIZE,
     Fingerprint,
-    fingerprint_from_packets,
 )
 from repro.features.session import SetupPhaseDetector, split_by_source
 
@@ -22,7 +21,6 @@ __all__ = [
     "FIXED_PACKET_COUNT",
     "FIXED_VECTOR_SIZE",
     "Fingerprint",
-    "fingerprint_from_packets",
     "SetupPhaseDetector",
     "split_by_source",
 ]

@@ -191,12 +191,3 @@ def fingerprint_key(fingerprint: Fingerprint) -> bytes:
     digest.update(str(fingerprint.vectors.dtype).encode("ascii"))
     digest.update(fingerprint.vectors.tobytes())
     return digest.digest()
-
-
-def fingerprint_from_packets(
-    packets: Sequence[Packet],
-    device_type: Optional[str] = None,
-    device_mac: Optional[str] = None,
-) -> Fingerprint:
-    """Convenience wrapper around :meth:`Fingerprint.from_packets`."""
-    return Fingerprint.from_packets(packets, device_type=device_type, device_mac=device_mac)

@@ -216,7 +216,7 @@ def batch_feature_matrix(batch: "PacketBatch") -> np.ndarray:
     without per-packet Python.  The stateful ``dst_ip_counter`` column is
     left at zero: it depends on per-device first-contact order, so the
     assembler fills it while walking each device's packets (see
-    :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_batch`).
+    :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_prepared`).
     """
     n = len(batch)
     matrix = np.zeros((n, FEATURE_COUNT), dtype=np.int64)

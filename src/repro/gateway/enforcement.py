@@ -43,10 +43,6 @@ class EnforcementRule:
     created_at: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.isolation_level is IsolationLevel.RESTRICTED and not self.allowed_destinations:
-            # A restricted device with no permitted endpoints degenerates to
-            # strict behaviour; that is legal but worth normalising.
-            pass
         if self.isolation_level is IsolationLevel.TRUSTED and self.allowed_destinations:
             raise EnforcementError("trusted devices do not carry destination allow-lists")
 

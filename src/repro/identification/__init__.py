@@ -25,13 +25,7 @@ from repro.identification.lifecycle import (
     load_quarantine_log,
     save_quarantine_log,
 )
-from repro.identification.model_store import (
-    bundle_epoch,
-    load_bank,
-    load_identifier,
-    save_bank,
-    save_identifier,
-)
+from repro.identification.model_store import bundle_info, load_identifier, save_identifier
 from repro.identification.registry import FingerprintRegistry
 
 __all__ = [
@@ -52,13 +46,11 @@ __all__ = [
     "ReprofileScheduler",
     "TriggerPolicy",
     "FingerprintRegistry",
-    "bundle_epoch",
+    "bundle_info",
     "fingerprint_key",
-    "load_bank",
     "load_identifier",
     "load_quarantine_log",
     "provisional_label",
-    "save_bank",
     "save_identifier",
     "save_quarantine_log",
 ]

@@ -540,8 +540,7 @@ class ReprofileScheduler:
 
         start = time.perf_counter()
         results = self.coordinator.identifier.identify_many(
-            [fingerprint for _, fingerprint in window],
-            use_discrimination=self.coordinator.use_discrimination,
+            [fingerprint for _, fingerprint in window]
         )
         identify_seconds = time.perf_counter() - start
 

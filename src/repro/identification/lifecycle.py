@@ -336,8 +336,6 @@ class LifecycleCoordinator:
             (epoch-stamped, beside the model bundle) after every change --
             a restarted gateway resumes pending re-identifications via
             :meth:`resume` with no lost devices.
-        use_discrimination: forwarded to ``identify_many`` during fleet
-            re-identification.
         observability: optional hub; when attached, every quarantine
             transition and type registration lands in the evidence ledger
             and the coordinator's counters become snapshot sources.
@@ -349,7 +347,6 @@ class LifecycleCoordinator:
     epoch: CacheEpoch = field(default_factory=CacheEpoch)
     store_path: Optional[Union[str, Path]] = None
     quarantine_path: Optional[Union[str, Path]] = None
-    use_discrimination: bool = True
     observability: Optional["Observability"] = None
     relearns: int = 0
     disconnects: int = 0
@@ -385,20 +382,6 @@ class LifecycleCoordinator:
     # ------------------------------------------------------------------ #
     # Cache registration.
     # ------------------------------------------------------------------ #
-    def register_cache(self, cache) -> None:
-        """Register a verdict cache to be cleared on every registration.
-
-        Anything with a ``clear()`` method qualifies.  Caches that also
-        share :attr:`epoch` get the stronger guarantee: their stale entries
-        are rejected at lookup time even if this clear never reaches them.
-        """
-        if not callable(getattr(cache, "clear", None)):
-            raise LifecycleError("a registered cache must expose a clear() method")
-        # Dedup by identity: two distinct caches may compare equal by
-        # value (dataclasses, plain dicts) yet both need clearing.
-        if not any(existing is cache for existing in self._caches):
-            self._caches.append(cache)
-
     def make_cache(self, capacity: int = 512) -> "IdentificationCache":
         """A registered :class:`IdentificationCache` bound to this epoch."""
         # Imported lazily: repro.streaming imports this module for
@@ -406,7 +389,7 @@ class LifecycleCoordinator:
         from repro.streaming.dispatcher import IdentificationCache
 
         cache = IdentificationCache(capacity=capacity, epoch=self.epoch)
-        self.register_cache(cache)
+        self._caches.append(cache)
         return cache
 
     @property
@@ -518,10 +501,7 @@ class LifecycleCoordinator:
             from repro.streaming.dispatcher import IdentifiedDevice  # import cycle guard
 
             start = time.perf_counter()
-            results = self.identifier.identify_many(
-                [entry.fingerprint for entry in fleet],
-                use_discrimination=self.use_discrimination,
-            )
+            results = self.identifier.identify_many([entry.fingerprint for entry in fleet])
             identify_seconds = time.perf_counter() - start
             for entry, result in zip(fleet, results):
                 if result.is_new_device_type:
@@ -659,7 +639,6 @@ class LifecycleCoordinator:
         store_path: Union[str, Path],
         quarantine_path: Optional[Union[str, Path]] = None,
         sink: Optional[Callable[["IdentifiedDevice"], None]] = None,
-        use_discrimination: bool = True,
     ) -> "LifecycleCoordinator":
         """Rebuild a coordinator from persisted state after a restart.
 
@@ -679,7 +658,6 @@ class LifecycleCoordinator:
             store_path=store_path,
             quarantine_path=quarantine_path,
             sink=sink,
-            use_discrimination=use_discrimination,
         )
         if quarantine_path is not None and Path(quarantine_path).exists():
             coordinator.load_quarantine()

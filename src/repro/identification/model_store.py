@@ -300,10 +300,23 @@ def _check_epoch(
         )
 
 
-def bundle_epoch(path: Union[str, Path]) -> Optional[int]:
-    """The cache-generation epoch a bundle was saved under (None when unstamped)."""
-    meta, _ = _read_bundle(path)
-    return meta.get("epoch")
+def _serving_revision(meta: dict, path: Union[str, Path]) -> int:
+    """The bundle's identifier ``revision``, once the bundle proves it can serve.
+
+    A gateway loads only bundles that record the revision (the salt of
+    the reference draw) and a discriminator running the deterministic
+    splitmix64 draw.  :func:`bundle_info` and :func:`load_identifier`
+    both ask here, so the fleet never publishes a bundle its members
+    would refuse to load.
+    """
+    discriminator_meta = _required(meta, "discriminator")
+    for key, expected in (("selection", DETERMINISTIC_SELECTION), ("draw", SPLITMIX_DRAW)):
+        if discriminator_meta.get(key) != expected:
+            raise ModelStoreError(
+                f"model bundle discriminator {key} {discriminator_meta.get(key)!r} "
+                f"is not supported (expected {expected!r}): {path}"
+            )
+    return int(_required(meta, "revision"))
 
 
 def bundle_info(path: Union[str, Path]) -> dict:
@@ -313,14 +326,17 @@ def bundle_info(path: Union[str, Path]) -> dict:
     -- what the fleet distribution channel needs to watermark a push
     (:meth:`repro.fleet.FleetCoordinator.push`) without rebuilding the
     whole identifier.  The read still runs the full magic/schema/checksum
-    validation, so a corrupt bundle is rejected at *push* time instead of
-    on N gateways at apply time.
+    validation and the serving checks of :func:`load_identifier` (revision,
+    discriminator draw), so a bundle no gateway could load is rejected at
+    *push* time instead of on N gateways at apply time.  ``epoch`` is
+    None for an unstamped bundle.
     """
     meta, _ = _read_bundle(path)
+    revision = _serving_revision(meta, path)
     classifiers = meta.get("bank", {}).get("classifiers", [])
     return {
         "epoch": meta.get("epoch"),
-        "revision": int(meta.get("revision", 0)),
+        "revision": revision,
         "schema_version": meta.get("schema_version"),
         "device_types": [record["device_type"] for record in classifiers],
     }
@@ -438,41 +454,6 @@ def load_quarantine_records(
 # --------------------------------------------------------------------- #
 # Public API.
 # --------------------------------------------------------------------- #
-def save_bank(
-    path: Union[str, Path],
-    bank: ClassifierBank,
-    registry: FingerprintRegistry,
-    epoch: Optional[int] = None,
-) -> Path:
-    """Persist a trained classifier bank and its fingerprint registry."""
-    bank_meta, arrays = _bank_payload(bank)
-    registry_records, registry_arrays = _registry_arrays(registry)
-    arrays.update(registry_arrays)
-    meta = {
-        "bank": bank_meta,
-        "registry": {
-            "fixed_packet_count": registry.fixed_packet_count,
-            "fingerprints": registry_records,
-        },
-        "epoch": epoch,
-    }
-    return _write_bundle(path, meta, arrays)
-
-
-def load_bank(
-    path: Union[str, Path], expected_epoch: Optional[int] = None
-) -> tuple[ClassifierBank, FingerprintRegistry]:
-    """Reload a bank + registry persisted by :func:`save_bank`."""
-    meta, arrays = _read_bundle(path)
-    _check_epoch(meta, expected_epoch, path)
-    try:
-        bank = _rebuild_bank(meta["bank"], arrays)
-        registry = _rebuild_registry(meta["registry"], arrays)
-    except (KeyError, TypeError, ModelError) as exc:
-        raise ModelStoreError(f"model bundle is structurally invalid: {path}") from exc
-    return bank, registry
-
-
 def save_identifier(
     path: Union[str, Path],
     identifier: DeviceTypeIdentifier,
@@ -545,18 +526,11 @@ def load_identifier_with_epoch(
     try:
         bank = _rebuild_bank(meta["bank"], arrays)
         registry = _rebuild_registry(meta["registry"], arrays)
-        discriminator_meta = meta["discriminator"]
-        for key, expected in (("selection", DETERMINISTIC_SELECTION), ("draw", SPLITMIX_DRAW)):
-            if discriminator_meta.get(key) != expected:
-                raise ModelStoreError(
-                    f"model bundle discriminator {key} {discriminator_meta.get(key)!r} "
-                    f"is not supported (expected {expected!r}): {path}"
-                )
+        revision = _serving_revision(meta, path)
         discriminator = EditDistanceDiscriminator(
-            references_per_type=discriminator_meta["references_per_type"]
+            references_per_type=meta["discriminator"]["references_per_type"]
         )
         novelty_threshold = meta["novelty_threshold"]
-        revision = int(_required(meta, "revision"))
     except (KeyError, TypeError, ModelError) as exc:
         raise ModelStoreError(f"model bundle is structurally invalid: {path}") from exc
     identifier = DeviceTypeIdentifier(

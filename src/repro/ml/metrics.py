@@ -1,4 +1,4 @@
-"""Classification metrics: accuracy, confusion matrix, precision/recall/F1."""
+"""Classification metrics: the confusion matrix and per-class accuracy."""
 
 from __future__ import annotations
 
@@ -17,12 +17,6 @@ def _validate(y_true: Sequence, y_pred: Sequence) -> tuple[np.ndarray, np.ndarra
     if len(true) == 0:
         raise ModelError("metrics require at least one sample")
     return true, pred
-
-
-def accuracy_score(y_true: Sequence, y_pred: Sequence) -> float:
-    """Fraction of predictions equal to the ground truth."""
-    true, pred = _validate(y_true, y_pred)
-    return float(np.mean(true == pred))
 
 
 def confusion_matrix(
@@ -55,48 +49,3 @@ def per_class_accuracy(y_true: Sequence, y_pred: Sequence) -> dict:
         mask = true == label
         result[label] = float(np.mean(pred[mask] == label))
     return result
-
-
-def precision_score(y_true: Sequence, y_pred: Sequence, label) -> float:
-    """Precision of ``label``: TP / (TP + FP).  Returns 0 when never predicted."""
-    true, pred = _validate(y_true, y_pred)
-    predicted_positive = pred == label
-    if not np.any(predicted_positive):
-        return 0.0
-    return float(np.mean(true[predicted_positive] == label))
-
-
-def recall_score(y_true: Sequence, y_pred: Sequence, label) -> float:
-    """Recall of ``label``: TP / (TP + FN).  Returns 0 when label never occurs."""
-    true, pred = _validate(y_true, y_pred)
-    actual_positive = true == label
-    if not np.any(actual_positive):
-        return 0.0
-    return float(np.mean(pred[actual_positive] == label))
-
-
-def f1_score(y_true: Sequence, y_pred: Sequence, label) -> float:
-    """Harmonic mean of precision and recall for ``label``."""
-    precision = precision_score(y_true, y_pred, label)
-    recall = recall_score(y_true, y_pred, label)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
-
-
-def classification_report(y_true: Sequence, y_pred: Sequence) -> str:
-    """A plain-text per-class precision/recall/F1 report."""
-    true, _ = _validate(y_true, y_pred)
-    labels = sorted(set(true.tolist()), key=str)
-    width = max(len(str(label)) for label in labels)
-    lines = [f"{'label'.ljust(width)}  precision  recall  f1      support"]
-    for label in labels:
-        support = int(np.sum(np.asarray(y_true) == label))
-        lines.append(
-            f"{str(label).ljust(width)}  "
-            f"{precision_score(y_true, y_pred, label):9.3f}  "
-            f"{recall_score(y_true, y_pred, label):6.3f}  "
-            f"{f1_score(y_true, y_pred, label):6.3f}  {support:7d}"
-        )
-    lines.append(f"{'accuracy'.ljust(width)}  {accuracy_score(y_true, y_pred):9.3f}")
-    return "\n".join(lines)

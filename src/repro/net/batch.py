@@ -29,7 +29,7 @@ batch was built from frames).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -390,10 +390,6 @@ class PacketBatch:
             cached = Packet.dissect(data, timestamp, original)
             self.packets[index] = cached
         return cached
-
-    def iter_packets(self) -> Iterator[Packet]:
-        for index in range(len(self)):
-            yield self.packet(index)
 
     def slice(self, start: int, stop: int) -> "PacketBatch":
         """A zero-copy window ``[start, stop)`` (array views, list slices)."""

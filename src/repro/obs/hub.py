@@ -17,6 +17,7 @@ never builds evidence records by hand.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import TYPE_CHECKING, Optional
 
@@ -142,33 +143,22 @@ class Observability:
     # Source wiring (pull model; registration is idempotent per prefix).
     # ------------------------------------------------------------------ #
     def register_dispatcher(self, dispatcher: "BatchDispatcher") -> None:
-        """Absorb the dispatcher's counters, its queue's and its cache's."""
+        """Absorb the dispatcher's counters, its queue's and its cache's.
+
+        Every field of the stage's stats dataclass is exported, so a new
+        counter reaches the snapshot without touching this method.
+        """
         stats = dispatcher.stats
-        queue_stats = dispatcher.queue.stats
+        queue = dispatcher.queue
 
         def dispatcher_source() -> dict[str, Scalar]:
-            return {
-                "submitted": stats.submitted,
-                "dropped": stats.dropped,
-                "batches": stats.batches,
-                "batched": stats.batched,
-                "identified": stats.identified,
-                "identify_seconds": stats.identify_seconds,
-                "last_batch_seconds": stats.last_batch_seconds,
-                "largest_batch": stats.largest_batch,
-                "linger_flushes": stats.linger_flushes,
-                "swaps": stats.swaps,
-            }
+            return dataclasses.asdict(stats)
 
         def queue_source() -> dict[str, Scalar]:
             return {
-                "offered": queue_stats.offered,
-                "accepted": queue_stats.accepted,
-                "dropped": queue_stats.dropped,
-                "blocked": queue_stats.blocked,
-                "high_watermark": queue_stats.high_watermark,
-                "depth": len(dispatcher.queue),
-                "capacity": dispatcher.queue.capacity,
+                **dataclasses.asdict(queue.stats),
+                "depth": len(queue),
+                "capacity": queue.capacity,
             }
 
         self.metrics.register_source("dispatcher", dispatcher_source)
@@ -193,14 +183,7 @@ class Observability:
         stats = pipeline.assembler.stats
 
         def assembler_source() -> dict[str, Scalar]:
-            return {
-                "packets_observed": stats.packets_observed,
-                "fingerprints_emitted": stats.fingerprints_emitted,
-                "budget_emissions": stats.budget_emissions,
-                "idle_emissions": stats.idle_emissions,
-                "flush_emissions": stats.flush_emissions,
-                "min_signal_drops": stats.min_signal_drops,
-            }
+            return dataclasses.asdict(stats)
 
         self.metrics.register_source("assembler", assembler_source)
         self.register_dispatcher(pipeline.dispatcher)

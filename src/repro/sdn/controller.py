@@ -65,9 +65,6 @@ class SdnController:
             raise SdnError(f"a module named {module.name!r} is already registered")
         self.modules.append(module)
 
-    def unregister_module(self, name: str) -> None:
-        self.modules = [module for module in self.modules if module.name != name]
-
     # ------------------------------------------------------------------ #
     # Flow programming helpers used by modules.
     # ------------------------------------------------------------------ #

@@ -45,18 +45,6 @@ class FlowMatch:
         if self.dst_mac is not None and packet.dst_mac != self.dst_mac:
             return False
         key = FlowKey.from_packet(packet)
-        return self._matches_key_fields(key)
-
-    def matches_flow(self, key: Optional[FlowKey], src_mac: Optional[MACAddress] = None,
-                     dst_mac: Optional[MACAddress] = None) -> bool:
-        """True when a flow key (plus optional MACs) satisfies the match."""
-        if self.src_mac is not None and src_mac != self.src_mac:
-            return False
-        if self.dst_mac is not None and dst_mac != self.dst_mac:
-            return False
-        return self._matches_key_fields(key)
-
-    def _matches_key_fields(self, key: Optional[FlowKey]) -> bool:
         needs_ip_fields = any(
             value is not None
             for value in (self.src_ip, self.dst_ip, self.protocol, self.src_port, self.dst_port)

@@ -288,20 +288,6 @@ class ShardedFingerprintAssembler:
             return completed or budget_ready
         return completed
 
-    def observe_batch(self, batch: PacketBatch) -> list[ReadyFingerprint]:
-        """Fold a whole :class:`~repro.net.batch.PacketBatch` in.
-
-        Emission-equivalent to calling :meth:`observe` per packet:
-        completed fingerprints come back ordered by the packet that
-        triggered them, with bitwise-identical matrices (the differential
-        suite asserts both).  Idle *eviction* remains the caller's job --
-        the pipeline splits batches at eviction boundaries so sweeps fire
-        between the same two packets as on the per-packet path.
-        """
-        if len(batch) == 0:
-            return []
-        return self.observe_prepared(self.prepare_batch(batch), len(batch))
-
     def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
         """Run the vectorised per-batch work once, ahead of observation.
 
@@ -373,8 +359,11 @@ class ShardedFingerprintAssembler:
     ) -> list[ReadyFingerprint]:
         """Fold every not-yet-observed packet before index ``stop`` in.
 
-        Completed fingerprints come back ordered by the in-batch index of
-        the packet that triggered them.
+        Emission-equivalent to calling :meth:`observe` per packet:
+        completed fingerprints come back ordered by the in-batch index of
+        the packet that triggered them, with bitwise-identical matrices
+        (the differential suite asserts both).  Idle *eviction* remains
+        the caller's job.
 
         Windows are consumed consecutively (each group keeps a cursor), so
         calling with increasing ``stop`` values walks the batch exactly

@@ -89,10 +89,6 @@ class BoundedQueue(Generic[T]):
         """The oldest queued item, without removing it."""
         return self._items[0] if self._items else None
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -53,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: streaming test suite).
 fingerprint_cache_key = fingerprint_key
 
+#: Stream-seconds a queued fingerprint may wait before
+#: :meth:`BatchDispatcher.poll` forces a partial batch.
+MAX_LINGER_SECONDS = 5.0
+
 
 class IdentificationCache:
     """A fixed-capacity LRU of fingerprint-hash -> identification result.
@@ -179,10 +183,6 @@ class BatchDispatcher:
             reaching this count triggers a drain automatically.
         queue: the bounded staging queue (its policy decides drop vs block).
         cache: optional LRU of previous results; ``None`` disables caching.
-        max_linger: stream-seconds a queued fingerprint may wait before a
-            partial batch is forced by :meth:`poll`.  Without it, a
-            sub-``max_batch`` trickle (or a DROP-policy queue smaller than
-            ``max_batch``) would starve until end-of-stream drain.
         observability: optional hub; when attached, the dispatcher's
             counters become snapshot sources and every identify batch
             lands in the ``dispatcher.identify_batch_seconds`` histogram,
@@ -197,20 +197,14 @@ class BatchDispatcher:
         queue_capacity: int = 64,
         policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
         cache: Optional[IdentificationCache] = None,
-        use_discrimination: bool = True,
-        max_linger: float = 5.0,
         observability: Optional["Observability"] = None,
     ):
         if max_batch <= 0:
             raise SimulationError(f"max_batch must be positive, got {max_batch}")
-        if max_linger < 0:
-            raise SimulationError(f"max_linger must be non-negative, got {max_linger}")
         self.identifier = identifier
         self.max_batch = max_batch
         self.queue: BoundedQueue = BoundedQueue(capacity=queue_capacity, policy=policy)
         self.cache = cache
-        self.use_discrimination = use_discrimination
-        self.max_linger = max_linger
         self.stats = DispatcherStats()
         self.observability = observability
         if observability is not None:
@@ -276,12 +270,13 @@ class BatchDispatcher:
     def poll(self, now: float) -> list[IdentifiedDevice]:
         """Flush a partial batch if the oldest fingerprint lingered too long.
 
-        ``now`` is stream time (the pipeline clock).  This is what keeps a
-        slow trickle of devices -- or a DROP-policy queue smaller than
-        ``max_batch`` -- from waiting for end-of-stream :meth:`drain`.
+        ``now`` is stream time (the pipeline clock); "too long" is
+        :data:`MAX_LINGER_SECONDS`.  This is what keeps a slow trickle of
+        devices -- or a DROP-policy queue smaller than ``max_batch`` --
+        from waiting for end-of-stream :meth:`drain`.
         """
         oldest = self.queue.peek()
-        if oldest is None or now - oldest[0].completed_at < self.max_linger:
+        if oldest is None or now - oldest[0].completed_at < MAX_LINGER_SECONDS:
             return []
         self.stats.linger_flushes += 1
         return self._run_batch()
@@ -338,9 +333,7 @@ class BatchDispatcher:
             slots.append(len(unique))
             unique.append(ready.fingerprint)
         start = time.perf_counter()
-        unique_outcomes = self.identifier.identify_many(
-            unique, use_discrimination=self.use_discrimination
-        )
+        unique_outcomes = self.identifier.identify_many(unique)
         elapsed = time.perf_counter() - start
         self.stats.identify_seconds += elapsed
         self.stats.last_batch_seconds = elapsed

@@ -8,9 +8,9 @@ enforcement rule on a :class:`~repro.gateway.security_gateway.SecurityGateway`.
 
 Stream time (packet timestamps) drives a shared
 :class:`~repro.simulation.clock.SimulatedClock`, which in turn drives the
-assembler's idle eviction: every ``eviction_interval`` stream-seconds one
-shard is swept round-robin, so eviction cost is amortised instead of
-scanning every device on every packet.
+assembler's idle eviction: every :data:`EVICTION_INTERVAL_SECONDS`
+stream-seconds one shard is swept round-robin, so eviction cost is
+amortised instead of scanning every device on every packet.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ from repro.streaming.sources import PacketSource, iter_packet_batches
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.net.batch import PacketBatch
     from repro.obs.hub import Observability
+
+#: Stream-seconds between idle-eviction sweeps (one shard per sweep).
+EVICTION_INTERVAL_SECONDS = 1.0
 
 
 @dataclass
@@ -96,8 +99,6 @@ class StreamingPipeline:
             batch).  Exceptions propagate (the pipeline performs
             enforcement, it must not silently lose verdicts).
         clock: shared stream clock; advanced to each packet's timestamp.
-        eviction_interval: stream-seconds between idle-eviction sweeps
-            (one shard per sweep, round-robin).
         observability: the dispatcher's hub, if it has one; every
             verdict leaving the pipeline then lands in the evidence ledger
             and the assembler counters become snapshot sources.
@@ -110,19 +111,17 @@ class StreamingPipeline:
         assembler: Optional[ShardedFingerprintAssembler] = None,
         on_identified: Optional[Callable[[IdentifiedDevice], None]] = None,
         clock: Optional[SimulatedClock] = None,
-        eviction_interval: float = 1.0,
     ):
         self.source = source
         self.assembler = assembler or ShardedFingerprintAssembler()
         self.dispatcher = dispatcher
         self.on_identified = on_identified
         self.clock = clock or SimulatedClock()
-        self.eviction_interval = eviction_interval
         self.observability = dispatcher.observability
         if self.observability is not None:
             self.observability.register_pipeline(self)
         self.stats = PipelineStats()
-        self._next_eviction = self.clock.now() + eviction_interval
+        self._next_eviction = self.clock.now() + EVICTION_INTERVAL_SECONDS
         self._eviction_shard = 0
         # A dispatcher (and its cache) may be shared across pipeline runs
         # (warm start); snapshot their lifetime counters so this run's
@@ -306,7 +305,7 @@ class StreamingPipeline:
         if now >= self._next_eviction:
             completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
             self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
-            self._next_eviction = now + self.eviction_interval
+            self._next_eviction = now + EVICTION_INTERVAL_SECONDS
 
     def _deliver(self, identified: list[IdentifiedDevice]) -> None:
         self.stats.identified += len(identified)

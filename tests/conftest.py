@@ -7,13 +7,15 @@ so that the full suite stays fast; the benchmarks exercise full scale.
 
 from __future__ import annotations
 
+from typing import Hashable, Sequence
+
 import numpy as np
 import pytest
 
 from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
-from repro.distance.damerau_levenshtein import normalized_damerau_levenshtein
+from repro.exceptions import FingerprintError
 from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.compiled import LEAF
@@ -70,6 +72,82 @@ def simulator(lab_environment):
 def aria_trace(simulator):
     """One simulated setup run of the Fitbit Aria profile."""
     return simulator.simulate(DEVICE_CATALOG["Aria"])
+
+
+# --------------------------------------------------------------------------- #
+# Edit-distance oracle: the scalar Damerau-Levenshtein dynamic program.
+# --------------------------------------------------------------------------- #
+
+
+def _intern(
+    first: Sequence[Hashable], second: Sequence[Hashable]
+) -> tuple[list[int], list[int]]:
+    """Map both sequences onto small ints over one shared alphabet."""
+    codes: dict[Hashable, int] = {}
+    encoded = []
+    for sequence in (first, second):
+        encoded.append([codes.setdefault(symbol, len(codes)) for symbol in sequence])
+    return encoded[0], encoded[1]
+
+
+def damerau_levenshtein(first: Sequence[Hashable], second: Sequence[Hashable]) -> int:
+    """Absolute Damerau-Levenshtein distance between two symbol sequences.
+
+    The textbook restricted ("optimal string alignment") dynamic program,
+    one pair at a time: the oracle the stacked pair kernel
+    (``repro.distance.damerau_levenshtein.damerau_levenshtein_pairs``) is
+    checked against.  The distance to an empty sequence is the other
+    sequence's length.
+    """
+    len_first = len(first)
+    len_second = len(second)
+    if len_first == 0:
+        return len_second
+    if len_second == 0:
+        return len_first
+    first, second = _intern(first, second)
+
+    # Three rows (previous-previous, previous, current) are all the
+    # adjacent-transposition case needs.
+    previous_previous = [0] * (len_second + 1)
+    previous = list(range(len_second + 1))
+    for i in range(1, len_first + 1):
+        current = [i] + [0] * len_second
+        symbol = first[i - 1]
+        previous_symbol = first[i - 2] if i > 1 else None
+        for j in range(1, len_second + 1):
+            substitution_cost = 0 if symbol == second[j - 1] else 1
+            cost = min(
+                previous[j] + 1,  # deletion
+                current[j - 1] + 1,  # insertion
+                previous[j - 1] + substitution_cost,  # substitution
+            )
+            if (
+                j > 1
+                and previous_symbol is not None
+                and symbol == second[j - 2]
+                and previous_symbol == second[j - 1]
+            ):
+                transposition = previous_previous[j - 2] + 1
+                if transposition < cost:
+                    cost = transposition
+            current[j] = cost
+        previous_previous, previous = previous, current
+    return previous[len_second]
+
+
+def normalized_damerau_levenshtein(
+    first: Sequence[Hashable], second: Sequence[Hashable]
+) -> float:
+    """Distance divided by the length of the longer sequence, bounded on [0, 1].
+
+    Exactly one empty sequence returns 1.0; two empty sequences raise
+    :class:`FingerprintError`, as ``normalized_pair_distances`` does.
+    """
+    longest = max(len(first), len(second))
+    if longest == 0:
+        raise FingerprintError("cannot normalise the distance of two empty sequences")
+    return damerau_levenshtein(first, second) / longest
 
 
 def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:

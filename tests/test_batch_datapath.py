@@ -25,9 +25,7 @@ from repro.distance.damerau_levenshtein import (
     GLOBAL_INTERNER,
     UNSEEN_SYMBOL,
     SymbolInterner,
-    damerau_levenshtein,
     damerau_levenshtein_pairs,
-    normalized_damerau_levenshtein,
     normalized_pair_distances,
 )
 from repro.exceptions import FingerprintError, PacketDecodeError, SimulationError
@@ -64,7 +62,11 @@ from repro.streaming import (
     StreamingPipeline,
     iter_packet_batches,
 )
-from tests.conftest import assert_scores_match_scalar_oracle
+from tests.conftest import (
+    assert_scores_match_scalar_oracle,
+    damerau_levenshtein,
+    normalized_damerau_levenshtein,
+)
 
 _COUNTER = FEATURE_INDEX["dst_ip_counter"]
 
@@ -301,7 +303,7 @@ class TestBatchedAssembler:
         assembler = ShardedFingerprintAssembler(shards=4)
         emissions = []
         for batch in iter_packet_batches(SimulatedSource(devices=12, seed=5), batch_size):
-            emissions.extend(assembler.observe_batch(batch))
+            emissions.extend(assembler.observe_prepared(assembler.prepare_batch(batch), len(batch)))
         emissions.extend(assembler.flush(10_000.0))
         assert _emission_map(emissions) == _emission_map(baseline)
         assert assembler.stats == base_stats

@@ -1,9 +1,9 @@
-"""Tests for the Damerau-Levenshtein edit distance."""
+"""Tests for the scalar Damerau-Levenshtein oracle (``tests/conftest.py``)."""
 
 import pytest
 
-from repro.distance.damerau_levenshtein import damerau_levenshtein, normalized_damerau_levenshtein
 from repro.exceptions import FingerprintError
+from tests.conftest import damerau_levenshtein, normalized_damerau_levenshtein
 
 
 class TestAbsoluteDistance:

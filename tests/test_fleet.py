@@ -25,16 +25,17 @@ import pytest
 from repro.api import GatewayConfig, GatewayHandle, build_gateway
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
-from repro.exceptions import ConfigError, FleetError, LifecycleError
+from repro.exceptions import ConfigError, FleetError, LifecycleError, ModelStoreError
 from repro.features.fingerprint import Fingerprint
 from repro.fleet import FleetCoordinator, FleetHealthView
 from repro.identification.identifier import DeviceTypeIdentifier, UNKNOWN_DEVICE_TYPE
-from repro.identification.model_store import save_identifier
+from repro.identification.model_store import bundle_info, save_identifier
 from repro.obs import replay_ledger
 from repro.streaming import SimulatedSource
 from repro.streaming.backpressure import BackpressurePolicy
 
 from tests.conftest import SMALL_DEVICE_SET, make_device_mac
+from tests.test_model_store import rewrite_bundle
 
 
 # --------------------------------------------------------------------- #
@@ -409,6 +410,26 @@ class TestFleetChannel:
         save_identifier(conflicting, trained_identifier, epoch=2)
         with pytest.raises(FleetError, match="re-stamp"):
             fleet.push(conflicting)
+
+    def test_push_refuses_a_bundle_no_gateway_can_load(self, bundle_v1, tmp_path):
+        # bundle_info runs load_identifier's serving checks, so a bundle
+        # every member would refuse at apply time never reaches the channel.
+        fleet = FleetCoordinator()
+        fleet.push(bundle_v1)
+        fleet.spawn_gateway("gw-0")
+
+        def drop_revision(meta):
+            meta["epoch"] = 3
+            del meta["revision"]
+
+        unloadable = rewrite_bundle(bundle_v1, tmp_path / "no-revision.npz", drop_revision)
+        with pytest.raises(ModelStoreError, match="revision"):
+            bundle_info(unloadable)
+        with pytest.raises(ModelStoreError, match="revision"):
+            fleet.push(unloadable)
+        assert [record.epoch for record in fleet.pushes] == [1]
+        assert fleet.members["gw-0"].pending == 0
+        assert fleet.members["gw-0"].handle.epoch == 1
 
     def test_spawn_requires_a_watermark(self):
         fleet = FleetCoordinator()

@@ -21,7 +21,7 @@ from repro.identification.lifecycle import (
     QuarantineLog,
     RELEARN_REASON,
 )
-from repro.identification.model_store import bundle_epoch
+from repro.identification.model_store import bundle_info
 from repro.security_service.isolation import IsolationLevel
 from repro.security_service.service import IoTSecurityService
 from repro.streaming import (
@@ -193,22 +193,6 @@ class TestCoordinator:
         assert not coordinator.note_identified(identified)
         assert ready.mac not in coordinator.quarantine
 
-    def test_register_cache_requires_clear(self, partial_identifier):
-        coordinator = LifecycleCoordinator(identifier=partial_identifier)
-        with pytest.raises(LifecycleError):
-            coordinator.register_cache(object())
-
-    def test_register_cache_dedups_by_identity_not_equality(self, partial_identifier):
-        # Two distinct caches may compare equal by value (e.g. two empty
-        # dicts); both must be registered, or the second is never cleared.
-        coordinator = LifecycleCoordinator(identifier=partial_identifier)
-        first: dict = {}
-        second: dict = {}
-        coordinator.register_cache(first)
-        coordinator.register_cache(second)
-        coordinator.register_cache(first)  # the same object, once only
-        assert len(coordinator.registered_caches) == 2
-
     def test_sink_failure_keeps_the_device_quarantined(
         self, partial_identifier, aria_training
     ):
@@ -356,7 +340,7 @@ class TestEndToEnd:
         # 4. The snapshot rolled by learn_device_type carries the new
         #    epoch and reloads to identical verdicts.
         assert report.snapshot_path is not None
-        assert bundle_epoch(report.snapshot_path) == report.generation
+        assert bundle_info(report.snapshot_path)["epoch"] == report.generation
         reloaded = coordinator.load_snapshot()
         probe = aria_ready(seed=9001).fingerprint
         assert (

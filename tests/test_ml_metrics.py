@@ -4,31 +4,26 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.ml.metrics import (
-    accuracy_score,
-    classification_report,
-    confusion_matrix,
-    f1_score,
-    per_class_accuracy,
-    precision_score,
-    recall_score,
-)
+from repro.ml.metrics import confusion_matrix, per_class_accuracy
 
 
 class TestAccuracy:
     def test_perfect(self):
-        assert accuracy_score([1, 2, 3], [1, 2, 3]) == 1.0
+        assert per_class_accuracy([1, 2, 3], [1, 2, 3]) == {1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_partial(self):
-        assert accuracy_score(["a", "b", "c", "d"], ["a", "b", "x", "y"]) == 0.5
+        accuracy = per_class_accuracy(["a", "a", "b", "b"], ["a", "b", "x", "y"])
+        assert accuracy == {"a": 0.5, "b": 0.0}
 
     def test_empty_rejected(self):
-        with pytest.raises(ModelError):
-            accuracy_score([], [])
+        for metric in (confusion_matrix, per_class_accuracy):
+            with pytest.raises(ModelError):
+                metric([], [])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            accuracy_score([1, 2], [1])
+        for metric in (confusion_matrix, per_class_accuracy):
+            with pytest.raises(ModelError):
+                metric([1, 2], [1])
 
 
 class TestConfusionMatrix:
@@ -58,25 +53,3 @@ class TestPerClassMetrics:
         accuracy = per_class_accuracy(["a", "a", "b"], ["a", "x", "b"])
         assert accuracy["a"] == 0.5
         assert accuracy["b"] == 1.0
-
-    def test_precision_recall_f1(self):
-        y_true = ["pos", "pos", "neg", "neg", "neg"]
-        y_pred = ["pos", "neg", "pos", "neg", "neg"]
-        assert precision_score(y_true, y_pred, "pos") == 0.5
-        assert recall_score(y_true, y_pred, "pos") == 0.5
-        assert f1_score(y_true, y_pred, "pos") == 0.5
-
-    def test_precision_when_never_predicted(self):
-        assert precision_score(["a", "b"], ["b", "b"], "a") == 0.0
-
-    def test_recall_when_class_absent(self):
-        assert recall_score(["a", "a"], ["a", "a"], "z") == 0.0
-
-    def test_f1_zero_when_both_zero(self):
-        assert f1_score(["a", "a"], ["b", "b"], "b") == 0.0
-
-    def test_classification_report_contains_all_classes(self):
-        report = classification_report(["a", "b", "b"], ["a", "b", "a"])
-        assert "a" in report
-        assert "b" in report
-        assert "accuracy" in report

@@ -1,10 +1,10 @@
-"""Tests for sampling utilities (negative subsampling, splits)."""
+"""Tests for negative subsampling."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.ml.sampling import negative_subsample, train_test_split
+from repro.ml.sampling import negative_subsample
 
 
 class TestNegativeSubsample:
@@ -30,28 +30,3 @@ class TestNegativeSubsample:
         first = negative_subsample(range(500), 10, rng=np.random.default_rng(4)).tolist()
         second = negative_subsample(range(500), 10, rng=np.random.default_rng(4)).tolist()
         assert first == second
-
-
-class TestTrainTestSplit:
-    def test_disjoint_and_complete(self):
-        train, test = train_test_split(40, test_fraction=0.25, rng=np.random.default_rng(0))
-        assert len(train) + len(test) == 40
-        assert set(train.tolist()) & set(test.tolist()) == set()
-
-    def test_stratified_split_keeps_all_classes_in_test(self):
-        labels = ["a"] * 30 + ["b"] * 10
-        _, test = train_test_split(40, test_fraction=0.2, stratify=labels, rng=np.random.default_rng(0))
-        test_labels = {labels[index] for index in test}
-        assert test_labels == {"a", "b"}
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ModelError):
-            train_test_split(10, test_fraction=1.5)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ModelError):
-            train_test_split(1)
-
-    def test_stratify_length_mismatch(self):
-        with pytest.raises(ModelError):
-            train_test_split(10, stratify=["a"] * 5)

@@ -12,9 +12,7 @@ from repro.features.fingerprint import Fingerprint
 from repro.identification.model_store import (
     SCHEMA_VERSION,
     STORE_MAGIC,
-    load_bank,
     load_identifier,
-    save_bank,
     save_identifier,
 )
 
@@ -204,8 +202,9 @@ class TestSchemaV4:
 
 class TestBankRoundTrip:
     def test_bank_and_registry_round_trip(self, trained_identifier, bundle_path):
-        save_bank(bundle_path, trained_identifier.bank, trained_identifier.registry)
-        bank, registry = load_bank(bundle_path)
+        save_identifier(bundle_path, trained_identifier)
+        reloaded = load_identifier(bundle_path)
+        bank, registry = reloaded.bank, reloaded.registry
         assert bank.device_types == trained_identifier.bank.device_types
         assert registry.device_types == trained_identifier.registry.device_types
         assert len(registry) == len(trained_identifier.registry)
@@ -213,8 +212,8 @@ class TestBankRoundTrip:
             assert registry.count(device_type) == trained_identifier.registry.count(device_type)
 
     def test_registry_fingerprints_preserved_exactly(self, trained_identifier, bundle_path):
-        save_bank(bundle_path, trained_identifier.bank, trained_identifier.registry)
-        _, registry = load_bank(bundle_path)
+        save_identifier(bundle_path, trained_identifier)
+        registry = load_identifier(bundle_path).registry
         original = list(trained_identifier.registry)
         restored = list(registry)
         assert len(original) == len(restored)

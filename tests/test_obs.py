@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import GatewayConfig, build_gateway
 from repro.datasets import generate_fingerprint_dataset
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
@@ -331,6 +332,40 @@ def build_wired_gateway(identifier, tmp_path, seed=42):
     return hub, pipeline, autopilot, coordinator
 
 
+#: Every counter a fresh facade gateway exports (timings excluded).  A
+#: stage's stats dataclass is the one list of its counters, so adding or
+#: dropping a field shows up here.
+FACADE_SNAPSHOT_KEYS = [
+    "assembler.budget_emissions", "assembler.fingerprints_emitted",
+    "assembler.flush_emissions", "assembler.idle_emissions", "assembler.min_signal_drops",
+    "assembler.packets_observed",
+    "cache_epoch.generation", "cache_epoch.invalidations",
+    "dispatcher.batched", "dispatcher.batches", "dispatcher.dropped",
+    "dispatcher.identified", "dispatcher.largest_batch", "dispatcher.linger_flushes",
+    "dispatcher.queue.accepted", "dispatcher.queue.blocked", "dispatcher.queue.capacity",
+    "dispatcher.queue.depth", "dispatcher.queue.dropped",
+    "dispatcher.queue.high_watermark", "dispatcher.queue.offered", "dispatcher.submitted",
+    "dispatcher.swaps",
+    "enforcement_sink.enforced", "enforcement_sink.skipped_downgrades",
+    "enforcement_sink.sticky",
+    "identification_cache.capacity", "identification_cache.epoch_generation",
+    "identification_cache.hit_rate", "identification_cache.hits",
+    "identification_cache.misses", "identification_cache.size",
+    "identification_cache.stale_rejections",
+    "ledger.apply_records", "ledger.enforcement_records", "ledger.learn_records",
+    "ledger.promotion_records", "ledger.push_records", "ledger.quarantine_records",
+    "ledger.verdict_records",
+    "lifecycle.disconnects", "lifecycle.registered_caches", "lifecycle.relearns",
+    "quarantine.capacity", "quarantine.evicted", "quarantine.recorded",
+    "quarantine.released", "quarantine.size",
+    "rule_cache.evictions", "rule_cache.hit_rate", "rule_cache.hits",
+    "rule_cache.insertions", "rule_cache.lookups", "rule_cache.replacements",
+    "rule_cache.size",
+    "switch.packets_dropped", "switch.packets_processed", "switch.packets_to_controller",
+    "switch.rules",
+]
+
+
 class TestWiring:
     @pytest.fixture()
     def wired(self, obs_dataset, tmp_path):
@@ -414,6 +449,12 @@ class TestWiring:
             <= snapshot["dispatcher.identify_batch_seconds.sum"] * 1.000001
         )
         hub.ledger.close()
+
+    def test_facade_snapshot_key_list_is_pinned(self, trained_identifier):
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        assert list(handle.observability.snapshot(include_timings=False)) == (
+            FACADE_SNAPSHOT_KEYS
+        )
 
     def test_check_ledger_tool_passes_on_wired_output(self, wired):
         hub, pipeline, autopilot, _ = wired

@@ -4,15 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distance.damerau_levenshtein import damerau_levenshtein, normalized_damerau_levenshtein
 from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint
 from repro.features.packet_features import FEATURE_COUNT, port_class
 from repro.gateway.enforcement import EnforcementRule
 from repro.gateway.rule_cache import EnforcementRuleCache
-from repro.ml.metrics import accuracy_score, confusion_matrix
+from repro.ml.metrics import confusion_matrix, per_class_accuracy
 from repro.ml.validation import StratifiedKFold
 from repro.net.addresses import MACAddress
 from repro.security_service.isolation import IsolationLevel
+from tests.conftest import damerau_levenshtein, normalized_damerau_levenshtein
 
 # --------------------------------------------------------------------------- #
 # Strategies.
@@ -152,7 +152,7 @@ def test_distance_triangle_inequality(a, b, c):
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=40))
 def test_accuracy_of_perfect_predictions_is_one(labels):
-    assert accuracy_score(labels, list(labels)) == 1.0
+    assert set(per_class_accuracy(labels, list(labels)).values()) == {1.0}
 
 
 @given(

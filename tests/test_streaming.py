@@ -31,6 +31,7 @@ from repro.streaming import (
     interleave_traces,
     replay_trace,
 )
+from repro.streaming.dispatcher import MAX_LINGER_SECONDS
 from tests.conftest import make_device_mac, make_udp_packet
 
 GATEWAY_MAC = MACAddress.from_string("b0:c5:54:10:20:30")
@@ -279,11 +280,9 @@ class TestBatchDispatcher:
         calls = []
 
         class _CountingIdentifier:
-            def identify_many(self, fingerprints, use_discrimination=True):
+            def identify_many(self, fingerprints):
                 calls.append(len(fingerprints))
-                return trained_identifier.identify_many(
-                    fingerprints, use_discrimination=use_discrimination
-                )
+                return trained_identifier.identify_many(fingerprints)
 
         dispatcher = BatchDispatcher(
             _CountingIdentifier(), max_batch=4, cache=IdentificationCache()
@@ -330,7 +329,7 @@ class TestBatchDispatcher:
             def __init__(self, device_type):
                 self.device_type = device_type
 
-            def identify_many(self, fingerprints, use_discrimination=True):
+            def identify_many(self, fingerprints):
                 return [
                     IdentificationResult(device_type=self.device_type, matched_types=())
                     for _ in fingerprints
@@ -425,7 +424,7 @@ class TestBatchDispatcher:
         assert len(dispatcher.drain()) == 2  # only the queued ones
 
     def test_poll_flushes_lingering_partial_batch(self, trained_identifier, simulator):
-        dispatcher = BatchDispatcher(trained_identifier, max_batch=16, max_linger=5.0)
+        dispatcher = BatchDispatcher(trained_identifier, max_batch=16)
         trace = simulator.simulate(DEVICE_CATALOG["Aria"])
         fingerprint = Fingerprint.from_packets(trace.packets)
         dispatcher.submit(
@@ -433,8 +432,9 @@ class TestBatchDispatcher:
                 mac=trace.device_mac, fingerprint=fingerprint, reason="idle", completed_at=10.0
             )
         )
-        assert dispatcher.poll(now=12.0) == []  # still within the linger window
-        flushed = dispatcher.poll(now=16.0)
+        # Still within the linger window.
+        assert dispatcher.poll(now=10.0 + MAX_LINGER_SECONDS / 2) == []
+        flushed = dispatcher.poll(now=10.0 + MAX_LINGER_SECONDS + 1.0)
         assert len(flushed) == 1
         assert dispatcher.stats.linger_flushes == 1
 
@@ -456,7 +456,6 @@ class TestBatchDispatcher:
                 max_batch=32,
                 queue_capacity=4,
                 policy=BackpressurePolicy.DROP,
-                max_linger=5.0,
             ),
         )
         stats = pipeline.run()
