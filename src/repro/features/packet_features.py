@@ -133,9 +133,10 @@ class PacketFeatureExtractor:
     def counter_for(self, dst_ip: Optional[str]) -> int:
         """The order-of-first-contact counter of one destination token.
 
-        The incremental entry point shared by the per-packet and the
-        batched datapaths: the mapping advances on first contact exactly
-        as :meth:`extract` would have advanced it for the same packet.
+        The incremental entry point shared by :meth:`extract` and the
+        streaming assembler's batch walk: the mapping advances on first
+        contact exactly as :meth:`extract` would have advanced it for the
+        same packet.
         """
         if dst_ip is None:
             return 0
@@ -208,61 +209,88 @@ class PacketFeatureExtractor:
         return np.stack([self.extract(packet) for packet in packets])
 
 
+#: First of the eight application columns (http .. ntp, indices 8-15).
+_APP_FIRST = FEATURE_INDEX["http"]
+
+
+def _port_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables over ``port + 1`` for ports -1 (none) .. 65535.
+
+    ``membership`` holds one bit per application column 8-15 (http ..
+    ntp) that the port names; ``classes`` holds :func:`port_class`.
+    """
+    membership = np.zeros(65537, dtype=np.uint8)
+    for column, ports in (
+        ("http", _HTTP_PORTS),
+        ("https", _HTTPS_PORTS),
+        ("dhcp", _BOOTP_PORTS),
+        ("bootp", _BOOTP_PORTS),
+        ("ssdp", (ssdp_mod.PORT_SSDP,)),
+        ("dns", (dns_mod.PORT_DNS,)),
+        ("mdns", (dns_mod.PORT_MDNS,)),
+        ("ntp", (ntp_mod.PORT_NTP,)),
+    ):
+        for port in ports:
+            membership[port + 1] |= 1 << (FEATURE_INDEX[column] - _APP_FIRST)
+    classes = np.array(
+        [PORT_CLASS_NONE] + [port_class(port) for port in range(65536)], dtype=np.int64
+    )
+    return membership, classes
+
+
+def _transport_gates() -> np.ndarray:
+    """Application columns each transport admits, indexed by flag bits 6, 7, 11.
+
+    ``http``/``https`` need TCP, ``dns`` TCP or UDP, the rest UDP;
+    ``dhcp`` additionally needs the BOOTP payload to be DHCP.
+    """
+    over_tcp = ("http", "https", "dns")
+    over_udp = ("dhcp", "bootp", "ssdp", "dns", "mdns", "ntp")
+    gates = np.zeros(8, dtype=np.uint8)
+    for index in range(8):
+        tcp, udp, not_dhcp = index & 1, index & 2, index & 4
+        for bit, column in enumerate(FEATURE_NAMES[_APP_FIRST : _APP_FIRST + 8]):
+            admitted = (tcp and column in over_tcp) or (udp and column in over_udp)
+            if admitted and not (not_dhcp and column == "dhcp"):
+                gates[index] |= 1 << bit
+    return gates
+
+
+_PORT_MEMBERSHIP, _PORT_CLASSES = _port_tables()
+_TRANSPORT_GATES = _transport_gates()
+
+
 def batch_feature_matrix(batch: "PacketBatch") -> np.ndarray:
     """The ``(len(batch), 23)`` feature matrix of a whole packet batch.
 
-    Every Table-I column is computed as one vectorised expression over the
-    batch's field arrays -- the same definitions as :meth:`extract`, just
-    without per-packet Python.  The stateful ``dst_ip_counter`` column is
-    left at zero: it depends on per-device first-contact order, so the
-    assembler fills it while walking each device's packets (see
+    The same definitions as :meth:`PacketFeatureExtractor.extract`, table
+    driven instead of per-packet Python: one bit-unpack of the flag word
+    gives the eight protocol columns (flag bits 0-7 are columns 0-7) and
+    the option/raw-data bits; a port-membership table ANDed with the
+    transport gate gives the eight application columns; a port-class
+    table gives the two port classes.  The stateful ``dst_ip_counter``
+    column is left at zero: it depends on per-device first-contact order,
+    so the assembler fills it while walking each device's packets (see
     :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_prepared`).
     """
     n = len(batch)
-    matrix = np.zeros((n, FEATURE_COUNT), dtype=np.int64)
+    matrix = np.empty((n, FEATURE_COUNT), dtype=np.int64)
     if n == 0:
         return matrix
-    src = batch.src_ports
-    dst = batch.dst_ports
-    is_tcp = batch.tcp
-    is_udp = batch.udp
-
-    def on_port(*ports: int) -> np.ndarray:
-        hit = np.zeros(n, dtype=bool)
-        for port in ports:
-            hit |= src == port
-            hit |= dst == port
-        return hit
-
-    matrix[:, FEATURE_INDEX["arp"]] = batch.arp
-    matrix[:, FEATURE_INDEX["llc"]] = batch.llc
-    matrix[:, FEATURE_INDEX["ip"]] = batch.ip
-    matrix[:, FEATURE_INDEX["icmp"]] = batch.icmp
-    matrix[:, FEATURE_INDEX["icmpv6"]] = batch.icmpv6
-    matrix[:, FEATURE_INDEX["eapol"]] = batch.eapol
-    matrix[:, FEATURE_INDEX["tcp"]] = is_tcp
-    matrix[:, FEATURE_INDEX["udp"]] = is_udp
-    matrix[:, FEATURE_INDEX["http"]] = is_tcp & on_port(*_HTTP_PORTS)
-    matrix[:, FEATURE_INDEX["https"]] = is_tcp & on_port(*_HTTPS_PORTS)
-    bootp = is_udp & on_port(*_BOOTP_PORTS)
-    matrix[:, FEATURE_INDEX["bootp"]] = bootp
-    matrix[:, FEATURE_INDEX["dhcp"]] = bootp & ~batch.app_not_dhcp
-    matrix[:, FEATURE_INDEX["ssdp"]] = is_udp & on_port(ssdp_mod.PORT_SSDP)
-    matrix[:, FEATURE_INDEX["dns"]] = (is_udp | is_tcp) & on_port(dns_mod.PORT_DNS)
-    matrix[:, FEATURE_INDEX["mdns"]] = is_udp & on_port(dns_mod.PORT_MDNS)
-    matrix[:, FEATURE_INDEX["ntp"]] = is_udp & on_port(ntp_mod.PORT_NTP)
-    matrix[:, FEATURE_INDEX["ip_option_padding"]] = batch.has_padding
-    matrix[:, FEATURE_INDEX["ip_option_router_alert"]] = batch.has_router_alert
-    matrix[:, FEATURE_INDEX["packet_size"]] = batch.sizes
-    matrix[:, FEATURE_INDEX["raw_data"]] = batch.raw_data
-    for name, ports in (("src_port_class", src), ("dst_port_class", dst)):
-        matrix[:, FEATURE_INDEX[name]] = np.where(
-            ports < 0,
-            PORT_CLASS_NONE,
-            np.where(
-                ports <= 1023,
-                PORT_CLASS_WELL_KNOWN,
-                np.where(ports <= 49151, PORT_CLASS_REGISTERED, PORT_CLASS_DYNAMIC),
-            ),
-        )
+    flags = batch.flags
+    bits = np.unpackbits(
+        flags.astype("<u2").view(np.uint8).reshape(n, 2), axis=1, bitorder="little"
+    )
+    src = batch.src_ports + 1
+    dst = batch.dst_ports + 1
+    gate = _TRANSPORT_GATES[((flags >> 6) & 3) | ((flags >> 9) & 4)]
+    application = (_PORT_MEMBERSHIP[src] | _PORT_MEMBERSHIP[dst]) & gate
+    matrix[:, :8] = bits[:, :8]
+    matrix[:, 8:16] = np.unpackbits(application[:, None], axis=1, bitorder="little")
+    matrix[:, 16:18] = bits[:, 8:10]
+    matrix[:, 18] = batch.sizes
+    matrix[:, 19] = bits[:, 10]
+    matrix[:, 20] = 0
+    matrix[:, 21] = _PORT_CLASSES[src]
+    matrix[:, 22] = _PORT_CLASSES[dst]
     return matrix

@@ -1,35 +1,31 @@
 """Columnar packet batches: the struct-of-arrays view of the hot path.
 
-The per-packet datapath dissects every frame into a :class:`Packet` object
-tree and then reads ~20 attributes per packet to build one feature row at a
-time.  At streaming rates the object churn dominates the pipeline, so the
-batch-first datapath moves *columns* instead: a :class:`PacketBatch` holds
-exactly the fields the Table-I feature set and the assembler consume --
-timestamps, source MACs, protocol flags, ports, sizes, destination-IP
-tokens -- as numpy arrays over a whole batch of packets.
+Building a :class:`Packet` object tree per frame and reading ~20
+attributes off it per feature row is what dominates a per-packet
+datapath, so the streaming pipeline moves *columns* instead: a
+:class:`PacketBatch` holds exactly the fields the Table-I feature set and
+the assembler consume -- timestamps, source MACs, protocol flags, ports,
+sizes, destination-IP tokens -- as numpy arrays over a whole batch of
+packets.
 
-Two constructors cover the two stream shapes:
+One builder covers both stream item shapes.  :class:`PacketBatchBuilder`
+takes items one at a time as they arrive:
 
-* :meth:`PacketBatch.from_packets` runs one tight attribute-read pass over
-  already-dissected :class:`Packet` objects (simulator traces, generic
-  sources).
-* :meth:`PacketBatch.from_frames` parses raw Ethernet frames (pcap replay)
-  with direct byte-offset reads -- no layer objects are built on the fast
-  path.  Any frame the fast parser cannot prove it handles exactly like
-  :meth:`Packet.dissect` (LLC, EAPOL, IP options, BOOTP ports, VLAN,
-  truncated headers) falls back to the full dissector for that one frame,
-  so the columns are *always* equal to what the per-packet path would
-  have produced (the differential suite asserts this).
-
-The per-packet API stays available as a thin view: :meth:`PacketBatch.packet`
-returns the backing ``Packet`` (dissecting the raw frame lazily when the
-batch was built from frames).
+* a raw :class:`~repro.net.pcap.CapturedPacket` frame (pcap replay) is
+  parsed with direct byte-offset reads -- no layer objects are built on
+  the fast path.  Any frame the fast parser cannot prove it handles
+  exactly like :meth:`Packet.dissect` (LLC, EAPOL, IP options, BOOTP
+  ports, VLAN, truncated headers) falls back to the full dissector for
+  that one frame, so the columns are *always* equal to what dissecting
+  every frame would have produced (the differential suite asserts this);
+* an already-dissected :class:`Packet` (simulator traces, generic
+  sources) is read with one tight attribute pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -43,7 +39,7 @@ _ETHERTYPE_ARP = 0x0806
 _ETHERTYPE_IPV6 = 0x86DD
 _MAX_8023_LENGTH = 0x05DC
 
-# Bit positions of the packed per-packet flag word built by both parsers.
+# Bit positions of the packed per-packet flag word built by both item parsers.
 _F_ARP = 1 << 0
 _F_LLC = 1 << 1
 _F_IP = 1 << 2
@@ -66,7 +62,7 @@ _BOOTP_PORTS = (67, 68)
 def _packet_fields(packet: Packet) -> tuple[int, int, int, int, Optional[str]]:
     """(flags, src_port, dst_port, size, dst_ip) of one dissected packet.
 
-    This is the single definition both constructors share: the attribute
+    This is the single definition both item shapes share: the attribute
     reads mirror :class:`~repro.features.packet_features.PacketFeatureExtractor`
     field for field, so a batch built from objects and a batch built from
     the frames those objects serialise to carry identical columns.
@@ -207,6 +203,73 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
     return flags, src_port, dst_port, dst_ip
 
 
+#: What a packet source yields: a raw captured frame or a dissected packet.
+StreamItem = Union[CapturedPacket, Packet]
+
+
+class PacketBatchBuilder:
+    """Accumulates stream items into batch columns, one item at a time.
+
+    :meth:`add` parses one item into the column lists and returns its
+    source MAC (the caller's hand-over decision keys on it);
+    :meth:`build` turns the accumulated columns into a
+    :class:`PacketBatch` and starts an empty batch.
+    """
+
+    __slots__ = ("timestamps", "macs", "flags", "src_ports", "dst_ports", "sizes", "dst_ips")
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        self.timestamps: list[float] = []
+        self.macs: list[int] = []
+        self.flags: list[int] = []
+        self.src_ports: list[int] = []
+        self.dst_ports: list[int] = []
+        self.sizes: list[int] = []
+        self.dst_ips: list[Optional[str]] = []
+
+    def add(self, item: StreamItem) -> int:
+        """Parse one frame or packet into the columns; returns its source MAC."""
+        if isinstance(item, CapturedPacket):
+            data = item.data
+            fast = _fast_frame_fields(data)
+            if fast is not None:
+                flags, src_port, dst_port, dst_ip = fast
+                size = item.original_length or len(data)
+                mac = int.from_bytes(data[6:12], "big")
+            else:
+                packet = Packet.dissect(data, item.timestamp, item.original_length)
+                flags, src_port, dst_port, size, dst_ip = _packet_fields(packet)
+                mac = packet.ethernet.src.value
+        else:
+            flags, src_port, dst_port, size, dst_ip = _packet_fields(item)
+            mac = item.ethernet.src.value
+        self.timestamps.append(item.timestamp)
+        self.macs.append(mac)
+        self.flags.append(flags)
+        self.src_ports.append(src_port)
+        self.dst_ports.append(dst_port)
+        self.sizes.append(size)
+        self.dst_ips.append(dst_ip)
+        return mac
+
+    def build(self) -> "PacketBatch":
+        """The accumulated columns as a batch; the builder starts over empty."""
+        batch = PacketBatch(
+            timestamps=np.array(self.timestamps, dtype=np.float64),
+            src_macs=np.array(self.macs, dtype=np.int64),
+            flags=np.array(self.flags, dtype=np.int64),
+            src_ports=np.array(self.src_ports, dtype=np.int64),
+            dst_ports=np.array(self.dst_ports, dtype=np.int64),
+            sizes=np.array(self.sizes, dtype=np.int64),
+            dst_ips=self.dst_ips,
+        )
+        self._reset()
+        return batch
+
+
 @dataclass
 class PacketBatch:
     """A batch of packets as parallel columns (one array element per packet).
@@ -215,7 +278,8 @@ class PacketBatch:
     destination tokens are compared, not computed on (``None`` marks a
     packet without an IP layer).  ``flags`` packs the twelve boolean
     columns into one int64 word per packet (bit layout: the ``_F_*``
-    constants of this module); the named accessors unpack lazily.
+    constants of this module; :func:`~repro.features.packet_features.batch_feature_matrix`
+    unpacks it).
     """
 
     timestamps: np.ndarray
@@ -225,202 +289,17 @@ class PacketBatch:
     dst_ports: np.ndarray
     sizes: np.ndarray
     dst_ips: list
-    packets: Optional[list] = None
-    frames: Optional[list] = None
-
-    # ------------------------------------------------------------------ #
-    # Construction.
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_packets(cls, packets: Sequence[Packet]) -> "PacketBatch":
-        """One attribute-read pass over dissected packet objects."""
-        timestamps = []
-        macs = []
-        flag_words = []
-        src_ports = []
-        dst_ports = []
-        sizes = []
-        dst_ips = []
-        for packet in packets:
-            flags, src_port, dst_port, size, dst_ip = _packet_fields(packet)
-            timestamps.append(packet.timestamp)
-            macs.append(packet.ethernet.src.value)
-            flag_words.append(flags)
-            src_ports.append(src_port)
-            dst_ports.append(dst_port)
-            sizes.append(size)
-            dst_ips.append(dst_ip)
-        return cls(
-            timestamps=np.array(timestamps, dtype=np.float64),
-            src_macs=np.array(macs, dtype=np.int64),
-            flags=np.array(flag_words, dtype=np.int64),
-            src_ports=np.array(src_ports, dtype=np.int64),
-            dst_ports=np.array(dst_ports, dtype=np.int64),
-            sizes=np.array(sizes, dtype=np.int64),
-            dst_ips=dst_ips,
-            packets=list(packets),
-        )
 
     @classmethod
-    def from_frames(
-        cls, frames: Sequence[Union[CapturedPacket, tuple]]
-    ) -> "PacketBatch":
-        """Struct-batched parse of raw captured frames (pcap fast path).
+    def from_items(cls, items: Iterable[StreamItem]) -> "PacketBatch":
+        """One batch of frames and/or packets (see :class:`PacketBatchBuilder`)."""
+        builder = PacketBatchBuilder()
+        for item in items:
+            builder.add(item)
+        return builder.build()
 
-        Each frame is either a :class:`CapturedPacket` or a
-        ``(timestamp, data, original_length)`` tuple.  Frames the fast
-        parser defers are dissected individually -- feature columns are
-        bitwise-equal to ``from_packets([frame.dissect() ...])`` either
-        way, just without building layer objects for the common case.
-        """
-        timestamps = []
-        macs = []
-        flag_words = []
-        src_ports = []
-        dst_ports = []
-        sizes = []
-        dst_ips = []
-        kept_frames = []
-        for frame in frames:
-            if isinstance(frame, CapturedPacket):
-                timestamp, data, original = frame.timestamp, frame.data, frame.original_length
-            else:
-                timestamp, data, original = frame
-            kept_frames.append((timestamp, data, original))
-            fast = _fast_frame_fields(data)
-            if fast is not None:
-                flags, src_port, dst_port, dst_ip = fast
-                size = original or len(data)
-                mac_value = int.from_bytes(data[6:12], "big")
-            else:
-                packet = Packet.dissect(data, timestamp, original)
-                flags, src_port, dst_port, size, dst_ip = _packet_fields(packet)
-                mac_value = packet.ethernet.src.value
-            timestamps.append(timestamp)
-            macs.append(mac_value)
-            flag_words.append(flags)
-            src_ports.append(src_port)
-            dst_ports.append(dst_port)
-            sizes.append(size)
-            dst_ips.append(dst_ip)
-        return cls(
-            timestamps=np.array(timestamps, dtype=np.float64),
-            src_macs=np.array(macs, dtype=np.int64),
-            flags=np.array(flag_words, dtype=np.int64),
-            src_ports=np.array(src_ports, dtype=np.int64),
-            dst_ports=np.array(dst_ports, dtype=np.int64),
-            sizes=np.array(sizes, dtype=np.int64),
-            dst_ips=dst_ips,
-            frames=kept_frames,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Column accessors (unpack the flag word on demand).
-    # ------------------------------------------------------------------ #
-    def _flag(self, bit: int) -> np.ndarray:
-        return (self.flags & bit) != 0
-
-    @property
-    def arp(self) -> np.ndarray:
-        return self._flag(_F_ARP)
-
-    @property
-    def llc(self) -> np.ndarray:
-        return self._flag(_F_LLC)
-
-    @property
-    def ip(self) -> np.ndarray:
-        return self._flag(_F_IP)
-
-    @property
-    def icmp(self) -> np.ndarray:
-        return self._flag(_F_ICMP)
-
-    @property
-    def icmpv6(self) -> np.ndarray:
-        return self._flag(_F_ICMPV6)
-
-    @property
-    def eapol(self) -> np.ndarray:
-        return self._flag(_F_EAPOL)
-
-    @property
-    def tcp(self) -> np.ndarray:
-        return self._flag(_F_TCP)
-
-    @property
-    def udp(self) -> np.ndarray:
-        return self._flag(_F_UDP)
-
-    @property
-    def has_padding(self) -> np.ndarray:
-        return self._flag(_F_PADDING)
-
-    @property
-    def has_router_alert(self) -> np.ndarray:
-        return self._flag(_F_ROUTER_ALERT)
-
-    @property
-    def raw_data(self) -> np.ndarray:
-        return self._flag(_F_RAW_DATA)
-
-    @property
-    def app_not_dhcp(self) -> np.ndarray:
-        return self._flag(_F_APP_NOT_DHCP)
-
-    # ------------------------------------------------------------------ #
-    # Views and reshaping.
-    # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
 
-    def packet(self, index: int) -> Packet:
-        """The per-packet thin view: the backing ``Packet`` at ``index``.
 
-        Batches built from frames dissect lazily and memoise, so casual
-        per-packet access does not re-parse on every call.
-        """
-        if self.packets is None:
-            self.packets = [None] * len(self)
-        cached = self.packets[index]
-        if cached is None:
-            if self.frames is None:
-                raise IndexError("batch has neither packets nor frames")
-            timestamp, data, original = self.frames[index]
-            cached = Packet.dissect(data, timestamp, original)
-            self.packets[index] = cached
-        return cached
-
-    def slice(self, start: int, stop: int) -> "PacketBatch":
-        """A zero-copy window ``[start, stop)`` (array views, list slices)."""
-        return PacketBatch(
-            timestamps=self.timestamps[start:stop],
-            src_macs=self.src_macs[start:stop],
-            flags=self.flags[start:stop],
-            src_ports=self.src_ports[start:stop],
-            dst_ports=self.dst_ports[start:stop],
-            sizes=self.sizes[start:stop],
-            dst_ips=self.dst_ips[start:stop],
-            packets=self.packets[start:stop] if self.packets is not None else None,
-            frames=self.frames[start:stop] if self.frames is not None else None,
-        )
-
-    def device_runs(self) -> list[tuple[int, np.ndarray]]:
-        """Group packet indices by source MAC, in first-appearance order.
-
-        Returns ``(mac_value, indices)`` pairs; each index array is in
-        ascending (stream) order, so per-device processing sees packets
-        exactly as the per-packet path would.
-        """
-        n = len(self)
-        if n == 0:
-            return []
-        order = np.argsort(self.src_macs, kind="stable")
-        sorted_macs = self.src_macs[order]
-        boundaries = np.nonzero(np.diff(sorted_macs))[0] + 1
-        groups = np.split(order, boundaries)
-        groups.sort(key=lambda idx: idx[0])
-        return [(int(self.src_macs[idx[0]]), idx) for idx in groups]
-
-
-__all__ = ["PacketBatch"]
+__all__ = ["PacketBatch", "PacketBatchBuilder", "StreamItem"]

@@ -46,7 +46,6 @@ from repro.streaming.sources import (
     PcapReplaySource,
     SimulatedSource,
     interleave_traces,
-    iter_packet_batches,
     replay_trace,
 )
 
@@ -71,6 +70,5 @@ __all__ = [
     "PcapReplaySource",
     "SimulatedSource",
     "interleave_traces",
-    "iter_packet_batches",
     "replay_trace",
 ]

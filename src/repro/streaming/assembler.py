@@ -3,11 +3,11 @@
 The offline path buffers a device's whole setup capture, cuts it with
 :class:`~repro.features.session.SetupPhaseDetector` and only then extracts
 features (:meth:`~repro.features.fingerprint.Fingerprint.from_packets`).  The
-streaming assembler instead folds each packet into the device's fingerprint
-matrix the moment it arrives: one stateful
-:class:`~repro.features.packet_features.PacketFeatureExtractor` per device,
-consecutive-duplicate suppression done on the fly, and an emission decision
-per packet.  Devices are partitioned into ``hash(mac) % shards`` buckets so
+streaming assembler instead folds packet batches into the devices'
+fingerprint matrices as they arrive: the batch's Table-I rows come from one
+vectorised pass, each device's packets are walked once for the stateful
+destination counter, consecutive-duplicate suppression and the emission
+decision.  Devices are partitioned into ``hash(mac) % shards`` buckets so
 that idle-eviction sweeps touch one bucket at a time and the assembler can
 later be split across workers without re-keying.
 
@@ -27,7 +27,9 @@ A fingerprint is emitted when
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -46,6 +48,7 @@ from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 
 _DST_IP_COUNTER = FEATURE_INDEX["dst_ip_counter"]
+_STARTED = attrgetter("started")
 
 EMIT_BUDGET = "budget"
 EMIT_IDLE = "idle"
@@ -88,7 +91,11 @@ class _PreparedBatch:
     any per-window recomputation.  ``devices`` carries each group's
     capture across the pause: when it survived the sweep, the next window
     resumes the precomputed consecutive-duplicate comparison instead of
-    re-comparing against the capture's last kept row.
+    re-comparing against the capture's last kept row.  ``group_of`` maps
+    each packet to its device group and ``position`` is where the next
+    window starts.  ``candidates`` lists, ascending, the batch index of
+    every packet that may complete a capture; ``base`` is the stream
+    ordinal of the batch's first packet.
     """
 
     timestamps: list
@@ -99,21 +106,32 @@ class _PreparedBatch:
     gap_big_by_group: list
     cursors: list
     devices: list
-    first_group: int = 0
+    group_of: list
+    candidates: list
+    base: int
+    position: int = 0
+
+    def next_candidate(self, position: int) -> int:
+        """The first packet at or after ``position`` that may complete a
+        capture (the batch length when none can)."""
+        index = bisect_left(self.candidates, position)
+        return self.candidates[index] if index < len(self.candidates) else len(self.timestamps)
 
 
 @dataclass
 class _DeviceAssembler:
     """Incremental fingerprint state of one device.
 
-    ``rows`` holds kept feature data in arrival order as a mix of single
-    ``(23,)`` rows (per-packet path) and ``(k, 23)`` chunks (batched path
-    absorbs one chunk per batch); ``row_count`` tracks the total row count
-    and ``last_row`` the last *kept* row, which is all the
+    ``rows`` holds kept feature data in arrival order as ``(k, 23)``
+    chunks (one per observation window); ``row_count`` tracks the total
+    row count and ``last_row`` the last *kept* row, which is all the
     consecutive-duplicate rule of Eq. (1) ever compares against.
+    ``started`` is the stream ordinal of the packet that opened the
+    capture: sweeps and flushes emit in that order.
     """
 
     mac: MACAddress
+    started: int = 0
     extractor: PacketFeatureExtractor = field(default_factory=PacketFeatureExtractor)
     rows: list[np.ndarray] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
@@ -122,47 +140,14 @@ class _DeviceAssembler:
     row_count: int = 0
     last_row: Optional[np.ndarray] = None
 
-    def observe(self, packet: Packet) -> None:
-        row = self.extractor.extract(packet)
-        # Consecutive-duplicate suppression of Eq. (1), done incrementally.
-        if self.last_row is None or not np.array_equal(row, self.last_row):
-            self.rows.append(row)
-            self.row_count += 1
-            self.last_row = row
-        if self.raw_packets:
-            self.gaps.append(max(0.0, packet.timestamp - self.last_seen))
-        self.raw_packets += 1
-        self.last_seen = packet.timestamp
-
     def absorb_chunk(self, chunk: np.ndarray) -> None:
         """Append a ``(k, 23)`` block of already-deduplicated kept rows."""
         self.rows.append(chunk)
         self.row_count += len(chunk)
         self.last_row = chunk[-1]
 
-    def gap_ends_setup(
-        self, gap: float, min_idle_seconds: float, idle_factor: float, min_packets: int
-    ) -> bool:
-        """The paper's end-of-setup rule: the packet rate dropped.
-
-        Mirrors :class:`~repro.features.session.SetupPhaseDetector`,
-        including its guards: the capture is never cut before
-        ``min_packets`` packets (an early-setup pause, e.g. a DHCP retry,
-        must not truncate the fingerprint), and the threshold itself is the
-        shared :func:`~repro.features.session.gap_exceeds_setup_threshold`.
-        """
-        if self.raw_packets < min_packets:
-            return False
-        if not self.gaps:
-            # Mirrors the offline detector's `and gaps` guard: a single
-            # packet gives no rate estimate to compare the silence against.
-            return False
-        return gap_exceeds_setup_threshold(gap, self.gaps, min_idle_seconds, idle_factor)
-
     def to_fingerprint(self) -> Fingerprint:
-        # Rows are already consecutive-deduplicated on the fly.  vstack
-        # accepts the row/chunk mix and reproduces exactly the matrix the
-        # row-list construction built, byte for byte.
+        # Rows are already consecutive-deduplicated on the fly.
         if not self.rows:
             matrix = np.zeros((0, FEATURE_COUNT), dtype=np.int64)
         else:
@@ -225,6 +210,11 @@ class ShardedFingerprintAssembler:
         self.idle_factor = SetupPhaseDetector.idle_factor if idle_factor is None else idle_factor
         self.stats = AssemblerStats()
         self._buckets: list[dict[MACAddress, _DeviceAssembler]] = [{} for _ in range(shards)]
+        # Stream ordinal of the next packet to be prepared.
+        self._ordinal = 0
+        # Frames announced by frame_may_complete and not yet prepared:
+        # source MAC -> (timestamp, raw packets of its capture so far).
+        self._announced: dict[int, tuple[float, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Routing.
@@ -253,105 +243,157 @@ class ShardedFingerprintAssembler:
     def observe(self, packet: Packet) -> Optional[ReadyFingerprint]:
         """Fold one packet in; returns a fingerprint if one completed.
 
-        A packet arriving after the device's packet rate dropped (the
-        adaptive end-of-setup rule) first completes the previous capture,
-        then starts a fresh one -- the same device re-running its setup
-        (factory reset, reconnect) therefore produces a new fingerprint
-        instead of polluting the old matrix.
+        A one-packet batch through :meth:`prepare_batch` and
+        :meth:`observe_prepared`.  A packet arriving after the device's
+        packet rate dropped (the adaptive end-of-setup rule) first
+        completes the previous capture, then starts a fresh one -- the
+        same device re-running its setup (factory reset, reconnect)
+        therefore produces a new fingerprint instead of polluting the old
+        matrix.
         """
-        self.stats.packets_observed += 1
-        mac = packet.src_mac
-        bucket = self._bucket(mac)
-        device = bucket.get(mac)
+        emitted = self.observe_prepared(self.prepare_batch(PacketBatch.from_items([packet])), 1)
+        return emitted[0] if emitted else None
 
-        completed: Optional[ReadyFingerprint] = None
-        if device is not None and device.gap_ends_setup(
-            packet.timestamp - device.last_seen,
-            self.min_idle_seconds,
-            self.idle_factor,
-            self.min_packets,
-        ):
-            completed = self._finalize(device, EMIT_IDLE, packet.timestamp)
-            device = None
-        if device is None:
-            device = _DeviceAssembler(mac=mac, last_seen=packet.timestamp)
-            bucket[mac] = device
+    def frame_may_complete(self, mac_value: int, timestamp: float) -> bool:
+        """Announce one frame ahead of its batch; True if it may complete a capture.
 
-        device.observe(packet)
-        if device.raw_packets >= self.packet_budget:
-            budget_ready = self._finalize(device, EMIT_BUDGET, packet.timestamp)
-            # An idle completion and a budget completion cannot coincide.
-            # `completed` requires a persisting previous capture, which only
-            # exists when packet_budget >= 2; `budget_ready` on the same
-            # packet then requires raw_packets >= 2, impossible for the
-            # fresh capture this packet just started.
-            return completed or budget_ready
-        return completed
+        The per-frame half of the capture-end rule (:meth:`prepare_batch`
+        holds the batch half): a frame can only complete a capture when
+        its device's capture reaches the packet budget with it, or when
+        the gap since the device's previous packet exceeds
+        ``min_idle_seconds``.  Announced frames are tracked until the
+        next :meth:`prepare_batch`, which folds them.  Exact as long as
+        nothing completes between announced frames -- which holds when
+        the caller hands the batch over at the first True.
+        """
+        state = self._announced.get(mac_value)
+        if state is None:
+            mac = MACAddress(mac_value)
+            device = self._bucket(mac).get(mac)
+            if device is None:
+                self._announced[mac_value] = (timestamp, 1)
+                return self.packet_budget <= 1
+            last_seen, raw = device.last_seen, device.raw_packets
+        else:
+            last_seen, raw = state
+        raw += 1
+        self._announced[mac_value] = (timestamp, raw)
+        return raw >= self.packet_budget or timestamp - last_seen > self.min_idle_seconds
 
-    def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
+    def prepare_batch(
+        self, batch: PacketBatch, clock_times: Optional[np.ndarray] = None
+    ) -> "_PreparedBatch":
         """Run the vectorised per-batch work once, ahead of observation.
 
         A caller interleaving observation with eviction sweeps (the
-        pipeline splits batches at eviction boundaries) prepares the batch
-        once and then feeds consecutive windows to
-        :meth:`observe_prepared` -- the feature matrix, the device
-        grouping and the duplicate-detection vectors are not recomputed
-        per window.
+        pipeline cuts batches into windows) prepares the batch once and
+        then feeds consecutive windows to :meth:`observe_prepared` -- the
+        feature matrix, the device grouping and the duplicate-detection
+        vectors are not recomputed per window.
+
+        The prepared batch also lists the completion candidates: a
+        superset of the packets at which :meth:`observe_prepared` can
+        complete a capture.  A capture ends on an idle gap (the gap to
+        the device's previous packet exceeds ``min_idle_seconds``) or on
+        the budget, which is reached ``packet_budget`` packets after the
+        capture started -- so budget candidates are counted from every
+        possible capture start: the batch's first packet of each device
+        (continuing its open capture, or fresh), every idle-gap packet,
+        every packet after a budget candidate and, when ``clock_times``
+        (the stream clock at each packet) is given, every packet whose
+        device may have been evicted by an idle sweep since its previous
+        packet.
         """
+        self._announced.clear()
+        base = self._ordinal
+        self._ordinal += len(batch)
         # The whole batch's Table-I columns in one vectorised pass; only
         # the stateful dst-ip counter column is filled per device during
         # observation.
         matrix = batch_feature_matrix(batch)
-        groups = batch.device_runs()
-        all_timestamps = batch.timestamps
-        dst_ips = batch.dst_ips
-        min_idle = self.min_idle_seconds
-        duplicate_by_group = []
-        gap_big_by_group = []
-        prepared_groups = []
-        for mac_value, indices in groups:
-            rows = matrix[indices]
-            count = len(indices)
-            # Consecutive-packet static equality, vectorised per device:
-            # the counter column is still zero everywhere, so this compares
-            # the 22 stateless features; the destination-token comparison
-            # below supplies the counter column's verdict (equal counters
-            # iff equal tokens under one extractor).
-            equal_prev = np.empty(count, dtype=bool)
-            equal_prev[0] = False
-            if count > 1:
-                np.all(rows[1:] == rows[:-1], axis=1, out=equal_prev[1:])
-            # Plain Python lists for the walk: indexing numpy scalars out
-            # of an int64 array costs more than the whole per-packet body.
-            indices_list = indices.tolist()
-            tokens = [dst_ips[j] for j in indices_list]
-            duplicate = equal_prev.tolist()
-            for position, equal in enumerate(duplicate):
-                if equal and tokens[position] != tokens[position - 1]:
-                    duplicate[position] = False
-            # Positions whose inter-packet gap can possibly trip the idle
-            # rule.  Position 0's predecessor (if any) lies in an earlier
-            # batch, so the walk always runs the full check there.
-            gap_big = np.empty(count, dtype=bool)
-            gap_big[0] = True
-            if count > 1:
-                group_times = all_timestamps[indices]
-                np.greater(np.diff(group_times), min_idle, out=gap_big[1:])
-            gap_big_by_group.append(gap_big.tolist())
-            duplicate_by_group.append(duplicate)
-            prepared_groups.append((MACAddress(mac_value), indices, indices_list))
         # Python floats, not np.float64 scalars: list indexing is faster in
         # the per-device walk and the gap/completed_at values come out
-        # type-identical to the per-packet path.
+        # type-identical to per-packet observation.
+        timestamps = batch.timestamps.tolist()
+        dst_ips = batch.dst_ips
+        min_idle = self.min_idle_seconds
+        budget = self.packet_budget
+        # Every device's packets side by side (stable: stream order within
+        # a device); pair k compares sorted packets k and k + 1.
+        order = np.argsort(batch.src_macs, kind="stable")
+        sorted_macs = batch.src_macs[order]
+        same_device = sorted_macs[1:] == sorted_macs[:-1]
+        sorted_rows = matrix[order]
+        sorted_times = batch.timestamps[order]
+        # Consecutive-packet static equality: the counter column is still
+        # zero everywhere, so this compares the 22 stateless features; the
+        # destination-token comparison below supplies the counter column's
+        # verdict (equal counters iff equal tokens under one extractor).
+        equal = np.all(sorted_rows[1:] == sorted_rows[:-1], axis=1) & same_device
+        # Pairs whose gap can possibly trip the idle rule.
+        gap_big = (np.diff(sorted_times) > min_idle) & same_device
+        order_list = order.tolist()
+        duplicate_flags = [False] + equal.tolist()
+        for k in (np.flatnonzero(equal) + 1).tolist():
+            if dst_ips[order_list[k]] != dst_ips[order_list[k - 1]]:
+                duplicate_flags[k] = False
+        # A device's first packet always gets the full idle check: its
+        # predecessor (if any) lies in an earlier batch.
+        gap_flags = [True] + gap_big.tolist()
+        candidates: list[int] = (order[1:][gap_big]).tolist()
+        # One run of sorted positions per device, in first-appearance order.
+        bounds = (np.flatnonzero(~same_device) + 1).tolist()
+        runs = sorted(
+            zip([0] + bounds, bounds + [len(order_list)]) if order_list else (),
+            key=lambda run: order_list[run[0]],
+        )
+        prepared_groups = []
+        duplicate_by_group = []
+        gap_big_by_group = []
+        group_of = [0] * len(order_list)
+        for first, end in runs:
+            mac = MACAddress(int(sorted_macs[first]))
+            indices_list = order_list[first:end]
+            group = len(prepared_groups)
+            for j in indices_list:
+                group_of[j] = group
+            gap_flags[first] = True
+            bucket = self._bucket(mac)
+            device = bucket.get(mac)
+            if device is not None:
+                # The open capture may end idle at the first packet, or
+                # reach its budget part-way through the batch.
+                if timestamps[indices_list[0]] - device.last_seen > min_idle:
+                    candidates.append(indices_list[0])
+                candidates.extend(indices_list[budget - device.raw_packets - 1 :: budget])
+            count = end - first
+            if count >= budget:
+                starts = np.array(gap_flags[first:end])
+                if clock_times is not None:
+                    # An idle sweep needs the stream clock to pass the
+                    # previous packet by more than ``idle_timeout``.
+                    starts[1:] |= (
+                        clock_times[order[first + 1 : end]] - sorted_times[first : end - 1]
+                        > self.idle_timeout
+                    )
+                for start in np.flatnonzero(starts[: count - budget + 1]).tolist():
+                    candidates.extend(indices_list[start + budget - 1 :: budget])
+            prepared_groups.append((mac, indices_list, bucket))
+            duplicate_by_group.append(duplicate_flags[first:end])
+            gap_big_by_group.append(gap_flags[first:end])
+        candidates.sort()
         return _PreparedBatch(
-            timestamps=all_timestamps.tolist(),
+            timestamps=timestamps,
             dst_ips=dst_ips,
             matrix=matrix,
             groups=prepared_groups,
             duplicate_by_group=duplicate_by_group,
             gap_big_by_group=gap_big_by_group,
-            cursors=[0] * len(groups),
-            devices=[None] * len(groups),
+            cursors=[0] * len(prepared_groups),
+            devices=[None] * len(prepared_groups),
+            group_of=group_of,
+            candidates=candidates,
+            base=base,
         )
 
     def observe_prepared(
@@ -359,81 +401,73 @@ class ShardedFingerprintAssembler:
     ) -> list[ReadyFingerprint]:
         """Fold every not-yet-observed packet before index ``stop`` in.
 
-        Emission-equivalent to calling :meth:`observe` per packet:
+        Emission-equivalent to folding the packets one at a time:
         completed fingerprints come back ordered by the in-batch index of
         the packet that triggered them, with bitwise-identical matrices
-        (the differential suite asserts both).  Idle *eviction* remains
-        the caller's job.
+        (the differential suite asserts both against a per-packet
+        oracle).  Idle *eviction* remains the caller's job.
 
         Windows are consumed consecutively (each group keeps a cursor), so
         calling with increasing ``stop`` values walks the batch exactly
         once.  The first packet a window contributes to a capture is
         compared against the capture's last kept row directly -- the same
-        rule the per-packet path applies -- so pausing for an eviction
-        sweep between windows cannot change any dedup decision.
+        rule folding one packet at a time applies -- so pausing for an
+        eviction sweep between windows cannot change any dedup decision.
         """
         matrix = prepared.matrix
         timestamps = prepared.timestamps
         dst_ips = prepared.dst_ips
+        base = prepared.base
+        cursors = prepared.cursors
         min_packets = self.min_packets
         min_idle = self.min_idle_seconds
         idle_factor = self.idle_factor
         budget = self.packet_budget
+        counter_column = _DST_IP_COUNTER
+        exceeds = gap_exceeds_setup_threshold
         emissions: list[tuple[int, ReadyFingerprint]] = []
         groups = prepared.groups
-        group = prepared.first_group
-        while group < len(groups):
-            mac, indices, indices_list = groups[group]
-            cursor = prepared.cursors[group]
-            if cursor >= len(indices_list):
-                # Exhausted; a contiguous exhausted prefix is skipped for
-                # good by advancing ``first_group``.
-                if group == prepared.first_group:
-                    prepared.first_group += 1
-                group += 1
-                continue
-            if indices_list[cursor] >= stop:
-                if cursor == 0:
-                    # Groups are ordered by first packet index, so every
-                    # later group also starts at or after ``stop``.
-                    break
-                group += 1
-                continue
-            end = int(indices.searchsorted(stop, side="left"))
-            prepared.cursors[group] = end
+        window = prepared.group_of[prepared.position : stop]
+        prepared.position = max(prepared.position, stop)
+        # Only the devices with packets in the window, in order of their
+        # first packet there.
+        for group in dict.fromkeys(window):
+            mac, indices_list, bucket = groups[group]
+            cursor = cursors[group]
+            end = bisect_left(indices_list, stop, cursor)
+            cursors[group] = end
             self.stats.packets_observed += end - cursor
-            bucket = self._bucket(mac)
             duplicate_flags = prepared.duplicate_by_group[group]
             gap_big = prepared.gap_big_by_group[group]
             pending: list[int] = []
-            if cursor and prepared.devices[group] is not None and (
-                bucket.get(mac) is prepared.devices[group]
-            ):
+            device = prepared.devices[group]
+            if cursor and device is not None and bucket.get(mac) is device:
                 # The capture survived the eviction sweep between windows:
                 # resume the consecutive-duplicate comparison exactly where
                 # the previous window paused it.
-                device = prepared.devices[group]
                 fresh_capture = False
             else:
                 device = bucket.get(mac)
                 fresh_capture = True  # no usable in-batch predecessor
+            # The capture's counters live in locals during the walk and
+            # are written back when it pauses.
+            if device is not None:
+                raw, last_seen, gaps = device.raw_packets, device.last_seen, device.gaps
             for position in range(cursor, end):
                 j = indices_list[position]
                 timestamp = timestamps[j]
                 if device is not None and (fresh_capture or gap_big[position]):
                     # ``gap_big`` prunes the idle check: whenever the walk
                     # has observed this group's previous packet into the
-                    # same capture, ``device.last_seen`` equals that
-                    # packet's timestamp, so the precomputed inter-packet
-                    # gap decides ``gap > min_idle`` exactly.
-                    gap = timestamp - device.last_seen
+                    # same capture, ``last_seen`` equals that packet's
+                    # timestamp, so the precomputed inter-packet gap
+                    # decides ``gap > min_idle`` exactly.
+                    gap = timestamp - last_seen
                     if (
                         gap > min_idle
-                        and device.raw_packets >= min_packets
-                        and device.gaps
-                        and gap_exceeds_setup_threshold(
-                            gap, device.gaps, min_idle, idle_factor
-                        )
+                        and raw >= min_packets
+                        and gaps
+                        and exceeds(gap, gaps, min_idle, idle_factor)
                     ):
                         if pending:
                             device.absorb_chunk(matrix[pending])
@@ -443,16 +477,17 @@ class ShardedFingerprintAssembler:
                             emissions.append((j, ready))
                         device = None
                 if device is None:
-                    device = _DeviceAssembler(mac=mac, last_seen=timestamp)
+                    device = _DeviceAssembler(mac=mac, started=base + j, last_seen=timestamp)
                     bucket[mac] = device
                     fresh_capture = True
+                    raw, last_seen, gaps = 0, timestamp, device.gaps
                 if fresh_capture:
                     # First packet of this capture inside the batch: the
                     # duplicate rule compares against the last kept row of
                     # the capture's pre-batch tail (if any).
                     token = dst_ips[j]
                     if token is not None:
-                        matrix[j, _DST_IP_COUNTER] = device.extractor.counter_for(token)
+                        matrix[j, counter_column] = device.extractor.counter_for(token)
                     duplicate = device.last_row is not None and np.array_equal(
                         matrix[j], device.last_row
                     )
@@ -466,14 +501,15 @@ class ShardedFingerprintAssembler:
                     duplicate = False
                     token = dst_ips[j]
                     if token is not None:
-                        matrix[j, _DST_IP_COUNTER] = device.extractor.counter_for(token)
+                        matrix[j, counter_column] = device.extractor.counter_for(token)
                 if not duplicate:
                     pending.append(j)
-                if device.raw_packets:
-                    device.gaps.append(max(0.0, timestamp - device.last_seen))
-                device.raw_packets += 1
-                device.last_seen = timestamp
-                if device.raw_packets >= budget:
+                if raw:
+                    gap = timestamp - last_seen
+                    gaps.append(gap if gap > 0.0 else 0.0)
+                raw += 1
+                last_seen = timestamp
+                if raw >= budget:
                     if pending:
                         device.absorb_chunk(matrix[pending])
                         pending = []
@@ -481,10 +517,12 @@ class ShardedFingerprintAssembler:
                     if ready is not None:
                         emissions.append((j, ready))
                     device = None
-            if device is not None and pending:
-                device.absorb_chunk(matrix[pending])
+            if device is not None:
+                device.raw_packets = raw
+                device.last_seen = last_seen
+                if pending:
+                    device.absorb_chunk(matrix[pending])
             prepared.devices[group] = device
-            group += 1
         emissions.sort(key=lambda pair: pair[0])
         return [ready for _, ready in emissions]
 
@@ -495,7 +533,8 @@ class ShardedFingerprintAssembler:
         """Complete every capture that has been quiet for ``idle_timeout``.
 
         With ``shard`` given only that bucket is swept, letting a caller
-        amortise eviction cost round-robin across shards.
+        amortise eviction cost round-robin across shards.  Each bucket
+        emits in capture-start order.
         """
         buckets = self._buckets if shard is None else [self._buckets[shard % self.shards]]
         ready: list[ReadyFingerprint] = []
@@ -505,17 +544,18 @@ class ShardedFingerprintAssembler:
                 for device in bucket.values()
                 if now - device.last_seen > self.idle_timeout
             ]
-            for device in expired:
+            for device in sorted(expired, key=_STARTED):
                 emitted = self._finalize(device, EMIT_IDLE, now)
                 if emitted is not None:
                     ready.append(emitted)
         return ready
 
     def flush(self, now: float = 0.0) -> list[ReadyFingerprint]:
-        """Emit every in-progress capture (stream ended)."""
+        """Emit every in-progress capture (stream ended), bucket by bucket
+        in capture-start order."""
         ready: list[ReadyFingerprint] = []
         for bucket in self._buckets:
-            for device in list(bucket.values()):
+            for device in sorted(bucket.values(), key=_STARTED):
                 emitted = self._finalize(device, EMIT_FLUSH, now or device.last_seen)
                 if emitted is not None:
                     ready.append(emitted)

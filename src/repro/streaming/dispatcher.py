@@ -275,11 +275,18 @@ class BatchDispatcher:
         devices -- or a DROP-policy queue smaller than ``max_batch`` --
         from waiting for end-of-stream :meth:`drain`.
         """
-        oldest = self.queue.peek()
-        if oldest is None or now - oldest[0].completed_at < MAX_LINGER_SECONDS:
+        since = self.lingering_since()
+        if since is None or now - since < MAX_LINGER_SECONDS:
             return []
         self.stats.linger_flushes += 1
         return self._run_batch()
+
+    def lingering_since(self) -> Optional[float]:
+        """Completion time of the oldest queued fingerprint (None when the
+        queue is empty): :meth:`poll` flushes once ``now`` lies
+        :data:`MAX_LINGER_SECONDS` past it."""
+        oldest = self.queue.peek()
+        return oldest[0].completed_at if oldest is not None else None
 
     def drain(self) -> list[IdentifiedDevice]:
         """Identify everything still queued (end of stream)."""

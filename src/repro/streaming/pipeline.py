@@ -1,16 +1,24 @@
 """The streaming identification pipeline: source -> assembler -> dispatcher.
 
-This is the online counterpart of the offline evaluation loop: packets are
-consumed one at a time, folded into per-device fingerprints, identified in
-batches, and the verdicts are pushed to a callback -- typically a
-:class:`GatewayEnforcementSink` that turns each identification into an
-enforcement rule on a :class:`~repro.gateway.security_gateway.SecurityGateway`.
+This is the online counterpart of the offline evaluation loop: stream
+items are parsed into packet-batch columns as they arrive, folded into
+per-device fingerprints, identified in batches, and the verdicts are
+pushed to a callback -- typically a :class:`GatewayEnforcementSink` that
+turns each identification into an enforcement rule on a
+:class:`~repro.gateway.security_gateway.SecurityGateway`.
 
 Stream time (packet timestamps) drives a shared
 :class:`~repro.simulation.clock.SimulatedClock`, which in turn drives the
 assembler's idle eviction: every :data:`EVICTION_INTERVAL_SECONDS`
 stream-seconds one shard is swept round-robin, so eviction cost is
 amortised instead of scanning every device on every packet.
+
+The columnar drive keeps the semantics of folding packets one at a time
+exactly: a batch is cut into windows that end at every packet where
+something can happen -- a capture completes, the eviction deadline or the
+dispatcher's linger deadline passes -- and each window end runs the stages
+in the per-packet order (clock, sweep, submit, poll, deliver), so verdicts,
+clock stamps and ledger records do not depend on batch boundaries.
 """
 
 from __future__ import annotations
@@ -19,9 +27,12 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
+import numpy as np
+
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE
 from repro.identification.lifecycle import LifecycleCoordinator
+from repro.net.batch import PacketBatch, PacketBatchBuilder
 from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
 from repro.streaming.assembler import (
@@ -30,19 +41,23 @@ from repro.streaming.assembler import (
     ShardedFingerprintAssembler,
 )
 from repro.streaming.dispatcher import (
+    MAX_LINGER_SECONDS,
     BatchDispatcher,
     DispatcherStats,
     IdentifiedDevice,
     fingerprint_cache_key,
 )
-from repro.streaming.sources import PacketSource, iter_packet_batches
+from repro.streaming.sources import PacketSource
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.net.batch import PacketBatch
     from repro.obs.hub import Observability
 
 #: Stream-seconds between idle-eviction sweeps (one shard per sweep).
 EVICTION_INTERVAL_SECONDS = 1.0
+
+#: Most frames parsed into one batch before it is handed over, when no
+#: frame in it can yield a verdict earlier.
+HANDOVER_FRAMES = 256
 
 
 @dataclass
@@ -146,120 +161,136 @@ class StreamingPipeline:
     def results(self) -> Iterator[IdentifiedDevice]:
         """Drive the stream, yielding identifications as they happen.
 
+        Items go into one :class:`~repro.net.batch.PacketBatchBuilder` as
+        they arrive; the batch is handed to :meth:`process_batch` right
+        after the first frame that can yield a verdict -- it may complete
+        a capture, or its timestamp crosses the eviction or the linger
+        deadline -- or after :data:`HANDOVER_FRAMES` frames.
+
         If the consumer stops iterating early, the remaining captures are
         still flushed and their verdicts delivered to ``on_identified``
         when the generator closes -- they just cannot be yielded any more.
         """
         started = time.perf_counter()
+        perf_counter = time.perf_counter
+        builder = PacketBatchBuilder()
+        add = builder.add
+        may_complete = self.assembler.frame_may_complete
         try:
-            for packet in self.source.packets():
-                yield from self.process_packet(packet)
-            for item in self.finish():
-                yield item
+            parse_seconds = 0.0
+            frames = 0
+            latest = self.clock.now()
+            next_eviction = self._next_eviction
+            lingering = self.dispatcher.lingering_since()
+            for item in self.source.packets():
+                parse_start = perf_counter()
+                mac = add(item)
+                parse_seconds += perf_counter() - parse_start
+                frames += 1
+                timestamp = item.timestamp
+                if timestamp > latest:
+                    latest = timestamp
+                if (
+                    may_complete(mac, timestamp)
+                    or latest >= next_eviction
+                    or (lingering is not None and latest - lingering >= MAX_LINGER_SECONDS)
+                    or frames >= HANDOVER_FRAMES
+                ):
+                    yield from self._hand_over(builder.build(), parse_seconds)
+                    parse_seconds = 0.0
+                    frames = 0
+                    # Only process_batch (and a consumer's inject/drain
+                    # between yields) moves either deadline.
+                    next_eviction = self._next_eviction
+                    lingering = self.dispatcher.lingering_since()
+            if frames:
+                yield from self._hand_over(builder.build(), parse_seconds)
+            yield from self.finish()
         finally:
             # No-op after a complete run; on early exit this drains the
             # pipeline so enforcement never silently misses a device.
             self.finish()
             self.stats.wall_seconds = time.perf_counter() - started
 
-    def process_packet(self, packet) -> list[IdentifiedDevice]:
-        """Feed a single packet through every stage (single-step API)."""
-        self.stats.packets += 1
-        if packet.timestamp > self.clock.now():
-            self.clock.advance(packet.timestamp - self.clock.now())
+    def _hand_over(self, batch: PacketBatch, parse_seconds: float) -> list[IdentifiedDevice]:
+        """Process one built batch; ``parse_seconds`` is its column build."""
+        if self.observability is not None:
+            self.observability.observe_parse_batch(parse_seconds)
+        return self.process_batch(batch)
 
-        start = time.perf_counter()
-        ready = self.assembler.observe(packet)
-        completed = [ready] if ready is not None else []
-        now = self.clock.now()
-        self._sweep_if_due(now, completed)
-        self.stats.assemble_seconds += time.perf_counter() - start
-
-        identified: list[IdentifiedDevice] = []
-        for item in completed:
-            self.stats.fingerprints += 1
-            identified.extend(self.dispatcher.submit(item))
-        # Lingering partial batches are flushed on the stream clock, so a
-        # trickle of devices is identified promptly instead of waiting for
-        # a full batch (or end-of-stream drain) that may never come.
-        identified.extend(self.dispatcher.poll(now))
-        self._deliver(identified)
-        return identified
-
-    def run_batched(self, batch_size: int = 256) -> PipelineStats:
-        """Consume the whole source through the columnar datapath.
-
-        Verdict-equivalent to :meth:`run` -- each device receives the same
-        identification, built from a bitwise-identical fingerprint -- but
-        packets move as :class:`~repro.net.batch.PacketBatch` columns, so
-        parsing, feature extraction and distance scoring are array
-        operations instead of per-packet Python.  Delivery *order* across
-        devices can differ from the per-packet path (dispatcher batches
-        compose differently when fingerprints complete in bursts).
-        """
-        started = time.perf_counter()
-        batches = iter_packet_batches(self.source, batch_size)
-        while True:
-            # Time the parse stage around next(): for frame-backed sources
-            # this is where the struct-batched field extraction runs.
-            parse_start = time.perf_counter()
-            try:
-                batch = next(batches)
-            except StopIteration:
-                break
-            if self.observability is not None:
-                self.observability.observe_parse_batch(time.perf_counter() - parse_start)
-            self.process_batch(batch)
-        self.finish()
-        self.stats.wall_seconds = time.perf_counter() - started
-        return self.stats
-
-    def process_batch(self, batch: "PacketBatch") -> list[IdentifiedDevice]:
+    def process_batch(self, batch: PacketBatch) -> list[IdentifiedDevice]:
         """Feed one packet batch through every stage (columnar API).
 
-        Emission parity with :meth:`process_packet` is kept by splitting
-        the batch at eviction boundaries: the assembler folds packets in
-        bulk up to (and including) the first packet whose timestamp
-        crosses ``_next_eviction``, then the idle sweep fires with exactly
-        the clock value the per-packet path would have used -- so sweeps
-        land between the same two packets on both paths.
+        Exact for any batch boundaries: the batch is cut into windows,
+        each ending at the first packet that may complete a capture (the
+        assembler's candidates), cross the eviction deadline or cross the
+        linger deadline.  At each window end the clock moves to that
+        packet's stream time -- the running maximum of the timestamps, as
+        folding one packet at a time would leave it -- then the sweep,
+        the submits, the poll and one delivery run in that order, so every
+        call sees the clock value it would see packet by packet.
         """
         n = len(batch)
         if n == 0:
             return []
         self.stats.packets += n
-        timestamps = batch.timestamps
-        # The vectorised per-batch work runs once; each window between
-        # eviction sweeps then walks its slice of the prepared batch.
-        prepared = self.assembler.prepare_batch(batch)
         assemble_start = time.perf_counter()
-        completed: list[ReadyFingerprint] = []
+        clock_times = np.maximum.accumulate(batch.timestamps)
+        np.maximum(clock_times, self.clock.now(), out=clock_times)
+        prepared = self.assembler.prepare_batch(batch, clock_times)
+        assemble_seconds = time.perf_counter() - assemble_start
+        score_seconds = 0.0
+        delivered: list[IdentifiedDevice] = []
         position = 0
         while position < n:
-            cut = int(timestamps.searchsorted(self._next_eviction, side="left"))
-            stop = min(n, max(cut + 1, position + 1))
-
-            end_time = float(timestamps[stop - 1])
+            stop = self._window_stop(prepared.next_candidate(position), clock_times, position)
+            window_start = time.perf_counter()
+            end_time = float(clock_times[stop - 1])
             if end_time > self.clock.now():
                 self.clock.advance(end_time - self.clock.now())
-            completed.extend(self.assembler.observe_prepared(prepared, stop))
-            self._sweep_if_due(self.clock.now(), completed)
+            completed = self.assembler.observe_prepared(prepared, stop)
+            now = self.clock.now()
+            self._sweep_if_due(now, completed)
+            score_start = time.perf_counter()
+            assemble_seconds += score_start - window_start
+            identified: list[IdentifiedDevice] = []
+            for item in completed:
+                self.stats.fingerprints += 1
+                identified.extend(self.dispatcher.submit(item))
+            # Lingering partial batches are flushed on the stream clock, so
+            # a trickle of devices is identified promptly instead of
+            # waiting for a full batch (or end-of-stream drain) that may
+            # never come.
+            identified.extend(self.dispatcher.poll(now))
+            score_seconds += time.perf_counter() - score_start
+            self._deliver(identified)
+            delivered.extend(identified)
             position = stop
-        assemble_elapsed = time.perf_counter() - assemble_start
-        self.stats.assemble_seconds += assemble_elapsed
+        self.stats.assemble_seconds += assemble_seconds
         if self.observability is not None:
-            self.observability.observe_assemble_batch(assemble_elapsed)
+            self.observability.observe_assemble_batch(assemble_seconds)
+            self.observability.observe_score_batch(score_seconds)
+        return delivered
 
-        score_start = time.perf_counter()
-        identified: list[IdentifiedDevice] = []
-        for item in completed:
-            self.stats.fingerprints += 1
-            identified.extend(self.dispatcher.submit(item))
-        identified.extend(self.dispatcher.poll(self.clock.now()))
-        if self.observability is not None:
-            self.observability.observe_score_batch(time.perf_counter() - score_start)
-        self._deliver(identified)
-        return identified
+    def _window_stop(self, candidate: int, clock_times: np.ndarray, position: int) -> int:
+        """One past the last packet of the window starting at ``position``.
+
+        The window ends at ``candidate`` (the next packet that may
+        complete a capture) or earlier, at the first packet whose stream
+        time reaches the eviction deadline or lingers the oldest queued
+        fingerprint for :data:`MAX_LINGER_SECONDS` -- the same comparisons
+        :meth:`_sweep_if_due` and the dispatcher's ``poll`` make.
+        """
+        end = min(candidate, int(clock_times.searchsorted(self._next_eviction, side="left")))
+        since = self.dispatcher.lingering_since()
+        if since is not None:
+            linger = int(clock_times.searchsorted(since + MAX_LINGER_SECONDS, side="left"))
+            # ``now - since >= MAX_LINGER_SECONDS`` may already hold a
+            # rounding step below ``since + MAX_LINGER_SECONDS``.
+            while linger > position and clock_times[linger - 1] - since >= MAX_LINGER_SECONDS:
+                linger -= 1
+            end = min(end, linger)
+        return max(min(end + 1, len(clock_times)), position + 1)
 
     def inject(self, ready: ReadyFingerprint) -> list[IdentifiedDevice]:
         """Feed one pre-assembled fingerprint straight into dispatch.
@@ -308,6 +339,8 @@ class StreamingPipeline:
             self._next_eviction = now + EVICTION_INTERVAL_SECONDS
 
     def _deliver(self, identified: list[IdentifiedDevice]) -> None:
+        if not identified:
+            return
         self.stats.identified += len(identified)
         if self.observability is not None:
             cache = self.dispatcher.cache

@@ -1,11 +1,12 @@
 """Packet sources feeding the streaming identification pipeline.
 
-A :class:`PacketSource` is anything that yields dissected packets in
-timestamp order.  The adapters in this module put live-replay (pcap files
-read through :mod:`repro.net.pcap`) and synthetic workloads (setup traces
-rendered by :class:`~repro.devices.simulator.SetupTrafficSimulator`) behind
-one interface, so the pipeline, the tests and the benchmarks all consume
-the same stream shape regardless of where the packets come from.
+A :class:`PacketSource` is anything that yields packets in timestamp
+order, each either as a raw captured frame or as a dissected packet.  The
+adapters in this module put live-replay (pcap files read through
+:mod:`repro.net.pcap`) and synthetic workloads (setup traces rendered by
+:class:`~repro.devices.simulator.SetupTrafficSimulator`) behind one
+interface, so the pipeline, the tests and the benchmarks all consume the
+same stream shape regardless of where the packets come from.
 """
 
 from __future__ import annotations
@@ -19,17 +20,23 @@ from repro.devices.catalog import DEVICE_CATALOG, profile_of
 from repro.devices.simulator import SetupTrace, SetupTrafficSimulator
 from repro.exceptions import SimulationError
 from repro.net.addresses import MACAddress
-from repro.net.batch import PacketBatch
+from repro.net.batch import StreamItem
 from repro.net.packet import Packet
-from repro.net.pcap import PcapReader
+from repro.net.pcap import CapturedPacket, PcapReader
 
 
 @runtime_checkable
 class PacketSource(Protocol):
     """The contract every pipeline input satisfies: an ordered packet stream."""
 
-    def packets(self) -> Iterator[Packet]:
-        """Yield packets in non-decreasing timestamp order."""
+    def packets(self) -> Iterator[StreamItem]:
+        """Yield packets in non-decreasing timestamp order.
+
+        Each item is a raw :class:`~repro.net.pcap.CapturedPacket` frame
+        (the pipeline parses it straight into batch columns, dissecting
+        only frames its fast parser defers) or an already-dissected
+        :class:`~repro.net.packet.Packet`.
+        """
         ...
 
 
@@ -37,9 +44,9 @@ class PacketSource(Protocol):
 class IterableSource:
     """Wraps any pre-built packet iterable (lists, generators, traces)."""
 
-    items: Iterable[Packet]
+    items: Iterable[StreamItem]
 
-    def packets(self) -> Iterator[Packet]:
+    def packets(self) -> Iterator[StreamItem]:
         yield from self.items
 
 
@@ -47,31 +54,17 @@ class IterableSource:
 class PcapReplaySource:
     """Replays a classic pcap capture file as a packet stream.
 
-    Packets are dissected lazily, one record at a time, so arbitrarily
-    large captures can be streamed without holding them in memory -- the
-    property the offline ``read_pcap`` helper deliberately does not have.
+    Records are read one at a time and handed over as raw frames, so
+    arbitrarily large captures can be streamed without holding them in
+    memory -- the property the offline ``read_pcap`` helper deliberately
+    does not have -- and the pipeline parses each frame straight into
+    batch columns without building layer objects for it.
     """
 
     path: Union[str, Path]
 
-    def packets(self) -> Iterator[Packet]:
-        yield from PcapReader(self.path).packets()
-
-    def packet_batches(self, batch_size: int = 256) -> Iterator[PacketBatch]:
-        """Columnar fast path: raw frames go straight into PacketBatches.
-
-        No :class:`~repro.net.packet.Packet` objects are built for frames
-        the struct-batched parser handles; the per-packet view stays
-        available via :meth:`PacketBatch.packet` (lazy dissection).
-        """
-        chunk: list = []
-        for captured in PcapReader(self.path):
-            chunk.append(captured)
-            if len(chunk) >= batch_size:
-                yield PacketBatch.from_frames(chunk)
-                chunk = []
-        if chunk:
-            yield PacketBatch.from_frames(chunk)
+    def packets(self) -> Iterator[CapturedPacket]:
+        yield from PcapReader(self.path)
 
 
 class SimulatedSource:
@@ -115,30 +108,6 @@ class SimulatedSource:
 
     def __len__(self) -> int:
         return sum(len(trace) for trace in self.traces)
-
-
-def iter_packet_batches(source: PacketSource, batch_size: int = 256) -> Iterator[PacketBatch]:
-    """Adapt any :class:`PacketSource` into a stream of PacketBatches.
-
-    Sources exposing a native ``packet_batches`` method (the pcap replay
-    adapter's zero-object fast path) are used directly; everything else is
-    chunked through :meth:`PacketBatch.from_packets`, one attribute-read
-    pass per batch.
-    """
-    if batch_size <= 0:
-        raise SimulationError(f"batch size must be positive, got {batch_size}")
-    native = getattr(source, "packet_batches", None)
-    if native is not None:
-        yield from native(batch_size)
-        return
-    chunk: list[Packet] = []
-    for packet in source.packets():
-        chunk.append(packet)
-        if len(chunk) >= batch_size:
-            yield PacketBatch.from_packets(chunk)
-            chunk = []
-    if chunk:
-        yield PacketBatch.from_packets(chunk)
 
 
 def interleave_traces(traces: Iterable[SetupTrace]) -> Iterator[Packet]:

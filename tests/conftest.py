@@ -7,6 +7,9 @@ so that the full suite stays fast; the benchmarks exercise full scale.
 
 from __future__ import annotations
 
+import dataclasses
+import random
+import time
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -16,6 +19,7 @@ from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.exceptions import FingerprintError
+from repro.features.session import gap_exceeds_setup_threshold
 from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.compiled import LEAF
@@ -26,9 +30,17 @@ from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP, PROTO_UDP
 from repro.net.layers.tcp import TCPSegment
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
+from repro.net.pcap import CapturedPacket
+from repro.streaming.assembler import (
+    EMIT_BUDGET,
+    EMIT_FLUSH,
+    EMIT_IDLE,
+    ShardedFingerprintAssembler,
+    _DeviceAssembler,
+)
 from repro.streaming.dispatcher import BatchDispatcher
 from repro.streaming.pipeline import GatewayEnforcementSink, StreamingPipeline
-from repro.streaming.sources import IterableSource
+from repro.streaming.sources import IterableSource, interleave_traces, replay_trace
 
 #: A small but representative subset of device-types used by the fast tests:
 #: a few distinctive devices plus two confusable families.
@@ -332,6 +344,149 @@ def walk_forest_proba(forest, X):
 def walk_forest_predict(forest, X):
     """A ``CompiledForest``'s predicted labels, by the per-sample walk."""
     return forest.classes_[np.argmax(walk_forest_proba(forest, X), axis=1)]
+
+
+# --------------------------------------------------------------------- #
+# Per-packet oracle of the streaming datapath: the walk the columnar
+# pipeline replaced.  Each packet is dissected, extracted row by row and
+# folded into its device's capture; the pipeline stages then run once per
+# packet.  Verdicts, clock stamps and ledger bytes of the columnar drive
+# are compared against this walk.
+# --------------------------------------------------------------------- #
+class OracleDevice(_DeviceAssembler):
+    """One device's capture, folded one extracted row at a time."""
+
+    def observe(self, packet: Packet) -> None:
+        row = self.extractor.extract(packet)
+        # Consecutive-duplicate suppression of Eq. (1), done incrementally.
+        if self.last_row is None or not np.array_equal(row, self.last_row):
+            self.rows.append(row)
+            self.row_count += 1
+            self.last_row = row
+        if self.raw_packets:
+            self.gaps.append(max(0.0, packet.timestamp - self.last_seen))
+        self.raw_packets += 1
+        self.last_seen = packet.timestamp
+
+    def gap_ends_setup(self, gap: float, assembler) -> bool:
+        if self.raw_packets < assembler.min_packets or not self.gaps:
+            return False
+        return gap_exceeds_setup_threshold(
+            gap, self.gaps, assembler.min_idle_seconds, assembler.idle_factor
+        )
+
+
+class PerPacketAssembler(ShardedFingerprintAssembler):
+    """The assembler folding one packet at a time; sweeps and flushes
+    emit in bucket insertion order."""
+
+    def observe(self, packet: Packet):
+        self.stats.packets_observed += 1
+        mac = packet.src_mac
+        bucket = self._bucket(mac)
+        device = bucket.get(mac)
+        completed = None
+        if device is not None and device.gap_ends_setup(packet.timestamp - device.last_seen, self):
+            completed = self._finalize(device, EMIT_IDLE, packet.timestamp)
+            device = None
+        if device is None:
+            device = OracleDevice(mac=mac, last_seen=packet.timestamp)
+            bucket[mac] = device
+        device.observe(packet)
+        if device.raw_packets >= self.packet_budget:
+            return completed or self._finalize(device, EMIT_BUDGET, packet.timestamp)
+        return completed
+
+    def evict_idle(self, now, shard=None):
+        buckets = self._buckets if shard is None else [self._buckets[shard % self.shards]]
+        ready = []
+        for bucket in buckets:
+            expired = [d for d in bucket.values() if now - d.last_seen > self.idle_timeout]
+            for device in expired:
+                emitted = self._finalize(device, EMIT_IDLE, now)
+                if emitted is not None:
+                    ready.append(emitted)
+        return ready
+
+    def flush(self, now=0.0):
+        ready = []
+        for bucket in self._buckets:
+            for device in list(bucket.values()):
+                emitted = self._finalize(device, EMIT_FLUSH, now or device.last_seen)
+                if emitted is not None:
+                    ready.append(emitted)
+        return ready
+
+
+def per_packet_run(pipeline: StreamingPipeline):
+    """Drive ``pipeline`` packet by packet: every stage once per packet.
+
+    ``pipeline.assembler`` should be a :class:`PerPacketAssembler`.
+    """
+    for item in pipeline.source.packets():
+        packet = item.dissect() if isinstance(item, CapturedPacket) else item
+        pipeline.stats.packets += 1
+        if packet.timestamp > pipeline.clock.now():
+            pipeline.clock.advance(packet.timestamp - pipeline.clock.now())
+        start = time.perf_counter()
+        ready = pipeline.assembler.observe(packet)
+        completed = [ready] if ready is not None else []
+        now = pipeline.clock.now()
+        pipeline._sweep_if_due(now, completed)
+        pipeline.stats.assemble_seconds += time.perf_counter() - start
+        identified = []
+        for fingerprint in completed:
+            pipeline.stats.fingerprints += 1
+            identified.extend(pipeline.dispatcher.submit(fingerprint))
+        identified.extend(pipeline.dispatcher.poll(now))
+        pipeline._deliver(identified)
+    pipeline.finish()
+    return pipeline.stats
+
+
+def per_packet_gateway_run(handle, source):
+    """``handle.run_until_idle(source)`` by the per-packet oracle walk."""
+    knobs = handle.assembler
+    handle.assembler = PerPacketAssembler(
+        shards=knobs.shards,
+        packet_budget=knobs.packet_budget,
+        min_packets=knobs.min_packets,
+        min_rows=knobs.min_rows,
+        idle_timeout=knobs.idle_timeout,
+        min_idle_seconds=knobs.min_idle_seconds,
+        idle_factor=knobs.idle_factor,
+    )
+    return per_packet_run(handle._build_pipeline(source))
+
+
+def rerun_stream(seed):
+    """A fleet whose first devices re-run their setup under the same MAC:
+    after a long pause (idle cuts), a short one (idle sweeps only), or
+    back to back (packet-budget cuts)."""
+    simulator = SetupTrafficSimulator(seed=seed)
+    traces = [
+        simulator.simulate(DEVICE_CATALOG[name], start_time=index * 0.7)
+        for index, name in enumerate(sorted(DEVICE_CATALOG)[:10])
+    ]
+    reruns = []
+    for trace in traces[:4]:
+        length = trace.packets[-1].timestamp - trace.packets[0].timestamp
+        offset = 0.0
+        for run in range(1, 40):
+            offset += length + (12.0 if run % 20 == 0 else 6.0 if run % 3 == 0 else 0.4)
+            reruns.append(replay_trace(trace, trace.device_mac, offset))
+    return list(interleave_traces(traces + reruns))
+
+
+def skewed(packets, seed, share=0.03):
+    """``packets`` with a ``share`` of them stamped 1.5 s or 20 s late."""
+    rng = random.Random(seed)
+    return [
+        dataclasses.replace(packet, timestamp=packet.timestamp - rng.choice((1.5, 20.0)))
+        if rng.random() < share
+        else packet
+        for packet in packets
+    ]
 
 
 def onboard_trace(gateway, service, trace):

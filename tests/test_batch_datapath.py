@@ -5,8 +5,9 @@ file is the contract between them: the vectorised edit-distance kernel must
 be bitwise-equal to the per-pair dynamic program, a :class:`PacketBatch`
 must carry exactly the columns the per-packet parser would have produced,
 the batched assembler must emit the same fingerprints as per-packet
-observation, and the batched pipeline must hand every device the same
-verdict as the per-packet run.
+observation, and the columnar pipeline must hand every device the same
+verdict as the per-packet oracle walk (``tests.conftest.per_packet_run``)
+whatever the batch boundaries.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.distance.damerau_levenshtein import (
     damerau_levenshtein_pairs,
     normalized_pair_distances,
 )
-from repro.exceptions import FingerprintError, PacketDecodeError, SimulationError
+from repro.exceptions import FingerprintError, PacketDecodeError
 from repro.features.packet_features import (
     FEATURE_INDEX,
     PacketFeatureExtractor,
@@ -57,15 +58,18 @@ from repro.net.pcap import CapturedPacket, PcapReader, read_pcap, write_pcap
 from repro.streaming import (
     BatchDispatcher,
     IdentificationCache,
+    IterableSource,
     ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
-    iter_packet_batches,
 )
 from tests.conftest import (
+    PerPacketAssembler,
     assert_scores_match_scalar_oracle,
     damerau_levenshtein,
     normalized_damerau_levenshtein,
+    per_packet_run,
+    rerun_stream,
 )
 
 _COUNTER = FEATURE_INDEX["dst_ip_counter"]
@@ -183,6 +187,12 @@ def _setup_packets(seed: int = 21, names=("Aria", "HueBridge", "EdnetCam", "WeMo
     return packets
 
 
+def _batches(items, size):
+    """``items`` cut into consecutive PacketBatches of ``size`` items."""
+    items = list(items)
+    return [PacketBatch.from_items(items[start : start + size]) for start in range(0, len(items), size)]
+
+
 def _expected_columns(packets):
     """Per-packet oracle: one fresh extractor per packet, counter zeroed."""
     extractor = PacketFeatureExtractor()
@@ -198,7 +208,7 @@ def _expected_columns(packets):
 class TestPacketBatchColumns:
     def test_from_packets_matches_per_packet_extractor(self):
         packets = _setup_packets()
-        batch = PacketBatch.from_packets(packets)
+        batch = PacketBatch.from_items(packets)
         assert len(batch) == len(packets)
         np.testing.assert_array_equal(batch_feature_matrix(batch), _expected_columns(packets))
         for index, packet in enumerate(packets):
@@ -220,8 +230,8 @@ class TestPacketBatchColumns:
         write_pcap(path, _setup_packets())
         frames = list(PcapReader(path))
         assert frames
-        from_frames = PacketBatch.from_frames(frames)
-        from_packets = PacketBatch.from_packets(read_pcap(path))
+        from_frames = PacketBatch.from_items(frames)
+        from_packets = PacketBatch.from_items(read_pcap(path))
         np.testing.assert_array_equal(from_frames.flags, from_packets.flags)
         np.testing.assert_array_equal(from_frames.src_macs, from_packets.src_macs)
         np.testing.assert_array_equal(from_frames.src_ports, from_packets.src_ports)
@@ -229,47 +239,50 @@ class TestPacketBatchColumns:
         np.testing.assert_array_equal(from_frames.sizes, from_packets.sizes)
         np.testing.assert_array_equal(from_frames.timestamps, from_packets.timestamps)
         assert from_frames.dst_ips == from_packets.dst_ips
-        # The thin per-packet view dissects lazily to the same packets.
-        assert from_frames.packet(0).to_bytes() == frames[0].data
+        # The frames the columns came from dissect back to the same bytes.
+        first = frames[0]
+        assert Packet.dissect(first.data, first.timestamp, first.original_length).to_bytes() == (
+            first.data
+        )
 
     def test_simulator_stream_batches_match_source_packets(self):
         source = SimulatedSource(devices=6, seed=3)
         packets = list(source.packets())
-        batches = list(iter_packet_batches(SimulatedSource(devices=6, seed=3), 32))
+        batches = _batches(SimulatedSource(devices=6, seed=3).packets(), 32)
         assert sum(len(batch) for batch in batches) == len(packets)
         stitched = np.concatenate([batch_feature_matrix(batch) for batch in batches])
         np.testing.assert_array_equal(stitched, _expected_columns(packets))
 
     def test_batch_size_edges(self):
         packets = _setup_packets(seed=4, names=("Aria",))
-        empty = PacketBatch.from_packets([])
+        empty = PacketBatch.from_items([])
         assert len(empty) == 0
-        assert empty.device_runs() == []
+        assert ShardedFingerprintAssembler().prepare_batch(empty).groups == []
         assert batch_feature_matrix(empty).shape == (0, 23)
 
-        single = PacketBatch.from_packets(packets[:1])
+        single = PacketBatch.from_items(packets[:1])
         assert len(single) == 1
         np.testing.assert_array_equal(
             batch_feature_matrix(single), _expected_columns(packets[:1])
         )
 
-        whole = PacketBatch.from_packets(packets)  # one max-size batch
-        view = whole.slice(0, len(whole))
-        np.testing.assert_array_equal(view.flags, whole.flags)
+        whole = PacketBatch.from_items(packets)  # one max-size batch
+        frames = [CapturedPacket(p.timestamp, p.to_bytes(), p.wire_length) for p in packets]
+        np.testing.assert_array_equal(PacketBatch.from_items(frames).flags, whole.flags)
 
     def test_device_runs_preserve_stream_order(self):
         packets = _setup_packets(seed=8, names=("Aria", "HueBridge"))
-        batch = PacketBatch.from_packets(packets)
+        batch = PacketBatch.from_items(packets)
         seen = []
-        for mac_value, indices in batch.device_runs():
+        firsts = []
+        for mac, indices, _ in ShardedFingerprintAssembler().prepare_batch(batch).groups:
             assert (np.diff(indices) > 0).all() or len(indices) == 1
-            assert (batch.src_macs[indices] == mac_value).all()
-            seen.extend(int(i) for i in indices)
+            assert (batch.src_macs[indices] == mac.value).all()
+            firsts.append(indices[0])
+            seen.extend(indices)
+        # Devices are walked in order of first appearance.
+        assert firsts == sorted(firsts)
         assert sorted(seen) == list(range(len(batch)))
-
-    def test_iter_packet_batches_rejects_bad_size(self):
-        with pytest.raises(SimulationError):
-            list(iter_packet_batches(SimulatedSource(devices=1, seed=0), 0))
 
 
 # --------------------------------------------------------------------- #
@@ -288,7 +301,7 @@ def _emission_map(emissions):
 
 
 def _drive_per_packet(source):
-    assembler = ShardedFingerprintAssembler(shards=4)
+    assembler = PerPacketAssembler(shards=4)
     emissions = [
         ready for packet in source.packets() if (ready := assembler.observe(packet))
     ]
@@ -302,7 +315,7 @@ class TestBatchedAssembler:
         baseline, base_stats = _drive_per_packet(SimulatedSource(devices=12, seed=5))
         assembler = ShardedFingerprintAssembler(shards=4)
         emissions = []
-        for batch in iter_packet_batches(SimulatedSource(devices=12, seed=5), batch_size):
+        for batch in _batches(SimulatedSource(devices=12, seed=5).packets(), batch_size):
             emissions.extend(assembler.observe_prepared(assembler.prepare_batch(batch), len(batch)))
         emissions.extend(assembler.flush(10_000.0))
         assert _emission_map(emissions) == _emission_map(baseline)
@@ -312,47 +325,86 @@ class TestBatchedAssembler:
 class TestBatchedPipeline:
     @staticmethod
     def _verdicts(identifier, batch_size=None):
+        """Delivered verdicts of the oracle walk (``batch_size`` of 0), the
+        pipeline's own drive (None), or ``process_batch`` fed fixed-size
+        batches."""
         delivered = []
+        source = SimulatedSource(devices=12, seed=11)
         pipeline = StreamingPipeline(
-            source=SimulatedSource(devices=12, seed=11),
+            source=source,
             dispatcher=BatchDispatcher(
                 identifier, max_batch=4, cache=IdentificationCache(capacity=64)
             ),
-            assembler=ShardedFingerprintAssembler(shards=4),
+            assembler=(PerPacketAssembler if batch_size == 0 else ShardedFingerprintAssembler)(
+                shards=4
+            ),
             on_identified=delivered.append,
         )
-        if batch_size is None:
+        if batch_size == 0:
+            stats = per_packet_run(pipeline)
+        elif batch_size is None:
             stats = pipeline.run()
         else:
-            stats = pipeline.run_batched(batch_size=batch_size)
+            for batch in _batches(source.packets(), batch_size):
+                pipeline.process_batch(batch)
+            pipeline.finish()
+            stats = pipeline.stats
         return delivered, stats
 
     def test_batched_run_gives_every_device_the_same_verdict(self, trained_identifier):
-        baseline, base_stats = self._verdicts(trained_identifier)
-        expected = {
-            str(item.mac): (
-                item.result.device_type,
-                item.result.matched_types,
-                item.result.discrimination_scores,
-                item.fingerprint.vectors.tobytes(),
-            )
-            for item in baseline
-        }
-        for batch_size in (1, 33, 100_000):
-            delivered, stats = self._verdicts(trained_identifier, batch_size=batch_size)
-            got = {
-                str(item.mac): (
+        def signature(items):
+            return [
+                (
+                    str(item.mac),
                     item.result.device_type,
                     item.result.matched_types,
                     item.result.discrimination_scores,
                     item.fingerprint.vectors.tobytes(),
                 )
-                for item in delivered
-            }
-            assert got == expected
+                for item in items
+            ]
+
+        baseline, base_stats = self._verdicts(trained_identifier, batch_size=0)
+        for batch_size in (None, 1, 33, 100_000):
+            delivered, stats = self._verdicts(trained_identifier, batch_size=batch_size)
+            # Same verdicts in the same delivery order, batch boundaries
+            # notwithstanding.
+            assert signature(delivered) == signature(baseline)
             assert stats.packets == base_stats.packets
             assert stats.fingerprints == base_stats.fingerprints
             assert stats.identified == base_stats.identified
+
+    def test_batches_are_handed_over_at_the_frame_that_can_yield_a_verdict(
+        self, trained_identifier
+    ):
+        """Every capture completes on the last frame of its batch: the
+        drive never holds a completing frame back behind later ones."""
+        pipeline = StreamingPipeline(
+            source=IterableSource(rerun_stream(seed=5)),
+            dispatcher=BatchDispatcher(trained_identifier, max_batch=4),
+            assembler=ShardedFingerprintAssembler(shards=4),
+        )
+        batch_ends = []
+        process_batch = pipeline.process_batch
+
+        def recorded(batch):
+            batch_ends.append(float(batch.timestamps[-1]))
+            return process_batch(batch)
+
+        submitted = []
+        submit = pipeline.dispatcher.submit
+
+        def recorded_submit(ready):
+            submitted.append((ready.reason, ready.completed_at, batch_ends[-1]))
+            return submit(ready)
+
+        pipeline.process_batch = recorded
+        pipeline.dispatcher.submit = recorded_submit
+        stats = pipeline.run()
+        streamed = [item for item in submitted if item[0] != "flush"]
+        assert {"budget", "idle"} <= {reason for reason, _, _ in streamed}
+        assert len(batch_ends) < stats.packets
+        assert all(completed_at == end for _, completed_at, end in streamed)
 
     def test_batched_and_scalar_distance_kernels_agree_end_to_end(
         self, small_dataset, trained_identifier
@@ -488,10 +540,10 @@ class TestFromFramesFuzz:
             # poison fingerprints downstream).
             for frame in rejected:
                 with pytest.raises(PacketDecodeError):
-                    PacketBatch.from_frames([frame])
+                    PacketBatch.from_items([frame])
 
-            batch = PacketBatch.from_frames(parseable)
-            oracle = PacketBatch.from_packets(oracle_packets)
+            batch = PacketBatch.from_items(parseable)
+            oracle = PacketBatch.from_items(oracle_packets)
             assert len(batch) == len(parseable)
             np.testing.assert_array_equal(batch.flags, oracle.flags)
             np.testing.assert_array_equal(batch.src_macs, oracle.src_macs)
@@ -547,9 +599,11 @@ class TestFromFramesFuzz:
         expected.wire_length = original
         assert Packet.dissect(data, 1.5, original) == expected
         assert CapturedPacket(1.5, data, original).dissect() == expected
-        batch = PacketBatch.from_frames([(1.5, data, original)])
+        batch = PacketBatch.from_items([CapturedPacket(1.5, data, original)])
         assert batch.sizes[0] == original
-        assert batch.packet(0) == expected
+        dissected = PacketBatch.from_items([expected])
+        np.testing.assert_array_equal(batch.flags, dissected.flags)
+        np.testing.assert_array_equal(batch.sizes, dissected.sizes)
 
     def test_truncated_ethernet_header_raises_like_dissect(self):
         from repro.exceptions import PacketDecodeError
@@ -561,4 +615,4 @@ class TestFromFramesFuzz:
             with pytest.raises(PacketDecodeError):
                 Packet.dissect(raw)
             with pytest.raises(PacketDecodeError):
-                PacketBatch.from_frames([CapturedPacket(0.0, raw, 0)])
+                PacketBatch.from_items([CapturedPacket(0.0, raw, 0)])

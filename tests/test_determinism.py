@@ -25,7 +25,12 @@ import pytest
 
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.identification.model_store import load_identifier, save_identifier
-from tests.conftest import assert_scores_match_scalar_oracle
+from tests.conftest import (
+    assert_scores_match_scalar_oracle,
+    per_packet_gateway_run,
+    rerun_stream,
+    skewed,
+)
 
 REPEATED_CALLS = 100
 
@@ -317,7 +322,7 @@ class TestBatchKernelDeterminism:
                 ),
                 assembler=ShardedFingerprintAssembler(shards=4),
                 on_identified=delivered.append,
-            ).run_batched(batch_size=64)
+            ).run()
             return [
                 (str(item.mac), _verdict_signature(item.result), item.fingerprint.vectors.tobytes())
                 for item in delivered
@@ -397,3 +402,113 @@ class TestObservabilityDeterminism:
         assert not any("seconds" in key for key in first)
 
         assert first_path.read_bytes() == second_path.read_bytes()
+
+
+# --------------------------------------------------------------------- #
+# The facade's columnar drive against the per-packet oracle walk: the
+# evidence ledger -- every verdict and enforcement record, with its
+# stream-clock stamp, in order -- must come out byte-identical whatever
+# the batch boundaries, the pacing of the stream or its timestamp skew.
+# --------------------------------------------------------------------- #
+class TestColumnarDriveParity:
+    @staticmethod
+    def _ledger(identifier, directory, source, drive, knobs):
+        """The ledger bytes of one drive, and each fingerprint submission
+        with the stream clock it saw."""
+        from repro.api import GatewayConfig, build_gateway
+        from repro.streaming import ShardedFingerprintAssembler
+
+        path = directory / "ledger.ndjson"
+        handle = build_gateway(GatewayConfig(identifier=identifier, ledger_path=path))
+        if knobs:
+            handle.assembler = ShardedFingerprintAssembler(shards=handle.assembler.shards, **knobs)
+        submits = []
+        submit = handle.dispatcher.submit
+
+        def recorded_submit(ready):
+            submits.append((handle.clock.now(), str(ready.mac), ready.reason, ready.completed_at))
+            return submit(ready)
+
+        handle.dispatcher.submit = recorded_submit
+        drive(handle, source)
+        handle.close()
+        return path.read_bytes(), submits
+
+    def _assert_parity(self, identifier, tmp_path, make_source, drives, **knobs):
+        oracle, oracle_submits = self._ledger(
+            identifier, tmp_path / "oracle", make_source(), per_packet_gateway_run, knobs
+        )
+        assert oracle.count(b'"kind":"verdict"') >= 10
+        for name, drive in drives.items():
+            got, submits = self._ledger(identifier, tmp_path / name, make_source(), drive, knobs)
+            assert got == oracle, name
+            assert submits == oracle_submits, name
+
+    @staticmethod
+    def _facade(handle, source):
+        handle.run_until_idle(source)
+
+    def test_pcap_capture_ledger_matches_per_packet_walk(self, trained_identifier, tmp_path):
+        from repro.net.pcap import write_pcap
+        from repro.streaming import PcapReplaySource
+
+        capture = tmp_path / "reruns.pcap"
+        write_pcap(capture, rerun_stream(seed=3))
+        self._assert_parity(
+            trained_identifier, tmp_path, lambda: PcapReplaySource(capture),
+            {"facade": self._facade},
+        )
+
+    def test_sparse_stream_crossing_linger_and_eviction_deadlines(
+        self, trained_identifier, tmp_path
+    ):
+        from repro.streaming import SimulatedSource
+
+        # Devices join 9 s apart: most verdicts leave through linger polls
+        # and idle sweeps, not through full dispatcher batches.
+        self._assert_parity(
+            trained_identifier, tmp_path,
+            lambda: SimulatedSource(devices=14, seed=6, arrival_gap=9.0),
+            {"facade": self._facade},
+        )
+
+    def test_skewed_timestamps_ledger_matches_per_packet_walk(self, trained_identifier, tmp_path):
+        from repro.streaming import IterableSource
+
+        packets = skewed(rerun_stream(seed=5), seed=5)
+        self._assert_parity(
+            trained_identifier, tmp_path, lambda: IterableSource(packets),
+            {"facade": self._facade},
+        )
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {},
+            # Captures cut every few packets, and idle sweeps that end
+            # captures whose next packet shows no idle gap.
+            {"packet_budget": 8, "idle_timeout": 3.0},
+        ],
+        ids=["defaults", "short-captures"],
+    )
+    def test_process_batch_at_any_handover_size(self, trained_identifier, tmp_path, knobs):
+        from repro.net.batch import PacketBatch
+        from repro.streaming import IterableSource
+
+        packets = skewed(rerun_stream(seed=5), seed=5)
+
+        def fixed(size):
+            def drive(handle, source):
+                pipeline = handle._build_pipeline(source)
+                items = list(source.packets())
+                for start in range(0, len(items), size):
+                    pipeline.process_batch(PacketBatch.from_items(items[start : start + size]))
+                pipeline.finish()
+
+            return drive
+
+        self._assert_parity(
+            trained_identifier, tmp_path, lambda: IterableSource(packets),
+            {f"size-{size}": fixed(size) for size in (1, 7, 256, len(packets))},
+            **knobs,
+        )

@@ -456,6 +456,17 @@ class TestWiring:
             FACADE_SNAPSHOT_KEYS
         )
 
+    def test_facade_run_feeds_the_datapath_stage_timers(self, trained_identifier):
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        handle.run_until_idle(SimulatedSource(devices=4, seed=3))
+        snapshot = handle.snapshot()
+        counts = set()
+        for stage in ("parse", "assemble", "score"):
+            counts.add(snapshot[f"pipeline.{stage}_batch_seconds.count"])
+            assert snapshot[f"pipeline.{stage}_batch_seconds.sum"] > 0, stage
+        # One observation per stage per handed-over batch.
+        assert len(counts) == 1 and counts.pop() > 0
+
     def test_check_ledger_tool_passes_on_wired_output(self, wired):
         hub, pipeline, autopilot, _ = wired
         pipeline.run()
