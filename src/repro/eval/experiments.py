@@ -30,7 +30,7 @@ from repro.ml.metrics import confusion_matrix, per_class_accuracy
 from repro.ml.validation import StratifiedKFold
 from repro.security_service.isolation import IsolationLevel
 from repro.simulation.latency import LatencyModel, PathType
-from repro.simulation.resources import GatewayResourceModel
+from repro.simulation.resources import GatewayResourceModel, ResourceSample
 from repro.simulation.workload import ConcurrentFlowWorkload
 
 # --------------------------------------------------------------------------- #
@@ -275,12 +275,20 @@ class LatencyTable:
         raise KeyError(f"no row for {source} -> {destination}")
 
 
+def resource_sample(
+    gateway: SecurityGateway, model: GatewayResourceModel, concurrent_flows: int
+) -> ResourceSample:
+    """Sample ``gateway``'s modelled CPU/memory for a given flow load."""
+    return model.sample(
+        concurrent_flows=concurrent_flows,
+        enforcement_rules=len(gateway.rule_cache),
+        filtering_enabled=gateway.filtering_enabled,
+    )
+
+
 def _build_loaded_gateway(filtering_enabled: bool, device_count: int, seed: int) -> SecurityGateway:
     """A gateway with ``device_count`` devices and enforcement rules installed."""
-    gateway = SecurityGateway(
-        filtering_enabled=filtering_enabled,
-        resource_model=GatewayResourceModel(seed=seed),
-    )
+    gateway = SecurityGateway(filtering_enabled=filtering_enabled)
     workload = ConcurrentFlowWorkload(device_count=max(2, device_count), seed=seed)
     levels = [IsolationLevel.TRUSTED, IsolationLevel.RESTRICTED, IsolationLevel.STRICT]
     for index in range(device_count):
@@ -367,6 +375,8 @@ def run_overhead_table(
     """Table VI: latency, CPU and memory overhead of enabling filtering."""
     gateway_filtering = _build_loaded_gateway(True, device_count, seed)
     gateway_plain = _build_loaded_gateway(False, device_count, seed)
+    resources_filtering = GatewayResourceModel(seed=seed)
+    resources_plain = GatewayResourceModel(seed=seed)
 
     latency_overheads_d1d2: list[float] = []
     latency_overheads_d1d3: list[float] = []
@@ -395,12 +405,16 @@ def run_overhead_table(
                 100.0 * (with_filtering.mean() - without_filtering.mean()) / without_filtering.mean()
             )
 
-        cpu_with = gateway_filtering.resource_sample(concurrent_flows).cpu_percent
-        cpu_without = gateway_plain.resource_sample(concurrent_flows).cpu_percent
+        cpu_with = resource_sample(
+            gateway_filtering, resources_filtering, concurrent_flows
+        ).cpu_percent
+        cpu_without = resource_sample(gateway_plain, resources_plain, concurrent_flows).cpu_percent
         cpu_overheads.append(100.0 * (cpu_with - cpu_without) / cpu_without)
 
-        memory_with = gateway_filtering.resource_sample(concurrent_flows).memory_mb
-        memory_without = gateway_plain.resource_sample(concurrent_flows).memory_mb
+        memory_with = resource_sample(
+            gateway_filtering, resources_filtering, concurrent_flows
+        ).memory_mb
+        memory_without = resource_sample(gateway_plain, resources_plain, concurrent_flows).memory_mb
         memory_overheads.append(100.0 * (memory_with - memory_without) / memory_without)
 
     table = OverheadTable()
@@ -465,10 +479,11 @@ def run_cpu_vs_flows(
     gateway_plain = _build_loaded_gateway(False, device_count, seed)
     result = ResourceSeries(x_label="concurrent_flows", x_values=[float(count) for count in flow_counts])
     for label, gateway in (("With Filtering", gateway_filtering), ("Without Filtering", gateway_plain)):
+        model = GatewayResourceModel(seed=seed)
         values = []
         for flow_count in flow_counts:
             samples = [
-                gateway.resource_sample(int(flow_count)).cpu_percent
+                resource_sample(gateway, model, int(flow_count)).cpu_percent
                 for _ in range(samples_per_point)
             ]
             values.append(float(np.mean(samples)))

@@ -17,7 +17,6 @@ from repro.sdn.switch import OpenVSwitch, SwitchPort
 from repro.security_service.isolation import IsolationLevel
 from repro.security_service.service import SecurityAssessment
 from repro.simulation.clock import SimulatedClock
-from repro.simulation.resources import GatewayResourceModel, ResourceSample
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.identification.lifecycle import LifecycleCoordinator
@@ -66,7 +65,6 @@ class SecurityGateway:
         filtering_enabled: when False the gateway forwards everything
             (the "no filtering" baseline of the paper's evaluation).
         clock: simulated time source.
-        resource_model: CPU/memory model used for the Fig. 6 experiments.
     """
 
     filtering_enabled: bool = True
@@ -75,7 +73,6 @@ class SecurityGateway:
     switch: OpenVSwitch = field(default_factory=OpenVSwitch)
     rule_cache: EnforcementRuleCache = field(default_factory=EnforcementRuleCache)
     wps: WPSKeyManager = field(default_factory=WPSKeyManager)
-    resource_model: GatewayResourceModel = field(default_factory=GatewayResourceModel)
 
     name: str = "iot-sentinel-gateway"
     lifecycle: Optional["LifecycleCoordinator"] = None
@@ -353,14 +350,6 @@ class SecurityGateway:
             len(self.rule_cache) / 1000.0
         )
         return BASE_FORWARDING_COST_MS + lookup_cost
-
-    def resource_sample(self, concurrent_flows: int) -> ResourceSample:
-        """Sample the gateway's CPU/memory for a given flow load."""
-        return self.resource_model.sample(
-            concurrent_flows=concurrent_flows,
-            enforcement_rules=len(self.rule_cache),
-            filtering_enabled=self.filtering_enabled,
-        )
 
     # ------------------------------------------------------------------ #
     # Introspection.

@@ -93,9 +93,8 @@ class _PreparedBatch:
     resumes the precomputed consecutive-duplicate comparison instead of
     re-comparing against the capture's last kept row.  ``group_of`` maps
     each packet to its device group and ``position`` is where the next
-    window starts.  ``candidates`` lists, ascending, the batch index of
-    every packet that may complete a capture; ``base`` is the stream
-    ordinal of the batch's first packet.
+    window starts; ``base`` is the stream ordinal of the batch's first
+    packet.
     """
 
     timestamps: list
@@ -107,15 +106,8 @@ class _PreparedBatch:
     cursors: list
     devices: list
     group_of: list
-    candidates: list
     base: int
     position: int = 0
-
-    def next_candidate(self, position: int) -> int:
-        """The first packet at or after ``position`` that may complete a
-        capture (the batch length when none can)."""
-        index = bisect_left(self.candidates, position)
-        return self.candidates[index] if index < len(self.candidates) else len(self.timestamps)
 
 
 @dataclass
@@ -212,7 +204,7 @@ class ShardedFingerprintAssembler:
         self._buckets: list[dict[MACAddress, _DeviceAssembler]] = [{} for _ in range(shards)]
         # Stream ordinal of the next packet to be prepared.
         self._ordinal = 0
-        # Frames announced by frame_may_complete and not yet prepared:
+        # Frames announced by frame_may_complete and not yet folded:
         # source MAC -> (timestamp, raw packets of its capture so far).
         self._announced: dict[int, tuple[float, int]] = {}
 
@@ -255,16 +247,26 @@ class ShardedFingerprintAssembler:
         return emitted[0] if emitted else None
 
     def frame_may_complete(self, mac_value: int, timestamp: float) -> bool:
-        """Announce one frame ahead of its batch; True if it may complete a capture.
+        """Announce one frame ahead of its fold; True if it may complete a capture.
 
-        The per-frame half of the capture-end rule (:meth:`prepare_batch`
-        holds the batch half): a frame can only complete a capture when
-        its device's capture reaches the packet budget with it, or when
-        the gap since the device's previous packet exceeds
-        ``min_idle_seconds``.  Announced frames are tracked until the
-        next :meth:`prepare_batch`, which folds them.  Exact as long as
-        nothing completes between announced frames -- which holds when
-        the caller hands the batch over at the first True.
+        The capture-end rule of the whole drive: a frame can only complete
+        a capture when its device's capture reaches the packet budget with
+        it, or when the gap since the device's previous packet exceeds
+        ``min_idle_seconds``.  Announced frames are tracked until the next
+        :meth:`prepare_batch` or :meth:`observe_prepared`, after which the
+        buckets are authoritative again.  Exact as long as nothing
+        completes between announced frames -- which holds when the caller
+        folds the frames at the first True.
+
+        The third frame reaches a budget of three packets; a 10.5 s gap
+        exceeds the default 10 s ``min_idle_seconds``:
+
+        >>> assembler = ShardedFingerprintAssembler(packet_budget=3)
+        >>> [assembler.frame_may_complete(0x02AA, t) for t in (0.0, 0.5, 1.0)]
+        [False, False, True]
+        >>> assembler = ShardedFingerprintAssembler()
+        >>> [assembler.frame_may_complete(0x02BB, t) for t in (0.0, 0.5, 11.0)]
+        [False, False, True]
         """
         state = self._announced.get(mac_value)
         if state is None:
@@ -280,9 +282,7 @@ class ShardedFingerprintAssembler:
         self._announced[mac_value] = (timestamp, raw)
         return raw >= self.packet_budget or timestamp - last_seen > self.min_idle_seconds
 
-    def prepare_batch(
-        self, batch: PacketBatch, clock_times: Optional[np.ndarray] = None
-    ) -> "_PreparedBatch":
+    def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
         """Run the vectorised per-batch work once, ahead of observation.
 
         A caller interleaving observation with eviction sweeps (the
@@ -290,19 +290,6 @@ class ShardedFingerprintAssembler:
         then feeds consecutive windows to :meth:`observe_prepared` -- the
         feature matrix, the device grouping and the duplicate-detection
         vectors are not recomputed per window.
-
-        The prepared batch also lists the completion candidates: a
-        superset of the packets at which :meth:`observe_prepared` can
-        complete a capture.  A capture ends on an idle gap (the gap to
-        the device's previous packet exceeds ``min_idle_seconds``) or on
-        the budget, which is reached ``packet_budget`` packets after the
-        capture started -- so budget candidates are counted from every
-        possible capture start: the batch's first packet of each device
-        (continuing its open capture, or fresh), every idle-gap packet,
-        every packet after a budget candidate and, when ``clock_times``
-        (the stream clock at each packet) is given, every packet whose
-        device may have been evicted by an idle sweep since its previous
-        packet.
         """
         self._announced.clear()
         base = self._ordinal
@@ -317,7 +304,6 @@ class ShardedFingerprintAssembler:
         timestamps = batch.timestamps.tolist()
         dst_ips = batch.dst_ips
         min_idle = self.min_idle_seconds
-        budget = self.packet_budget
         # Every device's packets side by side (stable: stream order within
         # a device); pair k compares sorted packets k and k + 1.
         order = np.argsort(batch.src_macs, kind="stable")
@@ -340,7 +326,6 @@ class ShardedFingerprintAssembler:
         # A device's first packet always gets the full idle check: its
         # predecessor (if any) lies in an earlier batch.
         gap_flags = [True] + gap_big.tolist()
-        candidates: list[int] = (order[1:][gap_big]).tolist()
         # One run of sorted positions per device, in first-appearance order.
         bounds = (np.flatnonzero(~same_device) + 1).tolist()
         runs = sorted(
@@ -359,29 +344,9 @@ class ShardedFingerprintAssembler:
                 group_of[j] = group
             gap_flags[first] = True
             bucket = self._bucket(mac)
-            device = bucket.get(mac)
-            if device is not None:
-                # The open capture may end idle at the first packet, or
-                # reach its budget part-way through the batch.
-                if timestamps[indices_list[0]] - device.last_seen > min_idle:
-                    candidates.append(indices_list[0])
-                candidates.extend(indices_list[budget - device.raw_packets - 1 :: budget])
-            count = end - first
-            if count >= budget:
-                starts = np.array(gap_flags[first:end])
-                if clock_times is not None:
-                    # An idle sweep needs the stream clock to pass the
-                    # previous packet by more than ``idle_timeout``.
-                    starts[1:] |= (
-                        clock_times[order[first + 1 : end]] - sorted_times[first : end - 1]
-                        > self.idle_timeout
-                    )
-                for start in np.flatnonzero(starts[: count - budget + 1]).tolist():
-                    candidates.extend(indices_list[start + budget - 1 :: budget])
             prepared_groups.append((mac, indices_list, bucket))
             duplicate_by_group.append(duplicate_flags[first:end])
             gap_big_by_group.append(gap_flags[first:end])
-        candidates.sort()
         return _PreparedBatch(
             timestamps=timestamps,
             dst_ips=dst_ips,
@@ -392,7 +357,6 @@ class ShardedFingerprintAssembler:
             cursors=[0] * len(prepared_groups),
             devices=[None] * len(prepared_groups),
             group_of=group_of,
-            candidates=candidates,
             base=base,
         )
 
@@ -413,7 +377,10 @@ class ShardedFingerprintAssembler:
         compared against the capture's last kept row directly -- the same
         rule folding one packet at a time applies -- so pausing for an
         eviction sweep between windows cannot change any dedup decision.
+        The window's frames leave the :meth:`frame_may_complete`
+        announcements: the buckets hold them from here on.
         """
+        self._announced.clear()
         matrix = prepared.matrix
         timestamps = prepared.timestamps
         dst_ips = prepared.dst_ips

@@ -14,11 +14,14 @@ stream-seconds one shard is swept round-robin, so eviction cost is
 amortised instead of scanning every device on every packet.
 
 The columnar drive keeps the semantics of folding packets one at a time
-exactly: a batch is cut into windows that end at every packet where
-something can happen -- a capture completes, the eviction deadline or the
-dispatcher's linger deadline passes -- and each window end runs the stages
-in the per-packet order (clock, sweep, submit, poll, deliver), so verdicts,
-clock stamps and ledger records do not depend on batch boundaries.
+exactly: one per-frame rule (:meth:`StreamingPipeline._hand_over_rule`)
+fires at every frame where something can happen -- a capture may
+complete, the eviction deadline or the dispatcher's linger deadline
+passes.  :meth:`StreamingPipeline.results` hands its batch over at such a
+frame, :meth:`StreamingPipeline.process_batch` ends a window there, and
+each window end runs the stages in the per-packet order (clock, sweep,
+submit, poll, deliver), so verdicts, clock stamps and ledger records do
+not depend on batch boundaries.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
-
-import numpy as np
 
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE
@@ -163,9 +164,8 @@ class StreamingPipeline:
 
         Items go into one :class:`~repro.net.batch.PacketBatchBuilder` as
         they arrive; the batch is handed to :meth:`process_batch` right
-        after the first frame that can yield a verdict -- it may complete
-        a capture, or its timestamp crosses the eviction or the linger
-        deadline -- or after :data:`HANDOVER_FRAMES` frames.
+        after the first frame where :meth:`_hand_over_rule` fires, or after
+        :data:`HANDOVER_FRAMES` frames.
 
         If the consumer stops iterating early, the remaining captures are
         still flushed and their verdicts delivered to ``on_identified``
@@ -175,13 +175,11 @@ class StreamingPipeline:
         perf_counter = time.perf_counter
         builder = PacketBatchBuilder()
         add = builder.add
-        may_complete = self.assembler.frame_may_complete
         try:
             parse_seconds = 0.0
             frames = 0
             latest = self.clock.now()
-            next_eviction = self._next_eviction
-            lingering = self.dispatcher.lingering_since()
+            ends = self._hand_over_rule()
             for item in self.source.packets():
                 parse_start = perf_counter()
                 mac = add(item)
@@ -190,19 +188,13 @@ class StreamingPipeline:
                 timestamp = item.timestamp
                 if timestamp > latest:
                     latest = timestamp
-                if (
-                    may_complete(mac, timestamp)
-                    or latest >= next_eviction
-                    or (lingering is not None and latest - lingering >= MAX_LINGER_SECONDS)
-                    or frames >= HANDOVER_FRAMES
-                ):
+                if ends(mac, timestamp, latest) or frames >= HANDOVER_FRAMES:
                     yield from self._hand_over(builder.build(), parse_seconds)
                     parse_seconds = 0.0
                     frames = 0
-                    # Only process_batch (and a consumer's inject/drain
-                    # between yields) moves either deadline.
-                    next_eviction = self._next_eviction
-                    lingering = self.dispatcher.lingering_since()
+                    # A consumer's inject/drain between yields may have
+                    # moved the linger deadline too.
+                    ends = self._hand_over_rule()
             if frames:
                 yield from self._hand_over(builder.build(), parse_seconds)
             yield from self.finish()
@@ -211,6 +203,32 @@ class StreamingPipeline:
             # pipeline so enforcement never silently misses a device.
             self.finish()
             self.stats.wall_seconds = time.perf_counter() - started
+
+    def _hand_over_rule(self) -> Callable[[int, float, float], bool]:
+        """Where a batch or a window ends, as the deadlines stand now.
+
+        The returned ``ends(mac, timestamp, latest)`` announces one frame
+        to the assembler and is True when that frame may complete a
+        capture (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.frame_may_complete`),
+        or when ``latest`` -- the stream clock once the frame arrived --
+        reaches the eviction deadline or lingers the oldest queued
+        fingerprint for :data:`MAX_LINGER_SECONDS`: the comparisons
+        :meth:`_sweep_if_due` and the dispatcher's ``poll`` make.  Only a
+        window end moves either deadline, so callers take a fresh rule
+        after each.
+        """
+        may_complete = self.assembler.frame_may_complete
+        next_eviction = self._next_eviction
+        lingering = self.dispatcher.lingering_since()
+
+        def ends(mac: int, timestamp: float, latest: float) -> bool:
+            return (
+                may_complete(mac, timestamp)
+                or latest >= next_eviction
+                or (lingering is not None and latest - lingering >= MAX_LINGER_SECONDS)
+            )
+
+        return ends
 
     def _hand_over(self, batch: PacketBatch, parse_seconds: float) -> list[IdentifiedDevice]:
         """Process one built batch; ``parse_seconds`` is its column build."""
@@ -221,33 +239,40 @@ class StreamingPipeline:
     def process_batch(self, batch: PacketBatch) -> list[IdentifiedDevice]:
         """Feed one packet batch through every stage (columnar API).
 
-        Exact for any batch boundaries: the batch is cut into windows,
-        each ending at the first packet that may complete a capture (the
-        assembler's candidates), cross the eviction deadline or cross the
-        linger deadline.  At each window end the clock moves to that
-        packet's stream time -- the running maximum of the timestamps, as
-        folding one packet at a time would leave it -- then the sweep,
-        the submits, the poll and one delivery run in that order, so every
-        call sees the clock value it would see packet by packet.
+        Exact for any batch boundaries: the batch's frames are walked with
+        :meth:`_hand_over_rule`, the rule :meth:`results` hands over on,
+        and a window ends at the first frame where it fires.  At each
+        window end the clock moves to that frame's stream time -- the
+        running maximum of the timestamps, as folding one packet at a time
+        would leave it -- then the sweep, the submits, the poll and one
+        delivery run in that order, so every call sees the clock value it
+        would see packet by packet.
         """
         n = len(batch)
         if n == 0:
             return []
         self.stats.packets += n
         assemble_start = time.perf_counter()
-        clock_times = np.maximum.accumulate(batch.timestamps)
-        np.maximum(clock_times, self.clock.now(), out=clock_times)
-        prepared = self.assembler.prepare_batch(batch, clock_times)
+        prepared = self.assembler.prepare_batch(batch)
+        macs = batch.src_macs.tolist()
+        timestamps = prepared.timestamps
         assemble_seconds = time.perf_counter() - assemble_start
         score_seconds = 0.0
         delivered: list[IdentifiedDevice] = []
-        position = 0
-        while position < n:
-            stop = self._window_stop(prepared.next_candidate(position), clock_times, position)
+        latest = self.clock.now()
+        stop = 0
+        while stop < n:
             window_start = time.perf_counter()
-            end_time = float(clock_times[stop - 1])
-            if end_time > self.clock.now():
-                self.clock.advance(end_time - self.clock.now())
+            ends = self._hand_over_rule()
+            while stop < n:
+                timestamp = timestamps[stop]
+                if timestamp > latest:
+                    latest = timestamp
+                stop += 1
+                if ends(macs[stop - 1], timestamp, latest):
+                    break
+            if latest > self.clock.now():
+                self.clock.advance(latest - self.clock.now())
             completed = self.assembler.observe_prepared(prepared, stop)
             now = self.clock.now()
             self._sweep_if_due(now, completed)
@@ -265,32 +290,11 @@ class StreamingPipeline:
             score_seconds += time.perf_counter() - score_start
             self._deliver(identified)
             delivered.extend(identified)
-            position = stop
         self.stats.assemble_seconds += assemble_seconds
         if self.observability is not None:
             self.observability.observe_assemble_batch(assemble_seconds)
             self.observability.observe_score_batch(score_seconds)
         return delivered
-
-    def _window_stop(self, candidate: int, clock_times: np.ndarray, position: int) -> int:
-        """One past the last packet of the window starting at ``position``.
-
-        The window ends at ``candidate`` (the next packet that may
-        complete a capture) or earlier, at the first packet whose stream
-        time reaches the eviction deadline or lingers the oldest queued
-        fingerprint for :data:`MAX_LINGER_SECONDS` -- the same comparisons
-        :meth:`_sweep_if_due` and the dispatcher's ``poll`` make.
-        """
-        end = min(candidate, int(clock_times.searchsorted(self._next_eviction, side="left")))
-        since = self.dispatcher.lingering_since()
-        if since is not None:
-            linger = int(clock_times.searchsorted(since + MAX_LINGER_SECONDS, side="left"))
-            # ``now - since >= MAX_LINGER_SECONDS`` may already hold a
-            # rounding step below ``since + MAX_LINGER_SECONDS``.
-            while linger > position and clock_times[linger - 1] - since >= MAX_LINGER_SECONDS:
-                linger -= 1
-            end = min(end, linger)
-        return max(min(end + 1, len(clock_times)), position + 1)
 
     def inject(self, ready: ReadyFingerprint) -> list[IdentifiedDevice]:
         """Feed one pre-assembled fingerprint straight into dispatch.

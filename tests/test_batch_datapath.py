@@ -13,6 +13,7 @@ whatever the batch boundaries.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -63,6 +64,8 @@ from repro.streaming import (
     SimulatedSource,
     StreamingPipeline,
 )
+from repro.streaming import pipeline as pipeline_module
+from repro.streaming.pipeline import HANDOVER_FRAMES
 from tests.conftest import (
     PerPacketAssembler,
     assert_scores_match_scalar_oracle,
@@ -70,6 +73,7 @@ from tests.conftest import (
     normalized_damerau_levenshtein,
     per_packet_run,
     rerun_stream,
+    skewed,
 )
 
 _COUNTER = FEATURE_INDEX["dst_ip_counter"]
@@ -405,6 +409,65 @@ class TestBatchedPipeline:
         assert {"budget", "idle"} <= {reason for reason, _, _ in streamed}
         assert len(batch_ends) < stats.packets
         assert all(completed_at == end for _, completed_at, end in streamed)
+
+    @pytest.mark.parametrize(
+        "knobs, cap",
+        [
+            ({}, HANDOVER_FRAMES),
+            ({"packet_budget": 8, "idle_timeout": 3.0}, HANDOVER_FRAMES),
+            ({}, 5),
+        ],
+        ids=["defaults", "short-captures", "capped-every-5"],
+    )
+    def test_windows_end_where_the_drive_hands_over(
+        self, trained_identifier, monkeypatch, knobs, cap
+    ):
+        """One rule decides both: ``process_batch`` over the whole stream
+        ends its windows at exactly the frames where ``run()`` hands a
+        batch over on that rule.  Hand-overs forced by the
+        ``HANDOVER_FRAMES`` cap are the only others, and they move no
+        later window end."""
+        monkeypatch.setattr(pipeline_module, "HANDOVER_FRAMES", cap)
+        packets = skewed(rerun_stream(seed=5), seed=5)
+
+        def pipeline():
+            return StreamingPipeline(
+                source=IterableSource(packets),
+                dispatcher=BatchDispatcher(trained_identifier, max_batch=4),
+                assembler=ShardedFingerprintAssembler(shards=4, **knobs),
+            )
+
+        driven = pipeline()
+        lengths = []
+        process_batch = driven.process_batch
+
+        def recorded_batch(batch):
+            lengths.append(len(batch))
+            return process_batch(batch)
+
+        driven.process_batch = recorded_batch
+        driven.run()
+
+        walked = pipeline()
+        window_ends = []
+        observe_prepared = walked.assembler.observe_prepared
+
+        def recorded_window(prepared, stop):
+            window_ends.append(stop)
+            return observe_prepared(prepared, stop)
+
+        walked.assembler.observe_prepared = recorded_window
+        walked.process_batch(PacketBatch.from_items(packets))
+        walked.finish()
+
+        # Stream index one past each handed-over batch -> its length.
+        handovers = dict(zip(itertools.accumulate(lengths), lengths))
+        assert list(handovers)[-1] == window_ends[-1] == len(packets)
+        assert len(window_ends) > 50
+        assert set(window_ends) <= set(handovers)
+        capped = [end for end in handovers if end not in window_ends]
+        assert all(handovers[end] == cap for end in capped)
+        assert len(capped) > 50 if cap < HANDOVER_FRAMES else not capped
 
     def test_batched_and_scalar_distance_kernels_agree_end_to_end(
         self, small_dataset, trained_identifier

@@ -16,6 +16,11 @@ import repro.identification.autopilot
 import repro.identification.lifecycle
 import repro.ml.compiled
 import repro.net.addresses
+import repro.obs.evidence
+import repro.obs.hub
+import repro.obs.ledger
+import repro.obs.metrics
+import repro.streaming.assembler
 import repro.streaming.dispatcher
 
 DOCTESTED_MODULES = [
@@ -24,6 +29,11 @@ DOCTESTED_MODULES = [
     repro.identification.lifecycle,
     repro.ml.compiled,
     repro.net.addresses,
+    repro.obs.evidence,
+    repro.obs.hub,
+    repro.obs.ledger,
+    repro.obs.metrics,
+    repro.streaming.assembler,
     repro.streaming.dispatcher,
 ]
 

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.devices.catalog import DEVICE_CATALOG
+from repro.devices.simulator import SetupTrafficSimulator
 from repro.eval.experiments import (
     evaluate_identification,
+    resource_sample,
     run_ablation,
     run_cpu_vs_flows,
     run_latency_table,
@@ -23,6 +26,11 @@ from repro.eval.reporting import (
     format_table,
     format_timing_table,
 )
+from repro.gateway.security_gateway import SecurityGateway
+from repro.security_service.service import IoTSecurityService
+from repro.simulation.resources import GatewayResourceModel
+
+from tests.conftest import onboard_trace
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +137,16 @@ class TestEnforcementExperiments:
         assert with_filtering[1] > with_filtering[0]
         assert without_filtering[1] > without_filtering[0]
         assert with_filtering[1] < 60  # Fig. 6b stays well below saturation
+
+    def test_resource_sample_reflects_rule_cache(self, trained_identifier):
+        gateway = SecurityGateway()
+        trace = SetupTrafficSimulator(seed=831).simulate(DEVICE_CATALOG["EdnetCam"])
+        onboard_trace(gateway, IoTSecurityService(identifier=trained_identifier), trace)
+        sample = resource_sample(gateway, GatewayResourceModel(seed=0), concurrent_flows=50)
+        assert sample.filtering_enabled
+        assert sample.enforcement_rules == len(gateway.rule_cache)
+        assert 0 < sample.cpu_percent <= 100
+        assert sample.memory_mb > 0
 
     def test_memory_vs_rules_grows_only_with_filtering(self):
         series = run_memory_vs_rules(rule_counts=(0, 20000), samples_per_point=5, seed=0)

@@ -184,14 +184,6 @@ class TestDatapath:
         plain = SecurityGateway(filtering_enabled=False)
         assert filtering.processing_delay_ms() > plain.processing_delay_ms()
 
-    def test_resource_sample_reflects_rule_cache(self, gateway, service):
-        _onboard(gateway, service, "EdnetCam", seed=831)
-        sample = gateway.resource_sample(concurrent_flows=50)
-        assert sample.filtering_enabled
-        assert sample.enforcement_rules == len(gateway.rule_cache)
-        assert 0 < sample.cpu_percent <= 100
-        assert sample.memory_mb > 0
-
     def test_device_record_lookup(self, gateway, service):
         record, _ = _onboard(gateway, service, "Aria", seed=832)
         assert gateway.device_record(record.mac) is record
