@@ -240,14 +240,17 @@ def test_columnar_datapath_speedup(bench_identifier, bench_report):
         wall = time.perf_counter() - start
         return wall, stats, identified
 
-    def best_of(batched: bool, rounds: int):
-        runs = [run_once(batched) for _ in range(rounds)]
-        return min(runs, key=lambda run: run[0])
-
     run_once(True)  # warmup: numpy/classifier code paths, allocator
     rounds = 2 if BENCH_QUICK else 3
-    scalar_wall, scalar_stats, scalar_identified = best_of(False, rounds)
-    batched_wall, batched_stats, batched_identified = best_of(True, rounds)
+    # Alternate the two drives round by round and keep each side's best:
+    # host drift during the measurement then lands on both sides alike,
+    # not on whichever block of rounds ran second.
+    scalar_runs, batched_runs = [], []
+    for _ in range(rounds):
+        scalar_runs.append(run_once(False))
+        batched_runs.append(run_once(True))
+    scalar_wall, scalar_stats, scalar_identified = min(scalar_runs, key=lambda run: run[0])
+    batched_wall, batched_stats, batched_identified = min(batched_runs, key=lambda run: run[0])
 
     scalar_pps = scalar_stats.packets / scalar_wall
     batched_pps = batched_stats.packets / batched_wall

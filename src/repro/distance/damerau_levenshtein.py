@@ -43,8 +43,8 @@ from repro.exceptions import FingerprintError
 
 
 #: Code of a symbol the interner has never seen (lookup-only encoding).
-#: Interner codes are non-negative and the pair kernel pads references
-#: with -1, so an unseen symbol equals nothing it is compared with.
+#: Interner codes are non-negative and the pair kernel pads with -1, so an
+#: unseen symbol equals nothing it is compared with.
 UNSEEN_SYMBOL = -2
 
 
@@ -106,17 +106,23 @@ def damerau_levenshtein_pairs(
     All inputs are integer code arrays over one shared alphabet (see
     :class:`SymbolInterner`; a query may also carry
     :data:`UNSEEN_SYMBOL`).  Each pair is one row of a stacked dynamic
-    program that runs once over the query axis: at step ``i`` every row
-    still inside its query advances one DP row as a numpy matrix, with
-    its own query symbol.  The deletion/substitution/transposition
+    program that runs once over the *step* axis: at step ``i`` every row
+    still inside its step sequence advances one DP row as a numpy matrix,
+    with its own step symbol.  The deletion/substitution/transposition
     candidates take one vectorised step, and the insertion recurrence
     ``current[j] = min(current[j-1] + 1, cand[j])`` is folded with the
     prefix-minimum identity ``current[j] = min_{k<=j}(cand[k] + j - k)``
     (a single ``minimum.accumulate``), so no per-cell Python executes.
 
-    Rows are sorted by query length, longest first, so the rows still
-    live at step ``i`` are a prefix; a row's answer is read at
-    ``(len(query), len(reference))`` on the step its query ends.
+    The optimal-string-alignment distance is symmetric (reversing an
+    alignment swaps insertions with deletions and leaves substitutions
+    and adjacent transpositions as they are), so each pair puts its
+    *shorter* side on the step axis and its longer side on the column
+    axis: the loop runs as many numpy steps as the longest short side,
+    not the longest query.  Rows are sorted by that shorter length,
+    longest first, so the rows still live at step ``i`` are a prefix; a
+    row's answer is read at ``(shorter length, longer length)`` on the
+    step its shorter side ends.
 
     Returns one absolute Damerau-Levenshtein distance per pair, as an
     int64 array, bitwise-equal per pair to the scalar dynamic program
@@ -130,26 +136,34 @@ def damerau_levenshtein_pairs(
     reference_lengths = np.array([len(reference) for reference in references], dtype=np.int64)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(-query_lengths, kind="stable")
-    lengths = query_lengths[order]
-    ends = reference_lengths[order]
+    swapped = reference_lengths < query_lengths
+    short_lengths = np.where(swapped, reference_lengths, query_lengths)
+    long_lengths = np.where(swapped, query_lengths, reference_lengths)
+    order = np.argsort(-short_lengths, kind="stable")
+    lengths = short_lengths[order]
+    ends = long_lengths[order]
     depth = int(lengths[0])
+    if depth == 0:
+        # Every pair has an empty side: the distance is the other side's length.
+        return long_lengths
     max_len = int(ends.max())
-    if depth == 0 or max_len == 0:
-        # One side empty: the distance is the other side's length.
-        return np.maximum(query_lengths, reference_lengths)
 
-    # Pad references with -1: codes are >= 0 and unseen query symbols are
-    # -2, so padding never equals a query symbol and padded columns
-    # charge full substitution cost.  The answer is read at each
-    # reference's own length, so the padded tail never leaks into a
-    # result.  Query padding is never read: a row is dead past its length.
-    refs = np.full((count, max_len), -1, dtype=np.int64)
+    # Pad the column side with -1: codes are >= 0 and unseen query
+    # symbols are -2 on whichever axis the query takes, so padding never
+    # equals a step symbol and padded columns charge full substitution
+    # cost.  The answer is read at each row's own column length, so the
+    # padded tail never leaks into a result.  Step padding is never read:
+    # a row is dead past its length.
+    columns = np.full((count, max_len), -1, dtype=np.int64)
     symbols = np.full((count, depth), -1, dtype=np.int64)
     for row, pair in enumerate(order):
-        refs[row, : ends[row]] = references[pair]
-        symbols[row, : lengths[row]] = queries[pair]
-    # live[i]: rows whose query has at least i symbols (a prefix).
+        if swapped[pair]:
+            columns[row, : ends[row]] = queries[pair]
+            symbols[row, : lengths[row]] = references[pair]
+        else:
+            columns[row, : ends[row]] = references[pair]
+            symbols[row, : lengths[row]] = queries[pair]
+    # live[i]: rows whose step side has at least i symbols (a prefix).
     live = np.searchsorted(-lengths, -np.arange(depth + 2), side="right")
 
     answers = np.empty(count, dtype=np.int64)
@@ -166,13 +180,13 @@ def damerau_levenshtein_pairs(
         candidate[:rows, 0] = i
         np.minimum(
             previous[:rows, 1:] + 1,
-            previous[:rows, :-1] + (refs[:rows] != symbol),
+            previous[:rows, :-1] + (columns[:rows] != symbol),
             out=candidate[:rows, 1:],
         )
         if i > 1:
             previous_symbol = symbols[:rows, i - 2 : i - 1]
-            # Adjacent transposition: q[i-2..i-1] crossed with ref[j-2..j-1].
-            swap = (refs[:rows, :-1] == symbol) & (refs[:rows, 1:] == previous_symbol)
+            # Adjacent transposition: step[i-2..i-1] crossed with column[j-2..j-1].
+            swap = (columns[:rows, :-1] == symbol) & (columns[:rows, 1:] == previous_symbol)
             np.minimum(
                 candidate[:rows, 2:],
                 np.where(swap, previous_previous[:rows, : max_len - 1] + 1, _NO_TRANSPOSITION),
@@ -181,7 +195,7 @@ def damerau_levenshtein_pairs(
         # Insertion as a prefix-minimum over candidate costs.
         current = previous_previous
         current[:rows] = np.minimum.accumulate(candidate[:rows] - offsets, axis=1) + offsets
-        # Rows whose query ends at step i: a contiguous block.
+        # Rows whose step side ends at step i: a contiguous block.
         done = np.arange(int(live[i + 1]), rows)
         answers[done] = current[done, ends[done]]
         previous_previous, previous = previous, current

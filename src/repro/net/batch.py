@@ -14,10 +14,11 @@ takes items one at a time as they arrive:
 * a raw :class:`~repro.net.pcap.CapturedPacket` frame (pcap replay) is
   parsed with direct byte-offset reads -- no layer objects are built on
   the fast path.  Any frame the fast parser cannot prove it handles
-  exactly like :meth:`Packet.dissect` (LLC, EAPOL, IP options, BOOTP
-  ports, VLAN, truncated headers) falls back to the full dissector for
-  that one frame, so the columns are *always* equal to what dissecting
-  every frame would have produced (the differential suite asserts this);
+  exactly like :meth:`Packet.dissect` (LLC, IPv4 options, IPv6
+  hop-by-hop, TCP on BOOTP ports, truncated headers and frames under 34
+  bytes) falls back to the full dissector for that one frame, so the
+  columns are *always* equal to what dissecting every frame would have
+  produced (the differential suite asserts this);
 * an already-dissected :class:`Packet` (simulator traces, generic
   sources) is read with one tight attribute pass.
 """
@@ -30,13 +31,15 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.net.addresses import ipv6_from_bytes
-from repro.net.layers.dhcp import DHCPMessage
+from repro.net.layers.dhcp import FIXED_LEN as _BOOTP_FIXED_LEN
+from repro.net.layers.dhcp import MAGIC_COOKIE, DHCPMessage
 from repro.net.packet import Packet
 from repro.net.pcap import CapturedPacket
 
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_ARP = 0x0806
 _ETHERTYPE_IPV6 = 0x86DD
+_ETHERTYPE_EAPOL = 0x888E
 _MAX_8023_LENGTH = 0x05DC
 
 # Bit positions of the packed per-packet flag word built by both item parsers.
@@ -53,9 +56,10 @@ _F_ROUTER_ALERT = 1 << 9
 _F_RAW_DATA = 1 << 10
 _F_APP_NOT_DHCP = 1 << 11
 
-# UDP ports whose application layer influences a feature beyond "payload
-# present": BOOTP frames are only DHCP when the magic cookie parses, so the
-# fast frame parser defers those to the full dissector.
+# Ports whose application layer influences a feature beyond "payload
+# present": a BOOTP message is only DHCP when it carries the magic cookie.
+# The fast frame parser reads that bit straight from UDP payloads and
+# defers TCP on these ports to the full dissector.
 _BOOTP_PORTS = (67, 68)
 
 
@@ -118,10 +122,20 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
     """(flags, src_port, dst_port, dst_ip) straight from frame bytes.
 
     Returns ``None`` whenever the frame needs the full dissector to match
-    :meth:`Packet.dissect` exactly -- the caller then takes the object
-    path for that frame.  The byte offsets and length clamps below mirror
-    the layer parsers (IPv4 total-length clamp, UDP length clamp, TCP data
-    offset, IPv6's deliberately *unclamped* payload).
+    :meth:`Packet.dissect` exactly (LLC, IPv4 options, IPv6 hop-by-hop,
+    TCP on BOOTP ports, truncated headers, frames under 34 bytes) -- the
+    caller then takes the object path for that frame.  The byte offsets
+    and length clamps below mirror the layer parsers (IPv4 total-length
+    clamp, UDP length clamp, TCP data offset, IPv6's deliberately
+    *unclamped* payload, EAPoL's body length).
+
+    BOOTP-port UDP stays on the fast path because its application flag
+    needs no parse: DHCP is the first parser a BOOTP port tries, and the
+    only parse that sets ``_F_APP_NOT_DHCP`` is a successful cookie-less
+    one -- a payload of at least ``FIXED_LEN`` bytes with ``hlen == 6``
+    and no magic cookie right after the fixed part.  Every other outcome
+    (DHCP, another parser, no parser) leaves just the "payload present"
+    bit.
     """
     if len(data) < 34:
         # Too short for Ethernet + minimal IP: LLC, ARP, EAPOL, runts and
@@ -156,9 +170,14 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         if rest < 28 or data[18] != 6 or data[19] != 4:
             return None  # ARPPacket.from_bytes would reject it
         return _F_ARP, -1, -1, None
+    elif ethertype == _ETHERTYPE_EAPOL:
+        # EAPOLFrame.from_bytes: a 4-byte header and a body cut at its
+        # length field; whatever follows stays as raw payload.
+        body_end = 18 + ((data[16] << 8) | data[17])
+        return _F_EAPOL | (_F_RAW_DATA if len(data) > body_end else 0), -1, -1, None
     else:
-        if ethertype <= _MAX_8023_LENGTH or ethertype == 0x888E:
-            return None  # LLC and EAPOL payload semantics: full dissect
+        if ethertype <= _MAX_8023_LENGTH:
+            return None  # LLC payload semantics: full dissect
         # Unknown EtherType: dissect keeps the bytes as raw payload.
         flags = _F_RAW_DATA if len(data) > 14 else 0
         return flags, -1, -1, None
@@ -179,7 +198,8 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         if udp_length < 8:
             return None
         flags |= _F_UDP
-        if max(8, min(l4_len, udp_length)) - 8 > 0:
+        payload_len = min(l4_len, udp_length) - 8
+        if payload_len > 0:
             flags |= _F_RAW_DATA
     elif protocol == 1 and ethertype == _ETHERTYPE_IPV4:  # ICMP
         if l4_len < 8:
@@ -199,7 +219,15 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
     src_port = (data[l4_off] << 8) | data[l4_off + 1]
     dst_port = (data[l4_off + 2] << 8) | data[l4_off + 3]
     if src_port in _BOOTP_PORTS or dst_port in _BOOTP_PORTS:
-        return None  # the DHCP-vs-BOOTP feature needs the parsed payload
+        if protocol == 6:
+            return None  # TCP on a BOOTP port: full dissect
+        payload = data[l4_off + 8 : l4_off + 8 + payload_len]
+        if (
+            len(payload) >= _BOOTP_FIXED_LEN
+            and payload[2] == 6
+            and not payload.startswith(MAGIC_COOKIE, _BOOTP_FIXED_LEN)
+        ):
+            flags |= _F_APP_NOT_DHCP
     return flags, src_port, dst_port, dst_ip
 
 

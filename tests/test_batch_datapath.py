@@ -37,7 +37,13 @@ from repro.features.packet_features import (
     batch_feature_matrix,
 )
 from repro.net.addresses import MACAddress
-from repro.net.batch import PacketBatch
+from repro.net.batch import (
+    _F_APP_NOT_DHCP,
+    _F_EAPOL,
+    PacketBatch,
+    _fast_frame_fields,
+    _packet_fields,
+)
 from repro.net.layers import dhcp as dhcp_mod
 from repro.net.layers import dns as dns_mod
 from repro.net.layers import http as http_mod
@@ -49,6 +55,7 @@ from repro.net.layers.dns import DNSMessage
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.http import HTTPMessage
 from repro.net.layers.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Header
+from repro.net.layers.ipv6 import NEXT_HEADER_UDP, IPv6Header
 from repro.net.layers.ntp import NTPMessage
 from repro.net.layers.ssdp import SSDPMessage
 from repro.net.layers.tcp import TCPSegment
@@ -176,6 +183,36 @@ class TestBatchDistanceKernel:
         assert damerau_levenshtein_pairs([query], [reference]).tolist() == [
             damerau_levenshtein(("new", "b", "other", "a"), ("a", "b", "c"))
         ]
+
+    def test_both_orientations_in_one_batch_match_scalar(self):
+        # Each pair steps over its shorter side, so one call mixes long
+        # queries against short references (chatter captures against
+        # setup references), the reverse, equal lengths and empty sides.
+        # Unseen query symbols land on the column axis when the query is
+        # the longer side and on the step axis when it is the shorter.
+        rng = random.Random(2026)
+        interner = SymbolInterner()
+        alphabet = [f"s{index}" for index in range(5)]
+        interner.encode(alphabet)
+        unseen = [f"u{index}" for index in range(3)]
+
+        def word(length, pool):
+            return tuple(rng.choice(pool) for _ in range(length))
+
+        shapes = [(200, 20), (20, 200), (150, 3), (3, 150), (22, 22), (0, 40), (40, 0), (0, 0)]
+        shapes += [(rng.randrange(0, 60), rng.randrange(0, 60)) for _ in range(20)]
+        rng.shuffle(shapes)
+        raw_queries = [word(length, alphabet + unseen) for length, _ in shapes]
+        raw_references = [word(length, alphabet) for _, length in shapes]
+        queries = [interner.lookup(query) for query in raw_queries]
+        references = [interner.encode(reference) for reference in raw_references]
+        assert any(UNSEEN_SYMBOL in query for query in queries if len(query) == 200)
+        got = damerau_levenshtein_pairs(queries, references)
+        assert got.dtype == np.int64
+        expected = [damerau_levenshtein(q, r) for q, r in zip(raw_queries, raw_references)]
+        np.testing.assert_array_equal(got, expected)
+        # Reversing every pair reads the same distances.
+        np.testing.assert_array_equal(damerau_levenshtein_pairs(references, queries), expected)
 
 
 # --------------------------------------------------------------------- #
@@ -679,3 +716,131 @@ class TestFromFramesFuzz:
                 Packet.dissect(raw)
             with pytest.raises(PacketDecodeError):
                 PacketBatch.from_items([CapturedPacket(0.0, raw, 0)])
+
+
+# --------------------------------------------------------------------- #
+# Fast frame parser boundaries: BOOTP-port UDP and EAPoL frames parse
+# from byte offsets, and must read exactly what Packet.dissect reads.
+# --------------------------------------------------------------------- #
+def _fast_and_dissected(frame):
+    """(fast-path fields, dissector fields) of one frame, sizes dropped."""
+    flags, src_port, dst_port, _size, dst_ip = _packet_fields(Packet.dissect(frame))
+    return _fast_frame_fields(frame), (flags, src_port, dst_port, dst_ip)
+
+
+def _bootp_payload(length, hlen=6, cookie=dhcp_mod.MAGIC_COOKIE):
+    """``length`` bytes of a BOOTP message with ``cookie`` after the fixed part."""
+    payload = bytearray(max(length, dhcp_mod.FIXED_LEN + len(cookie)))
+    payload[0:3] = bytes([dhcp_mod.OP_REQUEST, 1, hlen])
+    payload[dhcp_mod.FIXED_LEN : dhcp_mod.FIXED_LEN + len(cookie)] = cookie
+    return bytes(payload[:length])
+
+
+def _with_udp_length(frame, udp_length):
+    """An Ethernet/IPv4/UDP frame with its UDP length field overwritten."""
+    return frame[:38] + udp_length.to_bytes(2, "big") + frame[40:]
+
+
+def _eapol_frame(length_field, body_len, padding):
+    header = EthernetFrame(MACAddress(2), MACAddress(1), ETHERTYPE.EAPOL).to_bytes()
+    eapol = bytes([2, 3]) + length_field.to_bytes(2, "big") + bytes(range(body_len))
+    return header + eapol + b"\x00" * padding
+
+
+class TestFastFrameParser:
+    def test_bootp_frames_match_dissect_at_every_boundary(self):
+        discover = dhcp_mod.discover(MACAddress(1)).to_bytes()
+        flipped = bytes([dhcp_mod.MAGIC_COOKIE[0] ^ 1]) + dhcp_mod.MAGIC_COOKIE[1:]
+        payloads = {
+            "235": _bootp_payload(235, cookie=b""),
+            "236": _bootp_payload(236, cookie=b""),
+            "239-cookie-prefix": _bootp_payload(239),
+            "240-cookie": _bootp_payload(240),
+            "240-no-cookie": _bootp_payload(240, cookie=b"\x01\x02\x03\x04"),
+            "240-flipped-cookie": _bootp_payload(240, cookie=flipped),
+            "hlen-16": _bootp_payload(240, hlen=16, cookie=b""),
+            "dhcp-discover": discover,
+            # The cookie parses but an option is cut short: DHCP fails
+            # and the next parsers in the chain get the payload.
+            "truncated-option": _bootp_payload(240) + bytes([dhcp_mod.OPTION_HOSTNAME, 9, 1]),
+            "empty": b"",
+        }
+        frames = {}
+        for name, payload in payloads.items():
+            for src_port, dst_port in ((68, 67), (67, 68), (67, 53), (53, 67), (40000, 68)):
+                frames[name, src_port, dst_port] = _transport_frame(src_port, dst_port, payload)
+        # A UDP length that clamps the payload below the cookie: the
+        # bytes past the datagram must not read as a cookie.
+        full = _transport_frame(68, 67, _bootp_payload(240))
+        for kept in (235, 236, 239, 240):
+            frames["udp-clamp", kept] = _with_udp_length(full, 8 + kept)
+        # Bytes past the IPv4 total length (Ethernet trailer) likewise.
+        frames["ip-trailer"] = _transport_frame(68, 67, _bootp_payload(236)) + dhcp_mod.MAGIC_COOKIE
+        frames["ipv6"] = Packet(
+            ethernet=EthernetFrame(MACAddress(2), MACAddress(1), ETHERTYPE.IPV6),
+            ipv6=IPv6Header("fe80::2", "fe80::1", NEXT_HEADER_UDP),
+            udp=UDPDatagram(68, 67, payload=_bootp_payload(236)),
+        ).to_bytes()
+
+        seen_not_dhcp = set()
+        for key, frame in frames.items():
+            fast, expected = _fast_and_dissected(frame)
+            assert fast == expected, key
+            if fast[0] & _F_APP_NOT_DHCP:
+                seen_not_dhcp.add(key[0] if isinstance(key, tuple) else key)
+        assert seen_not_dhcp == {
+            "236",
+            "239-cookie-prefix",
+            "240-no-cookie",
+            "240-flipped-cookie",
+            "udp-clamp",
+            "ip-trailer",
+            "ipv6",
+        }
+
+    def test_tcp_on_bootp_ports_still_falls_back(self):
+        frame = _transport_frame(68, 67, _bootp_payload(236), tcp=True)
+        assert _fast_frame_fields(frame) is None
+        assert PacketBatch.from_items([CapturedPacket(0.0, frame, 0)]).flags.tolist() == [
+            _packet_fields(Packet.dissect(frame))[0]
+        ]
+
+    @pytest.mark.parametrize(
+        "length_field, body_len, padding",
+        [
+            (95, 95, 0),  # body fills the frame exactly
+            (95, 95, 1),  # one trailing byte after the body
+            (95, 95, 7),  # trailing padding after the body
+            (0, 0, 42),  # empty body, minimum-size frame
+            (500, 95, 0),  # length field runs past the frame
+            (500, 16, 0),  # ... on a frame just at the 34-byte fast-path minimum
+            (4, 4, 12),  # short body, Ethernet padding behind it
+        ],
+    )
+    def test_eapol_frames_match_dissect(self, length_field, body_len, padding):
+        frame = _eapol_frame(length_field, body_len, padding)
+        fast, expected = _fast_and_dissected(frame)
+        assert fast == expected
+        assert fast[0] & _F_EAPOL
+
+    def test_eapol_runt_falls_back_and_matches(self):
+        frame = _eapol_frame(4, 4, 0)
+        assert len(frame) < 34
+        assert _fast_frame_fields(frame) is None
+        batch = PacketBatch.from_items([CapturedPacket(0.0, frame, 0)])
+        assert batch.flags.tolist() == [_packet_fields(Packet.dissect(frame))[0]]
+
+    def test_catalog_dhcp_and_eapol_frames_take_the_fast_path(self):
+        dhcp = eapol = 0
+        for frame in _catalog_frames():
+            packet = Packet.dissect(frame)
+            if packet.eapol is not None:
+                eapol += 1
+            elif isinstance(packet.application, DHCPMessage):
+                dhcp += 1
+            else:
+                continue
+            fast, expected = _fast_and_dissected(frame)
+            assert fast is not None, packet.summary()
+            assert fast == expected
+        assert dhcp > 0 and eapol > 0

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distance.damerau_levenshtein import UNSEEN_SYMBOL, damerau_levenshtein_pairs
 from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint
 from repro.features.packet_features import FEATURE_COUNT, port_class
 from repro.gateway.enforcement import EnforcementRule
@@ -114,6 +115,21 @@ def test_fixed_vector_prefix_matches_unique_vectors(rows):
 @settings(max_examples=100)
 def test_distance_symmetry(first, second):
     assert damerau_levenshtein(first, second) == damerau_levenshtein(second, first)
+
+
+@given(
+    st.lists(st.sampled_from((UNSEEN_SYMBOL, 0, 1, 2, 3, 4, 5)), max_size=40),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+)
+@settings(max_examples=100)
+def test_pair_kernel_symmetry(query, reference):
+    # The kernel steps over the shorter side of each pair, so either
+    # argument order must give the oracle's distance.
+    first = np.array(query, dtype=np.int64)
+    second = np.array(reference, dtype=np.int64)
+    forward = damerau_levenshtein_pairs([first], [second])
+    assert forward.tolist() == damerau_levenshtein_pairs([second], [first]).tolist()
+    assert forward.tolist() == [damerau_levenshtein(query, reference)]
 
 
 @given(symbol_sequences)
