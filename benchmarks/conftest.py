@@ -11,7 +11,9 @@ explicitly:
 * ``REPRO_BENCH_REPEATS``-- cross-validation repetitions (paper: 10, default: 1)
 * ``REPRO_BENCH_QUICK``  -- set to ``1`` for CI smoke runs (small batches)
 * ``REPRO_BENCH_OUT``    -- directory for ``BENCH_*.json`` trajectory files
-  (default: the repository root)
+  (default: ``benchmarks/.results/``, which git ignores, so a local run
+  never overwrites the baselines committed at the repository root;
+  refresh a baseline on purpose with ``REPRO_BENCH_OUT=.`` from the root)
 
 Example paper-scale invocation::
 
@@ -43,7 +45,9 @@ BENCH_FOLDS = int(os.environ.get("REPRO_BENCH_FOLDS", "5"))
 BENCH_REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "1"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 BENCH_QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") == "1"
-BENCH_OUTPUT_DIR = Path(os.environ.get("REPRO_BENCH_OUT", str(Path(__file__).resolve().parent.parent)))
+BENCH_OUTPUT_DIR = Path(
+    os.environ.get("REPRO_BENCH_OUT", str(Path(__file__).resolve().parent / ".results"))
+)
 
 
 def write_bench_json(name: str, payload: dict) -> Path:

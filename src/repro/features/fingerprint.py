@@ -177,6 +177,12 @@ def fingerprint_key(fingerprint: Fingerprint) -> bytes:
     ``PYTHONHASHSEED`` values -- the property the deterministic
     discrimination draw relies on.
 
+    Cached on the fingerprint instance: one verdict reads the key in the
+    dispatcher, the reference draw and the ledger records.
+    ``Fingerprint.vectors`` is treated as immutable after construction
+    everywhere in the system; ``dataclasses.replace`` builds a new
+    instance, which hashes its own matrix.
+
     Example:
         >>> import numpy as np
         >>> from repro.features.fingerprint import Fingerprint, FEATURE_COUNT
@@ -186,8 +192,11 @@ def fingerprint_key(fingerprint: Fingerprint) -> bytes:
         >>> fingerprint_key(a) == fingerprint_key(b)  # same model, same setup
         True
     """
-    digest = hashlib.sha1()
-    digest.update(str(fingerprint.vectors.shape).encode("ascii"))
-    digest.update(str(fingerprint.vectors.dtype).encode("ascii"))
-    digest.update(fingerprint.vectors.tobytes())
-    return digest.digest()
+    key = getattr(fingerprint, "_content_key", None)
+    if key is None:
+        digest = hashlib.sha1()
+        digest.update(str(fingerprint.vectors.shape).encode("ascii"))
+        digest.update(str(fingerprint.vectors.dtype).encode("ascii"))
+        digest.update(fingerprint.vectors.tobytes())
+        key = fingerprint._content_key = digest.digest()
+    return key

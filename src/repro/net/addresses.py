@@ -17,6 +17,11 @@ _MAC_RE = re.compile(r"^([0-9A-Fa-f]{2}[:-]){5}[0-9A-Fa-f]{2}$")
 _MAC_MEMO: dict[bytes, "MACAddress"] = {}
 _MAC_MEMO_LIMIT = 4096
 
+#: Wire bytes -> canonical IPv6 text, bounded the same way: ``ipaddress``
+#: formatting costs far more than a lookup, and a network has few hosts.
+_IPV6_MEMO: dict[bytes, str] = {}
+_IPV6_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class MACAddress:
@@ -148,10 +153,21 @@ def ipv6_to_bytes(text: str) -> bytes:
 
 
 def ipv6_from_bytes(raw: bytes) -> str:
-    """Parse 16 bytes into a canonical IPv6 address string."""
+    """Parse 16 bytes into a canonical IPv6 address string.
+
+    >>> ipv6_from_bytes(bytes.fromhex("fe80" + "00" * 12 + "abcd"))
+    'fe80::abcd'
+    """
+    try:
+        return _IPV6_MEMO[raw]
+    except KeyError:
+        pass
     if len(raw) != 16:
         raise PacketDecodeError(f"IPv6 address must be 16 bytes, got {len(raw)}")
-    return str(ipaddress.IPv6Address(raw))
+    if len(_IPV6_MEMO) >= _IPV6_MEMO_LIMIT:
+        _IPV6_MEMO.clear()
+    text = _IPV6_MEMO[raw] = str(ipaddress.IPv6Address(raw))
+    return text
 
 
 def is_private_ipv4(text: str) -> bool:

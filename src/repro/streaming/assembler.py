@@ -7,7 +7,8 @@ streaming assembler instead folds packet batches into the devices'
 fingerprint matrices as they arrive: the batch's Table-I rows come from one
 vectorised pass, each device's packets are walked once for the stateful
 destination counter, consecutive-duplicate suppression and the emission
-decision.  Devices are partitioned into ``hash(mac) % shards`` buckets so
+decision.  Devices are partitioned into ``hash(mac) % shards`` buckets, keyed
+by the MAC's integer value as it sits in the batch column, so
 that idle-eviction sweeps touch one bucket at a time and the assembler can
 later be split across workers without re-keying.
 
@@ -201,7 +202,8 @@ class ShardedFingerprintAssembler:
         )
         self.idle_factor = SetupPhaseDetector.idle_factor if idle_factor is None else idle_factor
         self.stats = AssemblerStats()
-        self._buckets: list[dict[MACAddress, _DeviceAssembler]] = [{} for _ in range(shards)]
+        # Keyed by the MAC's integer value, the form the batch columns carry.
+        self._buckets: list[dict[int, _DeviceAssembler]] = [{} for _ in range(shards)]
         # Stream ordinal of the next packet to be prepared.
         self._ordinal = 0
         # Frames announced by frame_may_complete and not yet folded:
@@ -213,10 +215,15 @@ class ShardedFingerprintAssembler:
     # ------------------------------------------------------------------ #
     def shard_of(self, mac: MACAddress) -> int:
         """The bucket index a device is routed to (stable across calls)."""
-        return hash(mac) % self.shards
+        return self._shard(mac.value)
 
-    def _bucket(self, mac: MACAddress) -> dict[MACAddress, _DeviceAssembler]:
-        return self._buckets[self.shard_of(mac)]
+    def _shard(self, mac_value: int) -> int:
+        # ``hash((value,))`` is ``hash(MACAddress(value))``: a frozen
+        # dataclass hashes the tuple of its fields.
+        return hash((mac_value,)) % self.shards
+
+    def _bucket(self, mac_value: int) -> dict[int, _DeviceAssembler]:
+        return self._buckets[self._shard(mac_value)]
 
     @property
     def active_devices(self) -> int:
@@ -227,7 +234,7 @@ class ShardedFingerprintAssembler:
         return [len(bucket) for bucket in self._buckets]
 
     def is_assembling(self, mac: MACAddress) -> bool:
-        return mac in self._bucket(mac)
+        return mac.value in self._bucket(mac.value)
 
     # ------------------------------------------------------------------ #
     # Stream input.
@@ -270,8 +277,7 @@ class ShardedFingerprintAssembler:
         """
         state = self._announced.get(mac_value)
         if state is None:
-            mac = MACAddress(mac_value)
-            device = self._bucket(mac).get(mac)
+            device = self._bucket(mac_value).get(mac_value)
             if device is None:
                 self._announced[mac_value] = (timestamp, 1)
                 return self.packet_budget <= 1
@@ -337,14 +343,13 @@ class ShardedFingerprintAssembler:
         gap_big_by_group = []
         group_of = [0] * len(order_list)
         for first, end in runs:
-            mac = MACAddress(int(sorted_macs[first]))
+            mac_value = int(sorted_macs[first])
             indices_list = order_list[first:end]
             group = len(prepared_groups)
             for j in indices_list:
                 group_of[j] = group
             gap_flags[first] = True
-            bucket = self._bucket(mac)
-            prepared_groups.append((mac, indices_list, bucket))
+            prepared_groups.append((mac_value, indices_list, self._bucket(mac_value)))
             duplicate_by_group.append(duplicate_flags[first:end])
             gap_big_by_group.append(gap_flags[first:end])
         return _PreparedBatch(
@@ -399,7 +404,7 @@ class ShardedFingerprintAssembler:
         # Only the devices with packets in the window, in order of their
         # first packet there.
         for group in dict.fromkeys(window):
-            mac, indices_list, bucket = groups[group]
+            mac_value, indices_list, bucket = groups[group]
             cursor = cursors[group]
             end = bisect_left(indices_list, stop, cursor)
             cursors[group] = end
@@ -408,13 +413,13 @@ class ShardedFingerprintAssembler:
             gap_big = prepared.gap_big_by_group[group]
             pending: list[int] = []
             device = prepared.devices[group]
-            if cursor and device is not None and bucket.get(mac) is device:
+            if cursor and device is not None and bucket.get(mac_value) is device:
                 # The capture survived the eviction sweep between windows:
                 # resume the consecutive-duplicate comparison exactly where
                 # the previous window paused it.
                 fresh_capture = False
             else:
-                device = bucket.get(mac)
+                device = bucket.get(mac_value)
                 fresh_capture = True  # no usable in-batch predecessor
             # The capture's counters live in locals during the walk and
             # are written back when it pauses.
@@ -444,8 +449,10 @@ class ShardedFingerprintAssembler:
                             emissions.append((j, ready))
                         device = None
                 if device is None:
-                    device = _DeviceAssembler(mac=mac, started=base + j, last_seen=timestamp)
-                    bucket[mac] = device
+                    device = _DeviceAssembler(
+                        mac=MACAddress(mac_value), started=base + j, last_seen=timestamp
+                    )
+                    bucket[mac_value] = device
                     fresh_capture = True
                     raw, last_seen, gaps = 0, timestamp, device.gaps
                 if fresh_capture:
@@ -517,6 +524,39 @@ class ShardedFingerprintAssembler:
                     ready.append(emitted)
         return ready
 
+    def sweep_would_evict(self, now: float, shard: int) -> bool:
+        """True if :meth:`evict_idle` of ``shard`` at ``now`` would evict a
+        capture once the :meth:`frame_may_complete` announcements are folded.
+
+        A device's ``last_seen`` is then its newest announced timestamp if
+        it has one, else its folded one; a device with announced frames but
+        no capture yet counts with its newest timestamp (folding opens the
+        capture).  The comparison is :meth:`evict_idle`'s own, so False
+        means that sweep would leave every capture in place, however the
+        announced frames are later split into batches.
+
+        >>> assembler = ShardedFingerprintAssembler(shards=1)
+        >>> assembler.frame_may_complete(0x02AA, 0.0)
+        False
+        >>> [assembler.sweep_would_evict(now, shard=0) for now in (15.0, 15.5)]
+        [False, True]
+        """
+        shard %= self.shards
+        bucket = self._buckets[shard]
+        announced = self._announced
+        timeout = self.idle_timeout
+        for mac_value, device in bucket.items():
+            state = announced.get(mac_value)
+            last_seen = device.last_seen if state is None else state[0]
+            if now - last_seen > timeout:
+                return True
+        return any(
+            now - timestamp > timeout
+            and mac_value not in bucket
+            and self._shard(mac_value) == shard
+            for mac_value, (timestamp, _) in announced.items()
+        )
+
     def flush(self, now: float = 0.0) -> list[ReadyFingerprint]:
         """Emit every in-progress capture (stream ended), bucket by bucket
         in capture-start order."""
@@ -531,7 +571,8 @@ class ShardedFingerprintAssembler:
     def _finalize(
         self, device: _DeviceAssembler, reason: str, completed_at: float
     ) -> Optional[ReadyFingerprint]:
-        self._bucket(device.mac).pop(device.mac, None)
+        value = device.mac.value
+        self._bucket(value).pop(value, None)
         # Signal is measured after consecutive-duplicate suppression: 250
         # identical beacons collapse to one fingerprint row and classify no
         # better than a single packet would, whichever way the capture ended.
@@ -554,4 +595,5 @@ class ShardedFingerprintAssembler:
 
     def __iter__(self) -> Iterator[MACAddress]:
         for bucket in self._buckets:
-            yield from bucket
+            for device in bucket.values():
+                yield device.mac

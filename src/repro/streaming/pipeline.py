@@ -16,12 +16,14 @@ amortised instead of scanning every device on every packet.
 The columnar drive keeps the semantics of folding packets one at a time
 exactly: one per-frame rule (:meth:`StreamingPipeline._hand_over_rule`)
 fires at every frame where something can happen -- a capture may
-complete, the eviction deadline or the dispatcher's linger deadline
-passes.  :meth:`StreamingPipeline.results` hands its batch over at such a
-frame, :meth:`StreamingPipeline.process_batch` ends a window there, and
-each window end runs the stages in the per-packet order (clock, sweep,
-submit, poll, deliver), so verdicts, clock stamps and ledger records do
-not depend on batch boundaries.
+complete, the due sweep would evict a capture, or the dispatcher's linger
+deadline passes.  A due sweep that would evict nothing is replayed inside
+the rule (the deadline and the shard cursor move on) instead of ending a
+window.  :meth:`StreamingPipeline.results` hands its batch over at a
+frame where the rule fires, :meth:`StreamingPipeline.process_batch` ends
+a window there, and each window end runs the stages in the per-packet
+order (clock, sweep, submit, poll, deliver), so verdicts, clock stamps
+and ledger records do not depend on batch boundaries.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 EVICTION_INTERVAL_SECONDS = 1.0
 
 #: Most frames parsed into one batch before it is handed over, when no
-#: frame in it can yield a verdict earlier.
-HANDOVER_FRAMES = 256
+#: frame in it can yield a verdict earlier.  A capped hand-over never
+#: yields a verdict, so the cap only bounds the memory a batch holds.
+HANDOVER_FRAMES = 1024
 
 
 @dataclass
@@ -179,7 +182,7 @@ class StreamingPipeline:
             parse_seconds = 0.0
             frames = 0
             latest = self.clock.now()
-            ends = self._hand_over_rule()
+            ends, _ = self._hand_over_rule()
             for item in self.source.packets():
                 parse_start = perf_counter()
                 mac = add(item)
@@ -194,7 +197,7 @@ class StreamingPipeline:
                     frames = 0
                     # A consumer's inject/drain between yields may have
                     # moved the linger deadline too.
-                    ends = self._hand_over_rule()
+                    ends, _ = self._hand_over_rule()
             if frames:
                 yield from self._hand_over(builder.build(), parse_seconds)
             yield from self.finish()
@@ -204,31 +207,52 @@ class StreamingPipeline:
             self.finish()
             self.stats.wall_seconds = time.perf_counter() - started
 
-    def _hand_over_rule(self) -> Callable[[int, float, float], bool]:
+    def _hand_over_rule(self) -> tuple[Callable[[int, float, float], bool], Callable[[], None]]:
         """Where a batch or a window ends, as the deadlines stand now.
 
         The returned ``ends(mac, timestamp, latest)`` announces one frame
         to the assembler and is True when that frame may complete a
         capture (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.frame_may_complete`),
-        or when ``latest`` -- the stream clock once the frame arrived --
-        reaches the eviction deadline or lingers the oldest queued
-        fingerprint for :data:`MAX_LINGER_SECONDS`: the comparisons
-        :meth:`_sweep_if_due` and the dispatcher's ``poll`` make.  Only a
-        window end moves either deadline, so callers take a fresh rule
-        after each.
+        when ``latest`` -- the stream clock once the frame arrived --
+        reaches the eviction deadline and the sweep of the due shard would
+        evict a capture
+        (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.sweep_would_evict`),
+        or when it lingers the oldest queued fingerprint for
+        :data:`MAX_LINGER_SECONDS`: the comparisons :meth:`_sweep_if_due`
+        and the dispatcher's ``poll`` make.
+
+        A due sweep that would evict nothing does not end the window: the
+        rule moves its own copy of the deadline and the shard cursor as
+        :meth:`_sweep_if_due` would.  That is all the per-packet walk does
+        at such a frame besides advancing the clock and folding the frame,
+        and nothing reads the clock before the next window end.  The
+        returned ``commit()`` writes the rule's deadline and cursor back;
+        a window end calls it before its sweep.  Only a window end moves
+        the linger deadline, so callers take a fresh rule after each.
         """
         may_complete = self.assembler.frame_may_complete
+        would_evict = self.assembler.sweep_would_evict
+        shards = self.assembler.shards
         next_eviction = self._next_eviction
+        shard = self._eviction_shard
         lingering = self.dispatcher.lingering_since()
 
         def ends(mac: int, timestamp: float, latest: float) -> bool:
-            return (
-                may_complete(mac, timestamp)
-                or latest >= next_eviction
-                or (lingering is not None and latest - lingering >= MAX_LINGER_SECONDS)
-            )
+            nonlocal next_eviction, shard
+            if may_complete(mac, timestamp):
+                return True
+            if latest >= next_eviction:
+                if would_evict(latest, shard):
+                    return True
+                next_eviction = latest + EVICTION_INTERVAL_SECONDS
+                shard = (shard + 1) % shards
+            return lingering is not None and latest - lingering >= MAX_LINGER_SECONDS
 
-        return ends
+        def commit() -> None:
+            self._next_eviction = next_eviction
+            self._eviction_shard = shard
+
+        return ends, commit
 
     def _hand_over(self, batch: PacketBatch, parse_seconds: float) -> list[IdentifiedDevice]:
         """Process one built batch; ``parse_seconds`` is its column build."""
@@ -263,7 +287,7 @@ class StreamingPipeline:
         stop = 0
         while stop < n:
             window_start = time.perf_counter()
-            ends = self._hand_over_rule()
+            ends, commit = self._hand_over_rule()
             while stop < n:
                 timestamp = timestamps[stop]
                 if timestamp > latest:
@@ -275,6 +299,7 @@ class StreamingPipeline:
                 self.clock.advance(latest - self.clock.now())
             completed = self.assembler.observe_prepared(prepared, stop)
             now = self.clock.now()
+            commit()
             self._sweep_if_due(now, completed)
             score_start = time.perf_counter()
             assemble_seconds += score_start - window_start

@@ -383,15 +383,15 @@ class PerPacketAssembler(ShardedFingerprintAssembler):
     def observe(self, packet: Packet):
         self.stats.packets_observed += 1
         mac = packet.src_mac
-        bucket = self._bucket(mac)
-        device = bucket.get(mac)
+        bucket = self._bucket(mac.value)
+        device = bucket.get(mac.value)
         completed = None
         if device is not None and device.gap_ends_setup(packet.timestamp - device.last_seen, self):
             completed = self._finalize(device, EMIT_IDLE, packet.timestamp)
             device = None
         if device is None:
             device = OracleDevice(mac=mac, last_seen=packet.timestamp)
-            bucket[mac] = device
+            bucket[mac.value] = device
         device.observe(packet)
         if device.raw_packets >= self.packet_budget:
             return completed or self._finalize(device, EMIT_BUDGET, packet.timestamp)
@@ -476,6 +476,26 @@ def rerun_stream(seed):
             offset += length + (12.0 if run % 20 == 0 else 6.0 if run % 3 == 0 else 0.4)
             reruns.append(replay_trace(trace, trace.device_mac, offset))
     return list(interleave_traces(traces + reruns))
+
+
+def chatter_stream(seed, devices=12, repeats=6):
+    """Devices that run their setup, pause 30 s, then repeat that traffic
+    back to back (0.2 s apart), the shape of the e2e ``chatter`` workload:
+    an eviction deadline passes every stream-second, and the due sweep
+    mostly finds every capture still talking."""
+    simulator = SetupTrafficSimulator(seed=seed)
+    traces = [
+        simulator.simulate(DEVICE_CATALOG[name], start_time=index * 0.7)
+        for index, name in enumerate(sorted(DEVICE_CATALOG)[:devices])
+    ]
+    replays = []
+    for trace in traces:
+        length = trace.packets[-1].timestamp - trace.packets[0].timestamp
+        offset = length + 30.0
+        for _ in range(repeats):
+            replays.append(replay_trace(trace, trace.device_mac, offset))
+            offset += length + 0.2
+    return list(interleave_traces(traces + replays))
 
 
 def skewed(packets, seed, share=0.03):

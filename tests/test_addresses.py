@@ -1,5 +1,7 @@
 """Tests for MAC/IP address helpers."""
 
+import ipaddress
+
 import pytest
 
 from repro.exceptions import PacketDecodeError
@@ -113,6 +115,14 @@ class TestIPHelpers:
     def test_ipv6_from_bytes_wrong_length(self):
         with pytest.raises(PacketDecodeError):
             ipv6_from_bytes(b"\x01" * 5)
+
+    def test_ipv6_from_bytes_memo_stays_bounded(self):
+        # An address flood: every frame a new destination.
+        for value in range(2 * addresses._IPV6_MEMO_LIMIT + 3):
+            raw = (value * 0x9E3779B97F4A7C15).to_bytes(16, "big")
+            assert ipv6_from_bytes(raw) == str(ipaddress.IPv6Address(raw))
+            assert ipv6_from_bytes(raw) == str(ipaddress.IPv6Address(raw))  # memo hit
+            assert len(addresses._IPV6_MEMO) <= addresses._IPV6_MEMO_LIMIT
 
     def test_private_and_multicast(self):
         assert is_private_ipv4("192.168.1.5")

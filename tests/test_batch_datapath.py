@@ -77,6 +77,8 @@ from tests.conftest import (
     PerPacketAssembler,
     assert_scores_match_scalar_oracle,
     damerau_levenshtein,
+    make_device_mac,
+    make_udp_packet,
     normalized_damerau_levenshtein,
     per_packet_run,
     rerun_stream,
@@ -316,9 +318,9 @@ class TestPacketBatchColumns:
         batch = PacketBatch.from_items(packets)
         seen = []
         firsts = []
-        for mac, indices, _ in ShardedFingerprintAssembler().prepare_batch(batch).groups:
+        for mac_value, indices, _ in ShardedFingerprintAssembler().prepare_batch(batch).groups:
             assert (np.diff(indices) > 0).all() or len(indices) == 1
-            assert (batch.src_macs[indices] == mac.value).all()
+            assert (batch.src_macs[indices] == mac_value).all()
             firsts.append(indices[0])
             seen.extend(indices)
         # Devices are walked in order of first appearance.
@@ -361,6 +363,102 @@ class TestBatchedAssembler:
         emissions.extend(assembler.flush(10_000.0))
         assert _emission_map(emissions) == _emission_map(baseline)
         assert assembler.stats == base_stats
+
+
+def _chatter_packet(mac, timestamp, port=53):
+    packet = make_udp_packet(
+        mac, MACAddress.broadcast(), "192.168.0.50", "192.168.0.1", dst_port=port
+    )
+    packet.timestamp = timestamp
+    return packet
+
+
+class TestSweepWouldEvict:
+    """``sweep_would_evict`` predicts exactly what ``evict_idle`` of the
+    same shard does once the announced frames are folded."""
+
+    @staticmethod
+    def _macs_by_shard(assembler, count=2):
+        """``count`` device MACs in each shard."""
+        by_shard = {shard: [] for shard in range(assembler.shards)}
+        index = 1
+        while any(len(macs) < count for macs in by_shard.values()):
+            mac = make_device_mac(index)
+            macs = by_shard[assembler.shard_of(mac)]
+            if len(macs) < count:
+                macs.append(mac)
+            index += 1
+        return by_shard
+
+    @staticmethod
+    def _fold(assembler, packets):
+        assembler.observe_prepared(
+            assembler.prepare_batch(PacketBatch.from_items(packets)), len(packets)
+        )
+
+    @staticmethod
+    def _announce(assembler, packets):
+        for packet in packets:
+            assert not assembler.frame_may_complete(packet.src_mac.value, packet.timestamp)
+
+    def _assert_matches_sweep(self, assembler, announced, now, shard, expected):
+        """The prediction is ``expected``, and the sweep after folding the
+        announced frames agrees: a capture leaves iff it is True."""
+        assert assembler.sweep_would_evict(now, shard) is expected
+        self._fold(assembler, announced)
+        before = assembler.active_devices
+        assembler.evict_idle(now, shard=shard)
+        assert (assembler.active_devices < before) is expected
+
+    def test_exactly_idle_timeout_of_silence_does_not_evict(self):
+        for now, expected in ((25.0, False), (25.000001, True)):
+            assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+            mac = make_device_mac(1)
+            self._fold(assembler, [_chatter_packet(mac, 10.0)])
+            self._assert_matches_sweep(assembler, [], now, assembler.shard_of(mac), expected)
+
+    def test_announced_frame_refreshes_a_stale_folded_capture(self):
+        assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+        mac = make_device_mac(1)
+        self._fold(assembler, [_chatter_packet(mac, 0.0), _chatter_packet(mac, 1.0)])
+        announced = [_chatter_packet(mac, 2.0), _chatter_packet(mac, 9.0, port=80)]
+        self._announce(assembler, announced)
+        # The folded capture alone has been quiet for 19 s.
+        self._assert_matches_sweep(assembler, announced, 20.0, assembler.shard_of(mac), False)
+
+    def test_quiet_device_with_announced_frames_and_no_capture_evicts(self):
+        for now, expected in ((17.0, False), (17.5, True)):
+            assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+            mac = make_device_mac(1)
+            announced = [_chatter_packet(mac, 1.0), _chatter_packet(mac, 2.0)]
+            self._announce(assembler, announced)
+            assert not assembler.is_assembling(mac)
+            self._assert_matches_sweep(
+                assembler, announced, now, assembler.shard_of(mac), expected
+            )
+
+    def test_devices_in_other_shards_never_count(self):
+        probe = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+        by_shard = self._macs_by_shard(probe)
+        for quiet_shard in range(probe.shards):
+            # One shard holds a stale folded capture and a stale announced
+            # device; every device elsewhere keeps talking.
+            stale_folded, stale_announced = by_shard[quiet_shard]
+            for shard in range(probe.shards):
+                assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+                talking = [
+                    mac for other, macs in by_shard.items() if other != quiet_shard for mac in macs
+                ]
+                self._fold(
+                    assembler,
+                    [_chatter_packet(stale_folded, 0.0)]
+                    + [_chatter_packet(mac, 12.0) for mac in talking],
+                )
+                announced = [_chatter_packet(stale_announced, 1.0)] + [
+                    _chatter_packet(mac, 20.0) for mac in talking
+                ]
+                self._announce(assembler, announced)
+                self._assert_matches_sweep(assembler, announced, 30.0, shard, shard == quiet_shard)
 
 
 class TestBatchedPipeline:
@@ -505,6 +603,55 @@ class TestBatchedPipeline:
         capped = [end for end in handovers if end not in window_ends]
         assert all(handovers[end] == cap for end in capped)
         assert len(capped) > 50 if cap < HANDOVER_FRAMES else not capped
+
+    def test_only_an_evicting_sweep_ends_a_batch_in_quiet_stream_seconds(
+        self, trained_identifier
+    ):
+        """Six devices talk steadily for 200 stream-seconds, then fall
+        silent one by one while a seventh talks on: an eviction deadline
+        passes every stream-second, but the due sweep can evict nothing
+        until a device has been quiet for ``idle_timeout``.  No capture
+        ends otherwise (the budget is out of reach, no gap is idle, and
+        ``max_batch=1`` leaves nothing to linger), so every batch the
+        drive hands over below the frame cap ends at a sweep that evicts
+        a capture."""
+        macs = [make_device_mac(index) for index in range(1, 8)]
+        packets = [
+            _chatter_packet(mac, step * 0.25 + index * 0.01, port=53 + step % 3)
+            for step in range(1600)
+            for index, mac in enumerate(macs)
+            if index == 6 or step * 0.25 < 200.0 + 20.0 * index
+        ]
+        pipeline = StreamingPipeline(
+            source=IterableSource(packets),
+            dispatcher=BatchDispatcher(trained_identifier, max_batch=1),
+            assembler=ShardedFingerprintAssembler(shards=4, packet_budget=100_000),
+        )
+        batches = []  # (frames, captures the batch's sweeps evicted)
+        process_batch = pipeline.process_batch
+        evict_idle = pipeline.assembler.evict_idle
+
+        def recorded_batch(batch):
+            batches.append([len(batch), 0])
+            return process_batch(batch)
+
+        def recorded_sweep(now, shard=None):
+            before = pipeline.assembler.active_devices
+            ready = evict_idle(now, shard=shard)
+            batches[-1][1] += before - pipeline.assembler.active_devices
+            return ready
+
+        pipeline.process_batch = recorded_batch
+        pipeline.assembler.evict_idle = recorded_sweep
+        stats = pipeline.run()
+        assert stats.fingerprints == len(macs)
+        assert pipeline.assembler.stats.idle_emissions == len(macs) - 1
+        assert sum(frames for frames, _ in batches) == len(packets)
+        handed_over = batches[:-1]  # the last batch ends with the stream
+        capped = [frames for frames, _ in handed_over if frames == HANDOVER_FRAMES]
+        assert len(capped) >= 5
+        for frames, evicted in handed_over:
+            assert frames == HANDOVER_FRAMES or evicted > 0
 
     def test_batched_and_scalar_distance_kernels_agree_end_to_end(
         self, small_dataset, trained_identifier

@@ -26,7 +26,9 @@ import pytest
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.identification.model_store import load_identifier, save_identifier
 from tests.conftest import (
+    PerPacketAssembler,
     assert_scores_match_scalar_oracle,
+    chatter_stream,
     per_packet_gateway_run,
     rerun_stream,
     skewed,
@@ -448,6 +450,20 @@ class TestColumnarDriveParity:
     def _facade(handle, source):
         handle.run_until_idle(source)
 
+    @staticmethod
+    def _fixed(size):
+        """A drive handing ``process_batch`` batches of ``size`` frames."""
+        from repro.net.batch import PacketBatch
+
+        def drive(handle, source):
+            pipeline = handle._build_pipeline(source)
+            items = list(source.packets())
+            for start in range(0, len(items), size):
+                pipeline.process_batch(PacketBatch.from_items(items[start : start + size]))
+            pipeline.finish()
+
+        return drive
+
     def test_pcap_capture_ledger_matches_per_packet_walk(self, trained_identifier, tmp_path):
         from repro.net.pcap import write_pcap
         from repro.streaming import PcapReplaySource
@@ -492,23 +508,36 @@ class TestColumnarDriveParity:
         ids=["defaults", "short-captures"],
     )
     def test_process_batch_at_any_handover_size(self, trained_identifier, tmp_path, knobs):
-        from repro.net.batch import PacketBatch
         from repro.streaming import IterableSource
 
         packets = skewed(rerun_stream(seed=5), seed=5)
-
-        def fixed(size):
-            def drive(handle, source):
-                pipeline = handle._build_pipeline(source)
-                items = list(source.packets())
-                for start in range(0, len(items), size):
-                    pipeline.process_batch(PacketBatch.from_items(items[start : start + size]))
-                pipeline.finish()
-
-            return drive
-
         self._assert_parity(
             trained_identifier, tmp_path, lambda: IterableSource(packets),
-            {f"size-{size}": fixed(size) for size in (1, 7, 256, len(packets))},
+            {f"size-{size}": self._fixed(size) for size in (1, 7, 256, len(packets))},
             **knobs,
         )
+
+    def test_no_op_eviction_deadlines_at_any_handover_size(
+        self, trained_identifier, tmp_path, monkeypatch
+    ):
+        """Most deadlines find nothing to evict, so the drive replays those
+        sweeps inside its hand-over rule; the ledger still matches the
+        per-packet walk, which runs every sweep."""
+        from repro.streaming import IterableSource
+
+        packets = chatter_stream(seed=4)
+        sweeps = []
+        evict_idle = PerPacketAssembler.evict_idle
+
+        def recorded(assembler, now, shard=None):
+            before = assembler.active_devices
+            ready = evict_idle(assembler, now, shard)
+            sweeps.append(assembler.active_devices < before)
+            return ready
+
+        monkeypatch.setattr(PerPacketAssembler, "evict_idle", recorded)
+        drives = {f"size-{size}": self._fixed(size) for size in (1, 7, 256, 1024, len(packets))}
+        drives["facade"] = self._facade
+        self._assert_parity(trained_identifier, tmp_path, lambda: IterableSource(packets), drives)
+        assert len(packets) > 1024
+        assert sweeps.count(False) > 0.8 * len(sweeps) and any(sweeps)

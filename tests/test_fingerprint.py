@@ -1,10 +1,18 @@
 """Tests for the variable-length (F) and fixed-length (F') fingerprints."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.exceptions import FingerprintError
-from repro.features.fingerprint import FIXED_PACKET_COUNT, FIXED_VECTOR_SIZE, Fingerprint
+from repro.features.fingerprint import (
+    FIXED_PACKET_COUNT,
+    FIXED_VECTOR_SIZE,
+    Fingerprint,
+    fingerprint_key,
+)
 from repro.features.packet_features import FEATURE_COUNT
 
 
@@ -104,3 +112,29 @@ class TestSymbolSequence:
     def test_repr_contains_type(self):
         fingerprint = Fingerprint.from_feature_rows([row(1)], device_type="Aria")
         assert "Aria" in repr(fingerprint)
+
+
+class TestContentKey:
+    @staticmethod
+    def _sha1(fingerprint):
+        vectors = fingerprint.vectors
+        return hashlib.sha1(
+            str(vectors.shape).encode() + str(vectors.dtype).encode() + vectors.tobytes()
+        ).digest()
+
+    def test_memoised_key_equals_a_fresh_sha1(self):
+        fingerprint = Fingerprint.from_feature_rows([row(1), row(2), row(3)])
+        first = fingerprint_key(fingerprint)
+        assert first == self._sha1(fingerprint)
+        assert fingerprint_key(fingerprint) is first
+
+    def test_replaced_vectors_get_their_own_key(self):
+        fingerprint = Fingerprint.from_feature_rows(
+            [row(1), row(2)], device_mac="02:00:00:00:00:01"
+        )
+        before = fingerprint_key(fingerprint)
+        changed = dataclasses.replace(fingerprint, vectors=fingerprint.vectors[:1])
+        assert fingerprint_key(changed) == self._sha1(changed) != before
+        assert fingerprint_key(fingerprint) == before
+        relabelled = dataclasses.replace(fingerprint, device_mac="02:00:00:00:00:02")
+        assert fingerprint_key(relabelled) == before  # content only
