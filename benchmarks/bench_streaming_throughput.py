@@ -385,7 +385,7 @@ def test_deterministic_discrimination_hot_path(benchmark, bench_identifier, benc
 # --------------------------------------------------------------------- #
 # Observability overhead: the ledger + metrics must be near-free.
 # --------------------------------------------------------------------- #
-def test_observability_overhead(benchmark, bench_identifier, bench_report, tmp_path):
+def test_observability_overhead(bench_identifier, bench_report, tmp_path):
     """A fully wired hub (ledger included) stays within 1.1x of disabled.
 
     The hot path pays one ``is None`` test per packet-stage call, one
@@ -397,24 +397,26 @@ def test_observability_overhead(benchmark, bench_identifier, bench_report, tmp_p
     """
     run_stream(bench_identifier, build_stream())  # warmup: caches, JIT-ish paths
 
-    start = time.perf_counter()
-    base_stats, base_identified = run_stream(bench_identifier, build_stream())
-    base_wall = time.perf_counter() - start
+    def run_once(ledger_path):
+        hub = Observability(ledger=VerdictLedger(ledger_path)) if ledger_path else None
+        gc.collect()
+        start = time.perf_counter()
+        stats, identified = run_stream(bench_identifier, build_stream(), observability=hub)
+        wall = time.perf_counter() - start
+        if hub is not None:
+            hub.ledger.close()
+        return wall, stats, identified, hub, ledger_path
 
-    hub = Observability(ledger=VerdictLedger(tmp_path / "ledger.ndjson"))
-    start = time.perf_counter()
-    obs_stats, obs_identified = benchmark.pedantic(
-        run_stream,
-        kwargs={
-            "identifier": bench_identifier,
-            "source": build_stream(),
-            "observability": hub,
-        },
-        rounds=1,
-        iterations=1,
-    )
-    obs_wall = time.perf_counter() - start
-    hub.ledger.close()
+    rounds = 2 if BENCH_QUICK else 3
+    # Alternate hub-off and hub-on rounds and keep each side's best, as
+    # the columnar speedup bench does: one timing per side measures host
+    # noise, not the hub.
+    base_runs, obs_runs = [], []
+    for index in range(rounds):
+        base_runs.append(run_once(None))
+        obs_runs.append(run_once(tmp_path / f"ledger-{index}.ndjson"))
+    base_wall, _, base_identified, _, _ = min(base_runs, key=lambda run: run[0])
+    obs_wall, obs_stats, obs_identified, hub, ledger_path = min(obs_runs, key=lambda run: run[0])
 
     ratio = obs_wall / base_wall if base_wall else 1.0
     print()
@@ -426,7 +428,7 @@ def test_observability_overhead(benchmark, bench_identifier, bench_report, tmp_p
     # Identical work was done, every verdict landed in the ledger, and
     # the metrics surface saw the batches the dispatcher ran.
     assert len(obs_identified) == len(base_identified)
-    replay = replay_ledger(tmp_path / "ledger.ndjson")
+    replay = replay_ledger(ledger_path)
     verdicts = [record for record in replay.records if record.kind == "verdict"]
     assert len(verdicts) == len(obs_identified)
     snapshot = hub.snapshot()

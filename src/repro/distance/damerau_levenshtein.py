@@ -15,9 +15,11 @@ dict-key semantics (identity short-circuits, so a NaN symbol equals itself
 here even though ``nan == nan`` is False).
 
 :func:`damerau_levenshtein_pairs` is the one kernel: it scores a batch of
-(query, reference) pairs in a stacked dynamic program.  The textbook
-scalar dynamic program lives in ``tests/conftest.py`` as the oracle the
-kernel is checked against, pair by pair.
+(query, reference) pairs with Hyyrö's bit-vector recurrence, every pair
+one guarded lane of a single Python integer (see its docstring for the
+layout).  The textbook scalar dynamic program lives in
+``tests/conftest.py`` as the oracle the kernel is checked against, pair
+by pair.
 
 Empty-sequence semantics (documented contract):
 
@@ -43,8 +45,8 @@ from repro.exceptions import FingerprintError
 
 
 #: Code of a symbol the interner has never seen (lookup-only encoding).
-#: Interner codes are non-negative and the pair kernel pads with -1, so an
-#: unseen symbol equals nothing it is compared with.
+#: Interner codes are non-negative and the pair kernel pads with -1 and
+#: -3, so an unseen symbol equals nothing it is compared with.
 UNSEEN_SYMBOL = -2
 
 
@@ -95,7 +97,24 @@ class SymbolInterner:
 #: The process-wide alphabet shared by every batch-kernel caller.
 GLOBAL_INTERNER = SymbolInterner()
 
-_NO_TRANSPOSITION = np.iinfo(np.int64).max
+#: Padding of the lane (longer) side and of the step (shorter) side.
+#: Interner codes are >= 0 and unseen query symbols are
+#: :data:`UNSEEN_SYMBOL`, so neither pad equals a real symbol or the other
+#: pad: padded rows and guard bits never match a step.
+_LANE_PAD = -1
+_STEP_PAD = -3
+
+#: Cells of the boolean (steps x pairs x lane width) match array built per
+#: block of steps; bounds the kernel's scratch memory on huge batches.
+_MATCH_BLOCK_CELLS = 1 << 22
+
+
+def _padded(words: Sequence[np.ndarray], lengths: list[int], width: int, fill: int) -> np.ndarray:
+    """``words`` left-aligned in a ``(len(words), width)`` matrix padded with ``fill``."""
+    out = np.full((len(words), width), fill, dtype=np.int64)
+    # A boolean mask assigns in row-major order: the concatenation's order.
+    out[np.arange(width) < np.asarray(lengths)[:, None]] = np.concatenate(words)
+    return out
 
 
 def damerau_levenshtein_pairs(
@@ -105,24 +124,38 @@ def damerau_levenshtein_pairs(
 
     All inputs are integer code arrays over one shared alphabet (see
     :class:`SymbolInterner`; a query may also carry
-    :data:`UNSEEN_SYMBOL`).  Each pair is one row of a stacked dynamic
-    program that runs once over the *step* axis: at step ``i`` every row
-    still inside its step sequence advances one DP row as a numpy matrix,
-    with its own step symbol.  The deletion/substitution/transposition
-    candidates take one vectorised step, and the insertion recurrence
-    ``current[j] = min(current[j-1] + 1, cand[j])`` is folded with the
-    prefix-minimum identity ``current[j] = min_{k<=j}(cand[k] + j - k)``
-    (a single ``minimum.accumulate``), so no per-cell Python executes.
+    :data:`UNSEEN_SYMBOL`).  The kernel is Hyyrö's bit-vector recurrence
+    for the optimal-string-alignment distance (H. Hyyrö, "A Bit-Vector
+    Algorithm for Computing Levenshtein and Damerau Edit Distances",
+    2003), run for the whole batch at once on one Python integer:
 
-    The optimal-string-alignment distance is symmetric (reversing an
-    alignment swaps insertions with deletions and leaves substitutions
-    and adjacent transpositions as they are), so each pair puts its
-    *shorter* side on the step axis and its longer side on the column
-    axis: the loop runs as many numpy steps as the longest short side,
-    not the longest query.  Rows are sorted by that shorter length,
-    longest first, so the rows still live at step ``i`` are a prefix; a
-    row's answer is read at ``(shorter length, longer length)`` on the
-    step its shorter side ends.
+    * **Lanes.**  The distance is symmetric (reversing an alignment swaps
+      insertions with deletions and leaves substitutions and adjacent
+      transpositions as they are), so each pair's *longer* side becomes
+      the bit-vector "pattern": one lane of the integer, bit ``r`` of the
+      lane standing for DP row ``r + 1``.  Every lane is
+      ``max(len) + 1`` bits wide, so each has at least one zero *guard
+      bit* above its rows.  The vertical-positive vector ``VP`` never
+      holds a guard bit, which makes the guard absorb the carry of
+      ``(PM & VP) + VP`` before it reaches the next lane.
+    * **Steps.**  The shorter sides are walked one symbol per step, all
+      pairs in lockstep.  Step ``j``'s match mask ``PM`` (bit set where
+      the lane's symbol equals the pair's ``j``-th step symbol) comes
+      from one numpy comparison of every step against every lane plus
+      ``packbits``.  Each step is a fixed handful of whole-batch integer
+      operations; the transposition term ``((~D0' & PM) << 1) & PM'``
+      reads the previous step's ``D0`` and ``PM``.  There is no ``~``:
+      every complement is an XOR with the all-lanes mask (guard bits
+      clear).  Left shifts move each lane's top bit into its guard and
+      its guard bit into the next lane's lowest bit; ``HP``'s lowest bit
+      is forced to 1 (the DP's top row) and ``VP`` is masked back to the
+      lanes, so nothing crosses a lane boundary.
+    * **Answers.**  A pair's distance is read at the step its shorter
+      side ends: ``D[m][n] = n + popcount(VP) - popcount(VN)`` over the
+      lane's ``m`` rows (the top row holds ``n``, and ``VP``/``VN`` are
+      the column's +1/-1 vertical deltas).  Later steps only touch that
+      lane's bits, never its answer.  A pair with an empty side is the
+      other side's length.
 
     Returns one absolute Damerau-Levenshtein distance per pair, as an
     int64 array, bitwise-equal per pair to the scalar dynamic program
@@ -132,76 +165,56 @@ def damerau_levenshtein_pairs(
     count = len(queries)
     if count != len(references):
         raise ValueError("damerau_levenshtein_pairs needs one reference per query")
-    query_lengths = np.array([len(query) for query in queries], dtype=np.int64)
-    reference_lengths = np.array([len(reference) for reference in references], dtype=np.int64)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    swapped = reference_lengths < query_lengths
-    short_lengths = np.where(swapped, reference_lengths, query_lengths)
-    long_lengths = np.where(swapped, query_lengths, reference_lengths)
-    order = np.argsort(-short_lengths, kind="stable")
-    lengths = short_lengths[order]
-    ends = long_lengths[order]
-    depth = int(lengths[0])
+    longer: list[np.ndarray] = []
+    shorter: list[np.ndarray] = []
+    for query, reference in zip(queries, references):
+        if len(reference) < len(query):
+            longer.append(query)
+            shorter.append(reference)
+        else:
+            longer.append(reference)
+            shorter.append(query)
+    distances = [len(word) for word in longer]
+    short_lengths = [len(word) for word in shorter]
+    depth = max(short_lengths)
     if depth == 0:
         # Every pair has an empty side: the distance is the other side's length.
-        return long_lengths
-    max_len = int(ends.max())
+        return np.array(distances, dtype=np.int64)
+    width = max(distances) + 1
+    lanes = _padded(longer, distances, width, _LANE_PAD)
+    steps = _padded(shorter, short_lengths, depth, _STEP_PAD).T
+    block = max(1, _MATCH_BLOCK_CELLS // (count * width))
+    matches: list[int] = []
+    for start in range(0, depth, block):
+        hits = steps[start : start + block, :, None] == lanes
+        packed = np.packbits(hits.reshape(len(hits), -1), axis=1, bitorder="little")
+        matches.extend(int.from_bytes(row, "little") for row in packed)
 
-    # Pad the column side with -1: codes are >= 0 and unseen query
-    # symbols are -2 on whichever axis the query takes, so padding never
-    # equals a step symbol and padded columns charge full substitution
-    # cost.  The answer is read at each row's own column length, so the
-    # padded tail never leaks into a result.  Step padding is never read:
-    # a row is dead past its length.
-    columns = np.full((count, max_len), -1, dtype=np.int64)
-    symbols = np.full((count, depth), -1, dtype=np.int64)
-    for row, pair in enumerate(order):
-        if swapped[pair]:
-            columns[row, : ends[row]] = queries[pair]
-            symbols[row, : lengths[row]] = references[pair]
-        else:
-            columns[row, : ends[row]] = references[pair]
-            symbols[row, : lengths[row]] = queries[pair]
-    # live[i]: rows whose step side has at least i symbols (a prefix).
-    live = np.searchsorted(-lengths, -np.arange(depth + 2), side="right")
-
-    answers = np.empty(count, dtype=np.int64)
-    silent = lengths == 0
-    answers[silent] = ends[silent]
-    offsets = np.arange(max_len + 1, dtype=np.int64)
-    previous = np.broadcast_to(offsets, (count, max_len + 1)).copy()
-    previous_previous = np.zeros_like(previous)
-    candidate = np.empty_like(previous)
-    for i in range(1, depth + 1):
-        rows = int(live[i])
-        symbol = symbols[:rows, i - 1 : i]
-        # Deletion vs substitution, vectorised across every (row, j) cell.
-        candidate[:rows, 0] = i
-        np.minimum(
-            previous[:rows, 1:] + 1,
-            previous[:rows, :-1] + (columns[:rows] != symbol),
-            out=candidate[:rows, 1:],
-        )
-        if i > 1:
-            previous_symbol = symbols[:rows, i - 2 : i - 1]
-            # Adjacent transposition: step[i-2..i-1] crossed with column[j-2..j-1].
-            swap = (columns[:rows, :-1] == symbol) & (columns[:rows, 1:] == previous_symbol)
-            np.minimum(
-                candidate[:rows, 2:],
-                np.where(swap, previous_previous[:rows, : max_len - 1] + 1, _NO_TRANSPOSITION),
-                out=candidate[:rows, 2:],
+    # Bit 0 of every lane, and every lane's rows (guard bits clear).
+    low = ((1 << (count * width)) - 1) // ((1 << width) - 1)
+    rows_mask = low * ((1 << (width - 1)) - 1)
+    finishing: list[list[int]] = [[] for _ in range(depth + 1)]
+    for pair, length in enumerate(short_lengths):
+        finishing[length].append(pair)
+    vp, vn, d0, previous = rows_mask, 0, 0, 0
+    for step, match in enumerate(matches, 1):
+        transposed = (((d0 ^ rows_mask) & match) << 1) & previous
+        d0 = (((match & vp) + vp) ^ vp) | match | vn | transposed
+        hp = vn | (rows_mask ^ (d0 | vp))
+        hn = vp & d0
+        hp = (hp << 1) | low
+        vp = ((hn << 1) | (rows_mask ^ (d0 | hp))) & rows_mask
+        vn = hp & d0
+        previous = match
+        for pair in finishing[step]:
+            shift = pair * width
+            rows = (1 << distances[pair]) - 1
+            distances[pair] = (
+                step + ((vp >> shift) & rows).bit_count() - ((vn >> shift) & rows).bit_count()
             )
-        # Insertion as a prefix-minimum over candidate costs.
-        current = previous_previous
-        current[:rows] = np.minimum.accumulate(candidate[:rows] - offsets, axis=1) + offsets
-        # Rows whose step side ends at step i: a contiguous block.
-        done = np.arange(int(live[i + 1]), rows)
-        answers[done] = current[done, ends[done]]
-        previous_previous, previous = previous, current
-    distances = np.empty(count, dtype=np.int64)
-    distances[order] = answers
-    return distances
+    return np.array(distances, dtype=np.int64)
 
 
 def normalized_pair_distances(

@@ -22,12 +22,17 @@ random draw remains available as the in-memory ``selection="random"``
 ablation (:func:`repro.eval.experiments.run_selection_ablation`); model
 bundles refuse it.
 
-Edit distances always go through the stacked pair kernel
+Edit distances always go through the bit-parallel pair kernel
 (:func:`~repro.distance.damerau_levenshtein.normalized_pair_distances`):
 :meth:`EditDistanceDiscriminator.score_many` draws every subset of a
 batch first and then scores all (fingerprint, reference) pairs in one
-call.  The scalar dynamic program lives in ``tests/conftest.py`` as the
-test suite's oracle.
+call.  The kernel runs Hyyrö's bit-vector recurrence for the
+optimal-string-alignment distance (H. Hyyrö, 2003) over one Python
+integer per batch: each pair's longer side is one lane, every lane is
+``max(len) + 1`` bits wide so a zero guard bit absorbs the carry out of
+its top row, and the shorter sides are walked one symbol per step.  The
+scalar dynamic program lives in ``tests/conftest.py`` as the test
+suite's oracle.
 
 Tie-breaking contract: two candidates with *exactly* equal dissimilarity
 scores are ordered lexicographically by ``device_type`` -- the winner of a
@@ -84,7 +89,9 @@ def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
     return codes
 
 
-def _query_word(fingerprint: Fingerprint) -> np.ndarray:
+def _query_word(
+    fingerprint: Fingerprint, symbols: Optional[Sequence[tuple[int, ...]]] = None
+) -> np.ndarray:
     """A queried fingerprint's codes, looked up without growing the alphabet.
 
     Fingerprints seen on the wire are unbounded, so interning them would
@@ -92,11 +99,15 @@ def _query_word(fingerprint: Fingerprint) -> np.ndarray:
     encoded as ``UNSEEN_SYMBOL``, which keeps every distance exact.  The
     result is never cached: the fingerprint may later become a reference
     (autopilot promotion), and its cached codes must then be interned ones.
+    ``symbols`` is the fingerprint's symbol sequence when the caller
+    already holds it.
     """
     codes = getattr(fingerprint, "_symbol_codes", None)
     if codes is not None:
         return codes
-    return GLOBAL_INTERNER.lookup(fingerprint.as_symbol_sequence())
+    if symbols is None:
+        symbols = fingerprint.as_symbol_sequence()
+    return GLOBAL_INTERNER.lookup(symbols)
 
 
 def selection_seed_from_key(
@@ -240,6 +251,7 @@ class EditDistanceDiscriminator:
         self,
         requests: Sequence[tuple[Fingerprint, Mapping[str, Sequence[Fingerprint]]]],
         salt: int = 0,
+        symbols: Optional[Sequence[Sequence[tuple[int, ...]]]] = None,
     ) -> list[list[DissimilarityScore]]:
         """Score a batch of fingerprints against their candidate types.
 
@@ -253,7 +265,9 @@ class EditDistanceDiscriminator:
 
         ``salt`` feeds the deterministic draw seed; the identifier passes
         its ``revision`` counter so a registry change (and only a registry
-        change) re-randomises which references are met.
+        change) re-randomises which references are met.  ``symbols``, when
+        given, holds each request fingerprint's
+        :meth:`~repro.features.fingerprint.Fingerprint.as_symbol_sequence`.
         """
         plan: list[list[tuple[str, list[Fingerprint], tuple[int, ...], Optional[int]]]] = []
         for fingerprint, candidates in requests:
@@ -288,8 +302,9 @@ class EditDistanceDiscriminator:
             for reference in chosen
         ]
         query_words = []
-        for (fingerprint, _), selections in zip(requests, plan):
-            word = _query_word(fingerprint)
+        query_symbols = symbols if symbols is not None else [None] * len(requests)
+        for (fingerprint, _), selections, rows in zip(requests, plan, query_symbols):
+            word = _query_word(fingerprint, rows)
             query_words.extend(word for _, chosen, _, _ in selections for _ in chosen)
         values = normalized_pair_distances(query_words, reference_words).tolist()
 

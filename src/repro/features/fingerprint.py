@@ -111,13 +111,7 @@ class Fingerprint:
 
     def unique_vectors(self) -> np.ndarray:
         """The unique packet vectors of F, in order of first appearance."""
-        seen: set[tuple[int, ...]] = set()
-        first = []
-        for index, key in enumerate(self.as_symbol_sequence()):
-            if key not in seen:
-                seen.add(key)
-                first.append(index)
-        return self.vectors[first]
+        return self.vectors[_first_unique_rows(self.as_symbol_sequence())]
 
     def to_fixed_vector(self, packet_count: int = FIXED_PACKET_COUNT) -> np.ndarray:
         """Produce the fixed-length fingerprint F'.
@@ -126,14 +120,7 @@ class Fingerprint:
         if fewer unique vectors exist the result is zero padded, exactly as
         described in Sect. IV-A of the paper.
         """
-        if packet_count <= 0:
-            raise FingerprintError(f"packet_count must be positive, got {packet_count}")
-        unique = self.unique_vectors()[:packet_count]
-        fixed = np.zeros(packet_count * FEATURE_COUNT, dtype=np.int64)
-        if len(unique):
-            flat = unique.reshape(-1)
-            fixed[: len(flat)] = flat
-        return fixed
+        return fixed_vectors([self], packet_count)[0]
 
     def as_symbol_sequence(self) -> list[tuple[int, ...]]:
         """The fingerprint as a "word" whose characters are packet columns.
@@ -159,6 +146,52 @@ class Fingerprint:
     def __repr__(self) -> str:
         label = self.device_type or "unlabelled"
         return f"Fingerprint(type={label!r}, packets={self.packet_count})"
+
+
+def _first_unique_rows(symbols: Sequence[tuple[int, ...]]) -> list[int]:
+    """Row indices of each distinct symbol's first appearance, ascending."""
+    first: dict[tuple[int, ...], int] = {}
+    for index, symbol in enumerate(symbols):
+        first.setdefault(symbol, index)
+    return list(first.values())
+
+
+def fixed_vectors(
+    fingerprints: Sequence[Fingerprint],
+    packet_count: int = FIXED_PACKET_COUNT,
+    symbols: Optional[Sequence[Sequence[tuple[int, ...]]]] = None,
+) -> np.ndarray:
+    """The fixed-length fingerprints F' of many fingerprints, one row each.
+
+    Returns an ``(n, packet_count * 23)`` int64 matrix whose row ``i`` is
+    ``fingerprints[i].to_fixed_vector(packet_count)``.  ``symbols[i]``,
+    when given, must be ``fingerprints[i].as_symbol_sequence()``: the
+    identifier turns each query into symbols once per batch and feeds
+    them both here and to the discrimination stage's alphabet lookup.
+    """
+    if packet_count <= 0:
+        raise FingerprintError(f"packet_count must be positive, got {packet_count}")
+    if symbols is None:
+        symbols = [fingerprint.as_symbol_sequence() for fingerprint in fingerprints]
+    chosen: list[int] = []
+    counts = []
+    base = 0
+    for rows in symbols:
+        first = _first_unique_rows(rows)[:packet_count]
+        chosen.extend(base + index for index in first)
+        counts.append(len(first))
+        base += len(rows)
+    fixed = np.zeros((len(counts), packet_count, FEATURE_COUNT), dtype=np.int64)
+    if chosen:
+        stacked = np.concatenate([fingerprint.vectors for fingerprint in fingerprints])
+        # A boolean mask assigns in row-major order: fingerprint by fingerprint.
+        fixed[np.arange(packet_count) < np.array(counts)[:, None]] = stacked[chosen]
+    return fixed.reshape(len(counts), packet_count * FEATURE_COUNT)
+
+
+#: ``str(dtype)`` per dtype: numpy formats a dtype's name in Python code,
+#: and :func:`fingerprint_key` hashes it once per fingerprint.
+_DTYPE_TEXT: dict[np.dtype, bytes] = {}
 
 
 def fingerprint_key(fingerprint: Fingerprint) -> bytes:
@@ -196,7 +229,11 @@ def fingerprint_key(fingerprint: Fingerprint) -> bytes:
     if key is None:
         digest = hashlib.sha1()
         digest.update(str(fingerprint.vectors.shape).encode("ascii"))
-        digest.update(str(fingerprint.vectors.dtype).encode("ascii"))
+        dtype = fingerprint.vectors.dtype
+        text = _DTYPE_TEXT.get(dtype)
+        if text is None:
+            text = _DTYPE_TEXT[dtype] = str(dtype).encode("ascii")
+        digest.update(text)
         digest.update(fingerprint.vectors.tobytes())
         key = fingerprint._content_key = digest.digest()
     return key

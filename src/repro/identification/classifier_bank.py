@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import IdentificationError
-from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint
+from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint, fixed_vectors
 from repro.identification.registry import FingerprintRegistry
 from repro.ml.compiled import CompiledForest, ForestStack
 from repro.ml.forest import RandomForestClassifier
@@ -171,9 +171,7 @@ class ClassifierBank:
 
     def _fixed_matrix(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
         """The fixed vectors F' of ``fingerprints``, one row each."""
-        packets = self.fixed_packet_count
-        vectors = [fingerprint.to_fixed_vector(packets) for fingerprint in fingerprints]
-        return np.stack(vectors).astype(np.float64)
+        return fixed_vectors(fingerprints, self.fixed_packet_count).astype(np.float64)
 
     def _choose_negatives(
         self, device_type: str, positive_count: int, negative_count: int
@@ -256,18 +254,24 @@ class ClassifierBank:
             accepted=np.argmax(probabilities, axis=2) == POSITIVE_LABEL,
         )
 
-    def score_fingerprints(self, fingerprints: Sequence[Fingerprint]) -> BankScores:
-        """Batch-score fingerprints (fixed vectors are built here)."""
+    def score_fingerprints(
+        self,
+        fingerprints: Sequence[Fingerprint],
+        symbols: Optional[Sequence[Sequence[tuple[int, ...]]]] = None,
+    ) -> BankScores:
+        """Batch-score fingerprints (fixed vectors are built here).
+
+        ``symbols``, when given, holds each fingerprint's
+        :meth:`~repro.features.fingerprint.Fingerprint.as_symbol_sequence`,
+        so a caller that needs the symbols anyway tuples each row once.
+        """
         if not fingerprints:
             return BankScores(
                 device_types=tuple(self.device_types),
                 positive=np.zeros((0, len(self._classifiers))),
                 accepted=np.zeros((0, len(self._classifiers)), dtype=bool),
             )
-        fixed = np.stack(
-            [fingerprint.to_fixed_vector(self.fixed_packet_count) for fingerprint in fingerprints]
-        )
-        return self.score_batch(fixed)
+        return self.score_batch(fixed_vectors(fingerprints, self.fixed_packet_count, symbols))
 
     def matching_types(self, fingerprint: Fingerprint) -> list[str]:
         """Every device-type whose classifier accepts the fingerprint."""

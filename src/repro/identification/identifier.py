@@ -192,7 +192,10 @@ class DeviceTypeIdentifier:
         if not fingerprints:
             return []
         start = time.perf_counter()
-        scores = self.bank.score_fingerprints(fingerprints)
+        # One symbol pass per query: the fixed vectors' first-unique rows
+        # and the edit-distance alphabet lookup both read these.
+        symbols = [fingerprint.as_symbol_sequence() for fingerprint in fingerprints]
+        scores = self.bank.score_fingerprints(fingerprints, symbols)
         classification_seconds = (time.perf_counter() - start) / len(fingerprints)
 
         start = time.perf_counter()
@@ -207,9 +210,10 @@ class DeviceTypeIdentifier:
                 requests.append(
                     (fingerprint, {name: self.registry.fingerprints_of(name) for name in matched})
                 )
-        row_scores = dict(
-            zip(scored_rows, self.discriminator.score_many(requests, salt=self.revision))
+        scored = self.discriminator.score_many(
+            requests, salt=self.revision, symbols=[symbols[row] for row in scored_rows]
         )
+        row_scores = dict(zip(scored_rows, scored))
         discrimination_seconds = (
             (time.perf_counter() - start) / len(scored_rows) if scored_rows else 0.0
         )

@@ -22,6 +22,11 @@ _MAC_MEMO_LIMIT = 4096
 _IPV6_MEMO: dict[bytes, str] = {}
 _IPV6_MEMO_LIMIT = 4096
 
+#: MAC value -> ``aa:bb:..`` text, bounded the same way: one verdict
+#: formats its device's MAC for the ledger, the sink and the rule names.
+_MAC_TEXT_MEMO: dict[int, str] = {}
+_MAC_TEXT_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class MACAddress:
@@ -101,8 +106,14 @@ class MACAddress:
         return str(self)[:8]
 
     def __str__(self) -> str:
-        raw = self.to_bytes()
-        return ":".join(f"{b:02x}" for b in raw)
+        try:
+            return _MAC_TEXT_MEMO[self.value]
+        except KeyError:
+            pass
+        if len(_MAC_TEXT_MEMO) >= _MAC_TEXT_MEMO_LIMIT:
+            _MAC_TEXT_MEMO.clear()
+        text = _MAC_TEXT_MEMO[self.value] = ":".join(f"{b:02x}" for b in self.to_bytes())
+        return text
 
     def __repr__(self) -> str:
         return f"MACAddress('{self}')"

@@ -236,13 +236,18 @@ class EvidenceRecord:
         )
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds this
+#: encoder per call; one shared instance writes the same bytes.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode_line(record: EvidenceRecord) -> str:
     """One canonical NDJSON line (sorted keys, compact, ``\\n``-terminated).
 
     Canonical form means identical records serialise to identical bytes,
     so two identically-driven gateways produce byte-identical ledgers.
     """
-    return json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    return _CANONICAL_JSON.encode(record.to_dict()) + "\n"
 
 
 def decode_line(line: str) -> EvidenceRecord:

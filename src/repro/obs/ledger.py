@@ -110,7 +110,12 @@ class VerdictLedger:
         """
         if self._fd is None:
             raise LedgerError(f"ledger {self.path} is closed")
-        stamped = record.with_sequence(self._next_sequence)
+        # ``record.with_sequence(n)`` without ``dataclasses.replace``, which
+        # re-runs the validation the record passed when it was built.
+        stamped = object.__new__(type(record))
+        fields = vars(stamped)
+        fields.update(vars(record))
+        fields["sequence"] = self._next_sequence
         data = encode_line(stamped).encode("utf-8")
         if self._size > 0 and self._size + len(data) > self.max_bytes:
             self._rotate()

@@ -106,7 +106,7 @@ def damerau_levenshtein(first: Sequence[Hashable], second: Sequence[Hashable]) -
     """Absolute Damerau-Levenshtein distance between two symbol sequences.
 
     The textbook restricted ("optimal string alignment") dynamic program,
-    one pair at a time: the oracle the stacked pair kernel
+    one pair at a time: the oracle the bit-parallel pair kernel
     (``repro.distance.damerau_levenshtein.damerau_levenshtein_pairs``) is
     checked against.  The distance to an empty sequence is the other
     sequence's length.

@@ -55,6 +55,15 @@ class TestMACAddress:
             assert MACAddress.from_bytes(value.to_bytes(6, "big")) == MACAddress(value)
             assert len(addresses._MAC_MEMO) <= addresses._MAC_MEMO_LIMIT
 
+    def test_str_memo_stays_bounded(self):
+        # A spoofed-MAC flood: every verdict a new device to format.
+        for value in range(2 * addresses._MAC_TEXT_MEMO_LIMIT + 3):
+            mac = MACAddress((value * 0x9E3779B97F4A7C15) & ((1 << 48) - 1))
+            expected = ":".join(f"{byte:02x}" for byte in mac.to_bytes())
+            assert str(mac) == expected
+            assert str(mac) == expected  # memo hit
+            assert len(addresses._MAC_TEXT_MEMO) <= addresses._MAC_TEXT_MEMO_LIMIT
+
     def test_out_of_range_value(self):
         with pytest.raises(ValueError):
             MACAddress(1 << 48)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
+from repro.distance import damerau_levenshtein as dl_module
 from repro.distance.damerau_levenshtein import (
     GLOBAL_INTERNER,
     UNSEEN_SYMBOL,
@@ -125,7 +126,7 @@ class TestBatchDistanceKernel:
 
     def test_ragged_pairs_match_scalar(self):
         # Mixed query lengths in one call, empty queries and empty
-        # references included: rows leave the stacked DP at different steps.
+        # references included: pairs finish at different steps.
         rng = random.Random(7)
         for _ in range(60):
             count = rng.randrange(1, 14)
@@ -215,6 +216,87 @@ class TestBatchDistanceKernel:
         np.testing.assert_array_equal(got, expected)
         # Reversing every pair reads the same distances.
         np.testing.assert_array_equal(damerau_levenshtein_pairs(references, queries), expected)
+
+
+# --------------------------------------------------------------------- #
+# Distance layer: differential suite of the bit-parallel lanes.
+# --------------------------------------------------------------------- #
+#: Lengths that put a lane's top row, or a lane boundary, on either side
+#: of a 64-bit word boundary of the packed integer.
+_WORD_EDGES = (1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257, 300)
+_LONG = st.one_of(st.integers(min_value=0, max_value=300), st.sampled_from(_WORD_EDGES))
+_SHORT = st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from((63, 64, 65)))
+
+
+@st.composite
+def _pair_batches(draw):
+    """Encoded (queries, references) over an alphabet of 1-3 symbols.
+
+    Tiny alphabets make matches, runs and adjacent transpositions
+    common.  Queries may carry ``UNSEEN_SYMBOL``; each pair's query is
+    the longer or the shorter side at random, and empty sides mix with
+    long ones in one batch.
+    """
+    alphabet = draw(st.integers(min_value=1, max_value=3))
+    query_symbols = st.sampled_from((UNSEEN_SYMBOL, *range(alphabet)))
+    reference_symbols = st.integers(min_value=0, max_value=alphabet - 1)
+    queries, references = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        long_length, short_length = draw(_LONG), draw(_SHORT)
+        query_length, reference_length = (
+            (long_length, short_length) if draw(st.booleans()) else (short_length, long_length)
+        )
+        queries.append(draw(st.lists(query_symbols, min_size=query_length, max_size=query_length)))
+        references.append(
+            draw(st.lists(reference_symbols, min_size=reference_length, max_size=reference_length))
+        )
+    return queries, references
+
+
+def _assert_kernel_matches_oracle(queries, references):
+    encoded = [np.array(word, dtype=np.int64) for word in queries]
+    encoded_references = [np.array(word, dtype=np.int64) for word in references]
+    got = damerau_levenshtein_pairs(encoded, encoded_references)
+    assert got.dtype == np.int64
+    expected = [damerau_levenshtein(query, ref) for query, ref in zip(queries, references)]
+    assert got.tolist() == expected
+    # Either argument order: the query may sit on the lane or the step axis.
+    assert damerau_levenshtein_pairs(encoded_references, encoded).tolist() == expected
+
+
+class TestBitParallelKernel:
+    @given(_pair_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_batches_match_the_scalar_oracle(self, batch):
+        _assert_kernel_matches_oracle(*batch)
+
+    @given(_pair_batches(), st.integers(min_value=0, max_value=5))
+    @settings(max_examples=40, deadline=None)
+    def test_an_all_matching_longest_lane_keeps_its_carry(self, batch, position):
+        # Equal one-symbol words: every step matches every row, so the
+        # carry of (PM & VP) + VP runs through the whole lane.  As the
+        # batch's longest lane it has one guard bit; a carry past it
+        # would land in the neighbouring lane above.
+        queries, references = batch
+        longest = max(len(word) for word in queries + references) + 1
+        position = min(position, len(queries))
+        queries.insert(position, [0] * longest)
+        references.insert(position, [0] * (longest - 1))
+        _assert_kernel_matches_oracle(queries, references)
+
+    def test_unseen_query_symbols_on_either_axis(self):
+        unseen = UNSEEN_SYMBOL
+        queries = [[0, unseen, 1, 0] * 20, [unseen, 1], [unseen] * 70, []]
+        references = [[0, 1, 1, 0] * 5, [1, 0, 1] * 30, [0] * 3, [1] * 65]
+        _assert_kernel_matches_oracle(queries, references)
+
+    def test_match_masks_built_in_several_blocks(self, monkeypatch):
+        # Huge batches build their match masks a block of steps at a time.
+        rng = random.Random(3)
+        queries = [[rng.randrange(3) for _ in range(rng.randrange(0, 90))] for _ in range(9)]
+        references = [[rng.randrange(3) for _ in range(rng.randrange(0, 90))] for _ in range(9)]
+        monkeypatch.setattr(dl_module, "_MATCH_BLOCK_CELLS", 500)
+        _assert_kernel_matches_oracle(queries, references)
 
 
 # --------------------------------------------------------------------- #

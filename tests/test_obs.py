@@ -113,6 +113,27 @@ class TestLedger:
         assert [record.sequence for record in replay.records] == [0, 1, 2, 3, 4]
         assert replay.truncated_lines == 0
 
+    def test_append_stamps_exactly_what_with_sequence_builds(self, tmp_path):
+        # The ledger stamps the sequence without re-validating the record:
+        # the result must still equal the validated copy, byte for byte.
+        path = tmp_path / "ledger.ndjson"
+        record = EvidenceRecord(
+            kind="verdict",
+            stream_time=3.5,
+            mac="02:00:00:00:00:07",
+            verdict="HueBridge",
+            matched_types=("HueBridge", "HueSwitch"),
+            provenance={"HueBridge": {"reference_indices": [0, 3], "selection_seed": 11}},
+            identifier_revision=2,
+        )
+        with VerdictLedger(path) as ledger:
+            ledger.append(EvidenceRecord(kind="verdict"))
+            stamped = ledger.append(record)
+        assert stamped == record.with_sequence(1)
+        assert stamped is not record and record.sequence == -1
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[1] == encode_line(record.with_sequence(1)).encode("utf-8")
+
     def test_rotation_boundary_never_splits_a_record(self, tmp_path):
         path = tmp_path / "ledger.ndjson"
         line_size = len(encode_line(EvidenceRecord(kind="verdict", sequence=0)))
