@@ -22,6 +22,7 @@ from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP
 from repro.net.layers.tcp import TCPSegment
 from repro.net.packet import Packet
+from repro.simulation.latency import processing_delay_ms
 from repro.streaming import IterableSource
 
 
@@ -138,7 +139,8 @@ def main() -> None:
     print()
     print(f"Switch flow rules installed: {gateway.switch.rule_count}")
     print(f"Enforcement rules cached:    {len(gateway.rule_cache)}")
-    print(f"Gateway processing delay:    {gateway.processing_delay_ms():.2f} ms per traversal")
+    delay = processing_delay_ms(gateway.filtering_enabled, len(gateway.rule_cache))
+    print(f"Modelled processing delay:   {delay:.2f} ms per traversal (latency model)")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.metrics import confusion_matrix, per_class_accuracy
 from repro.ml.validation import StratifiedKFold
 from repro.security_service.isolation import IsolationLevel
-from repro.simulation.latency import LatencyModel, PathType
+from repro.simulation.latency import LatencyModel, PathType, processing_delay_ms
 from repro.simulation.resources import GatewayResourceModel, ResourceSample
 from repro.simulation.workload import ConcurrentFlowWorkload
 
@@ -328,6 +328,11 @@ def _build_loaded_gateway(filtering_enabled: bool, device_count: int, seed: int)
     return gateway
 
 
+def _modelled_delay_ms(gateway: SecurityGateway) -> float:
+    """The latency model's per-traversal processing cost of ``gateway``."""
+    return processing_delay_ms(gateway.filtering_enabled, len(gateway.rule_cache))
+
+
 def run_latency_table(
     iterations: int = 15,
     concurrent_flows: int = 20,
@@ -347,14 +352,14 @@ def run_latency_table(
             with_filtering = model_filtering.sample_many(
                 path,
                 iterations,
-                gateway_processing_ms=gateway_filtering.processing_delay_ms(),
+                gateway_processing_ms=_modelled_delay_ms(gateway_filtering),
                 concurrent_flows=concurrent_flows,
                 source_device=source,
             )
             without_filtering = model_plain.sample_many(
                 path,
                 iterations,
-                gateway_processing_ms=gateway_plain.processing_delay_ms(),
+                gateway_processing_ms=_modelled_delay_ms(gateway_plain),
                 concurrent_flows=concurrent_flows,
                 source_device=source,
             )
@@ -406,14 +411,14 @@ def run_overhead_table(
             with_filtering = model_filtering.sample_many(
                 PathType.WIRELESS_TO_WIRELESS,
                 iterations,
-                gateway_processing_ms=gateway_filtering.processing_delay_ms(),
+                gateway_processing_ms=_modelled_delay_ms(gateway_filtering),
                 concurrent_flows=concurrent_flows,
                 source_device=source,
             )
             without_filtering = model_plain.sample_many(
                 PathType.WIRELESS_TO_WIRELESS,
                 iterations,
-                gateway_processing_ms=gateway_plain.processing_delay_ms(),
+                gateway_processing_ms=_modelled_delay_ms(gateway_plain),
                 concurrent_flows=concurrent_flows,
                 source_device=source,
             )
@@ -475,7 +480,7 @@ def run_latency_vs_flows(
             samples = model.sample_many(
                 path,
                 iterations,
-                gateway_processing_ms=gateway.processing_delay_ms(),
+                gateway_processing_ms=_modelled_delay_ms(gateway),
                 concurrent_flows=int(flow_count),
                 source_device="D1",
             )

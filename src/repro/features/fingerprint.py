@@ -17,7 +17,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import FingerprintError
-from repro.features.packet_features import FEATURE_COUNT, PacketFeatureExtractor
+from repro.features.packet_features import (
+    FEATURE_COUNT,
+    FEATURE_INDEX,
+    PacketFeatureExtractor,
+    batch_feature_matrix,
+)
+from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 
 #: Number of unique packet vectors concatenated into the fixed fingerprint.
@@ -63,17 +69,17 @@ class Fingerprint:
         rows: Iterable[Sequence[int]],
         device_type: Optional[str] = None,
         device_mac: Optional[str] = None,
-        deduplicate: bool = True,
     ) -> "Fingerprint":
         """Build a fingerprint from raw feature rows.
 
-        When ``deduplicate`` is True (the default, matching the paper),
-        consecutive identical rows are collapsed into one.
+        Consecutive identical rows are collapsed into one, as in Eq. (1)
+        of the paper.  Build ``Fingerprint(vectors=rows)`` directly to
+        keep every row.
         """
         matrix = np.asarray(list(rows), dtype=np.int64)
         if matrix.size == 0:
             matrix = matrix.reshape(0, FEATURE_COUNT)
-        if deduplicate and len(matrix) > 1:
+        if len(matrix) > 1:
             keep = np.ones(len(matrix), dtype=bool)
             keep[1:] = np.any(matrix[1:] != matrix[:-1], axis=1)
             matrix = matrix[keep]
@@ -90,10 +96,14 @@ class Fingerprint:
 
         The packets must all originate from the device being fingerprinted;
         use :func:`repro.features.session.split_by_source` to separate a
-        mixed capture by source MAC first.
+        mixed capture by source MAC first.  The rows come from
+        :func:`~repro.features.packet_features.batch_feature_matrix`, the
+        kernel the streaming assembler serves with.
         """
-        extractor = PacketFeatureExtractor()
-        rows = extractor.extract_all(packets)
+        batch = PacketBatch.from_items(packets)
+        rows = batch_feature_matrix(batch)
+        counter_for = PacketFeatureExtractor().counter_for
+        rows[:, FEATURE_INDEX["dst_ip_counter"]] = [counter_for(ip) for ip in batch.dst_ips]
         return cls.from_feature_rows(rows, device_type=device_type, device_mac=device_mac)
 
     # ------------------------------------------------------------------ #

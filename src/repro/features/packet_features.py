@@ -37,21 +37,18 @@ content, so fingerprints can be extracted from encrypted traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
+from repro.net.batch import PacketBatch
 from repro.net.layers import dhcp as dhcp_mod
 from repro.net.layers import dns as dns_mod
 from repro.net.layers import http as http_mod
 from repro.net.layers import ntp as ntp_mod
 from repro.net.layers import ssdp as ssdp_mod
 from repro.net.layers import tls as tls_mod
-from repro.net.layers.dhcp import DHCPMessage
 from repro.net.packet import Packet
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.net.batch import PacketBatch
 
 FEATURE_NAMES: tuple[str, ...] = (
     "arp",
@@ -95,6 +92,9 @@ _HTTP_PORTS = frozenset({http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT})
 _HTTPS_PORTS = frozenset({tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT})
 _BOOTP_PORTS = frozenset({dhcp_mod.SERVER_PORT, dhcp_mod.CLIENT_PORT})
 
+#: The one stateful column: filled per capture, not by the batch kernel.
+_COUNTER = FEATURE_INDEX["dst_ip_counter"]
+
 
 def port_class(port: Optional[int]) -> int:
     """Map a port number to the 4-valued network port class of the paper."""
@@ -115,7 +115,8 @@ class PacketFeatureExtractor:
     The extractor is stateful because of the *destination IP counter*
     feature: the first distinct destination IP a device contacts is mapped
     to 1, the second to 2, and so on.  One extractor instance must therefore
-    be used per device capture (per fingerprint).
+    be used per device capture (per fingerprint).  Every other column comes
+    from :func:`batch_feature_matrix`, the one definition of Table I.
     """
 
     def __init__(self) -> None:
@@ -133,10 +134,11 @@ class PacketFeatureExtractor:
     def counter_for(self, dst_ip: Optional[str]) -> int:
         """The order-of-first-contact counter of one destination token.
 
-        The incremental entry point shared by :meth:`extract` and the
-        streaming assembler's batch walk: the mapping advances on first
-        contact exactly as :meth:`extract` would have advanced it for the
-        same packet.
+        The mapping advances on first contact; ``None`` (no IP layer)
+        reads 0 and advances nothing.  :meth:`extract`,
+        :meth:`Fingerprint.from_packets <repro.features.fingerprint.Fingerprint.from_packets>`
+        and the streaming assembler's batch walk all fill the
+        ``dst_ip_counter`` column through it.
         """
         if dst_ip is None:
             return 0
@@ -147,66 +149,12 @@ class PacketFeatureExtractor:
             counters[dst_ip] = counter
         return counter
 
-    def _dst_ip_counter(self, packet: Packet) -> int:
-        return self.counter_for(packet.dst_ip)
-
     def extract(self, packet: Packet) -> np.ndarray:
-        """Extract the 23-feature vector of a single packet."""
-        vector = np.zeros(FEATURE_COUNT, dtype=np.int64)
-
-        vector[FEATURE_INDEX["arp"]] = int(packet.arp is not None)
-        vector[FEATURE_INDEX["llc"]] = int(packet.llc is not None)
-        vector[FEATURE_INDEX["ip"]] = int(packet.has_ip)
-        vector[FEATURE_INDEX["icmp"]] = int(packet.icmp is not None)
-        vector[FEATURE_INDEX["icmpv6"]] = int(packet.icmpv6 is not None)
-        vector[FEATURE_INDEX["eapol"]] = int(packet.eapol is not None)
-        vector[FEATURE_INDEX["tcp"]] = int(packet.tcp is not None)
-        vector[FEATURE_INDEX["udp"]] = int(packet.udp is not None)
-
-        ports = {packet.src_port, packet.dst_port} - {None}
-        is_tcp = packet.tcp is not None
-        is_udp = packet.udp is not None
-        vector[FEATURE_INDEX["http"]] = int(is_tcp and bool(ports & _HTTP_PORTS))
-        vector[FEATURE_INDEX["https"]] = int(is_tcp and bool(ports & _HTTPS_PORTS))
-
-        is_bootp = is_udp and bool(ports & _BOOTP_PORTS)
-        is_dhcp = is_bootp and (
-            not isinstance(packet.application, DHCPMessage) or packet.application.is_dhcp
-        )
-        vector[FEATURE_INDEX["dhcp"]] = int(is_dhcp)
-        vector[FEATURE_INDEX["bootp"]] = int(is_bootp)
-
-        vector[FEATURE_INDEX["ssdp"]] = int(is_udp and ssdp_mod.PORT_SSDP in ports)
-        vector[FEATURE_INDEX["dns"]] = int(dns_mod.PORT_DNS in ports and (is_udp or is_tcp))
-        vector[FEATURE_INDEX["mdns"]] = int(is_udp and dns_mod.PORT_MDNS in ports)
-        vector[FEATURE_INDEX["ntp"]] = int(is_udp and ntp_mod.PORT_NTP in ports)
-
-        has_padding = bool(packet.ipv4 is not None and packet.ipv4.has_padding_option) or bool(
-            packet.ipv6 is not None and packet.ipv6.has_padding_option
-        )
-        has_router_alert = bool(
-            packet.ipv4 is not None and packet.ipv4.has_router_alert_option
-        ) or bool(packet.ipv6 is not None and packet.ipv6.has_router_alert_option)
-        vector[FEATURE_INDEX["ip_option_padding"]] = int(has_padding)
-        vector[FEATURE_INDEX["ip_option_router_alert"]] = int(has_router_alert)
-
-        vector[FEATURE_INDEX["packet_size"]] = packet.size
-        vector[FEATURE_INDEX["raw_data"]] = int(packet.has_raw_data)
-        vector[FEATURE_INDEX["dst_ip_counter"]] = self._dst_ip_counter(packet)
-        vector[FEATURE_INDEX["src_port_class"]] = port_class(packet.src_port)
-        vector[FEATURE_INDEX["dst_port_class"]] = port_class(packet.dst_port)
+        """The 23-feature vector of a single packet: a one-row batch."""
+        batch = PacketBatch.from_items([packet])
+        vector = batch_feature_matrix(batch)[0]
+        vector[_COUNTER] = self.counter_for(batch.dst_ips[0])
         return vector
-
-    def extract_all(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Extract feature vectors for an ordered packet sequence.
-
-        Returns an array of shape ``(len(packets), 23)``; the caller is
-        responsible for transposing if the paper's ``23 x n`` orientation
-        is preferred.
-        """
-        if not packets:
-            return np.zeros((0, FEATURE_COUNT), dtype=np.int64)
-        return np.stack([self.extract(packet) for packet in packets])
 
 
 #: First of the eight application columns (http .. ntp, indices 8-15).
@@ -260,18 +208,33 @@ _PORT_MEMBERSHIP, _PORT_CLASSES = _port_tables()
 _TRANSPORT_GATES = _transport_gates()
 
 
-def batch_feature_matrix(batch: "PacketBatch") -> np.ndarray:
+def batch_feature_matrix(batch: PacketBatch) -> np.ndarray:
     """The ``(len(batch), 23)`` feature matrix of a whole packet batch.
 
-    The same definitions as :meth:`PacketFeatureExtractor.extract`, table
-    driven instead of per-packet Python: one bit-unpack of the flag word
-    gives the eight protocol columns (flag bits 0-7 are columns 0-7) and
-    the option/raw-data bits; a port-membership table ANDed with the
-    transport gate gives the eight application columns; a port-class
-    table gives the two port classes.  The stateful ``dst_ip_counter``
-    column is left at zero: it depends on per-device first-contact order,
-    so the assembler fills it while walking each device's packets (see
-    :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_prepared`).
+    The one definition of Table I: the frame and object parsers of
+    :mod:`repro.net.batch` produce the columns, and this kernel turns them
+    into rows, table driven.  One bit-unpack of the flag word gives the
+    eight protocol columns (flag bits 0-7 are columns 0-7) and the
+    option/raw-data bits; a port-membership table ANDed with the transport
+    gate gives the eight application columns; a port-class table gives the
+    two port classes.  The stateful ``dst_ip_counter`` column is left at
+    zero: it depends on per-device first-contact order, so each caller
+    fills it through :meth:`PacketFeatureExtractor.counter_for` while
+    walking a device's packets.
+
+    Example:
+        >>> from repro.net.batch import PacketBatch
+        >>> from repro.net.pcap import CapturedPacket
+        >>> arp_request = bytes.fromhex(
+        ...     "ffffffffffff" "020000000001" "0806"  # Ethernet: broadcast, ARP
+        ...     "0001" "0800" "06" "04" "0001"  # Ethernet/IPv4 request
+        ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
+        ... )
+        >>> batch = PacketBatch.from_items([CapturedPacket(0.0, arp_request)])
+        >>> row = batch_feature_matrix(batch)[0]
+        >>> names = ("arp", "ip", "src_port_class", "dst_port_class")
+        >>> [int(row[FEATURE_INDEX[name]]) for name in names]
+        [1, 0, 0, 0]
     """
     n = len(batch)
     matrix = np.empty((n, FEATURE_COUNT), dtype=np.int64)

@@ -26,19 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 #: contained by network-level measures alone).
 NOTIFICATION_SEVERITY_THRESHOLD = 9.0
 
-#: Per-traversal packet processing cost of the gateway datapath on the
-#: Raspberry Pi 2 reference platform, in milliseconds.  The forwarding base
-#: cost is paid regardless of filtering; the lookup cost is paid only when
-#: the enforcement (filtering) mechanism is enabled and corresponds to the
-#: hash-table rule-cache lookup plus the flow-rule match.  Values are
-#: calibrated so that the relative overheads land in the range of Table VI.
-BASE_FORWARDING_COST_MS = 0.90
-FILTERING_LOOKUP_COST_MS = 0.38
-#: Marginal lookup cost per thousand cached rules: the cache is a hash
-#: table, so growth is intentionally tiny (the paper's design goal).
-FILTERING_COST_PER_1000_RULES_MS = 0.004
-
-
 @dataclass(frozen=True)
 class AuthorizationDecision:
     """The gateway's verdict on one packet."""
@@ -338,18 +325,6 @@ class SecurityGateway:
     def on_packet_in(self, packet: Packet, switch: OpenVSwitch) -> Optional[FlowAction]:
         decision = self.authorize(packet)
         return FlowAction.FORWARD if decision.allowed else FlowAction.DROP
-
-    # ------------------------------------------------------------------ #
-    # Performance hooks used by the evaluation harness.
-    # ------------------------------------------------------------------ #
-    def processing_delay_ms(self) -> float:
-        """Per-traversal gateway processing cost fed into the latency model."""
-        if not self.filtering_enabled:
-            return BASE_FORWARDING_COST_MS
-        lookup_cost = FILTERING_LOOKUP_COST_MS + FILTERING_COST_PER_1000_RULES_MS * (
-            len(self.rule_cache) / 1000.0
-        )
-        return BASE_FORWARDING_COST_MS + lookup_cost
 
     # ------------------------------------------------------------------ #
     # Introspection.

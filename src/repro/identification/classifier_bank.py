@@ -104,6 +104,7 @@ class ClassifierBank:
     _classifiers: dict[str, DeviceTypeClassifier] = field(default_factory=dict)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
     _stack: ForestStack = field(init=False, repr=False, compare=False)
+    _stack_types: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.random_state)
@@ -111,8 +112,9 @@ class ClassifierBank:
 
     def _fuse(self) -> None:
         """Rebuild the fused forest stack over every classifier, sorted by type."""
+        self._stack_types = tuple(sorted(self._classifiers))
         self._stack = ForestStack(
-            forests=tuple(self._classifiers[name].compiled for name in self.device_types),
+            forests=tuple(self._classifiers[name].compiled for name in self._stack_types),
             classes_=np.array([NEGATIVE_LABEL, POSITIVE_LABEL]),
         )
 
@@ -215,7 +217,7 @@ class ClassifierBank:
     # ------------------------------------------------------------------ #
     @property
     def device_types(self) -> list[str]:
-        return sorted(self._classifiers)
+        return list(self._stack_types)
 
     def __len__(self) -> int:
         return len(self._classifiers)
@@ -249,7 +251,7 @@ class ClassifierBank:
         # label doubles as its column index.
         probabilities = self._stack.predict_proba(fixed_matrix)
         return BankScores(
-            device_types=tuple(self.device_types),
+            device_types=self._stack_types,
             positive=np.ascontiguousarray(probabilities[:, :, POSITIVE_LABEL]),
             accepted=np.argmax(probabilities, axis=2) == POSITIVE_LABEL,
         )
@@ -267,7 +269,7 @@ class ClassifierBank:
         """
         if not fingerprints:
             return BankScores(
-                device_types=tuple(self.device_types),
+                device_types=self._stack_types,
                 positive=np.zeros((0, len(self._classifiers))),
                 accepted=np.zeros((0, len(self._classifiers)), dtype=bool),
             )

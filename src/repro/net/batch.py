@@ -19,8 +19,12 @@ takes items one at a time as they arrive:
   bytes) falls back to the full dissector for that one frame, so the
   columns are *always* equal to what dissecting every frame would have
   produced (the differential suite asserts this);
-* an already-dissected :class:`Packet` (simulator traces, generic
-  sources) is read with one tight attribute pass.
+* an already-dissected :class:`Packet` (simulator traces, training
+  captures, generic sources) is read with one tight attribute pass.
+
+These two parsers are where Table I is defined: they produce the columns,
+and :func:`~repro.features.packet_features.batch_feature_matrix` turns
+them into feature rows for training and serving alike.
 """
 
 from __future__ import annotations
@@ -66,10 +70,13 @@ _BOOTP_PORTS = (67, 68)
 def _packet_fields(packet: Packet) -> tuple[int, int, int, int, Optional[str]]:
     """(flags, src_port, dst_port, size, dst_ip) of one dissected packet.
 
-    This is the single definition both item shapes share: the attribute
-    reads mirror :class:`~repro.features.packet_features.PacketFeatureExtractor`
-    field for field, so a batch built from objects and a batch built from
-    the frames those objects serialise to carry identical columns.
+    The object-path definition of the Table-I columns: every packet that
+    is not parsed straight from frame bytes (simulator packets, training
+    captures, frames the fast parser defers) gets its columns here, and
+    :func:`~repro.features.packet_features.batch_feature_matrix` turns
+    them into rows.  The frame parser must agree with it, so a batch built
+    from objects and a batch built from the frames those objects serialise
+    to carry identical columns.
     """
     tcp = packet.tcp
     udp = packet.udp

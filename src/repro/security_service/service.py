@@ -92,7 +92,7 @@ class IoTSecurityService:
         A label the identifier does not know (``"unknown"`` included) gets
         strict isolation; a known one is graded by its vulnerabilities.
         """
-        known = device_type in self.identifier.known_device_types
+        known = device_type in self.identifier.bank
         vulnerabilities = tuple(self.vulnerability_db.query(device_type)) if known else ()
         level = isolation_level_for(known, vulnerabilities)
         if not known:

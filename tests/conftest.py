@@ -19,12 +19,20 @@ from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.exceptions import FingerprintError
+from repro.features.packet_features import FEATURE_COUNT, FEATURE_INDEX, port_class
 from repro.features.session import gap_exceeds_setup_threshold
 from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.compiled import LEAF
 from repro.ml.tree import _best_split
 from repro.net.addresses import MACAddress
+from repro.net.layers import dhcp as dhcp_mod
+from repro.net.layers import dns as dns_mod
+from repro.net.layers import http as http_mod
+from repro.net.layers import ntp as ntp_mod
+from repro.net.layers import ssdp as ssdp_mod
+from repro.net.layers import tls as tls_mod
+from repro.net.layers.dhcp import DHCPMessage
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP, PROTO_UDP
 from repro.net.layers.tcp import TCPSegment
@@ -84,6 +92,82 @@ def simulator(lab_environment):
 def aria_trace(simulator):
     """One simulated setup run of the Fitbit Aria profile."""
     return simulator.simulate(DEVICE_CATALOG["Aria"])
+
+
+# --------------------------------------------------------------------------- #
+# Table-I oracle: the per-field extractor the batch kernel replaced.  Each
+# feature is read off the dissected Packet attribute by attribute, with
+# its own destination counter; nothing here calls batch_feature_matrix.
+# --------------------------------------------------------------------------- #
+_HTTP_PORTS = frozenset({http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT})
+_HTTPS_PORTS = frozenset({tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT})
+_BOOTP_PORTS = frozenset({dhcp_mod.SERVER_PORT, dhcp_mod.CLIENT_PORT})
+
+
+class ScalarFeatureExtractor:
+    """Per-packet Table-I rows, one Packet attribute per feature."""
+
+    def __init__(self) -> None:
+        self.counters: dict[str, int] = {}
+
+    def reset(self) -> None:
+        self.counters.clear()
+
+    def counter(self, dst_ip) -> int:
+        if dst_ip is None:
+            return 0
+        return self.counters.setdefault(dst_ip, len(self.counters) + 1)
+
+    def extract(self, packet: Packet) -> np.ndarray:
+        vector = np.zeros(FEATURE_COUNT, dtype=np.int64)
+
+        vector[FEATURE_INDEX["arp"]] = int(packet.arp is not None)
+        vector[FEATURE_INDEX["llc"]] = int(packet.llc is not None)
+        vector[FEATURE_INDEX["ip"]] = int(packet.has_ip)
+        vector[FEATURE_INDEX["icmp"]] = int(packet.icmp is not None)
+        vector[FEATURE_INDEX["icmpv6"]] = int(packet.icmpv6 is not None)
+        vector[FEATURE_INDEX["eapol"]] = int(packet.eapol is not None)
+        vector[FEATURE_INDEX["tcp"]] = int(packet.tcp is not None)
+        vector[FEATURE_INDEX["udp"]] = int(packet.udp is not None)
+
+        ports = {packet.src_port, packet.dst_port} - {None}
+        is_tcp = packet.tcp is not None
+        is_udp = packet.udp is not None
+        vector[FEATURE_INDEX["http"]] = int(is_tcp and bool(ports & _HTTP_PORTS))
+        vector[FEATURE_INDEX["https"]] = int(is_tcp and bool(ports & _HTTPS_PORTS))
+
+        is_bootp = is_udp and bool(ports & _BOOTP_PORTS)
+        is_dhcp = is_bootp and (
+            not isinstance(packet.application, DHCPMessage) or packet.application.is_dhcp
+        )
+        vector[FEATURE_INDEX["dhcp"]] = int(is_dhcp)
+        vector[FEATURE_INDEX["bootp"]] = int(is_bootp)
+
+        vector[FEATURE_INDEX["ssdp"]] = int(is_udp and ssdp_mod.PORT_SSDP in ports)
+        vector[FEATURE_INDEX["dns"]] = int(dns_mod.PORT_DNS in ports and (is_udp or is_tcp))
+        vector[FEATURE_INDEX["mdns"]] = int(is_udp and dns_mod.PORT_MDNS in ports)
+        vector[FEATURE_INDEX["ntp"]] = int(is_udp and ntp_mod.PORT_NTP in ports)
+
+        has_padding = bool(packet.ipv4 is not None and packet.ipv4.has_padding_option) or bool(
+            packet.ipv6 is not None and packet.ipv6.has_padding_option
+        )
+        has_router_alert = bool(
+            packet.ipv4 is not None and packet.ipv4.has_router_alert_option
+        ) or bool(packet.ipv6 is not None and packet.ipv6.has_router_alert_option)
+        vector[FEATURE_INDEX["ip_option_padding"]] = int(has_padding)
+        vector[FEATURE_INDEX["ip_option_router_alert"]] = int(has_router_alert)
+
+        vector[FEATURE_INDEX["packet_size"]] = packet.size
+        vector[FEATURE_INDEX["raw_data"]] = int(packet.has_raw_data)
+        vector[FEATURE_INDEX["dst_ip_counter"]] = self.counter(packet.dst_ip)
+        vector[FEATURE_INDEX["src_port_class"]] = port_class(packet.src_port)
+        vector[FEATURE_INDEX["dst_port_class"]] = port_class(packet.dst_port)
+        return vector
+
+    def extract_all(self, packets: Sequence[Packet]) -> np.ndarray:
+        """``(len(packets), 23)`` rows in packet order."""
+        rows = [self.extract(packet) for packet in packets]
+        return np.stack(rows) if rows else np.zeros((0, FEATURE_COUNT), dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -348,16 +432,19 @@ def walk_forest_predict(forest, X):
 
 # --------------------------------------------------------------------- #
 # Per-packet oracle of the streaming datapath: the walk the columnar
-# pipeline replaced.  Each packet is dissected, extracted row by row and
-# folded into its device's capture; the pipeline stages then run once per
-# packet.  Verdicts, clock stamps and ledger bytes of the columnar drive
-# are compared against this walk.
+# pipeline replaced.  Each packet is dissected, extracted row by row by
+# the scalar Table-I oracle and folded into its device's capture; the
+# pipeline stages then run once per packet.  Verdicts, clock stamps and
+# ledger bytes of the columnar drive are compared against this walk.
 # --------------------------------------------------------------------- #
+@dataclasses.dataclass
 class OracleDevice(_DeviceAssembler):
     """One device's capture, folded one extracted row at a time."""
 
+    oracle: ScalarFeatureExtractor = dataclasses.field(default_factory=ScalarFeatureExtractor)
+
     def observe(self, packet: Packet) -> None:
-        row = self.extractor.extract(packet)
+        row = self.oracle.extract(packet)
         # Consecutive-duplicate suppression of Eq. (1), done incrementally.
         if self.last_row is None or not np.array_equal(row, self.last_row):
             self.rows.append(row)

@@ -32,11 +32,7 @@ from repro.distance.damerau_levenshtein import (
     normalized_pair_distances,
 )
 from repro.exceptions import FingerprintError, PacketDecodeError
-from repro.features.packet_features import (
-    FEATURE_INDEX,
-    PacketFeatureExtractor,
-    batch_feature_matrix,
-)
+from repro.features.packet_features import FEATURE_INDEX, batch_feature_matrix
 from repro.net.addresses import MACAddress
 from repro.net.batch import (
     _F_APP_NOT_DHCP,
@@ -76,6 +72,7 @@ from repro.streaming import pipeline as pipeline_module
 from repro.streaming.pipeline import HANDOVER_FRAMES
 from tests.conftest import (
     PerPacketAssembler,
+    ScalarFeatureExtractor,
     assert_scores_match_scalar_oracle,
     damerau_levenshtein,
     make_device_mac,
@@ -319,8 +316,8 @@ def _batches(items, size):
 
 
 def _expected_columns(packets):
-    """Per-packet oracle: one fresh extractor per packet, counter zeroed."""
-    extractor = PacketFeatureExtractor()
+    """Per-packet oracle: one fresh scalar extractor per packet, counter zeroed."""
+    extractor = ScalarFeatureExtractor()
     rows = []
     for packet in packets:
         extractor.reset()

@@ -1,5 +1,7 @@
 """Tests for dataset construction (synthetic and pcap ingestion) and storage."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from repro.exceptions import DatasetError
 from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import FEATURE_COUNT
 from repro.net.pcap import write_pcap
+
+#: sha256 of ``generate_fingerprint_dataset(runs_per_type=2, seed=0)``
+#: (labels, shapes, int64 rows), see ``test_training_data_bytes_are_pinned``.
+TRAINING_DATA_SHA256 = "d0c7d468971ad5c113fce01d941707c7a3fc0b37b10257c0d7c9bfd0cdd737b2"
 
 
 class TestSyntheticBuilder:
@@ -37,6 +43,17 @@ class TestSyntheticBuilder:
         first = generate_fingerprint_dataset(runs_per_type=2, device_names=["Aria"], seed=11)
         second = generate_fingerprint_dataset(runs_per_type=2, device_names=["Aria"], seed=11)
         assert np.array_equal(first.fingerprints[0].vectors, second.fingerprints[0].vectors)
+
+    def test_training_data_bytes_are_pinned(self):
+        """The synthetic training set, byte for byte: every fingerprint's
+        label, shape and int64 rows.  A change to how Table-I rows are
+        computed that moves one byte of training data moves this digest."""
+        digest = hashlib.sha256()
+        for fingerprint in generate_fingerprint_dataset(runs_per_type=2, seed=0).fingerprints:
+            digest.update(fingerprint.device_type.encode())
+            digest.update(str(fingerprint.vectors.shape).encode())
+            digest.update(fingerprint.vectors.astype(np.int64).tobytes())
+        assert digest.hexdigest() == TRAINING_DATA_SHA256
 
     def test_metadata_recorded(self):
         dataset = generate_fingerprint_dataset(runs_per_type=2, device_names=["Aria"], seed=3)

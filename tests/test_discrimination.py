@@ -19,7 +19,7 @@ def fingerprint_from_sizes(sizes, device_type=None):
         row = [0] * FEATURE_COUNT
         row[18] = size
         rows.append(row)
-    return Fingerprint.from_feature_rows(rows, device_type=device_type, deduplicate=False)
+    return Fingerprint(vectors=rows, device_type=device_type)
 
 
 class TestScoreType:

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.devices.catalog import DEVICE_CATALOG
 from repro.exceptions import FingerprintError
 from repro.features.fingerprint import (
     FIXED_PACKET_COUNT,
@@ -14,6 +15,8 @@ from repro.features.fingerprint import (
     fingerprint_key,
 )
 from repro.features.packet_features import FEATURE_COUNT
+
+from tests.conftest import ScalarFeatureExtractor
 
 
 def row(value: int) -> list[int]:
@@ -29,8 +32,8 @@ class TestConstruction:
         assert fingerprint.packet_count == 3
         assert [int(vector[18]) for vector in fingerprint.vectors] == [1, 2, 1]
 
-    def test_deduplication_can_be_disabled(self):
-        fingerprint = Fingerprint.from_feature_rows([row(1), row(1)], deduplicate=False)
+    def test_direct_construction_keeps_duplicate_rows(self):
+        fingerprint = Fingerprint(vectors=[row(1), row(1)])
         assert fingerprint.packet_count == 2
 
     def test_empty_fingerprint(self):
@@ -52,6 +55,15 @@ class TestConstruction:
         assert fingerprint.device_type == "Aria"
         assert fingerprint.packet_count > 4
         assert fingerprint.packet_count <= len(aria_trace.packets)
+
+    @pytest.mark.parametrize("name", ["Aria", "HueBridge", "WeMoSwitch", "EdnetCam"])
+    def test_from_packets_matches_scalar_oracle(self, simulator, name):
+        """Training rows (batch kernel + counter pass) equal the per-field
+        oracle's, destination counter and duplicate rule included."""
+        packets = simulator.simulate(DEVICE_CATALOG[name]).packets
+        expected = Fingerprint.from_feature_rows(ScalarFeatureExtractor().extract_all(packets))
+        assert expected.packet_count > 4
+        np.testing.assert_array_equal(Fingerprint.from_packets(packets).vectors, expected.vectors)
 
 
 class TestFixedVector:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import (
     FEATURE_COUNT,
     FEATURE_INDEX,
@@ -211,20 +212,18 @@ class TestStatefulFeatures:
         assert feature(vector, "src_port_class") == 3
         assert feature(vector, "dst_port_class") == 1
 
-    def test_extract_all_shape_and_order(self):
-        extractor = PacketFeatureExtractor()
+    def test_from_packets_counts_destinations_in_order(self):
         packets = [
             make_udp_packet(SRC, DST, "10.0.0.1", "1.1.1.1"),
             make_udp_packet(SRC, DST, "10.0.0.1", "2.2.2.2"),
         ]
-        matrix = extractor.extract_all(packets)
+        matrix = Fingerprint.from_packets(packets).vectors
         assert matrix.shape == (2, FEATURE_COUNT)
         assert matrix[0, FEATURE_INDEX["dst_ip_counter"]] == 1
         assert matrix[1, FEATURE_INDEX["dst_ip_counter"]] == 2
 
-    def test_extract_all_empty(self):
-        matrix = PacketFeatureExtractor().extract_all([])
-        assert matrix.shape == (0, FEATURE_COUNT)
+    def test_from_packets_empty(self):
+        assert Fingerprint.from_packets([]).vectors.shape == (0, FEATURE_COUNT)
 
     def test_no_payload_inspection_needed(self):
         """Features must be computable from an encrypted-looking packet."""

@@ -179,11 +179,6 @@ class TestDatapath:
         )
         assert blocked.dropped
 
-    def test_processing_delay_larger_with_filtering(self):
-        filtering = SecurityGateway(filtering_enabled=True)
-        plain = SecurityGateway(filtering_enabled=False)
-        assert filtering.processing_delay_ms() > plain.processing_delay_ms()
-
     def test_device_record_lookup(self, gateway, service):
         record, _ = _onboard(gateway, service, "Aria", seed=832)
         assert gateway.device_record(record.mac) is record

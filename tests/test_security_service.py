@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.api import GatewayConfig, build_gateway
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
 from repro.features.fingerprint import Fingerprint
+from repro.identification.classifier_bank import ClassifierBank
 from repro.security_service.isolation import IsolationLevel, isolation_level_for
 from repro.security_service.service import IoTSecurityService, vendor_cloud_destinations
 from repro.security_service.vulnerability import (
@@ -12,6 +14,7 @@ from repro.security_service.vulnerability import (
     VulnerabilityRecord,
     build_default_database,
 )
+from repro.streaming import SimulatedSource
 
 
 class TestIsolationPolicy:
@@ -110,3 +113,49 @@ class TestIoTSecurityService:
         assert known.isolation_level is IsolationLevel.RESTRICTED
         assert unknown.isolation_level is IsolationLevel.STRICT
         assert unknown.device_type == "unknown"
+
+
+class TestAssessmentMembership:
+    """Assessing a verdict asks the bank for membership, not for a type list."""
+
+    def test_verdict_stream_never_lists_bank_types(self, trained_identifier, monkeypatch):
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        listed = []
+        sorted_types = ClassifierBank.device_types.fget
+
+        def counting(bank):
+            listed.append(1)
+            return sorted_types(bank)
+
+        monkeypatch.setattr(ClassifierBank, "device_types", property(counting))
+        names = ["Aria", "EdnetCam", "HomeMaticPlug", "WeMoSwitch"]
+        handle.run_until_idle(SimulatedSource(device_names=names, devices=8, seed=5))
+        assert handle.snapshot()["dispatcher.identified"] == 8
+        assert listed == []
+
+    def test_known_unknown_and_provisional_assessments(self, trained_identifier):
+        service = IoTSecurityService(identifier=trained_identifier, provisional_types={"Aria"})
+        vulnerable = service.assess_device_type("EdnetCam")
+        assert vulnerable.isolation_level is IsolationLevel.RESTRICTED
+        assert vulnerable.vulnerabilities
+        assert vulnerable.allowed_destinations == vendor_cloud_destinations(
+            "EdnetCam", service.environment
+        )
+        clean = service.assess_device_type("HueBridge")
+        assert (clean.device_type, clean.isolation_level) == ("HueBridge", IsolationLevel.TRUSTED)
+        assert clean.allowed_destinations == ()
+        # Clean but auto-learned: capped at restricted, cloud-only.
+        provisional = service.assess_device_type("Aria")
+        assert provisional.device_type == "Aria"
+        assert provisional.isolation_level is IsolationLevel.RESTRICTED
+        assert provisional.vulnerabilities == ()
+        assert provisional.allowed_destinations == vendor_cloud_destinations(
+            "Aria", service.environment
+        )
+        # Catalog types outside the bank and labels of no type are unknown.
+        for label in ("HomeMaticPlug", "unknown", "SomethingElse"):
+            assessment = service.assess_device_type(label)
+            assert assessment.device_type == "unknown"
+            assert assessment.isolation_level is IsolationLevel.STRICT
+            assert assessment.vulnerabilities == ()
+            assert assessment.allowed_destinations == ()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulation.clock import SimulatedClock
-from repro.simulation.latency import LatencyModel, PathType
+from repro.simulation.latency import LatencyModel, PathType, processing_delay_ms
 from repro.simulation.resources import GatewayResourceModel
 from repro.simulation.workload import ConcurrentFlowWorkload
 
@@ -38,6 +38,12 @@ class TestLatencyModel:
         assert 20 < device_pair < 32
         assert 13 < local_server < 22
         assert 15 < remote_server < 26
+
+    def test_processing_delay_larger_with_filtering(self):
+        assert processing_delay_ms(True, 0) > processing_delay_ms(False, 0)
+        # Without filtering there is no lookup, whatever the rule count.
+        assert processing_delay_ms(False, 5000) == processing_delay_ms(False, 0)
+        assert processing_delay_ms(True, 5000) > processing_delay_ms(True, 0)
 
     def test_gateway_processing_charged_twice(self):
         model_a = LatencyModel(seed=2)

@@ -6,8 +6,10 @@ from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.profiles import DeviceProfile, SetupStep, StepKind
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.exceptions import SimulationError
-from repro.features.packet_features import PacketFeatureExtractor, FEATURE_INDEX
+from repro.features.packet_features import FEATURE_INDEX
 from repro.net.packet import Packet
+
+from tests.conftest import ScalarFeatureExtractor
 
 
 class TestLabEnvironment:
@@ -98,8 +100,7 @@ class TestSimulation:
 class TestProtocolContent:
     def _features_of(self, simulator, name):
         trace = simulator.simulate(DEVICE_CATALOG[name])
-        extractor = PacketFeatureExtractor()
-        return extractor.extract_all(trace.packets)
+        return ScalarFeatureExtractor().extract_all(trace.packets)
 
     def test_wifi_device_emits_eapol_and_dhcp(self, simulator):
         matrix = self._features_of(simulator, "WeMoSwitch")
