@@ -4,13 +4,14 @@ The offline path buffers a device's whole setup capture, cuts it with
 :class:`~repro.features.session.SetupPhaseDetector` and only then extracts
 features (:meth:`~repro.features.fingerprint.Fingerprint.from_packets`).  The
 streaming assembler instead folds packet batches into the devices'
-fingerprint matrices as they arrive: the batch's Table-I rows come from one
-vectorised pass, each device's packets are walked once for the stateful
-destination counter, consecutive-duplicate suppression and the emission
-decision.  Devices are partitioned into ``hash(mac) % shards`` buckets, keyed
-by the MAC's integer value as it sits in the batch column, so
-that idle-eviction sweeps touch one bucket at a time and the assembler can
-later be split across workers without re-keying.
+fingerprints as they arrive: one vectorised pass gives the batch's Table-I
+rows, each packed into one integer key (:func:`pack_rows`), and one walk
+over the frames in stream order applies the stateful destination counter,
+consecutive-duplicate suppression and the emission decision.  Captures sit
+in one index keyed by the MAC's integer value as it sits in the batch
+column; each records its shard, ``hash(mac) % shards``, when it opens, so
+that the pipeline's idle-eviction sweeps visit one shard at a time, round
+robin.
 
 A fingerprint is emitted when
 
@@ -28,7 +29,6 @@ A fingerprint is emitted when
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, Optional
@@ -40,6 +40,7 @@ from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import (
     FEATURE_COUNT,
     FEATURE_INDEX,
+    FEATURE_NAMES,
     PacketFeatureExtractor,
     batch_feature_matrix,
 )
@@ -49,11 +50,65 @@ from repro.net.batch import PacketBatch
 from repro.net.packet import Packet
 
 _DST_IP_COUNTER = FEATURE_INDEX["dst_ip_counter"]
-_STARTED = attrgetter("started")
+#: Sweeps and flushes emit shard by shard, in capture-start order.
+_SHARD_STARTED = attrgetter("shard", "started")
 
 EMIT_BUDGET = "budget"
 EMIT_IDLE = "idle"
 EMIT_FLUSH = "flush"
+
+
+def _key_layout() -> tuple[np.ndarray, np.ndarray]:
+    """Bit offset and mask of each Table-I column in a packed row key.
+
+    Each binary column takes one bit and each port class two, in column
+    order; ``packet_size`` takes the 32 bits above them (pcap frame
+    lengths are below 2**32).  The stateful ``dst_ip_counter`` column is
+    not packed: its mask is 0.
+    """
+    shifts = np.zeros(FEATURE_COUNT, dtype=np.int64)
+    masks = np.zeros(FEATURE_COUNT, dtype=np.int64)
+    offset = 0
+    for index, name in enumerate(FEATURE_NAMES):
+        if name in ("packet_size", "dst_ip_counter"):
+            continue
+        width = 2 if name.endswith("_port_class") else 1
+        shifts[index], masks[index] = offset, (1 << width) - 1
+        offset += width
+    size = FEATURE_INDEX["packet_size"]
+    shifts[size], masks[size] = offset, (1 << 32) - 1
+    return shifts, masks
+
+
+_KEY_SHIFTS, _KEY_MASKS = _key_layout()
+_KEY_WEIGHTS = np.where(_KEY_MASKS != 0, np.left_shift(1, _KEY_SHIFTS), 0)
+
+
+def pack_rows(matrix: np.ndarray) -> np.ndarray:
+    """One integer key per Table-I row, packing its 22 stateless columns.
+
+    Lossless for every row :func:`~repro.features.packet_features.batch_feature_matrix`
+    produces, so two rows with equal counters are equal exactly when
+    their keys are; :func:`unpack_rows` restores them:
+
+    >>> rows = np.zeros((2, FEATURE_COUNT), dtype=np.int64)
+    >>> rows[0, :20] = 1
+    >>> rows[0, 18] = 2**32 - 1  # packet_size: the pcap orig_len ceiling
+    >>> rows[0, 21:] = 3  # both port classes dynamic
+    >>> rows[1, 20] = 5  # dst_ip_counter, carried beside the key
+    >>> restored = unpack_rows(pack_rows(rows), rows[:, 20])
+    >>> bool((restored == rows).all()), restored.dtype.name
+    (True, 'int64')
+    """
+    return matrix @ _KEY_WEIGHTS
+
+
+def unpack_rows(keys, counters) -> np.ndarray:
+    """The ``(len(keys), 23)`` Table-I rows of packed ``keys``, with
+    ``counters`` written into the ``dst_ip_counter`` column."""
+    matrix = (np.asarray(keys, dtype=np.int64)[:, None] >> _KEY_SHIFTS) & _KEY_MASKS
+    matrix[:, _DST_IP_COUNTER] = counters
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -84,75 +139,57 @@ class AssemblerStats:
 
 @dataclass
 class _PreparedBatch:
-    """Per-batch vectorised state shared by consecutive observation windows.
+    """One batch's columns as Python lists, ready for the stream-order fold.
 
-    Built once by :meth:`ShardedFingerprintAssembler.prepare_batch`; the
-    ``cursors`` list records, per device group, how far observation has
-    advanced, so eviction sweeps can interleave between windows without
-    any per-window recomputation.  ``devices`` carries each group's
-    capture across the pause: when it survived the sweep, the next window
-    resumes the precomputed consecutive-duplicate comparison instead of
-    re-comparing against the capture's last kept row.  ``group_of`` maps
-    each packet to its device group and ``position`` is where the next
-    window starts; ``base`` is the stream ordinal of the batch's first
-    packet.
+    Built once by :meth:`ShardedFingerprintAssembler.prepare_batch`:
+    ``keys`` are the packed Table-I rows (:func:`pack_rows`), ``base`` is
+    the stream ordinal of the batch's first frame and ``position`` is
+    where the next :meth:`~ShardedFingerprintAssembler.observe_prepared`
+    window starts.
     """
 
     timestamps: list
+    macs: list
+    keys: list
     dst_ips: list
-    matrix: np.ndarray
-    groups: list
-    duplicate_by_group: list
-    gap_big_by_group: list
-    cursors: list
-    devices: list
-    group_of: list
     base: int
     position: int = 0
 
 
-@dataclass
-class _DeviceAssembler:
-    """Incremental fingerprint state of one device.
+@dataclass(slots=True)
+class _Capture:
+    """Incremental fingerprint state of one device capture.
 
-    ``rows`` holds kept feature data in arrival order as ``(k, 23)``
-    chunks (one per observation window); ``row_count`` tracks the total
-    row count and ``last_row`` the last *kept* row, which is all the
-    consecutive-duplicate rule of Eq. (1) ever compares against.
-    ``started`` is the stream ordinal of the packet that opened the
-    capture: sweeps and flushes emit in that order.
+    ``keys`` and ``counters`` hold the kept rows in arrival order: the
+    packed stateless columns and the destination counter of each.  Only
+    the last kept pair is ever compared (Eq. (1)).  ``shard`` is fixed
+    when the capture opens; ``started`` is the stream ordinal of the
+    frame that opened it.
     """
 
     mac: MACAddress
-    started: int = 0
+    shard: int
+    started: int
+    last_seen: float
     extractor: PacketFeatureExtractor = field(default_factory=PacketFeatureExtractor)
-    rows: list[np.ndarray] = field(default_factory=list)
+    keys: list[int] = field(default_factory=list)
+    counters: list[int] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
     raw_packets: int = 0
-    last_seen: float = 0.0
-    row_count: int = 0
-    last_row: Optional[np.ndarray] = None
-
-    def absorb_chunk(self, chunk: np.ndarray) -> None:
-        """Append a ``(k, 23)`` block of already-deduplicated kept rows."""
-        self.rows.append(chunk)
-        self.row_count += len(chunk)
-        self.last_row = chunk[-1]
 
     def to_fingerprint(self) -> Fingerprint:
         # Rows are already consecutive-deduplicated on the fly.
-        if not self.rows:
-            matrix = np.zeros((0, FEATURE_COUNT), dtype=np.int64)
-        else:
-            matrix = np.vstack(self.rows)
-        return Fingerprint(vectors=matrix, device_mac=str(self.mac))
+        return Fingerprint(
+            vectors=unpack_rows(self.keys, self.counters), device_mac=str(self.mac)
+        )
 
 
 class ShardedFingerprintAssembler:
     """Per-device incremental fingerprint assembly over N shards.
 
     Attributes:
-        shards: number of hash buckets devices are partitioned into.
+        shards: number of idle-eviction shards; each capture records
+            ``hash(mac) % shards`` when it opens.
         packet_budget: raw packets per device after which the fingerprint
             is emitted (250 by default).
         min_packets: the cut guard of the end-of-setup rule -- a capture is
@@ -202,8 +239,9 @@ class ShardedFingerprintAssembler:
         )
         self.idle_factor = SetupPhaseDetector.idle_factor if idle_factor is None else idle_factor
         self.stats = AssemblerStats()
-        # Keyed by the MAC's integer value, the form the batch columns carry.
-        self._buckets: list[dict[int, _DeviceAssembler]] = [{} for _ in range(shards)]
+        # Every open capture, keyed by the MAC's integer value, the form
+        # the batch columns carry.
+        self._captures: dict[int, _Capture] = {}
         # Stream ordinal of the next packet to be prepared.
         self._ordinal = 0
         # Frames announced by frame_may_complete and not yet folded:
@@ -214,7 +252,7 @@ class ShardedFingerprintAssembler:
     # Routing.
     # ------------------------------------------------------------------ #
     def shard_of(self, mac: MACAddress) -> int:
-        """The bucket index a device is routed to (stable across calls)."""
+        """The shard a device's captures record (stable across calls)."""
         return self._shard(mac.value)
 
     def _shard(self, mac_value: int) -> int:
@@ -222,19 +260,28 @@ class ShardedFingerprintAssembler:
         # dataclass hashes the tuple of its fields.
         return hash((mac_value,)) % self.shards
 
-    def _bucket(self, mac_value: int) -> dict[int, _DeviceAssembler]:
-        return self._buckets[self._shard(mac_value)]
+    def _by_shard(self, shard: Optional[int] = None) -> list[_Capture]:
+        """Open captures of ``shard`` (every shard if None), shard by shard
+        in capture-start order."""
+        captures = self._captures.values()
+        if shard is not None:
+            shard %= self.shards
+            captures = [capture for capture in captures if capture.shard == shard]
+        return sorted(captures, key=_SHARD_STARTED)
 
     @property
     def active_devices(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets)
+        return len(self._captures)
 
     def shard_sizes(self) -> list[int]:
         """Devices currently assembling, per shard (for load inspection)."""
-        return [len(bucket) for bucket in self._buckets]
+        sizes = [0] * self.shards
+        for capture in self._captures.values():
+            sizes[capture.shard] += 1
+        return sizes
 
     def is_assembling(self, mac: MACAddress) -> bool:
-        return mac.value in self._bucket(mac.value)
+        return mac.value in self._captures
 
     # ------------------------------------------------------------------ #
     # Stream input.
@@ -261,7 +308,7 @@ class ShardedFingerprintAssembler:
         it, or when the gap since the device's previous packet exceeds
         ``min_idle_seconds``.  Announced frames are tracked until the next
         :meth:`prepare_batch` or :meth:`observe_prepared`, after which the
-        buckets are authoritative again.  Exact as long as nothing
+        capture index is authoritative again.  Exact as long as nothing
         completes between announced frames -- which holds when the caller
         folds the frames at the first True.
 
@@ -277,228 +324,112 @@ class ShardedFingerprintAssembler:
         """
         state = self._announced.get(mac_value)
         if state is None:
-            device = self._bucket(mac_value).get(mac_value)
-            if device is None:
+            capture = self._captures.get(mac_value)
+            if capture is None:
                 self._announced[mac_value] = (timestamp, 1)
                 return self.packet_budget <= 1
-            last_seen, raw = device.last_seen, device.raw_packets
+            last_seen, raw = capture.last_seen, capture.raw_packets
         else:
             last_seen, raw = state
         raw += 1
         self._announced[mac_value] = (timestamp, raw)
         return raw >= self.packet_budget or timestamp - last_seen > self.min_idle_seconds
 
-    def prepare_batch(self, batch: PacketBatch) -> "_PreparedBatch":
+    def prepare_batch(self, batch: PacketBatch) -> _PreparedBatch:
         """Run the vectorised per-batch work once, ahead of observation.
 
-        A caller interleaving observation with eviction sweeps (the
-        pipeline cuts batches into windows) prepares the batch once and
-        then feeds consecutive windows to :meth:`observe_prepared` -- the
-        feature matrix, the device grouping and the duplicate-detection
-        vectors are not recomputed per window.
+        One :func:`~repro.features.packet_features.batch_feature_matrix`
+        call, packed into one key per row (:func:`pack_rows`); the
+        timestamps, MACs and keys come back as Python lists, which the
+        per-frame fold indexes faster than arrays.  A caller interleaving
+        observation with eviction sweeps (the pipeline cuts a batch into
+        windows) prepares the batch once and then feeds consecutive
+        windows to :meth:`observe_prepared`.
         """
         self._announced.clear()
         base = self._ordinal
         self._ordinal += len(batch)
-        # The whole batch's Table-I columns in one vectorised pass; only
-        # the stateful dst-ip counter column is filled per device during
-        # observation.
-        matrix = batch_feature_matrix(batch)
-        # Python floats, not np.float64 scalars: list indexing is faster in
-        # the per-device walk and the gap/completed_at values come out
-        # type-identical to per-packet observation.
-        timestamps = batch.timestamps.tolist()
-        dst_ips = batch.dst_ips
-        min_idle = self.min_idle_seconds
-        # Every device's packets side by side (stable: stream order within
-        # a device); pair k compares sorted packets k and k + 1.
-        order = np.argsort(batch.src_macs, kind="stable")
-        sorted_macs = batch.src_macs[order]
-        same_device = sorted_macs[1:] == sorted_macs[:-1]
-        sorted_rows = matrix[order]
-        sorted_times = batch.timestamps[order]
-        # Consecutive-packet static equality: the counter column is still
-        # zero everywhere, so this compares the 22 stateless features; the
-        # destination-token comparison below supplies the counter column's
-        # verdict (equal counters iff equal tokens under one extractor).
-        equal = np.all(sorted_rows[1:] == sorted_rows[:-1], axis=1) & same_device
-        # Pairs whose gap can possibly trip the idle rule.
-        gap_big = (np.diff(sorted_times) > min_idle) & same_device
-        order_list = order.tolist()
-        duplicate_flags = [False] + equal.tolist()
-        for k in (np.flatnonzero(equal) + 1).tolist():
-            if dst_ips[order_list[k]] != dst_ips[order_list[k - 1]]:
-                duplicate_flags[k] = False
-        # A device's first packet always gets the full idle check: its
-        # predecessor (if any) lies in an earlier batch.
-        gap_flags = [True] + gap_big.tolist()
-        # One run of sorted positions per device, in first-appearance order.
-        bounds = (np.flatnonzero(~same_device) + 1).tolist()
-        runs = sorted(
-            zip([0] + bounds, bounds + [len(order_list)]) if order_list else (),
-            key=lambda run: order_list[run[0]],
-        )
-        prepared_groups = []
-        duplicate_by_group = []
-        gap_big_by_group = []
-        group_of = [0] * len(order_list)
-        for first, end in runs:
-            mac_value = int(sorted_macs[first])
-            indices_list = order_list[first:end]
-            group = len(prepared_groups)
-            for j in indices_list:
-                group_of[j] = group
-            gap_flags[first] = True
-            prepared_groups.append((mac_value, indices_list, self._bucket(mac_value)))
-            duplicate_by_group.append(duplicate_flags[first:end])
-            gap_big_by_group.append(gap_flags[first:end])
         return _PreparedBatch(
-            timestamps=timestamps,
-            dst_ips=dst_ips,
-            matrix=matrix,
-            groups=prepared_groups,
-            duplicate_by_group=duplicate_by_group,
-            gap_big_by_group=gap_big_by_group,
-            cursors=[0] * len(prepared_groups),
-            devices=[None] * len(prepared_groups),
-            group_of=group_of,
+            timestamps=batch.timestamps.tolist(),
+            macs=batch.src_macs.tolist(),
+            keys=pack_rows(batch_feature_matrix(batch)).tolist(),
+            dst_ips=batch.dst_ips,
             base=base,
         )
 
-    def observe_prepared(
-        self, prepared: "_PreparedBatch", stop: int
-    ) -> list[ReadyFingerprint]:
-        """Fold every not-yet-observed packet before index ``stop`` in.
+    def observe_prepared(self, prepared: _PreparedBatch, stop: int) -> list[ReadyFingerprint]:
+        """Fold the not-yet-observed frames before index ``stop`` in, in stream order.
 
-        Emission-equivalent to folding the packets one at a time:
-        completed fingerprints come back ordered by the in-batch index of
-        the packet that triggered them, with bitwise-identical matrices
-        (the differential suite asserts both against a per-packet
-        oracle).  Idle *eviction* remains the caller's job.
-
-        Windows are consumed consecutively (each group keeps a cursor), so
-        calling with increasing ``stop`` values walks the batch exactly
-        once.  The first packet a window contributes to a capture is
-        compared against the capture's last kept row directly -- the same
-        rule folding one packet at a time applies -- so pausing for an
-        eviction sweep between windows cannot change any dedup decision.
-        The window's frames leave the :meth:`frame_may_complete`
-        announcements: the buckets hold them from here on.
+        Folding the packets one at a time, exactly: completed fingerprints
+        come back in the order of the frames that completed them, with
+        bitwise-identical matrices (the differential suite asserts both
+        against a per-packet oracle).  Idle *eviction* remains the
+        caller's job.  A frame's row is kept unless its packed key and
+        destination counter both equal the capture's last kept row's: the
+        consecutive-duplicate rule of Eq. (1), so pausing for an eviction
+        sweep between windows cannot change any decision.  The window's
+        frames leave the :meth:`frame_may_complete` announcements: the
+        capture index holds them from here on.
         """
         self._announced.clear()
-        matrix = prepared.matrix
+        position = prepared.position
+        if stop <= position:
+            return []
+        prepared.position = stop
+        self.stats.packets_observed += stop - position
+        captures = self._captures
         timestamps = prepared.timestamps
+        macs = prepared.macs
+        keys = prepared.keys
         dst_ips = prepared.dst_ips
         base = prepared.base
-        cursors = prepared.cursors
         min_packets = self.min_packets
         min_idle = self.min_idle_seconds
         idle_factor = self.idle_factor
         budget = self.packet_budget
-        counter_column = _DST_IP_COUNTER
         exceeds = gap_exceeds_setup_threshold
-        emissions: list[tuple[int, ReadyFingerprint]] = []
-        groups = prepared.groups
-        window = prepared.group_of[prepared.position : stop]
-        prepared.position = max(prepared.position, stop)
-        # Only the devices with packets in the window, in order of their
-        # first packet there.
-        for group in dict.fromkeys(window):
-            mac_value, indices_list, bucket = groups[group]
-            cursor = cursors[group]
-            end = bisect_left(indices_list, stop, cursor)
-            cursors[group] = end
-            self.stats.packets_observed += end - cursor
-            duplicate_flags = prepared.duplicate_by_group[group]
-            gap_big = prepared.gap_big_by_group[group]
-            pending: list[int] = []
-            device = prepared.devices[group]
-            if cursor and device is not None and bucket.get(mac_value) is device:
-                # The capture survived the eviction sweep between windows:
-                # resume the consecutive-duplicate comparison exactly where
-                # the previous window paused it.
-                fresh_capture = False
-            else:
-                device = bucket.get(mac_value)
-                fresh_capture = True  # no usable in-batch predecessor
-            # The capture's counters live in locals during the walk and
-            # are written back when it pauses.
-            if device is not None:
-                raw, last_seen, gaps = device.raw_packets, device.last_seen, device.gaps
-            for position in range(cursor, end):
-                j = indices_list[position]
-                timestamp = timestamps[j]
-                if device is not None and (fresh_capture or gap_big[position]):
-                    # ``gap_big`` prunes the idle check: whenever the walk
-                    # has observed this group's previous packet into the
-                    # same capture, ``last_seen`` equals that packet's
-                    # timestamp, so the precomputed inter-packet gap
-                    # decides ``gap > min_idle`` exactly.
-                    gap = timestamp - last_seen
-                    if (
-                        gap > min_idle
-                        and raw >= min_packets
-                        and gaps
-                        and exceeds(gap, gaps, min_idle, idle_factor)
-                    ):
-                        if pending:
-                            device.absorb_chunk(matrix[pending])
-                            pending = []
-                        ready = self._finalize(device, EMIT_IDLE, timestamp)
-                        if ready is not None:
-                            emissions.append((j, ready))
-                        device = None
-                if device is None:
-                    device = _DeviceAssembler(
-                        mac=MACAddress(mac_value), started=base + j, last_seen=timestamp
-                    )
-                    bucket[mac_value] = device
-                    fresh_capture = True
-                    raw, last_seen, gaps = 0, timestamp, device.gaps
-                if fresh_capture:
-                    # First packet of this capture inside the batch: the
-                    # duplicate rule compares against the last kept row of
-                    # the capture's pre-batch tail (if any).
-                    token = dst_ips[j]
-                    if token is not None:
-                        matrix[j, counter_column] = device.extractor.counter_for(token)
-                    duplicate = device.last_row is not None and np.array_equal(
-                        matrix[j], device.last_row
-                    )
-                    fresh_capture = False
-                elif duplicate_flags[position]:
-                    # A duplicate's matrix row is never read and its token
-                    # equals the previous packet's, so the counter dict is
-                    # already settled -- skip both.
-                    duplicate = True
-                else:
-                    duplicate = False
-                    token = dst_ips[j]
-                    if token is not None:
-                        matrix[j, counter_column] = device.extractor.counter_for(token)
-                if not duplicate:
-                    pending.append(j)
-                if raw:
-                    gap = timestamp - last_seen
-                    gaps.append(gap if gap > 0.0 else 0.0)
-                raw += 1
-                last_seen = timestamp
-                if raw >= budget:
-                    if pending:
-                        device.absorb_chunk(matrix[pending])
-                        pending = []
-                    ready = self._finalize(device, EMIT_BUDGET, timestamp)
+        emissions: list[ReadyFingerprint] = []
+        for j in range(position, stop):
+            mac_value = macs[j]
+            timestamp = timestamps[j]
+            capture = captures.get(mac_value)
+            if capture is not None:
+                gap = timestamp - capture.last_seen
+                gaps = capture.gaps
+                if (
+                    gap > min_idle
+                    and capture.raw_packets >= min_packets
+                    and gaps
+                    and exceeds(gap, gaps, min_idle, idle_factor)
+                ):
+                    ready = self._finalize(capture, EMIT_IDLE, timestamp)
                     if ready is not None:
-                        emissions.append((j, ready))
-                    device = None
-            if device is not None:
-                device.raw_packets = raw
-                device.last_seen = last_seen
-                if pending:
-                    device.absorb_chunk(matrix[pending])
-            prepared.devices[group] = device
-        emissions.sort(key=lambda pair: pair[0])
-        return [ready for _, ready in emissions]
+                        emissions.append(ready)
+                    capture = None
+                else:
+                    # An open capture has folded at least one frame.
+                    gaps.append(gap if gap > 0.0 else 0.0)
+            if capture is None:
+                capture = _Capture(
+                    mac=MACAddress(mac_value),
+                    shard=self._shard(mac_value),
+                    started=base + j,
+                    last_seen=timestamp,
+                )
+                captures[mac_value] = capture
+            key = keys[j]
+            counter = capture.extractor.counter_for(dst_ips[j])
+            kept = capture.keys
+            if not kept or kept[-1] != key or capture.counters[-1] != counter:
+                kept.append(key)
+                capture.counters.append(counter)
+            capture.last_seen = timestamp
+            capture.raw_packets += 1
+            if capture.raw_packets >= budget:
+                ready = self._finalize(capture, EMIT_BUDGET, timestamp)
+                if ready is not None:
+                    emissions.append(ready)
+        return emissions
 
     # ------------------------------------------------------------------ #
     # Eviction and flushing.
@@ -506,20 +437,14 @@ class ShardedFingerprintAssembler:
     def evict_idle(self, now: float, shard: Optional[int] = None) -> list[ReadyFingerprint]:
         """Complete every capture that has been quiet for ``idle_timeout``.
 
-        With ``shard`` given only that bucket is swept, letting a caller
-        amortise eviction cost round-robin across shards.  Each bucket
-        emits in capture-start order.
+        With ``shard`` given only that shard's captures are swept, letting
+        a caller amortise eviction cost round-robin across shards.  Each
+        shard emits in capture-start order.
         """
-        buckets = self._buckets if shard is None else [self._buckets[shard % self.shards]]
         ready: list[ReadyFingerprint] = []
-        for bucket in buckets:
-            expired = [
-                device
-                for device in bucket.values()
-                if now - device.last_seen > self.idle_timeout
-            ]
-            for device in sorted(expired, key=_STARTED):
-                emitted = self._finalize(device, EMIT_IDLE, now)
+        for capture in self._by_shard(shard):
+            if now - capture.last_seen > self.idle_timeout:
+                emitted = self._finalize(capture, EMIT_IDLE, now)
                 if emitted is not None:
                     ready.append(emitted)
         return ready
@@ -542,41 +467,40 @@ class ShardedFingerprintAssembler:
         [False, True]
         """
         shard %= self.shards
-        bucket = self._buckets[shard]
+        captures = self._captures
         announced = self._announced
         timeout = self.idle_timeout
-        for mac_value, device in bucket.items():
-            state = announced.get(mac_value)
-            last_seen = device.last_seen if state is None else state[0]
-            if now - last_seen > timeout:
-                return True
+        for mac_value, capture in captures.items():
+            if capture.shard == shard:
+                state = announced.get(mac_value)
+                last_seen = capture.last_seen if state is None else state[0]
+                if now - last_seen > timeout:
+                    return True
         return any(
             now - timestamp > timeout
-            and mac_value not in bucket
+            and mac_value not in captures
             and self._shard(mac_value) == shard
             for mac_value, (timestamp, _) in announced.items()
         )
 
     def flush(self, now: float = 0.0) -> list[ReadyFingerprint]:
-        """Emit every in-progress capture (stream ended), bucket by bucket
+        """Emit every in-progress capture (stream ended), shard by shard
         in capture-start order."""
         ready: list[ReadyFingerprint] = []
-        for bucket in self._buckets:
-            for device in sorted(bucket.values(), key=_STARTED):
-                emitted = self._finalize(device, EMIT_FLUSH, now or device.last_seen)
-                if emitted is not None:
-                    ready.append(emitted)
+        for capture in self._by_shard():
+            emitted = self._finalize(capture, EMIT_FLUSH, now or capture.last_seen)
+            if emitted is not None:
+                ready.append(emitted)
         return ready
 
     def _finalize(
-        self, device: _DeviceAssembler, reason: str, completed_at: float
+        self, capture: _Capture, reason: str, completed_at: float
     ) -> Optional[ReadyFingerprint]:
-        value = device.mac.value
-        self._bucket(value).pop(value, None)
+        del self._captures[capture.mac.value]
         # Signal is measured after consecutive-duplicate suppression: 250
         # identical beacons collapse to one fingerprint row and classify no
         # better than a single packet would, whichever way the capture ended.
-        if device.row_count < self.min_rows:
+        if len(capture.keys) < self.min_rows:
             self.stats.min_signal_drops += 1
             return None
         self.stats.fingerprints_emitted += 1
@@ -587,13 +511,12 @@ class ShardedFingerprintAssembler:
         else:
             self.stats.flush_emissions += 1
         return ReadyFingerprint(
-            mac=device.mac,
-            fingerprint=device.to_fingerprint(),
+            mac=capture.mac,
+            fingerprint=capture.to_fingerprint(),
             reason=reason,
             completed_at=completed_at,
         )
 
     def __iter__(self) -> Iterator[MACAddress]:
-        for bucket in self._buckets:
-            for device in bucket.values():
-                yield device.mac
+        for capture in self._by_shard():
+            yield capture.mac

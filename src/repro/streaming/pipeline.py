@@ -19,10 +19,13 @@ fires at every frame where something can happen -- a capture may
 complete, the due sweep would evict a capture, or the dispatcher's linger
 deadline passes.  A due sweep that would evict nothing is replayed inside
 the rule (the deadline and the shard cursor move on) instead of ending a
-window.  :meth:`StreamingPipeline.results` hands its batch over at a
-frame where the rule fires, :meth:`StreamingPipeline.process_batch` ends
-a window there, and each window end runs the stages in the per-packet
-order (clock, sweep, submit, poll, deliver), so verdicts, clock stamps
+window.  Who ends windows: :meth:`StreamingPipeline.results` walks the
+rule once per frame as it parses and hands its batch over at the frame
+where the rule fires, so each handed-over batch is one window ending at
+its last frame; :meth:`StreamingPipeline.process_batch`, given an
+arbitrary batch, walks the rule itself and ends a window at every frame
+where it fires.  Each window end runs the stages in the per-packet order
+(clock, fold, sweep, submit, poll, deliver), so verdicts, clock stamps
 and ledger records do not depend on batch boundaries.
 """
 
@@ -166,9 +169,11 @@ class StreamingPipeline:
         """Drive the stream, yielding identifications as they happen.
 
         Items go into one :class:`~repro.net.batch.PacketBatchBuilder` as
-        they arrive; the batch is handed to :meth:`process_batch` right
-        after the first frame where :meth:`_hand_over_rule` fires, or after
-        :data:`HANDOVER_FRAMES` frames.
+        they arrive, and each is walked once by :meth:`_hand_over_rule`.
+        The batch is handed over right after the first frame where the
+        rule fires, or after :data:`HANDOVER_FRAMES` frames, and folded as
+        one window: the window end of :meth:`process_batch` without its
+        walk, which this one already did.
 
         If the consumer stops iterating early, the remaining captures are
         still flushed and their verdicts delivered to ``on_identified``
@@ -182,7 +187,7 @@ class StreamingPipeline:
             parse_seconds = 0.0
             frames = 0
             latest = self.clock.now()
-            ends, _ = self._hand_over_rule()
+            ends, commit = self._hand_over_rule()
             for item in self.source.packets():
                 parse_start = perf_counter()
                 mac = add(item)
@@ -192,14 +197,16 @@ class StreamingPipeline:
                 if timestamp > latest:
                     latest = timestamp
                 if ends(mac, timestamp, latest) or frames >= HANDOVER_FRAMES:
-                    yield from self._hand_over(builder.build(), parse_seconds)
+                    yield from self._hand_over(builder.build(), parse_seconds, latest, commit)
                     parse_seconds = 0.0
                     frames = 0
                     # A consumer's inject/drain between yields may have
-                    # moved the linger deadline too.
-                    ends, _ = self._hand_over_rule()
+                    # moved the linger deadline too; like process_batch,
+                    # the next batch starts from the clock.
+                    latest = self.clock.now()
+                    ends, commit = self._hand_over_rule()
             if frames:
-                yield from self._hand_over(builder.build(), parse_seconds)
+                yield from self._hand_over(builder.build(), parse_seconds, latest, commit)
             yield from self.finish()
         finally:
             # No-op after a complete run; on early exit this drains the
@@ -254,11 +261,15 @@ class StreamingPipeline:
 
         return ends, commit
 
-    def _hand_over(self, batch: PacketBatch, parse_seconds: float) -> list[IdentifiedDevice]:
-        """Process one built batch; ``parse_seconds`` is its column build."""
+    def _hand_over(
+        self, batch: PacketBatch, parse_seconds: float, latest: float, commit: Callable[[], None]
+    ) -> list[IdentifiedDevice]:
+        """Process one batch :meth:`results` built; ``parse_seconds`` is its
+        column build, ``latest`` and ``commit`` its walked rule's stream
+        time and write-back."""
         if self.observability is not None:
             self.observability.observe_parse_batch(parse_seconds)
-        return self.process_batch(batch)
+        return self._process(batch, (latest, commit))
 
     def process_batch(self, batch: PacketBatch) -> list[IdentifiedDevice]:
         """Feed one packet batch through every stage (columnar API).
@@ -268,17 +279,25 @@ class StreamingPipeline:
         and a window ends at the first frame where it fires.  At each
         window end the clock moves to that frame's stream time -- the
         running maximum of the timestamps, as folding one packet at a time
-        would leave it -- then the sweep, the submits, the poll and one
-        delivery run in that order, so every call sees the clock value it
-        would see packet by packet.
+        would leave it -- then the fold, the sweep, the submits, the poll
+        and one delivery run in that order, so every call sees the clock
+        value it would see packet by packet.
         """
+        return self._process(batch, None)
+
+    def _process(
+        self, batch: PacketBatch, walked: Optional[tuple[float, Callable[[], None]]]
+    ) -> list[IdentifiedDevice]:
+        """:meth:`process_batch`, or with ``walked`` the ``(latest, commit)``
+        of a rule that already walked every frame of ``batch`` and fired at
+        most at the last: the batch is then one window, not walked again."""
         n = len(batch)
         if n == 0:
             return []
         self.stats.packets += n
         assemble_start = time.perf_counter()
         prepared = self.assembler.prepare_batch(batch)
-        macs = batch.src_macs.tolist()
+        macs = prepared.macs
         timestamps = prepared.timestamps
         assemble_seconds = time.perf_counter() - assemble_start
         score_seconds = 0.0
@@ -287,14 +306,17 @@ class StreamingPipeline:
         stop = 0
         while stop < n:
             window_start = time.perf_counter()
-            ends, commit = self._hand_over_rule()
-            while stop < n:
-                timestamp = timestamps[stop]
-                if timestamp > latest:
-                    latest = timestamp
-                stop += 1
-                if ends(macs[stop - 1], timestamp, latest):
-                    break
+            if walked is not None:
+                (latest, commit), stop = walked, n
+            else:
+                ends, commit = self._hand_over_rule()
+                while stop < n:
+                    timestamp = timestamps[stop]
+                    if timestamp > latest:
+                        latest = timestamp
+                    stop += 1
+                    if ends(macs[stop - 1], timestamp, latest):
+                        break
             if latest > self.clock.now():
                 self.clock.advance(latest - self.clock.now())
             completed = self.assembler.observe_prepared(prepared, stop)

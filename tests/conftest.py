@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.exceptions import FingerprintError
+from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import FEATURE_COUNT, FEATURE_INDEX, port_class
 from repro.features.session import gap_exceeds_setup_threshold
 from repro.identification.classifier_bank import POSITIVE_LABEL
@@ -43,8 +44,8 @@ from repro.streaming.assembler import (
     EMIT_BUDGET,
     EMIT_FLUSH,
     EMIT_IDLE,
+    ReadyFingerprint,
     ShardedFingerprintAssembler,
-    _DeviceAssembler,
 )
 from repro.streaming.dispatcher import BatchDispatcher
 from repro.streaming.pipeline import GatewayEnforcementSink, StreamingPipeline
@@ -438,10 +439,17 @@ def walk_forest_predict(forest, X):
 # ledger bytes of the columnar drive are compared against this walk.
 # --------------------------------------------------------------------- #
 @dataclasses.dataclass
-class OracleDevice(_DeviceAssembler):
+class OracleDevice:
     """One device's capture, folded one extracted row at a time."""
 
+    mac: MACAddress
+    last_seen: float = 0.0
     oracle: ScalarFeatureExtractor = dataclasses.field(default_factory=ScalarFeatureExtractor)
+    rows: list = dataclasses.field(default_factory=list)
+    last_row: Optional[np.ndarray] = None
+    row_count: int = 0
+    gaps: list = dataclasses.field(default_factory=list)
+    raw_packets: int = 0
 
     def observe(self, packet: Packet) -> None:
         row = self.oracle.extract(packet)
@@ -462,47 +470,84 @@ class OracleDevice(_DeviceAssembler):
             gap, self.gaps, assembler.min_idle_seconds, assembler.idle_factor
         )
 
+    def to_fingerprint(self) -> Fingerprint:
+        if self.rows:
+            matrix = np.vstack(self.rows)
+        else:
+            matrix = np.zeros((0, FEATURE_COUNT), dtype=np.int64)
+        return Fingerprint(vectors=matrix, device_mac=str(self.mac))
+
 
 class PerPacketAssembler(ShardedFingerprintAssembler):
-    """The assembler folding one packet at a time; sweeps and flushes
-    emit in bucket insertion order."""
+    """The assembler folding one packet at a time into its own per-shard
+    buckets; sweeps and flushes emit in bucket insertion order.  Only the
+    knobs, ``shard_of`` and the stats come from the production class."""
+
+    def __init__(self, **knobs):
+        super().__init__(**knobs)
+        self._oracle_buckets = [{} for _ in range(self.shards)]
+
+    @property
+    def active_devices(self) -> int:
+        return sum(map(len, self._oracle_buckets))
 
     def observe(self, packet: Packet):
         self.stats.packets_observed += 1
         mac = packet.src_mac
-        bucket = self._bucket(mac.value)
+        bucket = self._oracle_buckets[self.shard_of(mac)]
         device = bucket.get(mac.value)
         completed = None
         if device is not None and device.gap_ends_setup(packet.timestamp - device.last_seen, self):
-            completed = self._finalize(device, EMIT_IDLE, packet.timestamp)
+            completed = self._complete(device, EMIT_IDLE, packet.timestamp)
             device = None
         if device is None:
             device = OracleDevice(mac=mac, last_seen=packet.timestamp)
             bucket[mac.value] = device
         device.observe(packet)
         if device.raw_packets >= self.packet_budget:
-            return completed or self._finalize(device, EMIT_BUDGET, packet.timestamp)
+            return completed or self._complete(device, EMIT_BUDGET, packet.timestamp)
         return completed
 
     def evict_idle(self, now, shard=None):
-        buckets = self._buckets if shard is None else [self._buckets[shard % self.shards]]
+        buckets = (
+            self._oracle_buckets if shard is None else [self._oracle_buckets[shard % self.shards]]
+        )
         ready = []
         for bucket in buckets:
             expired = [d for d in bucket.values() if now - d.last_seen > self.idle_timeout]
             for device in expired:
-                emitted = self._finalize(device, EMIT_IDLE, now)
+                emitted = self._complete(device, EMIT_IDLE, now)
                 if emitted is not None:
                     ready.append(emitted)
         return ready
 
     def flush(self, now=0.0):
         ready = []
-        for bucket in self._buckets:
+        for bucket in self._oracle_buckets:
             for device in list(bucket.values()):
-                emitted = self._finalize(device, EMIT_FLUSH, now or device.last_seen)
+                emitted = self._complete(device, EMIT_FLUSH, now or device.last_seen)
                 if emitted is not None:
                     ready.append(emitted)
         return ready
+
+    def _complete(self, device: OracleDevice, reason: str, completed_at: float):
+        del self._oracle_buckets[self.shard_of(device.mac)][device.mac.value]
+        if device.row_count < self.min_rows:
+            self.stats.min_signal_drops += 1
+            return None
+        self.stats.fingerprints_emitted += 1
+        if reason == EMIT_BUDGET:
+            self.stats.budget_emissions += 1
+        elif reason == EMIT_IDLE:
+            self.stats.idle_emissions += 1
+        else:
+            self.stats.flush_emissions += 1
+        return ReadyFingerprint(
+            mac=device.mac,
+            fingerprint=device.to_fingerprint(),
+            reason=reason,
+            completed_at=completed_at,
+        )
 
 
 def per_packet_run(pipeline: StreamingPipeline):

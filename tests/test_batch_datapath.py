@@ -32,7 +32,12 @@ from repro.distance.damerau_levenshtein import (
     normalized_pair_distances,
 )
 from repro.exceptions import FingerprintError, PacketDecodeError
-from repro.features.packet_features import FEATURE_INDEX, batch_feature_matrix
+from repro.features.packet_features import (
+    FEATURE_COUNT,
+    FEATURE_INDEX,
+    INTEGER_FEATURES,
+    batch_feature_matrix,
+)
 from repro.net.addresses import MACAddress
 from repro.net.batch import (
     _F_APP_NOT_DHCP,
@@ -69,6 +74,7 @@ from repro.streaming import (
     StreamingPipeline,
 )
 from repro.streaming import pipeline as pipeline_module
+from repro.streaming.assembler import pack_rows, unpack_rows
 from repro.streaming.pipeline import HANDOVER_FRAMES
 from tests.conftest import (
     PerPacketAssembler,
@@ -379,7 +385,9 @@ class TestPacketBatchColumns:
         packets = _setup_packets(seed=4, names=("Aria",))
         empty = PacketBatch.from_items([])
         assert len(empty) == 0
-        assert ShardedFingerprintAssembler().prepare_batch(empty).groups == []
+        assembler = ShardedFingerprintAssembler()
+        assert assembler.observe_prepared(assembler.prepare_batch(empty), 0) == []
+        assert assembler.active_devices == 0 and assembler.stats.packets_observed == 0
         assert batch_feature_matrix(empty).shape == (0, 23)
 
         single = PacketBatch.from_items(packets[:1])
@@ -387,24 +395,34 @@ class TestPacketBatchColumns:
         np.testing.assert_array_equal(
             batch_feature_matrix(single), _expected_columns(packets[:1])
         )
+        # A one-frame batch folds into a one-row fingerprint: the scalar
+        # row, with the first destination's counter.
+        assembler.observe_prepared(assembler.prepare_batch(single), 1)
+        (ready,) = assembler.flush(10_000.0)
+        expected = ScalarFeatureExtractor().extract(packets[0])
+        np.testing.assert_array_equal(ready.fingerprint.vectors, expected[None, :])
 
         whole = PacketBatch.from_items(packets)  # one max-size batch
         frames = [CapturedPacket(p.timestamp, p.to_bytes(), p.wire_length) for p in packets]
         np.testing.assert_array_equal(PacketBatch.from_items(frames).flags, whole.flags)
 
     def test_device_runs_preserve_stream_order(self):
+        """Each device's kept rows come out in its stream order, and devices
+        open (hence flush, within one shard) in order of first appearance."""
         packets = _setup_packets(seed=8, names=("Aria", "HueBridge"))
         batch = PacketBatch.from_items(packets)
-        seen = []
-        firsts = []
-        for mac_value, indices, _ in ShardedFingerprintAssembler().prepare_batch(batch).groups:
-            assert (np.diff(indices) > 0).all() or len(indices) == 1
-            assert (batch.src_macs[indices] == mac_value).all()
-            firsts.append(indices[0])
-            seen.extend(indices)
-        # Devices are walked in order of first appearance.
-        assert firsts == sorted(firsts)
-        assert sorted(seen) == list(range(len(batch)))
+        macs = batch.src_macs.tolist()
+        assert sum(a != b for a, b in zip(macs, macs[1:])) > 2  # interleaved
+        assembler = ShardedFingerprintAssembler(shards=1, packet_budget=100_000)
+        assert assembler.observe_prepared(assembler.prepare_batch(batch), len(batch)) == []
+        assert assembler.stats.packets_observed == len(batch)
+        emitted = assembler.flush(10_000.0)
+        oracle = PerPacketAssembler(shards=1, packet_budget=100_000)
+        for packet in packets:
+            assert oracle.observe(packet) is None
+        expected = oracle.flush(10_000.0)
+        assert [item.mac.value for item in emitted] == list(dict.fromkeys(macs))
+        assert _emission_map(emitted) == _emission_map(expected)
 
 
 # --------------------------------------------------------------------- #
@@ -429,6 +447,49 @@ def _drive_per_packet(source):
     ]
     emissions.extend(assembler.flush(10_000.0))
     return emissions, assembler.stats
+
+
+class TestPackedRows:
+    """The assembler keys each row's 22 stateless columns as one integer;
+    the packing must lose nothing, or Eq. (1) would drop distinct rows."""
+
+    @staticmethod
+    def _extreme_rows():
+        binary = [
+            index for index, name in enumerate(FEATURE_INDEX) if name not in INTEGER_FEATURES
+        ]
+        assert len(binary) == 19
+        size = FEATURE_INDEX["packet_size"]
+        ports = [FEATURE_INDEX["src_port_class"], FEATURE_INDEX["dst_port_class"]]
+        rows = []
+        for packet_size in (0, 1, 2**31, 2**32 - 1):
+            for flags in [[], binary] + [[index] for index in binary]:
+                for classes in ((0, 0), (3, 0), (0, 3), (3, 3), (1, 2)):
+                    row = np.zeros(FEATURE_COUNT, dtype=np.int64)
+                    row[flags] = 1
+                    row[size] = packet_size
+                    row[ports] = classes
+                    rows.append(row)
+        return np.stack(rows)
+
+    def test_extreme_rows_round_trip(self):
+        rows = self._extreme_rows()
+        keys = pack_rows(rows)
+        # Distinct rows, distinct keys; none overflows into the sign bit.
+        assert len(set(keys.tolist())) == len(rows) == len(np.unique(rows, axis=0))
+        assert int(keys.min()) >= 0
+        counters = np.arange(len(rows)) % 7
+        expected = rows.copy()
+        expected[:, FEATURE_INDEX["dst_ip_counter"]] = counters
+        restored = unpack_rows(keys.tolist(), counters.tolist())
+        assert restored.dtype == np.int64
+        np.testing.assert_array_equal(restored, expected)
+
+    def test_kernel_rows_round_trip(self):
+        rows = batch_feature_matrix(PacketBatch.from_items(_setup_packets()))
+        zeros = np.zeros(len(rows), dtype=np.int64)
+        np.testing.assert_array_equal(unpack_rows(pack_rows(rows), zeros), rows)
+        assert unpack_rows([], []).shape == (0, FEATURE_COUNT)
 
 
 class TestBatchedAssembler:
@@ -603,11 +664,13 @@ class TestBatchedPipeline:
             assembler=ShardedFingerprintAssembler(shards=4),
         )
         batch_ends = []
-        process_batch = pipeline.process_batch
+        windows = []
+        observe_prepared = pipeline.assembler.observe_prepared
 
-        def recorded(batch):
-            batch_ends.append(float(batch.timestamps[-1]))
-            return process_batch(batch)
+        def recorded(prepared, stop):
+            windows.append((prepared.position, stop, len(prepared.timestamps)))
+            batch_ends.append(prepared.timestamps[stop - 1])
+            return observe_prepared(prepared, stop)
 
         submitted = []
         submit = pipeline.dispatcher.submit
@@ -616,9 +679,12 @@ class TestBatchedPipeline:
             submitted.append((ready.reason, ready.completed_at, batch_ends[-1]))
             return submit(ready)
 
-        pipeline.process_batch = recorded
+        pipeline.assembler.observe_prepared = recorded
         pipeline.dispatcher.submit = recorded_submit
         stats = pipeline.run()
+        # The drive folds each handed-over batch as one window.
+        assert all(start == 0 and stop == frames for start, stop, frames in windows)
+        assert sum(frames for _, _, frames in windows) == stats.packets
         streamed = [item for item in submitted if item[0] != "flush"]
         assert {"budget", "idle"} <= {reason for reason, _, _ in streamed}
         assert len(batch_ends) < stats.packets
@@ -653,13 +719,15 @@ class TestBatchedPipeline:
 
         driven = pipeline()
         lengths = []
-        process_batch = driven.process_batch
+        observe_handover = driven.assembler.observe_prepared
 
-        def recorded_batch(batch):
-            lengths.append(len(batch))
-            return process_batch(batch)
+        def recorded_handover(prepared, stop):
+            # The drive folds each handed-over batch as one window.
+            assert prepared.position == 0 and stop == len(prepared.timestamps)
+            lengths.append(stop)
+            return observe_handover(prepared, stop)
 
-        driven.process_batch = recorded_batch
+        driven.assembler.observe_prepared = recorded_handover
         driven.run()
 
         walked = pipeline()
@@ -707,12 +775,14 @@ class TestBatchedPipeline:
             assembler=ShardedFingerprintAssembler(shards=4, packet_budget=100_000),
         )
         batches = []  # (frames, captures the batch's sweeps evicted)
-        process_batch = pipeline.process_batch
+        observe_prepared = pipeline.assembler.observe_prepared
         evict_idle = pipeline.assembler.evict_idle
 
-        def recorded_batch(batch):
-            batches.append([len(batch), 0])
-            return process_batch(batch)
+        def recorded_batch(prepared, stop):
+            # The drive folds each handed-over batch as one window.
+            assert prepared.position == 0 and stop == len(prepared.timestamps)
+            batches.append([stop, 0])
+            return observe_prepared(prepared, stop)
 
         def recorded_sweep(now, shard=None):
             before = pipeline.assembler.active_devices
@@ -720,7 +790,7 @@ class TestBatchedPipeline:
             batches[-1][1] += before - pipeline.assembler.active_devices
             return ready
 
-        pipeline.process_batch = recorded_batch
+        pipeline.assembler.observe_prepared = recorded_batch
         pipeline.assembler.evict_idle = recorded_sweep
         stats = pipeline.run()
         assert stats.fingerprints == len(macs)

@@ -37,11 +37,14 @@ from repro.simulation.clock import SimulatedClock
 from repro.streaming import (
     BatchDispatcher,
     GatewayEnforcementSink,
+    IterableSource,
     ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
     replay_trace,
 )
+
+from tests.conftest import rerun_stream
 
 CHECK_LEDGER = Path(__file__).resolve().parent.parent / "tools" / "check_ledger.py"
 
@@ -487,6 +490,26 @@ class TestWiring:
             assert snapshot[f"pipeline.{stage}_batch_seconds.sum"] > 0, stage
         # One observation per stage per handed-over batch.
         assert len(counts) == 1 and counts.pop() > 0
+
+    def test_facade_stage_timers_record_once_per_hand_over(self, trained_identifier):
+        """Every frame consumed is counted once, and each stage timer
+        observes each hand-over once: none skipped, none counted twice."""
+        packets = rerun_stream(seed=5)
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        hand_overs = []
+        prepare_batch = handle.assembler.prepare_batch
+
+        def recorded(batch):
+            hand_overs.append(len(batch))
+            return prepare_batch(batch)
+
+        handle.assembler.prepare_batch = recorded
+        stats = handle.run_until_idle(IterableSource(packets))
+        snapshot = handle.snapshot()
+        assert stats.packets == len(packets) == sum(hand_overs)
+        assert len(hand_overs) > 10
+        for stage in ("parse", "assemble", "score"):
+            assert snapshot[f"pipeline.{stage}_batch_seconds.count"] == len(hand_overs), stage
 
     def test_check_ledger_tool_passes_on_wired_output(self, wired):
         hub, pipeline, autopilot, _ = wired
