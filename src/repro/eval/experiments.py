@@ -23,7 +23,7 @@ from repro.distance.discrimination import (
     EditDistanceDiscriminator,
 )
 from repro.features.fingerprint import Fingerprint
-from repro.gateway.enforcement import EnforcementRule
+from repro.gateway.enforcement import EnforcementRule, flow_rule_templates
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.metrics import confusion_matrix, per_class_accuracy
@@ -323,8 +323,8 @@ def _build_loaded_gateway(filtering_enabled: bool, device_count: int, seed: int)
         record.isolation_level = level
         record.enforcement_rule = rule
         if filtering_enabled:
-            for flow_rule in rule.to_flow_rules():
-                gateway.switch.install_rule(flow_rule)
+            for template in flow_rule_templates(level, allowed):
+                gateway.switch.install_rule(template.stamp(mac, f"enforce-{mac}"))
     return gateway
 
 

@@ -6,7 +6,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.exceptions import EnforcementError
-from repro.gateway.enforcement import DeviceRecord, EnforcementRule, NetworkOverlay
+from repro.gateway.enforcement import (
+    DeviceRecord,
+    EnforcementRule,
+    NetworkOverlay,
+    enforcement_plan,
+)
 from repro.gateway.rule_cache import EVICT_STALE, EnforcementRuleCache
 from repro.gateway.wireless import WPSKeyManager
 from repro.net.addresses import MACAddress
@@ -20,11 +25,6 @@ from repro.simulation.clock import SimulatedClock
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.identification.lifecycle import LifecycleCoordinator
-
-#: Vulnerabilities at or above this CVSS-like severity trigger a user
-#: notification (mitigation strategy 3: some devices cannot be adequately
-#: contained by network-level measures alone).
-NOTIFICATION_SEVERITY_THRESHOLD = 9.0
 
 @dataclass(frozen=True)
 class AuthorizationDecision:
@@ -90,19 +90,22 @@ class SecurityGateway:
         port: SwitchPort = SwitchPort.WIFI,
     ) -> DeviceRecord:
         """Register a newly connected device (pre-identification state)."""
-        if mac in self.devices:
-            return self.devices[mac]
-        record = DeviceRecord(
-            mac=mac,
-            ip_address=ip_address,
-            connected_at=self.clock.now(),
-            last_seen_at=self.clock.now(),
-        )
+        record = self.devices.get(mac)
+        if record is not None:
+            return record
+        return self._register(mac, ip_address, wireless, port)
+
+    def _register(
+        self, mac: MACAddress, ip_address: Optional[str], wireless: bool, port: SwitchPort
+    ) -> DeviceRecord:
+        """:meth:`connect_device` for a MAC known not to be connected."""
+        now = self.clock.now()
+        record = DeviceRecord(mac=mac, ip_address=ip_address, connected_at=now, last_seen_at=now)
         self.devices[mac] = record
         if ip_address:
             self.ip_to_mac[ip_address] = mac
         if wireless:
-            self.wps.issue(mac, overlay=NetworkOverlay.UNTRUSTED, now=self.clock.now())
+            self.wps.issue(mac, overlay=NetworkOverlay.UNTRUSTED, now=now)
         self.switch.learn_port(mac, port)
         return record
 
@@ -201,41 +204,41 @@ class SecurityGateway:
     # Enforcement.
     # ------------------------------------------------------------------ #
     def apply_assessment(self, mac: MACAddress, assessment: SecurityAssessment) -> DeviceRecord:
-        """Apply an IoTSSP assessment: cache the rule and program the switch."""
+        """Apply an IoTSSP assessment: cache the rule and program the switch.
+
+        Everything that depends only on the assessment -- overlay, rule
+        fields, switch rule templates, critical-vulnerability notices --
+        comes from its :func:`~repro.gateway.enforcement.enforcement_plan`,
+        derived once per assessment; this call stamps the device's MAC
+        into it.
+        """
+        plan = enforcement_plan(assessment)
         record = self.devices.get(mac)
         if record is None:
-            record = self.connect_device(mac)
-        record.device_type = assessment.device_type
-        record.isolation_level = assessment.isolation_level
-        record.overlay = NetworkOverlay.for_isolation_level(assessment.isolation_level)
-        record.vulnerability_count = len(assessment.vulnerabilities)
+            record = self._register(mac, None, True, SwitchPort.WIFI)
+        now = self.clock.now()
+        record.device_type = plan.device_type
+        record.isolation_level = plan.isolation_level
+        record.overlay = plan.overlay
+        record.vulnerability_count = plan.vulnerability_count
 
-        rule = EnforcementRule(
-            device_mac=mac,
-            isolation_level=assessment.isolation_level,
-            allowed_destinations=assessment.allowed_destinations
-            if assessment.isolation_level is IsolationLevel.RESTRICTED
-            else (),
-            device_type=assessment.device_type,
-            created_at=self.clock.now(),
-        )
-        record.enforcement_rule = rule
-        self.rule_cache.store(rule, now=self.clock.now())
+        rule = record.enforcement_rule = plan.rule_for(mac, now)
+        self.rule_cache.store(rule, now=now)
 
-        self.switch.remove_rules(f"enforce-{mac}")
+        cookie = "enforce-" + str(mac)
+        self.switch.remove_rules(cookie)
         if self.filtering_enabled:
-            for flow_rule in rule.to_flow_rules():
-                self.switch.install_rule(flow_rule)
+            for template in plan.flow_rules:
+                self.switch.install_rule(template.stamp(mac, cookie))
 
-        if assessment.isolation_level is IsolationLevel.TRUSTED and self.wps.credential_of(mac):
-            self.wps.rekey(mac, overlay=NetworkOverlay.TRUSTED, now=self.clock.now())
+        if plan.isolation_level is IsolationLevel.TRUSTED and self.wps.credential_of(mac):
+            self.wps.rekey(mac, overlay=NetworkOverlay.TRUSTED, now=now)
 
-        for vulnerability in assessment.vulnerabilities:
-            if vulnerability.severity >= NOTIFICATION_SEVERITY_THRESHOLD:
-                self.notifications.append(
-                    f"device {mac} ({assessment.device_type}) has a critical vulnerability "
-                    f"({vulnerability.cve_id}); consider removing it from the network"
-                )
+        for cve_id in plan.critical_vulnerabilities:
+            self.notifications.append(
+                f"device {mac} ({plan.device_type}) has a critical vulnerability "
+                f"({cve_id}); consider removing it from the network"
+            )
         return record
 
     # ------------------------------------------------------------------ #

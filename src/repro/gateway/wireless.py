@@ -11,7 +11,7 @@ cryptography is out of scope.
 from __future__ import annotations
 
 import hashlib
-import secrets
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,14 +36,26 @@ class WirelessCredential:
         return hashlib.sha256(self.psk.encode("ascii")).hexdigest()[:12]
 
 
+#: PSKs drawn from the operating system's CSPRNG per refill of the pool.
+_PSKS_PER_DRAW = 256
+
+
 @dataclass
 class WPSKeyManager:
-    """Issues, verifies and rotates device-specific WPA2 pre-shared keys."""
+    """Issues, verifies and rotates device-specific WPA2 pre-shared keys.
+
+    Every PSK is ``psk_bytes`` fresh bytes from the operating system's
+    CSPRNG (``os.urandom``), drawn for :data:`_PSKS_PER_DRAW` keys at a
+    time: onboarding a fleet issues a key per device, and one read per
+    key cost more than the rest of issuing it.
+    """
 
     psk_bytes: int = 16
     _credentials: dict[MACAddress, WirelessCredential] = field(default_factory=dict)
     issued_count: int = 0
     rekey_count: int = 0
+    _entropy: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _entropy_used: int = field(default=0, init=False, repr=False, compare=False)
 
     def issue(
         self,
@@ -52,11 +64,25 @@ class WPSKeyManager:
         now: float = 0.0,
     ) -> WirelessCredential:
         """Issue a fresh device-specific PSK (initial WPS handshake)."""
-        credential = WirelessCredential(
-            device_mac=device_mac,
-            psk=secrets.token_hex(self.psk_bytes),
-            overlay=overlay,
-            issued_at=now,
+        size = self.psk_bytes
+        start = self._entropy_used
+        if start + size > len(self._entropy):
+            self._entropy = os.urandom(size * _PSKS_PER_DRAW)
+            start = 0
+        self._entropy_used = start + size
+        # Fields set in one step, not through the frozen ``__init__``
+        # (one setattr per field): a credential has nothing to validate.
+        credential = object.__new__(WirelessCredential)
+        object.__setattr__(
+            credential,
+            "__dict__",
+            {
+                "device_mac": device_mac,
+                "psk": self._entropy[start : start + size].hex(),
+                "overlay": overlay,
+                "issued_at": now,
+                "revoked": False,
+            },
         )
         self._credentials[device_mac] = credential
         self.issued_count += 1

@@ -112,11 +112,16 @@ class MACAddress:
             pass
         if len(_MAC_TEXT_MEMO) >= _MAC_TEXT_MEMO_LIMIT:
             _MAC_TEXT_MEMO.clear()
-        text = _MAC_TEXT_MEMO[self.value] = ":".join(f"{b:02x}" for b in self.to_bytes())
+        text = _MAC_TEXT_MEMO[self.value] = self.value.to_bytes(6, "big").hex(":")
         return text
 
     def __repr__(self) -> str:
         return f"MACAddress('{self}')"
+
+    def __hash__(self) -> int:
+        # Hash the int: a one-field tuple costs an allocation per call,
+        # and MACs key every per-device table on the serving path.
+        return hash(self.value)
 
 
 def is_ipv4(text: str) -> bool:

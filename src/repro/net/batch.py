@@ -13,10 +13,11 @@ takes items one at a time as they arrive:
 
 * a raw :class:`~repro.net.pcap.CapturedPacket` frame (pcap replay) is
   parsed with direct byte-offset reads -- no layer objects are built on
-  the fast path.  Any frame the fast parser cannot prove it handles
-  exactly like :meth:`Packet.dissect` (LLC, IPv4 options, IPv6
-  hop-by-hop, TCP on BOOTP ports, truncated headers and frames under 34
-  bytes) falls back to the full dissector for that one frame, so the
+  the fast path, IPv4 option lists and IPv6 hop-by-hop headers
+  included.  Any frame the fast parser cannot prove it handles exactly
+  like :meth:`Packet.dissect` (LLC, TCP on BOOTP ports, malformed option
+  lists, truncated headers and frames under 34 bytes) falls back to the
+  full dissector for that one frame, so the
   columns are *always* equal to what dissecting every frame would have
   produced (the differential suite asserts this);
 * an already-dissected :class:`Packet` (simulator traces, training
@@ -35,6 +36,8 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from repro.net.addresses import ipv6_from_bytes
+from repro.net.layers import ipv4 as ipv4_mod
+from repro.net.layers import ipv6 as ipv6_mod
 from repro.net.layers.dhcp import FIXED_LEN as _BOOTP_FIXED_LEN
 from repro.net.layers.dhcp import MAGIC_COOKIE, DHCPMessage
 from repro.net.packet import Packet
@@ -65,6 +68,14 @@ _F_APP_NOT_DHCP = 1 << 11
 # The fast frame parser reads that bit straight from UDP payloads and
 # defers TCP on these ports to the full dissector.
 _BOOTP_PORTS = (67, 68)
+
+# Option types whose presence sets the padding / router-alert columns.
+_IPV4_OPTION_END = ipv4_mod.OPTION_END
+_IPV4_OPTION_NOP = ipv4_mod.OPTION_NOP
+_IPV4_OPTION_ROUTER_ALERT = ipv4_mod.OPTION_ROUTER_ALERT
+_HBH_OPTION_PAD1 = ipv6_mod.HBH_OPTION_PAD1
+_HBH_OPTION_PADN = ipv6_mod.HBH_OPTION_PADN
+_HBH_OPTION_ROUTER_ALERT = ipv6_mod.HBH_OPTION_ROUTER_ALERT
 
 
 def _packet_fields(packet: Packet) -> tuple[int, int, int, int, Optional[str]]:
@@ -125,16 +136,69 @@ def _packet_fields(packet: Packet) -> tuple[int, int, int, int, Optional[str]]:
     return flags, src_port, dst_port, size, dst_ip
 
 
+def _ipv4_option_flags(data: bytes, start: int, end: int) -> Optional[int]:
+    """The padding / router-alert bits of the IPv4 options in ``data[start:end]``.
+
+    Walks the list as ``repro.net.layers.ipv4._parse_options`` does
+    (End-of-List stops it, No-Operation is one byte, every other option
+    carries a length of at least 2 that must fit) and returns ``None``
+    where that parser raises, so the frame takes the dissector.
+    """
+    flags = 0
+    offset = start
+    while offset < end:
+        kind = data[offset]
+        if kind == _IPV4_OPTION_END or kind == _IPV4_OPTION_NOP:
+            flags |= _F_PADDING
+            if kind == _IPV4_OPTION_END:
+                break
+            offset += 1
+            continue
+        if offset + 1 >= end:
+            return None
+        length = data[offset + 1]
+        if length < 2 or offset + length > end:
+            return None
+        if kind == _IPV4_OPTION_ROUTER_ALERT:
+            flags |= _F_ROUTER_ALERT
+        offset += length
+    return flags
+
+
+def _hop_by_hop_option_flags(data: bytes, start: int, end: int) -> int:
+    """The padding / router-alert bits of the IPv6 hop-by-hop options in
+    ``data[start:end]``, walked as ``repro.net.layers.ipv6._parse_hbh_options``
+    does: every option type it reaches counts, Pad1 is one byte, and an
+    option whose length byte lies past the end stops the walk."""
+    flags = 0
+    offset = start
+    while offset < end:
+        kind = data[offset]
+        if kind == _HBH_OPTION_PAD1 or kind == _HBH_OPTION_PADN:
+            flags |= _F_PADDING
+        elif kind == _HBH_OPTION_ROUTER_ALERT:
+            flags |= _F_ROUTER_ALERT
+        if kind == _HBH_OPTION_PAD1:
+            offset += 1
+            continue
+        if offset + 1 >= end:
+            break
+        offset += 2 + data[offset + 1]
+    return flags
+
+
 def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[str]]]:
     """(flags, src_port, dst_port, dst_ip) straight from frame bytes.
 
     Returns ``None`` whenever the frame needs the full dissector to match
-    :meth:`Packet.dissect` exactly (LLC, IPv4 options, IPv6 hop-by-hop,
-    TCP on BOOTP ports, truncated headers, frames under 34 bytes) -- the
-    caller then takes the object path for that frame.  The byte offsets
-    and length clamps below mirror the layer parsers (IPv4 total-length
-    clamp, UDP length clamp, TCP data offset, IPv6's deliberately
-    *unclamped* payload, EAPoL's body length).
+    :meth:`Packet.dissect` exactly (LLC, TCP on BOOTP ports, an IPv4
+    option list the layer parser rejects, truncated headers, frames under
+    34 bytes) -- the caller then takes the object path for that frame.
+    The byte offsets and length clamps below mirror the layer parsers
+    (IPv4 header length and total-length clamp, the IPv6 hop-by-hop
+    header's length, UDP length clamp, TCP data offset, IPv6's
+    deliberately *unclamped* payload, EAPoL's body length), and the
+    option walks mirror theirs for the padding and router-alert bits.
 
     BOOTP-port UDP stays on the fast path because its application flag
     needs no parse: DHCP is the first parser a BOOTP port tries, and the
@@ -150,28 +214,45 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         return None
     ethertype = (data[12] << 8) | data[13]
     if ethertype == _ETHERTYPE_IPV4:
-        if data[14] != 0x45:
-            return None  # options (IHL > 5) or not version 4
-        total_length = (data[16] << 8) | data[17]
+        version_ihl = data[14]
+        if version_ihl >> 4 != 4:
+            return None
+        ihl = (version_ihl & 0x0F) * 4
         rest_len = len(data) - 14
-        l4_end = min(rest_len, total_length) if total_length >= 20 else rest_len
-        l4_len = max(0, l4_end - 20)
-        l4_off = 34
+        if ihl < 20 or rest_len < ihl:
+            return None  # IPv4Header.from_bytes rejects the IHL
+        flags = _F_IP
+        if ihl > 20:
+            option_flags = _ipv4_option_flags(data, 34, 14 + ihl)
+            if option_flags is None:
+                return None
+            flags |= option_flags
+        total_length = (data[16] << 8) | data[17]
+        l4_end = min(rest_len, total_length) if total_length >= ihl else rest_len
+        l4_len = l4_end - ihl
+        l4_off = 14 + ihl
         protocol = data[23]
         dst_ip = "%d.%d.%d.%d" % (data[30], data[31], data[32], data[33])
-        flags = _F_IP
     elif ethertype == _ETHERTYPE_IPV6:
         if len(data) < 54 or (data[14] >> 4) != 6:
             return None
         protocol = data[20]
-        if protocol == 0:  # hop-by-hop extension header: options territory
-            return None
+        l4_off = 54
+        flags = _F_IP
+        if protocol == 0:  # hop-by-hop options header
+            # IPv6Header.from_bytes: at least 8 bytes, the whole header
+            # present, the next header read from its first byte.
+            if len(data) < 62:
+                return None
+            l4_off = 54 + (data[55] + 1) * 8
+            if len(data) < l4_off:
+                return None
+            flags |= _hop_by_hop_option_flags(data, 56, l4_off)
+            protocol = data[54]
         dst_ip = ipv6_from_bytes(data[38:54])
         # IPv6Header.from_bytes does not clamp by payload_length: Ethernet
         # padding stays in the transport payload, exactly as scalar.
-        l4_off = 54
-        l4_len = len(data) - 54
-        flags = _F_IP
+        l4_len = len(data) - l4_off
     elif ethertype == _ETHERTYPE_ARP:
         rest = len(data) - 14
         if rest < 28 or data[18] != 6 or data[19] != 4:

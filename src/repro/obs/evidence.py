@@ -14,9 +14,15 @@ current at the time, and the enforcement action taken.
 Records are schema-versioned (:data:`EVIDENCE_SCHEMA_VERSION`): decoding
 rejects unknown versions and unknown keys instead of misreading bytes, so
 a future layout change must bump the version rather than silently change
-meaning.  The wire form is canonical JSON -- sorted keys, no whitespace --
-so identical facts serialise to identical bytes (the determinism suite
-relies on this).
+meaning.  The wire form is canonical JSON -- sorted keys, no whitespace,
+ASCII-escaped strings, byte for byte what ``json.dumps(record.to_dict(),
+sort_keys=True, separators=(",", ":"))`` writes -- so identical facts
+serialise to identical bytes (the determinism suite relies on this).
+Every record kind carries the same fifteen keys, so one line template
+(:func:`encode_line`) renders them all; a verdict's ``verdict``,
+``matched_types`` and ``provenance`` can arrive pre-rendered as
+:class:`LineFragments`, shared by every verdict served from one
+identification result.
 
 Seven record kinds cover the serving path and the fleet control plane:
 
@@ -40,7 +46,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Mapping, Optional
 
 from repro.exceptions import LedgerError
 
@@ -130,6 +137,11 @@ class EvidenceRecord:
             (``budget``/``idle``/``flush``/``relearn``/``reprofile``).
         detail: kind-specific payload (e.g. a learn record's upgraded /
             still-unknown fleet partition).
+        fragments: optional pre-rendered JSON of ``verdict``,
+            ``matched_types`` and ``provenance``; not part of the record's
+            value (excluded from equality and from :meth:`to_dict`), and
+            used by :func:`encode_line` only while it still describes
+            those three fields.
 
     Example:
         >>> record = EvidenceRecord(kind="verdict", mac="02:00:00:00:00:01",
@@ -153,6 +165,7 @@ class EvidenceRecord:
     completion_reason: str = ""
     detail: Mapping[str, Any] = field(default_factory=dict)
     schema: int = EVIDENCE_SCHEMA_VERSION
+    fragments: Optional["LineFragments"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in EVIDENCE_KINDS:
@@ -170,6 +183,22 @@ class EvidenceRecord:
     def with_sequence(self, sequence: int) -> "EvidenceRecord":
         """A copy of the record carrying its assigned ledger position."""
         return replace(self, sequence=sequence)
+
+    def derive(self, **changes: Any) -> "EvidenceRecord":
+        """A copy with ``changes`` applied, without re-running validation.
+
+        The serving path's constructor: a record validated once (a
+        per-kind template, or a record about to be stamped with its
+        ledger sequence) is copied field by field, which costs a fraction
+        of ``__init__`` and :func:`dataclasses.replace`.  ``changes`` must
+        keep the record valid: the kind and schema stay, and only the
+        ledger assigns sequences.
+        """
+        derived = object.__new__(type(self))
+        fields = vars(self).copy()
+        fields.update(changes)
+        object.__setattr__(derived, "__dict__", fields)
+        return derived
 
     def to_dict(self) -> dict[str, Any]:
         """The record as a plain JSON-serialisable dict (tuples -> lists)."""
@@ -236,9 +265,148 @@ class EvidenceRecord:
         )
 
 
-#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds this
-#: encoder per call; one shared instance writes the same bytes.
-_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The last float :func:`_encode_float` rendered, as one ``(value, text)``
+#: tuple.  Every record of a delivery carries the same stream-time object,
+#: and ``float.__repr__`` costs more than the rest of a line's scalars; the
+#: match is by identity, never by value (``-0.0 == 0.0``).
+_LAST_FLOAT: list[tuple[float, str]] = [(0.0, "0.0")]
+
+
+def _encode_float(value: float) -> str:
+    last = _LAST_FLOAT[0]
+    if last[0] is value:
+        return last[1]
+    if value - value == 0.0:  # finite
+        text = float.__repr__(value)
+        _LAST_FLOAT[0] = (value, text)
+        return text
+    # The json module's spelling of the non-finite values (``allow_nan``).
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _encode_key(key: Any) -> str:
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _encode_float(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise LedgerError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+#: Exact type -> encoder of the scalars record fields hold; subclasses
+#: and containers take the general path of :func:`encode_json`.
+_SCALAR_ENCODERS: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _encode_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def encode_json(value: Any) -> str:
+    """Canonical JSON of one value: sorted keys, no whitespace, ASCII only.
+
+    Byte for byte ``json.dumps(value, sort_keys=True, separators=(",",
+    ":"))``, checks included: the same types are accepted (``str``,
+    ``int``, ``float``, ``bool``, ``None``, lists, tuples and dicts, and
+    their subclasses), NaN and the infinities are written ``NaN``,
+    ``Infinity`` and ``-Infinity``, and what the json module would refuse
+    with :class:`TypeError` raises :class:`~repro.exceptions.LedgerError`.
+
+    >>> encode_json({"b": [1, 2.5, None], "a": True})
+    '{"a":true,"b":[1,2.5,null]}'
+    """
+    encode = _SCALAR_ENCODERS.get(value.__class__)
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):  # bool is exact-typed above
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _encode_float(value)
+    # Containers look their scalar members up inline: a call per member
+    # would double the cost of a provenance map's index lists.
+    scalar = _SCALAR_ENCODERS.get
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([(scalar(item.__class__) or encode_json)(item) for item in value]) + "]"
+    if isinstance(value, dict):
+        return (
+            "{"
+            + ",".join(
+                [
+                    (encode_basestring_ascii(key) if key.__class__ is str else _encode_key(key))
+                    + ":"
+                    + (scalar(item.__class__) or encode_json)(item)
+                    for key, item in sorted(value.items())
+                ]
+            )
+            + "}"
+        )
+    raise LedgerError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_list(values: Any) -> str:
+    if values.__class__ is tuple and not values:
+        return "[]"
+    return encode_json(list(values))
+
+
+def _encode_mapping(mapping: Mapping[str, Any]) -> str:
+    if mapping.__class__ is dict and not mapping:
+        return "{}"
+    return encode_json(dict(mapping))
+
+
+@dataclass(frozen=True)
+class LineFragments:
+    """A verdict's ``verdict``, ``matched_types`` and ``provenance``, rendered once.
+
+    Every verdict served from one identification result carries the same
+    three values; :meth:`render` encodes them once and a record built
+    from :attr:`verdict`, :attr:`matched_types` and :attr:`provenance`
+    (the very objects) reuses the text.
+    """
+
+    verdict: Optional[str]
+    matched_types: tuple[str, ...]
+    provenance: Mapping[str, Any]
+    verdict_json: str
+    matched_types_json: str
+    provenance_json: str
+
+    @classmethod
+    def render(
+        cls, verdict: Optional[str], matched_types: tuple[str, ...], provenance: Mapping[str, Any]
+    ) -> "LineFragments":
+        return cls(
+            verdict,
+            matched_types,
+            provenance,
+            encode_json(verdict),
+            _encode_list(matched_types),
+            _encode_mapping(provenance),
+        )
+
+    def describes(self, record: EvidenceRecord) -> bool:
+        """True while the record's three fields are this rendering's objects."""
+        return (
+            record.matched_types is self.matched_types
+            and record.provenance is self.provenance
+            and record.verdict == self.verdict
+        )
 
 
 def encode_line(record: EvidenceRecord) -> str:
@@ -246,8 +414,60 @@ def encode_line(record: EvidenceRecord) -> str:
 
     Canonical form means identical records serialise to identical bytes,
     so two identically-driven gateways produce byte-identical ledgers.
+    The line is the JSON of :meth:`EvidenceRecord.to_dict`, written by one
+    template over the fifteen keys in sorted order.
     """
-    return _CANONICAL_JSON.encode(record.to_dict()) + "\n"
+    fragments = record.fragments
+    if fragments is not None and fragments.describes(record):
+        verdict = fragments.verdict_json
+        matched_types = fragments.matched_types_json
+        provenance = fragments.provenance_json
+    else:
+        verdict = encode_json(record.verdict)
+        matched_types = _encode_list(record.matched_types)
+        provenance = _encode_mapping(record.provenance)
+    detail = record.detail
+    detail = "{}" if detail.__class__ is dict and not detail else _encode_mapping(detail)
+    # One exact-type lookup per field (a call per field would cost as
+    # much as the encoding itself); a type outside the table raises
+    # KeyError, and the line is rendered again with the general encoder,
+    # which takes every type, for every field.
+    encoders: Mapping[type, Callable[[Any], str]] = _SCALAR_ENCODERS
+    while True:
+        try:
+            return (
+                f'{{"cache_epoch":{encoders[record.cache_epoch.__class__](record.cache_epoch)}'
+                f',"completion_reason":'
+                f"{encoders[record.completion_reason.__class__](record.completion_reason)}"
+                f',"detail":{detail}'
+                f',"enforcement_action":'
+                f"{encoders[record.enforcement_action.__class__](record.enforcement_action)}"
+                f',"fingerprint_key":'
+                f"{encoders[record.fingerprint_key.__class__](record.fingerprint_key)}"
+                f',"from_cache":{encoders[record.from_cache.__class__](record.from_cache)}'
+                f',"identifier_revision":'
+                f"{encoders[record.identifier_revision.__class__](record.identifier_revision)}"
+                f',"kind":{encoders[record.kind.__class__](record.kind)}'
+                f',"mac":{encoders[record.mac.__class__](record.mac)}'
+                f',"matched_types":{matched_types}'
+                f',"provenance":{provenance}'
+                f',"schema":{encoders[record.schema.__class__](record.schema)}'
+                f',"sequence":{encoders[record.sequence.__class__](record.sequence)}'
+                f',"stream_time":{encoders[record.stream_time.__class__](record.stream_time)}'
+                f',"verdict":{verdict}}}\n'
+            )
+        except KeyError:
+            encoders = _ANY_ENCODER
+
+
+class _AnyTypeEncoder(dict):
+    """Maps every type to :func:`encode_json`."""
+
+    def __missing__(self, key: type) -> Callable[[Any], str]:
+        return encode_json
+
+
+_ANY_ENCODER = _AnyTypeEncoder()
 
 
 def decode_line(line: str) -> EvidenceRecord:

@@ -31,7 +31,9 @@ from repro.obs.evidence import (
     KIND_PUSH,
     KIND_QUARANTINE,
     KIND_VERDICT,
+    UNASSIGNED_SEQUENCE,
     EvidenceRecord,
+    LineFragments,
 )
 from repro.obs.evidence import (
     QUARANTINE_DISCARDED as QUARANTINE_DISCARDED,
@@ -47,9 +49,42 @@ from repro.obs.metrics import MetricsRegistry, Scalar
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.identification.autopilot import LifecycleAutopilot
+    from repro.identification.identifier import IdentificationResult
     from repro.identification.lifecycle import LifecycleCoordinator, RelearnReport
     from repro.streaming.dispatcher import BatchDispatcher, IdentifiedDevice
     from repro.streaming.pipeline import GatewayEnforcementSink, StreamingPipeline
+
+
+#: Validated templates of the records a verdict can write; each record
+#: is derived from its template (:meth:`EvidenceRecord.derive`).
+_VERDICT = EvidenceRecord(kind=KIND_VERDICT)
+_ENFORCEMENT = EvidenceRecord(kind=KIND_ENFORCEMENT)
+_QUARANTINE = EvidenceRecord(kind=KIND_QUARANTINE)
+
+
+def verdict_fragments(result: "IdentificationResult") -> LineFragments:
+    """The ledger fragments of every verdict served from ``result``.
+
+    Rendered on first use and cached on the result, the way
+    :func:`~repro.features.fingerprint.fingerprint_key` caches a
+    fingerprint's content key: the dispatcher cache hands the same result
+    to every device of a model, so each verdict record after the first
+    reuses the text, and the fragments go when the result goes.
+    """
+    fragments = getattr(result, "_ledger_fragments", None)
+    if fragments is None:
+        provenance = {
+            device_type: {
+                "reference_indices": list(indices),
+                "selection_seed": seed,
+            }
+            for device_type, (indices, seed) in result.provenance.items()
+        }
+        fragments = LineFragments.render(
+            result.device_type, tuple(result.matched_types), provenance
+        )
+        object.__setattr__(result, "_ledger_fragments", fragments)
+    return fragments
 
 
 class Observability:
@@ -98,6 +133,9 @@ class Observability:
             "pipeline.assemble_batch_seconds"
         )
         self._score_batch_seconds = self.metrics.histogram("pipeline.score_batch_seconds")
+        self._deliver_batch_seconds = self.metrics.histogram(
+            "pipeline.deliver_batch_seconds"
+        )
 
     # ------------------------------------------------------------------ #
     # The one read API.
@@ -138,6 +176,10 @@ class Observability:
     def observe_score_batch(self, seconds: float) -> None:
         """One batched dispatch round (submit + poll) of a PacketBatch."""
         self._score_batch_seconds.observe(seconds)
+
+    def observe_deliver_batch(self, seconds: float) -> None:
+        """One delivery of verdicts: their ledger records and the sink calls."""
+        self._deliver_batch_seconds.observe(seconds)
 
     # ------------------------------------------------------------------ #
     # Source wiring (pull model; registration is idempotent per prefix).
@@ -286,27 +328,24 @@ class Observability:
         stream_time: float,
     ) -> None:
         """One identification leaving the pipeline, provenance included."""
-        result = identified.result
-        provenance = {
-            device_type: {
-                "reference_indices": list(indices),
-                "selection_seed": seed,
-            }
-            for device_type, (indices, seed) in result.provenance.items()
-        }
+        fragments = verdict_fragments(identified.result)
+        ledger = self.ledger
         self._emit(
-            EvidenceRecord(
-                kind=KIND_VERDICT,
+            _VERDICT.derive(
+                # The sequence the ledger stamps next, so it need not copy
+                # the record to stamp it.
+                sequence=ledger.next_sequence if ledger is not None else UNASSIGNED_SEQUENCE,
                 stream_time=stream_time,
                 mac=str(identified.mac),
                 fingerprint_key=fingerprint_key(identified.fingerprint).hex(),
-                verdict=result.device_type,
-                matched_types=tuple(result.matched_types),
-                provenance=provenance,
+                verdict=fragments.verdict,
+                matched_types=fragments.matched_types,
+                provenance=fragments.provenance,
                 identifier_revision=revision,
                 cache_epoch=epoch,
                 from_cache=identified.from_cache,
                 completion_reason=identified.completion_reason,
+                fragments=fragments,
             )
         )
 
@@ -321,9 +360,10 @@ class Observability:
         fingerprint_key_hex: Optional[str] = None,
     ) -> None:
         """A gateway rule installed or replaced for one device."""
+        ledger = self.ledger
         self._emit(
-            EvidenceRecord(
-                kind=KIND_ENFORCEMENT,
+            _ENFORCEMENT.derive(
+                sequence=ledger.next_sequence if ledger is not None else UNASSIGNED_SEQUENCE,
                 stream_time=stream_time,
                 mac=mac,
                 fingerprint_key=fingerprint_key_hex,
@@ -346,9 +386,10 @@ class Observability:
     ) -> None:
         """An unknown device parked (``recorded``), ``released`` by a
         successful identification, or ``discarded`` on departure."""
+        ledger = self.ledger
         self._emit(
-            EvidenceRecord(
-                kind=KIND_QUARANTINE,
+            _QUARANTINE.derive(
+                sequence=ledger.next_sequence if ledger is not None else UNASSIGNED_SEQUENCE,
                 stream_time=stream_time,
                 mac=mac,
                 fingerprint_key=fingerprint_key_hex,

@@ -91,7 +91,8 @@ class VerdictLedger:
         self.records_written = 0
         self.rotations = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._next_sequence = self._recover_next_sequence()
+        #: The sequence number the next append will be stamped with.
+        self.next_sequence = self._recover_next_sequence()
         self._repair_torn_tail()
         self._fd: Optional[int] = None
         self._size = 0
@@ -103,32 +104,27 @@ class VerdictLedger:
     def append(self, record: EvidenceRecord) -> EvidenceRecord:
         """Assign the next sequence number and durably append the record.
 
-        Returns the record as written (sequence assigned).  The line is
+        Returns the record as written (sequence assigned; the record
+        itself when it already carries :attr:`next_sequence`).  The line is
         written with one ``os.write`` call -- a crash mid-append can
         truncate the final line but never interleave or tear earlier
         ones; :func:`replay_ledger` recovers by dropping that tail.
         """
         if self._fd is None:
             raise LedgerError(f"ledger {self.path} is closed")
-        # ``record.with_sequence(n)`` without ``dataclasses.replace``, which
-        # re-runs the validation the record passed when it was built.
-        stamped = object.__new__(type(record))
-        fields = vars(stamped)
-        fields.update(vars(record))
-        fields["sequence"] = self._next_sequence
+        stamped = record
+        if record.sequence != self.next_sequence:
+            # Not ``with_sequence``: ``dataclasses.replace`` would re-run
+            # the validation the record passed when it was built.
+            stamped = record.derive(sequence=self.next_sequence)
         data = encode_line(stamped).encode("utf-8")
         if self._size > 0 and self._size + len(data) > self.max_bytes:
             self._rotate()
         os.write(self._fd, data)
         self._size += len(data)
-        self._next_sequence += 1
+        self.next_sequence += 1
         self.records_written += 1
         return stamped
-
-    @property
-    def next_sequence(self) -> int:
-        """The sequence number the next append will be stamped with."""
-        return self._next_sequence
 
     def close(self) -> None:
         if self._fd is not None:

@@ -65,19 +65,48 @@ class FlowMatch:
 
     @property
     def specificity(self) -> int:
-        """Number of non-wildcard fields (used for tie-breaking priorities)."""
-        return sum(
-            value is not None
-            for value in (
-                self.src_mac,
-                self.dst_mac,
-                self.src_ip,
-                self.dst_ip,
-                self.protocol,
-                self.src_port,
-                self.dst_port,
+        """Number of non-wildcard fields (used for tie-breaking priorities).
+
+        Counted on first use and kept on the match (a match is immutable).
+        """
+        count = getattr(self, "_specificity", None)
+        if count is None:
+            count = sum(
+                value is not None
+                for value in (
+                    self.src_mac,
+                    self.dst_mac,
+                    self.src_ip,
+                    self.dst_ip,
+                    self.protocol,
+                    self.src_port,
+                    self.dst_port,
+                )
             )
-        )
+            object.__setattr__(self, "_specificity", count)
+        return count
+
+    def with_source(self, src_mac: MACAddress) -> "FlowMatch":
+        """This match narrowed to one source MAC.
+
+        The per-device step of a rule template: this match's fields (no
+        ``__init__`` runs; a match has nothing to validate) with
+        ``src_mac`` set and the specificity carried over, not counted
+        again.  Fields are set one by one, in ``__init__``'s order, so the
+        copy keeps the compact attribute layout the datapath reads fast.
+        """
+        specificity = self.specificity + (self.src_mac is None)
+        match = object.__new__(FlowMatch)
+        set_field = object.__setattr__
+        set_field(match, "src_mac", src_mac)
+        set_field(match, "dst_mac", self.dst_mac)
+        set_field(match, "src_ip", self.src_ip)
+        set_field(match, "dst_ip", self.dst_ip)
+        set_field(match, "protocol", self.protocol)
+        set_field(match, "src_port", self.src_port)
+        set_field(match, "dst_port", self.dst_port)
+        set_field(match, "_specificity", specificity)
+        return match
 
 
 @dataclass

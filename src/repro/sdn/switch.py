@@ -54,11 +54,12 @@ class OpenVSwitch:
     first, then higher match specificity, then earlier install.  The
     table is indexed by the rule's source MAC -- the paper keeps
     enforcement rules in a hash table so the per-packet cost stays flat
-    as rules grow.  Each bucket (``None`` holds the wildcard-source
-    rules) is kept in match order, so :meth:`lookup` checks only the
-    packet's own bucket and the wildcard bucket, and a
-    ``cookie -> {src_mac}`` map lets :meth:`remove_rules` touch only the
-    buckets that hold the cookie.  Rules enter only via
+    as rules grow -- keyed by the MAC's integer value, which hashes
+    without a Python call.  Each bucket (``None`` holds the
+    wildcard-source rules) is kept in match order, so :meth:`lookup`
+    checks only the packet's own bucket and the wildcard bucket, and a
+    ``cookie -> {bucket key}`` map lets :meth:`remove_rules` touch only
+    the buckets that hold the cookie.  Rules enter only via
     :meth:`install_rule` (there is no ``rules=`` constructor argument),
     and :attr:`rules` is a read-only view of the whole table in match
     order.  Misses are handed to the controller's packet-in handler when
@@ -74,10 +75,10 @@ class OpenVSwitch:
     packets_to_controller: int = 0
     port_of_device: dict[MACAddress, SwitchPort] = field(default_factory=dict)
 
-    _buckets: dict[Optional[MACAddress], list[_Entry]] = field(
+    _buckets: dict[Optional[int], list[_Entry]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _cookie_macs: dict[str, set[Optional[MACAddress]]] = field(
+    _cookie_keys: dict[str, set[Optional[int]]] = field(
         default_factory=dict, init=False, repr=False
     )
     _installs: int = field(default=0, init=False, repr=False)
@@ -87,31 +88,40 @@ class OpenVSwitch:
     # ------------------------------------------------------------------ #
     def install_rule(self, rule: FlowRule) -> None:
         """Install a rule after every rule that precedes it in match order."""
-        src_mac = rule.match.src_mac
-        entry = (-rule.priority, -rule.match.specificity, self._installs, rule)
+        match = rule.match
+        key = None if match.src_mac is None else match.src_mac.value
+        entry = (-rule.priority, -match.specificity, self._installs, rule)
         self._installs += 1
-        insort(self._buckets.setdefault(src_mac, []), entry)
-        self._cookie_macs.setdefault(rule.cookie, set()).add(src_mac)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = [entry]
+        else:
+            insort(bucket, entry)
+        keys = self._cookie_keys.get(rule.cookie)
+        if keys is None:
+            self._cookie_keys[rule.cookie] = {key}
+        else:
+            keys.add(key)
 
     def remove_rules(self, cookie: str) -> int:
         """Remove every rule carrying ``cookie``; returns the removal count."""
         if not cookie:
             raise SdnError("a non-empty cookie is required to remove rules")
         removed = 0
-        for src_mac in self._cookie_macs.pop(cookie, ()):
-            bucket = self._buckets[src_mac]
+        for key in self._cookie_keys.pop(cookie, ()):
+            bucket = self._buckets[key]
             kept = [entry for entry in bucket if entry[3].cookie != cookie]
             removed += len(bucket) - len(kept)
             if kept:
-                self._buckets[src_mac] = kept
+                self._buckets[key] = kept
             else:
-                del self._buckets[src_mac]
+                del self._buckets[key]
         return removed
 
     def flush(self) -> None:
         """Drop the entire flow table."""
         self._buckets.clear()
-        self._cookie_macs.clear()
+        self._cookie_keys.clear()
 
     @property
     def rules(self) -> list[FlowRule]:
@@ -141,8 +151,8 @@ class OpenVSwitch:
         can hold a match; the earlier of their first matches wins.
         """
         best: Optional[_Entry] = None
-        for src_mac in (packet.src_mac, None):
-            for entry in self._buckets.get(src_mac, ()):
+        for key in (packet.src_mac.value, None):
+            for entry in self._buckets.get(key, ()):
                 if entry[3].match.matches_packet(packet):
                     if best is None or entry < best:
                         best = entry

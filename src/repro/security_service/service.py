@@ -58,6 +58,33 @@ class SecurityAssessment:
     allowed_destinations: tuple[str, ...] = ()
 
 
+class _ServingTable:
+    """Per-type assessments, valid for one identifier revision and repository state.
+
+    ``assessed`` holds every type as assessed; ``provisional`` the same
+    types while they are provisional (capped below trusted).  The table
+    records what it was derived from, so the service can tell when it no
+    longer holds.
+    """
+
+    __slots__ = ("identifier", "revision", "database", "database_revision", "environment",
+                 "assessed", "provisional")
+
+    def __init__(
+        self,
+        identifier: DeviceTypeIdentifier,
+        database: VulnerabilityDatabase,
+        environment: LabEnvironment,
+    ):
+        self.identifier = identifier
+        self.revision = identifier.revision
+        self.database = database
+        self.database_revision = database.revision
+        self.environment = environment
+        self.assessed: dict[str, SecurityAssessment] = {}
+        self.provisional: dict[str, SecurityAssessment] = {}
+
+
 @dataclass
 class IoTSecurityService:
     """The cloud-side service combining identification and risk assessment.
@@ -67,6 +94,15 @@ class IoTSecurityService:
     device-type label into an assessment.  It is stateless with respect to
     its gateway clients, exactly as the paper prescribes for privacy: it
     stores nothing about who asked.
+
+    Assessments are served from a per-type table derived once per model
+    revision: the first verdict for a type assesses it, later ones look
+    it up.  The table is rebuilt whenever what it was derived from moves
+    -- a different identifier (bundle swap), a new identifier revision
+    (:meth:`~repro.identification.identifier.DeviceTypeIdentifier.add_device_type`),
+    a new vulnerability record (:meth:`VulnerabilityDatabase.add`) or a
+    different environment -- and :attr:`provisional_types` is read on
+    every call, so promoting a label takes effect at the next verdict.
 
     Attributes:
         identifier: the trained two-stage device-type identifier.
@@ -85,19 +121,46 @@ class IoTSecurityService:
     vulnerability_db: VulnerabilityDatabase = field(default_factory=build_default_database)
     environment: LabEnvironment = field(default_factory=LabEnvironment)
     provisional_types: set[str] = field(default_factory=set)
+    _table: Optional[_ServingTable] = field(default=None, init=False, repr=False, compare=False)
 
     def assess_device_type(self, device_type: str) -> SecurityAssessment:
         """Derive the isolation level to enforce for an identified device-type.
 
         A label the identifier does not know (``"unknown"`` included) gets
         strict isolation; a known one is graded by its vulnerabilities.
+        Repeated calls for a type return the same assessment object until
+        the serving table is rebuilt.
         """
+        table = self._table
+        identifier = self.identifier
+        database = self.vulnerability_db
+        if (
+            table is None
+            or table.identifier is not identifier
+            or table.revision != identifier.revision
+            or table.database is not database
+            or table.database_revision != database.revision
+            or table.environment is not self.environment
+        ):
+            table = self._table = _ServingTable(identifier, database, self.environment)
+        provisional = device_type in self.provisional_types
+        entries = table.provisional if provisional else table.assessed
+        assessment = entries.get(device_type)
+        if assessment is None:
+            assessment = self._assess(device_type, provisional)
+            # Labels the identifier does not know all assess as "unknown";
+            # only that label is kept, so arbitrary labels cannot grow it.
+            if assessment.device_type == device_type:
+                entries[device_type] = assessment
+        return assessment
+
+    def _assess(self, device_type: str, provisional: bool) -> SecurityAssessment:
         known = device_type in self.identifier.bank
         vulnerabilities = tuple(self.vulnerability_db.query(device_type)) if known else ()
         level = isolation_level_for(known, vulnerabilities)
         if not known:
             device_type = "unknown"
-        elif level is IsolationLevel.TRUSTED and device_type in self.provisional_types:
+        elif level is IsolationLevel.TRUSTED and provisional:
             # No vulnerabilities on record means "nobody has looked yet"
             # for an auto-learned type, not "audited clean".
             level = IsolationLevel.RESTRICTED

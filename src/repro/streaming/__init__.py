@@ -8,7 +8,7 @@ operates:
 * :mod:`repro.streaming.sources` -- the :class:`PacketSource` protocol with
   pcap-replay and simulator adapters;
 * :mod:`repro.streaming.assembler` -- per-device incremental fingerprint
-  assembly, sharded by ``hash(mac) % shards``, with idle eviction;
+  assembly, sharded by ``hash((mac_value,)) % shards``, with idle eviction;
 * :mod:`repro.streaming.dispatcher` -- batched classifier-bank invocation
   with an LRU cache of identification results;
 * :mod:`repro.streaming.backpressure` -- bounded queues with drop/block

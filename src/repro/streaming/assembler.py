@@ -9,9 +9,9 @@ rows, each packed into one integer key (:func:`pack_rows`), and one walk
 over the frames in stream order applies the stateful destination counter,
 consecutive-duplicate suppression and the emission decision.  Captures sit
 in one index keyed by the MAC's integer value as it sits in the batch
-column; each records its shard, ``hash(mac) % shards``, when it opens, so
-that the pipeline's idle-eviction sweeps visit one shard at a time, round
-robin.
+column; each records its shard, ``hash((mac_value,)) % shards``, when it
+opens, so that the pipeline's idle-eviction sweeps visit one shard at a
+time, round robin.
 
 A fingerprint is emitted when
 
@@ -189,7 +189,7 @@ class ShardedFingerprintAssembler:
 
     Attributes:
         shards: number of idle-eviction shards; each capture records
-            ``hash(mac) % shards`` when it opens.
+            ``hash((mac_value,)) % shards`` when it opens.
         packet_budget: raw packets per device after which the fingerprint
             is emitted (250 by default).
         min_packets: the cut guard of the end-of-setup rule -- a capture is
@@ -256,8 +256,9 @@ class ShardedFingerprintAssembler:
         return self._shard(mac.value)
 
     def _shard(self, mac_value: int) -> int:
-        # ``hash((value,))`` is ``hash(MACAddress(value))``: a frozen
-        # dataclass hashes the tuple of its fields.
+        # The one-tuple's hash, not the int's: the shard a capture lands
+        # in orders its eviction, which ledgers record, so the mapping
+        # stays what it has always been.
         return hash((mac_value,)) % self.shards
 
     def _by_shard(self, shard: Optional[int] = None) -> list[_Capture]:

@@ -390,21 +390,30 @@ class StreamingPipeline:
             self._next_eviction = now + EVICTION_INTERVAL_SECONDS
 
     def _deliver(self, identified: list[IdentifiedDevice]) -> None:
+        """Record each verdict in the ledger, then hand each to ``on_identified``.
+
+        With a hub, a non-empty delivery is timed as one
+        ``pipeline.deliver_batch_seconds`` observation.
+        """
         if not identified:
             return
+        started = time.perf_counter()
         self.stats.identified += len(identified)
-        if self.observability is not None:
+        observability = self.observability
+        if observability is not None:
             cache = self.dispatcher.cache
             epoch = cache.epoch.generation if cache is not None else None
             revision = self.dispatcher.identifier.revision
             now = self.clock.now()
             for item in identified:
-                self.observability.record_verdict(
+                observability.record_verdict(
                     item, revision=revision, epoch=epoch, stream_time=now
                 )
         if self.on_identified is not None:
             for item in identified:
                 self.on_identified(item)
+        if observability is not None:
+            observability.observe_deliver_batch(time.perf_counter() - started)
 
     def _collect_stats(self) -> None:
         self.stats.assembler = self.assembler.stats
@@ -471,16 +480,17 @@ class GatewayEnforcementSink:
         assessment = self.security_service.assess_device_type(identified.result.device_type)
         record = self.gateway.apply_assessment(identified.mac, assessment)
         self.enforced += 1
+        now = self.gateway.clock.now()
+        lifecycle = self.lifecycle
         if self.observability is not None:
-            lifecycle = self.lifecycle
             self.observability.record_enforcement(
                 mac=str(identified.mac),
                 device_type=identified.result.device_type,
                 action=record.isolation_level.name,
                 revision=lifecycle.identifier.revision if lifecycle is not None else None,
                 epoch=lifecycle.epoch.generation if lifecycle is not None else None,
-                stream_time=self.gateway.clock.now(),
+                stream_time=now,
                 fingerprint_key_hex=fingerprint_cache_key(identified.fingerprint).hex(),
             )
-        if self.lifecycle is not None:
-            self.lifecycle.note_identified(identified, now=self.gateway.clock.now())
+        if lifecycle is not None:
+            lifecycle.note_identified(identified, now=now)

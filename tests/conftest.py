@@ -8,6 +8,7 @@ so that the full suite stays fast; the benchmarks exercise full scale.
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 import time
 from typing import Hashable, Optional, Sequence
@@ -22,6 +23,7 @@ from repro.exceptions import FingerprintError
 from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import FEATURE_COUNT, FEATURE_INDEX, port_class
 from repro.features.session import gap_exceeds_setup_threshold
+from repro.gateway.enforcement import EnforcementRule
 from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.compiled import LEAF
@@ -40,6 +42,9 @@ from repro.net.layers.tcp import TCPSegment
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
 from repro.net.pcap import CapturedPacket
+from repro.obs.evidence import EvidenceRecord
+from repro.sdn.openflow import FlowAction, FlowMatch, FlowRule
+from repro.security_service.isolation import IsolationLevel
 from repro.streaming.assembler import (
     EMIT_BUDGET,
     EMIT_FLUSH,
@@ -694,3 +699,53 @@ def make_udp_packet(
         ipv4=IPv4Header(src=src_ip, dst=dst_ip, protocol=PROTO_UDP),
         udp=UDPDatagram(src_port=src_port, dst_port=dst_port, payload=payload),
     )
+
+
+# --------------------------------------------------------------------- #
+# Delivery oracles: the per-verdict renderers the serving table replaced.
+# --------------------------------------------------------------------- #
+#: The ledger's line encoder before the template encoder: the json
+#: module's canonical form (sorted keys, compact separators, ASCII).
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def oracle_encode_line(record: EvidenceRecord) -> str:
+    """``repro.obs.evidence.encode_line`` as the json module writes it."""
+    return CANONICAL_JSON.encode(record.to_dict()) + "\n"
+
+
+def oracle_flow_rules(rule: EnforcementRule, priority_base: int = 100) -> list[FlowRule]:
+    """An enforcement rule rendered into switch rules, one object at a time.
+
+    The Sect. V translation as it ran once per verdict:
+    ``repro.gateway.enforcement.flow_rule_templates`` stamped with the
+    rule's MAC must produce equal rules.
+    """
+    cookie = f"enforce-{rule.device_mac}"
+    if rule.isolation_level is IsolationLevel.TRUSTED:
+        return [
+            FlowRule(
+                match=FlowMatch(src_mac=rule.device_mac),
+                action=FlowAction.FORWARD,
+                priority=priority_base,
+                cookie=cookie,
+            )
+        ]
+    rules = [
+        FlowRule(
+            match=FlowMatch(src_mac=rule.device_mac, dst_ip=destination),
+            action=FlowAction.FORWARD,
+            priority=priority_base + 10,
+            cookie=cookie,
+        )
+        for destination in rule.allowed_destinations
+    ]
+    rules.append(
+        FlowRule(
+            match=FlowMatch(src_mac=rule.device_mac),
+            action=FlowAction.SEND_TO_CONTROLLER,
+            priority=priority_base,
+            cookie=cookie,
+        )
+    )
+    return rules

@@ -42,6 +42,7 @@ from repro.net.addresses import MACAddress
 from repro.net.batch import (
     _F_APP_NOT_DHCP,
     _F_EAPOL,
+    _F_IP,
     PacketBatch,
     _fast_frame_fields,
     _packet_fields,
@@ -56,6 +57,7 @@ from repro.net.layers.dhcp import DHCPMessage
 from repro.net.layers.dns import DNSMessage
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.http import HTTPMessage
+from repro.net.layers.icmp import TYPE_ECHO_REQUEST, ICMPMessage
 from repro.net.layers.ipv4 import PROTO_TCP, PROTO_UDP, IPv4Header
 from repro.net.layers.ipv6 import NEXT_HEADER_UDP, IPv6Header
 from repro.net.layers.ntp import NTPMessage
@@ -1024,6 +1026,48 @@ def _fast_and_dissected(frame):
     return _fast_frame_fields(frame), (flags, src_port, dst_port, dst_ip)
 
 
+def _ipv4_frame(transport):
+    """An Ethernet/IPv4 frame of one kind of transport, without IP options."""
+    layers = {
+        "udp": {"udp": UDPDatagram(5353, 5353, payload=b"\x00" * 12)},
+        "tcp": {"tcp": TCPSegment(51000, 443, payload=b"hello")},
+        "icmp": {"icmp": ICMPMessage(TYPE_ECHO_REQUEST, payload=b"ping")},
+        "raw": {"payload": b"\x11" * 8},
+    }[transport]
+    protocol = {"udp": PROTO_UDP, "tcp": PROTO_TCP, "icmp": 1, "raw": 2}[transport]
+    return Packet(
+        ethernet=EthernetFrame(MACAddress(2), MACAddress(1), ETHERTYPE.IPV4),
+        ipv4=IPv4Header("10.0.0.2", "224.0.0.22", protocol),
+        **layers,
+    ).to_bytes()
+
+
+def _with_ipv4_options(frame, options):
+    """``frame`` with ``options`` (a multiple of 4 bytes) after its IPv4 header."""
+    assert len(options) % 4 == 0 and frame[14] == 0x45
+    head = bytearray(frame[:34])
+    head[14] = 0x40 | (5 + len(options) // 4)
+    head[16:18] = (((frame[16] << 8) | frame[17]) + len(options)).to_bytes(2, "big")
+    return bytes(head) + options + frame[34:]
+
+
+def _ipv6_frame(next_header):
+    """An Ethernet/IPv6 frame whose header names ``next_header``, with a UDP body."""
+    udp = UDPDatagram(5353, 5353, payload=b"\x00" * 12).to_bytes()
+    ipv6 = IPv6Header("fe80::2", "ff02::16", next_header).to_bytes(udp)
+    return EthernetFrame(MACAddress(1), MACAddress(2), ETHERTYPE.IPV6).to_bytes() + ipv6
+
+
+def _with_hop_by_hop(frame, inner, body):
+    """``frame`` with a hop-by-hop header (``body`` after its two-byte prefix)
+    between the IPv6 header and the transport, which ``inner`` names."""
+    assert (len(body) + 2) % 8 == 0
+    head = bytearray(frame[:54])
+    head[20] = 0
+    header = bytes([inner, (len(body) + 2) // 8 - 1]) + body
+    return bytes(head) + header + frame[54:]
+
+
 def _bootp_payload(length, hlen=6, cookie=dhcp_mod.MAGIC_COOKIE):
     """``length`` bytes of a BOOTP message with ``cookie`` after the fixed part."""
     payload = bytearray(max(length, dhcp_mod.FIXED_LEN + len(cookie)))
@@ -1125,6 +1169,120 @@ class TestFastFrameParser:
         assert _fast_frame_fields(frame) is None
         batch = PacketBatch.from_items([CapturedPacket(0.0, frame, 0)])
         assert batch.flags.tolist() == [_packet_fields(Packet.dissect(frame))[0]]
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            bytes([148, 4, 0, 0]),  # router alert, as IGMP sends it
+            bytes([1, 1, 1, 1]),  # No-Operation padding
+            bytes([148, 4, 0, 0, 1, 0, 0, 0]),  # router alert, NOP, End-of-List
+            bytes([7, 4, 1, 2]),  # record-route-like option filling the list exactly
+            bytes([0, 255, 255, 255]),  # End-of-List first: the rest is never read
+            bytes([7, 8, 0, 0, 0, 0, 0, 0]) + bytes([148, 4, 0, 0]) * 8,  # 40-byte list
+        ],
+    )
+    @pytest.mark.parametrize("transport", ["udp", "tcp", "icmp", "raw"])
+    def test_ipv4_option_lists_take_the_fast_path(self, options, transport):
+        frame = _with_ipv4_options(_ipv4_frame(transport), options)
+        fast, expected = _fast_and_dissected(frame)
+        assert fast is not None
+        assert fast == expected
+        assert fast[0] & _F_IP
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            bytes([7, 1, 0, 0]),  # length below 2
+            bytes([7, 9, 0, 0]),  # length past the list
+            bytes([1, 1, 1, 7]),  # length byte missing
+            bytes([148, 4, 0, 0, 7, 0, 0, 0]),  # a valid option, then a bad one
+        ],
+    )
+    def test_malformed_ipv4_option_lists_fall_back(self, options):
+        frame = _with_ipv4_options(_ipv4_frame("udp"), options)
+        assert _fast_frame_fields(frame) is None
+        batch = PacketBatch.from_items([CapturedPacket(0.0, frame, 0)])
+        assert batch.flags.tolist() == [_packet_fields(Packet.dissect(frame))[0]]
+
+    def test_ipv4_header_lengths_the_dissector_rejects_fall_back(self):
+        frame = bytearray(_ipv4_frame("udp"))
+        for version_ihl in (0x44, 0x40, 0x4F, 0x65):  # IHL 4 / 0, 60 bytes past the frame, v6
+            frame[14] = version_ihl
+            assert _fast_frame_fields(bytes(frame[:60])) is None, hex(version_ihl)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes([5, 2, 0, 0, 1, 0]),  # router alert + PadN, as MLD sends it
+            bytes([0] * 6),  # Pad1 only
+            bytes([1, 4, 0, 0, 0, 0]),  # one PadN
+            bytes([0x3E, 4, 1, 2, 3, 4]),  # an option nobody reads
+            bytes([5, 2, 0, 0, 0x3E, 9]),  # a length running past the header ends the walk
+            bytes([5, 2, 0, 0, 1, 8]) + bytes(8),  # a 16-byte header
+        ],
+    )
+    @pytest.mark.parametrize("inner", [17, 58, 0, 59])
+    def test_ipv6_hop_by_hop_headers_take_the_fast_path(self, body, inner):
+        frame = _with_hop_by_hop(_ipv6_frame(inner), inner, body)
+        fast, expected = _fast_and_dissected(frame)
+        assert fast is not None
+        assert fast == expected
+
+    def test_truncated_hop_by_hop_headers_fall_back(self):
+        frame = _with_hop_by_hop(_ipv6_frame(17), 17, bytes([5, 2, 0, 0, 1, 0]))
+        for cut in (54, 58, 61):  # shorter than the 8-byte minimum
+            assert _fast_frame_fields(frame[:cut]) is None, cut
+        longer = bytearray(frame)
+        longer[55] = 30  # the header claims 248 bytes
+        assert _fast_frame_fields(bytes(longer)) is None
+
+    def test_llc_frames_stay_on_the_dissector(self):
+        frame = bytes(EthernetFrame(MACAddress(2), MACAddress(1), 40).to_bytes()) + bytes(
+            [0x42, 0x42, 0x03]
+        ) + bytes(43)
+        assert Packet.dissect(frame).llc is not None
+        assert _fast_frame_fields(frame) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        options=st.lists(st.integers(0, 255), min_size=1, max_size=40),
+        transport=st.sampled_from(["udp", "tcp", "icmp", "raw"]),
+        total_delta=st.integers(-8, 8),
+    )
+    def test_random_ipv4_option_lists_match_dissect(self, options, transport, total_delta):
+        raw = bytes(options) + bytes(-len(options) % 4)
+        frame = bytearray(_with_ipv4_options(_ipv4_frame(transport), raw))
+        total = ((frame[16] << 8) | frame[17]) + total_delta
+        frame[16:18] = max(0, total).to_bytes(2, "big")
+        fast, expected = _fast_and_dissected(bytes(frame))
+        assert fast is None or fast == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        body=st.lists(st.integers(0, 255), min_size=0, max_size=30),
+        inner=st.sampled_from([17, 6, 58, 0, 59]),
+        cut=st.integers(0, 16),
+    )
+    def test_random_hop_by_hop_headers_match_dissect(self, body, inner, cut):
+        raw = bytes(body) + bytes(-(len(body) + 2) % 8)
+        frame = _with_hop_by_hop(_ipv6_frame(inner), inner, raw)
+        frame = frame[: len(frame) - cut] if cut else frame
+        fast, expected = _fast_and_dissected(frame)
+        assert fast is None or fast == expected
+
+    def test_catalog_option_frames_take_the_fast_path(self):
+        options = 0
+        for frame in _catalog_frames():
+            packet = Packet.dissect(frame)
+            ipv4_options = packet.ipv4 is not None and packet.ipv4.options
+            hop_by_hop = packet.ipv6 is not None and packet.ipv6.hop_by_hop_options
+            if not (ipv4_options or hop_by_hop):
+                continue
+            options += 1
+            fast, expected = _fast_and_dissected(frame)
+            assert fast is not None, packet.summary()
+            assert fast == expected
+        assert options > 0
 
     def test_catalog_dhcp_and_eapol_frames_take_the_fast_path(self):
         dhcp = eapol = 0

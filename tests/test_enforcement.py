@@ -1,13 +1,24 @@
 """Tests for enforcement rules, device records and the rule cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.exceptions import EnforcementError
-from repro.gateway.enforcement import DeviceRecord, EnforcementRule, NetworkOverlay
+from repro.gateway.enforcement import (
+    DeviceRecord,
+    EnforcementRule,
+    NetworkOverlay,
+    enforcement_plan,
+    flow_rule_templates,
+)
 from repro.gateway.rule_cache import EnforcementRuleCache
 from repro.net.addresses import MACAddress
-from repro.sdn.openflow import FlowAction
+from repro.sdn.openflow import FlowAction, FlowMatch
 from repro.security_service.isolation import IsolationLevel
+from repro.security_service.service import SecurityAssessment
+from repro.security_service.vulnerability import VulnerabilityRecord
+from tests.conftest import oracle_flow_rules
 
 MAC = MACAddress.from_string("13:73:74:7e:a9:c2")
 OTHER = MACAddress.from_string("02:00:00:00:00:77")
@@ -36,15 +47,30 @@ class TestEnforcementRule:
         with pytest.raises(EnforcementError):
             EnforcementRule(MAC, IsolationLevel.TRUSTED, allowed_destinations=("1.2.3.4",))
 
+    @staticmethod
+    def _stamped(rule):
+        """The rule's switch rules as the gateway installs them."""
+        cookie = f"enforce-{rule.device_mac}"
+        templates = flow_rule_templates(rule.isolation_level, rule.allowed_destinations)
+        rules = [template.stamp(rule.device_mac, cookie) for template in templates]
+        assert rules == oracle_flow_rules(rule)
+        # The carried specificity is what counting the fields gives.
+        assert [r.match.specificity for r in rules] == [
+            dataclasses.replace(r.match).specificity for r in rules
+        ]
+        return rules
+
     def test_flow_rule_translation_trusted(self):
-        rules = EnforcementRule(MAC, IsolationLevel.TRUSTED).to_flow_rules()
+        rules = self._stamped(EnforcementRule(MAC, IsolationLevel.TRUSTED))
         assert len(rules) == 1
         assert rules[0].action is FlowAction.FORWARD
 
     def test_flow_rule_translation_restricted(self):
-        rules = EnforcementRule(
-            MAC, IsolationLevel.RESTRICTED, allowed_destinations=("1.1.1.1", "2.2.2.2")
-        ).to_flow_rules()
+        rules = self._stamped(
+            EnforcementRule(
+                MAC, IsolationLevel.RESTRICTED, allowed_destinations=("1.1.1.1", "2.2.2.2")
+            )
+        )
         forwards = [rule for rule in rules if rule.action is FlowAction.FORWARD]
         fallbacks = [rule for rule in rules if rule.action is FlowAction.SEND_TO_CONTROLLER]
         assert len(forwards) == 2
@@ -52,9 +78,34 @@ class TestEnforcementRule:
         assert all(rule.priority > fallbacks[0].priority for rule in forwards)
 
     def test_flow_rule_translation_strict(self):
-        rules = EnforcementRule(MAC, IsolationLevel.STRICT).to_flow_rules()
+        rules = self._stamped(EnforcementRule(MAC, IsolationLevel.STRICT))
         assert len(rules) == 1
         assert rules[0].action is FlowAction.SEND_TO_CONTROLLER
+
+    def test_stamped_matches_are_independent_of_their_template(self):
+        (template,) = flow_rule_templates(IsolationLevel.TRUSTED)
+        first, second = template.stamp(MAC, "a"), template.stamp(OTHER, "b")
+        assert (first.match.src_mac, second.match.src_mac) == (MAC, OTHER)
+        assert template.match.src_mac is None and template.match.specificity == 0
+        assert hash(first.match) == hash(FlowMatch(src_mac=MAC))
+
+    @pytest.mark.parametrize("level", list(IsolationLevel))
+    def test_plan_rules_equal_constructed_rules(self, level):
+        allowed = ("52.1.1.1", "52.1.1.2")
+        critical = VulnerabilityRecord("CVE-T-1", "Cam", "takeover", 9.5)
+        mild = VulnerabilityRecord("CVE-T-2", "Cam", "leak", 4.0)
+        assessment = SecurityAssessment("Cam", level, (mild, critical), allowed)
+        plan = enforcement_plan(assessment)
+        assert enforcement_plan(assessment) is plan
+        expected = EnforcementRule(
+            MAC, level, allowed if level is IsolationLevel.RESTRICTED else (), "Cam", 3.0
+        )
+        rule = plan.rule_for(MAC, 3.0)
+        assert rule == expected
+        assert set(vars(rule)) == {f.name for f in dataclasses.fields(EnforcementRule)}
+        assert plan.overlay is NetworkOverlay.for_isolation_level(level)
+        assert plan.critical_vulnerabilities == ("CVE-T-1",)
+        assert plan.vulnerability_count == 2
 
     def test_estimated_size_grows_with_destinations(self):
         small = EnforcementRule(MAC, IsolationLevel.STRICT)

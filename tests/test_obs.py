@@ -511,6 +511,27 @@ class TestWiring:
         for stage in ("parse", "assemble", "score"):
             assert snapshot[f"pipeline.{stage}_batch_seconds.count"] == len(hand_overs), stage
 
+    def test_deliver_timer_records_once_per_delivery(self, trained_identifier):
+        """``pipeline.deliver_batch_seconds`` observes each non-empty
+        delivery once, and the time it sums lies inside the drive."""
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        pipeline = handle._build_pipeline(IterableSource(rerun_stream(seed=5)))
+        deliveries = []
+        deliver = pipeline._deliver
+
+        def counting(identified):
+            if identified:
+                deliveries.append(len(identified))
+            return deliver(identified)
+
+        pipeline._deliver = counting
+        stats = pipeline.run()
+        snapshot = handle.snapshot()
+        assert len(deliveries) > 1
+        assert sum(deliveries) == stats.identified
+        assert snapshot["pipeline.deliver_batch_seconds.count"] == len(deliveries)
+        assert 0.0 < snapshot["pipeline.deliver_batch_seconds.sum"] < stats.wall_seconds
+
     def test_check_ledger_tool_passes_on_wired_output(self, wired):
         hub, pipeline, autopilot, _ = wired
         pipeline.run()
@@ -524,6 +545,27 @@ class TestWiring:
         )
         assert completed.returncode == 0, completed.stdout + completed.stderr
         assert "OK" in completed.stdout
+
+    def test_check_ledger_tool_flags_non_canonical_lines(self, wired):
+        hub, pipeline, _, _ = wired
+        pipeline.run()
+        hub.ledger.close()
+        path = hub.ledger.path
+        lines = path.read_text().splitlines(keepends=True)
+        first = json.loads(lines[0])
+        # Each line still parses and validates; only its form is off.
+        respaced = json.dumps(first, sort_keys=True) + "\n"
+        unsorted = json.dumps(dict(reversed(list(first.items()))), separators=(",", ":")) + "\n"
+        path.write_text(respaced + unsorted + "".join(lines[2:]))
+        completed = subprocess.run(
+            [sys.executable, str(CHECK_LEDGER), str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 1
+        assert completed.stdout.count("not in canonical JSON form") == 2
+        assert "ledger.ndjson:1:" in completed.stdout and "ledger.ndjson:2:" in completed.stdout
 
     def test_check_ledger_tool_flags_corruption(self, wired, tmp_path):
         hub, pipeline, _, _ = wired

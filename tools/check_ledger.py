@@ -14,7 +14,11 @@ why it deliberately re-implements the validation instead of importing
 * ``cache_epoch`` stamps never decrease (the epoch counter is monotonic,
   so a decrease means interleaved ledgers or clock-skewed processes);
 * every verdict record carries the fields needed to reconstruct the
-  decision: ``fingerprint_key`` and ``identifier_revision``.
+  decision: ``fingerprint_key`` and ``identifier_revision``;
+* every line is its own canonical encoding -- ``json.dumps(json.loads(line),
+  sort_keys=True, separators=(",", ":"))`` -- so a writer that drifts
+  from the canonical form (key order, whitespace, escapes, number
+  spelling) fails here even when its lines still parse.
 
 The one tolerated defect is an unterminated, undecodable final line of
 the *active* file -- the state a mid-append crash leaves behind; it is
@@ -105,7 +109,9 @@ def check_ledger(active: Path) -> tuple[int, list[str], list[str]]:
         is_last_file = file_index == len(files) - 1
         text = file.read_text(encoding="utf-8")
         terminated = text.endswith("\n")
-        lines = text.splitlines()
+        lines = text.split("\n")
+        if terminated:
+            lines.pop()
         for line_index, line in enumerate(lines):
             where = f"{file.name}:{line_index + 1}"
             unterminated_tail = (
@@ -119,6 +125,8 @@ def check_ledger(active: Path) -> tuple[int, list[str], list[str]]:
                     continue
                 errors.append(f"{where}: malformed JSON")
                 continue
+            if json.dumps(payload, sort_keys=True, separators=(",", ":")) != line:
+                errors.append(f"{where}: line is not in canonical JSON form")
             record = check_record(payload, where, errors)
             if record is None:
                 continue
