@@ -41,13 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.net.batch import PacketBatch
-from repro.net.layers import dhcp as dhcp_mod
-from repro.net.layers import dns as dns_mod
-from repro.net.layers import http as http_mod
-from repro.net.layers import ntp as ntp_mod
-from repro.net.layers import ssdp as ssdp_mod
-from repro.net.layers import tls as tls_mod
+from repro.net.batch import KEY_LAYOUT, PacketBatch, table_i_key
 from repro.net.packet import Packet
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -88,10 +82,6 @@ PORT_CLASS_WELL_KNOWN = 1
 PORT_CLASS_REGISTERED = 2
 PORT_CLASS_DYNAMIC = 3
 
-_HTTP_PORTS = frozenset({http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT})
-_HTTPS_PORTS = frozenset({tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT})
-_BOOTP_PORTS = frozenset({dhcp_mod.SERVER_PORT, dhcp_mod.CLIENT_PORT})
-
 #: The one stateful column: filled per capture, not by the batch kernel.
 _COUNTER = FEATURE_INDEX["dst_ip_counter"]
 
@@ -116,7 +106,7 @@ class PacketFeatureExtractor:
     feature: the first distinct destination IP a device contacts is mapped
     to 1, the second to 2, and so on.  One extractor instance must therefore
     be used per device capture (per fingerprint).  Every other column comes
-    from :func:`batch_feature_matrix`, the one definition of Table I.
+    from :func:`~repro.net.batch.table_i_key`, the one definition of Table I.
     """
 
     def __init__(self) -> None:
@@ -135,10 +125,10 @@ class PacketFeatureExtractor:
         """The order-of-first-contact counter of one destination token.
 
         The mapping advances on first contact; ``None`` (no IP layer)
-        reads 0 and advances nothing.  :meth:`extract`,
+        reads 0 and advances nothing.  :meth:`extract` and
         :meth:`Fingerprint.from_packets <repro.features.fingerprint.Fingerprint.from_packets>`
-        and the streaming assembler's batch walk all fill the
-        ``dst_ip_counter`` column through it.
+        fill the ``dst_ip_counter`` column through it; the streaming
+        assembler's fold keeps the same mapping per capture inline.
         """
         if dst_ip is None:
             return 0
@@ -157,70 +147,39 @@ class PacketFeatureExtractor:
         return vector
 
 
-#: First of the eight application columns (http .. ntp, indices 8-15).
-_APP_FIRST = FEATURE_INDEX["http"]
+_KEY_SHIFTS = np.array([shift for shift, _ in KEY_LAYOUT], dtype=np.int64)
+_KEY_MASKS = np.array([mask for _, mask in KEY_LAYOUT], dtype=np.int64)
+assert len(KEY_LAYOUT) == FEATURE_COUNT
 
 
-def _port_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables over ``port + 1`` for ports -1 (none) .. 65535.
+def unpack_rows(keys, counters) -> np.ndarray:
+    """The ``(len(keys), 23)`` Table-I rows of packed ``keys``
+    (:func:`~repro.net.batch.table_i_key`), with ``counters`` -- one per
+    row, or one for all -- written into the ``dst_ip_counter`` column.
 
-    ``membership`` holds one bit per application column 8-15 (http ..
-    ntp) that the port names; ``classes`` holds :func:`port_class`.
+    >>> from repro.net.batch import table_i_key
+    >>> rows = unpack_rows([table_i_key(0b1000_0100, 40000, 53, 80)], [2])
+    >>> names = ("ip", "udp", "dns", "packet_size", "dst_ip_counter", "src_port_class")
+    >>> [int(rows[0, FEATURE_INDEX[name]]) for name in names]
+    [1, 1, 1, 80, 2, 2]
     """
-    membership = np.zeros(65537, dtype=np.uint8)
-    for column, ports in (
-        ("http", _HTTP_PORTS),
-        ("https", _HTTPS_PORTS),
-        ("dhcp", _BOOTP_PORTS),
-        ("bootp", _BOOTP_PORTS),
-        ("ssdp", (ssdp_mod.PORT_SSDP,)),
-        ("dns", (dns_mod.PORT_DNS,)),
-        ("mdns", (dns_mod.PORT_MDNS,)),
-        ("ntp", (ntp_mod.PORT_NTP,)),
-    ):
-        for port in ports:
-            membership[port + 1] |= 1 << (FEATURE_INDEX[column] - _APP_FIRST)
-    classes = np.array(
-        [PORT_CLASS_NONE] + [port_class(port) for port in range(65536)], dtype=np.int64
-    )
-    return membership, classes
-
-
-def _transport_gates() -> np.ndarray:
-    """Application columns each transport admits, indexed by flag bits 6, 7, 11.
-
-    ``http``/``https`` need TCP, ``dns`` TCP or UDP, the rest UDP;
-    ``dhcp`` additionally needs the BOOTP payload to be DHCP.
-    """
-    over_tcp = ("http", "https", "dns")
-    over_udp = ("dhcp", "bootp", "ssdp", "dns", "mdns", "ntp")
-    gates = np.zeros(8, dtype=np.uint8)
-    for index in range(8):
-        tcp, udp, not_dhcp = index & 1, index & 2, index & 4
-        for bit, column in enumerate(FEATURE_NAMES[_APP_FIRST : _APP_FIRST + 8]):
-            admitted = (tcp and column in over_tcp) or (udp and column in over_udp)
-            if admitted and not (not_dhcp and column == "dhcp"):
-                gates[index] |= 1 << bit
-    return gates
-
-
-_PORT_MEMBERSHIP, _PORT_CLASSES = _port_tables()
-_TRANSPORT_GATES = _transport_gates()
+    matrix = (np.asarray(keys, dtype=np.int64)[:, None] >> _KEY_SHIFTS) & _KEY_MASKS
+    matrix[:, _COUNTER] = counters
+    return matrix
 
 
 def batch_feature_matrix(batch: PacketBatch) -> np.ndarray:
     """The ``(len(batch), 23)`` feature matrix of a whole packet batch.
 
-    The one definition of Table I: the frame and object parsers of
-    :mod:`repro.net.batch` produce the columns, and this kernel turns them
-    into rows, table driven.  One bit-unpack of the flag word gives the
-    eight protocol columns (flag bits 0-7 are columns 0-7) and the
-    option/raw-data bits; a port-membership table ANDed with the transport
-    gate gives the eight application columns; a port-class table gives the
-    two port classes.  The stateful ``dst_ip_counter`` column is left at
-    zero: it depends on per-device first-contact order, so each caller
-    fills it through :meth:`PacketFeatureExtractor.counter_for` while
-    walking a device's packets.
+    The batch form of :func:`~repro.net.batch.table_i_key`, the one
+    definition of Table I: each packet's columns are packed by the kernel
+    and the keys unpacked into rows, so training
+    (:meth:`Fingerprint.from_packets <repro.features.fingerprint.Fingerprint.from_packets>`),
+    one-packet extraction and the streaming drive compute every row
+    alike.  The stateful ``dst_ip_counter`` column is left at zero: it
+    depends on per-device first-contact order, so each caller fills it
+    through :meth:`PacketFeatureExtractor.counter_for` while walking a
+    device's packets.
 
     Example:
         >>> from repro.net.batch import PacketBatch
@@ -236,24 +195,11 @@ def batch_feature_matrix(batch: PacketBatch) -> np.ndarray:
         >>> [int(row[FEATURE_INDEX[name]]) for name in names]
         [1, 0, 0, 0]
     """
-    n = len(batch)
-    matrix = np.empty((n, FEATURE_COUNT), dtype=np.int64)
-    if n == 0:
-        return matrix
-    flags = batch.flags
-    bits = np.unpackbits(
-        flags.astype("<u2").view(np.uint8).reshape(n, 2), axis=1, bitorder="little"
+    keys = map(
+        table_i_key,
+        batch.flags.tolist(),
+        batch.src_ports.tolist(),
+        batch.dst_ports.tolist(),
+        batch.sizes.tolist(),
     )
-    src = batch.src_ports + 1
-    dst = batch.dst_ports + 1
-    gate = _TRANSPORT_GATES[((flags >> 6) & 3) | ((flags >> 9) & 4)]
-    application = (_PORT_MEMBERSHIP[src] | _PORT_MEMBERSHIP[dst]) & gate
-    matrix[:, :8] = bits[:, :8]
-    matrix[:, 8:16] = np.unpackbits(application[:, None], axis=1, bitorder="little")
-    matrix[:, 16:18] = bits[:, 8:10]
-    matrix[:, 18] = batch.sizes
-    matrix[:, 19] = bits[:, 10]
-    matrix[:, 20] = 0
-    matrix[:, 21] = _PORT_CLASSES[src]
-    matrix[:, 22] = _PORT_CLASSES[dst]
-    return matrix
+    return unpack_rows(list(keys), 0)

@@ -96,16 +96,22 @@ class SecurityGateway:
         return self._register(mac, ip_address, wireless, port)
 
     def _register(
-        self, mac: MACAddress, ip_address: Optional[str], wireless: bool, port: SwitchPort
+        self,
+        mac: MACAddress,
+        ip_address: Optional[str],
+        wireless: bool,
+        port: SwitchPort,
+        overlay: NetworkOverlay = NetworkOverlay.UNTRUSTED,
     ) -> DeviceRecord:
-        """:meth:`connect_device` for a MAC known not to be connected."""
+        """:meth:`connect_device` for a MAC known not to be connected; a
+        wireless device is issued a PSK for ``overlay``."""
         now = self.clock.now()
         record = DeviceRecord(mac=mac, ip_address=ip_address, connected_at=now, last_seen_at=now)
         self.devices[mac] = record
         if ip_address:
             self.ip_to_mac[ip_address] = mac
         if wireless:
-            self.wps.issue(mac, overlay=NetworkOverlay.UNTRUSTED, now=now)
+            self.wps.issue(mac, overlay=overlay, now=now)
         self.switch.learn_port(mac, port)
         return record
 
@@ -210,12 +216,17 @@ class SecurityGateway:
         fields, switch rule templates, critical-vulnerability notices --
         comes from its :func:`~repro.gateway.enforcement.enforcement_plan`,
         derived once per assessment; this call stamps the device's MAC
-        into it.
+        into it.  A device first seen in this verdict is registered with
+        one PSK for the plan's overlay; one connected before its verdict
+        is re-keyed when the plan moves it to the trusted overlay
+        (Sect. VIII-A).
         """
         plan = enforcement_plan(assessment)
         record = self.devices.get(mac)
         if record is None:
-            record = self._register(mac, None, True, SwitchPort.WIFI)
+            record = self._register(mac, None, True, SwitchPort.WIFI, overlay=plan.overlay)
+        elif plan.isolation_level is IsolationLevel.TRUSTED and self.wps.credential_of(mac):
+            self.wps.rekey(mac, overlay=NetworkOverlay.TRUSTED, now=self.clock.now())
         now = self.clock.now()
         record.device_type = plan.device_type
         record.isolation_level = plan.isolation_level
@@ -230,9 +241,6 @@ class SecurityGateway:
         if self.filtering_enabled:
             for template in plan.flow_rules:
                 self.switch.install_rule(template.stamp(mac, cookie))
-
-        if plan.isolation_level is IsolationLevel.TRUSTED and self.wps.credential_of(mac):
-            self.wps.rekey(mac, overlay=NetworkOverlay.TRUSTED, now=now)
 
         for cve_id in plan.critical_vulnerabilities:
             self.notifications.append(

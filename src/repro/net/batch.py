@@ -1,15 +1,11 @@
-"""Columnar packet batches: the struct-of-arrays view of the hot path.
+"""Packet parsing into Table-I rows, one item or one batch of columns.
 
 Building a :class:`Packet` object tree per frame and reading ~20
 attributes off it per feature row is what dominates a per-packet
-datapath, so the streaming pipeline moves *columns* instead: a
-:class:`PacketBatch` holds exactly the fields the Table-I feature set and
-the assembler consume -- timestamps, source MACs, protocol flags, ports,
-sizes, destination-IP tokens -- as numpy arrays over a whole batch of
-packets.
-
-One builder covers both stream item shapes.  :class:`PacketBatchBuilder`
-takes items one at a time as they arrive:
+datapath, so the streaming pipeline reads just the fields the Table-I
+feature set and the assembler consume -- timestamp, source MAC, protocol
+flags, ports, size, destination-IP token -- straight off each stream
+item.  Two parsers cover both item shapes:
 
 * a raw :class:`~repro.net.pcap.CapturedPacket` frame (pcap replay) is
   parsed with direct byte-offset reads -- no layer objects are built on
@@ -17,27 +13,39 @@ takes items one at a time as they arrive:
   included.  Any frame the fast parser cannot prove it handles exactly
   like :meth:`Packet.dissect` (LLC, TCP on BOOTP ports, malformed option
   lists, truncated headers and frames under 34 bytes) falls back to the
-  full dissector for that one frame, so the
-  columns are *always* equal to what dissecting every frame would have
-  produced (the differential suite asserts this);
+  full dissector for that one frame, so the fields are *always* equal to
+  what dissecting every frame would have produced (the differential
+  suite asserts this);
 * an already-dissected :class:`Packet` (simulator traces, training
   captures, generic sources) is read with one tight attribute pass.
 
-These two parsers are where Table I is defined: they produce the columns,
-and :func:`~repro.features.packet_features.batch_feature_matrix` turns
-them into feature rows for training and serving alike.
+:func:`table_i_key` -- the one definition of Table I -- packs one
+packet's fields into its feature row as one integer.  The streaming
+drive takes :func:`stream_row` from each item as it arrives (no batch is
+built); a :class:`PacketBatch` holds the fields of many items as numpy
+columns, and :func:`~repro.features.packet_features.batch_feature_matrix`
+is the kernel's batch form, for training and batch callers.
 """
 
 from __future__ import annotations
 
+import functools
+import socket
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from repro.net.addresses import ipv6_from_bytes
+from repro.net.layers import dhcp as dhcp_mod
+from repro.net.layers import dns as dns_mod
+from repro.net.layers import http as http_mod
 from repro.net.layers import ipv4 as ipv4_mod
 from repro.net.layers import ipv6 as ipv6_mod
+from repro.net.layers import ntp as ntp_mod
+from repro.net.layers import ssdp as ssdp_mod
+from repro.net.layers import tls as tls_mod
 from repro.net.layers.dhcp import FIXED_LEN as _BOOTP_FIXED_LEN
 from repro.net.layers.dhcp import MAGIC_COOKIE, DHCPMessage
 from repro.net.packet import Packet
@@ -69,6 +77,14 @@ _F_APP_NOT_DHCP = 1 << 11
 # defers TCP on these ports to the full dissector.
 _BOOTP_PORTS = (67, 68)
 
+# Transport header fields read in one call: both ports, and UDP's length.
+_PORT_PAIR = struct.Struct("!HH").unpack_from
+_UDP_HEADER = struct.Struct("!HHH").unpack_from
+
+#: Dotted-quad text of a 4-byte IPv4 address, memoised: a capture names
+#: few destinations, and each frame's token is looked up, not formatted.
+_ipv4_text = functools.lru_cache(maxsize=4096)(socket.inet_ntoa)
+
 # Option types whose presence sets the padding / router-alert columns.
 _IPV4_OPTION_END = ipv4_mod.OPTION_END
 _IPV4_OPTION_NOP = ipv4_mod.OPTION_NOP
@@ -76,6 +92,103 @@ _IPV4_OPTION_ROUTER_ALERT = ipv4_mod.OPTION_ROUTER_ALERT
 _HBH_OPTION_PAD1 = ipv6_mod.HBH_OPTION_PAD1
 _HBH_OPTION_PADN = ipv6_mod.HBH_OPTION_PADN
 _HBH_OPTION_ROUTER_ALERT = ipv6_mod.HBH_OPTION_ROUTER_ALERT
+
+
+# --------------------------------------------------------------------- #
+# Table I, packed: one integer key per packet.
+# --------------------------------------------------------------------- #
+# Bit offsets in a packed key.  The binary columns 0-17 (arp ..
+# ip_option_router_alert) take bits 0-17 in column order, raw_data
+# (column 19) bit 18, each port class two bits, and packet_size
+# (column 18) the 32 bits above them: pcap frame lengths are below 2**32.
+_KEY_APPLICATION = 8  # http .. ntp, columns 8-15
+_KEY_RAW_DATA = 18
+_KEY_SRC_CLASS = 19
+_KEY_DST_CLASS = 21
+_KEY_SIZE = 23
+
+#: ``(bit offset, mask)`` of each Table-I column in a packed key, in
+#: column order.  The stateful ``dst_ip_counter`` (column 20) depends on a
+#: device's first-contact order, not on the packet, and is not packed.
+KEY_LAYOUT: tuple[tuple[int, int], ...] = (
+    *((bit, 1) for bit in range(18)),  # arp .. ip_option_router_alert
+    (_KEY_SIZE, (1 << 32) - 1),  # packet_size
+    (_KEY_RAW_DATA, 1),  # raw_data
+    (0, 0),  # dst_ip_counter
+    (_KEY_SRC_CLASS, 3),  # src_port_class
+    (_KEY_DST_CLASS, 3),  # dst_port_class
+)
+
+_HTTP, _HTTPS, _DHCP, _BOOTP, _SSDP, _DNS, _MDNS, _NTP = (
+    1 << bit for bit in range(_KEY_APPLICATION, _KEY_APPLICATION + 8)
+)
+
+#: The application columns a port names, before the transport gate.  A
+#: dict of the named ports, not a table over all 65,536.
+_APPLICATION_PORTS: dict[int, int] = {
+    http_mod.PORT_HTTP: _HTTP,
+    http_mod.PORT_HTTP_ALT: _HTTP,
+    tls_mod.PORT_HTTPS: _HTTPS,
+    tls_mod.PORT_HTTPS_ALT: _HTTPS,
+    dhcp_mod.SERVER_PORT: _DHCP | _BOOTP,
+    dhcp_mod.CLIENT_PORT: _DHCP | _BOOTP,
+    ssdp_mod.PORT_SSDP: _SSDP,
+    dns_mod.PORT_DNS: _DNS,
+    dns_mod.PORT_MDNS: _MDNS,
+    ntp_mod.PORT_NTP: _NTP,
+}
+
+
+def _transport_gate(index: int) -> int:
+    """Application columns a transport admits; ``index`` holds flag bits
+    6 (TCP), 7 (UDP) and 11 (a BOOTP payload that is not DHCP) as bits
+    0-2.  ``http``/``https`` need TCP, ``dns`` TCP or UDP, the rest UDP."""
+    gate = (_HTTP | _HTTPS | _DNS) if index & 1 else 0
+    if index & 2:
+        gate |= _DHCP | _BOOTP | _SSDP | _DNS | _MDNS | _NTP
+    return gate & ~_DHCP if index & 4 else gate
+
+
+_TRANSPORT_GATES = tuple(_transport_gate(index) for index in range(8))
+
+# Port classes 1-3 (well-known, registered, dynamic) in place; a packet
+# without ports has class 0 on both sides.
+_SRC_WELL_KNOWN, _SRC_REGISTERED, _SRC_DYNAMIC = (cls << _KEY_SRC_CLASS for cls in (1, 2, 3))
+_DST_WELL_KNOWN, _DST_REGISTERED, _DST_DYNAMIC = (cls << _KEY_DST_CLASS for cls in (1, 2, 3))
+
+
+def table_i_key(flags: int, src_port: int, dst_port: int, size: int) -> int:
+    """The packed Table-I row of one packet: the one definition of Table I.
+
+    ``flags`` is the packet's flag word (the ``_F_*`` bits of this
+    module), ports are -1 where the packet has no transport layer and
+    ``size`` is its wire length.  Table driven: flag bits 0-7 are columns
+    0-7 as they stand, the option and raw-data bits move up past the
+    application columns, the named-port dict ANDed with the transport
+    gate gives the eight application columns, and each port is classed by
+    the paper's thresholds (none / well-known / registered / dynamic).
+    :data:`KEY_LAYOUT` says where each column sits.
+
+    An mDNS query over IPv4/UDP, unpacked by the layout:
+
+    >>> key = table_i_key(_F_IP | _F_UDP | _F_RAW_DATA, 5353, 5353, 90)
+    >>> [(key >> shift) & mask for shift, mask in KEY_LAYOUT]
+    [0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 90, 1, 0, 2, 2]
+    >>> key = table_i_key(_F_ARP, -1, -1, 42)  # no transport: port class 0
+    >>> [(key >> shift) & mask for shift, mask in KEY_LAYOUT][18:]
+    [42, 0, 0, 0, 0]
+    """
+    application = _APPLICATION_PORTS.get(src_port, 0) | _APPLICATION_PORTS.get(dst_port, 0)
+    return (
+        flags & 0xFF
+        | (flags & 0x700) << 8  # flag bits 8-10 (padding .. raw data) -> 16-18
+        | application & _TRANSPORT_GATES[(flags >> 6) & 3 | (flags >> 9) & 4]
+        | (_SRC_DYNAMIC if src_port > 49151 else _SRC_REGISTERED if src_port > 1023
+           else _SRC_WELL_KNOWN if src_port >= 0 else 0)
+        | (_DST_DYNAMIC if dst_port > 49151 else _DST_REGISTERED if dst_port > 1023
+           else _DST_WELL_KNOWN if dst_port >= 0 else 0)
+        | size << _KEY_SIZE
+    )
 
 
 def _packet_fields(packet: Packet) -> tuple[int, int, int, int, Optional[str]]:
@@ -208,17 +321,18 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
     (DHCP, another parser, no parser) leaves just the "payload present"
     bit.
     """
-    if len(data) < 34:
+    frame_len = len(data)
+    if frame_len < 34:
         # Too short for Ethernet + minimal IP: LLC, ARP, EAPOL, runts and
         # decode errors all live here -- let the dissector decide.
         return None
-    ethertype = (data[12] << 8) | data[13]
+    ethertype = data[12] << 8 | data[13]
     if ethertype == _ETHERTYPE_IPV4:
         version_ihl = data[14]
         if version_ihl >> 4 != 4:
             return None
         ihl = (version_ihl & 0x0F) * 4
-        rest_len = len(data) - 14
+        rest_len = frame_len - 14
         if ihl < 20 or rest_len < ihl:
             return None  # IPv4Header.from_bytes rejects the IHL
         flags = _F_IP
@@ -227,14 +341,14 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
             if option_flags is None:
                 return None
             flags |= option_flags
-        total_length = (data[16] << 8) | data[17]
-        l4_end = min(rest_len, total_length) if total_length >= ihl else rest_len
+        total_length = data[16] << 8 | data[17]
+        l4_end = total_length if ihl <= total_length < rest_len else rest_len
         l4_len = l4_end - ihl
         l4_off = 14 + ihl
         protocol = data[23]
-        dst_ip = "%d.%d.%d.%d" % (data[30], data[31], data[32], data[33])
+        dst_ip = _ipv4_text(data[30:34])
     elif ethertype == _ETHERTYPE_IPV6:
-        if len(data) < 54 or (data[14] >> 4) != 6:
+        if frame_len < 54 or (data[14] >> 4) != 6:
             return None
         protocol = data[20]
         l4_off = 54
@@ -242,19 +356,19 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         if protocol == 0:  # hop-by-hop options header
             # IPv6Header.from_bytes: at least 8 bytes, the whole header
             # present, the next header read from its first byte.
-            if len(data) < 62:
+            if frame_len < 62:
                 return None
             l4_off = 54 + (data[55] + 1) * 8
-            if len(data) < l4_off:
+            if frame_len < l4_off:
                 return None
             flags |= _hop_by_hop_option_flags(data, 56, l4_off)
             protocol = data[54]
         dst_ip = ipv6_from_bytes(data[38:54])
         # IPv6Header.from_bytes does not clamp by payload_length: Ethernet
         # padding stays in the transport payload, exactly as scalar.
-        l4_len = len(data) - l4_off
+        l4_len = frame_len - l4_off
     elif ethertype == _ETHERTYPE_ARP:
-        rest = len(data) - 14
+        rest = frame_len - 14
         if rest < 28 or data[18] != 6 or data[19] != 4:
             return None  # ARPPacket.from_bytes would reject it
         return _F_ARP, -1, -1, None
@@ -262,15 +376,25 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         # EAPOLFrame.from_bytes: a 4-byte header and a body cut at its
         # length field; whatever follows stays as raw payload.
         body_end = 18 + ((data[16] << 8) | data[17])
-        return _F_EAPOL | (_F_RAW_DATA if len(data) > body_end else 0), -1, -1, None
+        return _F_EAPOL | (_F_RAW_DATA if frame_len > body_end else 0), -1, -1, None
     else:
         if ethertype <= _MAX_8023_LENGTH:
             return None  # LLC payload semantics: full dissect
         # Unknown EtherType: dissect keeps the bytes as raw payload.
-        flags = _F_RAW_DATA if len(data) > 14 else 0
+        flags = _F_RAW_DATA if frame_len > 14 else 0
         return flags, -1, -1, None
 
-    if protocol == 6:  # TCP
+    if protocol == 17:  # UDP
+        if l4_len < 8:
+            return None
+        src_port, dst_port, udp_length = _UDP_HEADER(data, l4_off)
+        if udp_length < 8:
+            return None
+        flags |= _F_UDP
+        payload_len = (l4_len if l4_len < udp_length else udp_length) - 8
+        if payload_len > 0:
+            flags |= _F_RAW_DATA
+    elif protocol == 6:  # TCP
         if l4_len < 20:
             return None
         offset = (data[l4_off + 12] >> 4) * 4
@@ -279,16 +403,7 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         flags |= _F_TCP
         if l4_len - offset > 0:
             flags |= _F_RAW_DATA
-    elif protocol == 17:  # UDP
-        if l4_len < 8:
-            return None
-        udp_length = (data[l4_off + 4] << 8) | data[l4_off + 5]
-        if udp_length < 8:
-            return None
-        flags |= _F_UDP
-        payload_len = min(l4_len, udp_length) - 8
-        if payload_len > 0:
-            flags |= _F_RAW_DATA
+        src_port, dst_port = _PORT_PAIR(data, l4_off)
     elif protocol == 1 and ethertype == _ETHERTYPE_IPV4:  # ICMP
         if l4_len < 8:
             return None
@@ -304,8 +419,6 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
             flags |= _F_RAW_DATA
         return flags, -1, -1, dst_ip
 
-    src_port = (data[l4_off] << 8) | data[l4_off + 1]
-    dst_port = (data[l4_off + 2] << 8) | data[l4_off + 3]
     if src_port in _BOOTP_PORTS or dst_port in _BOOTP_PORTS:
         if protocol == 6:
             return None  # TCP on a BOOTP port: full dissect
@@ -323,67 +436,40 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
 StreamItem = Union[CapturedPacket, Packet]
 
 
-class PacketBatchBuilder:
-    """Accumulates stream items into batch columns, one item at a time.
+def _item_fields(item: StreamItem) -> tuple[float, int, int, int, int, int, Optional[str]]:
+    """``(timestamp, source MAC, flags, src_port, dst_port, size, dst_ip)``
+    of one frame or packet: the fast frame parser, the full dissector for
+    the frames it defers, the object parser for dissected packets."""
+    if isinstance(item, CapturedPacket):
+        data = item.data
+        fields = _fast_frame_fields(data)
+        if fields is not None:
+            flags, src_port, dst_port, dst_ip = fields
+            mac = int.from_bytes(data[6:12], "big")
+            size = item.original_length or len(data)
+            return item.timestamp, mac, flags, src_port, dst_port, size, dst_ip
+        item = Packet.dissect(data, item.timestamp, item.original_length)
+    flags, src_port, dst_port, size, dst_ip = _packet_fields(item)
+    return item.timestamp, item.ethernet.src.value, flags, src_port, dst_port, size, dst_ip
 
-    :meth:`add` parses one item into the column lists and returns its
-    source MAC (the caller's hand-over decision keys on it);
-    :meth:`build` turns the accumulated columns into a
-    :class:`PacketBatch` and starts an empty batch.
+
+def stream_row(item: StreamItem) -> tuple[float, int, int, Optional[str]]:
+    """``(timestamp, source MAC, packed Table-I key, destination token)`` of one item.
+
+    The per-frame parse of the streaming drive: :func:`table_i_key` packs
+    the fields :class:`PacketBatch` would hold for the item; no column is
+    built.  The common frame shapes take the fast frame parser inline.
     """
-
-    __slots__ = ("timestamps", "macs", "flags", "src_ports", "dst_ports", "sizes", "dst_ips")
-
-    def __init__(self) -> None:
-        self._reset()
-
-    def _reset(self) -> None:
-        self.timestamps: list[float] = []
-        self.macs: list[int] = []
-        self.flags: list[int] = []
-        self.src_ports: list[int] = []
-        self.dst_ports: list[int] = []
-        self.sizes: list[int] = []
-        self.dst_ips: list[Optional[str]] = []
-
-    def add(self, item: StreamItem) -> int:
-        """Parse one frame or packet into the columns; returns its source MAC."""
-        if isinstance(item, CapturedPacket):
-            data = item.data
-            fast = _fast_frame_fields(data)
-            if fast is not None:
-                flags, src_port, dst_port, dst_ip = fast
-                size = item.original_length or len(data)
-                mac = int.from_bytes(data[6:12], "big")
-            else:
-                packet = Packet.dissect(data, item.timestamp, item.original_length)
-                flags, src_port, dst_port, size, dst_ip = _packet_fields(packet)
-                mac = packet.ethernet.src.value
-        else:
-            flags, src_port, dst_port, size, dst_ip = _packet_fields(item)
-            mac = item.ethernet.src.value
-        self.timestamps.append(item.timestamp)
-        self.macs.append(mac)
-        self.flags.append(flags)
-        self.src_ports.append(src_port)
-        self.dst_ports.append(dst_port)
-        self.sizes.append(size)
-        self.dst_ips.append(dst_ip)
-        return mac
-
-    def build(self) -> "PacketBatch":
-        """The accumulated columns as a batch; the builder starts over empty."""
-        batch = PacketBatch(
-            timestamps=np.array(self.timestamps, dtype=np.float64),
-            src_macs=np.array(self.macs, dtype=np.int64),
-            flags=np.array(self.flags, dtype=np.int64),
-            src_ports=np.array(self.src_ports, dtype=np.int64),
-            dst_ports=np.array(self.dst_ports, dtype=np.int64),
-            sizes=np.array(self.sizes, dtype=np.int64),
-            dst_ips=self.dst_ips,
-        )
-        self._reset()
-        return batch
+    if isinstance(item, CapturedPacket):
+        data = item.data
+        fields = _fast_frame_fields(data)
+        if fields is not None:
+            flags, src_port, dst_port, dst_ip = fields
+            mac = int.from_bytes(data[6:12], "big")
+            size = item.original_length or len(data)
+            return item.timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
+    timestamp, mac, flags, src_port, dst_port, size, dst_ip = _item_fields(item)
+    return timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
 
 
 @dataclass
@@ -408,14 +494,23 @@ class PacketBatch:
 
     @classmethod
     def from_items(cls, items: Iterable[StreamItem]) -> "PacketBatch":
-        """One batch of frames and/or packets (see :class:`PacketBatchBuilder`)."""
-        builder = PacketBatchBuilder()
-        for item in items:
-            builder.add(item)
-        return builder.build()
+        """One batch of raw frames and/or dissected packets, in order."""
+        rows = [_item_fields(item) for item in items]
+        timestamps, macs, flags, src_ports, dst_ports, sizes, dst_ips = (
+            zip(*rows) if rows else ((),) * 7
+        )
+        return cls(
+            timestamps=np.array(timestamps, dtype=np.float64),
+            src_macs=np.array(macs, dtype=np.int64),
+            flags=np.array(flags, dtype=np.int64),
+            src_ports=np.array(src_ports, dtype=np.int64),
+            dst_ports=np.array(dst_ports, dtype=np.int64),
+            sizes=np.array(sizes, dtype=np.int64),
+            dst_ips=list(dst_ips),
+        )
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
 
 
-__all__ = ["PacketBatch", "PacketBatchBuilder", "StreamItem"]
+__all__ = ["KEY_LAYOUT", "PacketBatch", "StreamItem", "stream_row", "table_i_key"]

@@ -20,6 +20,10 @@ from repro.net.packet import Packet
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
 
+#: Bytes :class:`PcapReader` reads at a time; records are cut out of the
+#: block in memory.
+READ_BLOCK = 1 << 16
+
 MAGIC_MICROSECONDS = 0xA1B2C3D4
 MAGIC_NANOSECONDS = 0xA1B23C4D
 
@@ -50,22 +54,40 @@ class PcapReader:
         self.snaplen = 65535
 
     def __iter__(self) -> Iterator[CapturedPacket]:
+        """The file's records, read in blocks of :data:`READ_BLOCK` bytes.
+
+        Records are cut out of the current block with
+        ``struct.unpack_from``; a record that runs past the block's end
+        carries over into the next read, and one longer than a block is
+        read whole.
+        """
         with open(self.path, "rb") as handle:
             header = handle.read(GLOBAL_HEADER_LEN)
             self._parse_global_header(header)
-            record = struct.Struct(self._endianness + "IIII")
+            unpack_from = struct.Struct(self._endianness + "IIII").unpack_from
             divisor = 1e9 if self._nanoseconds else 1e6
+            read = handle.read
+            block = b""
+            offset = 0
             while True:
-                record_header = handle.read(RECORD_HEADER_LEN)
-                if not record_header:
-                    break
-                if len(record_header) < RECORD_HEADER_LEN:
-                    raise PcapFormatError("truncated pcap record header")
-                seconds, subseconds, captured_len, original_len = record.unpack(record_header)
-                data = handle.read(captured_len)
-                if len(data) < captured_len:
-                    raise PcapFormatError("truncated pcap record body")
-                yield CapturedPacket(seconds + subseconds / divisor, data, original_len)
+                if len(block) - offset < RECORD_HEADER_LEN:
+                    block = block[offset:] + read(max(READ_BLOCK, RECORD_HEADER_LEN))
+                    offset = 0
+                    if not block:
+                        break
+                    if len(block) < RECORD_HEADER_LEN:
+                        raise PcapFormatError("truncated pcap record header")
+                seconds, subseconds, captured_len, original_len = unpack_from(block, offset)
+                start = offset + RECORD_HEADER_LEN
+                offset = start + captured_len
+                if offset > len(block):
+                    block = block[start:] + read(max(READ_BLOCK, offset - len(block)))
+                    start, offset = 0, captured_len
+                    if offset > len(block):
+                        raise PcapFormatError("truncated pcap record body")
+                yield CapturedPacket(
+                    seconds + subseconds / divisor, block[start:offset], original_len
+                )
 
     def _parse_global_header(self, header: bytes) -> None:
         if len(header) < GLOBAL_HEADER_LEN:

@@ -166,15 +166,15 @@ class Observability:
         self._assembler_flush_seconds.observe(seconds)
 
     def observe_parse_batch(self, seconds: float) -> None:
-        """One PacketBatch built from raw frames or packet objects."""
+        """One window's frame loop: framing, parse, Table-I key and fold."""
         self._parse_batch_seconds.observe(seconds)
 
     def observe_assemble_batch(self, seconds: float) -> None:
-        """One batched assembler pass (feature matrix + per-device fold)."""
+        """One window end's assembly: fingerprints of ended captures, sweeps."""
         self._assemble_batch_seconds.observe(seconds)
 
     def observe_score_batch(self, seconds: float) -> None:
-        """One batched dispatch round (submit + poll) of a PacketBatch."""
+        """One dispatch round (submit + poll) of a window, or the final drain."""
         self._score_batch_seconds.observe(seconds)
 
     def observe_deliver_batch(self, seconds: float) -> None:

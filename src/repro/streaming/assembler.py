@@ -3,13 +3,17 @@
 The offline path buffers a device's whole setup capture, cuts it with
 :class:`~repro.features.session.SetupPhaseDetector` and only then extracts
 features (:meth:`~repro.features.fingerprint.Fingerprint.from_packets`).  The
-streaming assembler instead folds packet batches into the devices'
-fingerprints as they arrive: one vectorised pass gives the batch's Table-I
-rows, each packed into one integer key (:func:`pack_rows`), and one walk
-over the frames in stream order applies the stateful destination counter,
-consecutive-duplicate suppression and the emission decision.  Captures sit
-in one index keyed by the MAC's integer value as it sits in the batch
-column; each records its shard, ``hash((mac_value,)) % shards``, when it
+streaming assembler instead folds each frame into its device's capture as
+it arrives: a frame comes in as one packed Table-I key
+(:func:`~repro.net.batch.table_i_key`), and one walk over the frames in
+stream order applies the stateful destination counter,
+consecutive-duplicate suppression and the emission decision.  The frames
+come from a :class:`PreparedFrames` stream -- parsed lazily from stream
+items (:meth:`ShardedFingerprintAssembler.prepare_items`) or read from a
+batch's columns (:meth:`ShardedFingerprintAssembler.prepare_batch`) -- and
+:meth:`ShardedFingerprintAssembler.observe_prepared` folds them until a
+window must end.  Captures sit in one index keyed by the MAC's integer
+value; each records its shard, ``hash((mac_value,)) % shards``, when it
 opens, so that the pipeline's idle-eviction sweeps visit one shard at a
 time, round robin.
 
@@ -29,27 +33,21 @@ A fingerprint is emitted when
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.features.fingerprint import Fingerprint
-from repro.features.packet_features import (
-    FEATURE_COUNT,
-    FEATURE_INDEX,
-    FEATURE_NAMES,
-    PacketFeatureExtractor,
-    batch_feature_matrix,
-)
+from repro.features.packet_features import batch_feature_matrix, unpack_rows
 from repro.features.session import SetupPhaseDetector, gap_exceeds_setup_threshold
 from repro.net.addresses import MACAddress
-from repro.net.batch import PacketBatch
+from repro.net.batch import KEY_LAYOUT, PacketBatch, StreamItem, stream_row
 from repro.net.packet import Packet
 
-_DST_IP_COUNTER = FEATURE_INDEX["dst_ip_counter"]
 #: Sweeps and flushes emit shard by shard, in capture-start order.
 _SHARD_STARTED = attrgetter("shard", "started")
 
@@ -57,41 +55,18 @@ EMIT_BUDGET = "budget"
 EMIT_IDLE = "idle"
 EMIT_FLUSH = "flush"
 
-
-def _key_layout() -> tuple[np.ndarray, np.ndarray]:
-    """Bit offset and mask of each Table-I column in a packed row key.
-
-    Each binary column takes one bit and each port class two, in column
-    order; ``packet_size`` takes the 32 bits above them (pcap frame
-    lengths are below 2**32).  The stateful ``dst_ip_counter`` column is
-    not packed: its mask is 0.
-    """
-    shifts = np.zeros(FEATURE_COUNT, dtype=np.int64)
-    masks = np.zeros(FEATURE_COUNT, dtype=np.int64)
-    offset = 0
-    for index, name in enumerate(FEATURE_NAMES):
-        if name in ("packet_size", "dst_ip_counter"):
-            continue
-        width = 2 if name.endswith("_port_class") else 1
-        shifts[index], masks[index] = offset, (1 << width) - 1
-        offset += width
-    size = FEATURE_INDEX["packet_size"]
-    shifts[size], masks[size] = offset, (1 << 32) - 1
-    return shifts, masks
-
-
-_KEY_SHIFTS, _KEY_MASKS = _key_layout()
-_KEY_WEIGHTS = np.where(_KEY_MASKS != 0, np.left_shift(1, _KEY_SHIFTS), 0)
+_KEY_WEIGHTS = np.array([1 << shift if mask else 0 for shift, mask in KEY_LAYOUT], dtype=np.int64)
 
 
 def pack_rows(matrix: np.ndarray) -> np.ndarray:
     """One integer key per Table-I row, packing its 22 stateless columns.
 
-    Lossless for every row :func:`~repro.features.packet_features.batch_feature_matrix`
+    The inverse of :func:`~repro.features.packet_features.unpack_rows`
+    for every row :func:`~repro.features.packet_features.batch_feature_matrix`
     produces, so two rows with equal counters are equal exactly when
-    their keys are; :func:`unpack_rows` restores them:
+    their keys are:
 
-    >>> rows = np.zeros((2, FEATURE_COUNT), dtype=np.int64)
+    >>> rows = np.zeros((2, len(KEY_LAYOUT)), dtype=np.int64)
     >>> rows[0, :20] = 1
     >>> rows[0, 18] = 2**32 - 1  # packet_size: the pcap orig_len ceiling
     >>> rows[0, 21:] = 3  # both port classes dynamic
@@ -101,14 +76,6 @@ def pack_rows(matrix: np.ndarray) -> np.ndarray:
     (True, 'int64')
     """
     return matrix @ _KEY_WEIGHTS
-
-
-def unpack_rows(keys, counters) -> np.ndarray:
-    """The ``(len(keys), 23)`` Table-I rows of packed ``keys``, with
-    ``counters`` written into the ``dst_ip_counter`` column."""
-    matrix = (np.asarray(keys, dtype=np.int64)[:, None] >> _KEY_SHIFTS) & _KEY_MASKS
-    matrix[:, _DST_IP_COUNTER] = counters
-    return matrix
 
 
 @dataclass(frozen=True)
@@ -138,22 +105,22 @@ class AssemblerStats:
 
 
 @dataclass
-class _PreparedBatch:
-    """One batch's columns as Python lists, ready for the stream-order fold.
+class PreparedFrames:
+    """Frames waiting to be folded, as rows in stream order.
 
-    Built once by :meth:`ShardedFingerprintAssembler.prepare_batch`:
-    ``keys`` are the packed Table-I rows (:func:`pack_rows`), ``base`` is
-    the stream ordinal of the batch's first frame and ``position`` is
-    where the next :meth:`~ShardedFingerprintAssembler.observe_prepared`
-    window starts.
+    Each row is ``(timestamp, source MAC value, packed Table-I key,
+    destination token)``.  :meth:`ShardedFingerprintAssembler.observe_prepared`
+    folds rows until a window must end and can be called again to go on
+    where it stopped: ``latest`` is the stream time so far (the running
+    maximum of the folded timestamps, which a caller may raise),
+    ``frames`` counts the folded rows and ``done`` turns True once the
+    rows run out.
     """
 
-    timestamps: list
-    macs: list
-    keys: list
-    dst_ips: list
-    base: int
-    position: int = 0
+    rows: Iterator[tuple[float, int, int, Optional[str]]]
+    latest: float = -math.inf
+    frames: int = 0
+    done: bool = False
 
 
 @dataclass(slots=True)
@@ -161,21 +128,28 @@ class _Capture:
     """Incremental fingerprint state of one device capture.
 
     ``keys`` and ``counters`` hold the kept rows in arrival order: the
-    packed stateless columns and the destination counter of each.  Only
-    the last kept pair is ever compared (Eq. (1)).  ``shard`` is fixed
-    when the capture opens; ``started`` is the stream ordinal of the
-    frame that opened it.
+    packed stateless columns and the destination counter of each; only
+    the last kept pair is ever compared (Eq. (1)), so it is kept beside
+    them.  ``gaps`` holds the gap before each frame after the first.
+    ``destinations`` maps each destination token to its
+    first-contact counter, with ``None`` (no IP layer) at 0.  ``shard`` is
+    fixed when the capture opens; ``started`` is the stream ordinal of the
+    frame that opened it.  ``reason`` and ``completed_at`` are set when
+    the capture ends.
     """
 
     mac: MACAddress
     shard: int
     started: int
     last_seen: float
-    extractor: PacketFeatureExtractor = field(default_factory=PacketFeatureExtractor)
+    destinations: dict = field(default_factory=lambda: {None: 0})
     keys: list[int] = field(default_factory=list)
     counters: list[int] = field(default_factory=list)
+    last_key: int = -1
+    last_counter: int = -1
     gaps: list[float] = field(default_factory=list)
-    raw_packets: int = 0
+    reason: str = ""
+    completed_at: float = 0.0
 
     def to_fingerprint(self) -> Fingerprint:
         # Rows are already consecutive-deduplicated on the fly.
@@ -242,11 +216,8 @@ class ShardedFingerprintAssembler:
         # Every open capture, keyed by the MAC's integer value, the form
         # the batch columns carry.
         self._captures: dict[int, _Capture] = {}
-        # Stream ordinal of the next packet to be prepared.
+        # Stream ordinal of the next frame to be folded.
         self._ordinal = 0
-        # Frames announced by frame_may_complete and not yet folded:
-        # source MAC -> (timestamp, raw packets of its capture so far).
-        self._announced: dict[int, tuple[float, int]] = {}
 
     # ------------------------------------------------------------------ #
     # Routing.
@@ -261,14 +232,9 @@ class ShardedFingerprintAssembler:
         # stays what it has always been.
         return hash((mac_value,)) % self.shards
 
-    def _by_shard(self, shard: Optional[int] = None) -> list[_Capture]:
-        """Open captures of ``shard`` (every shard if None), shard by shard
-        in capture-start order."""
-        captures = self._captures.values()
-        if shard is not None:
-            shard %= self.shards
-            captures = [capture for capture in captures if capture.shard == shard]
-        return sorted(captures, key=_SHARD_STARTED)
+    def _by_shard(self) -> list[_Capture]:
+        """Every open capture, shard by shard in capture-start order."""
+        return sorted(self._captures.values(), key=_SHARD_STARTED)
 
     @property
     def active_devices(self) -> int:
@@ -290,147 +256,159 @@ class ShardedFingerprintAssembler:
     def observe(self, packet: Packet) -> Optional[ReadyFingerprint]:
         """Fold one packet in; returns a fingerprint if one completed.
 
-        A one-packet batch through :meth:`prepare_batch` and
-        :meth:`observe_prepared`.  A packet arriving after the device's
-        packet rate dropped (the adaptive end-of-setup rule) first
-        completes the previous capture, then starts a fresh one -- the
-        same device re-running its setup (factory reset, reconnect)
-        therefore produces a new fingerprint instead of polluting the old
-        matrix.
+        A one-packet batch through :meth:`prepare_batch`,
+        :meth:`observe_prepared` and :meth:`emit`.  A packet arriving
+        after the device's packet rate dropped (the adaptive end-of-setup
+        rule) first completes the previous capture, then starts a fresh
+        one -- the same device re-running its setup (factory reset,
+        reconnect) therefore produces a new fingerprint instead of
+        polluting the old matrix.
         """
-        emitted = self.observe_prepared(self.prepare_batch(PacketBatch.from_items([packet])), 1)
+        prepared = self.prepare_batch(PacketBatch.from_items([packet]))
+        emitted = self.emit(self.observe_prepared(prepared))
         return emitted[0] if emitted else None
 
-    def frame_may_complete(self, mac_value: int, timestamp: float) -> bool:
-        """Announce one frame ahead of its fold; True if it may complete a capture.
-
-        The capture-end rule of the whole drive: a frame can only complete
-        a capture when its device's capture reaches the packet budget with
-        it, or when the gap since the device's previous packet exceeds
-        ``min_idle_seconds``.  Announced frames are tracked until the next
-        :meth:`prepare_batch` or :meth:`observe_prepared`, after which the
-        capture index is authoritative again.  Exact as long as nothing
-        completes between announced frames -- which holds when the caller
-        folds the frames at the first True.
-
-        The third frame reaches a budget of three packets; a 10.5 s gap
-        exceeds the default 10 s ``min_idle_seconds``:
-
-        >>> assembler = ShardedFingerprintAssembler(packet_budget=3)
-        >>> [assembler.frame_may_complete(0x02AA, t) for t in (0.0, 0.5, 1.0)]
-        [False, False, True]
-        >>> assembler = ShardedFingerprintAssembler()
-        >>> [assembler.frame_may_complete(0x02BB, t) for t in (0.0, 0.5, 11.0)]
-        [False, False, True]
-        """
-        state = self._announced.get(mac_value)
-        if state is None:
-            capture = self._captures.get(mac_value)
-            if capture is None:
-                self._announced[mac_value] = (timestamp, 1)
-                return self.packet_budget <= 1
-            last_seen, raw = capture.last_seen, capture.raw_packets
-        else:
-            last_seen, raw = state
-        raw += 1
-        self._announced[mac_value] = (timestamp, raw)
-        return raw >= self.packet_budget or timestamp - last_seen > self.min_idle_seconds
-
-    def prepare_batch(self, batch: PacketBatch) -> _PreparedBatch:
-        """Run the vectorised per-batch work once, ahead of observation.
+    def prepare_batch(self, batch: PacketBatch) -> PreparedFrames:
+        """The rows of a whole batch, ready for :meth:`observe_prepared`.
 
         One :func:`~repro.features.packet_features.batch_feature_matrix`
         call, packed into one key per row (:func:`pack_rows`); the
-        timestamps, MACs and keys come back as Python lists, which the
-        per-frame fold indexes faster than arrays.  A caller interleaving
-        observation with eviction sweeps (the pipeline cuts a batch into
-        windows) prepares the batch once and then feeds consecutive
-        windows to :meth:`observe_prepared`.
+        columns come back as Python lists, which the fold reads faster
+        than arrays.
         """
-        self._announced.clear()
-        base = self._ordinal
-        self._ordinal += len(batch)
-        return _PreparedBatch(
-            timestamps=batch.timestamps.tolist(),
-            macs=batch.src_macs.tolist(),
-            keys=pack_rows(batch_feature_matrix(batch)).tolist(),
-            dst_ips=batch.dst_ips,
-            base=base,
-        )
+        keys = pack_rows(batch_feature_matrix(batch)).tolist()
+        rows = zip(batch.timestamps.tolist(), batch.src_macs.tolist(), keys, batch.dst_ips)
+        return PreparedFrames(rows)
 
-    def observe_prepared(self, prepared: _PreparedBatch, stop: int) -> list[ReadyFingerprint]:
-        """Fold the not-yet-observed frames before index ``stop`` in, in stream order.
+    @staticmethod
+    def prepare_items(items: Iterable[StreamItem]) -> PreparedFrames:
+        """The rows of a stream of frames and/or packets, parsed lazily.
 
-        Folding the packets one at a time, exactly: completed fingerprints
-        come back in the order of the frames that completed them, with
-        bitwise-identical matrices (the differential suite asserts both
-        against a per-packet oracle).  Idle *eviction* remains the
-        caller's job.  A frame's row is kept unless its packed key and
-        destination counter both equal the capture's last kept row's: the
-        consecutive-duplicate rule of Eq. (1), so pausing for an eviction
-        sweep between windows cannot change any decision.  The window's
-        frames leave the :meth:`frame_may_complete` announcements: the
-        capture index holds them from here on.
+        Each item is parsed by :func:`~repro.net.batch.stream_row` only
+        when :meth:`observe_prepared` reaches it, so a stream is folded
+        frame by frame as it arrives and no batch is held.
         """
-        self._announced.clear()
-        position = prepared.position
-        if stop <= position:
+        return PreparedFrames(map(stream_row, items))
+
+    def observe_prepared(
+        self, prepared: PreparedFrames, horizon: float = math.inf
+    ) -> list[_Capture]:
+        """Fold prepared frames in stream order until a window must end.
+
+        Folding the packets one at a time, exactly: each frame first cuts
+        its device's capture if the gap since the device's previous packet
+        ends its setup (the adaptive rule of
+        :class:`~repro.features.session.SetupPhaseDetector`), then opens
+        or extends the capture -- its row is kept unless its packed key and
+        destination counter both equal the last kept row's, the
+        consecutive-duplicate rule of Eq. (1) -- and ends the capture once
+        it holds the packet budget.  The fold stops after the first frame
+        that ends a capture, after the first frame that brings
+        ``prepared.latest`` to ``horizon`` (where the caller's eviction or
+        linger deadline may fall due), or when the rows run out, and
+        returns the captures that frame ended, in order; :meth:`emit`
+        turns them into fingerprints.  Idle *eviction* remains the
+        caller's job.
+        """
+        if prepared.done:
             return []
-        prepared.position = stop
-        self.stats.packets_observed += stop - position
         captures = self._captures
-        timestamps = prepared.timestamps
-        macs = prepared.macs
-        keys = prepared.keys
-        dst_ips = prepared.dst_ips
-        base = prepared.base
-        min_packets = self.min_packets
+        # A capture's ``gaps`` holds one gap per frame after its first, so
+        # it has folded ``len(gaps) + 1`` frames: the cut guard needs at
+        # least ``min_packets`` of them and one gap, the budget ends it.
+        min_gaps = max(self.min_packets - 1, 1)
+        budget_gaps = self.packet_budget - 1
         min_idle = self.min_idle_seconds
         idle_factor = self.idle_factor
-        budget = self.packet_budget
         exceeds = gap_exceeds_setup_threshold
-        emissions: list[ReadyFingerprint] = []
-        for j in range(position, stop):
-            mac_value = macs[j]
-            timestamp = timestamps[j]
+        ended: list[_Capture] = []
+        latest = prepared.latest
+        ordinal = start = self._ordinal
+        for timestamp, mac_value, key, dst_ip in prepared.rows:
             capture = captures.get(mac_value)
-            if capture is not None:
-                gap = timestamp - capture.last_seen
+            if capture is None:
+                gaps = None
+            else:
                 gaps = capture.gaps
+                gap = timestamp - capture.last_seen
                 if (
                     gap > min_idle
-                    and capture.raw_packets >= min_packets
-                    and gaps
+                    and len(gaps) >= min_gaps
                     and exceeds(gap, gaps, min_idle, idle_factor)
                 ):
-                    ready = self._finalize(capture, EMIT_IDLE, timestamp)
-                    if ready is not None:
-                        emissions.append(ready)
-                    capture = None
+                    capture.reason, capture.completed_at = EMIT_IDLE, timestamp
+                    ended.append(capture)
+                    gaps = None
                 else:
-                    # An open capture has folded at least one frame.
                     gaps.append(gap if gap > 0.0 else 0.0)
-            if capture is None:
-                capture = _Capture(
+            if gaps is None:
+                capture = captures[mac_value] = _Capture(
                     mac=MACAddress(mac_value),
                     shard=self._shard(mac_value),
-                    started=base + j,
+                    started=ordinal,
                     last_seen=timestamp,
                 )
-                captures[mac_value] = capture
-            key = keys[j]
-            counter = capture.extractor.counter_for(dst_ips[j])
-            kept = capture.keys
-            if not kept or kept[-1] != key or capture.counters[-1] != counter:
-                kept.append(key)
+                gaps = capture.gaps
+            ordinal += 1
+            destinations = capture.destinations
+            counter = destinations.get(dst_ip)
+            if counter is None:
+                # None is seeded at 0, so the first destination reads 1.
+                counter = destinations[dst_ip] = len(destinations)
+            if key != capture.last_key or counter != capture.last_counter:
+                capture.keys.append(key)
                 capture.counters.append(counter)
+                capture.last_key = key
+                capture.last_counter = counter
             capture.last_seen = timestamp
-            capture.raw_packets += 1
-            if capture.raw_packets >= budget:
-                ready = self._finalize(capture, EMIT_BUDGET, timestamp)
-                if ready is not None:
-                    emissions.append(ready)
-        return emissions
+            if len(gaps) >= budget_gaps:
+                capture.reason, capture.completed_at = EMIT_BUDGET, timestamp
+                del captures[mac_value]
+                ended.append(capture)
+            if timestamp > latest:
+                latest = timestamp
+            if ended or latest >= horizon:
+                break
+        else:
+            prepared.done = True
+        prepared.latest = latest
+        prepared.frames += ordinal - start
+        self.stats.packets_observed += ordinal - start
+        self._ordinal = ordinal
+        return ended
+
+    def emit(self, ended: list[_Capture]) -> list[ReadyFingerprint]:
+        """The fingerprints of captures that ended, in order.
+
+        Captures whose deduplicated matrix has fewer than ``min_rows``
+        rows are counted and dropped.
+        """
+        ready: list[ReadyFingerprint] = []
+        stats = self.stats
+        for capture in ended:
+            # Signal is measured after consecutive-duplicate suppression:
+            # 250 identical beacons collapse to one fingerprint row and
+            # classify no better than a single packet would, whichever way
+            # the capture ended.
+            if len(capture.keys) < self.min_rows:
+                stats.min_signal_drops += 1
+                continue
+            stats.fingerprints_emitted += 1
+            if capture.reason == EMIT_BUDGET:
+                stats.budget_emissions += 1
+            elif capture.reason == EMIT_IDLE:
+                stats.idle_emissions += 1
+            else:
+                stats.flush_emissions += 1
+            ready.append(
+                ReadyFingerprint(
+                    mac=capture.mac,
+                    fingerprint=capture.to_fingerprint(),
+                    reason=capture.reason,
+                    completed_at=capture.completed_at,
+                )
+            )
+        return ready
 
     # ------------------------------------------------------------------ #
     # Eviction and flushing.
@@ -442,81 +420,30 @@ class ShardedFingerprintAssembler:
         a caller amortise eviction cost round-robin across shards.  Each
         shard emits in capture-start order.
         """
-        ready: list[ReadyFingerprint] = []
-        for capture in self._by_shard(shard):
-            if now - capture.last_seen > self.idle_timeout:
-                emitted = self._finalize(capture, EMIT_IDLE, now)
-                if emitted is not None:
-                    ready.append(emitted)
-        return ready
-
-    def sweep_would_evict(self, now: float, shard: int) -> bool:
-        """True if :meth:`evict_idle` of ``shard`` at ``now`` would evict a
-        capture once the :meth:`frame_may_complete` announcements are folded.
-
-        A device's ``last_seen`` is then its newest announced timestamp if
-        it has one, else its folded one; a device with announced frames but
-        no capture yet counts with its newest timestamp (folding opens the
-        capture).  The comparison is :meth:`evict_idle`'s own, so False
-        means that sweep would leave every capture in place, however the
-        announced frames are later split into batches.
-
-        >>> assembler = ShardedFingerprintAssembler(shards=1)
-        >>> assembler.frame_may_complete(0x02AA, 0.0)
-        False
-        >>> [assembler.sweep_would_evict(now, shard=0) for now in (15.0, 15.5)]
-        [False, True]
-        """
-        shard %= self.shards
-        captures = self._captures
-        announced = self._announced
         timeout = self.idle_timeout
-        for mac_value, capture in captures.items():
-            if capture.shard == shard:
-                state = announced.get(mac_value)
-                last_seen = capture.last_seen if state is None else state[0]
-                if now - last_seen > timeout:
-                    return True
-        return any(
-            now - timestamp > timeout
-            and mac_value not in captures
-            and self._shard(mac_value) == shard
-            for mac_value, (timestamp, _) in announced.items()
-        )
+        captures = self._captures.values()
+        if shard is not None:
+            shard %= self.shards
+            captures = [capture for capture in captures if capture.shard == shard]
+        idle = [capture for capture in captures if now - capture.last_seen > timeout]
+        return self._end(sorted(idle, key=_SHARD_STARTED), EMIT_IDLE, now)
 
     def flush(self, now: float = 0.0) -> list[ReadyFingerprint]:
         """Emit every in-progress capture (stream ended), shard by shard
-        in capture-start order."""
-        ready: list[ReadyFingerprint] = []
-        for capture in self._by_shard():
-            emitted = self._finalize(capture, EMIT_FLUSH, now or capture.last_seen)
-            if emitted is not None:
-                ready.append(emitted)
-        return ready
+        in capture-start order; ``now`` of 0 stamps each with its own
+        last packet."""
+        return self._end(self._by_shard(), EMIT_FLUSH, now or None)
 
-    def _finalize(
-        self, capture: _Capture, reason: str, completed_at: float
-    ) -> Optional[ReadyFingerprint]:
-        del self._captures[capture.mac.value]
-        # Signal is measured after consecutive-duplicate suppression: 250
-        # identical beacons collapse to one fingerprint row and classify no
-        # better than a single packet would, whichever way the capture ended.
-        if len(capture.keys) < self.min_rows:
-            self.stats.min_signal_drops += 1
-            return None
-        self.stats.fingerprints_emitted += 1
-        if reason == EMIT_BUDGET:
-            self.stats.budget_emissions += 1
-        elif reason == EMIT_IDLE:
-            self.stats.idle_emissions += 1
-        else:
-            self.stats.flush_emissions += 1
-        return ReadyFingerprint(
-            mac=capture.mac,
-            fingerprint=capture.to_fingerprint(),
-            reason=reason,
-            completed_at=completed_at,
-        )
+    def _end(
+        self, captures: list[_Capture], reason: str, now: Optional[float]
+    ) -> list[ReadyFingerprint]:
+        """Take ``captures`` out of the index, ended at ``now`` (at their
+        own last packet if None), and emit them."""
+        for capture in captures:
+            del self._captures[capture.mac.value]
+            capture.reason = reason
+            capture.completed_at = capture.last_seen if now is None else now
+        return self.emit(captures)
 
     def __iter__(self) -> Iterator[MACAddress]:
         for capture in self._by_shard():

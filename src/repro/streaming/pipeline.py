@@ -1,10 +1,10 @@
 """The streaming identification pipeline: source -> assembler -> dispatcher.
 
 This is the online counterpart of the offline evaluation loop: stream
-items are parsed into packet-batch columns as they arrive, folded into
-per-device fingerprints, identified in batches, and the verdicts are
-pushed to a callback -- typically a :class:`GatewayEnforcementSink` that
-turns each identification into an enforcement rule on a
+items are parsed and folded into per-device fingerprints as they arrive,
+identified in batches, and the verdicts are pushed to a callback --
+typically a :class:`GatewayEnforcementSink` that turns each identification
+into an enforcement rule on a
 :class:`~repro.gateway.security_gateway.SecurityGateway`.
 
 Stream time (packet timestamps) drives a shared
@@ -13,22 +13,18 @@ assembler's idle eviction: every :data:`EVICTION_INTERVAL_SECONDS`
 stream-seconds one shard is swept round-robin, so eviction cost is
 amortised instead of scanning every device on every packet.
 
-The columnar drive keeps the semantics of folding packets one at a time
-exactly: one per-frame rule (:meth:`StreamingPipeline._hand_over_rule`)
-fires at every frame where something can happen -- a capture may
-complete, the due sweep would evict a capture, or the dispatcher's linger
-deadline passes.  A due sweep that would evict nothing is replayed inside
-the rule (the deadline and the shard cursor move on) instead of ending a
-window.  Who ends windows: :meth:`StreamingPipeline.results` walks the
-rule once per frame as it parses and hands its batch over at the frame
-where the rule fires, so each handed-over batch is one window ending at
-its last frame; :meth:`StreamingPipeline.process_batch`, given an
-arbitrary batch, walks the rule itself and ends a window at every frame
-where it fires.  Each window end runs the stages in the per-packet order
-(clock, fold, sweep, submit, poll, deliver), so verdicts, clock stamps
-and ledger records do not depend on batch boundaries.
+One per-frame step (:meth:`StreamingPipeline._drive`) serves both
+entry points: :meth:`StreamingPipeline.results` feeds it the source's
+items, parsed lazily, and :meth:`StreamingPipeline.process_batch` the
+rows of a packet batch.  Each frame is parsed into one packed Table-I key
+and folded into its capture immediately.  A window ends only at a frame
+that ended a capture, where the due eviction sweep evicted a capture, or
+where the dispatcher's linger deadline passed; a due sweep that evicts
+nothing only moves the eviction deadline and the shard cursor.  Each
+window end runs the stages in the per-packet order (clock, sweep, submit,
+poll, deliver), so verdicts, clock stamps and ledger records do not
+depend on batch boundaries.
 """
-
 from __future__ import annotations
 
 import time
@@ -38,11 +34,12 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE
 from repro.identification.lifecycle import LifecycleCoordinator
-from repro.net.batch import PacketBatch, PacketBatchBuilder
+from repro.net.batch import PacketBatch
 from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
 from repro.streaming.assembler import (
     AssemblerStats,
+    PreparedFrames,
     ReadyFingerprint,
     ShardedFingerprintAssembler,
 )
@@ -60,11 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 #: Stream-seconds between idle-eviction sweeps (one shard per sweep).
 EVICTION_INTERVAL_SECONDS = 1.0
-
-#: Most frames parsed into one batch before it is handed over, when no
-#: frame in it can yield a verdict earlier.  A capped hand-over never
-#: yields a verdict, so the cap only bounds the memory a batch holds.
-HANDOVER_FRAMES = 1024
 
 
 @dataclass
@@ -168,45 +160,18 @@ class StreamingPipeline:
     def results(self) -> Iterator[IdentifiedDevice]:
         """Drive the stream, yielding identifications as they happen.
 
-        Items go into one :class:`~repro.net.batch.PacketBatchBuilder` as
-        they arrive, and each is walked once by :meth:`_hand_over_rule`.
-        The batch is handed over right after the first frame where the
-        rule fires, or after :data:`HANDOVER_FRAMES` frames, and folded as
-        one window: the window end of :meth:`process_batch` without its
-        walk, which this one already did.
+        Each item is parsed into its packed Table-I row and folded into
+        its device's capture as it arrives (:meth:`_drive`); no batch is
+        built.
 
         If the consumer stops iterating early, the remaining captures are
         still flushed and their verdicts delivered to ``on_identified``
         when the generator closes -- they just cannot be yielded any more.
         """
         started = time.perf_counter()
-        perf_counter = time.perf_counter
-        builder = PacketBatchBuilder()
-        add = builder.add
         try:
-            parse_seconds = 0.0
-            frames = 0
-            latest = self.clock.now()
-            ends, commit = self._hand_over_rule()
-            for item in self.source.packets():
-                parse_start = perf_counter()
-                mac = add(item)
-                parse_seconds += perf_counter() - parse_start
-                frames += 1
-                timestamp = item.timestamp
-                if timestamp > latest:
-                    latest = timestamp
-                if ends(mac, timestamp, latest) or frames >= HANDOVER_FRAMES:
-                    yield from self._hand_over(builder.build(), parse_seconds, latest, commit)
-                    parse_seconds = 0.0
-                    frames = 0
-                    # A consumer's inject/drain between yields may have
-                    # moved the linger deadline too; like process_batch,
-                    # the next batch starts from the clock.
-                    latest = self.clock.now()
-                    ends, commit = self._hand_over_rule()
-            if frames:
-                yield from self._hand_over(builder.build(), parse_seconds, latest, commit)
+            for identified in self._drive(self.assembler.prepare_items(self.source.packets())):
+                yield from identified
             yield from self.finish()
         finally:
             # No-op after a complete run; on early exit this drains the
@@ -214,117 +179,74 @@ class StreamingPipeline:
             self.finish()
             self.stats.wall_seconds = time.perf_counter() - started
 
-    def _hand_over_rule(self) -> tuple[Callable[[int, float, float], bool], Callable[[], None]]:
-        """Where a batch or a window ends, as the deadlines stand now.
-
-        The returned ``ends(mac, timestamp, latest)`` announces one frame
-        to the assembler and is True when that frame may complete a
-        capture (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.frame_may_complete`),
-        when ``latest`` -- the stream clock once the frame arrived --
-        reaches the eviction deadline and the sweep of the due shard would
-        evict a capture
-        (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.sweep_would_evict`),
-        or when it lingers the oldest queued fingerprint for
-        :data:`MAX_LINGER_SECONDS`: the comparisons :meth:`_sweep_if_due`
-        and the dispatcher's ``poll`` make.
-
-        A due sweep that would evict nothing does not end the window: the
-        rule moves its own copy of the deadline and the shard cursor as
-        :meth:`_sweep_if_due` would.  That is all the per-packet walk does
-        at such a frame besides advancing the clock and folding the frame,
-        and nothing reads the clock before the next window end.  The
-        returned ``commit()`` writes the rule's deadline and cursor back;
-        a window end calls it before its sweep.  Only a window end moves
-        the linger deadline, so callers take a fresh rule after each.
-        """
-        may_complete = self.assembler.frame_may_complete
-        would_evict = self.assembler.sweep_would_evict
-        shards = self.assembler.shards
-        next_eviction = self._next_eviction
-        shard = self._eviction_shard
-        lingering = self.dispatcher.lingering_since()
-
-        def ends(mac: int, timestamp: float, latest: float) -> bool:
-            nonlocal next_eviction, shard
-            if may_complete(mac, timestamp):
-                return True
-            if latest >= next_eviction:
-                if would_evict(latest, shard):
-                    return True
-                next_eviction = latest + EVICTION_INTERVAL_SECONDS
-                shard = (shard + 1) % shards
-            return lingering is not None and latest - lingering >= MAX_LINGER_SECONDS
-
-        def commit() -> None:
-            self._next_eviction = next_eviction
-            self._eviction_shard = shard
-
-        return ends, commit
-
-    def _hand_over(
-        self, batch: PacketBatch, parse_seconds: float, latest: float, commit: Callable[[], None]
-    ) -> list[IdentifiedDevice]:
-        """Process one batch :meth:`results` built; ``parse_seconds`` is its
-        column build, ``latest`` and ``commit`` its walked rule's stream
-        time and write-back."""
-        if self.observability is not None:
-            self.observability.observe_parse_batch(parse_seconds)
-        return self._process(batch, (latest, commit))
-
     def process_batch(self, batch: PacketBatch) -> list[IdentifiedDevice]:
         """Feed one packet batch through every stage (columnar API).
 
-        Exact for any batch boundaries: the batch's frames are walked with
-        :meth:`_hand_over_rule`, the rule :meth:`results` hands over on,
-        and a window ends at the first frame where it fires.  At each
-        window end the clock moves to that frame's stream time -- the
-        running maximum of the timestamps, as folding one packet at a time
-        would leave it -- then the fold, the sweep, the submits, the poll
-        and one delivery run in that order, so every call sees the clock
-        value it would see packet by packet.
+        The batch's rows (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.prepare_batch`)
+        go through the same per-frame step as :meth:`results`, so windows
+        end at the same frames and the verdicts, clock stamps and ledger
+        records do not depend on batch boundaries.
         """
-        return self._process(batch, None)
-
-    def _process(
-        self, batch: PacketBatch, walked: Optional[tuple[float, Callable[[], None]]]
-    ) -> list[IdentifiedDevice]:
-        """:meth:`process_batch`, or with ``walked`` the ``(latest, commit)``
-        of a rule that already walked every frame of ``batch`` and fired at
-        most at the last: the batch is then one window, not walked again."""
-        n = len(batch)
-        if n == 0:
-            return []
-        self.stats.packets += n
-        assemble_start = time.perf_counter()
+        start = time.perf_counter()
         prepared = self.assembler.prepare_batch(batch)
-        macs = prepared.macs
-        timestamps = prepared.timestamps
-        assemble_seconds = time.perf_counter() - assemble_start
-        score_seconds = 0.0
         delivered: list[IdentifiedDevice] = []
-        latest = self.clock.now()
-        stop = 0
-        while stop < n:
-            window_start = time.perf_counter()
-            if walked is not None:
-                (latest, commit), stop = walked, n
-            else:
-                ends, commit = self._hand_over_rule()
-                while stop < n:
-                    timestamp = timestamps[stop]
-                    if timestamp > latest:
-                        latest = timestamp
-                    stop += 1
-                    if ends(macs[stop - 1], timestamp, latest):
-                        break
-            if latest > self.clock.now():
-                self.clock.advance(latest - self.clock.now())
-            completed = self.assembler.observe_prepared(prepared, stop)
-            now = self.clock.now()
-            commit()
+        for identified in self._drive(prepared, time.perf_counter() - start):
+            delivered.extend(identified)
+        return delivered
+
+    def _drive(
+        self, prepared: PreparedFrames, parse_seconds: float = 0.0
+    ) -> Iterator[list[IdentifiedDevice]]:
+        """Fold ``prepared`` frame by frame, ending a window wherever one ends.
+
+        :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_prepared`
+        folds frames until one ends a capture or the stream time reaches
+        :meth:`_horizon`.  There the clock moves to the stream time -- the
+        running maximum of the timestamps, as folding one packet at a time
+        would leave it -- and the ended captures become fingerprints and
+        the due sweep runs.  A window ends only where a capture ended, the
+        sweep evicted one or the dispatcher's linger deadline passed; then
+        the submits, the poll and one delivery follow, in the per-packet
+        order.  Anywhere else nothing is submitted, polled or delivered: a
+        sweep that evicted nothing has only moved the eviction deadline
+        and the shard cursor, and the fold goes on.  Yields each window's
+        verdicts.
+
+        The hub observes once per window: ``parse`` (the frame loop:
+        framing, parse, Table-I key and fold, plus ``parse_seconds`` a
+        caller spent before it), ``assemble`` (turning ended captures into
+        fingerprints, and the sweeps) and ``score`` (submit and poll).
+        Frames after the last window end are observed when they run out.
+        """
+        perf_counter = time.perf_counter
+        clock = self.clock
+        assemble_seconds = 0.0
+        # One running mark: each stage's time runs from where the last
+        # one stopped, so the stages cover the whole loop between them.
+        mark = perf_counter()
+        while not prepared.done:
+            prepared.latest = clock.now()
+            horizon = self._horizon()
+            frames = prepared.frames
+            ended = self.assembler.observe_prepared(prepared, horizon)
+            self.stats.packets += prepared.frames - frames
+            folded = perf_counter()
+            parse_seconds += folded - mark
+            if prepared.latest > clock.now():
+                clock.advance(prepared.latest - clock.now())
+            now = clock.now()
+            completed = self.assembler.emit(ended) if ended else []
+            emitted = len(completed)
             self._sweep_if_due(now, completed)
-            score_start = time.perf_counter()
-            assemble_seconds += score_start - window_start
+            lingering = self.dispatcher.lingering_since()
+            mark = perf_counter()
+            assemble_seconds += mark - folded
+            if not (
+                ended
+                or len(completed) > emitted
+                or (lingering is not None and now - lingering >= MAX_LINGER_SECONDS)
+            ):
+                continue
             identified: list[IdentifiedDevice] = []
             for item in completed:
                 self.stats.fingerprints += 1
@@ -334,14 +256,39 @@ class StreamingPipeline:
             # waiting for a full batch (or end-of-stream drain) that may
             # never come.
             identified.extend(self.dispatcher.poll(now))
-            score_seconds += time.perf_counter() - score_start
+            self._observe_window(parse_seconds, assemble_seconds, perf_counter() - mark)
+            parse_seconds = assemble_seconds = 0.0
             self._deliver(identified)
-            delivered.extend(identified)
-        self.stats.assemble_seconds += assemble_seconds
-        if self.observability is not None:
-            self.observability.observe_assemble_batch(assemble_seconds)
-            self.observability.observe_score_batch(score_seconds)
-        return delivered
+            yield identified
+            mark = perf_counter()
+        if parse_seconds or assemble_seconds:
+            self._observe_window(parse_seconds, assemble_seconds, None)
+
+    def _horizon(self) -> float:
+        """The stream time at which the fold must stop for a deadline.
+
+        The eviction deadline, or -- if earlier -- a hair before the
+        dispatcher's linger deadline: ``poll`` makes the exact comparison
+        (``now - lingering >= MAX_LINGER_SECONDS``), and stopping early
+        only costs a look.
+        """
+        horizon = self._next_eviction
+        lingering = self.dispatcher.lingering_since()
+        if lingering is not None:
+            deadline = lingering + MAX_LINGER_SECONDS
+            horizon = min(horizon, deadline - 1e-9 * (abs(deadline) + 1.0))
+        return horizon
+
+    def _observe_window(
+        self, parse_seconds: float, assemble_seconds: float, score_seconds: Optional[float]
+    ) -> None:
+        self.stats.assemble_seconds += parse_seconds + assemble_seconds
+        observability = self.observability
+        if observability is not None:
+            observability.observe_parse_batch(parse_seconds)
+            observability.observe_assemble_batch(assemble_seconds)
+            if score_seconds is not None:
+                observability.observe_score_batch(score_seconds)
 
     def inject(self, ready: ReadyFingerprint) -> list[IdentifiedDevice]:
         """Feed one pre-assembled fingerprint straight into dispatch.
@@ -368,16 +315,26 @@ class StreamingPipeline:
         return identified
 
     def finish(self) -> list[IdentifiedDevice]:
-        """Flush the assembler and drain the dispatcher (end of stream)."""
+        """Flush the assembler and drain the dispatcher (end of stream).
+
+        With a hub, a flush that emits is one
+        ``pipeline.assembler_flush_seconds`` observation and the submits
+        and drain that identify something are one
+        ``pipeline.score_batch_seconds`` observation.
+        """
         identified: list[IdentifiedDevice] = []
         start = time.perf_counter()
         flushed = self.assembler.flush(self.clock.now())
-        if flushed and self.observability is not None:
-            self.observability.observe_assembler_flush(time.perf_counter() - start)
+        score_start = time.perf_counter()
         for item in flushed:
             self.stats.fingerprints += 1
             identified.extend(self.dispatcher.submit(item))
         identified.extend(self.dispatcher.drain())
+        if self.observability is not None:
+            if flushed:
+                self.observability.observe_assembler_flush(score_start - start)
+            if identified:
+                self.observability.observe_score_batch(time.perf_counter() - score_start)
         self._deliver(identified)
         self._collect_stats()
         return identified

@@ -64,7 +64,7 @@ class PcapReplaySource:
     path: Union[str, Path]
 
     def packets(self) -> Iterator[CapturedPacket]:
-        yield from PcapReader(self.path)
+        return iter(PcapReader(self.path))
 
 
 class SimulatedSource:

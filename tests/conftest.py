@@ -101,7 +101,7 @@ def aria_trace(simulator):
 
 
 # --------------------------------------------------------------------------- #
-# Table-I oracle: the per-field extractor the batch kernel replaced.  Each
+# Table-I oracle: the per-field extractor the packed kernel replaced.  Each
 # feature is read off the dissected Packet attribute by attribute, with
 # its own destination counter; nothing here calls batch_feature_matrix.
 # --------------------------------------------------------------------------- #
@@ -174,6 +174,89 @@ class ScalarFeatureExtractor:
         """``(len(packets), 23)`` rows in packet order."""
         rows = [self.extract(packet) for packet in packets]
         return np.stack(rows) if rows else np.zeros((0, FEATURE_COUNT), dtype=np.int64)
+
+
+# --------------------------------------------------------------------------- #
+# Table-I batch oracle: the vectorised kernel the scalar packer replaced.
+# Whole flag/port/size columns go through lookup tables over every port
+# (-1 .. 65535) and a bit-unpack of the flag word; the packer
+# (repro.net.batch.table_i_key) must agree with it row for row.
+# --------------------------------------------------------------------------- #
+_APPLICATION_COLUMNS = ("http", "https", "dhcp", "bootp", "ssdp", "dns", "mdns", "ntp")
+_APP_FIRST = FEATURE_INDEX["http"]
+
+
+def _oracle_port_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Application-column membership bits and port classes over ``port + 1``."""
+    membership = np.zeros(65537, dtype=np.uint8)
+    for column, ports in zip(
+        _APPLICATION_COLUMNS,
+        (
+            _HTTP_PORTS,
+            _HTTPS_PORTS,
+            _BOOTP_PORTS,
+            _BOOTP_PORTS,
+            (ssdp_mod.PORT_SSDP,),
+            (dns_mod.PORT_DNS,),
+            (dns_mod.PORT_MDNS,),
+            (ntp_mod.PORT_NTP,),
+        ),
+    ):
+        for port in ports:
+            membership[port + 1] |= 1 << (FEATURE_INDEX[column] - _APP_FIRST)
+    classes = np.array([0] + [port_class(port) for port in range(65536)], dtype=np.int64)
+    return membership, classes
+
+
+def _oracle_transport_gates() -> np.ndarray:
+    """Application columns each transport admits, by flag bits 6 (TCP),
+    7 (UDP) and 11 (BOOTP payload that is not DHCP)."""
+    over_tcp = ("http", "https", "dns")
+    over_udp = ("dhcp", "bootp", "ssdp", "dns", "mdns", "ntp")
+    gates = np.zeros(8, dtype=np.uint8)
+    for index in range(8):
+        tcp, udp, not_dhcp = index & 1, index & 2, index & 4
+        for bit, column in enumerate(_APPLICATION_COLUMNS):
+            admitted = (tcp and column in over_tcp) or (udp and column in over_udp)
+            if admitted and not (not_dhcp and column == "dhcp"):
+                gates[index] |= 1 << bit
+    return gates
+
+
+_ORACLE_TABLES = None
+
+
+def numpy_feature_matrix(batch) -> np.ndarray:
+    """``(len(batch), 23)`` Table-I rows of a PacketBatch, vectorised.
+
+    The flag word's bits 0-7 are columns 0-7 and bits 8-10 the option and
+    raw-data columns; the port tables ANDed with the transport gate give
+    the application columns.  ``dst_ip_counter`` stays 0.
+    """
+    global _ORACLE_TABLES
+    if _ORACLE_TABLES is None:
+        _ORACLE_TABLES = (*_oracle_port_tables(), _oracle_transport_gates())
+    membership, classes, gates = _ORACLE_TABLES
+    n = len(batch)
+    matrix = np.zeros((n, FEATURE_COUNT), dtype=np.int64)
+    if n == 0:
+        return matrix
+    flags = batch.flags
+    bits = np.unpackbits(
+        flags.astype("<u2").view(np.uint8).reshape(n, 2), axis=1, bitorder="little"
+    )
+    src = batch.src_ports + 1
+    dst = batch.dst_ports + 1
+    gate = gates[((flags >> 6) & 3) | ((flags >> 9) & 4)]
+    application = (membership[src] | membership[dst]) & gate
+    matrix[:, :8] = bits[:, :8]
+    matrix[:, 8:16] = np.unpackbits(application[:, None], axis=1, bitorder="little")
+    matrix[:, 16:18] = bits[:, 8:10]
+    matrix[:, 18] = batch.sizes
+    matrix[:, 19] = bits[:, 10]
+    matrix[:, 21] = classes[src]
+    matrix[:, 22] = classes[dst]
+    return matrix
 
 
 # --------------------------------------------------------------------------- #

@@ -43,9 +43,12 @@ from repro.net.batch import (
     _F_APP_NOT_DHCP,
     _F_EAPOL,
     _F_IP,
+    KEY_LAYOUT,
     PacketBatch,
     _fast_frame_fields,
     _packet_fields,
+    stream_row,
+    table_i_key,
 )
 from repro.net.layers import dhcp as dhcp_mod
 from repro.net.layers import dns as dns_mod
@@ -75,9 +78,7 @@ from repro.streaming import (
     SimulatedSource,
     StreamingPipeline,
 )
-from repro.streaming import pipeline as pipeline_module
 from repro.streaming.assembler import pack_rows, unpack_rows
-from repro.streaming.pipeline import HANDOVER_FRAMES
 from tests.conftest import (
     PerPacketAssembler,
     ScalarFeatureExtractor,
@@ -86,6 +87,7 @@ from tests.conftest import (
     make_device_mac,
     make_udp_packet,
     normalized_damerau_levenshtein,
+    numpy_feature_matrix,
     per_packet_run,
     rerun_stream,
     skewed,
@@ -323,6 +325,14 @@ def _batches(items, size):
     return [PacketBatch.from_items(items[start : start + size]) for start in range(0, len(items), size)]
 
 
+def _fold_all(assembler, prepared):
+    """Fold every prepared frame; the fingerprints the frames completed."""
+    emitted = []
+    while not prepared.done:
+        emitted.extend(assembler.emit(assembler.observe_prepared(prepared)))
+    return emitted
+
+
 def _expected_columns(packets):
     """Per-packet oracle: one fresh scalar extractor per packet, counter zeroed."""
     extractor = ScalarFeatureExtractor()
@@ -388,7 +398,7 @@ class TestPacketBatchColumns:
         empty = PacketBatch.from_items([])
         assert len(empty) == 0
         assembler = ShardedFingerprintAssembler()
-        assert assembler.observe_prepared(assembler.prepare_batch(empty), 0) == []
+        assert _fold_all(assembler, assembler.prepare_batch(empty)) == []
         assert assembler.active_devices == 0 and assembler.stats.packets_observed == 0
         assert batch_feature_matrix(empty).shape == (0, 23)
 
@@ -399,7 +409,7 @@ class TestPacketBatchColumns:
         )
         # A one-frame batch folds into a one-row fingerprint: the scalar
         # row, with the first destination's counter.
-        assembler.observe_prepared(assembler.prepare_batch(single), 1)
+        assert _fold_all(assembler, assembler.prepare_batch(single)) == []
         (ready,) = assembler.flush(10_000.0)
         expected = ScalarFeatureExtractor().extract(packets[0])
         np.testing.assert_array_equal(ready.fingerprint.vectors, expected[None, :])
@@ -416,7 +426,7 @@ class TestPacketBatchColumns:
         macs = batch.src_macs.tolist()
         assert sum(a != b for a, b in zip(macs, macs[1:])) > 2  # interleaved
         assembler = ShardedFingerprintAssembler(shards=1, packet_budget=100_000)
-        assert assembler.observe_prepared(assembler.prepare_batch(batch), len(batch)) == []
+        assert _fold_all(assembler, assembler.prepare_batch(batch)) == []
         assert assembler.stats.packets_observed == len(batch)
         emitted = assembler.flush(10_000.0)
         oracle = PerPacketAssembler(shards=1, packet_budget=100_000)
@@ -494,6 +504,98 @@ class TestPackedRows:
         assert unpack_rows([], []).shape == (0, FEATURE_COUNT)
 
 
+#: Ports at every port-class threshold, "no port", and every named port.
+_KEY_PORTS = (-1, 0, 1023, 1024, 49151, 49152, 65535, 53, 67, 68, 80, 123, 443, 1900, 5353, 8080, 8443)
+
+
+def _column_batch(rows):
+    """A PacketBatch holding ``(flags, src_port, dst_port, size)`` rows."""
+    flags, src_ports, dst_ports, sizes = (np.array(column, dtype=np.int64) for column in zip(*rows))
+    return PacketBatch(
+        timestamps=np.zeros(len(rows)),
+        src_macs=np.zeros(len(rows), dtype=np.int64),
+        flags=flags,
+        src_ports=src_ports,
+        dst_ports=dst_ports,
+        sizes=sizes,
+        dst_ips=[None] * len(rows),
+    )
+
+
+def _unpacked(keys):
+    return unpack_rows(list(keys), 0)
+
+
+class TestTableIKey:
+    """The scalar packer against the vectorised oracle of
+    ``tests.conftest.numpy_feature_matrix``, and its batch form."""
+
+    def test_every_flag_word_matches_the_oracle(self):
+        rows = [
+            (flags, src_port, dst_port, size)
+            for flags in range(1 << 12)
+            for src_port, dst_port, size in ((-1, -1, 0), (67, 5353, 2**32 - 1), (49152, 443, 1))
+        ]
+        expected = numpy_feature_matrix(_column_batch(rows))
+        np.testing.assert_array_equal(_unpacked(table_i_key(*row) for row in rows), expected)
+        np.testing.assert_array_equal(batch_feature_matrix(_column_batch(rows)), expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=(1 << 12) - 1),
+                st.sampled_from(_KEY_PORTS),
+                st.sampled_from(_KEY_PORTS),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_random_rows_match_the_oracle(self, rows):
+        expected = numpy_feature_matrix(_column_batch(rows))
+        np.testing.assert_array_equal(_unpacked(table_i_key(*row) for row in rows), expected)
+        np.testing.assert_array_equal(batch_feature_matrix(_column_batch(rows)), expected)
+
+    def test_every_port_pair_named_or_at_a_threshold(self):
+        rows = [
+            (flags, src_port, dst_port, 60)
+            for flags in (_F_IP | 1 << 6, _F_IP | 1 << 7, _F_IP | 1 << 7 | _F_APP_NOT_DHCP, 0)
+            for src_port in _KEY_PORTS
+            for dst_port in _KEY_PORTS
+        ]
+        expected = numpy_feature_matrix(_column_batch(rows))
+        np.testing.assert_array_equal(_unpacked(table_i_key(*row) for row in rows), expected)
+
+    def test_layout_packs_each_column_apart(self):
+        """Every packed column has its own bits: the masks never overlap
+        and nothing reaches the int64 sign bit."""
+        used = 0
+        for shift, mask in KEY_LAYOUT:
+            assert used & (mask << shift) == 0
+            used |= mask << shift
+        assert used < 2**63
+
+    def test_every_frame_of_a_simulator_capture(self, tmp_path):
+        """Each captured frame's key, as the streaming drive reads it, is the
+        oracle's row and the per-field extractor's."""
+        path = tmp_path / "catalog.pcap"
+        packets = _setup_packets(seed=9, names=tuple(sorted(DEVICE_CATALOG))[:12])
+        write_pcap(path, packets)
+        frames = list(PcapReader(path))
+        rows = [stream_row(frame) for frame in frames]
+        batch = PacketBatch.from_items(frames)
+        assert [row[0] for row in rows] == batch.timestamps.tolist()
+        assert [row[1] for row in rows] == batch.src_macs.tolist()
+        assert [row[3] for row in rows] == batch.dst_ips
+        keys = _unpacked(row[2] for row in rows)
+        np.testing.assert_array_equal(keys, numpy_feature_matrix(batch))
+        np.testing.assert_array_equal(keys, _expected_columns(read_pcap(path)))
+        # The frames dissected into packets give the same rows.
+        assert [stream_row(packet) for packet in read_pcap(path)] == rows
+
+
 class TestBatchedAssembler:
     @pytest.mark.parametrize("batch_size", [1, 17, 100_000])
     def test_observe_batch_equals_per_packet_observe(self, batch_size):
@@ -501,7 +603,7 @@ class TestBatchedAssembler:
         assembler = ShardedFingerprintAssembler(shards=4)
         emissions = []
         for batch in _batches(SimulatedSource(devices=12, seed=5).packets(), batch_size):
-            emissions.extend(assembler.observe_prepared(assembler.prepare_batch(batch), len(batch)))
+            emissions.extend(_fold_all(assembler, assembler.prepare_batch(batch)))
         emissions.extend(assembler.flush(10_000.0))
         assert _emission_map(emissions) == _emission_map(baseline)
         assert assembler.stats == base_stats
@@ -515,9 +617,10 @@ def _chatter_packet(mac, timestamp, port=53):
     return packet
 
 
-class TestSweepWouldEvict:
-    """``sweep_would_evict`` predicts exactly what ``evict_idle`` of the
-    same shard does once the announced frames are folded."""
+class TestIdleSweep:
+    """``evict_idle`` ends exactly the captures of the swept shard whose
+    device has been quiet for more than ``idle_timeout``, once every frame
+    before the sweep is folded."""
 
     @staticmethod
     def _macs_by_shard(assembler, count=2):
@@ -534,73 +637,100 @@ class TestSweepWouldEvict:
 
     @staticmethod
     def _fold(assembler, packets):
-        assembler.observe_prepared(
-            assembler.prepare_batch(PacketBatch.from_items(packets)), len(packets)
-        )
-
-    @staticmethod
-    def _announce(assembler, packets):
-        for packet in packets:
-            assert not assembler.frame_may_complete(packet.src_mac.value, packet.timestamp)
-
-    def _assert_matches_sweep(self, assembler, announced, now, shard, expected):
-        """The prediction is ``expected``, and the sweep after folding the
-        announced frames agrees: a capture leaves iff it is True."""
-        assert assembler.sweep_would_evict(now, shard) is expected
-        self._fold(assembler, announced)
-        before = assembler.active_devices
-        assembler.evict_idle(now, shard=shard)
-        assert (assembler.active_devices < before) is expected
+        assert _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets))) == []
 
     def test_exactly_idle_timeout_of_silence_does_not_evict(self):
         for now, expected in ((25.0, False), (25.000001, True)):
             assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
             mac = make_device_mac(1)
             self._fold(assembler, [_chatter_packet(mac, 10.0)])
-            self._assert_matches_sweep(assembler, [], now, assembler.shard_of(mac), expected)
+            evicted = assembler.evict_idle(now, shard=assembler.shard_of(mac))
+            assert [item.mac for item in evicted] == ([mac] if expected else [])
+            assert assembler.is_assembling(mac) is not expected
 
-    def test_announced_frame_refreshes_a_stale_folded_capture(self):
+    def test_a_folded_frame_refreshes_a_stale_capture(self):
         assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
         mac = make_device_mac(1)
         self._fold(assembler, [_chatter_packet(mac, 0.0), _chatter_packet(mac, 1.0)])
-        announced = [_chatter_packet(mac, 2.0), _chatter_packet(mac, 9.0, port=80)]
-        self._announce(assembler, announced)
-        # The folded capture alone has been quiet for 19 s.
-        self._assert_matches_sweep(assembler, announced, 20.0, assembler.shard_of(mac), False)
-
-    def test_quiet_device_with_announced_frames_and_no_capture_evicts(self):
-        for now, expected in ((17.0, False), (17.5, True)):
-            assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
-            mac = make_device_mac(1)
-            announced = [_chatter_packet(mac, 1.0), _chatter_packet(mac, 2.0)]
-            self._announce(assembler, announced)
-            assert not assembler.is_assembling(mac)
-            self._assert_matches_sweep(
-                assembler, announced, now, assembler.shard_of(mac), expected
-            )
+        # Quiet for 19 s at the sweep, had the last two frames not arrived.
+        self._fold(assembler, [_chatter_packet(mac, 2.0), _chatter_packet(mac, 9.0, port=80)])
+        assert assembler.evict_idle(20.0, shard=assembler.shard_of(mac)) == []
+        (ready,) = assembler.evict_idle(24.5, shard=assembler.shard_of(mac))
+        assert (ready.reason, ready.completed_at, ready.packet_count) == ("idle", 24.5, 2)
 
     def test_devices_in_other_shards_never_count(self):
         probe = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
         by_shard = self._macs_by_shard(probe)
         for quiet_shard in range(probe.shards):
-            # One shard holds a stale folded capture and a stale announced
-            # device; every device elsewhere keeps talking.
-            stale_folded, stale_announced = by_shard[quiet_shard]
+            # One shard holds two stale devices; every device elsewhere
+            # keeps talking.
+            stale = by_shard[quiet_shard]
+            talking = [mac for other, macs in by_shard.items() if other != quiet_shard for mac in macs]
             for shard in range(probe.shards):
                 assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
-                talking = [
-                    mac for other, macs in by_shard.items() if other != quiet_shard for mac in macs
-                ]
                 self._fold(
                     assembler,
-                    [_chatter_packet(stale_folded, 0.0)]
-                    + [_chatter_packet(mac, 12.0) for mac in talking],
+                    [_chatter_packet(stale[0], 0.0), _chatter_packet(stale[1], 1.0)]
+                    + [_chatter_packet(mac, 20.0) for mac in talking],
                 )
-                announced = [_chatter_packet(stale_announced, 1.0)] + [
-                    _chatter_packet(mac, 20.0) for mac in talking
-                ]
-                self._announce(assembler, announced)
-                self._assert_matches_sweep(assembler, announced, 30.0, shard, shard == quiet_shard)
+                evicted = [item.mac for item in assembler.evict_idle(30.0, shard=shard)]
+                # A shard emits in capture-start order.
+                assert evicted == (stale if shard == quiet_shard else [])
+
+    def test_sweep_of_every_shard_emits_shard_by_shard(self):
+        assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+        by_shard = self._macs_by_shard(assembler)
+        macs = [mac for index in (3, 1, 0, 2) for mac in by_shard[index]]
+        self._fold(assembler, [_chatter_packet(mac, float(i)) for i, mac in enumerate(macs)])
+        evicted = [item.mac for item in assembler.evict_idle(100.0)]
+        assert evicted == [mac for shard in range(4) for mac in by_shard[shard]]
+        assert assembler.active_devices == 0
+
+
+def _window_ends(pipeline):
+    """Record where ``pipeline`` ends its windows: the stream position
+    (frames consumed) of every ``poll``, which each window end makes once."""
+    ends = []
+    poll = pipeline.dispatcher.poll
+
+    def recorded(now):
+        ends.append(pipeline.stats.packets)
+        return poll(now)
+
+    pipeline.dispatcher.poll = recorded
+    return ends
+
+
+def _acting_frames(pipeline):
+    """Record the frames where the per-packet walk of ``pipeline`` acts:
+    a capture completes or is evicted (a submit), or the linger deadline
+    passes (a poll that identifies).  Submits of the end-of-stream flush
+    are not frames."""
+    acting = set()
+    finishing = []
+    submit = pipeline.dispatcher.submit
+    poll = pipeline.dispatcher.poll
+    flush = pipeline.assembler.flush
+
+    def recorded_submit(ready):
+        if not finishing:
+            acting.add(pipeline.stats.packets)
+        return submit(ready)
+
+    def recorded_poll(now):
+        identified = poll(now)
+        if identified:
+            acting.add(pipeline.stats.packets)
+        return identified
+
+    def recorded_flush(now=0.0):
+        finishing.append(now)
+        return flush(now)
+
+    pipeline.dispatcher.submit = recorded_submit
+    pipeline.dispatcher.poll = recorded_poll
+    pipeline.assembler.flush = recorded_flush
+    return acting
 
 
 class TestBatchedPipeline:
@@ -655,105 +785,80 @@ class TestBatchedPipeline:
             assert stats.fingerprints == base_stats.fingerprints
             assert stats.identified == base_stats.identified
 
-    def test_batches_are_handed_over_at_the_frame_that_can_yield_a_verdict(
-        self, trained_identifier
-    ):
-        """Every capture completes on the last frame of its batch: the
-        drive never holds a completing frame back behind later ones."""
-        pipeline = StreamingPipeline(
-            source=IterableSource(rerun_stream(seed=5)),
-            dispatcher=BatchDispatcher(trained_identifier, max_batch=4),
-            assembler=ShardedFingerprintAssembler(shards=4),
+    @staticmethod
+    def _pipeline(identifier, packets, knobs, assembler=ShardedFingerprintAssembler):
+        return StreamingPipeline(
+            source=IterableSource(packets),
+            dispatcher=BatchDispatcher(identifier, max_batch=4),
+            assembler=assembler(shards=4, **knobs),
         )
-        batch_ends = []
-        windows = []
-        observe_prepared = pipeline.assembler.observe_prepared
 
-        def recorded(prepared, stop):
-            windows.append((prepared.position, stop, len(prepared.timestamps)))
-            batch_ends.append(prepared.timestamps[stop - 1])
-            return observe_prepared(prepared, stop)
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"packet_budget": 8, "idle_timeout": 3.0}],
+        ids=["defaults", "short-captures"],
+    )
+    def test_windows_end_exactly_where_the_per_packet_walk_acts(self, trained_identifier, knobs):
+        """A window ends at a frame that completes a capture, where the due
+        sweep evicts one, or where the linger deadline passes -- the frames
+        where the per-packet walk submits or identifies -- and nowhere
+        else, whether the stream is driven by ``run()``, consumed through
+        ``results()`` or fed to ``process_batch`` at any batch size."""
+        packets = skewed(rerun_stream(seed=5), seed=5)
+        oracle = self._pipeline(trained_identifier, packets, knobs, PerPacketAssembler)
+        acting = _acting_frames(oracle)
+        per_packet_run(oracle)
+        assert len(acting) > 20
 
+        driven = self._pipeline(trained_identifier, packets, knobs)
+        ends = _window_ends(driven)
+        driven.run()
+        assert ends == sorted(acting)
+
+        streamed = self._pipeline(trained_identifier, packets, knobs)
+        ends = _window_ends(streamed)
+        assert len(list(streamed.results())) == streamed.stats.identified
+        assert ends == sorted(acting)
+
+        for size in (1, 7, 256, len(packets)):
+            batched = self._pipeline(trained_identifier, packets, knobs)
+            ends = _window_ends(batched)
+            for batch in _batches(packets, size):
+                batched.process_batch(batch)
+            batched.finish()
+            assert ends == sorted(acting), size
+
+    def test_a_completing_frame_ends_its_window_at_once(self, trained_identifier):
+        """Every capture a frame completes is submitted at the window that
+        ends on that frame, stamped with that frame's stream time: the
+        drive never holds a completing frame back behind later ones."""
+        packets = rerun_stream(seed=5)
+        pipeline = self._pipeline(trained_identifier, packets, {})
+        ends = _window_ends(pipeline)
         submitted = []
         submit = pipeline.dispatcher.submit
 
         def recorded_submit(ready):
-            submitted.append((ready.reason, ready.completed_at, batch_ends[-1]))
+            submitted.append((ready.reason, ready.completed_at, pipeline.stats.packets))
             return submit(ready)
 
-        pipeline.assembler.observe_prepared = recorded
         pipeline.dispatcher.submit = recorded_submit
         stats = pipeline.run()
-        # The drive folds each handed-over batch as one window.
-        assert all(start == 0 and stop == frames for start, stop, frames in windows)
-        assert sum(frames for _, _, frames in windows) == stats.packets
         streamed = [item for item in submitted if item[0] != "flush"]
         assert {"budget", "idle"} <= {reason for reason, _, _ in streamed}
-        assert len(batch_ends) < stats.packets
-        assert all(completed_at == end for _, completed_at, end in streamed)
+        stream_time = list(itertools.accumulate(
+            (packet.timestamp for packet in packets), max
+        ))
+        for reason, completed_at, position in streamed:
+            assert position in ends
+            if reason == "budget":
+                # A budget completion is the frame itself.
+                assert completed_at == packets[position - 1].timestamp
+            else:
+                assert completed_at <= stream_time[position - 1]
+        assert len(ends) < stats.packets
 
-    @pytest.mark.parametrize(
-        "knobs, cap",
-        [
-            ({}, HANDOVER_FRAMES),
-            ({"packet_budget": 8, "idle_timeout": 3.0}, HANDOVER_FRAMES),
-            ({}, 5),
-        ],
-        ids=["defaults", "short-captures", "capped-every-5"],
-    )
-    def test_windows_end_where_the_drive_hands_over(
-        self, trained_identifier, monkeypatch, knobs, cap
-    ):
-        """One rule decides both: ``process_batch`` over the whole stream
-        ends its windows at exactly the frames where ``run()`` hands a
-        batch over on that rule.  Hand-overs forced by the
-        ``HANDOVER_FRAMES`` cap are the only others, and they move no
-        later window end."""
-        monkeypatch.setattr(pipeline_module, "HANDOVER_FRAMES", cap)
-        packets = skewed(rerun_stream(seed=5), seed=5)
-
-        def pipeline():
-            return StreamingPipeline(
-                source=IterableSource(packets),
-                dispatcher=BatchDispatcher(trained_identifier, max_batch=4),
-                assembler=ShardedFingerprintAssembler(shards=4, **knobs),
-            )
-
-        driven = pipeline()
-        lengths = []
-        observe_handover = driven.assembler.observe_prepared
-
-        def recorded_handover(prepared, stop):
-            # The drive folds each handed-over batch as one window.
-            assert prepared.position == 0 and stop == len(prepared.timestamps)
-            lengths.append(stop)
-            return observe_handover(prepared, stop)
-
-        driven.assembler.observe_prepared = recorded_handover
-        driven.run()
-
-        walked = pipeline()
-        window_ends = []
-        observe_prepared = walked.assembler.observe_prepared
-
-        def recorded_window(prepared, stop):
-            window_ends.append(stop)
-            return observe_prepared(prepared, stop)
-
-        walked.assembler.observe_prepared = recorded_window
-        walked.process_batch(PacketBatch.from_items(packets))
-        walked.finish()
-
-        # Stream index one past each handed-over batch -> its length.
-        handovers = dict(zip(itertools.accumulate(lengths), lengths))
-        assert list(handovers)[-1] == window_ends[-1] == len(packets)
-        assert len(window_ends) > 50
-        assert set(window_ends) <= set(handovers)
-        capped = [end for end in handovers if end not in window_ends]
-        assert all(handovers[end] == cap for end in capped)
-        assert len(capped) > 50 if cap < HANDOVER_FRAMES else not capped
-
-    def test_only_an_evicting_sweep_ends_a_batch_in_quiet_stream_seconds(
+    def test_only_an_evicting_sweep_ends_a_window_in_quiet_stream_seconds(
         self, trained_identifier
     ):
         """Six devices talk steadily for 200 stream-seconds, then fall
@@ -761,9 +866,8 @@ class TestBatchedPipeline:
         passes every stream-second, but the due sweep can evict nothing
         until a device has been quiet for ``idle_timeout``.  No capture
         ends otherwise (the budget is out of reach, no gap is idle, and
-        ``max_batch=1`` leaves nothing to linger), so every batch the
-        drive hands over below the frame cap ends at a sweep that evicts
-        a capture."""
+        ``max_batch=1`` leaves nothing to linger), so windows end exactly
+        at the sweeps that evict a capture, and at no other due sweep."""
         macs = [make_device_mac(index) for index in range(1, 8)]
         packets = [
             _chatter_packet(mac, step * 0.25 + index * 0.01, port=53 + step % 3)
@@ -776,33 +880,22 @@ class TestBatchedPipeline:
             dispatcher=BatchDispatcher(trained_identifier, max_batch=1),
             assembler=ShardedFingerprintAssembler(shards=4, packet_budget=100_000),
         )
-        batches = []  # (frames, captures the batch's sweeps evicted)
-        observe_prepared = pipeline.assembler.observe_prepared
+        ends = _window_ends(pipeline)
+        sweeps = []  # (stream position, captures evicted)
         evict_idle = pipeline.assembler.evict_idle
 
-        def recorded_batch(prepared, stop):
-            # The drive folds each handed-over batch as one window.
-            assert prepared.position == 0 and stop == len(prepared.timestamps)
-            batches.append([stop, 0])
-            return observe_prepared(prepared, stop)
-
         def recorded_sweep(now, shard=None):
-            before = pipeline.assembler.active_devices
             ready = evict_idle(now, shard=shard)
-            batches[-1][1] += before - pipeline.assembler.active_devices
+            sweeps.append((pipeline.stats.packets, len(ready)))
             return ready
 
-        pipeline.assembler.observe_prepared = recorded_batch
         pipeline.assembler.evict_idle = recorded_sweep
         stats = pipeline.run()
         assert stats.fingerprints == len(macs)
         assert pipeline.assembler.stats.idle_emissions == len(macs) - 1
-        assert sum(frames for frames, _ in batches) == len(packets)
-        handed_over = batches[:-1]  # the last batch ends with the stream
-        capped = [frames for frames, _ in handed_over if frames == HANDOVER_FRAMES]
-        assert len(capped) >= 5
-        for frames, evicted in handed_over:
-            assert frames == HANDOVER_FRAMES or evicted > 0
+        assert ends == [position for position, evicted in sweeps if evicted]
+        assert len(ends) == len(macs) - 1
+        assert sum(not evicted for _, evicted in sweeps) > 300
 
     def test_batched_and_scalar_distance_kernels_agree_end_to_end(
         self, small_dataset, trained_identifier

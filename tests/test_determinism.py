@@ -451,6 +451,11 @@ class TestColumnarDriveParity:
         handle.run_until_idle(source)
 
     @staticmethod
+    def _stream(handle, source):
+        for _ in handle.stream(source):
+            pass
+
+    @staticmethod
     def _fixed(size):
         """A drive handing ``process_batch`` batches of ``size`` frames."""
         from repro.net.batch import PacketBatch
@@ -494,7 +499,7 @@ class TestColumnarDriveParity:
         packets = skewed(rerun_stream(seed=5), seed=5)
         self._assert_parity(
             trained_identifier, tmp_path, lambda: IterableSource(packets),
-            {"facade": self._facade},
+            {"facade": self._facade, "stream": self._stream},
         )
 
     @pytest.mark.parametrize(
@@ -520,9 +525,10 @@ class TestColumnarDriveParity:
     def test_no_op_eviction_deadlines_at_any_handover_size(
         self, trained_identifier, tmp_path, monkeypatch
     ):
-        """Most deadlines find nothing to evict, so the drive replays those
-        sweeps inside its hand-over rule; the ledger still matches the
-        per-packet walk, which runs every sweep."""
+        """Most deadlines find nothing to evict, so the drive ends no
+        window there; the ledger still matches the per-packet walk, which
+        runs every sweep, whether the stream is run, streamed or fed to
+        ``process_batch`` at any batch size."""
         from repro.streaming import IterableSource
 
         packets = chatter_stream(seed=4)
@@ -538,6 +544,7 @@ class TestColumnarDriveParity:
         monkeypatch.setattr(PerPacketAssembler, "evict_idle", recorded)
         drives = {f"size-{size}": self._fixed(size) for size in (1, 7, 256, 1024, len(packets))}
         drives["facade"] = self._facade
+        drives["stream"] = self._stream
         self._assert_parity(trained_identifier, tmp_path, lambda: IterableSource(packets), drives)
         assert len(packets) > 1024
         assert sweeps.count(False) > 0.8 * len(sweeps) and any(sweeps)

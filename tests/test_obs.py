@@ -480,36 +480,70 @@ class TestWiring:
             FACADE_SNAPSHOT_KEYS
         )
 
-    def test_facade_run_feeds_the_datapath_stage_timers(self, trained_identifier):
-        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
-        handle.run_until_idle(SimulatedSource(devices=4, seed=3))
-        snapshot = handle.snapshot()
-        counts = set()
-        for stage in ("parse", "assemble", "score"):
-            counts.add(snapshot[f"pipeline.{stage}_batch_seconds.count"])
-            assert snapshot[f"pipeline.{stage}_batch_seconds.sum"] > 0, stage
-        # One observation per stage per handed-over batch.
-        assert len(counts) == 1 and counts.pop() > 0
+    @staticmethod
+    def _windows(handle, pipeline):
+        """The stream position of every window end: each makes one poll."""
+        windows = []
+        poll = handle.dispatcher.poll
 
-    def test_facade_stage_timers_record_once_per_hand_over(self, trained_identifier):
+        def recorded(now):
+            windows.append(pipeline.stats.packets)
+            return poll(now)
+
+        handle.dispatcher.poll = recorded
+        return windows
+
+    def test_facade_run_feeds_the_datapath_stage_timers(self, trained_identifier):
+        """Each window observes parse, assemble and score once; the frames
+        after the last window end are one more parse and assemble
+        observation, and the end-of-stream flush and drain, which identify
+        the devices still assembling, one more score observation."""
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        pipeline = handle._build_pipeline(SimulatedSource(devices=4, seed=3))
+        windows = self._windows(handle, pipeline)
+        pipeline.run()
+        snapshot = handle.snapshot()
+        for stage in ("parse", "assemble", "score"):
+            assert snapshot[f"pipeline.{stage}_batch_seconds.count"] == len(windows) + 1, stage
+            assert snapshot[f"pipeline.{stage}_batch_seconds.sum"] > 0, stage
+
+    def test_facade_stage_timers_record_once_per_window(self, trained_identifier):
         """Every frame consumed is counted once, and each stage timer
-        observes each hand-over once: none skipped, none counted twice."""
+        observes each window once: none skipped, none counted twice, and
+        no frame is timed on its own."""
         packets = rerun_stream(seed=5)
         handle = build_gateway(GatewayConfig(identifier=trained_identifier))
-        hand_overs = []
-        prepare_batch = handle.assembler.prepare_batch
-
-        def recorded(batch):
-            hand_overs.append(len(batch))
-            return prepare_batch(batch)
-
-        handle.assembler.prepare_batch = recorded
-        stats = handle.run_until_idle(IterableSource(packets))
+        pipeline = handle._build_pipeline(IterableSource(packets))
+        windows = self._windows(handle, pipeline)
+        stats = pipeline.run()
         snapshot = handle.snapshot()
-        assert stats.packets == len(packets) == sum(hand_overs)
-        assert len(hand_overs) > 10
+        assert stats.packets == len(packets)
+        assert 10 < len(windows) < len(packets) / 10
         for stage in ("parse", "assemble", "score"):
-            assert snapshot[f"pipeline.{stage}_batch_seconds.count"] == len(hand_overs), stage
+            assert snapshot[f"pipeline.{stage}_batch_seconds.count"] == len(windows) + 1, stage
+
+    def test_hub_stage_timers_add_up_to_the_drive_wall_time(self, trained_identifier):
+        """Parse, assemble, score, deliver and the end-of-stream flush
+        cover a facade run's wall time to within 5%."""
+        for source in (
+            IterableSource(rerun_stream(seed=5)),
+            SimulatedSource(devices=14, seed=6, arrival_gap=9.0),
+        ):
+            handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+            stats = handle.run_until_idle(source)
+            snapshot = handle.snapshot()
+            timed = sum(
+                snapshot[f"pipeline.{stage}_seconds.sum"]
+                for stage in (
+                    "parse_batch",
+                    "assemble_batch",
+                    "score_batch",
+                    "deliver_batch",
+                    "assembler_flush",
+                )
+            )
+            assert timed <= stats.wall_seconds
+            assert timed == pytest.approx(stats.wall_seconds, rel=0.05)
 
     def test_deliver_timer_records_once_per_delivery(self, trained_identifier):
         """``pipeline.deliver_batch_seconds`` observes each non-empty

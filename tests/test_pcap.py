@@ -10,8 +10,10 @@ from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_UDP
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
+from repro.net import pcap as pcap_module
 from repro.net.pcap import (
     MAGIC_MICROSECONDS,
+    MAGIC_NANOSECONDS,
     PcapReader,
     PcapWriter,
     read_pcap,
@@ -125,3 +127,76 @@ class TestPcapErrors:
         writer = PcapWriter(tmp_path / "x.pcap")
         with pytest.raises(PcapFormatError):
             writer.write(b"\x00")
+
+
+def _raw_capture(records, endian="<", nanoseconds=False):
+    """A classic pcap file's bytes holding ``(seconds, subseconds, data)`` records."""
+    magic = MAGIC_NANOSECONDS if nanoseconds else MAGIC_MICROSECONDS
+    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    for seconds, subseconds, data in records:
+        out += struct.pack(endian + "IIII", seconds, subseconds, len(data), len(data) + 4) + data
+    return out
+
+
+#: Record bodies of every length around the 16-byte record header.
+_BODIES = [bytes([index]) * length for index, length in enumerate((0, 1, 15, 16, 17, 60, 300, 7))]
+_RECORDS = [(index, 250_000 * index, body) for index, body in enumerate(_BODIES)]
+
+
+class TestPcapBlocks:
+    """Records are cut out of read blocks: wherever a block ends, each
+    record reads whole and truncation reports what it always has."""
+
+    BLOCKS = (1, 5, 16, 17, 33, 64, 1 << 16)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_records_read_whole_at_any_block_size(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", block)
+        path = tmp_path / "records.pcap"
+        path.write_bytes(_raw_capture(_RECORDS))
+        frames = list(PcapReader(path))
+        assert [frame.data for frame in frames] == _BODIES
+        assert [frame.original_length for frame in frames] == [len(b) + 4 for b in _BODIES]
+        assert [frame.timestamp for frame in frames] == [i + 0.25 * i for i in range(len(_BODIES))]
+
+    def test_a_record_longer_than_a_block_reads_whole(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", 64)
+        path = tmp_path / "long.pcap"
+        body = bytes(range(256)) * 20
+        path.write_bytes(_raw_capture([(1, 0, b"x" * 40), (2, 0, body), (3, 0, b"y")]))
+        assert [frame.data for frame in PcapReader(path)] == [b"x" * 40, body, b"y"]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("kept", range(1, 16))
+    def test_truncated_record_header_across_blocks(self, tmp_path, monkeypatch, block, kept):
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", block)
+        whole = _raw_capture(_RECORDS[:3])
+        path = tmp_path / "header.pcap"
+        path.write_bytes(whole + struct.pack("<IIII", 9, 0, 8, 8)[:kept])
+        with pytest.raises(PcapFormatError, match="^truncated pcap record header$"):
+            list(PcapReader(path))
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("kept", (0, 1, 59))
+    def test_truncated_record_body_across_blocks(self, tmp_path, monkeypatch, block, kept):
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", block)
+        whole = _raw_capture(_RECORDS[:3])
+        path = tmp_path / "body.pcap"
+        path.write_bytes(whole + struct.pack("<IIII", 9, 0, 60, 60) + b"z" * kept)
+        read = []
+        with pytest.raises(PcapFormatError, match="^truncated pcap record body$"):
+            for frame in PcapReader(path):
+                read.append(frame.data)
+        assert read == _BODIES[:3]
+
+    @pytest.mark.parametrize("endian", ["<", ">"])
+    @pytest.mark.parametrize("nanoseconds", [False, True])
+    def test_byte_orders_and_timestamp_resolutions(self, tmp_path, monkeypatch, endian, nanoseconds):
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", 17)
+        path = tmp_path / "order.pcap"
+        scale = 1000 if nanoseconds else 1
+        records = [(7 + i, 125_000 * i * scale, body) for i, body in enumerate(_BODIES)]
+        path.write_bytes(_raw_capture(records, endian=endian, nanoseconds=nanoseconds))
+        frames = list(PcapReader(path))
+        assert [frame.data for frame in frames] == _BODIES
+        assert [frame.timestamp for frame in frames] == [7 + i + 0.125 * i for i in range(len(_BODIES))]

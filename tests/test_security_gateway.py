@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import GatewayConfig, build_gateway
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
 from repro.exceptions import EnforcementError
@@ -11,6 +12,7 @@ from repro.net.addresses import MACAddress
 from repro.security_service.isolation import IsolationLevel
 from repro.security_service.service import IoTSecurityService, SecurityAssessment
 from repro.security_service.vulnerability import VulnerabilityRecord
+from repro.streaming import SimulatedSource
 
 from tests.conftest import make_tcp_packet, make_udp_packet, onboard_trace
 
@@ -70,6 +72,37 @@ class TestOnboarding:
         assert record.mac not in gateway.devices
         assert gateway.rule_cache.lookup(record.mac) is None
         assert all(rule.cookie != f"enforce-{record.mac}" for rule in gateway.switch.rules)
+
+
+class TestCredentials:
+    def test_facade_issues_one_credential_per_onboarded_device(self, trained_identifier):
+        """A device first seen in its verdict gets one PSK, for the overlay
+        its assessment puts it on: none is issued and then re-keyed."""
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier))
+        handle.run_until_idle(SimulatedSource(devices=12, seed=11))
+        gateway = handle.gateway
+        wps = gateway.wps
+        assert len(gateway.devices) == 12
+        assert wps.issued_count == len(gateway.devices)
+        assert wps.rekey_count == 0
+        levels = set()
+        for mac, record in gateway.devices.items():
+            levels.add(record.isolation_level)
+            assert wps.credential_of(mac).overlay is record.overlay
+        assert IsolationLevel.TRUSTED in levels and len(levels) > 1
+
+    def test_device_connected_before_its_verdict_is_rekeyed(self, gateway):
+        mac = MACAddress.from_string("02:00:00:00:0a:01")
+        gateway.connect_device(mac, ip_address="192.168.1.40")
+        first = gateway.wps.credential_of(mac)
+        assert first.overlay is NetworkOverlay.UNTRUSTED
+        assessment = SecurityAssessment(
+            device_type="Aria", isolation_level=IsolationLevel.TRUSTED, vulnerabilities=()
+        )
+        gateway.apply_assessment(mac, assessment)
+        rekeyed = gateway.wps.credential_of(mac)
+        assert rekeyed.overlay is NetworkOverlay.TRUSTED and rekeyed.psk != first.psk
+        assert (gateway.wps.issued_count, gateway.wps.rekey_count) == (2, 1)
 
 
 class TestAuthorization:
