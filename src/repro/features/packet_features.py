@@ -149,7 +149,6 @@ class PacketFeatureExtractor:
 
 _KEY_SHIFTS = np.array([shift for shift, _ in KEY_LAYOUT], dtype=np.int64)
 _KEY_MASKS = np.array([mask for _, mask in KEY_LAYOUT], dtype=np.int64)
-assert len(KEY_LAYOUT) == FEATURE_COUNT
 
 
 def unpack_rows(keys, counters) -> np.ndarray:
@@ -157,8 +156,8 @@ def unpack_rows(keys, counters) -> np.ndarray:
     (:func:`~repro.net.batch.table_i_key`), with ``counters`` -- one per
     row, or one for all -- written into the ``dst_ip_counter`` column.
 
-    >>> from repro.net.batch import table_i_key
-    >>> rows = unpack_rows([table_i_key(0b1000_0100, 40000, 53, 80)], [2])
+    >>> from repro.net.batch import _F_IP, _F_UDP, table_i_key
+    >>> rows = unpack_rows([table_i_key(_F_IP | _F_UDP, 40000, 53, 80)], [2])
     >>> names = ("ip", "udp", "dns", "packet_size", "dst_ip_counter", "src_port_class")
     >>> [int(rows[0, FEATURE_INDEX[name]]) for name in names]
     [1, 1, 1, 80, 2, 2]

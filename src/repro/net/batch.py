@@ -151,11 +151,6 @@ def _transport_gate(index: int) -> int:
 
 _TRANSPORT_GATES = tuple(_transport_gate(index) for index in range(8))
 
-# Port classes 1-3 (well-known, registered, dynamic) in place; a packet
-# without ports has class 0 on both sides.
-_SRC_WELL_KNOWN, _SRC_REGISTERED, _SRC_DYNAMIC = (cls << _KEY_SRC_CLASS for cls in (1, 2, 3))
-_DST_WELL_KNOWN, _DST_REGISTERED, _DST_DYNAMIC = (cls << _KEY_DST_CLASS for cls in (1, 2, 3))
-
 
 def table_i_key(flags: int, src_port: int, dst_port: int, size: int) -> int:
     """The packed Table-I row of one packet: the one definition of Table I.
@@ -183,10 +178,10 @@ def table_i_key(flags: int, src_port: int, dst_port: int, size: int) -> int:
         flags & 0xFF
         | (flags & 0x700) << 8  # flag bits 8-10 (padding .. raw data) -> 16-18
         | application & _TRANSPORT_GATES[(flags >> 6) & 3 | (flags >> 9) & 4]
-        | (_SRC_DYNAMIC if src_port > 49151 else _SRC_REGISTERED if src_port > 1023
-           else _SRC_WELL_KNOWN if src_port >= 0 else 0)
-        | (_DST_DYNAMIC if dst_port > 49151 else _DST_REGISTERED if dst_port > 1023
-           else _DST_WELL_KNOWN if dst_port >= 0 else 0)
+        | (3 if src_port > 49151 else 2 if src_port > 1023 else 1 if src_port >= 0 else 0)
+        << _KEY_SRC_CLASS
+        | (3 if dst_port > 49151 else 2 if dst_port > 1023 else 1 if dst_port >= 0 else 0)
+        << _KEY_DST_CLASS
         | size << _KEY_SIZE
     )
 
@@ -458,16 +453,8 @@ def stream_row(item: StreamItem) -> tuple[float, int, int, Optional[str]]:
 
     The per-frame parse of the streaming drive: :func:`table_i_key` packs
     the fields :class:`PacketBatch` would hold for the item; no column is
-    built.  The common frame shapes take the fast frame parser inline.
+    built.
     """
-    if isinstance(item, CapturedPacket):
-        data = item.data
-        fields = _fast_frame_fields(data)
-        if fields is not None:
-            flags, src_port, dst_port, dst_ip = fields
-            mac = int.from_bytes(data[6:12], "big")
-            size = item.original_length or len(data)
-            return item.timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
     timestamp, mac, flags, src_port, dst_port, size, dst_ip = _item_fields(item)
     return timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
 

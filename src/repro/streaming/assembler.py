@@ -272,9 +272,10 @@ class ShardedFingerprintAssembler:
         """The rows of a whole batch, ready for :meth:`observe_prepared`.
 
         One :func:`~repro.features.packet_features.batch_feature_matrix`
-        call, packed into one key per row (:func:`pack_rows`); the
-        columns come back as Python lists, which the fold reads faster
-        than arrays.
+        call -- the Table-I kernel's batch form, which the e2e tracer
+        times as ``features.extract`` -- packed back into one key per row
+        (:func:`pack_rows`); the columns come back as Python lists, which
+        the fold reads faster than arrays.
         """
         keys = pack_rows(batch_feature_matrix(batch)).tolist()
         rows = zip(batch.timestamps.tolist(), batch.src_macs.tolist(), keys, batch.dst_ips)
@@ -324,57 +325,61 @@ class ShardedFingerprintAssembler:
         ended: list[_Capture] = []
         latest = prepared.latest
         ordinal = start = self._ordinal
-        for timestamp, mac_value, key, dst_ip in prepared.rows:
-            capture = captures.get(mac_value)
-            if capture is None:
-                gaps = None
-            else:
-                gaps = capture.gaps
-                gap = timestamp - capture.last_seen
-                if (
-                    gap > min_idle
-                    and len(gaps) >= min_gaps
-                    and exceeds(gap, gaps, min_idle, idle_factor)
-                ):
-                    capture.reason, capture.completed_at = EMIT_IDLE, timestamp
-                    ended.append(capture)
+        try:
+            for timestamp, mac_value, key, dst_ip in prepared.rows:
+                capture = captures.get(mac_value)
+                if capture is None:
                     gaps = None
                 else:
-                    gaps.append(gap if gap > 0.0 else 0.0)
-            if gaps is None:
-                capture = captures[mac_value] = _Capture(
-                    mac=MACAddress(mac_value),
-                    shard=self._shard(mac_value),
-                    started=ordinal,
-                    last_seen=timestamp,
-                )
-                gaps = capture.gaps
-            ordinal += 1
-            destinations = capture.destinations
-            counter = destinations.get(dst_ip)
-            if counter is None:
-                # None is seeded at 0, so the first destination reads 1.
-                counter = destinations[dst_ip] = len(destinations)
-            if key != capture.last_key or counter != capture.last_counter:
-                capture.keys.append(key)
-                capture.counters.append(counter)
-                capture.last_key = key
-                capture.last_counter = counter
-            capture.last_seen = timestamp
-            if len(gaps) >= budget_gaps:
-                capture.reason, capture.completed_at = EMIT_BUDGET, timestamp
-                del captures[mac_value]
-                ended.append(capture)
-            if timestamp > latest:
-                latest = timestamp
-            if ended or latest >= horizon:
-                break
-        else:
-            prepared.done = True
-        prepared.latest = latest
-        prepared.frames += ordinal - start
-        self.stats.packets_observed += ordinal - start
-        self._ordinal = ordinal
+                    gaps = capture.gaps
+                    gap = timestamp - capture.last_seen
+                    if (
+                        gap > min_idle
+                        and len(gaps) >= min_gaps
+                        and exceeds(gap, gaps, min_idle, idle_factor)
+                    ):
+                        capture.reason, capture.completed_at = EMIT_IDLE, timestamp
+                        ended.append(capture)
+                        gaps = None
+                    else:
+                        gaps.append(gap if gap > 0.0 else 0.0)
+                if gaps is None:
+                    capture = captures[mac_value] = _Capture(
+                        mac=MACAddress(mac_value),
+                        shard=self._shard(mac_value),
+                        started=ordinal,
+                        last_seen=timestamp,
+                    )
+                    gaps = capture.gaps
+                ordinal += 1
+                destinations = capture.destinations
+                counter = destinations.get(dst_ip)
+                if counter is None:
+                    # None is seeded at 0, so the first destination reads 1.
+                    counter = destinations[dst_ip] = len(destinations)
+                if key != capture.last_key or counter != capture.last_counter:
+                    capture.keys.append(key)
+                    capture.counters.append(counter)
+                    capture.last_key = key
+                    capture.last_counter = counter
+                capture.last_seen = timestamp
+                if len(gaps) >= budget_gaps:
+                    capture.reason, capture.completed_at = EMIT_BUDGET, timestamp
+                    del captures[mac_value]
+                    ended.append(capture)
+                if timestamp > latest:
+                    latest = timestamp
+                if ended or latest >= horizon:
+                    break
+            else:
+                prepared.done = True
+        finally:
+            # Also when the rows raise (a truncated capture): the frames
+            # folded so far stay counted.
+            prepared.latest = latest
+            prepared.frames += ordinal - start
+            self.stats.packets_observed += ordinal - start
+            self._ordinal = ordinal
         return ended
 
     def emit(self, ended: list[_Capture]) -> list[ReadyFingerprint]:

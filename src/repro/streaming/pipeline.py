@@ -25,6 +25,7 @@ window end runs the stages in the per-packet order (clock, sweep, submit,
 poll, deliver), so verdicts, clock stamps and ledger records do not
 depend on batch boundaries.
 """
+
 from __future__ import annotations
 
 import time
@@ -229,13 +230,15 @@ class StreamingPipeline:
             horizon = self._horizon()
             frames = prepared.frames
             ended = self.assembler.observe_prepared(prepared, horizon)
-            self.stats.packets += prepared.frames - frames
             folded = perf_counter()
             parse_seconds += folded - mark
+            if prepared.frames == frames:
+                break  # the rows ran out: no frame, nothing falls due
+            self.stats.packets += prepared.frames - frames
             if prepared.latest > clock.now():
                 clock.advance(prepared.latest - clock.now())
             now = clock.now()
-            completed = self.assembler.emit(ended) if ended else []
+            completed = self.assembler.emit(ended)
             emitted = len(completed)
             self._sweep_if_due(now, completed)
             lingering = self.dispatcher.lingering_since()

@@ -571,6 +571,7 @@ class TestTableIKey:
     def test_layout_packs_each_column_apart(self):
         """Every packed column has its own bits: the masks never overlap
         and nothing reaches the int64 sign bit."""
+        assert len(KEY_LAYOUT) == FEATURE_COUNT
         used = 0
         for shift, mask in KEY_LAYOUT:
             assert used & (mask << shift) == 0
@@ -827,6 +828,22 @@ class TestBatchedPipeline:
                 batched.process_batch(batch)
             batched.finish()
             assert ends == sorted(acting), size
+
+    def test_an_empty_batch_changes_nothing(self, trained_identifier):
+        """No frame, no step: even with the eviction deadline long past,
+        an empty batch runs no sweep and counts no packet."""
+        pipeline = self._pipeline(trained_identifier, [], {})
+        pipeline.clock.advance(100.0)
+        sweeps = []
+        evict_idle = pipeline.assembler.evict_idle
+
+        def recorded(now, shard=None):
+            sweeps.append(now)
+            return evict_idle(now, shard=shard)
+
+        pipeline.assembler.evict_idle = recorded
+        assert pipeline.process_batch(PacketBatch.from_items([])) == []
+        assert sweeps == [] and pipeline.stats.packets == 0
 
     def test_a_completing_frame_ends_its_window_at_once(self, trained_identifier):
         """Every capture a frame completes is submitted at the window that

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.devices.catalog import DEVICE_CATALOG
-from repro.exceptions import SimulationError
+from repro.exceptions import PcapFormatError, SimulationError
 from repro.features.fingerprint import Fingerprint
 from repro.gateway.security_gateway import SecurityGateway
 from repro.net.addresses import MACAddress
@@ -494,6 +494,30 @@ class TestSourcesAndPipeline:
         ):
             assert isinstance(source, PacketSource)
             assert len(list(source.packets())) == len(aria_trace.packets)
+
+    def test_truncated_capture_still_onboards_every_frame_before_the_cut(
+        self, tmp_path, trained_identifier
+    ):
+        """A capture cut inside its last record raises, and every frame
+        before the cut has been folded: each device seen gets its verdict
+        from the end-of-stream flush."""
+        packets = SimulatedSource(devices=3, seed=4).packets()
+        path = tmp_path / "cut.pcap"
+        write_pcap(path, packets)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-5])
+        delivered = []
+        pipeline = StreamingPipeline(
+            source=PcapReplaySource(path),
+            dispatcher=BatchDispatcher(trained_identifier),
+            on_identified=delivered.append,
+        )
+        with pytest.raises(PcapFormatError, match="truncated pcap record body"):
+            pipeline.run()
+        assert pipeline.assembler.stats.packets_observed == len(list(
+            SimulatedSource(devices=3, seed=4).packets()
+        )) - 1
+        assert {item.mac for item in delivered} == set(SimulatedSource(devices=3, seed=4).device_macs)
 
     def test_simulated_source_interleaves_by_timestamp(self, simulator):
         traces = [
