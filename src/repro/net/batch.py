@@ -77,7 +77,9 @@ _F_APP_NOT_DHCP = 1 << 11
 # defers TCP on these ports to the full dissector.
 _BOOTP_PORTS = (67, 68)
 
-# Transport header fields read in one call: both ports, and UDP's length.
+# Header fields read in one call: IPv4 version/IHL, total length,
+# protocol and destination; both transport ports, and UDP's length.
+_IPV4_HEADER = struct.Struct("!BxH5xB6x4s").unpack_from
 _PORT_PAIR = struct.Struct("!HH").unpack_from
 _UDP_HEADER = struct.Struct("!HHH").unpack_from
 
@@ -151,6 +153,11 @@ def _transport_gate(index: int) -> int:
 
 _TRANSPORT_GATES = tuple(_transport_gate(index) for index in range(8))
 
+# Port classes 1-3 (well-known, registered, dynamic) already in place in
+# the key; a packet without ports has class 0 on both sides.
+_SRC_WELL_KNOWN, _SRC_REGISTERED, _SRC_DYNAMIC = (c << _KEY_SRC_CLASS for c in (1, 2, 3))
+_DST_WELL_KNOWN, _DST_REGISTERED, _DST_DYNAMIC = (c << _KEY_DST_CLASS for c in (1, 2, 3))
+
 
 def table_i_key(flags: int, src_port: int, dst_port: int, size: int) -> int:
     """The packed Table-I row of one packet: the one definition of Table I.
@@ -178,10 +185,10 @@ def table_i_key(flags: int, src_port: int, dst_port: int, size: int) -> int:
         flags & 0xFF
         | (flags & 0x700) << 8  # flag bits 8-10 (padding .. raw data) -> 16-18
         | application & _TRANSPORT_GATES[(flags >> 6) & 3 | (flags >> 9) & 4]
-        | (3 if src_port > 49151 else 2 if src_port > 1023 else 1 if src_port >= 0 else 0)
-        << _KEY_SRC_CLASS
-        | (3 if dst_port > 49151 else 2 if dst_port > 1023 else 1 if dst_port >= 0 else 0)
-        << _KEY_DST_CLASS
+        | (_SRC_DYNAMIC if src_port > 49151 else _SRC_REGISTERED if src_port > 1023
+           else _SRC_WELL_KNOWN if src_port >= 0 else 0)
+        | (_DST_DYNAMIC if dst_port > 49151 else _DST_REGISTERED if dst_port > 1023
+           else _DST_WELL_KNOWN if dst_port >= 0 else 0)
         | size << _KEY_SIZE
     )
 
@@ -323,7 +330,7 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
         return None
     ethertype = data[12] << 8 | data[13]
     if ethertype == _ETHERTYPE_IPV4:
-        version_ihl = data[14]
+        version_ihl, total_length, protocol, dst_raw = _IPV4_HEADER(data, 14)
         if version_ihl >> 4 != 4:
             return None
         ihl = (version_ihl & 0x0F) * 4
@@ -336,12 +343,10 @@ def _fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[st
             if option_flags is None:
                 return None
             flags |= option_flags
-        total_length = data[16] << 8 | data[17]
         l4_end = total_length if ihl <= total_length < rest_len else rest_len
         l4_len = l4_end - ihl
         l4_off = 14 + ihl
-        protocol = data[23]
-        dst_ip = _ipv4_text(data[30:34])
+        dst_ip = _ipv4_text(dst_raw)
     elif ethertype == _ETHERTYPE_IPV6:
         if frame_len < 54 or (data[14] >> 4) != 6:
             return None
@@ -453,8 +458,17 @@ def stream_row(item: StreamItem) -> tuple[float, int, int, Optional[str]]:
 
     The per-frame parse of the streaming drive: :func:`table_i_key` packs
     the fields :class:`PacketBatch` would hold for the item; no column is
-    built.
+    built.  A frame the fast parser handles is packed straight away, not
+    through :func:`_item_fields`: this runs once per frame of the stream.
     """
+    if isinstance(item, CapturedPacket):
+        data = item.data
+        fields = _fast_frame_fields(data)
+        if fields is not None:
+            flags, src_port, dst_port, dst_ip = fields
+            size = item.original_length or len(data)
+            key = table_i_key(flags, src_port, dst_port, size)
+            return item.timestamp, int.from_bytes(data[6:12], "big"), key, dst_ip
     timestamp, mac, flags, src_port, dst_port, size, dst_ip = _item_fields(item)
     return timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
 

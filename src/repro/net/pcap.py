@@ -68,22 +68,22 @@ class PcapReader:
             divisor = 1e9 if self._nanoseconds else 1e6
             read = handle.read
             block = b""
-            offset = 0
+            end = offset = 0
             while True:
-                if len(block) - offset < RECORD_HEADER_LEN:
+                if end - offset < RECORD_HEADER_LEN:
                     block = block[offset:] + read(max(READ_BLOCK, RECORD_HEADER_LEN))
-                    offset = 0
-                    if not block:
+                    end, offset = len(block), 0
+                    if not end:
                         break
-                    if len(block) < RECORD_HEADER_LEN:
+                    if end < RECORD_HEADER_LEN:
                         raise PcapFormatError("truncated pcap record header")
                 seconds, subseconds, captured_len, original_len = unpack_from(block, offset)
                 start = offset + RECORD_HEADER_LEN
                 offset = start + captured_len
-                if offset > len(block):
-                    block = block[start:] + read(max(READ_BLOCK, offset - len(block)))
-                    start, offset = 0, captured_len
-                    if offset > len(block):
+                if offset > end:
+                    block = block[start:] + read(max(READ_BLOCK, offset - end))
+                    end, start, offset = len(block), 0, captured_len
+                    if offset > end:
                         raise PcapFormatError("truncated pcap record body")
                 yield CapturedPacket(
                     seconds + subseconds / divisor, block[start:offset], original_len

@@ -427,10 +427,15 @@ class ShardedFingerprintAssembler:
         """
         timeout = self.idle_timeout
         captures = self._captures.values()
-        if shard is not None:
+        if shard is None:
+            idle = [capture for capture in captures if now - capture.last_seen > timeout]
+        else:
             shard %= self.shards
-            captures = [capture for capture in captures if capture.shard == shard]
-        idle = [capture for capture in captures if now - capture.last_seen > timeout]
+            idle = [
+                capture
+                for capture in captures
+                if capture.shard == shard and now - capture.last_seen > timeout
+            ]
         return self._end(sorted(idle, key=_SHARD_STARTED), EMIT_IDLE, now)
 
     def flush(self, now: float = 0.0) -> list[ReadyFingerprint]:
