@@ -28,6 +28,7 @@ depend on batch boundaries.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
@@ -272,14 +273,15 @@ class StreamingPipeline:
 
         The eviction deadline, or -- if earlier -- a hair before the
         dispatcher's linger deadline: ``poll`` makes the exact comparison
-        (``now - lingering >= MAX_LINGER_SECONDS``), and stopping early
-        only costs a look.
+        (``now - lingering >= MAX_LINGER_SECONDS``), whose rounding can
+        put it a few units in the last place either side of the sum, and
+        stopping early only costs a look.
         """
         horizon = self._next_eviction
         lingering = self.dispatcher.lingering_since()
         if lingering is not None:
-            deadline = lingering + MAX_LINGER_SECONDS
-            horizon = min(horizon, deadline - 1e-9 * (abs(deadline) + 1.0))
+            margin = 4 * math.ulp(abs(lingering) + MAX_LINGER_SECONDS)
+            horizon = min(horizon, lingering + MAX_LINGER_SECONDS - margin)
         return horizon
 
     def _observe_window(

@@ -502,6 +502,22 @@ class TestColumnarDriveParity:
             {"facade": self._facade, "stream": self._stream},
         )
 
+    def test_epoch_timestamps_ledger_matches_per_packet_walk(self, trained_identifier, tmp_path):
+        """Capture-clock timestamps (seconds since 1970) leave few bits
+        for the fraction; deadlines still fall at the same frames."""
+        import dataclasses
+
+        from repro.streaming import IterableSource
+
+        packets = [
+            dataclasses.replace(packet, timestamp=packet.timestamp + 1_700_000_000.0)
+            for packet in skewed(rerun_stream(seed=5), seed=5)
+        ]
+        self._assert_parity(
+            trained_identifier, tmp_path, lambda: IterableSource(packets),
+            {"facade": self._facade, "stream": self._stream, "size-7": self._fixed(7)},
+        )
+
     @pytest.mark.parametrize(
         "knobs",
         [
