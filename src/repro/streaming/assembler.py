@@ -304,9 +304,10 @@ class ShardedFingerprintAssembler:
         destination counter both equal the last kept row's, the
         consecutive-duplicate rule of Eq. (1) -- and ends the capture once
         it holds the packet budget.  The fold stops after the first frame
-        that ends a capture, after the first frame that brings
-        ``prepared.latest`` to ``horizon`` (where the caller's eviction or
-        linger deadline may fall due), or when the rows run out, and
+        that ends a capture, after the first frame at which
+        ``prepared.latest`` is at or past ``horizon`` (where the caller's
+        eviction or linger deadline may fall due), or when the rows run
+        out, and
         returns the captures that frame ended, in order; :meth:`emit`
         turns them into fingerprints.  Idle *eviction* remains the
         caller's job.
