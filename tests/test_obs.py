@@ -524,13 +524,21 @@ class TestWiring:
 
     def test_hub_stage_timers_add_up_to_the_drive_wall_time(self, trained_identifier):
         """Parse, assemble, score, deliver and the end-of-stream flush
-        cover a facade run's wall time to within 5%."""
+        cover a facade run's wall time to within 5%.  The collector is
+        paused: a full collection of the test session's heap landing in
+        the few untimed lines would say nothing about the timers."""
+        import gc
+
         for source in (
             IterableSource(rerun_stream(seed=5)),
             SimulatedSource(devices=14, seed=6, arrival_gap=9.0),
         ):
             handle = build_gateway(GatewayConfig(identifier=trained_identifier))
-            stats = handle.run_until_idle(source)
+            gc.disable()
+            try:
+                stats = handle.run_until_idle(source)
+            finally:
+                gc.enable()
             snapshot = handle.snapshot()
             timed = sum(
                 snapshot[f"pipeline.{stage}_seconds.sum"]
