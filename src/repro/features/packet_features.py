@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.net.batch import KEY_LAYOUT, PacketBatch, table_i_key
+from repro.net.batch import KEY_LAYOUT, PacketBatch
 from repro.net.packet import Packet
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -172,10 +172,11 @@ def batch_feature_matrix(batch: PacketBatch) -> np.ndarray:
 
     The batch form of :func:`~repro.net.batch.table_i_key`, the one
     definition of Table I: each packet's columns are packed by the kernel
+    (:meth:`PacketBatch.table_i_keys <repro.net.batch.PacketBatch.table_i_keys>`)
     and the keys unpacked into rows, so training
     (:meth:`Fingerprint.from_packets <repro.features.fingerprint.Fingerprint.from_packets>`),
-    one-packet extraction and the streaming drive compute every row
-    alike.  The stateful ``dst_ip_counter`` column is left at zero: it
+    one-packet extraction and the streaming drive, which folds the keys
+    themselves, compute every row alike.  The stateful ``dst_ip_counter`` column is left at zero: it
     depends on per-device first-contact order, so each caller fills it
     through :meth:`PacketFeatureExtractor.counter_for` while walking a
     device's packets.
@@ -194,11 +195,4 @@ def batch_feature_matrix(batch: PacketBatch) -> np.ndarray:
         >>> [int(row[FEATURE_INDEX[name]]) for name in names]
         [1, 0, 0, 0]
     """
-    keys = map(
-        table_i_key,
-        batch.flags.tolist(),
-        batch.src_ports.tolist(),
-        batch.dst_ports.tolist(),
-        batch.sizes.tolist(),
-    )
-    return unpack_rows(list(keys), 0)
+    return unpack_rows(batch.table_i_keys(), 0)

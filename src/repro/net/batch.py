@@ -458,17 +458,8 @@ def stream_row(item: StreamItem) -> tuple[float, int, int, Optional[str]]:
 
     The per-frame parse of the streaming drive: :func:`table_i_key` packs
     the fields :class:`PacketBatch` would hold for the item; no column is
-    built.  A frame the fast parser handles is packed straight away, not
-    through :func:`_item_fields`: this runs once per frame of the stream.
+    built.
     """
-    if isinstance(item, CapturedPacket):
-        data = item.data
-        fields = _fast_frame_fields(data)
-        if fields is not None:
-            flags, src_port, dst_port, dst_ip = fields
-            size = item.original_length or len(data)
-            key = table_i_key(flags, src_port, dst_port, size)
-            return item.timestamp, int.from_bytes(data[6:12], "big"), key, dst_ip
     timestamp, mac, flags, src_port, dst_port, size, dst_ip = _item_fields(item)
     return timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
 
@@ -512,6 +503,19 @@ class PacketBatch:
 
     def __len__(self) -> int:
         return int(self.timestamps.shape[0])
+
+    def table_i_keys(self) -> list[int]:
+        """The packed Table-I key of every packet, in order: the batch
+        form of :func:`table_i_key`."""
+        return list(
+            map(
+                table_i_key,
+                self.flags.tolist(),
+                self.src_ports.tolist(),
+                self.dst_ports.tolist(),
+                self.sizes.tolist(),
+            )
+        )
 
 
 __all__ = ["KEY_LAYOUT", "PacketBatch", "StreamItem", "stream_row", "table_i_key"]

@@ -38,14 +38,14 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
 from repro.exceptions import SimulationError
 from repro.features.fingerprint import Fingerprint
-from repro.features.packet_features import batch_feature_matrix, unpack_rows
+# ``batch_feature_matrix`` stays importable here: the e2e benchmark's
+# tracer patches this module's name as its ``features.extract`` layer.
+from repro.features.packet_features import batch_feature_matrix, unpack_rows  # noqa: F401
 from repro.features.session import SetupPhaseDetector, gap_exceeds_setup_threshold
 from repro.net.addresses import MACAddress
-from repro.net.batch import KEY_LAYOUT, PacketBatch, StreamItem, stream_row
+from repro.net.batch import PacketBatch, StreamItem, stream_row
 from repro.net.packet import Packet
 
 #: Sweeps and flushes emit shard by shard, in capture-start order.
@@ -54,28 +54,6 @@ _SHARD_STARTED = attrgetter("shard", "started")
 EMIT_BUDGET = "budget"
 EMIT_IDLE = "idle"
 EMIT_FLUSH = "flush"
-
-_KEY_WEIGHTS = np.array([1 << shift if mask else 0 for shift, mask in KEY_LAYOUT], dtype=np.int64)
-
-
-def pack_rows(matrix: np.ndarray) -> np.ndarray:
-    """One integer key per Table-I row, packing its 22 stateless columns.
-
-    The inverse of :func:`~repro.features.packet_features.unpack_rows`
-    for every row :func:`~repro.features.packet_features.batch_feature_matrix`
-    produces, so two rows with equal counters are equal exactly when
-    their keys are:
-
-    >>> rows = np.zeros((2, len(KEY_LAYOUT)), dtype=np.int64)
-    >>> rows[0, :20] = 1
-    >>> rows[0, 18] = 2**32 - 1  # packet_size: the pcap orig_len ceiling
-    >>> rows[0, 21:] = 3  # both port classes dynamic
-    >>> rows[1, 20] = 5  # dst_ip_counter, carried beside the key
-    >>> restored = unpack_rows(pack_rows(rows), rows[:, 20])
-    >>> bool((restored == rows).all()), restored.dtype.name
-    (True, 'int64')
-    """
-    return matrix @ _KEY_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -271,13 +249,28 @@ class ShardedFingerprintAssembler:
     def prepare_batch(self, batch: PacketBatch) -> PreparedFrames:
         """The rows of a whole batch, ready for :meth:`observe_prepared`.
 
-        One :func:`~repro.features.packet_features.batch_feature_matrix`
-        call -- the Table-I kernel's batch form, which the e2e tracer
-        times as ``features.extract`` -- packed back into one key per row
-        (:func:`pack_rows`); the columns come back as Python lists, which
-        the fold reads faster than arrays.
+        Each row's packed Table-I key comes from
+        :meth:`~repro.net.batch.PacketBatch.table_i_keys`; the columns come
+        back as Python lists, which the fold reads faster than arrays.
+        Three identical ARP requests end a three-packet capture on the
+        budget, and Eq. (1) keeps one row of them:
+
+        >>> from repro.net.pcap import CapturedPacket
+        >>> arp_request = bytes.fromhex(
+        ...     "ffffffffffff" "020000000001" "0806"  # Ethernet: broadcast, ARP
+        ...     "0001" "0800" "06" "04" "0001"  # Ethernet/IPv4 request
+        ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
+        ... )
+        >>> batch = PacketBatch.from_items(
+        ...     [CapturedPacket(t, arp_request) for t in (0.0, 0.1, 0.2)]
+        ... )
+        >>> assembler = ShardedFingerprintAssembler(packet_budget=3)
+        >>> ended = assembler.observe_prepared(assembler.prepare_batch(batch))
+        >>> [(str(ready.mac), ready.reason, ready.fingerprint.vectors.shape)
+        ...  for ready in assembler.emit(ended)]
+        [('02:00:00:00:00:01', 'budget', (1, 23))]
         """
-        keys = pack_rows(batch_feature_matrix(batch)).tolist()
+        keys = batch.table_i_keys()
         rows = zip(batch.timestamps.tolist(), batch.src_macs.tolist(), keys, batch.dst_ips)
         return PreparedFrames(rows)
 

@@ -226,18 +226,23 @@ class StreamingPipeline:
         # One running mark: each stage's time runs from where the last
         # one stopped, so the stages cover the whole loop between them.
         mark = perf_counter()
+        window_start = prepared.frames
         while not prepared.done:
             prepared.latest = clock.now()
             horizon = self._horizon()
             frames = prepared.frames
-            ended = self.assembler.observe_prepared(prepared, horizon)
+            try:
+                ended = self.assembler.observe_prepared(prepared, horizon)
+            finally:
+                # Also when the rows raise (a truncated capture): the
+                # frames folded so far are counted and move the clock.
+                self.stats.packets += prepared.frames - frames
+                if prepared.latest > clock.now():
+                    clock.advance(prepared.latest - clock.now())
             folded = perf_counter()
             parse_seconds += folded - mark
             if prepared.frames == frames:
                 break  # the rows ran out: no frame, nothing falls due
-            self.stats.packets += prepared.frames - frames
-            if prepared.latest > clock.now():
-                clock.advance(prepared.latest - clock.now())
             now = clock.now()
             completed = self.assembler.emit(ended)
             emitted = len(completed)
@@ -265,7 +270,8 @@ class StreamingPipeline:
             self._deliver(identified)
             yield identified
             mark = perf_counter()
-        if parse_seconds or assemble_seconds:
+            window_start = prepared.frames
+        if prepared.frames > window_start:
             self._observe_window(parse_seconds, assemble_seconds, None)
 
     def _horizon(self) -> float:

@@ -37,6 +37,7 @@ from repro.features.packet_features import (
     FEATURE_INDEX,
     INTEGER_FEATURES,
     batch_feature_matrix,
+    unpack_rows,
 )
 from repro.net.addresses import MACAddress
 from repro.net.batch import (
@@ -70,6 +71,7 @@ from repro.net.layers.tls import TLSRecord
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
 from repro.net.pcap import CapturedPacket, PcapReader, read_pcap, write_pcap
+from repro.obs.hub import Observability
 from repro.streaming import (
     BatchDispatcher,
     IdentificationCache,
@@ -78,7 +80,6 @@ from repro.streaming import (
     SimulatedSource,
     StreamingPipeline,
 )
-from repro.streaming.assembler import pack_rows, unpack_rows
 from tests.conftest import (
     PerPacketAssembler,
     ScalarFeatureExtractor,
@@ -461,6 +462,12 @@ def _drive_per_packet(source):
     return emissions, assembler.stats
 
 
+def _packed(rows):
+    """Oracle packer: each row's columns shifted to their ``KEY_LAYOUT`` place."""
+    weights = np.array([1 << shift if mask else 0 for shift, mask in KEY_LAYOUT], dtype=np.int64)
+    return rows @ weights
+
+
 class TestPackedRows:
     """The assembler keys each row's 22 stateless columns as one integer;
     the packing must lose nothing, or Eq. (1) would drop distinct rows."""
@@ -486,7 +493,7 @@ class TestPackedRows:
 
     def test_extreme_rows_round_trip(self):
         rows = self._extreme_rows()
-        keys = pack_rows(rows)
+        keys = _packed(rows)
         # Distinct rows, distinct keys; none overflows into the sign bit.
         assert len(set(keys.tolist())) == len(rows) == len(np.unique(rows, axis=0))
         assert int(keys.min()) >= 0
@@ -498,9 +505,11 @@ class TestPackedRows:
         np.testing.assert_array_equal(restored, expected)
 
     def test_kernel_rows_round_trip(self):
-        rows = batch_feature_matrix(PacketBatch.from_items(_setup_packets()))
+        batch = PacketBatch.from_items(_setup_packets())
+        rows = batch_feature_matrix(batch)
+        assert batch.table_i_keys() == _packed(rows).tolist()
         zeros = np.zeros(len(rows), dtype=np.int64)
-        np.testing.assert_array_equal(unpack_rows(pack_rows(rows), zeros), rows)
+        np.testing.assert_array_equal(unpack_rows(batch.table_i_keys(), zeros), rows)
         assert unpack_rows([], []).shape == (0, FEATURE_COUNT)
 
 
@@ -831,8 +840,12 @@ class TestBatchedPipeline:
 
     def test_an_empty_batch_changes_nothing(self, trained_identifier):
         """No frame, no step: even with the eviction deadline long past,
-        an empty batch runs no sweep and counts no packet."""
-        pipeline = self._pipeline(trained_identifier, [], {})
+        an empty batch runs no sweep, counts no packet and times nothing."""
+        hub = Observability()
+        pipeline = StreamingPipeline(
+            source=IterableSource([]),
+            dispatcher=BatchDispatcher(trained_identifier, observability=hub),
+        )
         pipeline.clock.advance(100.0)
         sweeps = []
         evict_idle = pipeline.assembler.evict_idle
@@ -844,6 +857,10 @@ class TestBatchedPipeline:
         pipeline.assembler.evict_idle = recorded
         assert pipeline.process_batch(PacketBatch.from_items([])) == []
         assert sweeps == [] and pipeline.stats.packets == 0
+        assert pipeline.stats.assemble_seconds == 0.0
+        snapshot = hub.snapshot()
+        for stage in ("parse", "assemble", "score"):
+            assert snapshot[f"pipeline.{stage}_batch_seconds.count"] == 0, stage
 
     def test_a_completing_frame_ends_its_window_at_once(self, trained_identifier):
         """Every capture a frame completes is submitted at the window that
@@ -866,13 +883,9 @@ class TestBatchedPipeline:
         stream_time = list(itertools.accumulate(
             (packet.timestamp for packet in packets), max
         ))
-        for reason, completed_at, position in streamed:
+        for _, completed_at, position in streamed:
             assert position in ends
-            if reason == "budget":
-                # A budget completion is the frame itself.
-                assert completed_at == packets[position - 1].timestamp
-            else:
-                assert completed_at <= stream_time[position - 1]
+            assert completed_at == stream_time[position - 1]
         assert len(ends) < stats.packets
 
     def test_only_an_evicting_sweep_ends_a_window_in_quiet_stream_seconds(

@@ -504,6 +504,7 @@ class TestSourcesAndPipeline:
         packets = SimulatedSource(devices=3, seed=4).packets()
         path = tmp_path / "cut.pcap"
         write_pcap(path, packets)
+        frames = list(PcapReplaySource(path).packets())
         whole = path.read_bytes()
         path.write_bytes(whole[:-5])
         delivered = []
@@ -512,11 +513,23 @@ class TestSourcesAndPipeline:
             dispatcher=BatchDispatcher(trained_identifier),
             on_identified=delivered.append,
         )
+        flushed = []
+        submit = pipeline.dispatcher.submit
+
+        def recorded_submit(ready):
+            if ready.reason == "flush":
+                flushed.append(ready.completed_at)
+            return submit(ready)
+
+        pipeline.dispatcher.submit = recorded_submit
         with pytest.raises(PcapFormatError, match="truncated pcap record body"):
             pipeline.run()
-        assert pipeline.assembler.stats.packets_observed == len(list(
-            SimulatedSource(devices=3, seed=4).packets()
-        )) - 1
+        assert pipeline.assembler.stats.packets_observed == len(frames) - 1
+        assert pipeline.stats.packets == len(frames) - 1
+        # The flush is stamped at the stream time of the last whole frame.
+        stream_time = max(frame.timestamp for frame in frames[:-1])
+        assert pipeline.clock.now() == stream_time
+        assert flushed and all(completed_at == stream_time for completed_at in flushed)
         assert {item.mac for item in delivered} == set(SimulatedSource(devices=3, seed=4).device_macs)
 
     def test_simulated_source_interleaves_by_timestamp(self, simulator):
