@@ -141,6 +141,19 @@ class Fingerprint:
         """
         return [tuple(row) for row in self.vectors.tolist()]
 
+    def for_device(self, device_mac: Optional[str]) -> "Fingerprint":
+        """The same capture seen from another device of the same model.
+
+        The matrix is shared, not copied (fingerprints are never written
+        in place), and so is its content key once computed
+        (:func:`fingerprint_key`); the label and metadata are not carried.
+        """
+        twin = Fingerprint(vectors=self.vectors, device_mac=device_mac)
+        key = getattr(self, "_content_key", None)
+        if key is not None:
+            twin._content_key = key
+        return twin
+
     def __len__(self) -> int:
         return self.packet_count
 

@@ -12,7 +12,9 @@ come from a :class:`PreparedFrames` stream -- parsed lazily from stream
 items (:meth:`ShardedFingerprintAssembler.prepare_items`) or read from a
 batch's columns (:meth:`ShardedFingerprintAssembler.prepare_batch`) -- and
 :meth:`ShardedFingerprintAssembler.observe_prepared` folds them until a
-window must end.  Captures sit in one index keyed by the MAC's integer
+window must end.  A capture equal row for row to a recent one (a clone
+re-running its model's setup) shares that one's matrix when it is
+emitted.  Captures sit in one index keyed by the MAC's integer
 value; each records its shard, ``hash((mac_value,)) % shards``, when it
 opens, so that the pipeline's idle-eviction sweeps visit one shard at a
 time, round robin.
@@ -54,6 +56,14 @@ _SHARD_STARTED = attrgetter("shard", "started")
 EMIT_BUDGET = "budget"
 EMIT_IDLE = "idle"
 EMIT_FLUSH = "flush"
+
+#: Ended captures remembered by content, least recently emitted first.  A
+#: clone's setup (the same model's setup on another device) repeats a
+#: recent capture row for row and then shares its matrix and content key
+#: instead of unpacking and hashing them again.  A few times the number
+#: of models a stream interleaves (the catalog has 27), and at most a
+#: few MiB of matrices.
+RECENT_CAPTURES = 64
 
 
 @dataclass(frozen=True)
@@ -194,6 +204,9 @@ class ShardedFingerprintAssembler:
         # Every open capture, keyed by the MAC's integer value, the form
         # the batch columns carry.
         self._captures: dict[int, _Capture] = {}
+        # (kept keys, kept counters) -> the first fingerprint emitted with
+        # them; see RECENT_CAPTURES.
+        self._recent: dict[tuple[tuple[int, ...], tuple[int, ...]], Fingerprint] = {}
         # Stream ordinal of the next frame to be folded.
         self._ordinal = 0
 
@@ -402,12 +415,29 @@ class ShardedFingerprintAssembler:
             ready.append(
                 ReadyFingerprint(
                     mac=capture.mac,
-                    fingerprint=capture.to_fingerprint(),
+                    fingerprint=self._fingerprint(capture),
                     reason=capture.reason,
                     completed_at=capture.completed_at,
                 )
             )
         return ready
+
+    def _fingerprint(self, capture: _Capture) -> Fingerprint:
+        """The capture's fingerprint, sharing the matrix of a recent
+        capture with the same rows (:data:`RECENT_CAPTURES`)."""
+        content = (tuple(capture.keys), tuple(capture.counters))
+        recent = self._recent
+        template = recent.pop(content, None)
+        if template is None:
+            fingerprint = template = capture.to_fingerprint()
+            # Shared from now on: nothing may write it in place.
+            template.vectors.flags.writeable = False
+            if len(recent) >= RECENT_CAPTURES:
+                del recent[next(iter(recent))]
+        else:
+            fingerprint = template.for_device(str(capture.mac))
+        recent[content] = template
+        return fingerprint
 
     # ------------------------------------------------------------------ #
     # Eviction and flushing.

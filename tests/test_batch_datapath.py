@@ -32,6 +32,7 @@ from repro.distance.damerau_levenshtein import (
     normalized_pair_distances,
 )
 from repro.exceptions import FingerprintError, PacketDecodeError
+from repro.features.fingerprint import fingerprint_key
 from repro.features.packet_features import (
     FEATURE_COUNT,
     FEATURE_INDEX,
@@ -80,6 +81,7 @@ from repro.streaming import (
     SimulatedSource,
     StreamingPipeline,
 )
+from repro.streaming.assembler import RECENT_CAPTURES
 from tests.conftest import (
     PerPacketAssembler,
     ScalarFeatureExtractor,
@@ -617,6 +619,73 @@ class TestBatchedAssembler:
         emissions.extend(assembler.flush(10_000.0))
         assert _emission_map(emissions) == _emission_map(baseline)
         assert assembler.stats == base_stats
+
+
+    def test_a_clone_capture_shares_the_earlier_matrix(self):
+        """Two devices running the same setup emit equal fingerprints; the
+        second shares the first one's matrix, which nothing may write,
+        while a different setup gets its own."""
+        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=3)
+        first, clone, other = (make_device_mac(index) for index in (1, 2, 3))
+        setups = ((first, 0.0, (53, 80, 123)), (clone, 1.0, (53, 80, 123)), (other, 2.0, (53, 123, 80)))
+        packets = [
+            _chatter_packet(mac, start + step * 0.1, port=port)
+            for mac, start, ports in setups
+            for step, port in enumerate(ports)
+        ]
+        ready = _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets)))
+        assert [(item.mac, item.reason) for item in ready] == [
+            (first, "budget"), (clone, "budget"), (other, "budget")
+        ]
+        a, b, c = (item.fingerprint for item in ready)
+        assert b.vectors is a.vectors and b == a
+        assert (a.device_mac, b.device_mac) == (str(first), str(clone))
+        assert c.vectors is not a.vectors and fingerprint_key(c) != fingerprint_key(a)
+        with pytest.raises(ValueError, match="read-only"):
+            a.vectors[0, 0] = 1
+
+    def test_equal_keys_to_other_destinations_are_not_shared(self):
+        """Equal packed keys with another destination-counter sequence are
+        a different capture."""
+        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=3)
+        packets = []
+        for index, destinations in enumerate((("10.0.0.1", "10.0.0.2", "10.0.0.1"),
+                                              ("10.0.0.1", "10.0.0.2", "10.0.0.3"))):
+            for step, dst_ip in enumerate(destinations):
+                packet = make_udp_packet(
+                    make_device_mac(index + 1), MACAddress.broadcast(), "192.168.0.50", dst_ip
+                )
+                packet.timestamp = index + step * 0.1
+                packets.append(packet)
+        a, b = (
+            item.fingerprint
+            for item in _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets)))
+        )
+        assert b.vectors is not a.vectors
+        assert a.vectors[:, _COUNTER].tolist() == [1, 2, 1]
+        assert b.vectors[:, _COUNTER].tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("others", [RECENT_CAPTURES - 1, RECENT_CAPTURES])
+    def test_only_recent_captures_are_shared(self, others):
+        """A capture is shared while fewer than ``RECENT_CAPTURES`` other
+        setups ended after the last capture with its rows."""
+        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=1)
+        # One-frame captures, told apart by their packet size (payloads
+        # past the Ethernet minimum frame).
+        sizes = [64, *range(65, others + 65), 64]
+        packets = []
+        for index, size in enumerate(sizes):
+            packet = make_udp_packet(
+                make_device_mac(index + 1), MACAddress.broadcast(), "192.168.0.50",
+                "192.168.0.1", payload=bytes(size),
+            )
+            packet.timestamp = float(index)
+            packets.append(packet)
+        ready = _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets)))
+        assert len(ready) == len(sizes)
+        first, last = ready[0].fingerprint, ready[-1].fingerprint
+        assert last == first
+        assert (last.vectors is first.vectors) is (others < RECENT_CAPTURES)
 
 
 def _chatter_packet(mac, timestamp, port=53):

@@ -150,3 +150,15 @@ class TestContentKey:
         assert fingerprint_key(fingerprint) == before
         relabelled = dataclasses.replace(fingerprint, device_mac="02:00:00:00:00:02")
         assert fingerprint_key(relabelled) == before  # content only
+
+    def test_a_twin_for_another_device_shares_matrix_and_key(self):
+        fingerprint = Fingerprint.from_feature_rows(
+            [row(1), row(2)], device_type="Aria", device_mac="02:00:00:00:00:01"
+        )
+        unhashed = fingerprint.for_device("02:00:00:00:00:02")
+        assert unhashed.vectors is fingerprint.vectors
+        assert (unhashed.device_mac, unhashed.device_type) == ("02:00:00:00:00:02", None)
+        key = fingerprint_key(fingerprint)
+        assert fingerprint_key(unhashed) == key
+        # A key already computed is carried, not computed again.
+        assert fingerprint_key(fingerprint.for_device("02:00:00:00:00:03")) is key
