@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -75,12 +75,14 @@ SPLITMIX_DRAW = "splitmix64"
 def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
     """A reference fingerprint's symbol sequence, interned over the global alphabet.
 
-    Cached on the fingerprint instance: reference fingerprints live for
-    the process lifetime and are compared on every discrimination, so
-    re-tupling and re-interning them per call would dominate the batch
-    kernel's win.  Codes from :data:`GLOBAL_INTERNER` never invalidate
-    (the alphabet is append-only), and ``Fingerprint.vectors`` is
-    treated as immutable after construction everywhere in the system.
+    Cached on the fingerprint instance.  An identifier interns every
+    reference of its registry when it is built or grows
+    (:func:`intern_references`), so discriminations on a gateway that
+    loaded a bundle only read the cache; a reference passed in from
+    elsewhere is interned here on its first discrimination.  Codes from
+    :data:`GLOBAL_INTERNER` never invalidate (the alphabet is
+    append-only), and ``Fingerprint.vectors`` is treated as immutable
+    after construction everywhere in the system.
     """
     codes = getattr(fingerprint, "_symbol_codes", None)
     if codes is None:
@@ -89,9 +91,13 @@ def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
     return codes
 
 
-def _query_word(
-    fingerprint: Fingerprint, symbols: Optional[Sequence[tuple[int, ...]]] = None
-) -> np.ndarray:
+def intern_references(references: Iterable[Fingerprint]) -> None:
+    """Intern every reference's symbols now, not on its first discrimination."""
+    for reference in references:
+        _encoded_word(reference)
+
+
+def _query_word(fingerprint: Fingerprint, symbols: Optional[Sequence[bytes]] = None) -> np.ndarray:
     """A queried fingerprint's codes, looked up without growing the alphabet.
 
     Fingerprints seen on the wire are unbounded, so interning them would
@@ -99,8 +105,9 @@ def _query_word(
     encoded as ``UNSEEN_SYMBOL``, which keeps every distance exact.  The
     result is never cached: the fingerprint may later become a reference
     (autopilot promotion), and its cached codes must then be interned ones.
-    ``symbols`` is the fingerprint's symbol sequence when the caller
-    already holds it.
+    ``symbols`` is the fingerprint's row symbols
+    (:meth:`~repro.features.fingerprint.Fingerprint.as_symbol_sequence`)
+    when the caller already holds them.
     """
     codes = getattr(fingerprint, "_symbol_codes", None)
     if codes is not None:
@@ -251,7 +258,7 @@ class EditDistanceDiscriminator:
         self,
         requests: Sequence[tuple[Fingerprint, Mapping[str, Sequence[Fingerprint]]]],
         salt: int = 0,
-        symbols: Optional[Sequence[Sequence[tuple[int, ...]]]] = None,
+        symbols: Optional[Sequence[Sequence[bytes]]] = None,
     ) -> list[list[DissimilarityScore]]:
         """Score a batch of fingerprints against their candidate types.
 

@@ -32,6 +32,10 @@ FIXED_PACKET_COUNT = 12
 #: Dimension of the fixed-length fingerprint F' (12 packets x 23 features).
 FIXED_VECTOR_SIZE = FIXED_PACKET_COUNT * FEATURE_COUNT
 
+#: One int64 feature row seen as a single opaque value: the dtype of a
+#: row's symbol (:meth:`Fingerprint.as_symbol_sequence`).
+_ROW_SYMBOL = np.dtype((np.void, FEATURE_COUNT * np.dtype(np.int64).itemsize))
+
 
 @dataclass
 class Fingerprint:
@@ -132,14 +136,17 @@ class Fingerprint:
         """
         return fixed_vectors([self], packet_count)[0]
 
-    def as_symbol_sequence(self) -> list[tuple[int, ...]]:
+    def as_symbol_sequence(self) -> list[bytes]:
         """The fingerprint as a "word" whose characters are packet columns.
 
         This is the representation used for Damerau-Levenshtein edit
         distance in the discrimination stage: two characters are equal when
-        *all* 23 features of the two packets are equal.
+        *all* 23 features of the two packets are equal.  Each character is
+        one row's raw int64 bytes (a void view of the matrix, listed in one
+        call), so equal bytes mean equal rows, and a symbol is one hashable
+        object that the garbage collector does not track.
         """
-        return [tuple(row) for row in self.vectors.tolist()]
+        return np.ascontiguousarray(self.vectors).view(_ROW_SYMBOL).ravel().tolist()
 
     def for_device(self, device_mac: Optional[str]) -> "Fingerprint":
         """The same capture seen from another device of the same model.
@@ -171,23 +178,31 @@ class Fingerprint:
         return f"Fingerprint(type={label!r}, packets={self.packet_count})"
 
 
-def _first_unique_rows(symbols: Sequence[tuple[int, ...]]) -> list[int]:
-    """Row indices of each distinct symbol's first appearance, ascending."""
-    first: dict[tuple[int, ...], int] = {}
+def _first_unique_rows(symbols: Sequence[bytes], limit: Optional[int] = None) -> list[int]:
+    """Row indices of each distinct symbol's first appearance, ascending.
+
+    With ``limit`` the scan stops once that many distinct symbols are found.
+    """
+    first: dict[bytes, int] = {}
     for index, symbol in enumerate(symbols):
-        first.setdefault(symbol, index)
+        if symbol not in first:
+            first[symbol] = index
+            if len(first) == limit:
+                break
     return list(first.values())
 
 
 def fixed_vectors(
     fingerprints: Sequence[Fingerprint],
     packet_count: int = FIXED_PACKET_COUNT,
-    symbols: Optional[Sequence[Sequence[tuple[int, ...]]]] = None,
+    symbols: Optional[Sequence[Sequence[bytes]]] = None,
 ) -> np.ndarray:
     """The fixed-length fingerprints F' of many fingerprints, one row each.
 
     Returns an ``(n, packet_count * 23)`` int64 matrix whose row ``i`` is
-    ``fingerprints[i].to_fixed_vector(packet_count)``.  ``symbols[i]``,
+    ``fingerprints[i].to_fixed_vector(packet_count)``.  Each fingerprint's
+    symbols are scanned only until its first ``packet_count`` unique rows
+    are found.  ``symbols[i]``,
     when given, must be ``fingerprints[i].as_symbol_sequence()``: the
     identifier turns each query into symbols once per batch and feeds
     them both here and to the discrimination stage's alphabet lookup.
@@ -200,7 +215,7 @@ def fixed_vectors(
     counts = []
     base = 0
     for rows in symbols:
-        first = _first_unique_rows(rows)[:packet_count]
+        first = _first_unique_rows(rows, packet_count)
         chosen.extend(base + index for index in first)
         counts.append(len(first))
         base += len(rows)

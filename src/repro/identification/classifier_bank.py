@@ -259,13 +259,13 @@ class ClassifierBank:
     def score_fingerprints(
         self,
         fingerprints: Sequence[Fingerprint],
-        symbols: Optional[Sequence[Sequence[tuple[int, ...]]]] = None,
+        symbols: Optional[Sequence[Sequence[bytes]]] = None,
     ) -> BankScores:
         """Batch-score fingerprints (fixed vectors are built here).
 
         ``symbols``, when given, holds each fingerprint's
         :meth:`~repro.features.fingerprint.Fingerprint.as_symbol_sequence`,
-        so a caller that needs the symbols anyway tuples each row once.
+        so a caller that needs the symbols anyway builds them once.
         """
         if not fingerprints:
             return BankScores(

@@ -6,7 +6,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.distance.discrimination import DissimilarityScore, EditDistanceDiscriminator
+from repro.distance.discrimination import (
+    DissimilarityScore,
+    EditDistanceDiscriminator,
+    intern_references,
+)
 from repro.exceptions import IdentificationError
 from repro.features.fingerprint import Fingerprint
 from repro.identification.classifier_bank import ClassifierBank
@@ -105,6 +109,11 @@ class DeviceTypeIdentifier:
     novelty_threshold: Optional[float] = 0.85
     revision: int = 0
 
+    def __post_init__(self) -> None:
+        # Discriminations on every gateway serving this identifier then
+        # find each reference's codes cached (a loaded bundle included).
+        intern_references(self.registry)
+
     @classmethod
     def train(
         cls,
@@ -156,6 +165,7 @@ class DeviceTypeIdentifier:
             self.registry.fingerprints_of(device_type),
             self.registry.fingerprints_excluding(device_type),
         )
+        intern_references(self.registry.fingerprints_of(device_type))
         self.revision += 1
 
     # ------------------------------------------------------------------ #

@@ -21,9 +21,10 @@ and folded into its capture immediately.  A window ends only at a frame
 that ended a capture, where the due eviction sweep evicted a capture, or
 where the dispatcher's linger deadline passed; a due sweep that evicts
 nothing only moves the eviction deadline and the shard cursor.  Each
-window end runs the stages in the per-packet order (clock, sweep, submit,
-poll, deliver), so verdicts, clock stamps and ledger records do not
-depend on batch boundaries.
+window end runs the stages in the per-packet order (clock, sweep, then
+each submit and the poll), and every dispatcher call's verdicts are
+delivered before the next call runs, so verdicts, clock stamps and ledger
+records do not depend on batch boundaries.
 """
 
 from __future__ import annotations
@@ -208,17 +209,20 @@ class StreamingPipeline:
         would leave it -- and the ended captures become fingerprints and
         the due sweep runs.  A window ends only where a capture ended, the
         sweep evicted one or the dispatcher's linger deadline passed; then
-        the submits, the poll and one delivery follow, in the per-packet
-        order.  Anywhere else nothing is submitted, polled or delivered: a
-        sweep that evicted nothing has only moved the eviction deadline
-        and the shard cursor, and the fold goes on.  Yields each window's
-        verdicts.
+        the submits and the poll follow, in the per-packet order, each
+        call's verdicts delivered before the next call runs
+        (:meth:`_dispatch`).  Anywhere else nothing is submitted, polled or
+        delivered: a sweep that evicted nothing has only moved the
+        eviction deadline and the shard cursor, and the fold goes on.
+        Yields each window's verdicts, in delivery order.
 
         The hub observes once per window: ``parse`` (the frame loop:
         framing, parse, Table-I key and fold, plus ``parse_seconds`` a
         caller spent before it), ``assemble`` (turning ended captures into
-        fingerprints, and the sweeps) and ``score`` (submit and poll).
-        Frames after the last window end are observed when they run out.
+        fingerprints, and the sweeps) and ``score`` (the submits and the
+        poll, without the deliveries between them, which
+        ``pipeline.deliver_batch_seconds`` times).  Frames after the last
+        window end are observed when they run out.
         """
         perf_counter = time.perf_counter
         clock = self.clock
@@ -256,23 +260,53 @@ class StreamingPipeline:
                 or (lingering is not None and now - lingering >= MAX_LINGER_SECONDS)
             ):
                 continue
-            identified: list[IdentifiedDevice] = []
-            for item in completed:
-                self.stats.fingerprints += 1
-                identified.extend(self.dispatcher.submit(item))
             # Lingering partial batches are flushed on the stream clock, so
             # a trickle of devices is identified promptly instead of
             # waiting for a full batch (or end-of-stream drain) that may
             # never come.
-            identified.extend(self.dispatcher.poll(now))
-            self._observe_window(parse_seconds, assemble_seconds, perf_counter() - mark)
+            identified, score_seconds = self._dispatch(completed, now)
+            self._observe_window(parse_seconds, assemble_seconds, score_seconds)
             parse_seconds = assemble_seconds = 0.0
-            self._deliver(identified)
             yield identified
             mark = perf_counter()
             window_start = prepared.frames
         if prepared.frames > window_start:
             self._observe_window(parse_seconds, assemble_seconds, None)
+
+    def _dispatch(
+        self, completed: list[ReadyFingerprint], now: Optional[float]
+    ) -> tuple[list[IdentifiedDevice], float]:
+        """Submit each of ``completed``, then poll at stream time ``now``
+        (``None``: drain), delivering each call's verdicts before the next
+        call runs.
+
+        So a cache hit or a batch that ran inside one submit reaches the
+        ledger and the sink before the next batch is identified.  Between
+        calls the dispatcher's queue holds less than a full batch (a full
+        one runs inside ``submit``), so the drain identifies one batch at
+        most.  Returns every verdict in delivery order and the seconds
+        spent in the dispatcher calls (the deliveries excluded).
+        """
+        dispatcher = self.dispatcher
+        perf_counter = time.perf_counter
+        delivered: list[IdentifiedDevice] = []
+        score_seconds = 0.0
+        start = perf_counter()
+        for ready in [*completed, None]:
+            if ready is not None:
+                self.stats.fingerprints += 1
+                identified = dispatcher.submit(ready)
+            elif now is not None:
+                identified = dispatcher.poll(now)
+            else:
+                identified = dispatcher.drain()
+            if identified:
+                delivering = perf_counter()
+                score_seconds += delivering - start
+                self._deliver(identified)
+                delivered.extend(identified)
+                start = perf_counter()
+        return delivered, score_seconds + perf_counter() - start
 
     def _horizon(self) -> float:
         """The stream time at which the fold must stop for a deadline.
@@ -309,11 +343,7 @@ class StreamingPipeline:
         but keeps every downstream guarantee: batching, caching, ledger
         records and sink delivery are identical to the packet path.
         """
-        self.stats.fingerprints += 1
-        identified = self.dispatcher.submit(ready)
-        identified.extend(self.dispatcher.poll(self.clock.now()))
-        self._deliver(identified)
-        return identified
+        return self._dispatch([ready], self.clock.now())[0]
 
     def drain(self) -> list[IdentifiedDevice]:
         """Identify and deliver every queued fingerprint.
@@ -321,32 +351,29 @@ class StreamingPipeline:
         Captures still being assembled are left alone, so this is safe in
         the middle of a stream; :meth:`finish` also flushes them.
         """
-        identified = self.dispatcher.drain()
-        self._deliver(identified)
-        return identified
+        return self._dispatch([], None)[0]
 
     def finish(self) -> list[IdentifiedDevice]:
         """Flush the assembler and drain the dispatcher (end of stream).
 
-        With a hub, a flush that emits is one
-        ``pipeline.assembler_flush_seconds`` observation and the submits
+        Each flushed capture is submitted and then the queue drained, and
+        each of those calls' verdicts is delivered before the next call
+        runs (:meth:`_dispatch`), so the first verdicts of the flush do
+        not wait for the last batch.  With a hub, a flush that emits is one
+        ``pipeline.assembler_flush_seconds`` observation, and the submits
         and drain that identify something are one
-        ``pipeline.score_batch_seconds`` observation.
+        ``pipeline.score_batch_seconds`` observation (the deliveries
+        between them excluded).
         """
-        identified: list[IdentifiedDevice] = []
         start = time.perf_counter()
         flushed = self.assembler.flush(self.clock.now())
-        score_start = time.perf_counter()
-        for item in flushed:
-            self.stats.fingerprints += 1
-            identified.extend(self.dispatcher.submit(item))
-        identified.extend(self.dispatcher.drain())
+        flush_seconds = time.perf_counter() - start
+        identified, score_seconds = self._dispatch(flushed, None)
         if self.observability is not None:
             if flushed:
-                self.observability.observe_assembler_flush(score_start - start)
+                self.observability.observe_assembler_flush(flush_seconds)
             if identified:
-                self.observability.observe_score_batch(time.perf_counter() - score_start)
-        self._deliver(identified)
+                self.observability.observe_score_batch(score_seconds)
         self._collect_stats()
         return identified
 
@@ -360,7 +387,9 @@ class StreamingPipeline:
     def _deliver(self, identified: list[IdentifiedDevice]) -> None:
         """Record each verdict in the ledger, then hand each to ``on_identified``.
 
-        With a hub, a non-empty delivery is timed as one
+        ``identified`` is what one dispatcher call returned (a cache hit,
+        one batch), delivered before the next call runs.  With a hub, a
+        non-empty delivery is timed as one
         ``pipeline.deliver_batch_seconds`` observation.
         """
         if not identified:

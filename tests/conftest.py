@@ -20,7 +20,7 @@ from repro.datasets.builder import DatasetBuilder
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import LabEnvironment, SetupTrafficSimulator
 from repro.exceptions import FingerprintError
-from repro.features.fingerprint import Fingerprint
+from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint
 from repro.features.packet_features import FEATURE_COUNT, FEATURE_INDEX, port_class
 from repro.features.session import gap_exceeds_setup_threshold
 from repro.gateway.enforcement import EnforcementRule
@@ -260,6 +260,29 @@ def numpy_feature_matrix(batch) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
+# Symbol oracle: a row is the tuple of its 23 features.
+# --------------------------------------------------------------------------- #
+
+
+def tuple_symbols(fingerprint: Fingerprint) -> list[tuple[int, ...]]:
+    """Each row of ``fingerprint`` as a tuple of its 23 features, in order."""
+    return [tuple(row) for row in fingerprint.vectors.tolist()]
+
+
+def oracle_fixed_vectors(
+    fingerprints: Sequence[Fingerprint], packet_count: int = FIXED_PACKET_COUNT
+) -> np.ndarray:
+    """F' of each fingerprint: its first ``packet_count`` distinct row
+    tuples, concatenated and zero padded, one fingerprint per row."""
+    fixed = np.zeros((len(fingerprints), packet_count * FEATURE_COUNT), dtype=np.int64)
+    for index, fingerprint in enumerate(fingerprints):
+        unique = list(dict.fromkeys(tuple_symbols(fingerprint)))[:packet_count]
+        if unique:
+            fixed[index, : len(unique) * FEATURE_COUNT] = np.concatenate(unique)
+    return fixed
+
+
+# --------------------------------------------------------------------------- #
 # Edit-distance oracle: the scalar Damerau-Levenshtein dynamic program.
 # --------------------------------------------------------------------------- #
 
@@ -344,7 +367,7 @@ def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:
     order and asserts the production score is bitwise equal.  Returns how
     many scores were checked.
     """
-    word = fingerprint.as_symbol_sequence()
+    word = tuple_symbols(fingerprint)
     for score in result.discrimination_scores:
         references = identifier.registry.fingerprints_of(score.device_type)
         assert list(score.reference_indices) == sorted(score.reference_indices)
@@ -352,7 +375,7 @@ def assert_scores_match_scalar_oracle(identifier, fingerprint, result) -> int:
         total = 0.0
         for index in score.reference_indices:
             total += normalized_damerau_levenshtein(
-                word, references[index].as_symbol_sequence()
+                word, tuple_symbols(references[index])
             )
         assert score.score == total, (score.device_type, score.score, total)
     return len(result.discrimination_scores)
@@ -641,6 +664,8 @@ class PerPacketAssembler(ShardedFingerprintAssembler):
 def per_packet_run(pipeline: StreamingPipeline):
     """Drive ``pipeline`` packet by packet: every stage once per packet.
 
+    Each dispatcher call's verdicts (a submit, the poll, each batch of the
+    end-of-stream drain) are delivered before the next call runs.
     ``pipeline.assembler`` should be a :class:`PerPacketAssembler`.
     """
     for item in pipeline.source.packets():
@@ -654,13 +679,16 @@ def per_packet_run(pipeline: StreamingPipeline):
         now = pipeline.clock.now()
         pipeline._sweep_if_due(now, completed)
         pipeline.stats.assemble_seconds += time.perf_counter() - start
-        identified = []
         for fingerprint in completed:
             pipeline.stats.fingerprints += 1
-            identified.extend(pipeline.dispatcher.submit(fingerprint))
-        identified.extend(pipeline.dispatcher.poll(now))
-        pipeline._deliver(identified)
-    pipeline.finish()
+            pipeline._deliver(pipeline.dispatcher.submit(fingerprint))
+        pipeline._deliver(pipeline.dispatcher.poll(now))
+    for fingerprint in pipeline.assembler.flush(pipeline.clock.now()):
+        pipeline.stats.fingerprints += 1
+        pipeline._deliver(pipeline.dispatcher.submit(fingerprint))
+    while pipeline.dispatcher.queue:
+        pipeline._deliver(pipeline.dispatcher._run_batch())
+    pipeline._collect_stats()
     return pipeline.stats
 
 
@@ -696,6 +724,42 @@ def rerun_stream(seed):
             offset += length + (12.0 if run % 20 == 0 else 6.0 if run % 3 == 0 else 0.4)
             reruns.append(replay_trace(trace, trace.device_mac, offset))
     return list(interleave_traces(traces + reruns))
+
+
+def multi_delivery_stream(seed):
+    """A stream whose windows deliver more than once at ``max_batch`` 4 on
+    one shard.  Nine known models go quiet together, so one sweep evicts
+    them all.  Then a clone of the longest known setup (a cache hit, the
+    first capture the sweep emits) goes quiet together with six shorter
+    models, and a device re-running a short setup keeps the stream going
+    past their idle timeout.  At the end a second clone and six more
+    models are still talking: the flush, its submits and the drain."""
+    simulator = SetupTrafficSimulator(seed=seed)
+    known = [simulator.simulate(DEVICE_CATALOG[name]) for name in SMALL_DEVICE_SET]
+    others = [
+        simulator.simulate(DEVICE_CATALOG[name])
+        for name in sorted(DEVICE_CATALOG)
+        if name not in SMALL_DEVICE_SET
+    ]
+
+    def length(trace):
+        return trace.packets[-1].timestamp - trace.packets[0].timestamp
+
+    longest = max(known, key=length)
+    shorter = [trace for trace in others if length(trace) < length(longest)]
+    assert len(shorter) >= 12
+    macs = (make_device_mac(index) for index in range(1, 256))
+
+    def ending_at(trace, end, mac=None):
+        """``trace`` replayed so that its last packet lands at ``end``."""
+        return replay_trace(trace, mac or next(macs), end - trace.packets[-1].timestamp)
+
+    ticker = min(known, key=length)
+    traces = [ending_at(trace, 100.0) for trace in known]
+    traces += [ending_at(trace, 300.0) for trace in [longest, *shorter[:6]]]
+    traces += [ending_at(ticker, 330.0 + 6.0 * run, ticker.device_mac) for run in range(8)]
+    traces += [ending_at(trace, 379.0) for trace in [longest, *shorter[6:12]]]
+    return list(interleave_traces(traces))
 
 
 def chatter_stream(seed, devices=12, repeats=6):

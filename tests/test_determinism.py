@@ -29,6 +29,7 @@ from tests.conftest import (
     PerPacketAssembler,
     assert_scores_match_scalar_oracle,
     chatter_stream,
+    multi_delivery_stream,
     per_packet_gateway_run,
     rerun_stream,
     skewed,
@@ -414,14 +415,16 @@ class TestObservabilityDeterminism:
 # --------------------------------------------------------------------- #
 class TestColumnarDriveParity:
     @staticmethod
-    def _ledger(identifier, directory, source, drive, knobs):
+    def _ledger(identifier, directory, source, drive, knobs, config=None):
         """The ledger bytes of one drive, and each fingerprint submission
         with the stream clock it saw."""
         from repro.api import GatewayConfig, build_gateway
         from repro.streaming import ShardedFingerprintAssembler
 
         path = directory / "ledger.ndjson"
-        handle = build_gateway(GatewayConfig(identifier=identifier, ledger_path=path))
+        handle = build_gateway(
+            GatewayConfig(identifier=identifier, ledger_path=path, **(config or {}))
+        )
         if knobs:
             handle.assembler = ShardedFingerprintAssembler(shards=handle.assembler.shards, **knobs)
         submits = []
@@ -436,13 +439,15 @@ class TestColumnarDriveParity:
         handle.close()
         return path.read_bytes(), submits
 
-    def _assert_parity(self, identifier, tmp_path, make_source, drives, **knobs):
+    def _assert_parity(self, identifier, tmp_path, make_source, drives, config=None, **knobs):
         oracle, oracle_submits = self._ledger(
-            identifier, tmp_path / "oracle", make_source(), per_packet_gateway_run, knobs
+            identifier, tmp_path / "oracle", make_source(), per_packet_gateway_run, knobs, config
         )
         assert oracle.count(b'"kind":"verdict"') >= 10
         for name, drive in drives.items():
-            got, submits = self._ledger(identifier, tmp_path / name, make_source(), drive, knobs)
+            got, submits = self._ledger(
+                identifier, tmp_path / name, make_source(), drive, knobs, config
+            )
             assert got == oracle, name
             assert submits == oracle_submits, name
 
@@ -564,3 +569,64 @@ class TestColumnarDriveParity:
         self._assert_parity(trained_identifier, tmp_path, lambda: IterableSource(packets), drives)
         assert len(packets) > 1024
         assert sweeps.count(False) > 0.8 * len(sweeps) and any(sweeps)
+
+    def test_windows_that_deliver_more_than_once_match_the_per_packet_walk(
+        self, trained_identifier, tmp_path
+    ):
+        """Each dispatcher call's verdicts reach the ledger and the sink
+        before the next call runs, so a window that identifies twice
+        records ``V(A) E(A) V(B) E(B)``.  The stream has such windows: a
+        cache hit followed by a miss batch, a sweep that evicts more than
+        ``max_batch`` captures, and the end-of-stream flush plus drain.
+        The facade, ``stream`` and ``process_batch`` ledgers equal the
+        per-packet walk's."""
+        from repro.api import GatewayConfig, build_gateway
+        from repro.streaming import IterableSource
+
+        config = {"max_batch": 4, "shards": 1}
+        packets = multi_delivery_stream(seed=3)
+
+        handle = build_gateway(GatewayConfig(identifier=trained_identifier, **config))
+        pipeline = handle._build_pipeline(IterableSource(packets))
+        # Deliveries by window: its end frame, and whether the stream ended.
+        windows: dict[tuple[int, bool], list[list]] = {}
+        finishing = []
+        deliver, flush = pipeline._deliver, pipeline.assembler.flush
+
+        def recorded_deliver(identified):
+            windows.setdefault((pipeline.stats.packets, bool(finishing)), []).append(identified)
+            return deliver(identified)
+
+        def recorded_flush(now=0.0):
+            finishing.append(now)
+            return flush(now)
+
+        pipeline._deliver = recorded_deliver
+        pipeline.assembler.flush = recorded_flush
+        pipeline.run()
+        streamed = [calls for (_, flushed), calls in windows.items() if not flushed]
+        assert any(
+            all(item.from_cache for item in calls[0])
+            and any(not item.from_cache for later in calls[1:] for item in later)
+            for calls in streamed
+        ), "a cache hit followed by a miss batch"
+        assert any(
+            len(calls) > 1
+            and sum(map(len, calls)) > config["max_batch"]
+            and all(item.completion_reason == "idle" for batch in calls for item in batch)
+            for calls in streamed
+        ), "a sweep evicting more than max_batch captures"
+        flush = [calls for (_, flushed), calls in windows.items() if flushed]
+        assert len(flush) == 1 and len(flush[0]) >= 3, "the flush, a submit batch and the drain"
+        assert flush[0][0][0].from_cache
+
+        self._assert_parity(
+            trained_identifier, tmp_path, lambda: IterableSource(packets),
+            {
+                "facade": self._facade,
+                "stream": self._stream,
+                "size-7": self._fixed(7),
+                "size-all": self._fixed(len(packets)),
+            },
+            config=config,
+        )

@@ -13,10 +13,11 @@ from repro.features.fingerprint import (
     FIXED_VECTOR_SIZE,
     Fingerprint,
     fingerprint_key,
+    fixed_vectors,
 )
 from repro.features.packet_features import FEATURE_COUNT
 
-from tests.conftest import ScalarFeatureExtractor
+from tests.conftest import ScalarFeatureExtractor, oracle_fixed_vectors, tuple_symbols
 
 
 def row(value: int) -> list[int]:
@@ -104,15 +105,86 @@ class TestFixedVector:
         with pytest.raises(FingerprintError):
             fingerprint.to_fixed_vector(packet_count=0)
 
+    @staticmethod
+    def _fingerprints() -> dict[str, Fingerprint]:
+        rng = np.random.default_rng(7)
+        many = rng.integers(0, 5, size=(60, FEATURE_COUNT))
+        many[:, 18] = np.arange(60) % 17  # 17 distinct rows, repeated
+        strided = np.repeat(many, 2, axis=0)[::2]
+        shared = Fingerprint(vectors=many.copy())
+        shared.vectors.setflags(write=False)
+        return {
+            "empty": Fingerprint(vectors=np.zeros((0, FEATURE_COUNT))),
+            "fewer-than-12": Fingerprint(vectors=[row(3), row(1), row(3), row(2)]),
+            "exactly-12": Fingerprint(vectors=[row(value % 12) for value in range(30)]),
+            "more-than-12": Fingerprint(vectors=many),
+            "repeated": Fingerprint(vectors=[row(5)] * 9 + [row(4)] * 3 + [row(5)]),
+            "read-only-shared": shared.for_device("02:00:00:00:00:01"),
+            "strided": Fingerprint(vectors=strided),
+            "fortran": Fingerprint(vectors=np.asfortranarray(many)),
+        }
+
+    @pytest.mark.parametrize("packet_count", [1, 5, FIXED_PACKET_COUNT, 40])
+    def test_fixed_vectors_equal_the_tuple_oracle(self, packet_count):
+        """F' from the first unique row symbols equals F' from the first
+        unique row tuples, alone and batched, whatever the matrix layout."""
+        fingerprints = self._fingerprints()
+        assert not fingerprints["read-only-shared"].vectors.flags.writeable
+        assert not fingerprints["strided"].vectors.flags.c_contiguous
+        batch = list(fingerprints.values())
+        expected = oracle_fixed_vectors(batch, packet_count)
+        assert np.array_equal(fixed_vectors(batch, packet_count), expected)
+        symbols = [fingerprint.as_symbol_sequence() for fingerprint in batch]
+        assert np.array_equal(fixed_vectors(batch, packet_count, symbols), expected)
+        for index, (name, fingerprint) in enumerate(fingerprints.items()):
+            assert np.array_equal(
+                fingerprint.to_fixed_vector(packet_count), expected[index]
+            ), name
+            unique = list(dict.fromkeys(tuple_symbols(fingerprint)))
+            assert [tuple(vector) for vector in fingerprint.unique_vectors().tolist()] == unique
+
+
+def _rows_differing_in_every_feature() -> list[list[int]]:
+    """A base row, then one row per feature differing from it only there
+    (by a value beyond 32 bits), then the base row again."""
+    base = [index + 1 for index in range(FEATURE_COUNT)]
+    rows = [base]
+    for feature in range(FEATURE_COUNT):
+        changed = list(base)
+        changed[feature] += 1 << 40
+        rows.append(changed)
+    return rows + [base]
+
 
 class TestSymbolSequence:
     def test_symbols_are_hashable_and_ordered(self):
-        fingerprint = Fingerprint.from_feature_rows([row(1), row(2)])
+        """One symbol per row, hashable, in row order; two symbols are equal
+        exactly when their rows are equal in all 23 features."""
+        rows = _rows_differing_in_every_feature()
+        fingerprint = Fingerprint(vectors=rows)
         symbols = fingerprint.as_symbol_sequence()
-        assert len(symbols) == 2
-        assert isinstance(symbols[0], tuple)
-        assert symbols[0] != symbols[1]
-        assert hash(symbols[0]) is not None
+        assert len(symbols) == len(rows)
+        assert len({hash(symbol) for symbol in symbols}) >= 2
+        for i, first in enumerate(rows):
+            for j, second in enumerate(rows):
+                assert (symbols[i] == symbols[j]) == (first == second), (i, j)
+        reversed_symbols = Fingerprint(vectors=rows[::-1]).as_symbol_sequence()
+        assert reversed_symbols == symbols[::-1]
+        assert Fingerprint(vectors=np.zeros((0, FEATURE_COUNT))).as_symbol_sequence() == []
+
+    def test_symbols_do_not_depend_on_the_matrix_layout(self):
+        """A read-only shared matrix, a strided view and a Fortran-ordered
+        copy give the symbols of the same rows held contiguously."""
+        matrix = np.array(_rows_differing_in_every_feature() * 2, dtype=np.int64)
+        expected = Fingerprint(vectors=matrix[::2].copy()).as_symbol_sequence()
+        strided = Fingerprint(vectors=matrix[::2])
+        assert not strided.vectors.flags.c_contiguous
+        shared = Fingerprint(vectors=matrix[::2].copy())
+        shared.vectors.setflags(write=False)
+        twin = shared.for_device("02:00:00:00:00:09")
+        fortran = Fingerprint(vectors=np.asfortranarray(matrix[::2]))
+        for fingerprint in (strided, twin, fortran):
+            assert fingerprint.as_symbol_sequence() == expected
 
     def test_equality(self):
         first = Fingerprint.from_feature_rows([row(1), row(2)], device_type="X")

@@ -5,12 +5,14 @@ import pytest
 
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
-from repro.distance.damerau_levenshtein import GLOBAL_INTERNER
+from repro.api import GatewayConfig, build_gateway
+from repro.distance.damerau_levenshtein import GLOBAL_INTERNER, SymbolInterner
 from repro.distance.discrimination import _encoded_word
 from repro.exceptions import IdentificationError
 from repro.features.fingerprint import Fingerprint
 from repro.features.packet_features import FEATURE_COUNT
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE, DeviceTypeIdentifier
+from repro.identification.model_store import save_identifier
 from repro.identification.registry import FingerprintRegistry
 from tests.conftest import assert_scores_match_scalar_oracle
 
@@ -161,3 +163,58 @@ class TestBatchPass:
         assert len(GLOBAL_INTERNER) == before
         assert getattr(fresh, "_symbol_codes", None) is None
         assert_scores_match_scalar_oracle(trained_identifier, fresh, result)
+
+
+class TestReferenceInterning:
+    """Every reference is interned when its identifier is built or grows,
+    so identification on a serving gateway never interns one."""
+
+    @staticmethod
+    def _record_interning(monkeypatch) -> list[int]:
+        encoded: list[int] = []
+        encode = SymbolInterner.encode
+
+        def recorded(interner, symbols):
+            encoded.append(len(symbols))
+            return encode(interner, symbols)
+
+        monkeypatch.setattr(SymbolInterner, "encode", recorded)
+        return encoded
+
+    def test_a_bundle_loaded_gateway_interns_no_reference_while_identifying(
+        self, small_dataset, trained_identifier, tmp_path, monkeypatch
+    ):
+        bundle = tmp_path / "model.npz"
+        save_identifier(bundle, trained_identifier)
+        handle = build_gateway(GatewayConfig(bundle_path=bundle))
+        identifier = handle.identifier
+        assert all(
+            getattr(reference, "_symbol_codes", None) is not None
+            for reference in identifier.registry
+        )
+        encoded = self._record_interning(monkeypatch)
+        # Fresh query objects: no codes cached on any of them.
+        probes = [
+            Fingerprint(vectors=fingerprint.vectors) for fingerprint in small_dataset.fingerprints
+        ]
+        results = identifier.identify_many(probes)
+        assert sum(bool(result.discrimination_scores) for result in results) > len(probes) // 2
+        assert encoded == []
+        for probe, result in zip(probes[::5], results[::5]):
+            assert_scores_match_scalar_oracle(identifier, probe, result)
+        handle.close()
+
+    def test_a_learned_type_is_interned_when_it_is_added(self, small_dataset, monkeypatch):
+        identifier = DeviceTypeIdentifier.train(
+            small_dataset.to_registry(), n_estimators=3, random_state=0
+        )
+        simulator = SetupTrafficSimulator(seed=77)
+        fingerprints = [
+            Fingerprint.from_packets(trace.packets, device_type="Withings")
+            for trace in simulator.simulate_many(DEVICE_CATALOG["Withings"], 6)
+        ]
+        identifier.add_device_type("Withings", fingerprints)
+        encoded = self._record_interning(monkeypatch)
+        probe = Fingerprint.from_packets(simulator.simulate(DEVICE_CATALOG["Withings"]).packets)
+        assert identifier.identify(probe).device_type == "Withings"
+        assert encoded == []
