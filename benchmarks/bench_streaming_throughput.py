@@ -30,7 +30,6 @@ from repro.distance.discrimination import (
     EditDistanceDiscriminator,
 )
 from repro.net.addresses import MACAddress
-from repro.net.batch import PacketBatch
 from repro.obs import Observability, VerdictLedger, replay_ledger
 from repro.streaming import (
     BatchDispatcher,
@@ -50,15 +49,13 @@ FRESH_DEVICES = 18
 REPLAYS_PER_DUPLICATED_DEVICE = 2
 DUPLICATED_DEVICES = 6
 
-#: The sustained stream for the columnar-datapath comparison: every fresh
-#: device gets replayed many times, so the columnar walk sees long stretches
-#: of steady-state traffic (the regime the refactor targets) instead of the
-#: short mostly-cold stream above.
-#: Quick mode keeps enough replays that the batched-vs-scalar speedup is
+#: The sustained stream for the datapath comparison: every fresh device
+#: gets replayed many times, so the drive sees long stretches of
+#: steady-state traffic instead of the short mostly-cold stream above.
+#: Quick mode keeps enough replays that the drive-vs-scalar speedup is
 #: near its sustained-stream asymptote -- the CI regression guard compares
 #: the quick-mode ratio against the committed full-mode one.
 SUSTAINED_REPLAYS = 12 if BENCH_QUICK else 60
-COLUMNAR_BATCH_SIZE = 2048
 
 #: The benchmarks in this file merge their sections into
 #: BENCH_streaming_throughput.json.
@@ -180,24 +177,22 @@ def test_streaming_throughput(benchmark, bench_identifier, bench_report):
 
 
 # --------------------------------------------------------------------- #
-# Columnar datapath: process_batch vs the per-packet oracle walk.
+# Datapath: the pipeline's own drive vs the per-packet oracle walk.
 # --------------------------------------------------------------------- #
 def test_columnar_datapath_speedup(bench_identifier, bench_report):
-    """``process_batch`` vs the per-packet oracle walk on one sustained,
+    """``pipeline.run()`` vs the per-packet oracle walk on one sustained,
     pre-captured stream.
 
     The stream is materialised once and both drives replay the very same
-    packet list, so the comparison isolates the datapath: the per-packet
-    walk of ``tests.conftest.per_packet_run`` (object flow, one feature
-    row and one stage pass per packet) against ``process_batch`` fed
-    :data:`COLUMNAR_BATCH_SIZE`-packet ``PacketBatch``es (vectorised
-    feature rows, prepared-batch assembly, batched discrimination).  The
-    batches are built before the clock starts, as the oracle's packets
-    are dissected before it: the timed region is the datapath from
-    columns on; frame parsing is timed end to end by ``benchmarks.e2e``.
-    Verdict parity per device is asserted alongside the timing -- the
-    speedup only counts if the columnar path says exactly what the
-    per-packet walk says.
+    pre-dissected packet list, so the comparison isolates the datapath:
+    the per-packet walk of ``tests.conftest.per_packet_run`` (object flow,
+    one feature row and one stage pass per packet) against ``run()``
+    (one packed Table-I key and fold per packet, windows only where one
+    ends, batched discrimination).  Frame parsing from bytes is timed end
+    to end by ``benchmarks.e2e``.  Verdict parity per device is asserted
+    alongside the timing -- the speedup only counts if the drive says
+    exactly what the per-packet walk says.  (The section keeps its
+    ``columnar_datapath`` name: the CI regression guard keys on it.)
 
     ``packets_per_second`` of this section is the headline number for the
     >=10x throughput target; ``speedup_over_scalar`` is the
@@ -207,7 +202,7 @@ def test_columnar_datapath_speedup(bench_identifier, bench_report):
     total_devices = len(source.traces)
     packets = list(source.packets())
 
-    def run_once(batched: bool):
+    def run_once(driven: bool):
         dispatcher = BatchDispatcher(
             bench_identifier,
             max_batch=8,
@@ -217,24 +212,17 @@ def test_columnar_datapath_speedup(bench_identifier, bench_report):
         pipeline = StreamingPipeline(
             source=IterableSource(list(packets)),
             dispatcher=dispatcher,
-            assembler=(ShardedFingerprintAssembler if batched else PerPacketAssembler)(shards=8),
+            assembler=(ShardedFingerprintAssembler if driven else PerPacketAssembler)(shards=8),
         )
         identified = []
         pipeline.on_identified = identified.append
-        batches = [
-            PacketBatch.from_items(packets[offset : offset + COLUMNAR_BATCH_SIZE])
-            for offset in range(0, len(packets), COLUMNAR_BATCH_SIZE)
-        ]
         # Collect before timing: earlier benchmarks in this file leave
         # allocator/GC debt behind that would otherwise be charged to
         # whichever path runs first.
         gc.collect()
         start = time.perf_counter()
-        if batched:
-            for batch in batches:
-                pipeline.process_batch(batch)
-            pipeline.finish()
-            stats = pipeline.stats
+        if driven:
+            stats = pipeline.run()
         else:
             stats = per_packet_run(pipeline)
         wall = time.perf_counter() - start
@@ -245,68 +233,66 @@ def test_columnar_datapath_speedup(bench_identifier, bench_report):
     # Alternate the two drives round by round and keep each side's best:
     # host drift during the measurement then lands on both sides alike,
     # not on whichever block of rounds ran second.
-    scalar_runs, batched_runs = [], []
+    scalar_runs, driven_runs = [], []
     for _ in range(rounds):
         scalar_runs.append(run_once(False))
-        batched_runs.append(run_once(True))
+        driven_runs.append(run_once(True))
     scalar_wall, scalar_stats, scalar_identified = min(scalar_runs, key=lambda run: run[0])
-    batched_wall, batched_stats, batched_identified = min(batched_runs, key=lambda run: run[0])
+    driven_wall, driven_stats, driven_identified = min(driven_runs, key=lambda run: run[0])
 
     scalar_pps = scalar_stats.packets / scalar_wall
-    batched_pps = batched_stats.packets / batched_wall
-    speedup = batched_pps / scalar_pps
+    driven_pps = driven_stats.packets / driven_wall
+    speedup = driven_pps / scalar_pps
 
     print()
-    print("Columnar datapath speedup")
+    print("Datapath speedup over the per-packet walk")
     print(f"  devices on the wire            {total_devices}")
-    print(f"  packets streamed               {batched_stats.packets}")
-    print(f"  fingerprints assembled         {batched_stats.fingerprints}")
-    print(f"  batch size                     {COLUMNAR_BATCH_SIZE}")
+    print(f"  packets streamed               {driven_stats.packets}")
+    print(f"  fingerprints assembled         {driven_stats.fingerprints}")
     print(f"  throughput (per-packet)        {scalar_pps:,.0f} packets/s")
-    print(f"  throughput (batched)           {batched_pps:,.0f} packets/s")
+    print(f"  throughput (drive)             {driven_pps:,.0f} packets/s")
     print(f"  speedup over scalar            {speedup:.2f}x")
-    print(f"  assembly   scalar/batched      {scalar_stats.assemble_seconds * 1000:.1f}"
-          f" / {batched_stats.assemble_seconds * 1000:.1f} ms")
-    print(f"  identify   scalar/batched      {scalar_stats.identify_seconds * 1000:.1f}"
-          f" / {batched_stats.identify_seconds * 1000:.1f} ms")
+    print(f"  assembly   scalar/drive        {scalar_stats.assemble_seconds * 1000:.1f}"
+          f" / {driven_stats.assemble_seconds * 1000:.1f} ms")
+    print(f"  identify   scalar/drive        {scalar_stats.identify_seconds * 1000:.1f}"
+          f" / {driven_stats.identify_seconds * 1000:.1f} ms")
 
     # Both paths did identical work and reached identical verdicts.
-    assert batched_stats.packets == scalar_stats.packets == len(packets)
-    assert batched_stats.fingerprints == scalar_stats.fingerprints
+    assert driven_stats.packets == scalar_stats.packets == len(packets)
+    assert driven_stats.fingerprints == scalar_stats.fingerprints
     scalar_verdicts = {
         item.mac: (item.result.device_type, item.fingerprint.vectors.tobytes())
         for item in scalar_identified
     }
-    batched_verdicts = {
+    driven_verdicts = {
         item.mac: (item.result.device_type, item.fingerprint.vectors.tobytes())
-        for item in batched_identified
+        for item in driven_identified
     }
-    assert batched_verdicts == scalar_verdicts
-    assert len(batched_verdicts) >= total_devices
+    assert driven_verdicts == scalar_verdicts
+    assert len(driven_verdicts) >= total_devices
 
-    # The batched path is strictly the faster one; the full 10x claim
+    # The drive is strictly the faster one; the full 10x claim
     # lives in the committed BENCH json (this machine) and is guarded by
     # tools/check_bench_regression.py on the machine-independent ratio.
     assert speedup > 1.5
-    assert batched_pps > 1000
+    assert driven_pps > 1000
 
     _report(
         bench_report,
         "columnar_datapath",
         {
             "devices": total_devices,
-            "packets": batched_stats.packets,
-            "fingerprints": batched_stats.fingerprints,
-            "batch_size": COLUMNAR_BATCH_SIZE,
+            "packets": driven_stats.packets,
+            "fingerprints": driven_stats.fingerprints,
             "rounds": rounds,
             "scalar_packets_per_second": scalar_pps,
-            "packets_per_second": batched_pps,
+            "packets_per_second": driven_pps,
             "speedup_over_scalar": speedup,
             "scalar_assemble_seconds": scalar_stats.assemble_seconds,
-            "assemble_seconds": batched_stats.assemble_seconds,
+            "assemble_seconds": driven_stats.assemble_seconds,
             "scalar_identify_seconds": scalar_stats.identify_seconds,
-            "identify_seconds": batched_stats.identify_seconds,
-            "cache_hit_rate": batched_stats.cache_hit_rate,
+            "identify_seconds": driven_stats.identify_seconds,
+            "cache_hit_rate": driven_stats.cache_hit_rate,
         },
         identifier=bench_identifier,
     )

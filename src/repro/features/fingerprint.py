@@ -19,11 +19,10 @@ import numpy as np
 from repro.exceptions import FingerprintError
 from repro.features.packet_features import (
     FEATURE_COUNT,
-    FEATURE_INDEX,
     PacketFeatureExtractor,
-    batch_feature_matrix,
+    unpack_rows,
 )
-from repro.net.batch import PacketBatch
+from repro.net.batch import stream_row
 from repro.net.packet import Packet
 
 #: Number of unique packet vectors concatenated into the fixed fingerprint.
@@ -100,14 +99,16 @@ class Fingerprint:
 
         The packets must all originate from the device being fingerprinted;
         use :func:`repro.features.session.split_by_source` to separate a
-        mixed capture by source MAC first.  The rows come from
-        :func:`~repro.features.packet_features.batch_feature_matrix`, the
-        kernel the streaming assembler serves with.
+        mixed capture by source MAC first.  Each packet's key comes from
+        :func:`~repro.net.batch.stream_row` and the rows from
+        :func:`~repro.features.packet_features.unpack_rows`, as the
+        streaming assembler serves them.
         """
-        batch = PacketBatch.from_items(packets)
-        rows = batch_feature_matrix(batch)
+        parsed = [stream_row(packet) for packet in packets]
         counter_for = PacketFeatureExtractor().counter_for
-        rows[:, FEATURE_INDEX["dst_ip_counter"]] = [counter_for(ip) for ip in batch.dst_ips]
+        rows = unpack_rows(
+            [key for _, _, key, _ in parsed], [counter_for(dst_ip) for *_, dst_ip in parsed]
+        )
         return cls.from_feature_rows(rows, device_type=device_type, device_mac=device_mac)
 
     # ------------------------------------------------------------------ #

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.net.batch import KEY_LAYOUT, PacketBatch
+from repro.net.batch import KEY_LAYOUT, stream_row
 from repro.net.packet import Packet
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -82,7 +82,7 @@ PORT_CLASS_WELL_KNOWN = 1
 PORT_CLASS_REGISTERED = 2
 PORT_CLASS_DYNAMIC = 3
 
-#: The one stateful column: filled per capture, not by the batch kernel.
+#: The one stateful column: filled per capture, not from the packed key.
 _COUNTER = FEATURE_INDEX["dst_ip_counter"]
 
 
@@ -140,11 +140,11 @@ class PacketFeatureExtractor:
         return counter
 
     def extract(self, packet: Packet) -> np.ndarray:
-        """The 23-feature vector of a single packet: a one-row batch."""
-        batch = PacketBatch.from_items([packet])
-        vector = batch_feature_matrix(batch)[0]
-        vector[_COUNTER] = self.counter_for(batch.dst_ips[0])
-        return vector
+        """The 23-feature vector of a single packet: its
+        :func:`~repro.net.batch.stream_row` key, unpacked with this
+        capture's destination counter."""
+        _, _, key, dst_ip = stream_row(packet)
+        return unpack_rows([key], self.counter_for(dst_ip))[0]
 
 
 _KEY_SHIFTS = np.array([shift for shift, _ in KEY_LAYOUT], dtype=np.int64)
@@ -156,43 +156,32 @@ def unpack_rows(keys, counters) -> np.ndarray:
     (:func:`~repro.net.batch.table_i_key`), with ``counters`` -- one per
     row, or one for all -- written into the ``dst_ip_counter`` column.
 
+    Every Table-I row is built here: training
+    (:meth:`Fingerprint.from_packets <repro.features.fingerprint.Fingerprint.from_packets>`),
+    one-packet extraction and the streaming assembler unpack the keys
+    :func:`~repro.net.batch.stream_row` reads, and each fills the stateful
+    ``dst_ip_counter`` column from its own first-contact order.
+
     >>> from repro.net.batch import _F_IP, _F_UDP, table_i_key
     >>> rows = unpack_rows([table_i_key(_F_IP | _F_UDP, 40000, 53, 80)], [2])
     >>> names = ("ip", "udp", "dns", "packet_size", "dst_ip_counter", "src_port_class")
     >>> [int(rows[0, FEATURE_INDEX[name]]) for name in names]
     [1, 1, 1, 80, 2, 2]
+
+    An ARP request has no IP layer and no ports:
+
+    >>> from repro.net.pcap import CapturedPacket
+    >>> arp_request = bytes.fromhex(
+    ...     "ffffffffffff" "020000000001" "0806"  # Ethernet: broadcast, ARP
+    ...     "0001" "0800" "06" "04" "0001"  # Ethernet/IPv4 request
+    ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
+    ... )
+    >>> _, _, key, dst_ip = stream_row(CapturedPacket(0.0, arp_request))
+    >>> row = unpack_rows([key], 0)[0]
+    >>> names = ("arp", "ip", "src_port_class", "dst_port_class")
+    >>> [int(row[FEATURE_INDEX[name]]) for name in names], dst_ip
+    ([1, 0, 0, 0], None)
     """
     matrix = (np.asarray(keys, dtype=np.int64)[:, None] >> _KEY_SHIFTS) & _KEY_MASKS
     matrix[:, _COUNTER] = counters
     return matrix
-
-
-def batch_feature_matrix(batch: PacketBatch) -> np.ndarray:
-    """The ``(len(batch), 23)`` feature matrix of a whole packet batch.
-
-    The batch form of :func:`~repro.net.batch.table_i_key`, the one
-    definition of Table I: each packet's columns are packed by the kernel
-    (:meth:`PacketBatch.table_i_keys <repro.net.batch.PacketBatch.table_i_keys>`)
-    and the keys unpacked into rows, so training
-    (:meth:`Fingerprint.from_packets <repro.features.fingerprint.Fingerprint.from_packets>`),
-    one-packet extraction and the streaming drive, which folds the keys
-    themselves, compute every row alike.  The stateful ``dst_ip_counter`` column is left at zero: it
-    depends on per-device first-contact order, so each caller fills it
-    through :meth:`PacketFeatureExtractor.counter_for` while walking a
-    device's packets.
-
-    Example:
-        >>> from repro.net.batch import PacketBatch
-        >>> from repro.net.pcap import CapturedPacket
-        >>> arp_request = bytes.fromhex(
-        ...     "ffffffffffff" "020000000001" "0806"  # Ethernet: broadcast, ARP
-        ...     "0001" "0800" "06" "04" "0001"  # Ethernet/IPv4 request
-        ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
-        ... )
-        >>> batch = PacketBatch.from_items([CapturedPacket(0.0, arp_request)])
-        >>> row = batch_feature_matrix(batch)[0]
-        >>> names = ("arp", "ip", "src_port_class", "dst_port_class")
-        >>> [int(row[FEATURE_INDEX[name]]) for name in names]
-        [1, 0, 0, 0]
-    """
-    return unpack_rows(batch.table_i_keys(), 0)

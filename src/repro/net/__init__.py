@@ -7,7 +7,6 @@ plus libpcap file reading/writing so that real capture files can be ingested.
 """
 
 from repro.net.addresses import MACAddress, ip_to_int, is_ipv4, is_ipv6
-from repro.net.batch import PacketBatch
 from repro.net.flow import FlowKey
 from repro.net.packet import Packet
 from repro.net.pcap import CapturedPacket, PcapReader, PcapWriter, read_pcap, write_pcap
@@ -19,7 +18,6 @@ __all__ = [
     "is_ipv6",
     "FlowKey",
     "Packet",
-    "PacketBatch",
     "CapturedPacket",
     "PcapReader",
     "PcapWriter",

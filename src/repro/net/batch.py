@@ -1,4 +1,4 @@
-"""Packet parsing into Table-I rows, one item or one batch of columns.
+"""Packet parsing into Table-I rows, one item at a time.
 
 Building a :class:`Packet` object tree per frame and reading ~20
 attributes off it per feature row is what dominates a per-packet
@@ -20,11 +20,12 @@ item.  Two parsers cover both item shapes:
   captures, generic sources) is read with one tight attribute pass.
 
 :func:`table_i_key` -- the one definition of Table I -- packs one
-packet's fields into its feature row as one integer.  The streaming
-drive takes :func:`stream_row` from each item as it arrives (no batch is
-built); a :class:`PacketBatch` holds the fields of many items as numpy
-columns, and :func:`~repro.features.packet_features.batch_feature_matrix`
-is the kernel's batch form, for training and batch callers.
+packet's fields into its feature row as one integer, and
+:func:`stream_row` reads an item's row.  The streaming drive takes it
+from each item as it arrives; training maps it over a capture and
+unpacks the keys with
+:func:`~repro.features.packet_features.unpack_rows`.  No batch of
+columns is built anywhere.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from __future__ import annotations
 import functools
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Iterable, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.net.addresses import ipv6_from_bytes
 from repro.net.layers import dhcp as dhcp_mod
@@ -198,11 +196,9 @@ def _packet_fields(packet: Packet) -> tuple[int, int, int, int, Optional[str]]:
 
     The object-path definition of the Table-I columns: every packet that
     is not parsed straight from frame bytes (simulator packets, training
-    captures, frames the fast parser defers) gets its columns here, and
-    :func:`~repro.features.packet_features.batch_feature_matrix` turns
-    them into rows.  The frame parser must agree with it, so a batch built
-    from objects and a batch built from the frames those objects serialise
-    to carry identical columns.
+    captures, frames the fast parser defers) gets its fields here, and
+    :func:`table_i_key` packs them.  The frame parser must agree with it,
+    so a packet and the frame it serialises to give identical rows.
     """
     tcp = packet.tcp
     udp = packet.udp
@@ -456,66 +452,11 @@ def _item_fields(item: StreamItem) -> tuple[float, int, int, int, int, int, Opti
 def stream_row(item: StreamItem) -> tuple[float, int, int, Optional[str]]:
     """``(timestamp, source MAC, packed Table-I key, destination token)`` of one item.
 
-    The per-frame parse of the streaming drive: :func:`table_i_key` packs
-    the fields :class:`PacketBatch` would hold for the item; no column is
-    built.
+    The per-frame parse of the streaming drive and of training rows:
+    :func:`table_i_key` packs the item's fields; no column is built.
     """
     timestamp, mac, flags, src_port, dst_port, size, dst_ip = _item_fields(item)
     return timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
 
 
-@dataclass
-class PacketBatch:
-    """A batch of packets as parallel columns (one array element per packet).
-
-    All arrays share the batch length; ``dst_ips`` is a plain list because
-    destination tokens are compared, not computed on (``None`` marks a
-    packet without an IP layer).  ``flags`` packs the twelve boolean
-    columns into one int64 word per packet (bit layout: the ``_F_*``
-    constants of this module; :func:`~repro.features.packet_features.batch_feature_matrix`
-    unpacks it).
-    """
-
-    timestamps: np.ndarray
-    src_macs: np.ndarray
-    flags: np.ndarray
-    src_ports: np.ndarray
-    dst_ports: np.ndarray
-    sizes: np.ndarray
-    dst_ips: list
-
-    @classmethod
-    def from_items(cls, items: Iterable[StreamItem]) -> "PacketBatch":
-        """One batch of raw frames and/or dissected packets, in order."""
-        rows = [_item_fields(item) for item in items]
-        timestamps, macs, flags, src_ports, dst_ports, sizes, dst_ips = (
-            zip(*rows) if rows else ((),) * 7
-        )
-        return cls(
-            timestamps=np.array(timestamps, dtype=np.float64),
-            src_macs=np.array(macs, dtype=np.int64),
-            flags=np.array(flags, dtype=np.int64),
-            src_ports=np.array(src_ports, dtype=np.int64),
-            dst_ports=np.array(dst_ports, dtype=np.int64),
-            sizes=np.array(sizes, dtype=np.int64),
-            dst_ips=list(dst_ips),
-        )
-
-    def __len__(self) -> int:
-        return int(self.timestamps.shape[0])
-
-    def table_i_keys(self) -> list[int]:
-        """The packed Table-I key of every packet, in order: the batch
-        form of :func:`table_i_key`."""
-        return list(
-            map(
-                table_i_key,
-                self.flags.tolist(),
-                self.src_ports.tolist(),
-                self.dst_ports.tolist(),
-                self.sizes.tolist(),
-            )
-        )
-
-
-__all__ = ["KEY_LAYOUT", "PacketBatch", "StreamItem", "stream_row", "table_i_key"]
+__all__ = ["KEY_LAYOUT", "StreamItem", "stream_row", "table_i_key"]

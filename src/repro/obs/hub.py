@@ -126,8 +126,8 @@ class Observability:
         self._assembler_flush_seconds = self.metrics.histogram(
             "pipeline.assembler_flush_seconds"
         )
-        # Per-stage latency of the columnar datapath (one observe per
-        # PacketBatch) so the *next* bottleneck is visible in snapshot().
+        # Per-stage latency of the drive (one observe per window, one
+        # per delivery) so the *next* bottleneck is visible in snapshot().
         self._parse_batch_seconds = self.metrics.histogram("pipeline.parse_batch_seconds")
         self._assemble_batch_seconds = self.metrics.histogram(
             "pipeline.assemble_batch_seconds"

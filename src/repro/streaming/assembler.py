@@ -8,9 +8,8 @@ it arrives: a frame comes in as one packed Table-I key
 (:func:`~repro.net.batch.table_i_key`), and one walk over the frames in
 stream order applies the stateful destination counter,
 consecutive-duplicate suppression and the emission decision.  The frames
-come from a :class:`PreparedFrames` stream -- parsed lazily from stream
-items (:meth:`ShardedFingerprintAssembler.prepare_items`) or read from a
-batch's columns (:meth:`ShardedFingerprintAssembler.prepare_batch`) -- and
+come from a :class:`PreparedFrames` stream, parsed lazily from stream
+items (:meth:`ShardedFingerprintAssembler.prepare_items`), and
 :meth:`ShardedFingerprintAssembler.observe_prepared` folds them until a
 window must end.  A capture equal row for row to a recent one (a clone
 re-running its model's setup) shares that one's matrix when it is
@@ -42,13 +41,16 @@ from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import SimulationError
 from repro.features.fingerprint import Fingerprint
-# ``batch_feature_matrix`` stays importable here: the e2e benchmark's
-# tracer patches this module's name as its ``features.extract`` layer.
-from repro.features.packet_features import batch_feature_matrix, unpack_rows  # noqa: F401
+from repro.features.packet_features import unpack_rows
 from repro.features.session import SetupPhaseDetector, gap_exceeds_setup_threshold
 from repro.net.addresses import MACAddress
-from repro.net.batch import PacketBatch, StreamItem, stream_row
+from repro.net.batch import StreamItem, stream_row
 from repro.net.packet import Packet
+
+# The e2e benchmark's tracer patches this module's name as its
+# ``features.extract`` layer; nothing calls it.  Delete it once the
+# benchmark reads its layer times from the hub (ROADMAP.md).
+batch_feature_matrix = unpack_rows
 
 #: Sweeps and flushes emit shard by shard, in capture-start order.
 _SHARD_STARTED = attrgetter("shard", "started")
@@ -202,7 +204,7 @@ class ShardedFingerprintAssembler:
         self.idle_factor = SetupPhaseDetector.idle_factor if idle_factor is None else idle_factor
         self.stats = AssemblerStats()
         # Every open capture, keyed by the MAC's integer value, the form
-        # the batch columns carry.
+        # stream_row reads.
         self._captures: dict[int, _Capture] = {}
         # (kept keys, kept counters) -> the first fingerprint emitted with
         # them; see RECENT_CAPTURES.
@@ -247,7 +249,7 @@ class ShardedFingerprintAssembler:
     def observe(self, packet: Packet) -> Optional[ReadyFingerprint]:
         """Fold one packet in; returns a fingerprint if one completed.
 
-        A one-packet batch through :meth:`prepare_batch`,
+        One packet through :meth:`prepare_items`,
         :meth:`observe_prepared` and :meth:`emit`.  A packet arriving
         after the device's packet rate dropped (the adaptive end-of-setup
         rule) first completes the previous capture, then starts a fresh
@@ -255,37 +257,9 @@ class ShardedFingerprintAssembler:
         reconnect) therefore produces a new fingerprint instead of
         polluting the old matrix.
         """
-        prepared = self.prepare_batch(PacketBatch.from_items([packet]))
+        prepared = self.prepare_items([packet])
         emitted = self.emit(self.observe_prepared(prepared))
         return emitted[0] if emitted else None
-
-    def prepare_batch(self, batch: PacketBatch) -> PreparedFrames:
-        """The rows of a whole batch, ready for :meth:`observe_prepared`.
-
-        Each row's packed Table-I key comes from
-        :meth:`~repro.net.batch.PacketBatch.table_i_keys`; the columns come
-        back as Python lists, which the fold reads faster than arrays.
-        Three identical ARP requests end a three-packet capture on the
-        budget, and Eq. (1) keeps one row of them:
-
-        >>> from repro.net.pcap import CapturedPacket
-        >>> arp_request = bytes.fromhex(
-        ...     "ffffffffffff" "020000000001" "0806"  # Ethernet: broadcast, ARP
-        ...     "0001" "0800" "06" "04" "0001"  # Ethernet/IPv4 request
-        ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
-        ... )
-        >>> batch = PacketBatch.from_items(
-        ...     [CapturedPacket(t, arp_request) for t in (0.0, 0.1, 0.2)]
-        ... )
-        >>> assembler = ShardedFingerprintAssembler(packet_budget=3)
-        >>> ended = assembler.observe_prepared(assembler.prepare_batch(batch))
-        >>> [(str(ready.mac), ready.reason, ready.fingerprint.vectors.shape)
-        ...  for ready in assembler.emit(ended)]
-        [('02:00:00:00:00:01', 'budget', (1, 23))]
-        """
-        keys = batch.table_i_keys()
-        rows = zip(batch.timestamps.tolist(), batch.src_macs.tolist(), keys, batch.dst_ips)
-        return PreparedFrames(rows)
 
     @staticmethod
     def prepare_items(items: Iterable[StreamItem]) -> PreparedFrames:
@@ -293,9 +267,29 @@ class ShardedFingerprintAssembler:
 
         Each item is parsed by :func:`~repro.net.batch.stream_row` only
         when :meth:`observe_prepared` reaches it, so a stream is folded
-        frame by frame as it arrives and no batch is held.
+        frame by frame as it arrives and no batch is held.  Three
+        identical ARP requests end a three-packet capture on the budget,
+        and Eq. (1) keeps one row of them:
+
+        >>> from repro.net.pcap import CapturedPacket
+        >>> arp_request = bytes.fromhex(
+        ...     "ffffffffffff" "020000000001" "0806"  # Ethernet: broadcast, ARP
+        ...     "0001" "0800" "06" "04" "0001"  # Ethernet/IPv4 request
+        ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
+        ... )
+        >>> frames = [CapturedPacket(t, arp_request) for t in (0.0, 0.1, 0.2)]
+        >>> assembler = ShardedFingerprintAssembler(packet_budget=3)
+        >>> ended = assembler.observe_prepared(assembler.prepare_items(frames))
+        >>> [(str(ready.mac), ready.reason, ready.fingerprint.vectors.shape)
+        ...  for ready in assembler.emit(ended)]
+        [('02:00:00:00:00:01', 'budget', (1, 23))]
         """
         return PreparedFrames(map(stream_row, items))
+
+    # The e2e benchmark's tracer looks this name up on the assembler.
+    # Delete it once the benchmark reads its layer times from the hub
+    # (ROADMAP.md).
+    prepare_batch = prepare_items
 
     def observe_prepared(
         self, prepared: PreparedFrames, horizon: float = math.inf

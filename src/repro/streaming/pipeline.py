@@ -13,11 +13,10 @@ assembler's idle eviction: every :data:`EVICTION_INTERVAL_SECONDS`
 stream-seconds one shard is swept round-robin, so eviction cost is
 amortised instead of scanning every device on every packet.
 
-One per-frame step (:meth:`StreamingPipeline._drive`) serves both
-entry points: :meth:`StreamingPipeline.results` feeds it the source's
-items, parsed lazily, and :meth:`StreamingPipeline.process_batch` the
-rows of a packet batch.  Each frame is parsed into one packed Table-I key
-and folded into its capture immediately.  A window ends only at a frame
+One drive entry, :meth:`StreamingPipeline.results` (which ``run`` and
+the facade consume), feeds the source's items, parsed lazily, to one
+per-frame step (:meth:`StreamingPipeline._drive`).  Each frame is parsed
+into one packed Table-I key and folded into its capture immediately.  A window ends only at a frame
 that ended a capture, where the due eviction sweep evicted a capture, or
 where the dispatcher's linger deadline passed; a due sweep that evicts
 nothing only moves the eviction deadline and the shard cursor.  Each
@@ -37,7 +36,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import UNKNOWN_DEVICE_TYPE
 from repro.identification.lifecycle import LifecycleCoordinator
-from repro.net.batch import PacketBatch
 from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
 from repro.streaming.assembler import (
@@ -182,24 +180,7 @@ class StreamingPipeline:
             self.finish()
             self.stats.wall_seconds = time.perf_counter() - started
 
-    def process_batch(self, batch: PacketBatch) -> list[IdentifiedDevice]:
-        """Feed one packet batch through every stage (columnar API).
-
-        The batch's rows (:meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.prepare_batch`)
-        go through the same per-frame step as :meth:`results`, so windows
-        end at the same frames and the verdicts, clock stamps and ledger
-        records do not depend on batch boundaries.
-        """
-        start = time.perf_counter()
-        prepared = self.assembler.prepare_batch(batch)
-        delivered: list[IdentifiedDevice] = []
-        for identified in self._drive(prepared, time.perf_counter() - start):
-            delivered.extend(identified)
-        return delivered
-
-    def _drive(
-        self, prepared: PreparedFrames, parse_seconds: float = 0.0
-    ) -> Iterator[list[IdentifiedDevice]]:
+    def _drive(self, prepared: PreparedFrames) -> Iterator[list[IdentifiedDevice]]:
         """Fold ``prepared`` frame by frame, ending a window wherever one ends.
 
         :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_prepared`
@@ -217,8 +198,7 @@ class StreamingPipeline:
         Yields each window's verdicts, in delivery order.
 
         The hub observes once per window: ``parse`` (the frame loop:
-        framing, parse, Table-I key and fold, plus ``parse_seconds`` a
-        caller spent before it), ``assemble`` (turning ended captures into
+        framing, parse, Table-I key and fold), ``assemble`` (turning ended captures into
         fingerprints, and the sweeps) and ``score`` (the submits and the
         poll, without the deliveries between them, which
         ``pipeline.deliver_batch_seconds`` times).  Frames after the last
@@ -226,7 +206,7 @@ class StreamingPipeline:
         """
         perf_counter = time.perf_counter
         clock = self.clock
-        assemble_seconds = 0.0
+        parse_seconds = assemble_seconds = 0.0
         # One running mark: each stage's time runs from where the last
         # one stopped, so the stages cover the whole loop between them.
         mark = perf_counter()

@@ -103,7 +103,7 @@ def aria_trace(simulator):
 # --------------------------------------------------------------------------- #
 # Table-I oracle: the per-field extractor the packed kernel replaced.  Each
 # feature is read off the dissected Packet attribute by attribute, with
-# its own destination counter; nothing here calls batch_feature_matrix.
+# its own destination counter; nothing here calls the packed kernel.
 # --------------------------------------------------------------------------- #
 _HTTP_PORTS = frozenset({http_mod.PORT_HTTP, http_mod.PORT_HTTP_ALT})
 _HTTPS_PORTS = frozenset({tls_mod.PORT_HTTPS, tls_mod.PORT_HTTPS_ALT})
@@ -226,33 +226,35 @@ def _oracle_transport_gates() -> np.ndarray:
 _ORACLE_TABLES = None
 
 
-def numpy_feature_matrix(batch) -> np.ndarray:
-    """``(len(batch), 23)`` Table-I rows of a PacketBatch, vectorised.
+def numpy_feature_matrix(flags, src_ports, dst_ports, sizes) -> np.ndarray:
+    """``(n, 23)`` Table-I rows of ``n`` packets' columns, vectorised.
 
-    The flag word's bits 0-7 are columns 0-7 and bits 8-10 the option and
-    raw-data columns; the port tables ANDed with the transport gate give
-    the application columns.  ``dst_ip_counter`` stays 0.
+    Each argument holds one value per packet: the flag word, both ports
+    (-1 where there is no transport layer) and the wire size.  The flag
+    word's bits 0-7 are columns 0-7 and bits 8-10 the option and raw-data
+    columns; the port tables ANDed with the transport gate give the
+    application columns.  ``dst_ip_counter`` stays 0.
     """
     global _ORACLE_TABLES
     if _ORACLE_TABLES is None:
         _ORACLE_TABLES = (*_oracle_port_tables(), _oracle_transport_gates())
     membership, classes, gates = _ORACLE_TABLES
-    n = len(batch)
+    flags = np.asarray(flags, dtype=np.int64)
+    n = len(flags)
     matrix = np.zeros((n, FEATURE_COUNT), dtype=np.int64)
     if n == 0:
         return matrix
-    flags = batch.flags
     bits = np.unpackbits(
         flags.astype("<u2").view(np.uint8).reshape(n, 2), axis=1, bitorder="little"
     )
-    src = batch.src_ports + 1
-    dst = batch.dst_ports + 1
+    src = np.asarray(src_ports, dtype=np.int64) + 1
+    dst = np.asarray(dst_ports, dtype=np.int64) + 1
     gate = gates[((flags >> 6) & 3) | ((flags >> 9) & 4)]
     application = (membership[src] | membership[dst]) & gate
     matrix[:, :8] = bits[:, :8]
     matrix[:, 8:16] = np.unpackbits(application[:, None], axis=1, bitorder="little")
     matrix[:, 16:18] = bits[:, 8:10]
-    matrix[:, 18] = batch.sizes
+    matrix[:, 18] = sizes
     matrix[:, 19] = bits[:, 10]
     matrix[:, 21] = classes[src]
     matrix[:, 22] = classes[dst]

@@ -1,13 +1,13 @@
-"""Differential and property tests of the columnar (batch-first) datapath.
+"""Differential and property tests of the datapath against its oracles.
 
-Every batch component has a scalar reference oracle kept in-tree, and this
+Every fast component has a scalar reference oracle kept in-tree, and this
 file is the contract between them: the vectorised edit-distance kernel must
-be bitwise-equal to the per-pair dynamic program, a :class:`PacketBatch`
-must carry exactly the columns the per-packet parser would have produced,
-the batched assembler must emit the same fingerprints as per-packet
-observation, and the columnar pipeline must hand every device the same
-verdict as the per-packet oracle walk (``tests.conftest.per_packet_run``)
-whatever the batch boundaries.
+be bitwise-equal to the per-pair dynamic program, each item's
+:func:`~repro.net.batch.stream_row` must carry exactly the row the
+per-field extractor would have produced, the folding assembler must emit
+the same fingerprints as per-packet observation, and the pipeline must hand
+every device the same verdict as the per-packet oracle walk
+(``tests.conftest.per_packet_run``) however it is driven.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.features.packet_features import (
     FEATURE_COUNT,
     FEATURE_INDEX,
     INTEGER_FEATURES,
-    batch_feature_matrix,
     unpack_rows,
 )
 from repro.net.addresses import MACAddress
@@ -46,8 +45,8 @@ from repro.net.batch import (
     _F_EAPOL,
     _F_IP,
     KEY_LAYOUT,
-    PacketBatch,
     _fast_frame_fields,
+    _item_fields,
     _packet_fields,
     stream_row,
     table_i_key,
@@ -310,7 +309,7 @@ class TestBitParallelKernel:
 
 
 # --------------------------------------------------------------------- #
-# Net layer: batch columns vs the per-packet parser and extractor.
+# Net layer: stream rows vs the per-packet parser and extractor.
 # --------------------------------------------------------------------- #
 def _setup_packets(seed: int = 21, names=("Aria", "HueBridge", "EdnetCam", "WeMoSwitch")):
     simulator = SetupTrafficSimulator(seed=seed)
@@ -322,10 +321,15 @@ def _setup_packets(seed: int = 21, names=("Aria", "HueBridge", "EdnetCam", "WeMo
     return packets
 
 
-def _batches(items, size):
-    """``items`` cut into consecutive PacketBatches of ``size`` items."""
+def _chunks(items, size):
+    """``items`` cut into consecutive lists of ``size`` items."""
     items = list(items)
-    return [PacketBatch.from_items(items[start : start + size]) for start in range(0, len(items), size)]
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+def _rows(items):
+    """The Table-I rows the drive reads off ``items``, counter zeroed."""
+    return unpack_rows([stream_row(item)[2] for item in items], 0)
 
 
 def _fold_all(assembler, prepared):
@@ -348,89 +352,80 @@ def _expected_columns(packets):
     return np.stack(rows)
 
 
-class TestPacketBatchColumns:
-    def test_from_packets_matches_per_packet_extractor(self):
+class TestStreamRows:
+    def test_packets_match_per_packet_extractor(self):
         packets = _setup_packets()
-        batch = PacketBatch.from_items(packets)
-        assert len(batch) == len(packets)
-        np.testing.assert_array_equal(batch_feature_matrix(batch), _expected_columns(packets))
-        for index, packet in enumerate(packets):
-            assert batch.dst_ips[index] == packet.dst_ip
-            assert batch.src_macs[index] == packet.ethernet.src.value
-            assert batch.timestamps[index] == packet.timestamp
-            assert batch.src_ports[index] == (
-                packet.src_port if packet.src_port is not None else -1
-            )
-            assert batch.dst_ports[index] == (
-                packet.dst_port if packet.dst_port is not None else -1
-            )
+        np.testing.assert_array_equal(_rows(packets), _expected_columns(packets))
+        for packet in packets:
+            timestamp, mac, _, dst_ip = stream_row(packet)
+            _, _, _, src_port, dst_port, _, _ = _item_fields(packet)
+            assert dst_ip == packet.dst_ip
+            assert mac == packet.ethernet.src.value
+            assert timestamp == packet.timestamp
+            assert src_port == (packet.src_port if packet.src_port is not None else -1)
+            assert dst_port == (packet.dst_port if packet.dst_port is not None else -1)
 
-    def test_from_frames_pcap_matches_per_packet_dissection(self, tmp_path):
-        """The struct-batched frame parser against Packet.dissect, via a
-        real pcap round trip (LLC, EAPOL, ARP, options and DHCP frames all
+    def test_pcap_frames_match_per_packet_dissection(self, tmp_path):
+        """The byte-offset frame parser against Packet.dissect, via a real
+        pcap round trip (LLC, EAPOL, ARP, options and DHCP frames all
         exercise the fast parser's fallback decisions)."""
         path = tmp_path / "setup.pcap"
         write_pcap(path, _setup_packets())
         frames = list(PcapReader(path))
         assert frames
-        from_frames = PacketBatch.from_items(frames)
-        from_packets = PacketBatch.from_items(read_pcap(path))
-        np.testing.assert_array_equal(from_frames.flags, from_packets.flags)
-        np.testing.assert_array_equal(from_frames.src_macs, from_packets.src_macs)
-        np.testing.assert_array_equal(from_frames.src_ports, from_packets.src_ports)
-        np.testing.assert_array_equal(from_frames.dst_ports, from_packets.dst_ports)
-        np.testing.assert_array_equal(from_frames.sizes, from_packets.sizes)
-        np.testing.assert_array_equal(from_frames.timestamps, from_packets.timestamps)
-        assert from_frames.dst_ips == from_packets.dst_ips
-        # The frames the columns came from dissect back to the same bytes.
+        packets = read_pcap(path)
+        assert [_item_fields(frame) for frame in frames] == [
+            _item_fields(packet) for packet in packets
+        ]
+        assert [stream_row(frame) for frame in frames] == [
+            stream_row(packet) for packet in packets
+        ]
+        # The frames the rows came from dissect back to the same bytes.
         first = frames[0]
         assert Packet.dissect(first.data, first.timestamp, first.original_length).to_bytes() == (
             first.data
         )
 
-    def test_simulator_stream_batches_match_source_packets(self):
-        source = SimulatedSource(devices=6, seed=3)
-        packets = list(source.packets())
-        batches = _batches(SimulatedSource(devices=6, seed=3).packets(), 32)
-        assert sum(len(batch) for batch in batches) == len(packets)
-        stitched = np.concatenate([batch_feature_matrix(batch) for batch in batches])
-        np.testing.assert_array_equal(stitched, _expected_columns(packets))
-
-    def test_batch_size_edges(self):
-        packets = _setup_packets(seed=4, names=("Aria",))
-        empty = PacketBatch.from_items([])
-        assert len(empty) == 0
-        assembler = ShardedFingerprintAssembler()
-        assert _fold_all(assembler, assembler.prepare_batch(empty)) == []
-        assert assembler.active_devices == 0 and assembler.stats.packets_observed == 0
-        assert batch_feature_matrix(empty).shape == (0, 23)
-
-        single = PacketBatch.from_items(packets[:1])
-        assert len(single) == 1
-        np.testing.assert_array_equal(
-            batch_feature_matrix(single), _expected_columns(packets[:1])
+    def test_simulator_stream_rows_match_source_packets(self):
+        packets = list(SimulatedSource(devices=6, seed=3).packets())
+        prepared = ShardedFingerprintAssembler.prepare_items(
+            SimulatedSource(devices=6, seed=3).packets()
         )
-        # A one-frame batch folds into a one-row fingerprint: the scalar
+        rows = list(prepared.rows)
+        assert len(rows) == len(packets)
+        np.testing.assert_array_equal(
+            unpack_rows([key for _, _, key, _ in rows], 0), _expected_columns(packets)
+        )
+
+    def test_empty_and_one_item_streams(self):
+        packets = _setup_packets(seed=4, names=("Aria",))
+        assembler = ShardedFingerprintAssembler()
+        assert _fold_all(assembler, assembler.prepare_items([])) == []
+        assert assembler.active_devices == 0 and assembler.stats.packets_observed == 0
+        assert _rows([]).shape == (0, 23)
+
+        np.testing.assert_array_equal(_rows(packets[:1]), _expected_columns(packets[:1]))
+        # A one-frame stream folds into a one-row fingerprint: the scalar
         # row, with the first destination's counter.
-        assert _fold_all(assembler, assembler.prepare_batch(single)) == []
+        assert _fold_all(assembler, assembler.prepare_items(packets[:1])) == []
         (ready,) = assembler.flush(10_000.0)
         expected = ScalarFeatureExtractor().extract(packets[0])
         np.testing.assert_array_equal(ready.fingerprint.vectors, expected[None, :])
 
-        whole = PacketBatch.from_items(packets)  # one max-size batch
         frames = [CapturedPacket(p.timestamp, p.to_bytes(), p.wire_length) for p in packets]
-        np.testing.assert_array_equal(PacketBatch.from_items(frames).flags, whole.flags)
+        assert [_item_fields(frame)[2] for frame in frames] == [
+            _item_fields(packet)[2] for packet in packets
+        ]
 
     def test_device_runs_preserve_stream_order(self):
         """Each device's kept rows come out in its stream order, and devices
         open (hence flush, within one shard) in order of first appearance."""
         packets = _setup_packets(seed=8, names=("Aria", "HueBridge"))
-        batch = PacketBatch.from_items(packets)
-        macs = batch.src_macs.tolist()
+        macs = [stream_row(packet)[1] for packet in packets]
         assert sum(a != b for a, b in zip(macs, macs[1:])) > 2  # interleaved
         assembler = ShardedFingerprintAssembler(shards=1, packet_budget=100_000)
-        assert _fold_all(assembler, assembler.prepare_batch(batch)) == []
-        assert assembler.stats.packets_observed == len(batch)
+        assert _fold_all(assembler, assembler.prepare_items(packets)) == []
+        assert assembler.stats.packets_observed == len(packets)
         emitted = assembler.flush(10_000.0)
         oracle = PerPacketAssembler(shards=1, packet_budget=100_000)
         for packet in packets:
@@ -507,11 +502,12 @@ class TestPackedRows:
         np.testing.assert_array_equal(restored, expected)
 
     def test_kernel_rows_round_trip(self):
-        batch = PacketBatch.from_items(_setup_packets())
-        rows = batch_feature_matrix(batch)
-        assert batch.table_i_keys() == _packed(rows).tolist()
+        packets = _setup_packets()
+        keys = [stream_row(packet)[2] for packet in packets]
+        rows = _expected_columns(packets)
+        assert keys == _packed(rows).tolist()
         zeros = np.zeros(len(rows), dtype=np.int64)
-        np.testing.assert_array_equal(unpack_rows(batch.table_i_keys(), zeros), rows)
+        np.testing.assert_array_equal(unpack_rows(keys, zeros), rows)
         assert unpack_rows([], []).shape == (0, FEATURE_COUNT)
 
 
@@ -519,18 +515,9 @@ class TestPackedRows:
 _KEY_PORTS = (-1, 0, 1023, 1024, 49151, 49152, 65535, 53, 67, 68, 80, 123, 443, 1900, 5353, 8080, 8443)
 
 
-def _column_batch(rows):
-    """A PacketBatch holding ``(flags, src_port, dst_port, size)`` rows."""
-    flags, src_ports, dst_ports, sizes = (np.array(column, dtype=np.int64) for column in zip(*rows))
-    return PacketBatch(
-        timestamps=np.zeros(len(rows)),
-        src_macs=np.zeros(len(rows), dtype=np.int64),
-        flags=flags,
-        src_ports=src_ports,
-        dst_ports=dst_ports,
-        sizes=sizes,
-        dst_ips=[None] * len(rows),
-    )
+def _oracle_rows(rows):
+    """The vectorised oracle's rows of ``(flags, src_port, dst_port, size)`` rows."""
+    return numpy_feature_matrix(*zip(*rows))
 
 
 def _unpacked(keys):
@@ -539,7 +526,7 @@ def _unpacked(keys):
 
 class TestTableIKey:
     """The scalar packer against the vectorised oracle of
-    ``tests.conftest.numpy_feature_matrix``, and its batch form."""
+    ``tests.conftest.numpy_feature_matrix``."""
 
     def test_every_flag_word_matches_the_oracle(self):
         rows = [
@@ -547,9 +534,8 @@ class TestTableIKey:
             for flags in range(1 << 12)
             for src_port, dst_port, size in ((-1, -1, 0), (67, 5353, 2**32 - 1), (49152, 443, 1))
         ]
-        expected = numpy_feature_matrix(_column_batch(rows))
+        expected = _oracle_rows(rows)
         np.testing.assert_array_equal(_unpacked(table_i_key(*row) for row in rows), expected)
-        np.testing.assert_array_equal(batch_feature_matrix(_column_batch(rows)), expected)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -565,9 +551,8 @@ class TestTableIKey:
         )
     )
     def test_random_rows_match_the_oracle(self, rows):
-        expected = numpy_feature_matrix(_column_batch(rows))
+        expected = _oracle_rows(rows)
         np.testing.assert_array_equal(_unpacked(table_i_key(*row) for row in rows), expected)
-        np.testing.assert_array_equal(batch_feature_matrix(_column_batch(rows)), expected)
 
     def test_every_port_pair_named_or_at_a_threshold(self):
         rows = [
@@ -576,7 +561,7 @@ class TestTableIKey:
             for src_port in _KEY_PORTS
             for dst_port in _KEY_PORTS
         ]
-        expected = numpy_feature_matrix(_column_batch(rows))
+        expected = _oracle_rows(rows)
         np.testing.assert_array_equal(_unpacked(table_i_key(*row) for row in rows), expected)
 
     def test_layout_packs_each_column_apart(self):
@@ -597,25 +582,27 @@ class TestTableIKey:
         write_pcap(path, packets)
         frames = list(PcapReader(path))
         rows = [stream_row(frame) for frame in frames]
-        batch = PacketBatch.from_items(frames)
-        assert [row[0] for row in rows] == batch.timestamps.tolist()
-        assert [row[1] for row in rows] == batch.src_macs.tolist()
-        assert [row[3] for row in rows] == batch.dst_ips
+        fields = [_item_fields(frame) for frame in frames]
+        assert [row[0] for row in rows] == [field[0] for field in fields]
+        assert [row[1] for row in rows] == [field[1] for field in fields]
+        assert [row[3] for row in rows] == [field[6] for field in fields]
         keys = _unpacked(row[2] for row in rows)
-        np.testing.assert_array_equal(keys, numpy_feature_matrix(batch))
+        np.testing.assert_array_equal(keys, _oracle_rows([field[2:6] for field in fields]))
         np.testing.assert_array_equal(keys, _expected_columns(read_pcap(path)))
         # The frames dissected into packets give the same rows.
         assert [stream_row(packet) for packet in read_pcap(path)] == rows
 
 
-class TestBatchedAssembler:
-    @pytest.mark.parametrize("batch_size", [1, 17, 100_000])
-    def test_observe_batch_equals_per_packet_observe(self, batch_size):
+class TestFoldingAssembler:
+    @pytest.mark.parametrize("chunk", [1, 17, 100_000])
+    def test_prepared_items_equal_per_packet_observe(self, chunk):
+        """The fold carries its state from one prepared stream to the next:
+        the stream cut into ``chunk``-item pieces folds like the oracle."""
         baseline, base_stats = _drive_per_packet(SimulatedSource(devices=12, seed=5))
         assembler = ShardedFingerprintAssembler(shards=4)
         emissions = []
-        for batch in _batches(SimulatedSource(devices=12, seed=5).packets(), batch_size):
-            emissions.extend(_fold_all(assembler, assembler.prepare_batch(batch)))
+        for items in _chunks(SimulatedSource(devices=12, seed=5).packets(), chunk):
+            emissions.extend(_fold_all(assembler, assembler.prepare_items(items)))
         emissions.extend(assembler.flush(10_000.0))
         assert _emission_map(emissions) == _emission_map(baseline)
         assert assembler.stats == base_stats
@@ -633,7 +620,7 @@ class TestBatchedAssembler:
             for mac, start, ports in setups
             for step, port in enumerate(ports)
         ]
-        ready = _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets)))
+        ready = _fold_all(assembler, assembler.prepare_items(packets))
         assert [(item.mac, item.reason) for item in ready] == [
             (first, "budget"), (clone, "budget"), (other, "budget")
         ]
@@ -659,7 +646,7 @@ class TestBatchedAssembler:
                 packets.append(packet)
         a, b = (
             item.fingerprint
-            for item in _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets)))
+            for item in _fold_all(assembler, assembler.prepare_items(packets))
         )
         assert b.vectors is not a.vectors
         assert a.vectors[:, _COUNTER].tolist() == [1, 2, 1]
@@ -681,7 +668,7 @@ class TestBatchedAssembler:
             )
             packet.timestamp = float(index)
             packets.append(packet)
-        ready = _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets)))
+        ready = _fold_all(assembler, assembler.prepare_items(packets))
         assert len(ready) == len(sizes)
         first, last = ready[0].fingerprint, ready[-1].fingerprint
         assert last == first
@@ -716,7 +703,7 @@ class TestIdleSweep:
 
     @staticmethod
     def _fold(assembler, packets):
-        assert _fold_all(assembler, assembler.prepare_batch(PacketBatch.from_items(packets))) == []
+        assert _fold_all(assembler, assembler.prepare_items(packets)) == []
 
     def test_exactly_idle_timeout_of_silence_does_not_evict(self):
         for now, expected in ((25.0, False), (25.000001, True)):
@@ -812,36 +799,33 @@ def _acting_frames(pipeline):
     return acting
 
 
-class TestBatchedPipeline:
+class TestPipelineDrive:
     @staticmethod
-    def _verdicts(identifier, batch_size=None):
-        """Delivered verdicts of the oracle walk (``batch_size`` of 0), the
-        pipeline's own drive (None), or ``process_batch`` fed fixed-size
-        batches."""
+    def _verdicts(identifier, drive):
+        """Delivered verdicts of the oracle walk (``"oracle"``), ``run()``
+        (``"run"``) or ``results()`` consumed to the end (``"results"``)."""
         delivered = []
-        source = SimulatedSource(devices=12, seed=11)
         pipeline = StreamingPipeline(
-            source=source,
+            source=SimulatedSource(devices=12, seed=11),
             dispatcher=BatchDispatcher(
                 identifier, max_batch=4, cache=IdentificationCache(capacity=64)
             ),
-            assembler=(PerPacketAssembler if batch_size == 0 else ShardedFingerprintAssembler)(
+            assembler=(PerPacketAssembler if drive == "oracle" else ShardedFingerprintAssembler)(
                 shards=4
             ),
             on_identified=delivered.append,
         )
-        if batch_size == 0:
+        if drive == "oracle":
             stats = per_packet_run(pipeline)
-        elif batch_size is None:
+        elif drive == "run":
             stats = pipeline.run()
         else:
-            for batch in _batches(source.packets(), batch_size):
-                pipeline.process_batch(batch)
-            pipeline.finish()
+            yielded = list(pipeline.results())
+            assert [id(item) for item in yielded] == [id(item) for item in delivered]
             stats = pipeline.stats
         return delivered, stats
 
-    def test_batched_run_gives_every_device_the_same_verdict(self, trained_identifier):
+    def test_every_drive_gives_every_device_the_same_verdict(self, trained_identifier):
         def signature(items):
             return [
                 (
@@ -854,11 +838,10 @@ class TestBatchedPipeline:
                 for item in items
             ]
 
-        baseline, base_stats = self._verdicts(trained_identifier, batch_size=0)
-        for batch_size in (None, 1, 33, 100_000):
-            delivered, stats = self._verdicts(trained_identifier, batch_size=batch_size)
-            # Same verdicts in the same delivery order, batch boundaries
-            # notwithstanding.
+        baseline, base_stats = self._verdicts(trained_identifier, "oracle")
+        for drive in ("run", "results"):
+            delivered, stats = self._verdicts(trained_identifier, drive)
+            # Same verdicts in the same delivery order, however driven.
             assert signature(delivered) == signature(baseline)
             assert stats.packets == base_stats.packets
             assert stats.fingerprints == base_stats.fingerprints
@@ -881,8 +864,8 @@ class TestBatchedPipeline:
         """A window ends at a frame that completes a capture, where the due
         sweep evicts one, or where the linger deadline passes -- the frames
         where the per-packet walk submits or identifies -- and nowhere
-        else, whether the stream is driven by ``run()``, consumed through
-        ``results()`` or fed to ``process_batch`` at any batch size."""
+        else, whether the stream is driven by ``run()`` or consumed through
+        ``results()``."""
         packets = skewed(rerun_stream(seed=5), seed=5)
         oracle = self._pipeline(trained_identifier, packets, knobs, PerPacketAssembler)
         acting = _acting_frames(oracle)
@@ -899,17 +882,9 @@ class TestBatchedPipeline:
         assert len(list(streamed.results())) == streamed.stats.identified
         assert ends == sorted(acting)
 
-        for size in (1, 7, 256, len(packets)):
-            batched = self._pipeline(trained_identifier, packets, knobs)
-            ends = _window_ends(batched)
-            for batch in _batches(packets, size):
-                batched.process_batch(batch)
-            batched.finish()
-            assert ends == sorted(acting), size
-
-    def test_an_empty_batch_changes_nothing(self, trained_identifier):
+    def test_an_empty_stream_changes_nothing(self, trained_identifier):
         """No frame, no step: even with the eviction deadline long past,
-        an empty batch runs no sweep, counts no packet and times nothing."""
+        an empty stream runs no sweep, counts no packet and times nothing."""
         hub = Observability()
         pipeline = StreamingPipeline(
             source=IterableSource([]),
@@ -924,7 +899,7 @@ class TestBatchedPipeline:
             return evict_idle(now, shard=shard)
 
         pipeline.assembler.evict_idle = recorded
-        assert pipeline.process_batch(PacketBatch.from_items([])) == []
+        assert list(pipeline.results()) == []
         assert sweeps == [] and pipeline.stats.packets == 0
         assert pipeline.stats.assemble_seconds == 0.0
         snapshot = hub.snapshot()
@@ -1130,21 +1105,14 @@ class TestFromFramesFuzz:
             # poison fingerprints downstream).
             for frame in rejected:
                 with pytest.raises(PacketDecodeError):
-                    PacketBatch.from_items([frame])
+                    stream_row(frame)
 
-            batch = PacketBatch.from_items(parseable)
-            oracle = PacketBatch.from_items(oracle_packets)
-            assert len(batch) == len(parseable)
-            np.testing.assert_array_equal(batch.flags, oracle.flags)
-            np.testing.assert_array_equal(batch.src_macs, oracle.src_macs)
-            np.testing.assert_array_equal(batch.src_ports, oracle.src_ports)
-            np.testing.assert_array_equal(batch.dst_ports, oracle.dst_ports)
-            np.testing.assert_array_equal(batch.sizes, oracle.sizes)
-            np.testing.assert_array_equal(batch.timestamps, oracle.timestamps)
-            assert batch.dst_ips == oracle.dst_ips
-            np.testing.assert_array_equal(
-                batch_feature_matrix(batch), batch_feature_matrix(oracle)
-            )
+            assert [_item_fields(frame) for frame in parseable] == [
+                _item_fields(packet) for packet in oracle_packets
+            ]
+            assert [stream_row(frame) for frame in parseable] == [
+                stream_row(packet) for packet in oracle_packets
+            ]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1189,11 +1157,9 @@ class TestFromFramesFuzz:
         expected.wire_length = original
         assert Packet.dissect(data, 1.5, original) == expected
         assert CapturedPacket(1.5, data, original).dissect() == expected
-        batch = PacketBatch.from_items([CapturedPacket(1.5, data, original)])
-        assert batch.sizes[0] == original
-        dissected = PacketBatch.from_items([expected])
-        np.testing.assert_array_equal(batch.flags, dissected.flags)
-        np.testing.assert_array_equal(batch.sizes, dissected.sizes)
+        fields = _item_fields(CapturedPacket(1.5, data, original))
+        assert fields[5] == original
+        assert fields == _item_fields(expected)
 
     def test_truncated_ethernet_header_raises_like_dissect(self):
         from repro.exceptions import PacketDecodeError
@@ -1205,7 +1171,7 @@ class TestFromFramesFuzz:
             with pytest.raises(PacketDecodeError):
                 Packet.dissect(raw)
             with pytest.raises(PacketDecodeError):
-                PacketBatch.from_items([CapturedPacket(0.0, raw, 0)])
+                stream_row(CapturedPacket(0.0, raw, 0))
 
 
 # --------------------------------------------------------------------- #
@@ -1333,9 +1299,9 @@ class TestFastFrameParser:
     def test_tcp_on_bootp_ports_still_falls_back(self):
         frame = _transport_frame(68, 67, _bootp_payload(236), tcp=True)
         assert _fast_frame_fields(frame) is None
-        assert PacketBatch.from_items([CapturedPacket(0.0, frame, 0)]).flags.tolist() == [
+        assert _item_fields(CapturedPacket(0.0, frame, 0))[2] == (
             _packet_fields(Packet.dissect(frame))[0]
-        ]
+        )
 
     @pytest.mark.parametrize(
         "length_field, body_len, padding",
@@ -1359,8 +1325,8 @@ class TestFastFrameParser:
         frame = _eapol_frame(4, 4, 0)
         assert len(frame) < 34
         assert _fast_frame_fields(frame) is None
-        batch = PacketBatch.from_items([CapturedPacket(0.0, frame, 0)])
-        assert batch.flags.tolist() == [_packet_fields(Packet.dissect(frame))[0]]
+        flags = _item_fields(CapturedPacket(0.0, frame, 0))[2]
+        assert flags == _packet_fields(Packet.dissect(frame))[0]
 
     @pytest.mark.parametrize(
         "options",
@@ -1393,8 +1359,8 @@ class TestFastFrameParser:
     def test_malformed_ipv4_option_lists_fall_back(self, options):
         frame = _with_ipv4_options(_ipv4_frame("udp"), options)
         assert _fast_frame_fields(frame) is None
-        batch = PacketBatch.from_items([CapturedPacket(0.0, frame, 0)])
-        assert batch.flags.tolist() == [_packet_fields(Packet.dissect(frame))[0]]
+        flags = _item_fields(CapturedPacket(0.0, frame, 0))[2]
+        assert flags == _packet_fields(Packet.dissect(frame))[0]
 
     def test_ipv4_header_lengths_the_dissector_rejects_fall_back(self):
         frame = bytearray(_ipv4_frame("udp"))

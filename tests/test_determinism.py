@@ -460,20 +460,6 @@ class TestColumnarDriveParity:
         for _ in handle.stream(source):
             pass
 
-    @staticmethod
-    def _fixed(size):
-        """A drive handing ``process_batch`` batches of ``size`` frames."""
-        from repro.net.batch import PacketBatch
-
-        def drive(handle, source):
-            pipeline = handle._build_pipeline(source)
-            items = list(source.packets())
-            for start in range(0, len(items), size):
-                pipeline.process_batch(PacketBatch.from_items(items[start : start + size]))
-            pipeline.finish()
-
-        return drive
-
     def test_pcap_capture_ledger_matches_per_packet_walk(self, trained_identifier, tmp_path):
         from repro.net.pcap import write_pcap
         from repro.streaming import PcapReplaySource
@@ -520,36 +506,28 @@ class TestColumnarDriveParity:
         ]
         self._assert_parity(
             trained_identifier, tmp_path, lambda: IterableSource(packets),
-            {"facade": self._facade, "stream": self._stream, "size-7": self._fixed(7)},
+            {"facade": self._facade, "stream": self._stream},
         )
 
-    @pytest.mark.parametrize(
-        "knobs",
-        [
-            {},
-            # Captures cut every few packets, and idle sweeps that end
-            # captures whose next packet shows no idle gap.
-            {"packet_budget": 8, "idle_timeout": 3.0},
-        ],
-        ids=["defaults", "short-captures"],
-    )
-    def test_process_batch_at_any_handover_size(self, trained_identifier, tmp_path, knobs):
+    def test_short_captures_ledger_matches_per_packet_walk(self, trained_identifier, tmp_path):
+        """Captures cut every few packets, and idle sweeps that end
+        captures whose next packet shows no idle gap: the facade and
+        ``stream`` ledgers still equal the per-packet walk's."""
         from repro.streaming import IterableSource
 
         packets = skewed(rerun_stream(seed=5), seed=5)
         self._assert_parity(
             trained_identifier, tmp_path, lambda: IterableSource(packets),
-            {f"size-{size}": self._fixed(size) for size in (1, 7, 256, len(packets))},
-            **knobs,
+            {"facade": self._facade, "stream": self._stream},
+            packet_budget=8, idle_timeout=3.0,
         )
 
-    def test_no_op_eviction_deadlines_at_any_handover_size(
+    def test_no_op_eviction_deadlines_match_the_per_packet_walk(
         self, trained_identifier, tmp_path, monkeypatch
     ):
         """Most deadlines find nothing to evict, so the drive ends no
         window there; the ledger still matches the per-packet walk, which
-        runs every sweep, whether the stream is run, streamed or fed to
-        ``process_batch`` at any batch size."""
+        runs every sweep, whether the stream is run or streamed."""
         from repro.streaming import IterableSource
 
         packets = chatter_stream(seed=4)
@@ -563,11 +541,8 @@ class TestColumnarDriveParity:
             return ready
 
         monkeypatch.setattr(PerPacketAssembler, "evict_idle", recorded)
-        drives = {f"size-{size}": self._fixed(size) for size in (1, 7, 256, 1024, len(packets))}
-        drives["facade"] = self._facade
-        drives["stream"] = self._stream
+        drives = {"facade": self._facade, "stream": self._stream}
         self._assert_parity(trained_identifier, tmp_path, lambda: IterableSource(packets), drives)
-        assert len(packets) > 1024
         assert sweeps.count(False) > 0.8 * len(sweeps) and any(sweeps)
 
     def test_windows_that_deliver_more_than_once_match_the_per_packet_walk(
@@ -578,8 +553,7 @@ class TestColumnarDriveParity:
         records ``V(A) E(A) V(B) E(B)``.  The stream has such windows: a
         cache hit followed by a miss batch, a sweep that evicts more than
         ``max_batch`` captures, and the end-of-stream flush plus drain.
-        The facade, ``stream`` and ``process_batch`` ledgers equal the
-        per-packet walk's."""
+        The facade and ``stream`` ledgers equal the per-packet walk's."""
         from repro.api import GatewayConfig, build_gateway
         from repro.streaming import IterableSource
 
@@ -622,11 +596,6 @@ class TestColumnarDriveParity:
 
         self._assert_parity(
             trained_identifier, tmp_path, lambda: IterableSource(packets),
-            {
-                "facade": self._facade,
-                "stream": self._stream,
-                "size-7": self._fixed(7),
-                "size-all": self._fixed(len(packets)),
-            },
+            {"facade": self._facade, "stream": self._stream},
             config=config,
         )

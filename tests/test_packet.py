@@ -7,7 +7,6 @@ import pickle
 import pkgutil
 
 from repro.net.addresses import MACAddress
-from repro.net.batch import PacketBatch
 from repro.net.flow import FlowKey
 from repro.net.layers import dhcp, dns, http, ssdp, tls
 from repro.net.layers.arp import OP_REQUEST, ARPPacket
@@ -200,7 +199,6 @@ class TestSlottedObjects:
             and dataclasses.is_dataclass(value)
             and value.__module__.startswith("repro.net.")
         }
-        classes.discard(PacketBatch)  # one per batch of packets, not per packet
         assert {Packet, CapturedPacket, MACAddress, FlowKey, EthernetFrame} <= classes
         unslotted = sorted(cls.__name__ for cls in classes if "__slots__" not in vars(cls))
         assert unslotted == []

@@ -25,9 +25,9 @@ Usage::
         --current bench-results/BENCH_streaming_throughput.json \
         [--tolerance 0.30]
 
-Sections missing from either file are skipped with a note (a quick-mode
-smoke run produces every section, but a lone re-run of one benchmark
-rewrites the file with only its own section).
+A guarded ratio missing from either file fails the check: a renamed or
+dropped section would otherwise switch the guard off unnoticed.  A
+missing advisory absolute is skipped with a note.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         now = metric(current, section, name)
         label = f"{section}.{name}"
         if base is None or now is None:
-            print(f"SKIP  {label}: missing in "
-                  f"{'baseline' if base is None else 'current'} file")
+            missing = "baseline" if base is None else "current"
+            print(f"FAIL  {label}: missing in {missing} file")
+            failures.append(f"{label} is missing in the {missing} file")
             continue
         floor = base * (1.0 - args.tolerance)
         verdict = "ok" if now >= floor else "REGRESSION"
