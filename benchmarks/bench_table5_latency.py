@@ -5,30 +5,34 @@ server, remote server) the mean latency with filtering is within a fraction
 of a millisecond of the latency without filtering (24.8 vs 24.5 ms for
 D1-D4, etc.) -- i.e. the enforcement mechanism does not measurably impact
 user-perceived latency.
+
+Here the gateway's share of that latency is measured on this host:
+``SecurityGateway.handle_packet`` is timed per packet with filtering on
+and off, over the same packets, in one process.  D1, D2 and D3 are a
+trusted, a restricted and a strict source.  There is no radio path to
+measure, so the path latencies are the paper's, cited as constants.  The
+claim checked is that filtering's added round-trip delay (two gateway
+traversals) is a small share of each path's latency.
 """
 
-from repro.eval.experiments import run_latency_table
+from repro.eval.experiments import added_latency_share, run_latency_table
 from repro.eval.reporting import format_latency_table
+
+#: Paper constants, cited and not measured: the latency without filtering
+#: of each Table V path (ms), to another device (D4), to the local server
+#: and to the remote server.
+PAPER_PATH_LATENCY_MS = {"D4": 25.5, "S_local": 16.8, "S_remote": 20.0}
 
 
 def test_table5_user_latency(benchmark):
-    table = benchmark.pedantic(
-        run_latency_table, kwargs={"iterations": 15, "seed": 0}, rounds=1, iterations=1
-    )
+    table = benchmark.pedantic(run_latency_table, rounds=1, iterations=1)
 
     print()
-    print("Table V: latency (ms) per source/destination pair")
-    print(format_latency_table(table.rows))
+    print("Table V: per-packet gateway delay per source/destination pair")
+    print(format_latency_table(table.rows, PAPER_PATH_LATENCY_MS))
 
-    for source, destination, filtering_mean, _, plain_mean, _ in table.rows:
-        relative_overhead = (filtering_mean - plain_mean) / plain_mean
-        # Who wins: no-filtering is (slightly) faster, but by far less than
-        # the run-to-run noise -- the paper's headline claim.
-        assert relative_overhead < 0.20, (source, destination, relative_overhead)
-
-    device_pair = table.row("D1", "D4")[0]
-    local_server = table.row("D1", "S_local")[0]
-    remote_server = table.row("D1", "S_remote")[0]
-    # Ordering of the paths matches the paper: device-to-device over two
-    # wireless hops is the slowest, the local server the fastest.
-    assert device_pair > remote_server > local_server
+    for source, destination, filtering_us, plain_us in table.rows:
+        share = added_latency_share(filtering_us, plain_us, PAPER_PATH_LATENCY_MS[destination])
+        # The paper's headline claim: what filtering adds is far below the
+        # path latency users already experience.
+        assert share < 0.20, (source, destination, share)

@@ -22,7 +22,6 @@ from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP
 from repro.net.layers.tcp import TCPSegment
 from repro.net.packet import Packet
-from repro.simulation.latency import processing_delay_ms
 from repro.streaming import IterableSource
 
 
@@ -139,8 +138,6 @@ def main() -> None:
     print()
     print(f"Switch flow rules installed: {gateway.switch.rule_count}")
     print(f"Enforcement rules cached:    {len(gateway.rule_cache)}")
-    delay = processing_delay_ms(gateway.filtering_enabled, len(gateway.rule_cache))
-    print(f"Modelled processing delay:   {delay:.2f} ms per traversal (latency model)")
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ The package is organised in layers that mirror the paper's system design:
   the enforcement half of the paper: OpenFlow-like switch and controller,
   Security Gateway with enforcement-rule cache and isolation overlays, and
   the IoT Security Service with its vulnerability repository.
-* :mod:`repro.simulation` -- simulated clock, latency and resource models
-  used by the enforcement evaluation.
+* :mod:`repro.simulation` -- the simulated clock shared by the gateway and
+  the streaming pipeline.
 * :mod:`repro.obs` -- the observability surface: an append-only,
   schema-versioned evidence ledger of every verdict and lifecycle event,
   and a unified metrics registry behind one ``snapshot()``.

@@ -7,31 +7,34 @@ call these runners and print the resulting rows/series.
 
 from __future__ import annotations
 
+import gc
 import time
+import tracemalloc
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.datasets.builder import FingerprintDataset
-from repro.devices.catalog import DEVICE_NAMES, TABLE_III_DEVICES
+from repro.devices.catalog import DEVICE_CATALOG, DEVICE_NAMES, TABLE_III_DEVICES
 from repro.devices.simulator import SetupTrafficSimulator
-from repro.devices.catalog import DEVICE_CATALOG
 from repro.distance.discrimination import (
     DETERMINISTIC_SELECTION,
     RANDOM_SELECTION,
     EditDistanceDiscriminator,
 )
 from repro.features.fingerprint import Fingerprint
-from repro.gateway.enforcement import EnforcementRule, flow_rule_templates
 from repro.gateway.security_gateway import SecurityGateway
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.metrics import confusion_matrix, per_class_accuracy
 from repro.ml.validation import StratifiedKFold
+from repro.net.addresses import MACAddress
+from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
+from repro.net.layers.ipv4 import PROTO_TCP, IPv4Header
+from repro.net.layers.tcp import TCPSegment
+from repro.net.packet import Packet
 from repro.security_service.isolation import IsolationLevel
-from repro.simulation.latency import LatencyModel, PathType, processing_delay_ms
-from repro.simulation.resources import GatewayResourceModel, ResourceSample
-from repro.simulation.workload import ConcurrentFlowWorkload
+from repro.security_service.service import SecurityAssessment
 
 # --------------------------------------------------------------------------- #
 # Fig. 5 and Table III: identification accuracy and confusion.
@@ -261,188 +264,245 @@ def run_timing(
 
 
 # --------------------------------------------------------------------------- #
-# Tables V / VI and Fig. 6: enforcement overhead.
+# Tables V / VI and Fig. 6: enforcement overhead, measured on the datapath.
 # --------------------------------------------------------------------------- #
 
-#: Source devices and destinations of Table V.
+#: Table V's sources, a trusted, a restricted and a strict device, and its
+#: destinations: another device, a local server and a remote server.
 TABLE_V_SOURCES = ("D1", "D2", "D3")
 TABLE_V_DESTINATIONS = ("D4", "S_local", "S_remote")
-
-_PATH_OF_DESTINATION = {
-    "D4": PathType.WIRELESS_TO_WIRELESS,
-    "S_local": PathType.WIRELESS_TO_LOCAL_SERVER,
-    "S_remote": PathType.WIRELESS_TO_REMOTE_SERVER,
+_TABLE_V_PAIRS = [(source, destination) for source in TABLE_V_SOURCES for destination in TABLE_V_DESTINATIONS]
+#: The servers' MAC and IP; the remote one is reached through the router's MAC.
+_SERVERS = {
+    "S_local": (MACAddress(0x02_00_00_00_00_FE), "192.168.0.2"),
+    "S_remote": (MACAddress(0x02_00_00_00_00_01), "52.28.10.10"),
 }
+#: One assessment per level, shared by its devices as the security service
+#: shares one per device-type; the restricted level may reach the remote server.
+_ASSESSMENTS = tuple(
+    SecurityAssessment(
+        f"{level.value}-device",
+        level,
+        allowed_destinations=(_SERVERS["S_remote"][1],) if level is IsolationLevel.RESTRICTED else (),
+    )
+    for level in (IsolationLevel.TRUSTED, IsolationLevel.RESTRICTED, IsolationLevel.STRICT)
+)
 
-#: Per-device radio-quality offsets (ms) reproducing the spread of Table V.
-_DEVICE_OFFSETS_MS = {"D1": -1.0, "D2": 1.5, "D3": 0.8}
+
+def _device(index: int) -> tuple[MACAddress, str]:
+    """MAC and IPv4 address of onboarded device ``index``."""
+    host = index + 1
+    return MACAddress(0x02_16_3E_00_00_00 + index), f"10.{host >> 16 & 255}.{host >> 8 & 255}.{host & 255}"
+
+
+def _onboard(gateway: SecurityGateway, start: int, stop: int) -> None:
+    """Onboard devices ``start`` to ``stop - 1``; levels cycle trusted / restricted / strict."""
+    for index in range(start, stop):
+        gateway.apply_assessment(_device(index)[0], _ASSESSMENTS[index % 3])
+
+
+def _tcp_packet(source: tuple[MACAddress, str], destination: tuple[MACAddress, str], src_port: int) -> Packet:
+    return Packet(
+        ethernet=EthernetFrame(dst=destination[0], src=source[0], ethertype=ETHERTYPE.IPV4),
+        ipv4=IPv4Header(src=source[1], dst=destination[1], protocol=PROTO_TCP),
+        tcp=TCPSegment(src_port=src_port, dst_port=443),
+    )
+
+
+class DatapathCost(NamedTuple):
+    """Median per-packet cost of ``SecurityGateway.handle_packet``, in microseconds."""
+
+    wall_us: float
+    cpu_us: float
+
+
+def _median_costs(
+    lanes: Sequence[tuple[SecurityGateway, Sequence[Packet]]], passes: int
+) -> list[DatapathCost]:
+    """Median per-packet cost of each ``(gateway, packets)`` lane over ``passes``.
+
+    One untimed pass per lane warms up.  Every timed pass then runs every
+    lane, forwards on even passes and backwards on odd ones, so a swing
+    in host load lands on all lanes alike.  As in :mod:`timeit`, garbage
+    collection is off meanwhile, so a collection owed to earlier
+    allocations does not land in one pass.  Wall time is
+    ``perf_counter_ns``, CPU time ``process_time_ns``.
+    """
+    samples: list[list[tuple[int, int]]] = [[] for _ in lanes]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for index in range(-1, passes):  # pass -1 is the warm-up
+            for lane in range(len(lanes))[:: 1 if index % 2 == 0 else -1]:
+                gateway, packets = lanes[lane]
+                handle = gateway.handle_packet
+                wall, cpu = time.perf_counter_ns(), time.process_time_ns()
+                for packet in packets:
+                    handle(packet)
+                if index >= 0:
+                    samples[lane].append((time.perf_counter_ns() - wall, time.process_time_ns() - cpu))
+    finally:
+        if collecting:
+            gc.enable()
+    return [
+        DatapathCost(*(float(np.median(clock)) / (1000.0 * len(packets)) for clock in zip(*lane_samples)))
+        for lane_samples, (_, packets) in zip(samples, lanes)
+    ]
+
+
+class GatewayTestbed:
+    """A filtering and a non-filtering gateway, onboarded alike, and their traffic.
+
+    Every runner of Tables V / VI and Fig. 6 measures through this one
+    testbed.  Devices join through :meth:`SecurityGateway.apply_assessment`
+    with levels cycling trusted / restricted / strict, so Table V's D1-D3
+    (devices 0-2) are one source of each level and D4 (device 3) a further
+    device.  :meth:`time` sends the same TCP packets through both.
+    """
+
+    def __init__(self, device_count: int) -> None:
+        self.filtering = SecurityGateway(filtering_enabled=True)
+        self.plain = SecurityGateway(filtering_enabled=False)
+        self.device_count = 0
+        self.grow(device_count)
+
+    def grow(self, device_count: int) -> None:
+        """Onboard further devices until both gateways hold ``device_count``."""
+        for gateway in (self.filtering, self.plain):
+            _onboard(gateway, self.device_count, device_count)
+        self.device_count = max(self.device_count, device_count)
+
+    def packets(self, source: str, destination: str, count: int) -> list[Packet]:
+        """``count`` packets of one Table V pair (``"D1"``, ..., ``"S_local"``, ``"S_remote"``)."""
+        def endpoint(name: str) -> tuple[MACAddress, str]:
+            return _SERVERS[name] if name in _SERVERS else _device(int(name[1:]) - 1)
+
+        return [_tcp_packet(endpoint(source), endpoint(destination), 49152 + port) for port in range(count)]
+
+    def flows(self, flow_count: int, count: int) -> list[Packet]:
+        """``count`` packets taken in turn from ``flow_count`` concurrent TCP flows.
+
+        Flow ``k`` runs from device ``k`` (modulo the device count) to the
+        next device, the local server or the remote server, so every level
+        meets every destination kind.
+        """
+        devices = self.device_count
+        destinations = [(_device((k + 1) % devices), *_SERVERS.values())[k // 3 % 3] for k in range(flow_count)]
+        flows = [_tcp_packet(_device(k % devices), destinations[k], 49152 + k) for k in range(flow_count)]
+        return [flows[index % flow_count] for index in range(count)]
+
+    def time(
+        self, packet_lists: Sequence[Sequence[Packet]], passes: int
+    ) -> list[tuple[DatapathCost, DatapathCost]]:
+        """Per-packet cost of each list, filtering on and off, all in the same passes."""
+        gateways = (self.filtering, self.plain)
+        lanes = [(gateway, packets) for packets in packet_lists for gateway in gateways]
+        costs = _median_costs(lanes, passes)
+        return list(zip(costs[::2], costs[1::2]))
+
+
+def added_latency_share(filtering_us: float, plain_us: float, path_ms: float) -> float:
+    """Filtering's added delay on a round trip (two gateway traversals) as a share of a path's latency."""
+    return 2.0 * (filtering_us - plain_us) / (1000.0 * path_ms)
+
+
+def onboarding_memory(filtering_enabled: bool, device_counts: Sequence[int]) -> list[tuple[int, int]]:
+    """Bytes ``tracemalloc`` traces and switch rules installed as one gateway onboards up to each count."""
+    gateway = SecurityGateway(filtering_enabled=filtering_enabled)
+    points = []
+    tracemalloc.start()
+    try:
+        for start, stop in zip((0, *device_counts), device_counts):
+            _onboard(gateway, start, stop)
+            points.append((tracemalloc.get_traced_memory()[0], gateway.switch.rule_count))
+    finally:
+        tracemalloc.stop()
+    return points
 
 
 @dataclass
 class LatencyTable:
-    """Table V: mean/stdev latency per pair, with and without filtering."""
+    """Table V: per-packet gateway delay (µs) per pair, filtering on and off."""
 
-    rows: list[tuple[str, str, float, float, float, float]] = field(default_factory=list)
+    rows: list[tuple[str, str, float, float]] = field(default_factory=list)
 
-    def row(self, source: str, destination: str) -> tuple[float, float, float, float]:
+    def row(self, source: str, destination: str) -> tuple[float, float]:
         for row in self.rows:
             if row[0] == source and row[1] == destination:
-                return row[2], row[3], row[4], row[5]
+                return row[2], row[3]
         raise KeyError(f"no row for {source} -> {destination}")
 
 
-def resource_sample(
-    gateway: SecurityGateway, model: GatewayResourceModel, concurrent_flows: int
-) -> ResourceSample:
-    """Sample ``gateway``'s modelled CPU/memory for a given flow load."""
-    return model.sample(
-        concurrent_flows=concurrent_flows,
-        enforcement_rules=len(gateway.rule_cache),
-        filtering_enabled=gateway.filtering_enabled,
-    )
+def run_latency_table(device_count: int = 20, passes: int = 15, packets_per_pass: int = 200) -> LatencyTable:
+    """Table V: measured per-packet ``handle_packet`` time for every source/destination pair."""
+    testbed = GatewayTestbed(device_count)
+    costs = testbed.time([testbed.packets(*pair, packets_per_pass) for pair in _TABLE_V_PAIRS], passes)
+    return LatencyTable([(*pair, on.wall_us, off.wall_us) for pair, (on, off) in zip(_TABLE_V_PAIRS, costs)])
 
 
-def _build_loaded_gateway(filtering_enabled: bool, device_count: int, seed: int) -> SecurityGateway:
-    """A gateway with ``device_count`` devices and enforcement rules installed."""
-    gateway = SecurityGateway(filtering_enabled=filtering_enabled)
-    workload = ConcurrentFlowWorkload(device_count=max(2, device_count), seed=seed)
-    levels = [IsolationLevel.TRUSTED, IsolationLevel.RESTRICTED, IsolationLevel.STRICT]
-    for index in range(device_count):
-        mac = workload.device_mac(index)
-        gateway.connect_device(mac, ip_address=workload.device_ip(index))
-        level = levels[index % len(levels)]
-        allowed = ("52.28.10.10", "52.28.10.11") if level is IsolationLevel.RESTRICTED else ()
-        rule = EnforcementRule(
-            device_mac=mac,
-            isolation_level=level,
-            allowed_destinations=allowed,
-            device_type=f"device-{index}",
-        )
-        gateway.rule_cache.store(rule)
-        record = gateway.devices[mac]
-        record.isolation_level = level
-        record.enforcement_rule = rule
-        if filtering_enabled:
-            for template in flow_rule_templates(level, allowed):
-                gateway.switch.install_rule(template.stamp(mac, f"enforce-{mac}"))
-    return gateway
+class OverheadRow(NamedTuple):
+    """One Table VI row: both measured values and the overhead against a named base."""
 
-
-def _modelled_delay_ms(gateway: SecurityGateway) -> float:
-    """The latency model's per-traversal processing cost of ``gateway``."""
-    return processing_delay_ms(gateway.filtering_enabled, len(gateway.rule_cache))
-
-
-def run_latency_table(
-    iterations: int = 15,
-    concurrent_flows: int = 20,
-    device_count: int = 20,
-    seed: int = 0,
-) -> LatencyTable:
-    """Table V: probe latency for each device/server pair, filtering on vs off."""
-    table = LatencyTable()
-    gateway_filtering = _build_loaded_gateway(True, device_count, seed)
-    gateway_plain = _build_loaded_gateway(False, device_count, seed)
-    model_filtering = LatencyModel(seed=seed, device_offsets_ms=_DEVICE_OFFSETS_MS)
-    model_plain = LatencyModel(seed=seed + 1, device_offsets_ms=_DEVICE_OFFSETS_MS)
-
-    for source in TABLE_V_SOURCES:
-        for destination in TABLE_V_DESTINATIONS:
-            path = _PATH_OF_DESTINATION[destination]
-            with_filtering = model_filtering.sample_many(
-                path,
-                iterations,
-                gateway_processing_ms=_modelled_delay_ms(gateway_filtering),
-                concurrent_flows=concurrent_flows,
-                source_device=source,
-            )
-            without_filtering = model_plain.sample_many(
-                path,
-                iterations,
-                gateway_processing_ms=_modelled_delay_ms(gateway_plain),
-                concurrent_flows=concurrent_flows,
-                source_device=source,
-            )
-            table.rows.append(
-                (
-                    source,
-                    destination,
-                    float(with_filtering.mean()),
-                    float(with_filtering.std()),
-                    float(without_filtering.mean()),
-                    float(without_filtering.std()),
-                )
-            )
-    return table
+    with_filtering: float
+    without_filtering: float
+    unit: str
+    overhead_percent: float
+    base: str
 
 
 @dataclass
 class OverheadTable:
-    """Table VI: relative overhead of the filtering mechanism."""
+    """Table VI: what enabling filtering costs, per row against its named base."""
 
-    rows: dict[str, tuple[float, float]] = field(default_factory=dict)
+    rows: dict[str, OverheadRow] = field(default_factory=dict)
 
     def overhead_of(self, case: str) -> float:
-        return self.rows[case][0]
+        return self.rows[case].overhead_percent
 
 
 def run_overhead_table(
-    iterations: int = 15,
-    repetitions: int = 10,
-    concurrent_flows: int = 60,
+    path_latency_ms: float,
     device_count: int = 40,
-    seed: int = 0,
+    concurrent_flows: int = 60,
+    passes: int = 15,
+    packets_per_pass: int = 200,
 ) -> OverheadTable:
-    """Table VI: latency, CPU and memory overhead of enabling filtering."""
-    gateway_filtering = _build_loaded_gateway(True, device_count, seed)
-    gateway_plain = _build_loaded_gateway(False, device_count, seed)
-    resources_filtering = GatewayResourceModel(seed=seed)
-    resources_plain = GatewayResourceModel(seed=seed)
+    """Table VI: latency, CPU and memory overhead of enabling filtering.
 
-    latency_overheads_d1d2: list[float] = []
-    latency_overheads_d1d3: list[float] = []
-    cpu_overheads: list[float] = []
-    memory_overheads: list[float] = []
-
-    for repetition in range(repetitions):
-        model_filtering = LatencyModel(seed=seed + repetition, device_offsets_ms=_DEVICE_OFFSETS_MS)
-        model_plain = LatencyModel(seed=seed + repetition, device_offsets_ms=_DEVICE_OFFSETS_MS)
-        for bucket, source in ((latency_overheads_d1d2, "D2"), (latency_overheads_d1d3, "D3")):
-            with_filtering = model_filtering.sample_many(
-                PathType.WIRELESS_TO_WIRELESS,
-                iterations,
-                gateway_processing_ms=_modelled_delay_ms(gateway_filtering),
-                concurrent_flows=concurrent_flows,
-                source_device=source,
-            )
-            without_filtering = model_plain.sample_many(
-                PathType.WIRELESS_TO_WIRELESS,
-                iterations,
-                gateway_processing_ms=_modelled_delay_ms(gateway_plain),
-                concurrent_flows=concurrent_flows,
-                source_device=source,
-            )
-            bucket.append(
-                100.0 * (with_filtering.mean() - without_filtering.mean()) / without_filtering.mean()
-            )
-
-        cpu_with = resource_sample(
-            gateway_filtering, resources_filtering, concurrent_flows
-        ).cpu_percent
-        cpu_without = resource_sample(gateway_plain, resources_plain, concurrent_flows).cpu_percent
-        cpu_overheads.append(100.0 * (cpu_with - cpu_without) / cpu_without)
-
-        memory_with = resource_sample(
-            gateway_filtering, resources_filtering, concurrent_flows
-        ).memory_mb
-        memory_without = resource_sample(gateway_plain, resources_plain, concurrent_flows).memory_mb
-        memory_overheads.append(100.0 * (memory_with - memory_without) / memory_without)
-
+    The latency rows time D1's packets to D2 and to D3 and report the
+    added round-trip delay as a share of ``path_latency_ms``, the
+    device-to-device path latency without filtering (supplied by the
+    caller: this host has no radio path).  The CPU row compares CPU time
+    per call over ``concurrent_flows`` flows, the memory row the bytes
+    traced while onboarding ``device_count`` devices.
+    """
+    testbed = GatewayTestbed(device_count)
+    d1d2, d1d3, (filtering, plain) = testbed.time(
+        [
+            testbed.packets("D1", "D2", packets_per_pass),
+            testbed.packets("D1", "D3", packets_per_pass),
+            testbed.flows(concurrent_flows, packets_per_pass),
+        ],
+        passes,
+    )
     table = OverheadTable()
-    table.rows["D1D2 Latency"] = (float(np.mean(latency_overheads_d1d2)), float(np.std(latency_overheads_d1d2)))
-    table.rows["D1D3 Latency"] = (float(np.mean(latency_overheads_d1d3)), float(np.std(latency_overheads_d1d3)))
-    table.rows["CPU utilization"] = (float(np.mean(cpu_overheads)), float(np.std(cpu_overheads)))
-    table.rows["Memory usage"] = (float(np.mean(memory_overheads)), float(np.std(memory_overheads)))
+    for case, (on, off) in (("D1D2 Latency", d1d2), ("D1D3 Latency", d1d3)):
+        share = 100.0 * added_latency_share(on.wall_us, off.wall_us, path_latency_ms)
+        base = f"2 x added delay / {path_latency_ms:g} paper ms path latency"
+        table.rows[case] = OverheadRow(on.wall_us, off.wall_us, "measured µs", share, base)
+    overhead = 100.0 * (filtering.cpu_us - plain.cpu_us) / plain.cpu_us
+    table.rows["CPU utilization"] = OverheadRow(
+        filtering.cpu_us, plain.cpu_us, "measured µs CPU", overhead, "CPU per handle_packet call w/o filtering"
+    )
+    # Without filtering first: shared memos (MAC text) filled by the first
+    # run make the second one cheaper, which must not shrink the base.
+    plain_bytes = onboarding_memory(False, (device_count,))[0][0]
+    filtering_bytes = onboarding_memory(True, (device_count,))[0][0]
+    overhead = 100.0 * (filtering_bytes - plain_bytes) / plain_bytes
+    base = f"bytes traced onboarding {device_count} devices w/o filtering"
+    table.rows["Memory usage"] = OverheadRow(
+        filtering_bytes / 1024, plain_bytes / 1024, "measured KiB", overhead, base
+    )
     return table
 
 
@@ -458,94 +518,76 @@ class ResourceSeries:
         return self.series[name]
 
 
+def _flow_series(
+    flow_counts: Sequence[int], device_count: int, passes: int, packets_per_pass: int, clock: str
+) -> ResourceSeries:
+    """Per-packet cost (``clock``: ``"wall_us"`` or ``"cpu_us"``) at each flow count, one sweep per pass."""
+    testbed = GatewayTestbed(device_count)
+    costs = testbed.time([testbed.flows(count, packets_per_pass) for count in flow_counts], passes)
+    series = {
+        "With Filtering": [getattr(filtering, clock) for filtering, _ in costs],
+        "Without Filtering": [getattr(plain, clock) for _, plain in costs],
+    }
+    return ResourceSeries("concurrent_flows", [float(count) for count in flow_counts], series)
+
+
 def run_latency_vs_flows(
     flow_counts: Sequence[int] = tuple(range(20, 160, 10)),
-    iterations: int = 15,
     device_count: int = 20,
-    seed: int = 0,
+    passes: int = 25,
+    packets_per_pass: int = 200,
 ) -> ResourceSeries:
-    """Fig. 6a: device-to-device latency against the number of concurrent flows."""
-    gateway_filtering = _build_loaded_gateway(True, device_count, seed)
-    gateway_plain = _build_loaded_gateway(False, device_count, seed)
-    result = ResourceSeries(x_label="concurrent_flows", x_values=[float(count) for count in flow_counts])
-    for label, gateway, path in (
-        ("D1-D2 w/ filtering", gateway_filtering, PathType.WIRELESS_TO_WIRELESS),
-        ("D1-D2 w/o filtering", gateway_plain, PathType.WIRELESS_TO_WIRELESS),
-        ("D1-D3 w/ filtering", gateway_filtering, PathType.WIRELESS_TO_LOCAL_SERVER),
-        ("D1-D3 w/o filtering", gateway_plain, PathType.WIRELESS_TO_LOCAL_SERVER),
-    ):
-        model = LatencyModel(seed=seed, device_offsets_ms=_DEVICE_OFFSETS_MS)
-        values = []
-        for flow_count in flow_counts:
-            samples = model.sample_many(
-                path,
-                iterations,
-                gateway_processing_ms=_modelled_delay_ms(gateway),
-                concurrent_flows=int(flow_count),
-                source_device="D1",
-            )
-            values.append(float(samples.mean()))
-        result.series[label] = values
-    return result
+    """Fig. 6a: measured per-packet delay (µs) against the number of concurrent flows."""
+    return _flow_series(flow_counts, device_count, passes, packets_per_pass, "wall_us")
 
 
 def run_cpu_vs_flows(
-    flow_counts: Sequence[int] = tuple(range(0, 160, 10)),
+    flow_counts: Sequence[int] = tuple(range(20, 160, 10)),
     device_count: int = 20,
-    samples_per_point: int = 5,
-    seed: int = 0,
+    passes: int = 25,
+    packets_per_pass: int = 200,
 ) -> ResourceSeries:
-    """Fig. 6b: Security Gateway CPU utilisation against concurrent flows."""
-    gateway_filtering = _build_loaded_gateway(True, device_count, seed)
-    gateway_plain = _build_loaded_gateway(False, device_count, seed)
-    result = ResourceSeries(x_label="concurrent_flows", x_values=[float(count) for count in flow_counts])
-    for label, gateway in (("With Filtering", gateway_filtering), ("Without Filtering", gateway_plain)):
-        model = GatewayResourceModel(seed=seed)
-        values = []
-        for flow_count in flow_counts:
-            samples = [
-                resource_sample(gateway, model, int(flow_count)).cpu_percent
-                for _ in range(samples_per_point)
-            ]
-            values.append(float(np.mean(samples)))
-        result.series[label] = values
-    return result
+    """Fig. 6b: measured per-packet CPU time (µs) against the number of concurrent flows."""
+    return _flow_series(flow_counts, device_count, passes, packets_per_pass, "cpu_us")
+
+
+#: Series names of :func:`run_memory_vs_rules`.
+MEMORY_WITH, MEMORY_WITHOUT = "w/ filtering (measured MiB)", "w/o filtering (measured MiB)"
+RULES_WITH, RULES_WITHOUT = "w/ filtering switch rules", "w/o filtering switch rules"
+DELAY_WITH, DELAY_WITHOUT = "w/ filtering (measured µs/packet)", "w/o filtering (measured µs/packet)"
+DELAY_REFERENCE = "reference w/ filtering (measured µs/packet)"
 
 
 def run_memory_vs_rules(
-    rule_counts: Sequence[int] = (0, 2500, 5000, 7500, 10000, 12500, 15000, 17500, 20000),
-    samples_per_point: int = 5,
-    seed: int = 0,
+    rule_counts: Sequence[int] = (40, 2500, 5000, 7500, 10000, 12500, 15000, 17500, 20000),
+    passes: int = 15,
+    packets_per_pass: int = 450,
 ) -> ResourceSeries:
-    """Fig. 6c: Security Gateway memory against the number of enforcement rules."""
-    result = ResourceSeries(x_label="enforcement_rules", x_values=[float(count) for count in rule_counts])
-    model_filtering = GatewayResourceModel(seed=seed)
-    model_plain = GatewayResourceModel(seed=seed + 1)
-    values_filtering = []
-    values_plain = []
-    for rule_count in rule_counts:
-        values_filtering.append(
-            float(
-                np.mean(
-                    [
-                        model_filtering.memory_usage_mb(int(rule_count), filtering_enabled=True)
-                        for _ in range(samples_per_point)
-                    ]
-                )
-            )
-        )
-        values_plain.append(
-            float(
-                np.mean(
-                    [
-                        model_plain.memory_usage_mb(int(rule_count), filtering_enabled=False)
-                        for _ in range(samples_per_point)
-                    ]
-                )
-            )
-        )
-    result.series["With Filtering"] = values_filtering
-    result.series["Without Filtering"] = values_plain
+    """Fig. 6c: memory, switch rules and per-packet delay against cached enforcement rules.
+
+    Each device holds one cached enforcement rule, so a gateway reaches
+    each count by onboarding that many devices; memory is
+    :func:`onboarding_memory`'s.  The per-packet ``handle_packet`` time of
+    Table V's pairs comes from a second, untraced growth (tracing slows
+    every allocation); the same passes time a reference gateway that keeps
+    the first count, so growth is compared under the same host load.
+    """
+    result = ResourceSeries("enforcement_rules", [float(count) for count in rule_counts])
+    modes = ((False, MEMORY_WITHOUT, RULES_WITHOUT), (True, MEMORY_WITH, RULES_WITH))
+    for filtering_enabled, memory, rules in modes:
+        points = onboarding_memory(filtering_enabled, rule_counts)
+        result.series[memory] = [traced / 2**20 for traced, _ in points]
+        result.series[rules] = [float(installed) for _, installed in points]
+    testbed, reference = GatewayTestbed(0), GatewayTestbed(rule_counts[0]).filtering
+    per_pair = packets_per_pass // len(_TABLE_V_PAIRS)
+    packets = [packet for pair in _TABLE_V_PAIRS for packet in testbed.packets(*pair, per_pair)]
+    delays = []
+    for count in rule_counts:
+        testbed.grow(count)
+        lanes = [(gateway, packets) for gateway in (testbed.filtering, testbed.plain, reference)]
+        delays.append(_median_costs(lanes, passes))
+    for name, column in zip((DELAY_WITH, DELAY_WITHOUT, DELAY_REFERENCE), zip(*delays)):
+        result.series[name] = [cost.wall_us for cost in column]
     return result
 
 

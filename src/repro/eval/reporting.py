@@ -6,6 +6,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.eval.experiments import OverheadRow, added_latency_share
+
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     """Render an ASCII table with left-aligned first column."""
@@ -48,28 +50,32 @@ def format_timing_table(timing_rows: Mapping[str, tuple[float, float]]) -> str:
     return format_table(["step", "mean", "stdev"], rows)
 
 
-def format_latency_table(rows: Sequence[tuple[str, str, float, float, float, float]]) -> str:
-    """Table V: latency per source/destination pair with and without filtering."""
-    formatted = [
-        (
-            source,
-            destination,
-            f"{filtering_mean:.1f} (+/-{filtering_std:.1f})",
-            f"{plain_mean:.1f} (+/-{plain_std:.1f})",
-        )
-        for source, destination, filtering_mean, filtering_std, plain_mean, plain_std in rows
-    ]
-    return format_table(
-        ["source", "destination", "filtering mean (ms)", "no filtering mean (ms)"], formatted
-    )
+def format_latency_table(
+    rows: Sequence[tuple[str, str, float, float]], path_latency_ms: Mapping[str, float]
+) -> str:
+    """Table V: measured per-packet gateway delay per pair beside the paper's path latency.
+
+    ``path_latency_ms`` maps each destination to the path's latency
+    without filtering, a figure cited from the paper.
+    """
+    formatted = []
+    for source, destination, filtering_us, plain_us in rows:
+        path_ms = path_latency_ms[destination]
+        share = 100.0 * added_latency_share(filtering_us, plain_us, path_ms)
+        cells = (f"{filtering_us:.2f}", f"{plain_us:.2f}", f"{path_ms:.1f}", f"{share:+.3f}%")
+        formatted.append((source, destination, *cells))
+    headers = ["source", "destination", "w/ filtering (measured µs)", "w/o filtering (measured µs)"]
+    return format_table(headers + ["path w/o filtering (paper ms)", "2 x added / path"], formatted)
 
 
-def format_overhead_table(rows: Mapping[str, tuple[float, float]]) -> str:
-    """Table VI: relative overhead of the filtering mechanism."""
+def format_overhead_table(rows: Mapping[str, OverheadRow]) -> str:
+    """Table VI: each row's measured values and its overhead against a named base."""
     formatted = [
-        (case, f"+{mean:.2f}%", f"(+/-{stdev:.2f}%)") for case, (mean, stdev) in rows.items()
+        (case, f"{row.with_filtering:.2f}", f"{row.without_filtering:.2f}", row.unit,
+         f"{row.overhead_percent:+.3f}%", row.base)
+        for case, row in rows.items()
     ]
-    return format_table(["case", "overhead mean", "stdev"], formatted)
+    return format_table(["case", "w/ filtering", "w/o filtering", "unit", "overhead", "base"], formatted)
 
 
 def format_series(

@@ -1,28 +1,5 @@
-"""Simulation substrate for the enforcement evaluation.
-
-The paper measures its enforcement mechanism on a Raspberry Pi 2 gateway
-(latency between device pairs, CPU utilisation, memory consumption, as a
-function of concurrent flows and enforcement-rule count).  That hardware is
-not available here, so this subpackage provides calibrated models: a
-simulated clock, a latency model for the network paths of Fig. 4, and a
-CPU/memory resource model of the gateway process.  The models are
-parameterised by the same quantities the real system depends on (number of
-concurrent flows, rule-cache size, whether filtering is enabled), so the
-*relative* overheads the paper reports are reproduced by construction of
-the mechanism, not hard-coded per experiment.
-"""
+"""The simulated clock that stamps the gateway's and the streaming pipeline's events."""
 
 from repro.simulation.clock import SimulatedClock
-from repro.simulation.latency import LatencyModel, PathType
-from repro.simulation.resources import GatewayResourceModel, ResourceSample
-from repro.simulation.workload import ConcurrentFlowWorkload, FlowSpec
 
-__all__ = [
-    "SimulatedClock",
-    "LatencyModel",
-    "PathType",
-    "GatewayResourceModel",
-    "ResourceSample",
-    "ConcurrentFlowWorkload",
-    "FlowSpec",
-]
+__all__ = ["SimulatedClock"]

@@ -11,10 +11,10 @@ from repro.exceptions import SimulationError
 class SimulatedClock:
     """A monotonically advancing simulated clock (seconds).
 
-    The Security Gateway, switch and workload generator all read the same
-    clock instance so that packet timestamps, rule installation times and
-    measurement windows are mutually consistent without relying on wall
-    time (which would make tests flaky).
+    The Security Gateway and the streaming pipeline read the same clock
+    instance so that packet timestamps and rule installation times are
+    mutually consistent without relying on wall time (which would make
+    tests flaky).
     """
 
     current_time: float = 0.0

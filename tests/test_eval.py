@@ -1,13 +1,24 @@
 """Tests for the evaluation harness (table/figure runners and reporting)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.devices.catalog import DEVICE_CATALOG
-from repro.devices.simulator import SetupTrafficSimulator
 from repro.eval.experiments import (
+    DELAY_REFERENCE,
+    DELAY_WITH,
+    DELAY_WITHOUT,
+    MEMORY_WITH,
+    MEMORY_WITHOUT,
+    RULES_WITH,
+    RULES_WITHOUT,
+    TABLE_V_DESTINATIONS,
+    TABLE_V_SOURCES,
+    GatewayTestbed,
+    OverheadRow,
+    added_latency_share,
     evaluate_identification,
-    resource_sample,
     run_ablation,
     run_cpu_vs_flows,
     run_latency_table,
@@ -27,10 +38,7 @@ from repro.eval.reporting import (
     format_timing_table,
 )
 from repro.gateway.security_gateway import SecurityGateway
-from repro.security_service.service import IoTSecurityService
-from repro.simulation.resources import GatewayResourceModel
-
-from tests.conftest import onboard_trace
+from repro.security_service.isolation import IsolationLevel
 
 
 @pytest.fixture(scope="module")
@@ -93,67 +101,108 @@ class TestTimingExperiment:
         assert all_types > single
 
 
-class TestEnforcementExperiments:
-    def test_latency_table_shape(self):
-        table = run_latency_table(iterations=5, seed=0)
-        assert len(table.rows) == 9
-        for source, destination, f_mean, f_std, p_mean, p_std in table.rows:
-            assert source in ("D1", "D2", "D3")
-            assert f_mean > 0 and p_mean > 0
-            # Filtering overhead must stay small (the paper's headline claim).
-            assert abs(f_mean - p_mean) / p_mean < 0.25
+#: Small sizes for the measured enforcement runners.
+_QUICK = {"passes": 3, "packets_per_pass": 18}
 
-    def test_latency_table_row_lookup(self):
-        table = run_latency_table(iterations=5, seed=0)
-        row = table.row("D1", "D4")
-        assert len(row) == 4
+
+class TestEnforcementExperiments:
+    def test_testbed_onboards_levels_in_turn(self):
+        testbed = GatewayTestbed(7)
+        trusted, restricted, strict = IsolationLevel.TRUSTED, IsolationLevel.RESTRICTED, IsolationLevel.STRICT
+        for gateway in (testbed.filtering, testbed.plain):
+            levels = [record.isolation_level for record in gateway.devices.values()]
+            assert levels == [trusted, restricted, strict, trusted, restricted, strict, trusted]
+            assert len(gateway.rule_cache) == 7
+        # Trusted and strict devices get one switch rule, restricted two.
+        assert testbed.filtering.switch.rule_count == 9
+        assert testbed.plain.switch.rule_count == 0
+        testbed.grow(10)
+        assert len(testbed.filtering.devices) == len(testbed.plain.devices) == 10
+
+    def test_filtering_drops_strict_remote_traffic(self):
+        testbed = GatewayTestbed(4)
+        (packet,) = testbed.packets("D3", "S_remote", 1)
+        assert testbed.filtering.handle_packet(packet).dropped
+        assert testbed.plain.handle_packet(packet).forwarded
+        # The restricted source may reach its allow-listed remote server.
+        (packet,) = testbed.packets("D2", "S_remote", 1)
+        assert testbed.filtering.handle_packet(packet).forwarded
+
+    @pytest.mark.parametrize(
+        "runner, kwargs, calls_per_mode",
+        [
+            # One warm-up and three timed passes of 18 packets per lane:
+            # Table V has nine pairs, Table VI three packet lists, the flow
+            # sweeps one list per flow count.  Fig. 6c times 18 packets at
+            # each of two points on its filtering, plain and reference
+            # (filtering) gateways.
+            (run_latency_table, {"device_count": 4}, (9 * 4 * 18, 9 * 4 * 18)),
+            (run_overhead_table, {"path_latency_ms": 25.5, "device_count": 6}, (3 * 4 * 18, 3 * 4 * 18)),
+            (run_latency_vs_flows, {"flow_counts": (20, 40), "device_count": 6}, (2 * 4 * 18, 2 * 4 * 18)),
+            (run_cpu_vs_flows, {"flow_counts": (20, 40), "device_count": 6}, (2 * 4 * 18, 2 * 4 * 18)),
+            (run_memory_vs_rules, {"rule_counts": (6, 12)}, (2 * 2 * 4 * 18, 2 * 4 * 18)),
+        ],
+        ids=["table5", "table6", "fig6a", "fig6b", "fig6c"],
+    )
+    def test_every_runner_routes_packets_through_handle_packet(
+        self, monkeypatch, runner, kwargs, calls_per_mode
+    ):
+        calls: Counter = Counter()
+        handle_packet = SecurityGateway.handle_packet
+
+        def counting(gateway, packet, ingress_port=None):
+            calls[gateway.filtering_enabled] += 1
+            return handle_packet(gateway, packet, ingress_port)
+
+        monkeypatch.setattr(SecurityGateway, "handle_packet", counting)
+        runner(**kwargs, **_QUICK)
+        assert (calls[True], calls[False]) == calls_per_mode
+
+    def test_latency_table_rows(self):
+        table = run_latency_table(device_count=4, **_QUICK)
+        assert [row[:2] for row in table.rows] == [
+            (source, destination) for source in TABLE_V_SOURCES for destination in TABLE_V_DESTINATIONS
+        ]
+        for _, _, filtering_us, plain_us in table.rows:
+            assert filtering_us > 0 and plain_us > 0
+        assert table.row("D1", "D4") == table.rows[0][2:]
         with pytest.raises(KeyError):
             table.row("D9", "D4")
 
-    def test_overhead_table_in_paper_range(self):
-        table = run_overhead_table(iterations=10, repetitions=5, seed=1)
-        assert set(table.rows) == {"D1D2 Latency", "D1D3 Latency", "CPU utilization", "Memory usage"}
-        assert -2.0 < table.overhead_of("D1D2 Latency") < 15.0
-        assert 0.0 <= table.overhead_of("CPU utilization") < 5.0
-        assert 0.0 <= table.overhead_of("Memory usage") < 20.0
+    def test_added_latency_share_counts_both_traversals(self):
+        # 2 x (9 - 4) µs = 10 µs of a 20 ms path.
+        assert added_latency_share(9.0, 4.0, 20.0) == pytest.approx(0.0005)
 
-    def test_latency_vs_flows_series(self):
-        series = run_latency_vs_flows(flow_counts=(20, 80, 140), iterations=5, seed=0)
-        assert len(series.x_values) == 3
-        assert set(series.series) == {
-            "D1-D2 w/ filtering",
-            "D1-D2 w/o filtering",
-            "D1-D3 w/ filtering",
-            "D1-D3 w/o filtering",
-        }
+    def test_overhead_table_rows(self):
+        table = run_overhead_table(path_latency_ms=25.5, device_count=6, **_QUICK)
+        assert set(table.rows) == {"D1D2 Latency", "D1D3 Latency", "CPU utilization", "Memory usage"}
+        latency = table.rows["D1D2 Latency"]
+        assert table.overhead_of("D1D2 Latency") == pytest.approx(
+            100.0 * added_latency_share(latency.with_filtering, latency.without_filtering, 25.5)
+        )
+        assert table.rows["CPU utilization"].unit == "measured µs CPU"
+        # Filtering installs switch rules on top of the same onboarding.
+        assert table.overhead_of("Memory usage") > 0.0
+
+    @pytest.mark.parametrize("runner", [run_latency_vs_flows, run_cpu_vs_flows])
+    def test_flow_series(self, runner):
+        series = runner(flow_counts=(20, 80, 140), device_count=6, **_QUICK)
+        assert series.x_values == [20.0, 80.0, 140.0]
+        assert set(series.series) == {"With Filtering", "Without Filtering"}
         for values in series.series.values():
             assert len(values) == 3
             assert all(value > 0 for value in values)
 
-    def test_cpu_vs_flows_monotone_trend(self):
-        series = run_cpu_vs_flows(flow_counts=(0, 150), samples_per_point=10, seed=0)
-        with_filtering = series.series_of("With Filtering")
-        without_filtering = series.series_of("Without Filtering")
-        assert with_filtering[1] > with_filtering[0]
-        assert without_filtering[1] > without_filtering[0]
-        assert with_filtering[1] < 60  # Fig. 6b stays well below saturation
-
-    def test_resource_sample_reflects_rule_cache(self, trained_identifier):
-        gateway = SecurityGateway()
-        trace = SetupTrafficSimulator(seed=831).simulate(DEVICE_CATALOG["EdnetCam"])
-        onboard_trace(gateway, IoTSecurityService(identifier=trained_identifier), trace)
-        sample = resource_sample(gateway, GatewayResourceModel(seed=0), concurrent_flows=50)
-        assert sample.filtering_enabled
-        assert sample.enforcement_rules == len(gateway.rule_cache)
-        assert 0 < sample.cpu_percent <= 100
-        assert sample.memory_mb > 0
-
-    def test_memory_vs_rules_grows_only_with_filtering(self):
-        series = run_memory_vs_rules(rule_counts=(0, 20000), samples_per_point=5, seed=0)
-        filtering = series.series_of("With Filtering")
-        plain = series.series_of("Without Filtering")
-        assert filtering[1] - filtering[0] > 20
-        assert abs(plain[1] - plain[0]) < 10
+    def test_memory_vs_rules_installs_switch_rules_only_with_filtering(self):
+        series = run_memory_vs_rules(rule_counts=(6, 30), **_QUICK)
+        assert series.x_values == [6.0, 30.0]
+        assert series.series_of(RULES_WITHOUT) == [0.0, 0.0]
+        assert series.series_of(RULES_WITH) == [8.0, 40.0]
+        with_filtering, without = series.series_of(MEMORY_WITH), series.series_of(MEMORY_WITHOUT)
+        assert with_filtering[1] > with_filtering[0] > 0
+        assert all(plain < filtering for plain, filtering in zip(without, with_filtering))
+        for name in (DELAY_WITH, DELAY_WITHOUT, DELAY_REFERENCE):
+            assert all(value > 0 for value in series.series_of(name))
 
     def test_ablation(self, small_dataset):
         result = run_ablation(small_dataset, n_splits=3, n_estimators=5, random_state=0)
@@ -185,10 +234,16 @@ class TestReporting:
         assert "1.500 ms" in text
 
     def test_format_latency_and_overhead(self):
-        latency = format_latency_table([("D1", "D4", 24.8, 1.4, 24.5, 1.4)])
-        overhead = format_overhead_table({"CPU utilization": (0.63, 1.8)})
+        latency = format_latency_table([("D1", "D4", 9.2, 3.7)], {"D4": 25.5})
+        overhead = format_overhead_table(
+            {"CPU utilization": OverheadRow(9.0, 3.6, "measured µs CPU", 150.0, "CPU per call w/o filtering")}
+        )
         assert "D1" in latency
-        assert "+0.63%" in overhead
+        assert "measured µs" in latency and "paper ms" in latency
+        # 2 x (9.2 - 3.7) µs of a 25.5 ms path.
+        assert "+0.043%" in latency
+        assert "+150.000%" in overhead
+        assert "measured µs CPU" in overhead and "CPU per call w/o filtering" in overhead
 
     def test_format_series(self):
         text = format_series("flows", [10, 20], {"With Filtering": [1.0, 2.0], "Without": [1.0, 1.5]})
