@@ -1,10 +1,14 @@
 """Tests for the evaluation harness (table/figure runners and reporting)."""
 
+import gc
+import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.eval import experiments
 from repro.eval.experiments import (
     DELAY_REFERENCE,
     DELAY_WITH,
@@ -18,7 +22,9 @@ from repro.eval.experiments import (
     GatewayTestbed,
     OverheadRow,
     added_latency_share,
+    DatapathCost,
     evaluate_identification,
+    onboarding_memory,
     run_ablation,
     run_cpu_vs_flows,
     run_latency_table,
@@ -209,6 +215,179 @@ class TestEnforcementExperiments:
         assert "full pipeline" in result.accuracies
         assert "without edit-distance discrimination" in result.accuracies
         assert all(0.0 <= accuracy <= 1.0 for accuracy in result.accuracies.values())
+
+
+def _fake_clocks(monkeypatch, wall_ns, cpu_ns, load=lambda call: 1):
+    """Make ``handle_packet`` advance fake clocks by a fixed per-packet cost.
+
+    ``wall_ns`` and ``cpu_ns`` map ``filtering_enabled`` to a packet's cost;
+    ``load(call)`` scales the cost of the ``call``-th packet (counted from 1).
+    """
+    clocks = {"wall": 0, "cpu": 0, "calls": 0}
+
+    def handle_packet(gateway, packet, ingress_port=None):
+        clocks["calls"] += 1
+        clocks["wall"] += wall_ns[gateway.filtering_enabled] * load(clocks["calls"])
+        clocks["cpu"] += cpu_ns[gateway.filtering_enabled] * load(clocks["calls"])
+
+    monkeypatch.setattr(SecurityGateway, "handle_packet", handle_packet)
+    fake_time = SimpleNamespace(
+        perf_counter_ns=lambda: clocks["wall"], process_time_ns=lambda: clocks["cpu"]
+    )
+    monkeypatch.setattr(experiments, "time", fake_time)
+
+
+class TestGatewayTestbed:
+    @pytest.mark.parametrize(
+        "source, destination, forwarded",
+        [
+            # D1 is trusted, D2 restricted to the remote server, D3 strict.
+            ("D1", "D4", True),
+            ("D1", "S_local", True),
+            ("D1", "S_remote", True),
+            ("D2", "D4", False),
+            ("D2", "S_local", False),
+            ("D2", "S_remote", True),
+            ("D3", "D4", False),
+            ("D3", "S_local", False),
+            ("D3", "S_remote", False),
+        ],
+    )
+    def test_filtering_verdict_per_table_v_pair(self, source, destination, forwarded):
+        testbed = GatewayTestbed(4)
+        (packet,) = testbed.packets(source, destination, 1)
+        assert testbed.filtering.handle_packet(packet).forwarded is forwarded
+        assert testbed.plain.handle_packet(packet).forwarded
+
+    def test_packets_of_a_pair(self):
+        packets = GatewayTestbed(4).packets("D2", "S_remote", 5)
+        assert [packet.tcp.src_port for packet in packets] == list(range(49152, 49157))
+        for packet in packets:
+            assert packet.ethernet.src == packets[0].ethernet.src
+            endpoints = (packet.ipv4.src, packet.ipv4.dst, packet.tcp.dst_port)
+            assert endpoints == ("10.0.0.2", "52.28.10.10", 443)
+        # D2 is device 1; the remote server is reached through the router's MAC.
+        assert str(packets[0].ethernet.src) == "02:16:3e:00:00:01"
+        assert str(packets[0].ethernet.dst) == "02:00:00:00:00:01"
+
+    def test_flows_are_taken_in_turn(self):
+        packets = GatewayTestbed(4).flows(7, 16)
+        assert len(packets) == 16
+        assert [packet.tcp.src_port for packet in packets[:7]] == list(range(49152, 49159))
+        for index, packet in enumerate(packets):
+            assert packet is packets[index % 7]
+
+    def test_flows_meet_every_destination_kind(self):
+        packets = GatewayTestbed(4).flows(9, 9)
+        # Flows 0-2 go to the next device, 3-5 to the local server, 6-8 to the remote one.
+        assert [packet.ipv4.dst for packet in packets] == [
+            "10.0.0.2", "10.0.0.3", "10.0.0.4",
+            "192.168.0.2", "192.168.0.2", "192.168.0.2",
+            "52.28.10.10", "52.28.10.10", "52.28.10.10",
+        ]
+        # Flow k starts at device k modulo the four devices.
+        assert [packet.ipv4.src for packet in packets] == [f"10.0.0.{k % 4 + 1}" for k in range(9)]
+
+    def test_device_addresses_stay_distinct_past_one_octet(self):
+        testbed = GatewayTestbed(300)
+        packets = testbed.flows(300, 300)
+        assert len({packet.ipv4.src for packet in packets}) == 300
+        assert len({packet.ethernet.src for packet in packets}) == 300
+        assert packets[255].ipv4.src == "10.0.1.0"
+        assert len(testbed.filtering.devices) == len(testbed.plain.devices) == 300
+
+    def test_grow_keeps_the_larger_count(self):
+        testbed = GatewayTestbed(7)
+        testbed.grow(3)
+        assert testbed.device_count == 7
+        assert len(testbed.filtering.devices) == len(testbed.plain.devices) == 7
+        assert testbed.filtering.switch.rule_count == 9
+
+    def test_passes_alternate_lane_order(self, monkeypatch):
+        order = []
+        handle_packet = SecurityGateway.handle_packet
+
+        def recording(gateway, packet, ingress_port=None):
+            order.append((gateway.filtering_enabled, packet.ipv4.src))
+            return handle_packet(gateway, packet, ingress_port)
+
+        monkeypatch.setattr(SecurityGateway, "handle_packet", recording)
+        testbed = GatewayTestbed(4)
+        testbed.time([testbed.packets("D1", "D4", 1), testbed.packets("D2", "D4", 1)], passes=2)
+        lanes = [(True, "10.0.0.1"), (False, "10.0.0.1"), (True, "10.0.0.2"), (False, "10.0.0.2")]
+        # The warm-up (pass -1) and pass 1 run backwards, pass 0 forwards.
+        assert order == lanes[::-1] + lanes + lanes[::-1]
+
+    def test_time_reports_per_packet_microseconds(self, monkeypatch):
+        _fake_clocks(
+            monkeypatch, wall_ns={True: 3000, False: 1000}, cpu_ns={True: 2000, False: 500}
+        )
+        testbed = GatewayTestbed(4)
+        packet_lists = [testbed.packets("D1", "D4", 2), testbed.packets("D3", "D4", 5)]
+        costs = testbed.time(packet_lists, passes=3)
+        expected = (DatapathCost(3.0, 2.0), DatapathCost(1.0, 0.5))
+        assert costs == [expected, expected]
+
+    def test_median_ignores_warm_up_and_one_slow_pass(self, monkeypatch):
+        # One list of two packets: the warm-up runs the plain lane (calls 1-2)
+        # then the filtering lane (calls 3-4); pass 0 starts with filtering.
+        _fake_clocks(
+            monkeypatch,
+            wall_ns={True: 3000, False: 1000},
+            cpu_ns={True: 2000, False: 500},
+            load=lambda call: 100 if 3 <= call <= 6 else 1,
+        )
+        testbed = GatewayTestbed(4)
+        ((filtering, plain),) = testbed.time([testbed.packets("D1", "D4", 2)], passes=3)
+        assert filtering == DatapathCost(3.0, 2.0)
+        assert plain == DatapathCost(1.0, 0.5)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_timing_runs_without_gc_and_restores_it(self, monkeypatch, enabled):
+        seen = []
+        handle_packet = SecurityGateway.handle_packet
+
+        def recording(gateway, packet, ingress_port=None):
+            seen.append(gc.isenabled())
+            return handle_packet(gateway, packet, ingress_port)
+
+        monkeypatch.setattr(SecurityGateway, "handle_packet", recording)
+        testbed = GatewayTestbed(4)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            testbed.time([testbed.packets("D1", "D4", 2)], passes=1)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen and not any(seen)
+
+    def test_timing_restores_gc_after_an_error(self, monkeypatch):
+        def failing(gateway, packet, ingress_port=None):
+            raise RuntimeError("datapath fault")
+
+        monkeypatch.setattr(SecurityGateway, "handle_packet", failing)
+        testbed = GatewayTestbed(4)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="datapath fault"):
+            testbed.time([testbed.packets("D1", "D4", 1)], passes=1)
+        assert gc.isenabled()
+
+    def test_onboarding_memory_counts_switch_rules_per_level(self):
+        # Every three devices (trusted, restricted, strict) install four rules.
+        filtering = onboarding_memory(True, (3, 6))
+        plain = onboarding_memory(False, (3, 6))
+        assert [rules for _, rules in filtering] == [4, 8]
+        assert [rules for _, rules in plain] == [0, 0]
+        assert filtering[1][0] > filtering[0][0] > 0
+        assert plain[1][0] > plain[0][0] > 0
+        assert not tracemalloc.is_tracing()
+
+    def test_overhead_table_names_each_base(self):
+        table = run_overhead_table(path_latency_ms=25.5, device_count=6, **_QUICK)
+        assert table.rows["D1D2 Latency"].base == "2 x added delay / 25.5 paper ms path latency"
+        assert table.rows["D1D3 Latency"].unit == "measured µs"
+        assert table.rows["Memory usage"].base == "bytes traced onboarding 6 devices w/o filtering"
+        assert table.rows["Memory usage"].unit == "measured KiB"
 
 
 class TestReporting:
