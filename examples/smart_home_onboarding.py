@@ -66,6 +66,10 @@ def main() -> None:
         # lease the simulator handed out.
         ips[trace.device_mac] = trace.device_ip
 
+    def allowed_destinations(record):
+        rule = gateway.rule_cache.lookup(record.mac)
+        return rule.allowed_destinations if rule is not None else ()
+
     rows = []
     for actual, record in records:
         rows.append(
@@ -74,7 +78,7 @@ def main() -> None:
                 record.device_type,
                 record.isolation_level.value,
                 record.overlay.value,
-                len(record.enforcement_rule.allowed_destinations) if record.enforcement_rule else 0,
+                len(allowed_destinations(record)),
                 record.vulnerability_count,
             )
         )
@@ -98,11 +102,11 @@ def main() -> None:
     )
 
     probes = []
-    if restricted is not None and restricted.enforcement_rule.allowed_destinations:
+    if restricted is not None and allowed_destinations(restricted):
         probes.append(
             ("restricted device -> its vendor cloud",
              make_tcp_packet(restricted.mac, external, ips[restricted.mac],
-                             restricted.enforcement_rule.allowed_destinations[0], dst_port=443))
+                             allowed_destinations(restricted)[0], dst_port=443))
         )
         probes.append(
             ("restricted device -> arbitrary internet host",

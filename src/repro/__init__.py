@@ -25,8 +25,9 @@ The package is organised in layers that mirror the paper's system design:
   sources, sharded incremental fingerprint assembly, batched/cached
   dispatch and the bridge into gateway enforcement.
 * :mod:`repro.sdn`, :mod:`repro.gateway`, :mod:`repro.security_service` --
-  the enforcement half of the paper: OpenFlow-like switch and controller,
-  Security Gateway with enforcement-rule cache and isolation overlays, and
+  the enforcement half of the paper: OpenFlow-like switch, Security
+  Gateway (the switch's packet-in handler) with its MAC-keyed
+  enforcement-rule table and isolation overlays, and
   the IoT Security Service with its vulnerability repository.
 * :mod:`repro.simulation` -- the simulated clock shared by the gateway and
   the streaming pipeline.

@@ -443,7 +443,7 @@ def build_gateway(config: GatewayConfig) -> GatewayHandle:
     identifier = coordinator.identifier
 
     security_service = IoTSecurityService(identifier=identifier)
-    gateway = SecurityGateway(clock=clock, name=config.name)
+    gateway = SecurityGateway(clock=clock)
     sink = GatewayEnforcementSink(
         gateway=gateway,
         security_service=security_service,

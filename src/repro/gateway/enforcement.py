@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions import EnforcementError
@@ -35,8 +34,8 @@ class EnforcementRule:
     Rules are keyed by the device's MAC address (IoT devices are assumed to
     use static MACs).  For the *restricted* level the rule carries the set
     of permitted remote IP addresses through which the device may reach its
-    vendor cloud.  ``rule_hash`` is the identifier under which the rule is
-    stored in the gateway's rule cache.
+    vendor cloud.  The gateway's rule cache holds the one copy of each
+    device's rule.
     """
 
     device_mac: MACAddress
@@ -48,19 +47,6 @@ class EnforcementRule:
     def __post_init__(self) -> None:
         if self.isolation_level is IsolationLevel.TRUSTED and self.allowed_destinations:
             raise EnforcementError("trusted devices do not carry destination allow-lists")
-
-    @property
-    def rule_hash(self) -> str:
-        """Stable hash used as the cache key of this rule (cf. Fig. 2)."""
-        digest = hashlib.sha1(
-            f"{self.device_mac}|{self.isolation_level.value}|{','.join(self.allowed_destinations)}".encode()
-        )
-        return digest.hexdigest()[:16]
-
-    @property
-    def estimated_size_bytes(self) -> int:
-        """Approximate in-memory footprint of the cached rule."""
-        return 96 + 18 * len(self.allowed_destinations)
 
     def permits_destination(self, destination_ip: str) -> bool:
         """True when a restricted device may contact ``destination_ip``."""
@@ -194,18 +180,20 @@ def enforcement_plan(assessment: "SecurityAssessment") -> EnforcementPlan:
 
 @dataclass
 class DeviceRecord:
-    """Everything the Security Gateway knows about one connected device."""
+    """What the Security Gateway knows about one connected device.
+
+    Its enforcement rule lives in the gateway's rule cache, under the
+    same MAC.
+    """
 
     mac: MACAddress
     ip_address: Optional[str] = None
     device_type: str = "unknown"
     isolation_level: IsolationLevel = IsolationLevel.STRICT
     overlay: NetworkOverlay = NetworkOverlay.UNTRUSTED
-    enforcement_rule: Optional[EnforcementRule] = None
     connected_at: float = 0.0
     last_seen_at: float = 0.0
     vulnerability_count: int = 0
-    notes: dict = field(default_factory=dict)
 
     @property
     def is_identified(self) -> bool:

@@ -1,120 +1,57 @@
 """The enforcement-rule cache of the Security Gateway.
 
-The paper stores enforcement rules in a hash-table structure so that the
-per-flow lookup cost stays constant as the cache grows, and notes that the
-memory used by the cache can be bounded by evicting rules of devices that
-are no longer connected.  This class models exactly that: a dict-backed
-store keyed by device MAC, with hit/miss statistics, a memory estimate and
-an eviction policy for stale entries.
+The paper stores enforcement rules in a hash-table structure keyed by
+device MAC (Fig. 2), so that the per-flow lookup cost stays constant as
+the cache grows.  This class is exactly that table, with the counters the
+observability hub reads.  A rule leaves it only when its device leaves
+the gateway (:meth:`SecurityGateway.disconnect_device
+<repro.gateway.security_gateway.SecurityGateway.disconnect_device>`), so
+the cache never holds a rule for a device the gateway has forgotten, nor
+forgets one whose device is still connected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.exceptions import EnforcementError
 from repro.gateway.enforcement import EnforcementRule
 from repro.net.addresses import MACAddress
-
-#: ``reason`` values passed to :attr:`EnforcementRuleCache.on_evict`.
-EVICT_CAPACITY = "capacity"
-EVICT_STALE = "stale"
 
 
 @dataclass
 class EnforcementRuleCache:
-    """A hash-table cache of per-device enforcement rules.
+    """A hash table of per-device enforcement rules, keyed by device MAC."""
 
-    Attributes:
-        max_entries: optional hard cap; inserting beyond it evicts the
-            least-recently-used entry.
-        on_evict: optional callback ``(mac, reason)`` invoked whenever the
-            cache evicts a rule on its own initiative -- ``reason`` is
-            ``"capacity"`` (LRU pressure; the device may well still be
-            connected) or ``"stale"`` (idle beyond ``max_idle_seconds``;
-            the device has very likely left the network).  The Security
-            Gateway uses the stale signal to tell the lifecycle
-            coordinator to stop re-identifying departed devices.
-            Explicit :meth:`remove` calls do not fire it (the remover
-            already knows).
-    """
-
-    max_entries: Optional[int] = None
-    on_evict: Optional[Callable[[MACAddress, str], None]] = None
     _rules: dict[MACAddress, EnforcementRule] = field(default_factory=dict)
-    _last_access: dict[MACAddress, float] = field(default_factory=dict)
     lookups: int = 0
     hits: int = 0
     insertions: int = 0
     replacements: int = 0
-    evictions: int = 0
 
-    def __post_init__(self) -> None:
-        if self.max_entries is not None and self.max_entries <= 0:
-            raise EnforcementError("max_entries must be positive when set")
-
-    # ------------------------------------------------------------------ #
-    # Store / evict.
-    # ------------------------------------------------------------------ #
-    def store(self, rule: EnforcementRule, now: float = 0.0) -> None:
+    def store(self, rule: EnforcementRule) -> None:
         """Insert or replace the rule of a device.
 
         A replacement (rule upgrade of an already-cached device) is
         counted under ``replacements``, not ``insertions`` -- the latter
         tracks cache growth, and conflating the two overstated it.
         """
-        replacing = rule.device_mac in self._rules
-        if self.max_entries is not None and not replacing:
-            while len(self._rules) >= self.max_entries:
-                self._evict_oldest()
-        self._rules[rule.device_mac] = rule
-        self._last_access[rule.device_mac] = now
-        if replacing:
+        if rule.device_mac in self._rules:
             self.replacements += 1
         else:
             self.insertions += 1
-
-    def _evict_oldest(self) -> None:
-        oldest = min(self._last_access, key=self._last_access.get)
-        self._rules.pop(oldest, None)
-        self._last_access.pop(oldest, None)
-        self.evictions += 1
-        if self.on_evict is not None:
-            self.on_evict(oldest, EVICT_CAPACITY)
+        self._rules[rule.device_mac] = rule
 
     def remove(self, mac: MACAddress) -> bool:
         """Remove the rule of a disconnected device; True when one existed."""
-        removed = self._rules.pop(mac, None) is not None
-        self._last_access.pop(mac, None)
-        return removed
+        return self._rules.pop(mac, None) is not None
 
-    def evict_stale(self, now: float, max_idle_seconds: float) -> int:
-        """Remove rules of devices not seen for ``max_idle_seconds``."""
-        if max_idle_seconds < 0:
-            raise EnforcementError("max_idle_seconds cannot be negative")
-        stale = [
-            mac
-            for mac, last_access in self._last_access.items()
-            if now - last_access > max_idle_seconds
-        ]
-        for mac in stale:
-            self.remove(mac)
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(mac, EVICT_STALE)
-        return len(stale)
-
-    # ------------------------------------------------------------------ #
-    # Lookup.
-    # ------------------------------------------------------------------ #
-    def lookup(self, mac: MACAddress, now: float = 0.0) -> Optional[EnforcementRule]:
+    def lookup(self, mac: MACAddress) -> Optional[EnforcementRule]:
         """O(1) lookup of the rule governing ``mac`` (None on miss)."""
         self.lookups += 1
         rule = self._rules.get(mac)
         if rule is not None:
             self.hits += 1
-            self._last_access[mac] = now
         return rule
 
     def __contains__(self, mac: object) -> bool:
@@ -122,19 +59,3 @@ class EnforcementRuleCache:
 
     def __len__(self) -> int:
         return len(self._rules)
-
-    # ------------------------------------------------------------------ #
-    # Accounting.
-    # ------------------------------------------------------------------ #
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def estimated_memory_bytes(self) -> int:
-        """Approximate memory footprint of all cached rules."""
-        return sum(rule.estimated_size_bytes for rule in self._rules.values())
-
-    def rules(self) -> list[EnforcementRule]:
-        """A snapshot of every cached rule."""
-        return list(self._rules.values())

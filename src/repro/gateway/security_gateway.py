@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.exceptions import EnforcementError
 from repro.gateway.enforcement import (
@@ -12,13 +12,12 @@ from repro.gateway.enforcement import (
     NetworkOverlay,
     enforcement_plan,
 )
-from repro.gateway.rule_cache import EVICT_STALE, EnforcementRuleCache
+from repro.gateway.rule_cache import EnforcementRuleCache
 from repro.gateway.wireless import WPSKeyManager
 from repro.net.addresses import MACAddress
 from repro.net.packet import Packet
-from repro.sdn.controller import SdnController
 from repro.sdn.openflow import FlowAction
-from repro.sdn.switch import OpenVSwitch, SwitchPort
+from repro.sdn.switch import ForwardingDecision, OpenVSwitch
 from repro.security_service.isolation import IsolationLevel
 from repro.security_service.service import SecurityAssessment
 from repro.simulation.clock import SimulatedClock
@@ -47,6 +46,11 @@ class SecurityGateway:
     pipeline's :class:`~repro.streaming.pipeline.GatewayEnforcementSink`),
     generates per-device enforcement rules, and filters every subsequent
     packet according to the device's isolation level and overlay membership.
+    It is the packet-in handler of its one switch, as the paper's custom
+    Floodlight module is of its Open vSwitch.  Each connected device has
+    one record in :attr:`devices`, one PSK in :attr:`wps`, one rule in
+    :attr:`rule_cache` and its cookie's rules in the switch; all of them
+    leave together, through :meth:`disconnect_device`.
 
     Attributes:
         filtering_enabled: when False the gateway forwards everything
@@ -56,112 +60,78 @@ class SecurityGateway:
 
     filtering_enabled: bool = True
     clock: SimulatedClock = field(default_factory=SimulatedClock)
-    controller: SdnController = field(default_factory=SdnController)
     switch: OpenVSwitch = field(default_factory=OpenVSwitch)
     rule_cache: EnforcementRuleCache = field(default_factory=EnforcementRuleCache)
     wps: WPSKeyManager = field(default_factory=WPSKeyManager)
 
-    name: str = "iot-sentinel-gateway"
     lifecycle: Optional["LifecycleCoordinator"] = None
     devices: dict[MACAddress, DeviceRecord] = field(default_factory=dict)
     ip_to_mac: dict[str, MACAddress] = field(default_factory=dict)
     notifications: list[str] = field(default_factory=list)
     packets_allowed: int = 0
     packets_blocked: int = 0
-    _evict_hook: Optional[Callable[[MACAddress, str], None]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if self.switch.name not in self.controller.switches:
-            self.controller.attach_switch(self.switch)
-        if not any(module.name == self.name for module in self.controller.modules):
-            self.controller.register_module(self)
-        self._wire_evictions()
+        self.switch.packet_in_handler = self.on_packet_in
 
     # ------------------------------------------------------------------ #
     # Device lifecycle.
     # ------------------------------------------------------------------ #
-    def connect_device(
-        self,
-        mac: MACAddress,
-        ip_address: Optional[str] = None,
-        wireless: bool = True,
-        port: SwitchPort = SwitchPort.WIFI,
-    ) -> DeviceRecord:
+    def connect_device(self, mac: MACAddress, ip_address: Optional[str] = None) -> DeviceRecord:
         """Register a newly connected device (pre-identification state)."""
         record = self.devices.get(mac)
         if record is not None:
             return record
-        return self._register(mac, ip_address, wireless, port)
+        return self._register(mac, ip_address)
 
     def _register(
         self,
         mac: MACAddress,
         ip_address: Optional[str],
-        wireless: bool,
-        port: SwitchPort,
         overlay: NetworkOverlay = NetworkOverlay.UNTRUSTED,
     ) -> DeviceRecord:
-        """:meth:`connect_device` for a MAC known not to be connected; a
-        wireless device is issued a PSK for ``overlay``."""
+        """:meth:`connect_device` for a MAC known not to be connected; the
+        device is issued a PSK for ``overlay``."""
         now = self.clock.now()
         record = DeviceRecord(mac=mac, ip_address=ip_address, connected_at=now, last_seen_at=now)
         self.devices[mac] = record
         if ip_address:
             self.ip_to_mac[ip_address] = mac
-        if wireless:
-            self.wps.issue(mac, overlay=overlay, now=now)
-        self.switch.learn_port(mac, port)
+        self.wps.issue(mac, overlay=overlay, now=now)
         return record
 
     def attach_lifecycle(self, coordinator: "LifecycleCoordinator") -> None:
         """Couple device departure into the online-learning lifecycle.
 
-        After attachment, :meth:`disconnect_device` and the rule cache's
-        idle-eviction path (``evict_stale``; the gateway's proxy for "no
-        longer connected") both report the departed MAC to the
+        After attachment, every departure -- :meth:`disconnect_device`,
+        directly or through :meth:`evict_idle` -- reports the MAC to the
         coordinator, which drops it from the quarantine log and from any
-        pending autopilot proposal -- a device that left the network is
+        pending autopilot proposal: a device that left the network is
         never re-identified, enforced or counted toward a learning
         cluster.
-
-        A callback already on ``rule_cache.on_evict`` (e.g. a metrics
-        hook, passed in with the cache or set later) keeps firing: the
-        eviction wiring chains after it instead of replacing it.
         """
         self.lifecycle = coordinator
-        self._wire_evictions()
 
-    def _wire_evictions(self) -> None:
-        """Route rule-cache evictions to :meth:`_on_rule_evicted`, after any hook already set."""
-        existing = self.rule_cache.on_evict
-        if existing is not None and existing is self._evict_hook:
-            return
-        hook = self._on_rule_evicted
-        if existing is not None:
+    def evict_idle(self, now: float, max_idle_seconds: float) -> int:
+        """Disconnect every device not seen for more than ``max_idle_seconds``.
 
-            def chained(mac: MACAddress, reason: str) -> None:
-                existing(mac, reason)
-                self._on_rule_evicted(mac, reason)
-
-            hook = chained
-        self.rule_cache.on_evict = self._evict_hook = hook
-
-    def _on_rule_evicted(self, mac: MACAddress, reason: str) -> None:
-        """Treat a stale eviction as departure: drop the flow rules, tell the lifecycle.
-
-        Without the switch cleanup the flow table would keep forwarding
-        for a device the rule cache no longer knows, and would never
-        shrink under MAC churn.  Capacity (LRU) evictions are left alone:
-        a rule squeezed out of a full cache may belong to a device that
-        is still connected, so its flow rules and quarantine state stay.
+        Idleness is the gateway's proxy for "no longer connected": a
+        device whose ``last_seen_at`` is older than ``now -
+        max_idle_seconds`` leaves through :meth:`disconnect_device`, so
+        its record, PSK, cached rule, switch rules and address mapping go
+        together and the lifecycle is told.  Returns the number of
+        devices disconnected.
         """
-        if reason != EVICT_STALE:
-            return
-        self.switch.remove_rules(f"enforce-{mac}")
-        if self.lifecycle is not None:
-            self.lifecycle.note_disconnected(mac)
+        if max_idle_seconds < 0:
+            raise EnforcementError("max_idle_seconds cannot be negative")
+        idle = [
+            mac
+            for mac, record in self.devices.items()
+            if now - record.last_seen_at > max_idle_seconds
+        ]
+        for mac in idle:
+            self.disconnect_device(mac)
+        return len(idle)
 
     def disconnect_device(self, mac: MACAddress) -> None:
         """Remove a device: rules evicted, credentials revoked, lifecycle told."""
@@ -224,7 +194,7 @@ class SecurityGateway:
         plan = enforcement_plan(assessment)
         record = self.devices.get(mac)
         if record is None:
-            record = self._register(mac, None, True, SwitchPort.WIFI, overlay=plan.overlay)
+            record = self._register(mac, None, overlay=plan.overlay)
         elif plan.isolation_level is IsolationLevel.TRUSTED and self.wps.credential_of(mac):
             self.wps.rekey(mac, overlay=NetworkOverlay.TRUSTED, now=self.clock.now())
         now = self.clock.now()
@@ -233,8 +203,7 @@ class SecurityGateway:
         record.overlay = plan.overlay
         record.vulnerability_count = plan.vulnerability_count
 
-        rule = record.enforcement_rule = plan.rule_for(mac, now)
-        self.rule_cache.store(rule, now=now)
+        self.rule_cache.store(plan.rule_for(mac, now))
 
         cookie = "enforce-" + str(mac)
         self.switch.remove_rules(cookie)
@@ -276,7 +245,7 @@ class SecurityGateway:
             return AuthorizationDecision(allowed=True, reason="filtering disabled")
 
         source = self.devices.get(packet.src_mac)
-        rule = self.rule_cache.lookup(packet.src_mac, now=self.clock.now())
+        rule = self.rule_cache.lookup(packet.src_mac)
         destination_record = self._destination_record(packet)
         destination_is_local = destination_record is not None or packet.dst_mac.is_broadcast or packet.dst_mac.is_multicast
         destination_ip = packet.dst_ip or ""
@@ -326,14 +295,15 @@ class SecurityGateway:
         else:
             self.packets_blocked += 1
 
-    def handle_packet(self, packet: Packet, ingress_port: Optional[SwitchPort] = None):
-        """Run one packet through the switch datapath (flow table + controller)."""
-        if packet.src_mac in self.devices:
-            self.devices[packet.src_mac].touch(packet.timestamp)
-        return self.switch.process(packet, ingress_port=ingress_port)
+    def handle_packet(self, packet: Packet) -> ForwardingDecision:
+        """Run one packet through the switch datapath (flow table + packet-in)."""
+        record = self.devices.get(packet.src_mac)
+        if record is not None:
+            record.touch(packet.timestamp)
+        return self.switch.process(packet)
 
-    # ControllerModule interface -- invoked by the switch on table misses.
-    def on_packet_in(self, packet: Packet, switch: OpenVSwitch) -> Optional[FlowAction]:
+    # The switch's packet-in handler, invoked on table misses.
+    def on_packet_in(self, packet: Packet, switch: OpenVSwitch) -> FlowAction:
         decision = self.authorize(packet)
         return FlowAction.FORWARD if decision.allowed else FlowAction.DROP
 

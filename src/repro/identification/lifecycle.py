@@ -434,8 +434,8 @@ class LifecycleCoordinator:
 
         Called by :meth:`SecurityGateway.disconnect_device
         <repro.gateway.security_gateway.SecurityGateway.disconnect_device>`
-        (and by the rule cache's idle-eviction path) on a gateway wired
-        through ``attach_lifecycle``.  The device's quarantine entry is
+        (directly or through its idle sweep, ``evict_idle``) on a gateway
+        wired through ``attach_lifecycle``.  The device's quarantine entry is
         dropped -- a departed device must not be re-identified, enforced
         or counted toward an autopilot learning cluster -- and every
         registered disconnect listener (e.g. a

@@ -248,7 +248,6 @@ class Observability:
                 "hits": rule_cache.hits,
                 "insertions": rule_cache.insertions,
                 "replacements": rule_cache.replacements,
-                "evictions": rule_cache.evictions,
                 "size": len(rule_cache),
             }
 

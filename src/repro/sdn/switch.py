@@ -2,25 +2,14 @@
 
 from __future__ import annotations
 
-import enum
 from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional
 
 from repro.exceptions import SdnError
-from repro.net.addresses import MACAddress
 from repro.net.packet import Packet
 from repro.sdn.openflow import FlowAction, FlowRule
-
-
-class SwitchPort(str, enum.Enum):
-    """The logical ports of the Security Gateway switch (Fig. 1)."""
-
-    WIFI = "wifi"
-    ETHERNET = "eth0"
-    UPLINK = "uplink"
-    LOCAL = "local"
 
 
 @dataclass(frozen=True)
@@ -62,18 +51,18 @@ class OpenVSwitch:
     the buckets that hold the cookie.  Rules enter only via
     :meth:`install_rule` (there is no ``rules=`` constructor argument),
     and :attr:`rules` is a read-only view of the whole table in match
-    order.  Misses are handed to the controller's packet-in handler when
-    one is registered, otherwise the ``default_action`` applies.
+    order.  Misses and ``SEND_TO_CONTROLLER`` hits go to the packet-in
+    handler (:meth:`SecurityGateway.on_packet_in
+    <repro.gateway.security_gateway.SecurityGateway.on_packet_in>`); with no handler
+    registered, or when it returns None, the packet is forwarded.
     """
 
     name: str = "ovs-br0"
-    default_action: FlowAction = FlowAction.FORWARD
     packet_in_handler: Optional[Callable[[Packet, "OpenVSwitch"], Optional[FlowAction]]] = None
 
     packets_processed: int = 0
     packets_dropped: int = 0
     packets_to_controller: int = 0
-    port_of_device: dict[MACAddress, SwitchPort] = field(default_factory=dict)
 
     _buckets: dict[Optional[int], list[_Entry]] = field(
         default_factory=dict, init=False, repr=False
@@ -133,15 +122,6 @@ class OpenVSwitch:
         return sum(map(len, self._buckets.values()))
 
     # ------------------------------------------------------------------ #
-    # Port learning (which devices sit behind which interface).
-    # ------------------------------------------------------------------ #
-    def learn_port(self, mac: MACAddress, port: SwitchPort) -> None:
-        self.port_of_device[mac] = port
-
-    def port_of(self, mac: MACAddress) -> Optional[SwitchPort]:
-        return self.port_of_device.get(mac)
-
-    # ------------------------------------------------------------------ #
     # Datapath.
     # ------------------------------------------------------------------ #
     def lookup(self, packet: Packet) -> Optional[FlowRule]:
@@ -159,37 +139,29 @@ class OpenVSwitch:
                     break
         return None if best is None else best[3]
 
-    def process(self, packet: Packet, ingress_port: Optional[SwitchPort] = None) -> ForwardingDecision:
+    def process(self, packet: Packet) -> ForwardingDecision:
         """Process one packet: match, apply the action, update statistics."""
         self.packets_processed += 1
-        if ingress_port is not None:
-            self.learn_port(packet.src_mac, ingress_port)
 
         rule = self.lookup(packet)
         if rule is not None:
             rule.record_hit()
             action = rule.action
-            sent_to_controller = False
-            if action == FlowAction.SEND_TO_CONTROLLER:
+            sent_to_controller = action == FlowAction.SEND_TO_CONTROLLER
+            if sent_to_controller:
                 action = self._ask_controller(packet)
-                sent_to_controller = True
-            if action == FlowAction.DROP:
-                self.packets_dropped += 1
-            return ForwardingDecision(action=action, rule=rule, sent_to_controller=sent_to_controller)
-
-        if self.packet_in_handler is not None:
+        elif self.packet_in_handler is not None:
             action = self._ask_controller(packet)
-            if action == FlowAction.DROP:
-                self.packets_dropped += 1
-            return ForwardingDecision(action=action, rule=None, sent_to_controller=True)
-
-        if self.default_action == FlowAction.DROP:
+            sent_to_controller = True
+        else:
+            return ForwardingDecision(action=FlowAction.FORWARD, rule=None)
+        if action == FlowAction.DROP:
             self.packets_dropped += 1
-        return ForwardingDecision(action=self.default_action, rule=None)
+        return ForwardingDecision(action=action, rule=rule, sent_to_controller=sent_to_controller)
 
     def _ask_controller(self, packet: Packet) -> FlowAction:
         self.packets_to_controller += 1
         if self.packet_in_handler is None:
-            return self.default_action
+            return FlowAction.FORWARD
         decision = self.packet_in_handler(packet, self)
-        return decision if decision is not None else self.default_action
+        return decision if decision is not None else FlowAction.FORWARD

@@ -156,9 +156,9 @@ class TestEnforcementExperiments:
         calls: Counter = Counter()
         handle_packet = SecurityGateway.handle_packet
 
-        def counting(gateway, packet, ingress_port=None):
+        def counting(gateway, packet):
             calls[gateway.filtering_enabled] += 1
-            return handle_packet(gateway, packet, ingress_port)
+            return handle_packet(gateway, packet)
 
         monkeypatch.setattr(SecurityGateway, "handle_packet", counting)
         runner(**kwargs, **_QUICK)
@@ -225,7 +225,7 @@ def _fake_clocks(monkeypatch, wall_ns, cpu_ns, load=lambda call: 1):
     """
     clocks = {"wall": 0, "cpu": 0, "calls": 0}
 
-    def handle_packet(gateway, packet, ingress_port=None):
+    def handle_packet(gateway, packet):
         clocks["calls"] += 1
         clocks["wall"] += wall_ns[gateway.filtering_enabled] * load(clocks["calls"])
         clocks["cpu"] += cpu_ns[gateway.filtering_enabled] * load(clocks["calls"])
@@ -307,9 +307,9 @@ class TestGatewayTestbed:
         order = []
         handle_packet = SecurityGateway.handle_packet
 
-        def recording(gateway, packet, ingress_port=None):
+        def recording(gateway, packet):
             order.append((gateway.filtering_enabled, packet.ipv4.src))
-            return handle_packet(gateway, packet, ingress_port)
+            return handle_packet(gateway, packet)
 
         monkeypatch.setattr(SecurityGateway, "handle_packet", recording)
         testbed = GatewayTestbed(4)
@@ -347,9 +347,9 @@ class TestGatewayTestbed:
         seen = []
         handle_packet = SecurityGateway.handle_packet
 
-        def recording(gateway, packet, ingress_port=None):
+        def recording(gateway, packet):
             seen.append(gc.isenabled())
-            return handle_packet(gateway, packet, ingress_port)
+            return handle_packet(gateway, packet)
 
         monkeypatch.setattr(SecurityGateway, "handle_packet", recording)
         testbed = GatewayTestbed(4)
@@ -362,7 +362,7 @@ class TestGatewayTestbed:
         assert seen and not any(seen)
 
     def test_timing_restores_gc_after_an_error(self, monkeypatch):
-        def failing(gateway, packet, ingress_port=None):
+        def failing(gateway, packet):
             raise RuntimeError("datapath fault")
 
         monkeypatch.setattr(SecurityGateway, "handle_packet", failing)

@@ -382,7 +382,7 @@ FACADE_SNAPSHOT_KEYS = [
     "lifecycle.disconnects", "lifecycle.registered_caches", "lifecycle.relearns",
     "quarantine.capacity", "quarantine.evicted", "quarantine.recorded",
     "quarantine.released", "quarantine.size",
-    "rule_cache.evictions", "rule_cache.hit_rate", "rule_cache.hits",
+    "rule_cache.hit_rate", "rule_cache.hits",
     "rule_cache.insertions", "rule_cache.lookups", "rule_cache.replacements",
     "rule_cache.size",
     "switch.packets_dropped", "switch.packets_processed", "switch.packets_to_controller",

@@ -1,4 +1,4 @@
-"""Tests for the SDN substrate: flow rules, switch and controller."""
+"""Tests for the SDN substrate: flow rules and the switch."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SdnError
 from repro.net.addresses import MACAddress
-from repro.sdn.controller import SdnController
 from repro.sdn.openflow import FlowAction, FlowMatch, FlowRule
-from repro.sdn.switch import OpenVSwitch, SwitchPort
+from repro.sdn.switch import OpenVSwitch
 
 from tests.conftest import make_tcp_packet, make_udp_packet
 
@@ -79,12 +78,12 @@ class TestOpenVSwitch:
         switch.process(make_tcp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.4.4"))
         assert rule.packet_count == 2
 
-    def test_default_action_on_miss(self):
-        permissive = OpenVSwitch(default_action=FlowAction.FORWARD)
-        restrictive = OpenVSwitch(default_action=FlowAction.DROP)
-        packet = make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8")
-        assert permissive.process(packet).forwarded
-        assert restrictive.process(packet).dropped
+    def test_miss_without_handler_forwards(self):
+        switch = OpenVSwitch()
+        decision = switch.process(make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8"))
+        assert decision.forwarded
+        assert not decision.sent_to_controller
+        assert switch.packets_to_controller == 0
 
     def test_packet_in_handler_invoked_on_miss(self):
         seen = []
@@ -121,89 +120,6 @@ class TestOpenVSwitch:
         switch.install_rule(FlowRule(FlowMatch(), FlowAction.DROP, priority=1))
         switch.flush()
         assert switch.rule_count == 0
-
-    def test_port_learning(self):
-        switch = OpenVSwitch()
-        switch.process(make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8"), ingress_port=SwitchPort.WIFI)
-        assert switch.port_of(DEVICE) == SwitchPort.WIFI
-        assert switch.port_of(OTHER) is None
-
-
-class TestSdnController:
-    def test_attach_and_dispatch(self):
-        controller = SdnController()
-        switch = OpenVSwitch()
-        controller.attach_switch(switch)
-
-        class DropModule:
-            name = "drop-all"
-
-            def on_packet_in(self, packet, switch):
-                return FlowAction.DROP
-
-        controller.register_module(DropModule())
-        decision = switch.process(make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8"))
-        assert decision.dropped
-        assert controller.packet_in_count == 1
-
-    def test_modules_consulted_in_order(self):
-        controller = SdnController()
-        switch = OpenVSwitch()
-        controller.attach_switch(switch)
-        calls = []
-
-        class Pass:
-            name = "pass"
-
-            def on_packet_in(self, packet, switch):
-                calls.append("pass")
-                return None
-
-        class Allow:
-            name = "allow"
-
-            def on_packet_in(self, packet, switch):
-                calls.append("allow")
-                return FlowAction.FORWARD
-
-        controller.register_module(Pass())
-        controller.register_module(Allow())
-        switch.process(make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8"))
-        assert calls == ["pass", "allow"]
-
-    def test_duplicate_switch_and_module_rejected(self):
-        controller = SdnController()
-        switch = OpenVSwitch()
-        controller.attach_switch(switch)
-        with pytest.raises(SdnError):
-            controller.attach_switch(OpenVSwitch())
-
-        class Module:
-            name = "m"
-
-            def on_packet_in(self, packet, switch):
-                return None
-
-        controller.register_module(Module())
-        with pytest.raises(SdnError):
-            controller.register_module(Module())
-
-    def test_install_rule_via_controller(self):
-        controller = SdnController()
-        switch = OpenVSwitch(name="br0")
-        controller.attach_switch(switch)
-        controller.install_rule("br0", FlowRule(FlowMatch(src_mac=DEVICE), FlowAction.DROP, priority=3, cookie="x"))
-        assert switch.rule_count == 1
-        assert controller.remove_rules("br0", "x") == 1
-        with pytest.raises(SdnError):
-            controller.switch("missing")
-
-    def test_detach_switch(self):
-        controller = SdnController()
-        switch = OpenVSwitch()
-        controller.attach_switch(switch)
-        controller.detach_switch(switch.name)
-        assert switch.packet_in_handler is None
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,13 @@
 """Tests for the Security Gateway (onboarding, authorisation, datapath)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.api import GatewayConfig, build_gateway
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.simulator import SetupTrafficSimulator
+from repro.eval.experiments import GatewayTestbed
 from repro.exceptions import EnforcementError
 from repro.gateway.enforcement import NetworkOverlay
 from repro.gateway.security_gateway import SecurityGateway
@@ -41,9 +44,9 @@ class TestOnboarding:
         assert record.device_type == "EdnetCam"
         assert record.isolation_level is IsolationLevel.RESTRICTED
         assert record.overlay is NetworkOverlay.UNTRUSTED
-        assert record.enforcement_rule is not None
-        assert record.enforcement_rule.allowed_destinations
-        assert gateway.rule_cache.lookup(record.mac) is record.enforcement_rule
+        rule = gateway.rule_cache.lookup(record.mac)
+        assert rule is not None
+        assert rule.allowed_destinations
         assert gateway.switch.rule_count >= 2
 
     def test_clean_device_trusted_and_rekeyed(self, gateway, service):
@@ -112,7 +115,7 @@ class TestAuthorization:
 
     def test_restricted_device_cloud_only(self, gateway, service):
         record = self._record_of(gateway, service, "EdnetCam", 820)
-        allowed_ip = record.enforcement_rule.allowed_destinations[0]
+        allowed_ip = gateway.rule_cache.lookup(record.mac).allowed_destinations[0]
         to_cloud = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, allowed_ip, dst_port=443)
         to_other = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8", dst_port=80)
         assert gateway.authorize(to_cloud).allowed
@@ -222,7 +225,7 @@ class TestDatapath:
 
 
 class TestLifecycleCoupling:
-    """disconnect_device / rule eviction -> lifecycle coordinator wiring."""
+    """disconnect_device / evict_idle -> lifecycle coordinator wiring."""
 
     def _wired(self, gateway, service):
         from repro.identification.lifecycle import LifecycleCoordinator
@@ -250,52 +253,27 @@ class TestLifecycleCoupling:
         assert record.mac not in coordinator.quarantine  # no ghost re-identification
         assert coordinator.disconnects == 1
 
-    def test_stale_rule_eviction_counts_as_departure(self, gateway, service):
+    def test_idle_eviction_counts_as_departure(self, gateway, service):
         coordinator = self._wired(gateway, service)
         record = self._quarantined_record(gateway, service, coordinator)
-        evicted = gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
-        assert evicted >= 1
+        assert gateway.evict_idle(now=1_000_000.0, max_idle_seconds=60.0) >= 1
+        assert record.mac not in gateway.devices
         assert record.mac not in coordinator.quarantine
         assert coordinator.disconnects >= 1
-
-    def test_capacity_eviction_is_not_a_departure(self, service):
-        # An LRU rule squeezed out of a full cache may belong to a device
-        # that is still connected; it must not drop quarantine state.
-        from repro.gateway.rule_cache import EnforcementRuleCache
-
-        gateway = SecurityGateway(rule_cache=EnforcementRuleCache(max_entries=1))
-        coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, service, coordinator)
-        _onboard(gateway, service, "Aria", seed=815)  # second rule: LRU evicts the first
-        assert gateway.rule_cache.lookup(record.mac) is None
-        assert record.mac in coordinator.quarantine  # still pending a learn
-        assert coordinator.disconnects == 0
-        assert any(rule.cookie == f"enforce-{record.mac}" for rule in gateway.switch.rules)
 
     def test_unattached_gateway_disconnect_still_works(self, gateway, service):
         record, _ = _onboard(gateway, service, "EdnetCam", seed=816)
         gateway.disconnect_device(record.mac)  # no lifecycle: no error
         assert record.mac not in gateway.devices
 
-    def test_attach_lifecycle_chains_existing_evict_hook(self, gateway, service):
-        # A metrics hook installed before attach_lifecycle keeps firing.
-        observed = []
-        gateway.rule_cache.on_evict = lambda mac, reason: observed.append((mac, reason))
-        coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, service, coordinator)
-        gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
-        assert (record.mac, "stale") in observed  # the original hook ran
-        assert record.mac not in coordinator.quarantine  # and so did the wiring
-        assert gateway.switch.rule_count == 0
-
-    def test_stale_eviction_drops_flow_rules_without_lifecycle(self, gateway, service):
-        # The switch must stop forwarding for a device the rule cache has
+    def test_idle_eviction_drops_flow_rules_without_lifecycle(self, gateway, service):
+        # The switch must stop forwarding for a device the gateway has
         # forgotten, or the datapath and authorize() disagree and the flow
         # table never shrinks under MAC churn.
         record, _ = _onboard(gateway, service, "Aria", seed=813)
         assert record.isolation_level is IsolationLevel.TRUSTED
         assert gateway.switch.rule_count == 1
-        assert gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0) == 1
+        assert gateway.evict_idle(now=1_000_000.0, max_idle_seconds=60.0) == 1
         packet = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8")
         assert gateway.authorize(packet).reason == "unidentified device, internet blocked"
         decision = gateway.handle_packet(packet)
@@ -303,18 +281,43 @@ class TestLifecycleCoupling:
         assert decision.dropped
         assert gateway.switch.rule_count == 0
 
-    def test_evict_hook_passed_with_cache_keeps_firing(self, service):
-        from repro.gateway.rule_cache import EnforcementRuleCache
+    def test_idle_eviction_rejects_a_negative_idle_time(self, gateway):
+        with pytest.raises(EnforcementError):
+            gateway.evict_idle(now=0.0, max_idle_seconds=-1.0)
 
-        observed = []
-        cache = EnforcementRuleCache(on_evict=lambda mac, reason: observed.append((mac, reason)))
-        gateway = SecurityGateway(rule_cache=cache)
-        coordinator = self._wired(gateway, service)
-        record = self._quarantined_record(gateway, service, coordinator)
-        gateway.rule_cache.evict_stale(now=1_000_000.0, max_idle_seconds=60.0)
-        assert observed == [(record.mac, "stale")]  # once, despite two wirings
-        assert coordinator.disconnects == 1
-        assert gateway.switch.rule_count == 0
+
+class TestDeparture:
+    """A device's record, PSK, rule, switch rules and lease leave together."""
+
+    def test_strict_device_stays_dropped_until_it_departs(self):
+        # Table V's D3 (strict) may not reach D1 (trusted).  Were the rule
+        # to leave before the record, D3 would pass as an unidentified
+        # device sending local traffic, and D3 -> D1 would be forwarded.
+        testbed = GatewayTestbed(6)
+        gateway = testbed.filtering
+        departed = []
+        gateway.attach_lifecycle(SimpleNamespace(note_disconnected=departed.append))
+        (to_d1,) = testbed.packets("D3", "D1", 1)
+        strict = to_d1.src_mac
+        gateway.note_address_claim(strict, to_d1.src_ip, now=0.0)
+        psk = gateway.wps.credential_of(strict).psk
+        for mac, record in gateway.devices.items():
+            if mac != strict:
+                record.touch(100.0)
+
+        assert gateway.rule_cache.lookup(strict).isolation_level is IsolationLevel.STRICT
+        assert gateway.handle_packet(to_d1).dropped
+        assert gateway.evict_idle(now=50.0, max_idle_seconds=60.0) == 0
+        assert gateway.handle_packet(to_d1).dropped
+
+        assert gateway.evict_idle(now=100.0, max_idle_seconds=60.0) == 1
+        assert strict not in gateway.devices
+        assert not gateway.wps.verify(strict, psk)
+        assert strict not in gateway.rule_cache
+        assert not any(rule.match.src_mac == strict for rule in gateway.switch.rules)
+        assert to_d1.src_ip not in gateway.ip_to_mac
+        assert departed == [strict]
+        assert len(gateway.devices) == len(gateway.rule_cache) == 5
 
 
 class TestDhcpChurn:

@@ -611,12 +611,13 @@ class TestSourcesAndPipeline:
         record = gateway.device_record(trace.device_mac)
         assert record.device_type == "EdnetCam"
         assert record.isolation_level is IsolationLevel.RESTRICTED
-        assert record.enforcement_rule is not None
+        rule = gateway.rule_cache.lookup(trace.device_mac)
+        assert rule is not None
         assert stats.fingerprints == 1
 
         # The installed rule actually filters: the camera may reach its
         # vendor cloud but not an arbitrary Internet host.
-        permitted = record.enforcement_rule.allowed_destinations
+        permitted = rule.allowed_destinations
         assert permitted  # the profile contacts its vendor cloud
         allowed = gateway.authorize(
             make_udp_packet(trace.device_mac, GATEWAY_MAC, trace.device_ip, permitted[0])
