@@ -13,6 +13,7 @@ from repro.gateway.enforcement import (
     flow_rule_templates,
 )
 from repro.gateway.rule_cache import EnforcementRuleCache
+from repro.gateway.security_gateway import SecurityGateway
 from repro.net.addresses import MACAddress
 from repro.sdn.openflow import FlowAction, FlowMatch
 from repro.security_service.isolation import IsolationLevel
@@ -34,6 +35,18 @@ class TestEnforcementRule:
         )
         assert rule.permits_destination("52.28.10.1")
         assert not rule.permits_destination("8.8.8.8")
+
+    def test_rule_hash_stable_and_distinct(self):
+        # A rule is a value: equal fields give equal rules with equal
+        # hashes, however the rule was built.
+        rule_a = EnforcementRule(MAC, IsolationLevel.STRICT)
+        rule_b = EnforcementRule(MAC, IsolationLevel.STRICT)
+        rule_c = EnforcementRule(MAC, IsolationLevel.RESTRICTED, ("1.1.1.1",))
+        assert rule_a == rule_b and hash(rule_a) == hash(rule_b)
+        assert rule_a != rule_c and hash(rule_a) != hash(rule_c)
+        planned = enforcement_plan(SecurityAssessment("unknown", IsolationLevel.STRICT)).rule_for(MAC, 0.0)
+        assert planned == rule_a and hash(planned) == hash(rule_a)
+        assert len({rule_a, rule_b, rule_c, planned}) == 2
 
     def test_trusted_rule_cannot_carry_allow_list(self):
         with pytest.raises(EnforcementError):
@@ -99,6 +112,20 @@ class TestEnforcementRule:
         assert plan.critical_vulnerabilities == ("CVE-T-1",)
         assert plan.vulnerability_count == 2
 
+    def test_estimated_size_grows_with_destinations(self):
+        # A restricted device costs the switch one forward rule per
+        # permitted destination plus its controller fallback.
+        small = SecurityGateway()
+        large = SecurityGateway()
+        destinations = tuple(f"10.0.0.{i}" for i in range(8))
+        small.apply_assessment(MAC, SecurityAssessment("Cam", IsolationLevel.STRICT))
+        large.apply_assessment(
+            MAC, SecurityAssessment("Cam", IsolationLevel.RESTRICTED, (), destinations)
+        )
+        assert small.switch.rule_count == 1
+        assert large.switch.rule_count == len(destinations) + 1
+        assert large.rule_cache.lookup(MAC).allowed_destinations == destinations
+
 
 class TestNetworkOverlay:
     def test_overlay_for_isolation_level(self):
@@ -156,3 +183,31 @@ class TestRuleCache:
         assert cache.remove(MAC)
         assert not cache.remove(MAC)
         assert len(cache) == 0
+
+    def test_lru_eviction_with_max_entries(self):
+        # The table has no size bound and no LRU order: a rule stays until
+        # its device departs, however many rules are stored or looked up
+        # after it.  A rule squeezed out ahead of its device's record
+        # would let a strict device pass as an unidentified one.
+        cache = EnforcementRuleCache()
+        first = EnforcementRule(MACAddress(1), IsolationLevel.STRICT)
+        cache.store(first)
+        for value in range(2, 1002):
+            cache.store(EnforcementRule(MACAddress(value), IsolationLevel.STRICT))
+            cache.lookup(MACAddress(value))
+        assert len(cache) == 1001
+        assert cache.lookup(MACAddress(1)) is first
+        assert (cache.insertions, cache.replacements) == (1001, 0)
+
+    def test_evict_stale(self):
+        # Idle departure lives on the gateway, which drops a stale
+        # device's rule together with its record and keeps a fresh one's.
+        gateway = SecurityGateway()
+        stale, fresh = MACAddress(1), MACAddress(2)
+        for mac in (stale, fresh):
+            gateway.apply_assessment(mac, SecurityAssessment("Cam", IsolationLevel.STRICT))
+        gateway.devices[fresh].touch(100.0)
+        assert gateway.evict_idle(now=150.0, max_idle_seconds=60.0) == 1
+        assert stale not in gateway.rule_cache and stale not in gateway.devices
+        assert gateway.rule_cache.lookup(fresh).isolation_level is IsolationLevel.STRICT
+        assert len(gateway.rule_cache) == len(gateway.devices) == 1

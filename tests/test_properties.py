@@ -9,10 +9,12 @@ from repro.features.fingerprint import FIXED_PACKET_COUNT, Fingerprint
 from repro.features.packet_features import FEATURE_COUNT, port_class
 from repro.gateway.enforcement import EnforcementRule
 from repro.gateway.rule_cache import EnforcementRuleCache
+from repro.gateway.security_gateway import SecurityGateway
 from repro.ml.metrics import confusion_matrix, per_class_accuracy
 from repro.ml.validation import StratifiedKFold
 from repro.net.addresses import MACAddress
 from repro.security_service.isolation import IsolationLevel
+from repro.security_service.service import SecurityAssessment
 from tests.conftest import damerau_levenshtein, normalized_damerau_levenshtein
 
 # --------------------------------------------------------------------------- #
@@ -213,3 +215,44 @@ def test_rule_cache_lookup_after_store(mac_list):
     for mac in mac_list:
         assert cache.lookup(mac) is not None
     assert cache.hits == cache.lookups == len(mac_list)
+
+
+@given(st.lists(macs, min_size=1, max_size=40), st.lists(st.sampled_from(list(IsolationLevel)), min_size=1))
+@settings(max_examples=30)
+def test_rule_cache_never_exceeds_max_entries(mac_list, levels):
+    # The table holds at most one rule per device: its size never exceeds
+    # the number of distinct MACs stored, and a repeat store replaces.
+    cache = EnforcementRuleCache()
+    seen = set()
+    for index, mac in enumerate(mac_list):
+        rule = EnforcementRule(device_mac=mac, isolation_level=levels[index % len(levels)])
+        cache.store(rule)
+        seen.add(mac)
+        assert len(cache) == len(seen)
+        assert cache.lookup(mac) is rule
+    assert cache.insertions == len(seen)
+    assert cache.replacements == len(mac_list) - len(seen)
+
+
+@given(
+    st.dictionaries(macs, st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=20),
+    st.floats(min_value=0.0, max_value=1000.0),
+    st.floats(min_value=0.0, max_value=500.0),
+)
+@settings(max_examples=30)
+def test_idle_eviction_keeps_records_and_rules_together(last_seen, now, max_idle):
+    gateway = SecurityGateway()
+    for mac, seen_at in last_seen.items():
+        gateway.apply_assessment(mac, SecurityAssessment("Cam", IsolationLevel.STRICT))
+        gateway.devices[mac].touch(seen_at)
+    psks = {mac: gateway.wps.credential_of(mac).psk for mac in last_seen}
+    evicted = gateway.evict_idle(now=now, max_idle_seconds=max_idle)
+    idle = {mac for mac, seen_at in last_seen.items() if now - seen_at > max_idle}
+    assert evicted == len(idle)
+    for mac in last_seen:
+        kept = mac not in idle
+        assert (mac in gateway.devices) is kept
+        assert (mac in gateway.rule_cache) is kept
+        assert gateway.wps.verify(mac, psks[mac]) is kept
+    assert len(gateway.rule_cache) == len(gateway.devices)
+    assert gateway.switch.rule_count == len(gateway.devices)

@@ -1,13 +1,16 @@
-"""Tests for the SDN substrate: flow rules and the switch."""
+"""Tests for the SDN substrate: flow rules, the switch and its controller."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SdnError
+from repro.gateway.security_gateway import SecurityGateway
 from repro.net.addresses import MACAddress
 from repro.sdn.openflow import FlowAction, FlowMatch, FlowRule
 from repro.sdn.switch import OpenVSwitch
+from repro.security_service.isolation import IsolationLevel
+from repro.security_service.service import SecurityAssessment
 
 from tests.conftest import make_tcp_packet, make_udp_packet
 
@@ -78,12 +81,19 @@ class TestOpenVSwitch:
         switch.process(make_tcp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.4.4"))
         assert rule.packet_count == 2
 
-    def test_miss_without_handler_forwards(self):
+    def test_default_action_on_miss(self):
+        # A miss forwards: unasked with no handler, and when the handler
+        # has no opinion (returns None).
+        packet = make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8")
         switch = OpenVSwitch()
-        decision = switch.process(make_udp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8"))
+        decision = switch.process(packet)
         assert decision.forwarded
         assert not decision.sent_to_controller
         assert switch.packets_to_controller == 0
+        abstaining = OpenVSwitch(packet_in_handler=lambda packet, sw: None)
+        decision = abstaining.process(packet)
+        assert decision.forwarded and decision.sent_to_controller
+        assert abstaining.packets_to_controller == 1
 
     def test_packet_in_handler_invoked_on_miss(self):
         seen = []
@@ -120,6 +130,60 @@ class TestOpenVSwitch:
         switch.install_rule(FlowRule(FlowMatch(), FlowAction.DROP, priority=1))
         switch.flush()
         assert switch.rule_count == 0
+
+
+class TestSdnController:
+    """The Security Gateway is the controller module of its one switch."""
+
+    CLOUD = "52.28.10.10"
+
+    def _restricted(self, switch):
+        gateway = SecurityGateway(switch=switch)
+        gateway.apply_assessment(
+            DEVICE, SecurityAssessment("Cam", IsolationLevel.RESTRICTED, (), (self.CLOUD,))
+        )
+        return gateway
+
+    def test_attach_and_dispatch(self):
+        switch = OpenVSwitch()
+        gateway = SecurityGateway(switch=switch)
+        assert switch.packet_in_handler == gateway.on_packet_in
+        decision = switch.process(make_udp_packet(STRANGER, GATEWAY, "10.0.0.9", "8.8.8.8"))
+        assert decision.dropped and decision.sent_to_controller
+        assert switch.packets_to_controller == 1
+        assert gateway.packets_blocked == 1
+
+    def test_modules_consulted_in_order(self):
+        # The flow table answers first; the gateway is asked only on a
+        # miss or a send-to-controller hit.
+        switch = OpenVSwitch()
+        gateway = self._restricted(switch)
+        to_cloud = switch.process(make_tcp_packet(DEVICE, GATEWAY, "10.0.0.2", self.CLOUD))
+        assert to_cloud.forwarded and not to_cloud.sent_to_controller
+        assert gateway.rule_cache.lookups == 0
+        elsewhere = switch.process(make_tcp_packet(DEVICE, GATEWAY, "10.0.0.2", "8.8.8.8"))
+        assert elsewhere.dropped and elsewhere.sent_to_controller
+        assert elsewhere.rule.action is FlowAction.SEND_TO_CONTROLLER
+        assert gateway.rule_cache.lookups == 1
+        assert switch.packets_to_controller == 1
+
+    def test_install_rule_via_controller(self):
+        switch = OpenVSwitch()
+        gateway = self._restricted(switch)
+        assert switch.rule_count == 2
+        assert {rule.cookie for rule in switch.rules} == {f"enforce-{DEVICE}"}
+        gateway.disconnect_device(DEVICE)
+        assert switch.rule_count == 0
+
+    def test_detach_switch(self):
+        switch = OpenVSwitch()
+        gateway = SecurityGateway(switch=switch)
+        packet = make_udp_packet(STRANGER, GATEWAY, "10.0.0.9", "8.8.8.8")
+        assert switch.process(packet).dropped
+        switch.packet_in_handler = None
+        decision = switch.process(packet)
+        assert decision.forwarded and not decision.sent_to_controller
+        assert gateway.packets_blocked == 1
 
 
 # --------------------------------------------------------------------------- #

@@ -76,6 +76,14 @@ class TestOnboarding:
         assert gateway.rule_cache.lookup(record.mac) is None
         assert all(rule.cookie != f"enforce-{record.mac}" for rule in gateway.switch.rules)
 
+    def test_rule_is_kept_once_in_the_rule_cache(self, gateway, service):
+        # The datapath reads the cached rule itself; the record keeps none.
+        record, _ = _onboard(gateway, service, "EdnetCam", seed=817)
+        rule = gateway.rule_cache.lookup(record.mac)
+        assert not hasattr(record, "enforcement_rule")
+        packet = make_tcp_packet(record.mac, EXTERNAL_MAC, record.ip_address, "8.8.8.8", dst_port=80)
+        assert gateway.authorize(packet).rule is rule
+
 
 class TestCredentials:
     def test_facade_issues_one_credential_per_onboarded_device(self, trained_identifier):
@@ -93,6 +101,17 @@ class TestCredentials:
             levels.add(record.isolation_level)
             assert wps.credential_of(mac).overlay is record.overlay
         assert IsolationLevel.TRUSTED in levels and len(levels) > 1
+
+    def test_every_connected_device_is_issued_a_psk(self, gateway):
+        macs = [MACAddress.from_string(f"02:00:00:00:0b:0{i}") for i in range(3)]
+        for mac in macs:
+            gateway.connect_device(mac)
+        gateway.connect_device(macs[0])  # already connected: no second PSK
+        assert gateway.wps.issued_count == len(macs)
+        for mac in macs:
+            credential = gateway.wps.credential_of(mac)
+            assert credential.overlay is NetworkOverlay.UNTRUSTED
+            assert gateway.wps.verify(mac, credential.psk)
 
     def test_device_connected_before_its_verdict_is_rekeyed(self, gateway):
         mac = MACAddress.from_string("02:00:00:00:0a:01")
@@ -253,7 +272,7 @@ class TestLifecycleCoupling:
         assert record.mac not in coordinator.quarantine  # no ghost re-identification
         assert coordinator.disconnects == 1
 
-    def test_idle_eviction_counts_as_departure(self, gateway, service):
+    def test_stale_rule_eviction_counts_as_departure(self, gateway, service):
         coordinator = self._wired(gateway, service)
         record = self._quarantined_record(gateway, service, coordinator)
         assert gateway.evict_idle(now=1_000_000.0, max_idle_seconds=60.0) >= 1
@@ -261,12 +280,33 @@ class TestLifecycleCoupling:
         assert record.mac not in coordinator.quarantine
         assert coordinator.disconnects >= 1
 
+    def test_capacity_eviction_is_not_a_departure(self, gateway, service):
+        # The rule table has no capacity: onboarding more devices never
+        # squeezes out a connected device's rule or its quarantine state.
+        coordinator = self._wired(gateway, service)
+        record = self._quarantined_record(gateway, service, coordinator)
+        for seed, name in enumerate(("Aria", "EdnetCam", "HueBridge", "WeMoSwitch"), start=815):
+            _onboard(gateway, service, name, seed=seed)
+        assert gateway.rule_cache.lookup(record.mac) is not None
+        assert record.mac in coordinator.quarantine  # still pending a learn
+        assert coordinator.disconnects == 0
+        assert any(rule.cookie == f"enforce-{record.mac}" for rule in gateway.switch.rules)
+        assert len(gateway.rule_cache) == len(gateway.devices) == 5
+
+    def test_departure_is_reported_once(self, gateway, service):
+        coordinator = self._wired(gateway, service)
+        record = self._quarantined_record(gateway, service, coordinator)
+        assert gateway.evict_idle(now=1_000_000.0, max_idle_seconds=60.0) == 1
+        gateway.disconnect_device(record.mac)  # already gone: a no-op
+        assert gateway.evict_idle(now=2_000_000.0, max_idle_seconds=60.0) == 0
+        assert coordinator.disconnects == 1
+
     def test_unattached_gateway_disconnect_still_works(self, gateway, service):
         record, _ = _onboard(gateway, service, "EdnetCam", seed=816)
         gateway.disconnect_device(record.mac)  # no lifecycle: no error
         assert record.mac not in gateway.devices
 
-    def test_idle_eviction_drops_flow_rules_without_lifecycle(self, gateway, service):
+    def test_stale_eviction_drops_flow_rules_without_lifecycle(self, gateway, service):
         # The switch must stop forwarding for a device the gateway has
         # forgotten, or the datapath and authorize() disagree and the flow
         # table never shrinks under MAC churn.
@@ -318,6 +358,37 @@ class TestDeparture:
         assert to_d1.src_ip not in gateway.ip_to_mac
         assert departed == [strict]
         assert len(gateway.devices) == len(gateway.rule_cache) == 5
+
+    def test_idle_cutoff_keeps_a_device_seen_exactly_at_it(self, gateway):
+        mac = MACAddress.from_string("02:00:00:00:0c:01")
+        gateway.note_address_claim(mac, "192.168.1.60", now=40.0)
+        assert gateway.evict_idle(now=100.0, max_idle_seconds=60.0) == 0
+        assert mac in gateway.devices
+        assert gateway.evict_idle(now=100.5, max_idle_seconds=60.0) == 1
+        assert mac not in gateway.devices
+
+    def test_traffic_keeps_a_device_connected(self, gateway):
+        # The datapath refreshes a device's last-seen stamp, so a device
+        # that keeps sending is never taken for idle.
+        active = MACAddress.from_string("02:00:00:00:0c:04")
+        silent = MACAddress.from_string("02:00:00:00:0c:05")
+        for mac in (active, silent):
+            gateway.apply_assessment(mac, SecurityAssessment("Cam", IsolationLevel.STRICT))
+        packet = make_tcp_packet(active, EXTERNAL_MAC, "192.168.1.62", "8.8.8.8")
+        packet.timestamp = 500.0
+        assert gateway.handle_packet(packet).dropped
+        assert gateway.evict_idle(now=520.0, max_idle_seconds=60.0) == 1
+        assert active in gateway.devices and silent not in gateway.devices
+        assert gateway.rule_cache.lookup(active).isolation_level is IsolationLevel.STRICT
+
+    def test_idle_departure_keeps_a_reassigned_lease(self, gateway):
+        old_owner = MACAddress.from_string("02:00:00:00:0c:02")
+        new_owner = MACAddress.from_string("02:00:00:00:0c:03")
+        gateway.note_address_claim(old_owner, "192.168.1.61", now=0.0)
+        gateway.note_address_claim(new_owner, "192.168.1.61", now=90.0)
+        assert gateway.evict_idle(now=100.0, max_idle_seconds=60.0) == 1
+        assert old_owner not in gateway.devices
+        assert gateway.ip_to_mac["192.168.1.61"] == new_owner
 
 
 class TestDhcpChurn:
