@@ -10,9 +10,11 @@ that the traffic simulator can emit captures that external tools can open.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from repro.exceptions import PcapFormatError
 from repro.net.packet import Packet
@@ -30,17 +32,58 @@ MAGIC_NANOSECONDS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 
 
+#: A frame's parsed row: ``(timestamp, source MAC value, packed Table-I
+#: key, destination token)`` (see :func:`repro.net.batch.stream_row`).
+FrameRow = tuple[float, int, int, Optional[str]]
+
+
 @dataclass(slots=True)
 class CapturedPacket:
-    """A raw captured frame together with its capture timestamp."""
+    """A raw captured frame together with its capture timestamp.
+
+    ``row`` is the frame's parsed row when whoever read the frame already
+    parsed it (:func:`repro.net.batch.parsed_frames`), else ``None``; it
+    takes no part in comparisons.
+    """
 
     timestamp: float
     data: bytes
     original_length: int = 0
+    row: Optional[FrameRow] = field(default=None, compare=False, repr=False)
 
     def dissect(self) -> Packet:
         """Dissect the raw frame into a :class:`~repro.net.packet.Packet`."""
         return Packet.dissect(self.data, self.timestamp, self.original_length)
+
+
+@dataclass(frozen=True, slots=True)
+class RecordBlock:
+    """The whole records of one read block.
+
+    Record ``i``'s frame is ``data[starts[i]:stops[i]]``, captured at
+    ``timestamps[i]`` and ``original_lengths[i]`` bytes long on the wire.
+    """
+
+    data: bytes
+    starts: np.ndarray
+    stops: np.ndarray
+    timestamps: list[float]
+    original_lengths: np.ndarray
+
+    def frames(self) -> list[bytes]:
+        """Each record's frame bytes, in record order."""
+        data = self.data
+        return [data[start:stop] for start, stop in zip(self.starts.tolist(), self.stops.tolist())]
+
+
+def byte_windows(data: bytes, width: int) -> np.ndarray:
+    """Every ``width``-byte run of ``data`` as a read-only view: row ``i``
+    is ``data[i:i + width]``, so indexing rows gathers many headers at once.
+
+    >>> byte_windows(b"abcd", 2)[[0, 2]].tobytes()
+    b'abcd'
+    """
+    return np.ndarray((len(data) - width + 1, width), np.uint8, data, 0, (1, 1))
 
 
 class PcapReader:
@@ -54,39 +97,65 @@ class PcapReader:
         self.snaplen = 65535
 
     def __iter__(self) -> Iterator[CapturedPacket]:
-        """The file's records, read in blocks of :data:`READ_BLOCK` bytes.
+        """The file's records as raw frames, read a block at a time (:meth:`blocks`)."""
+        for block in self.blocks():
+            yield from map(
+                CapturedPacket, block.timestamps, block.frames(), block.original_lengths.tolist()
+            )
 
-        Records are cut out of the current block with
-        ``struct.unpack_from``; a record that runs past the block's end
-        carries over into the next read, and one longer than a block is
-        read whole.
+    def blocks(self) -> Iterator[RecordBlock]:
+        """The file's records, one :class:`RecordBlock` per read.
+
+        The file is read :data:`READ_BLOCK` bytes at a time.  One walk over
+        the record headers finds where each whole record of the read
+        starts, and one gather decodes all their headers.  A record that
+        runs past the read's end carries over into the next read, and one
+        longer than a block is read whole; a file that ends inside a
+        record raises once every whole record before it has been yielded.
         """
         with open(self.path, "rb") as handle:
             header = handle.read(GLOBAL_HEADER_LEN)
             self._parse_global_header(header)
-            unpack_from = struct.Struct(self._endianness + "IIII").unpack_from
+            captured_length = struct.Struct(self._endianness + "8xI").unpack_from
+            fields = np.dtype(self._endianness + "u4")
             divisor = 1e9 if self._nanoseconds else 1e6
             read = handle.read
-            block = b""
-            end = offset = 0
+            rest = b""
+            wanted = RECORD_HEADER_LEN
             while True:
-                if end - offset < RECORD_HEADER_LEN:
-                    block = block[offset:] + read(max(READ_BLOCK, RECORD_HEADER_LEN))
-                    end, offset = len(block), 0
-                    if not end:
-                        break
-                    if end < RECORD_HEADER_LEN:
+                chunk = read(max(READ_BLOCK, wanted - len(rest)))
+                if not chunk:
+                    if not rest:
+                        return
+                    if len(rest) < RECORD_HEADER_LEN:
                         raise PcapFormatError("truncated pcap record header")
-                seconds, subseconds, captured_len, original_len = unpack_from(block, offset)
-                start = offset + RECORD_HEADER_LEN
-                offset = start + captured_len
-                if offset > end:
-                    block = block[start:] + read(max(READ_BLOCK, offset - end))
-                    end, start, offset = len(block), 0, captured_len
-                    if offset > end:
-                        raise PcapFormatError("truncated pcap record body")
-                yield CapturedPacket(
-                    seconds + subseconds / divisor, block[start:offset], original_len
+                    raise PcapFormatError("truncated pcap record body")
+                block = rest + chunk if rest else chunk
+                end = len(block)
+                offsets: list[int] = []
+                append = offsets.append
+                offset = 0
+                last = end - RECORD_HEADER_LEN
+                while offset <= last:
+                    append(offset)
+                    offset += RECORD_HEADER_LEN + captured_length(block, offset)[0]
+                if offset > end:  # the last record runs past the read
+                    wanted = offset - offsets.pop()
+                    offset -= wanted
+                else:
+                    wanted = RECORD_HEADER_LEN
+                rest = block[offset:]
+                if not offsets:
+                    continue
+                at = np.fromiter(offsets, np.int64, len(offsets))
+                heads = byte_windows(block, RECORD_HEADER_LEN)[at].view(fields)
+                starts = at + RECORD_HEADER_LEN
+                yield RecordBlock(
+                    block,
+                    starts,
+                    starts + heads[:, 2],
+                    (heads[:, 0] + heads[:, 1] / divisor).tolist(),
+                    heads[:, 3].astype(np.int64),
                 )
 
     def _parse_global_header(self, header: bytes) -> None:
@@ -156,11 +225,14 @@ class PcapWriter:
         if isinstance(packet, Packet):
             data = packet.to_bytes()
             timestamp = packet.timestamp or timestamp
+            original = packet.wire_length or len(data)
         elif isinstance(packet, CapturedPacket):
             data = packet.data
             timestamp = packet.timestamp
+            original = packet.original_length or len(data)
         else:
             data = packet
+            original = len(data)
         seconds = int(timestamp)
         microseconds = int(round((timestamp - seconds) * 1e6))
         if microseconds >= 1_000_000:
@@ -169,7 +241,7 @@ class PcapWriter:
             seconds += 1
             microseconds -= 1_000_000
         captured = data[: self.snaplen]
-        record = struct.pack("<IIII", seconds, microseconds, len(captured), len(data))
+        record = struct.pack("<IIII", seconds, microseconds, len(captured), original)
         self._handle.write(record + captured)
 
 

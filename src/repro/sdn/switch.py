@@ -47,8 +47,9 @@ class OpenVSwitch:
     without a Python call.  Each bucket (``None`` holds the
     wildcard-source rules) is kept in match order, so :meth:`lookup`
     checks only the packet's own bucket and the wildcard bucket, and a
-    ``cookie -> {bucket key}`` map lets :meth:`remove_rules` touch only
-    the buckets that hold the cookie.  Rules enter only via
+    ``cookie -> (bucket key, ...)`` map lets :meth:`remove_rules` touch
+    only the buckets that hold the cookie (a device's cookie names one
+    bucket, so a small tuple, not a set, per cookie).  Rules enter only via
     :meth:`install_rule` (there is no ``rules=`` constructor argument),
     and :attr:`rules` is a read-only view of the whole table in match
     order.  Misses and ``SEND_TO_CONTROLLER`` hits go to the packet-in
@@ -67,7 +68,7 @@ class OpenVSwitch:
     _buckets: dict[Optional[int], list[_Entry]] = field(
         default_factory=dict, init=False, repr=False
     )
-    _cookie_keys: dict[str, set[Optional[int]]] = field(
+    _cookie_keys: dict[str, tuple[Optional[int], ...]] = field(
         default_factory=dict, init=False, repr=False
     )
     _installs: int = field(default=0, init=False, repr=False)
@@ -86,11 +87,9 @@ class OpenVSwitch:
             self._buckets[key] = [entry]
         else:
             insort(bucket, entry)
-        keys = self._cookie_keys.get(rule.cookie)
-        if keys is None:
-            self._cookie_keys[rule.cookie] = {key}
-        else:
-            keys.add(key)
+        keys = self._cookie_keys.get(rule.cookie, ())
+        if key not in keys:
+            self._cookie_keys[rule.cookie] = (*keys, key)
 
     def remove_rules(self, cookie: str) -> int:
         """Remove every rule carrying ``cookie``; returns the removal count."""

@@ -20,7 +20,7 @@ from repro.devices.catalog import DEVICE_CATALOG, profile_of
 from repro.devices.simulator import SetupTrace, SetupTrafficSimulator
 from repro.exceptions import SimulationError
 from repro.net.addresses import MACAddress
-from repro.net.batch import StreamItem
+from repro.net.batch import StreamItem, parsed_frames
 from repro.net.packet import Packet
 from repro.net.pcap import CapturedPacket, PcapReader
 
@@ -33,8 +33,8 @@ class PacketSource(Protocol):
         """Yield packets in non-decreasing timestamp order.
 
         Each item is a raw :class:`~repro.net.pcap.CapturedPacket` frame
-        (the pipeline parses it straight into batch columns, dissecting
-        only frames its fast parser defers) or an already-dissected
+        (the pipeline reads its packed Table-I row, parsing it first if
+        the frame does not carry one) or an already-dissected
         :class:`~repro.net.packet.Packet`.
         """
         ...
@@ -54,17 +54,19 @@ class IterableSource:
 class PcapReplaySource:
     """Replays a classic pcap capture file as a packet stream.
 
-    Records are read one at a time and handed over as raw frames, so
-    arbitrarily large captures can be streamed without holding them in
-    memory -- the property the offline ``read_pcap`` helper deliberately
-    does not have -- and the pipeline parses each frame straight into
-    batch columns without building layer objects for it.
+    The file is read in 64 KiB blocks, and each block's frames are
+    parsed into their packed Table-I rows in one numpy pass
+    (:func:`~repro.net.batch.parsed_frames`) without building layer
+    objects for them.  The frames are handed over one at a time, each
+    carrying its row, so arbitrarily large captures can be streamed
+    holding one block in memory -- the property the offline
+    ``read_pcap`` helper deliberately does not have.
     """
 
     path: Union[str, Path]
 
     def packets(self) -> Iterator[CapturedPacket]:
-        return iter(PcapReader(self.path))
+        return parsed_frames(PcapReader(self.path).blocks())
 
 
 class SimulatedSource:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import socket
+import struct
 import time
 from typing import Hashable, Optional, Sequence
 
@@ -28,14 +30,34 @@ from repro.identification.classifier_bank import POSITIVE_LABEL
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.ml.compiled import LEAF
 from repro.ml.tree import _best_split
-from repro.net.addresses import MACAddress
+from repro.net.addresses import MACAddress, ipv6_from_bytes
+from repro.net.batch import (
+    _ETHERTYPE_ARP,
+    _ETHERTYPE_EAPOL,
+    _ETHERTYPE_IPV4,
+    _ETHERTYPE_IPV6,
+    _F_APP_NOT_DHCP,
+    _F_ARP,
+    _F_EAPOL,
+    _F_ICMP,
+    _F_ICMPV6,
+    _F_IP,
+    _F_RAW_DATA,
+    _F_TCP,
+    _F_UDP,
+    _MAX_8023_LENGTH,
+    _hop_by_hop_option_flags,
+    _ipv4_option_flags,
+    _packet_fields,
+    table_i_key,
+)
 from repro.net.layers import dhcp as dhcp_mod
 from repro.net.layers import dns as dns_mod
 from repro.net.layers import http as http_mod
 from repro.net.layers import ntp as ntp_mod
 from repro.net.layers import ssdp as ssdp_mod
 from repro.net.layers import tls as tls_mod
-from repro.net.layers.dhcp import DHCPMessage
+from repro.net.layers.dhcp import MAGIC_COOKIE, DHCPMessage
 from repro.net.layers.ethernet import ETHERTYPE, EthernetFrame
 from repro.net.layers.ipv4 import IPv4Header, PROTO_TCP, PROTO_UDP
 from repro.net.layers.tcp import TCPSegment
@@ -259,6 +281,172 @@ def numpy_feature_matrix(flags, src_ports, dst_ports, sizes) -> np.ndarray:
     matrix[:, 21] = classes[src]
     matrix[:, 22] = classes[dst]
     return matrix
+
+
+# --------------------------------------------------------------------------- #
+# Frame oracle: the per-frame byte-offset parser the block pass
+# (repro.net.batch._frame_rows) replaced.  It reads one frame's fields
+# with struct reads and defers to Packet.dissect wherever it cannot
+# prove it matches it; every row of the block pass must equal
+# table_i_key over these fields.
+# --------------------------------------------------------------------------- #
+_IPV4_HEADER = struct.Struct("!BxH5xB6x4s").unpack_from
+_PORT_PAIR = struct.Struct("!HH").unpack_from
+_UDP_HEADER = struct.Struct("!HHH").unpack_from
+_BOOTP_FIXED_LEN = dhcp_mod.FIXED_LEN
+_ipv4_text = socket.inet_ntoa
+
+
+def fast_frame_fields(data: bytes) -> Optional[tuple[int, int, int, Optional[str]]]:
+    """(flags, src_port, dst_port, dst_ip) straight from frame bytes.
+
+    Returns ``None`` whenever the frame needs the full dissector to match
+    :meth:`Packet.dissect` exactly (LLC, TCP on BOOTP ports, an IPv4
+    option list the layer parser rejects, truncated headers, frames under
+    34 bytes) -- the caller then takes the object path for that frame.
+    The byte offsets and length clamps below mirror the layer parsers
+    (IPv4 header length and total-length clamp, the IPv6 hop-by-hop
+    header's length, UDP length clamp, TCP data offset, IPv6's
+    deliberately *unclamped* payload, EAPoL's body length), and the
+    option walks mirror theirs for the padding and router-alert bits.
+
+    BOOTP-port UDP stays on the fast path because its application flag
+    needs no parse: DHCP is the first parser a BOOTP port tries, and the
+    only parse that sets ``_F_APP_NOT_DHCP`` is a successful cookie-less
+    one -- a payload of at least ``FIXED_LEN`` bytes with ``hlen == 6``
+    and no magic cookie right after the fixed part.  Every other outcome
+    (DHCP, another parser, no parser) leaves just the "payload present"
+    bit.
+    """
+    frame_len = len(data)
+    if frame_len < 34:
+        # Too short for Ethernet + minimal IP: LLC, ARP, EAPOL, runts and
+        # decode errors all live here -- let the dissector decide.
+        return None
+    ethertype = data[12] << 8 | data[13]
+    if ethertype == _ETHERTYPE_IPV4:
+        version_ihl, total_length, protocol, dst_raw = _IPV4_HEADER(data, 14)
+        if version_ihl >> 4 != 4:
+            return None
+        ihl = (version_ihl & 0x0F) * 4
+        rest_len = frame_len - 14
+        if ihl < 20 or rest_len < ihl:
+            return None  # IPv4Header.from_bytes rejects the IHL
+        flags = _F_IP
+        if ihl > 20:
+            option_flags = _ipv4_option_flags(data, 34, 14 + ihl)
+            if option_flags is None:
+                return None
+            flags |= option_flags
+        l4_end = total_length if ihl <= total_length < rest_len else rest_len
+        l4_len = l4_end - ihl
+        l4_off = 14 + ihl
+        dst_ip = _ipv4_text(dst_raw)
+    elif ethertype == _ETHERTYPE_IPV6:
+        if frame_len < 54 or (data[14] >> 4) != 6:
+            return None
+        protocol = data[20]
+        l4_off = 54
+        flags = _F_IP
+        if protocol == 0:  # hop-by-hop options header
+            # IPv6Header.from_bytes: at least 8 bytes, the whole header
+            # present, the next header read from its first byte.
+            if frame_len < 62:
+                return None
+            l4_off = 54 + (data[55] + 1) * 8
+            if frame_len < l4_off:
+                return None
+            flags |= _hop_by_hop_option_flags(data, 56, l4_off)
+            protocol = data[54]
+        dst_ip = ipv6_from_bytes(data[38:54])
+        # IPv6Header.from_bytes does not clamp by payload_length: Ethernet
+        # padding stays in the transport payload, exactly as scalar.
+        l4_len = frame_len - l4_off
+    elif ethertype == _ETHERTYPE_ARP:
+        rest = frame_len - 14
+        if rest < 28 or data[18] != 6 or data[19] != 4:
+            return None  # ARPPacket.from_bytes would reject it
+        return _F_ARP, -1, -1, None
+    elif ethertype == _ETHERTYPE_EAPOL:
+        # EAPOLFrame.from_bytes: a 4-byte header and a body cut at its
+        # length field; whatever follows stays as raw payload.
+        body_end = 18 + ((data[16] << 8) | data[17])
+        return _F_EAPOL | (_F_RAW_DATA if frame_len > body_end else 0), -1, -1, None
+    else:
+        if ethertype <= _MAX_8023_LENGTH:
+            return None  # LLC payload semantics: full dissect
+        # Unknown EtherType: dissect keeps the bytes as raw payload.
+        flags = _F_RAW_DATA if frame_len > 14 else 0
+        return flags, -1, -1, None
+
+    if protocol == 17:  # UDP
+        if l4_len < 8:
+            return None
+        src_port, dst_port, udp_length = _UDP_HEADER(data, l4_off)
+        if udp_length < 8:
+            return None
+        flags |= _F_UDP
+        payload_len = (l4_len if l4_len < udp_length else udp_length) - 8
+        if payload_len > 0:
+            flags |= _F_RAW_DATA
+    elif protocol == 6:  # TCP
+        if l4_len < 20:
+            return None
+        offset = (data[l4_off + 12] >> 4) * 4
+        if offset < 20 or offset > l4_len:
+            return None
+        flags |= _F_TCP
+        if l4_len - offset > 0:
+            flags |= _F_RAW_DATA
+        src_port, dst_port = _PORT_PAIR(data, l4_off)
+    elif protocol == 1 and ethertype == _ETHERTYPE_IPV4:  # ICMP
+        if l4_len < 8:
+            return None
+        return flags | _F_ICMP, -1, -1, dst_ip
+    elif protocol == 58 and ethertype == _ETHERTYPE_IPV6:  # ICMPv6
+        if l4_len < 4:
+            return None
+        return flags | _F_ICMPV6, -1, -1, dst_ip
+    else:
+        # Unhandled layer-4 protocol: the dissector keeps the transport
+        # bytes as raw payload.
+        if l4_len > 0:
+            flags |= _F_RAW_DATA
+        return flags, -1, -1, dst_ip
+
+    if src_port in _BOOTP_PORTS or dst_port in _BOOTP_PORTS:
+        if protocol == 6:
+            return None  # TCP on a BOOTP port: full dissect
+        payload = data[l4_off + 8 : l4_off + 8 + payload_len]
+        if (
+            len(payload) >= _BOOTP_FIXED_LEN
+            and payload[2] == 6
+            and not payload.startswith(MAGIC_COOKIE, _BOOTP_FIXED_LEN)
+        ):
+            flags |= _F_APP_NOT_DHCP
+    return flags, src_port, dst_port, dst_ip
+
+
+def oracle_item_fields(item) -> tuple[float, int, int, int, int, int, Optional[str]]:
+    """``(timestamp, source MAC, flags, src_port, dst_port, size, dst_ip)``
+    of one frame or packet: the fast frame parser, the full dissector for
+    the frames it defers, the object parser for dissected packets."""
+    if isinstance(item, CapturedPacket):
+        data = item.data
+        fields = fast_frame_fields(data)
+        if fields is not None:
+            flags, src_port, dst_port, dst_ip = fields
+            mac = int.from_bytes(data[6:12], "big")
+            size = item.original_length or len(data)
+            return item.timestamp, mac, flags, src_port, dst_port, size, dst_ip
+        item = Packet.dissect(data, item.timestamp, item.original_length)
+    flags, src_port, dst_port, size, dst_ip = _packet_fields(item)
+    return item.timestamp, item.ethernet.src.value, flags, src_port, dst_port, size, dst_ip
+
+def oracle_stream_row(item) -> tuple[float, int, int, Optional[str]]:
+    """:func:`repro.net.batch.stream_row` of one item, by the frame oracle."""
+    timestamp, mac, flags, src_port, dst_port, size, dst_ip = oracle_item_fields(item)
+    return timestamp, mac, table_i_key(flags, src_port, dst_port, size), dst_ip
 
 
 # --------------------------------------------------------------------------- #

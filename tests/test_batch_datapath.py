@@ -31,7 +31,7 @@ from repro.distance.damerau_levenshtein import (
     damerau_levenshtein_pairs,
     normalized_pair_distances,
 )
-from repro.exceptions import FingerprintError, PacketDecodeError
+from repro.exceptions import FingerprintError, PacketDecodeError, PcapFormatError
 from repro.features.fingerprint import fingerprint_key
 from repro.features.packet_features import (
     FEATURE_COUNT,
@@ -45,8 +45,6 @@ from repro.net.batch import (
     _F_EAPOL,
     _F_IP,
     KEY_LAYOUT,
-    _fast_frame_fields,
-    _item_fields,
     _packet_fields,
     stream_row,
     table_i_key,
@@ -70,12 +68,15 @@ from repro.net.layers.tcp import TCPSegment
 from repro.net.layers.tls import TLSRecord
 from repro.net.layers.udp import UDPDatagram
 from repro.net.packet import Packet
-from repro.net.pcap import CapturedPacket, PcapReader, read_pcap, write_pcap
+from repro.net import batch as batch_module
+from repro.net import pcap as pcap_module
+from repro.net.pcap import CapturedPacket, PcapReader, PcapWriter, read_pcap, write_pcap
 from repro.obs.hub import Observability
 from repro.streaming import (
     BatchDispatcher,
     IdentificationCache,
     IterableSource,
+    PcapReplaySource,
     ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
@@ -86,10 +87,13 @@ from tests.conftest import (
     ScalarFeatureExtractor,
     assert_scores_match_scalar_oracle,
     damerau_levenshtein,
+    fast_frame_fields,
     make_device_mac,
     make_udp_packet,
     normalized_damerau_levenshtein,
     numpy_feature_matrix,
+    oracle_item_fields,
+    oracle_stream_row,
     per_packet_run,
     rerun_stream,
     skewed,
@@ -358,7 +362,7 @@ class TestStreamRows:
         np.testing.assert_array_equal(_rows(packets), _expected_columns(packets))
         for packet in packets:
             timestamp, mac, _, dst_ip = stream_row(packet)
-            _, _, _, src_port, dst_port, _, _ = _item_fields(packet)
+            _, _, _, src_port, dst_port, _, _ = oracle_item_fields(packet)
             assert dst_ip == packet.dst_ip
             assert mac == packet.ethernet.src.value
             assert timestamp == packet.timestamp
@@ -374,8 +378,8 @@ class TestStreamRows:
         frames = list(PcapReader(path))
         assert frames
         packets = read_pcap(path)
-        assert [_item_fields(frame) for frame in frames] == [
-            _item_fields(packet) for packet in packets
+        assert [oracle_item_fields(frame) for frame in frames] == [
+            oracle_item_fields(packet) for packet in packets
         ]
         assert [stream_row(frame) for frame in frames] == [
             stream_row(packet) for packet in packets
@@ -413,8 +417,8 @@ class TestStreamRows:
         np.testing.assert_array_equal(ready.fingerprint.vectors, expected[None, :])
 
         frames = [CapturedPacket(p.timestamp, p.to_bytes(), p.wire_length) for p in packets]
-        assert [_item_fields(frame)[2] for frame in frames] == [
-            _item_fields(packet)[2] for packet in packets
+        assert [oracle_item_fields(frame)[2] for frame in frames] == [
+            oracle_item_fields(packet)[2] for packet in packets
         ]
 
     def test_device_runs_preserve_stream_order(self):
@@ -582,7 +586,7 @@ class TestTableIKey:
         write_pcap(path, packets)
         frames = list(PcapReader(path))
         rows = [stream_row(frame) for frame in frames]
-        fields = [_item_fields(frame) for frame in frames]
+        fields = [oracle_item_fields(frame) for frame in frames]
         assert [row[0] for row in rows] == [field[0] for field in fields]
         assert [row[1] for row in rows] == [field[1] for field in fields]
         assert [row[3] for row in rows] == [field[6] for field in fields]
@@ -1107,8 +1111,8 @@ class TestFromFramesFuzz:
                 with pytest.raises(PacketDecodeError):
                     stream_row(frame)
 
-            assert [_item_fields(frame) for frame in parseable] == [
-                _item_fields(packet) for packet in oracle_packets
+            assert [oracle_item_fields(frame) for frame in parseable] == [
+                oracle_item_fields(packet) for packet in oracle_packets
             ]
             assert [stream_row(frame) for frame in parseable] == [
                 stream_row(packet) for packet in oracle_packets
@@ -1157,9 +1161,9 @@ class TestFromFramesFuzz:
         expected.wire_length = original
         assert Packet.dissect(data, 1.5, original) == expected
         assert CapturedPacket(1.5, data, original).dissect() == expected
-        fields = _item_fields(CapturedPacket(1.5, data, original))
+        fields = oracle_item_fields(CapturedPacket(1.5, data, original))
         assert fields[5] == original
-        assert fields == _item_fields(expected)
+        assert fields == oracle_item_fields(expected)
 
     def test_truncated_ethernet_header_raises_like_dissect(self):
         from repro.exceptions import PacketDecodeError
@@ -1179,9 +1183,12 @@ class TestFromFramesFuzz:
 # from byte offsets, and must read exactly what Packet.dissect reads.
 # --------------------------------------------------------------------- #
 def _fast_and_dissected(frame):
-    """(fast-path fields, dissector fields) of one frame, sizes dropped."""
+    """(oracle fast-path fields, dissector fields) of one frame, sizes
+    dropped; the block pass must give the frame the oracle's row."""
     flags, src_port, dst_port, _size, dst_ip = _packet_fields(Packet.dissect(frame))
-    return _fast_frame_fields(frame), (flags, src_port, dst_port, dst_ip)
+    captured = CapturedPacket(0.0, frame, 0)
+    assert stream_row(captured) == oracle_stream_row(captured)
+    return fast_frame_fields(frame), (flags, src_port, dst_port, dst_ip)
 
 
 def _ipv4_frame(transport):
@@ -1298,8 +1305,8 @@ class TestFastFrameParser:
 
     def test_tcp_on_bootp_ports_still_falls_back(self):
         frame = _transport_frame(68, 67, _bootp_payload(236), tcp=True)
-        assert _fast_frame_fields(frame) is None
-        assert _item_fields(CapturedPacket(0.0, frame, 0))[2] == (
+        assert fast_frame_fields(frame) is None
+        assert oracle_item_fields(CapturedPacket(0.0, frame, 0))[2] == (
             _packet_fields(Packet.dissect(frame))[0]
         )
 
@@ -1324,8 +1331,8 @@ class TestFastFrameParser:
     def test_eapol_runt_falls_back_and_matches(self):
         frame = _eapol_frame(4, 4, 0)
         assert len(frame) < 34
-        assert _fast_frame_fields(frame) is None
-        flags = _item_fields(CapturedPacket(0.0, frame, 0))[2]
+        assert fast_frame_fields(frame) is None
+        flags = oracle_item_fields(CapturedPacket(0.0, frame, 0))[2]
         assert flags == _packet_fields(Packet.dissect(frame))[0]
 
     @pytest.mark.parametrize(
@@ -1358,15 +1365,15 @@ class TestFastFrameParser:
     )
     def test_malformed_ipv4_option_lists_fall_back(self, options):
         frame = _with_ipv4_options(_ipv4_frame("udp"), options)
-        assert _fast_frame_fields(frame) is None
-        flags = _item_fields(CapturedPacket(0.0, frame, 0))[2]
+        assert fast_frame_fields(frame) is None
+        flags = oracle_item_fields(CapturedPacket(0.0, frame, 0))[2]
         assert flags == _packet_fields(Packet.dissect(frame))[0]
 
     def test_ipv4_header_lengths_the_dissector_rejects_fall_back(self):
         frame = bytearray(_ipv4_frame("udp"))
         for version_ihl in (0x44, 0x40, 0x4F, 0x65):  # IHL 4 / 0, 60 bytes past the frame, v6
             frame[14] = version_ihl
-            assert _fast_frame_fields(bytes(frame[:60])) is None, hex(version_ihl)
+            assert fast_frame_fields(bytes(frame[:60])) is None, hex(version_ihl)
 
     @pytest.mark.parametrize(
         "body",
@@ -1389,17 +1396,17 @@ class TestFastFrameParser:
     def test_truncated_hop_by_hop_headers_fall_back(self):
         frame = _with_hop_by_hop(_ipv6_frame(17), 17, bytes([5, 2, 0, 0, 1, 0]))
         for cut in (54, 58, 61):  # shorter than the 8-byte minimum
-            assert _fast_frame_fields(frame[:cut]) is None, cut
+            assert fast_frame_fields(frame[:cut]) is None, cut
         longer = bytearray(frame)
         longer[55] = 30  # the header claims 248 bytes
-        assert _fast_frame_fields(bytes(longer)) is None
+        assert fast_frame_fields(bytes(longer)) is None
 
     def test_llc_frames_stay_on_the_dissector(self):
         frame = bytes(EthernetFrame(MACAddress(2), MACAddress(1), 40).to_bytes()) + bytes(
             [0x42, 0x42, 0x03]
         ) + bytes(43)
         assert Packet.dissect(frame).llc is not None
-        assert _fast_frame_fields(frame) is None
+        assert fast_frame_fields(frame) is None
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1456,3 +1463,309 @@ class TestFastFrameParser:
             assert fast is not None, packet.summary()
             assert fast == expected
         assert dhcp > 0 and eapol > 0
+
+
+# --------------------------------------------------------------------- #
+# The block pass: every frame of a pcap read block, parsed in one numpy
+# pass, must carry exactly the row the per-frame oracle gives it, and
+# only LLC and malformed frames may reach the dissector.
+# --------------------------------------------------------------------- #
+_RECORD_GAP = bytes([0xA5]) * 16  # stands where a record header would
+
+
+def _block_rows(frames, original_lengths=None, gap=_RECORD_GAP):
+    """The block pass's rows of ``frames``, laid out as one read block."""
+    data, starts, stops = b"", [], []
+    for frame in frames:
+        data += gap
+        starts.append(len(data))
+        data += frame
+        stops.append(len(data))
+    originals = original_lengths or [0] * len(frames)
+    return list(
+        batch_module._frame_rows(
+            data,
+            np.array(starts, np.int64),
+            np.array(stops, np.int64),
+            [0.5 * index for index in range(len(frames))],
+            np.array(originals, np.int64),
+        )
+    )
+
+
+def _oracle_block_rows(frames, original_lengths=None):
+    """The oracle's row of each frame; ``None`` where the dissector rejects it."""
+    rows = []
+    for index, frame in enumerate(frames):
+        original = original_lengths[index] if original_lengths else 0
+        try:
+            rows.append(oracle_stream_row(CapturedPacket(0.5 * index, frame, original)))
+        except PacketDecodeError:
+            rows.append(None)
+    return rows
+
+
+def _count_dissections(monkeypatch):
+    """The frames the block pass hands to the dissector, as they go."""
+    dissected = []
+    dissected_fields = batch_module._dissected_fields
+
+    def counted(data, original_length):
+        dissected.append(data)
+        return dissected_fields(data, original_length)
+
+    monkeypatch.setattr(batch_module, "_dissected_fields", counted)
+    return dissected
+
+
+def _llc_or_malformed(frame):
+    """Whether :meth:`Packet.dissect` reads ``frame`` as LLC, rejects it, or
+    gives up on one of its layers (keeping the bytes as raw payload)."""
+    try:
+        packet = Packet.dissect(frame)
+    except PacketDecodeError:
+        return True
+    ethernet = packet.ethernet
+    if ethernet.is_llc:
+        return True
+    network = {
+        ETHERTYPE.IPV4: packet.ipv4,
+        ETHERTYPE.IPV6: packet.ipv6,
+        ETHERTYPE.ARP: packet.arp,
+        ETHERTYPE.EAPOL: packet.eapol,
+    }
+    if ethernet.ethertype in network and network[ethernet.ethertype] is None:
+        return True
+    if packet.ipv4 is not None:
+        protocol, transports = packet.ipv4.protocol, {1: packet.icmp}
+    elif packet.ipv6 is not None:
+        protocol, transports = packet.ipv6.next_header, {58: packet.icmpv6}
+    else:
+        return False
+    transports.update({6: packet.tcp, 17: packet.udp})
+    return protocol in transports and transports[protocol] is None
+
+
+def _llc_frame():
+    return EthernetFrame(MACAddress(2), MACAddress(1), 40).to_bytes() + bytes(
+        [0x42, 0x42, 0x03]
+    ) + bytes(43)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_frame_kind():
+    """Frames of every kind the parse meets, well-formed and not."""
+    arp = Packet.dissect(
+        bytes.fromhex(
+            "ffffffffffff" "020000000001" "0806" "0001" "0800" "06" "04" "0001"
+            "020000000001" "c0a80002" "000000000000" "c0a80001"
+        )
+    ).to_bytes()
+    bad_arp = bytearray(arp)
+    bad_arp[18] = 8
+    flipped = bytes([dhcp_mod.MAGIC_COOKIE[0] ^ 1]) + dhcp_mod.MAGIC_COOKIE[1:]
+    bootp = [
+        _bootp_payload(235, cookie=b""),
+        _bootp_payload(236, cookie=b""),
+        _bootp_payload(239),
+        _bootp_payload(240),
+        _bootp_payload(240, cookie=flipped),
+        _bootp_payload(240, hlen=16, cookie=b""),
+        dhcp_mod.discover(MACAddress(1)).to_bytes(),
+        b"",
+    ]
+    frames = [arp, bytes(bad_arp), arp[:41], arp + bytes(18)]
+    for payload in bootp:
+        for ports in ((68, 67), (67, 68), (53, 67), (40000, 68)):
+            frames.append(_transport_frame(*ports, payload))  # BOOTP, with and without cookie
+            frames.append(_transport_frame(*ports, payload, tcp=True))  # TCP on BOOTP ports
+    full = _transport_frame(68, 67, _bootp_payload(240))
+    frames += [_with_udp_length(full, 8 + kept) for kept in (0, 3, 235, 236, 239, 240, 900)]
+    frames.append(_with_udp_length(full, 7))
+    for length_field, body_len, padding in ((95, 95, 0), (95, 95, 7), (0, 0, 42), (500, 16, 0), (4, 4, 0)):
+        frames.append(_eapol_frame(length_field, body_len, padding))
+    frames += [_eapol_frame(0, 0, 0)[:cut] for cut in (14, 17, 18)]
+    for transport in ("udp", "tcp", "icmp", "raw"):
+        frame = _ipv4_frame(transport)
+        frames += [frame, frame[:37], frame[:41]]
+        for options in (
+            bytes([148, 4, 0, 0]),
+            bytes([1, 1, 1, 1]),
+            bytes([0, 255, 255, 255]),
+            bytes([7, 1, 0, 0]),
+            bytes([148, 4, 0, 0, 7, 0, 0, 0]),
+        ):
+            frames.append(_with_ipv4_options(frame, options))
+    for inner in (17, 6, 58, 0, 59, 1):
+        frame = _ipv6_frame(inner)
+        frames += [frame, frame[:55], frame[:57]]
+        for body in (bytes([5, 2, 0, 0, 1, 0]), bytes(6), bytes([5, 2, 0, 0, 0x3E, 9])):
+            with_hop = _with_hop_by_hop(frame, inner, body)
+            frames += [with_hop, with_hop[:61]]
+        longer = bytearray(_with_hop_by_hop(frame, inner, bytes(6)))
+        longer[55] = 30  # the header claims 248 bytes
+        frames.append(bytes(longer))
+    frames += [_llc_frame(), _llc_frame()[:16]]
+    unknown = EthernetFrame(MACAddress(2), MACAddress(1), 0x88CC).to_bytes()
+    frames += [unknown, unknown + b"\x01", unknown + bytes(50)]
+    frames += [bytes(range(size)) for size in (0, 1, 13, 14, 20, 33)]  # runts
+    return tuple(frames)
+
+
+class TestBlockPass:
+    def test_every_frame_kind_matches_the_oracle(self, monkeypatch):
+        frames = list(_every_frame_kind())
+        dissected = _count_dissections(monkeypatch)
+        assert _block_rows(frames) == _oracle_block_rows(frames)
+        assert dissected == [frame for frame in frames if _llc_or_malformed(frame)]
+
+    def test_each_frame_alone_is_a_block_of_one(self):
+        for frame in _every_frame_kind():
+            captured = CapturedPacket(2.5, frame, 0)
+            try:
+                expected = oracle_stream_row(captured)
+            except PacketDecodeError:
+                with pytest.raises(PacketDecodeError):
+                    stream_row(captured)
+                continue
+            assert stream_row(captured) == expected, frame.hex()
+
+    def test_catalog_frames_other_than_llc_take_the_vector_path(self, monkeypatch):
+        frames = list(_catalog_frames())
+        dissected = _count_dissections(monkeypatch)
+        assert _block_rows(frames, gap=b"") == _oracle_block_rows(frames)
+        assert dissected and all(Packet.dissect(frame).llc is not None for frame in dissected)
+
+    def test_original_lengths_set_the_size(self):
+        frames = list(_every_frame_kind())
+        originals = [0 if index % 3 else len(frame) + index for index, frame in enumerate(frames)]
+        assert _block_rows(frames, originals) == _oracle_block_rows(frames, originals)
+
+    @pytest.mark.parametrize("block", [64, 100, 257, 1 << 16])
+    def test_records_across_block_edges_and_longer_than_a_block(
+        self, tmp_path, monkeypatch, block
+    ):
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", block)
+        frames = [frame for frame in _every_frame_kind() if len(frame) >= 14]
+        frames.insert(7, _transport_frame(40000, 53, bytes(range(256)) * 12))  # > a block
+        path = tmp_path / "kinds.pcap"
+        with PcapWriter(path) as writer:
+            for index, frame in enumerate(frames):
+                writer.write(CapturedPacket(index * 0.25, frame, len(frame) + index % 2))
+        replayed = list(PcapReplaySource(path).packets())
+        read = list(PcapReader(path))
+        assert [frame.data for frame in replayed] == frames
+        assert replayed == read
+        assert [frame.row for frame in replayed] == [oracle_stream_row(frame) for frame in read]
+        assert [stream_row(frame) for frame in replayed] == [frame.row for frame in replayed]
+
+    @pytest.mark.parametrize("block", [64, 300, 1 << 16])
+    def test_a_cut_record_keeps_every_whole_frame_before_it(
+        self, tmp_path, monkeypatch, trained_identifier, block
+    ):
+        """A capture cut inside its last record: the whole frames before the
+        cut are folded and counted, and the flush is stamped at the last
+        whole frame, wherever the read blocks end."""
+        monkeypatch.setattr(pcap_module, "READ_BLOCK", block)
+        path = tmp_path / "cut.pcap"
+        write_pcap(path, SimulatedSource(devices=3, seed=4).packets())
+        frames = list(PcapReader(path))
+        path.write_bytes(path.read_bytes()[:-5])
+        pipeline = StreamingPipeline(
+            source=PcapReplaySource(path), dispatcher=BatchDispatcher(trained_identifier)
+        )
+        flushed = []
+        submit = pipeline.dispatcher.submit
+
+        def recorded_submit(ready):
+            if ready.reason == "flush":
+                flushed.append(ready.completed_at)
+            return submit(ready)
+
+        pipeline.dispatcher.submit = recorded_submit
+        with pytest.raises(PcapFormatError, match="truncated pcap record body"):
+            pipeline.run()
+        assert pipeline.stats.packets == pipeline.assembler.stats.packets_observed == len(frames) - 1
+        stream_time = max(frame.timestamp for frame in frames[:-1])
+        assert pipeline.clock.now() == stream_time
+        assert flushed and all(completed_at == stream_time for completed_at in flushed)
+
+    def test_a_malformed_frame_raises_when_it_is_handed_over(self, tmp_path):
+        path = tmp_path / "runt.pcap"
+        frames = [_ipv4_frame("udp"), bytes([1]) * 9, _ipv4_frame("tcp")]
+        with PcapWriter(path) as writer:
+            for index, frame in enumerate(frames):
+                writer.write(frame, timestamp=float(index))
+        items = PcapReplaySource(path).packets()
+        assert stream_row(next(items)) == oracle_stream_row(CapturedPacket(0.0, frames[0]))
+        with pytest.raises(PacketDecodeError):
+            stream_row(next(items))
+        assert stream_row(next(items)) == oracle_stream_row(CapturedPacket(2.0, frames[2]))
+
+    def test_table_i_over_arrays_matches_table_i_key(self):
+        ports = sorted({*_NAMED_PORTS, -1, 0, 1, 1023, 1024, 40000, 49151, 49152, 65535})
+        pairs = list(itertools.product(ports, ports))
+        src = np.array([pair[0] for pair in pairs])
+        dst = np.array([pair[1] for pair in pairs])
+        sizes = np.arange(len(pairs)) * 977
+        for flags in range(1 << 12):
+            expected = [table_i_key(flags, *pair, size) for pair, size in zip(pairs, sizes.tolist())]
+            keys = batch_module._table_i_keys(np.full(len(pairs), flags), src, dst, sizes)
+            assert keys.tolist() == expected, flags
+
+
+    def test_table_i_over_arrays_on_random_rows_from_fresh_tables(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "_PORT_TABLES", batch_module._PortTables())
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            rows = 300
+            flags = rng.integers(0, 1 << 12, rows)
+            src = rng.choice([*_NAMED_PORTS, -1, *rng.integers(0, 1 << 16, 40)], rows)
+            dst = rng.choice([*_NAMED_PORTS, -1, *rng.integers(0, 1 << 16, 40)], rows)
+            sizes = rng.integers(0, 1 << 32, rows)
+            keys = batch_module._table_i_keys(flags, src, dst, sizes)
+            assert keys.tolist() == [
+                table_i_key(*row) for row in zip(*(a.tolist() for a in (flags, src, dst, sizes)))
+            ]
+
+    def test_token_table_starts_over_when_full(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "_TOKEN_ENTRIES", 4)
+        tokens = batch_module._IPv4Tokens()
+        for addresses in ([-1, 0x0A000001, 0x0A000002], [0xC0A80001, -1, 0x0A000001], [7, 7]):
+            expected = [
+                None if address < 0 else ".".join(str(address >> s & 0xFF) for s in (24, 16, 8, 0))
+                for address in addresses
+            ]
+            assert tokens(np.array(addresses)) == expected
+        assert len(tokens.addresses) <= 4
+
+
+def _mutated_frame(frame, cut, flips, extra):
+    data = bytearray(frame[: max(0, len(frame) - cut)])
+    for index, value in flips:
+        if data:
+            data[index % len(data)] = value
+    return bytes(data) + extra
+
+
+_random_frames = st.one_of(
+    st.builds(
+        _mutated_frame,
+        st.sampled_from(_catalog_frames() + _every_frame_kind()),
+        st.integers(0, 60),
+        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=3),
+        st.binary(max_size=8),
+    ),
+    st.binary(min_size=14, max_size=90),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.lists(_random_frames, min_size=1, max_size=12),
+    extra=st.lists(st.integers(0, 64), min_size=12, max_size=12),
+    gap=st.binary(max_size=20),
+)
+def test_random_blocks_match_the_oracle(frames, extra, gap):
+    originals = [len(frame) + more if more % 2 else 0 for frame, more in zip(frames, extra)]
+    assert _block_rows(frames, originals, gap) == _oracle_block_rows(frames, originals)

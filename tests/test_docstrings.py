@@ -16,6 +16,8 @@ import repro.identification.autopilot
 import repro.identification.lifecycle
 import repro.ml.compiled
 import repro.net.addresses
+import repro.net.batch
+import repro.net.pcap
 import repro.obs.evidence
 import repro.obs.hub
 import repro.obs.ledger
@@ -29,6 +31,8 @@ DOCTESTED_MODULES = [
     repro.identification.lifecycle,
     repro.ml.compiled,
     repro.net.addresses,
+    repro.net.batch,
+    repro.net.pcap,
     repro.obs.evidence,
     repro.obs.hub,
     repro.obs.ledger,

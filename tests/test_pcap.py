@@ -13,6 +13,7 @@ from repro.net.packet import Packet
 from repro.net import pcap as pcap_module
 from repro.net.pcap import (
     MAGIC_MICROSECONDS,
+    CapturedPacket,
     MAGIC_NANOSECONDS,
     PcapReader,
     PcapWriter,
@@ -84,6 +85,26 @@ class TestPcapRoundtrip:
         assert len(captured[0].data) == 40
         assert captured[0].original_length == len(packet.to_bytes())
         assert captured[0].dissect().wire_length == len(packet.to_bytes())
+
+    def test_original_lengths_round_trip(self, tmp_path):
+        # A frame captured short keeps its wire length through a rewrite,
+        # and so does a dissected packet's; bare bytes record their own.
+        path = tmp_path / "lengths.pcap"
+        arp = bytes.fromhex(
+            "ffffffffffff" "020000000001" "0806" "0001" "0800" "06" "04" "0001"
+            "020000000001" "c0a80002" "000000000000" "c0a80001"
+        )
+        packet = _sample_packets(1)[0]
+        packet.wire_length = 1400
+        with PcapWriter(path) as writer:
+            writer.write(CapturedPacket(1.0, arp, original_length=1514))
+            writer.write(CapturedPacket(2.0, arp))
+            writer.write(packet)
+            writer.write(arp, timestamp=3.0)
+        frames = list(PcapReader(path))
+        assert [frame.original_length for frame in frames] == [1514, len(arp), 1400, len(arp)]
+        assert [frame.data for frame in frames] == [arp, arp, packet.to_bytes(), arp]
+        assert read_pcap(path)[0].size == 1514
 
     def test_subsecond_rounding_carries_into_seconds(self, tmp_path):
         # 1.9999996 s rounds to 2 s; the microsecond field must stay < 10**6.

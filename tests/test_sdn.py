@@ -125,6 +125,39 @@ class TestOpenVSwitch:
         with pytest.raises(SdnError):
             switch.remove_rules("")
 
+    def test_a_cookie_spanning_two_buckets_is_removed_whole(self):
+        switch = OpenVSwitch()
+        for src_mac in (DEVICE, None, DEVICE, OTHER):
+            switch.install_rule(
+                FlowRule(FlowMatch(src_mac=src_mac), FlowAction.DROP, priority=1, cookie="a")
+            )
+        switch.install_rule(FlowRule(FlowMatch(src_mac=DEVICE), FlowAction.DROP, priority=1, cookie="b"))
+        assert switch.remove_rules("a") == 4
+        assert [rule.cookie for rule in switch.rules] == ["b"]
+        assert switch.remove_rules("a") == 0
+        assert switch.lookup(make_udp_packet(OTHER, GATEWAY, "10.0.0.3", "8.8.8.8")) is None
+
+    def test_cookie_map_costs_a_small_tuple_per_onboarded_device(self):
+        # Bytes the switch module allocates per device a filtering gateway
+        # onboards: ~390 B with a tuple of bucket keys per cookie, ~560 B
+        # with a one-element set.
+        import tracemalloc
+
+        import repro.sdn.switch as switch_module
+        from repro.eval.experiments import _onboard
+
+        gateway = SecurityGateway(filtering_enabled=True)
+        devices = 600
+        tracemalloc.start()
+        try:
+            _onboard(gateway, 0, devices)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        traced = snapshot.filter_traces([tracemalloc.Filter(True, switch_module.__file__)])
+        per_device = sum(stat.size for stat in traced.statistics("filename")) / devices
+        assert per_device < 470
+
     def test_flush(self):
         switch = OpenVSwitch()
         switch.install_rule(FlowRule(FlowMatch(), FlowAction.DROP, priority=1))
