@@ -507,7 +507,7 @@ def _option_flags(options: bytes, hop_by_hop: bool) -> Optional[int]:
     return _ipv4_option_flags(options, 0, len(options))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=64)
 def _dissected_fields(data: bytes, original_length: int) -> tuple[int, int, Optional[str]]:
     """``(source MAC, key, destination token)`` of a frame only
     :meth:`Packet.dissect` parses exactly (LLC, malformed layers); raises
@@ -583,7 +583,9 @@ def _frame_rows(
     fits &= length >= l4
     ipv6 &= fits
     hop &= fits
-    protocol = np.where(hop, hop_header >> 8, np.where(ipv4, ipv4_protocol & 0xFF, next_header >> 8))
+    protocol = np.where(
+        hop, hop_header >> 8, np.where(ipv4, ipv4_protocol & 0xFF, next_header >> 8)
+    )
     by_protocol = kind | protocol
     # IPv4 clamps the transport at a sane total length; IPv6 does not.
     total += 14  # the IPv4 total length (EAPoL body length) from the frame's start
@@ -611,29 +613,32 @@ def _frame_rows(
     transported = udp | tcp
     src_port = np.where(transported, src_port, -1)
     dst_port = np.where(transported, dst_port, -1)
-    cookie_at = np.minimum(at + _COOKIE_AT, len(data))
+    # A BOOTP payload holding the fixed part with hlen 6 is not DHCP
+    # unless the magic cookie follows it (inside the payload).
     not_dhcp = (
         udp
         & (_IS_BOOTP_PORT[src_port] | _IS_BOOTP_PORT[dst_port])
         & (udp_payload >= _BOOTP_FIXED_LEN)
         & (bootp_hlen >> 8 == 6)
-        & ~(
-            (udp_payload >= _BOOTP_FIXED_LEN + 4)
-            & (byte_windows(padded, 4)[cookie_at].view(_U32)[:, 0] == _MAGIC_COOKIE)
-        )
     )
+    cookied = np.flatnonzero(not_dhcp & (udp_payload >= _BOOTP_FIXED_LEN + 4))
+    if len(cookied):
+        cookies = byte_windows(padded, 4)[at[cookied] + _COOKIE_AT].view(_U32)[:, 0]
+        not_dhcp[cookied] = cookies != _MAGIC_COOKIE
     flags = _KIND_FLAGS[by_protocol] | raw * _F_RAW_DATA | not_dhcp * _F_APP_NOT_DHCP
 
     # IPv4 option lists and IPv6 hop-by-hop headers, frame by frame.
     opened = np.flatnonzero(parsed & ((ipv4 & (network_end > 34)) | hop))
     if len(opened):
-        option_starts = (starts[opened] + np.where(hop[opened], 56, 34)).tolist()
-        option_ends = (starts[opened] + l4[opened]).tolist()
+        first, hops = starts[opened], hop[opened]
+        option_starts = (first + np.where(hops, 56, 34)).tolist()
+        option_ends = (first + l4[opened]).tolist()
         found = [
             _option_flags(data[start:end], is_hop)
-            for start, end, is_hop in zip(option_starts, option_ends, hop[opened].tolist())
+            for start, end, is_hop in zip(option_starts, option_ends, hops.tolist())
         ]
-        parsed[opened] = [bits is not None for bits in found]
+        if None in found:  # an option list the layer parser rejects
+            parsed[opened] = [bits is not None for bits in found]
         flags[opened] |= [bits or 0 for bits in found]
 
     sizes = np.where(original_lengths > 0, original_lengths, length)
@@ -713,7 +718,8 @@ def stream_row(item: StreamItem) -> FrameRow:
                 return (item.timestamp, *_dissected_fields(data, item.original_length))
         return row
     flags, src_port, dst_port, size, dst_ip = _packet_fields(item)
-    return item.timestamp, item.ethernet.src.value, table_i_key(flags, src_port, dst_port, size), dst_ip
+    key = table_i_key(flags, src_port, dst_port, size)
+    return item.timestamp, item.ethernet.src.value, key, dst_ip
 
 
 __all__ = ["KEY_LAYOUT", "StreamItem", "parsed_frames", "stream_row", "table_i_key"]

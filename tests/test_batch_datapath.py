@@ -1582,8 +1582,8 @@ def _every_frame_kind():
     full = _transport_frame(68, 67, _bootp_payload(240))
     frames += [_with_udp_length(full, 8 + kept) for kept in (0, 3, 235, 236, 239, 240, 900)]
     frames.append(_with_udp_length(full, 7))
-    for length_field, body_len, padding in ((95, 95, 0), (95, 95, 7), (0, 0, 42), (500, 16, 0), (4, 4, 0)):
-        frames.append(_eapol_frame(length_field, body_len, padding))
+    for eapol in ((95, 95, 0), (95, 95, 7), (0, 0, 42), (500, 16, 0), (4, 4, 0)):
+        frames.append(_eapol_frame(*eapol))
     frames += [_eapol_frame(0, 0, 0)[:cut] for cut in (14, 17, 18)]
     for transport in ("udp", "tcp", "icmp", "raw"):
         frame = _ipv4_frame(transport)
@@ -1685,7 +1685,8 @@ class TestBlockPass:
         pipeline.dispatcher.submit = recorded_submit
         with pytest.raises(PcapFormatError, match="truncated pcap record body"):
             pipeline.run()
-        assert pipeline.stats.packets == pipeline.assembler.stats.packets_observed == len(frames) - 1
+        assert pipeline.stats.packets == len(frames) - 1
+        assert pipeline.assembler.stats.packets_observed == len(frames) - 1
         stream_time = max(frame.timestamp for frame in frames[:-1])
         assert pipeline.clock.now() == stream_time
         assert flushed and all(completed_at == stream_time for completed_at in flushed)
@@ -1709,7 +1710,9 @@ class TestBlockPass:
         dst = np.array([pair[1] for pair in pairs])
         sizes = np.arange(len(pairs)) * 977
         for flags in range(1 << 12):
-            expected = [table_i_key(flags, *pair, size) for pair, size in zip(pairs, sizes.tolist())]
+            expected = [
+                table_i_key(flags, *pair, size) for pair, size in zip(pairs, sizes.tolist())
+            ]
             keys = batch_module._table_i_keys(np.full(len(pairs), flags), src, dst, sizes)
             assert keys.tolist() == expected, flags
 

@@ -131,7 +131,9 @@ class TestOpenVSwitch:
             switch.install_rule(
                 FlowRule(FlowMatch(src_mac=src_mac), FlowAction.DROP, priority=1, cookie="a")
             )
-        switch.install_rule(FlowRule(FlowMatch(src_mac=DEVICE), FlowAction.DROP, priority=1, cookie="b"))
+        switch.install_rule(
+            FlowRule(FlowMatch(src_mac=DEVICE), FlowAction.DROP, priority=1, cookie="b")
+        )
         assert switch.remove_rules("a") == 4
         assert [rule.cookie for rule in switch.rules] == ["b"]
         assert switch.remove_rules("a") == 0
