@@ -25,8 +25,8 @@ destination token)``.  Two parsers cover both item shapes:
 
 :func:`table_i_key` -- the one definition of Table I -- packs one
 packet's fields into its feature row as one integer; the block pass
-looks its keys up in a small memo of it.  :func:`stream_row` reads an
-item's row.  The streaming drive takes it from each item as it arrives;
+packs its keys through tables filled from it (:func:`_table_i_keys`).
+:func:`stream_row` reads an item's row.  The streaming drive takes it from each item as it arrives;
 training maps it over a capture and unpacks the keys with
 :func:`~repro.features.packet_features.unpack_rows`.  The fold stays
 per frame.
@@ -314,12 +314,13 @@ class _PortTables:
     """What a (source, destination) port pair adds to a key, built lazily.
 
     Ports that :func:`table_i_key` packs alike on either side share a
-    *kind* (each named port, and the unnamed ports of each
-    port class: about a dozen); ``kinds[port]`` is 0 until a block meets
-    the port (index -1 is "no port").  ``pairs[(gate * width + source
-    kind) * width + destination kind]`` holds what a pair of
-    representatives adds to the gate's flag word's key, or -1 until a
-    block meets the pair.
+    *kind* (each named port, and the unnamed ports of each port class:
+    about a dozen); ``kinds[port]`` is 0 until a block meets the port
+    (index -1 is "no port").  ``pairs[(gate * width + source kind) *
+    width + destination kind]`` holds what a pair of representatives adds
+    to the gate's flag word's key, or -1 until a block meets the pair.
+    The tables only cache :func:`table_i_key`: the order they fill in
+    never changes a key.
     """
 
     def __init__(self) -> None:
