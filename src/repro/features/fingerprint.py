@@ -22,7 +22,7 @@ from repro.features.packet_features import (
     PacketFeatureExtractor,
     unpack_rows,
 )
-from repro.net.batch import stream_row
+from repro.net.batch import carrying_rows, stream_row
 from repro.net.packet import Packet
 
 #: Number of unique packet vectors concatenated into the fixed fingerprint.
@@ -100,11 +100,12 @@ class Fingerprint:
         The packets must all originate from the device being fingerprinted;
         use :func:`repro.features.session.split_by_source` to separate a
         mixed capture by source MAC first.  Each packet's key comes from
-        :func:`~repro.net.batch.stream_row` and the rows from
+        :func:`~repro.net.batch.stream_row` (raw frames parsed a run at a
+        time by :func:`~repro.net.batch.carrying_rows`) and the rows from
         :func:`~repro.features.packet_features.unpack_rows`, as the
         streaming assembler serves them.
         """
-        parsed = [stream_row(packet) for packet in packets]
+        parsed = [stream_row(packet) for packet in carrying_rows(packets)]
         counter_for = PacketFeatureExtractor().counter_for
         rows = unpack_rows(
             [key for _, _, key, _ in parsed], [counter_for(dst_ip) for *_, dst_ip in parsed]

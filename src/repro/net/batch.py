@@ -18,8 +18,9 @@ destination token)``.  Two parsers cover both item shapes:
   dissecting every frame would have produced (the differential suite
   asserts this against the per-frame oracle in ``tests/conftest.py``).
   :func:`parsed_frames` hands a pcap replay's frames over one at a time,
-  each carrying its row; a frame passed in on its own is parsed as a
-  block of one;
+  each carrying its row; :func:`carrying_rows` parses each run of frames
+  another source hands over bare as one block; a frame passed in on its
+  own is parsed as a block of one;
 * an already-dissected :class:`Packet` (simulator traces, training
   captures, generic sources) is read with one tight attribute pass.
 
@@ -54,7 +55,7 @@ from repro.net.layers import tls as tls_mod
 from repro.net.layers.dhcp import FIXED_LEN as _BOOTP_FIXED_LEN
 from repro.net.layers.dhcp import MAGIC_COOKIE, DHCPMessage
 from repro.net.packet import Packet
-from repro.net.pcap import CapturedPacket, FrameRow, RecordBlock, byte_windows
+from repro.net.pcap import READ_BLOCK, CapturedPacket, RecordBlock, byte_windows
 
 _ETHERTYPE_IPV4 = 0x0800
 _ETHERTYPE_ARP = 0x0806
@@ -83,6 +84,10 @@ _IPV4_OPTION_ROUTER_ALERT = ipv4_mod.OPTION_ROUTER_ALERT
 _HBH_OPTION_PAD1 = ipv6_mod.HBH_OPTION_PAD1
 _HBH_OPTION_PADN = ipv6_mod.HBH_OPTION_PADN
 _HBH_OPTION_ROUTER_ALERT = ipv6_mod.HBH_OPTION_ROUTER_ALERT
+
+#: One item's parsed row: ``(timestamp, source MAC value, packed Table-I
+#: key, destination token)`` (see :func:`stream_row`).
+FrameRow = tuple[float, int, int, Optional[str]]
 
 
 # --------------------------------------------------------------------- #
@@ -469,6 +474,8 @@ class _IPv4Tokens:
     The addresses seen so far are kept sorted beside their texts, so a
     block's tokens are one binary search; an address seen first is
     formatted once, and the table starts over past :data:`_TOKEN_ENTRIES`.
+    ``np.unique`` over each block instead timed ~0.07 us a frame slower
+    on the seed-1 benchmark captures (2-CPU x86 container).
     """
 
     def __init__(self) -> None:
@@ -482,11 +489,10 @@ class _IPv4Tokens:
             new = np.unique(addresses[unknown])
             if len(self.addresses) + len(new) > _TOKEN_ENTRIES:
                 self.addresses, self.texts = self.addresses[:1], self.texts[:1]
-            for address in new.tolist():
-                index = int(np.searchsorted(self.addresses, address))
-                self.addresses = np.insert(self.addresses, index, address)
-                text = socket.inet_ntoa(address.to_bytes(4, "big"))
-                self.texts = np.insert(self.texts, index, text)
+            texts = [socket.inet_ntoa(address.to_bytes(4, "big")) for address in new.tolist()]
+            slots = np.searchsorted(self.addresses, new)
+            self.addresses = np.insert(self.addresses, slots, new)
+            self.texts = np.insert(self.texts, slots, np.array(texts, object))
             at = np.searchsorted(self.addresses, addresses)
         tokens: list[Optional[str]] = self.texts[at].tolist()
         return tokens
@@ -499,21 +505,10 @@ _ipv4_tokens = _IPv4Tokens()
 _ipv6_text = functools.lru_cache(maxsize=_TOKEN_ENTRIES)(ipv6_from_bytes)
 
 
-@functools.lru_cache(maxsize=256)
-def _option_flags(options: bytes, hop_by_hop: bool) -> Optional[int]:
-    """Padding / router-alert bits of one IPv4 option list or IPv6
-    hop-by-hop option area; a capture repeats few of them."""
-    if hop_by_hop:
-        return _hop_by_hop_option_flags(options, 0, len(options))
-    return _ipv4_option_flags(options, 0, len(options))
-
-
-@functools.lru_cache(maxsize=64)
 def _dissected_fields(data: bytes, original_length: int) -> tuple[int, int, Optional[str]]:
     """``(source MAC, key, destination token)`` of a frame only
     :meth:`Packet.dissect` parses exactly (LLC, malformed layers); raises
-    :class:`PacketDecodeError` where it does.  A capture repeats its LLC
-    frames, so the rows are remembered."""
+    :class:`PacketDecodeError` where it does."""
     packet = Packet.dissect(data, 0.0, original_length)
     flags, src_port, dst_port, size, dst_ip = _packet_fields(packet)
     return packet.ethernet.src.value, table_i_key(flags, src_port, dst_port, size), dst_ip
@@ -635,7 +630,7 @@ def _frame_rows(
         option_starts = (first + np.where(hops, 56, 34)).tolist()
         option_ends = (first + l4[opened]).tolist()
         found = [
-            _option_flags(data[start:end], is_hop)
+            (_hop_by_hop_option_flags if is_hop else _ipv4_option_flags)(data, start, end)
             for start, end, is_hop in zip(option_starts, option_ends, hops.tolist())
         ]
         if None in found:  # an option list the layer parser rejects
@@ -669,6 +664,10 @@ def _frame_rows(
     return rows
 
 
+#: What a packet source yields: a raw captured frame or a dissected packet.
+StreamItem = Union[CapturedPacket, Packet]
+
+
 def parsed_frames(blocks: Iterable[RecordBlock]) -> Iterator[CapturedPacket]:
     """The frames of ``blocks`` (:meth:`PcapReader.blocks
     <repro.net.pcap.PcapReader.blocks>`), each carrying its row.
@@ -688,8 +687,55 @@ def _block_frames(block: RecordBlock) -> Iterator[CapturedPacket]:
     )
 
 
-#: What a packet source yields: a raw captured frame or a dissected packet.
-StreamItem = Union[CapturedPacket, Packet]
+def carrying_rows(items: Iterable[StreamItem]) -> Iterator[StreamItem]:
+    """``items``, each frame that carries no row given its row.
+
+    Consecutive such frames are gathered, up to :data:`~repro.net.pcap.READ_BLOCK`
+    bytes of them, and parsed as one block (:func:`_frame_rows`), so
+    ``items`` is read up to one block ahead of the frame handed over.
+    Dissected packets and frames that already carry a row pass as they
+    are.  If ``items`` raises, the frames gathered before it are handed
+    over first.
+    """
+    run: list[CapturedPacket] = []
+    size = 0
+    iterator = iter(items)
+    while True:
+        try:
+            item = next(iterator, None)
+        except Exception:
+            if run:
+                yield from _run_frames(run)
+            raise
+        if isinstance(item, CapturedPacket) and item.row is None:
+            run.append(item)
+            size += len(item.data)
+            if size >= READ_BLOCK:
+                yield from _run_frames(run)
+                run, size = [], 0
+            continue
+        if run:
+            yield from _run_frames(run)
+            run, size = [], 0
+        if item is None:
+            return
+        yield item
+
+
+def _run_frames(frames: list[CapturedPacket]) -> Iterator[CapturedPacket]:
+    """Copies of ``frames``, parsed as one block, each carrying its row."""
+    lengths = np.array([len(frame.data) for frame in frames], np.int64)
+    stops = np.cumsum(lengths)
+    return _block_frames(
+        RecordBlock(
+            b"".join(frame.data for frame in frames),
+            stops - lengths,
+            stops,
+            [frame.timestamp for frame in frames],
+            np.array([frame.original_length for frame in frames], np.int64),
+        )
+    )
+
 
 _ONE_START = np.zeros(1, np.int64)
 
@@ -698,9 +744,10 @@ def stream_row(item: StreamItem) -> FrameRow:
     """``(timestamp, source MAC, packed Table-I key, destination token)`` of one item.
 
     The per-item parse of the streaming drive and of training rows.  A
-    frame read by :func:`parsed_frames` carries its row; any other frame
-    is parsed as a block of one (:func:`_frame_rows`); a dissected packet
-    is read with one attribute pass (:func:`_packet_fields`).
+    frame read by :func:`parsed_frames` or :func:`carrying_rows` carries
+    its row; any other frame is parsed as a block of one
+    (:func:`_frame_rows`); a dissected packet is read with one attribute
+    pass (:func:`_packet_fields`).
     :func:`table_i_key` packs each row; no column is built.
     """
     if isinstance(item, CapturedPacket):
@@ -723,4 +770,12 @@ def stream_row(item: StreamItem) -> FrameRow:
     return item.timestamp, item.ethernet.src.value, key, dst_ip
 
 
-__all__ = ["KEY_LAYOUT", "StreamItem", "parsed_frames", "stream_row", "table_i_key"]
+__all__ = [
+    "KEY_LAYOUT",
+    "FrameRow",
+    "StreamItem",
+    "carrying_rows",
+    "parsed_frames",
+    "stream_row",
+    "table_i_key",
+]

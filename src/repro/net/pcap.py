@@ -12,12 +12,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import PcapFormatError
 from repro.net.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.net.batch import FrameRow
 
 GLOBAL_HEADER_LEN = 24
 RECORD_HEADER_LEN = 16
@@ -32,18 +35,16 @@ MAGIC_NANOSECONDS = 0xA1B23C4D
 LINKTYPE_ETHERNET = 1
 
 
-#: A frame's parsed row: ``(timestamp, source MAC value, packed Table-I
-#: key, destination token)`` (see :func:`repro.net.batch.stream_row`).
-FrameRow = tuple[float, int, int, Optional[str]]
-
-
 @dataclass(slots=True)
 class CapturedPacket:
     """A raw captured frame together with its capture timestamp.
 
-    ``row`` is the frame's parsed row when whoever read the frame already
-    parsed it (:func:`repro.net.batch.parsed_frames`), else ``None``; it
-    takes no part in comparisons.
+    ``row`` is the frame's parsed row (:data:`repro.net.batch.FrameRow`)
+    when whoever read the frame already parsed it
+    (:func:`repro.net.batch.parsed_frames`), else ``None``; it takes no
+    part in comparisons.  It describes ``timestamp``, ``data`` and
+    ``original_length`` as they were parsed: a copy that changes any of
+    them (``dataclasses.replace``) must pass ``row=None``.
     """
 
     timestamp: float

@@ -20,7 +20,7 @@ from repro.devices.catalog import DEVICE_CATALOG, profile_of
 from repro.devices.simulator import SetupTrace, SetupTrafficSimulator
 from repro.exceptions import SimulationError
 from repro.net.addresses import MACAddress
-from repro.net.batch import StreamItem, parsed_frames
+from repro.net.batch import StreamItem, carrying_rows, parsed_frames
 from repro.net.packet import Packet
 from repro.net.pcap import CapturedPacket, PcapReader
 
@@ -42,12 +42,17 @@ class PacketSource(Protocol):
 
 @dataclass
 class IterableSource:
-    """Wraps any pre-built packet iterable (lists, generators, traces)."""
+    """Wraps any pre-built packet iterable (lists, generators, traces).
+
+    Raw frames are parsed a run at a time
+    (:func:`~repro.net.batch.carrying_rows`), so the iterable is read up
+    to one 64 KiB block of consecutive frames ahead of the fold.
+    """
 
     items: Iterable[StreamItem]
 
     def packets(self) -> Iterator[StreamItem]:
-        yield from self.items
+        return carrying_rows(self.items)
 
 
 @dataclass

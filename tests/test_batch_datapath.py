@@ -1191,6 +1191,21 @@ def _fast_and_dissected(frame):
     return fast_frame_fields(frame), (flags, src_port, dst_port, dst_ip)
 
 
+def _dissected_by_block_pass(monkeypatch, frame):
+    """Whether the block pass hands ``frame`` to :meth:`Packet.dissect`; the
+    frame's row must be the oracle's (or both must reject it) either way."""
+    dissected = _count_dissections(monkeypatch)
+    captured = CapturedPacket(0.0, frame, 0)
+    try:
+        expected = oracle_stream_row(captured)
+    except PacketDecodeError:
+        with pytest.raises(PacketDecodeError):
+            stream_row(captured)
+    else:
+        assert stream_row(captured) == expected
+    return bool(dissected)
+
+
 def _ipv4_frame(transport):
     """An Ethernet/IPv4 frame of one kind of transport, without IP options."""
     layers = {
@@ -1303,12 +1318,14 @@ class TestFastFrameParser:
             "ipv6",
         }
 
-    def test_tcp_on_bootp_ports_still_falls_back(self):
+    def test_tcp_on_bootp_ports_still_falls_back(self, monkeypatch):
         frame = _transport_frame(68, 67, _bootp_payload(236), tcp=True)
         assert fast_frame_fields(frame) is None
         assert oracle_item_fields(CapturedPacket(0.0, frame, 0))[2] == (
             _packet_fields(Packet.dissect(frame))[0]
         )
+        # The block pass reads TCP on any port without the dissector.
+        assert not _dissected_by_block_pass(monkeypatch, frame)
 
     @pytest.mark.parametrize(
         "length_field, body_len, padding",
@@ -1328,12 +1345,14 @@ class TestFastFrameParser:
         assert fast == expected
         assert fast[0] & _F_EAPOL
 
-    def test_eapol_runt_falls_back_and_matches(self):
+    def test_eapol_runt_falls_back_and_matches(self, monkeypatch):
         frame = _eapol_frame(4, 4, 0)
         assert len(frame) < 34
         assert fast_frame_fields(frame) is None
         flags = oracle_item_fields(CapturedPacket(0.0, frame, 0))[2]
         assert flags == _packet_fields(Packet.dissect(frame))[0]
+        # The block pass needs only the 4-byte EAPoL header.
+        assert not _dissected_by_block_pass(monkeypatch, frame)
 
     @pytest.mark.parametrize(
         "options",
@@ -1363,17 +1382,17 @@ class TestFastFrameParser:
             bytes([148, 4, 0, 0, 7, 0, 0, 0]),  # a valid option, then a bad one
         ],
     )
-    def test_malformed_ipv4_option_lists_fall_back(self, options):
+    def test_malformed_ipv4_option_lists_fall_back(self, monkeypatch, options):
         frame = _with_ipv4_options(_ipv4_frame("udp"), options)
         assert fast_frame_fields(frame) is None
         flags = oracle_item_fields(CapturedPacket(0.0, frame, 0))[2]
         assert flags == _packet_fields(Packet.dissect(frame))[0]
+        assert _dissected_by_block_pass(monkeypatch, frame)
 
-    def test_ipv4_header_lengths_the_dissector_rejects_fall_back(self):
-        frame = bytearray(_ipv4_frame("udp"))
-        for version_ihl in (0x44, 0x40, 0x4F, 0x65):  # IHL 4 / 0, 60 bytes past the frame, v6
-            frame[14] = version_ihl
-            assert fast_frame_fields(bytes(frame[:60])) is None, hex(version_ihl)
+    def test_ipv4_header_lengths_the_dissector_rejects_fall_back(self, monkeypatch):
+        for frame in _bad_version_ihl_frames():
+            assert fast_frame_fields(frame) is None, hex(frame[14])
+            assert _dissected_by_block_pass(monkeypatch, frame), hex(frame[14])
 
     @pytest.mark.parametrize(
         "body",
@@ -1393,20 +1412,19 @@ class TestFastFrameParser:
         assert fast is not None
         assert fast == expected
 
-    def test_truncated_hop_by_hop_headers_fall_back(self):
+    def test_truncated_hop_by_hop_headers_fall_back(self, monkeypatch):
         frame = _with_hop_by_hop(_ipv6_frame(17), 17, bytes([5, 2, 0, 0, 1, 0]))
-        for cut in (54, 58, 61):  # shorter than the 8-byte minimum
-            assert fast_frame_fields(frame[:cut]) is None, cut
         longer = bytearray(frame)
         longer[55] = 30  # the header claims 248 bytes
-        assert fast_frame_fields(bytes(longer)) is None
+        for cut in (frame[:54], frame[:58], frame[:61], bytes(longer)):  # 54-61: below 8 bytes
+            assert fast_frame_fields(cut) is None, len(cut)
+            assert _dissected_by_block_pass(monkeypatch, cut), len(cut)
 
-    def test_llc_frames_stay_on_the_dissector(self):
-        frame = bytes(EthernetFrame(MACAddress(2), MACAddress(1), 40).to_bytes()) + bytes(
-            [0x42, 0x42, 0x03]
-        ) + bytes(43)
+    def test_llc_frames_stay_on_the_dissector(self, monkeypatch):
+        frame = _llc_frame()
         assert Packet.dissect(frame).llc is not None
         assert fast_frame_fields(frame) is None
+        assert _dissected_by_block_pass(monkeypatch, frame)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1552,6 +1570,17 @@ def _llc_frame():
     ) + bytes(43)
 
 
+def _bad_version_ihl_frames():
+    """IPv4/UDP frames whose version/IHL byte the dissector rejects: IHL 4
+    and 0, a 60-byte header past the frame's end, and version 6."""
+    frame = bytearray(_ipv4_frame("udp"))
+    frames = []
+    for version_ihl in (0x44, 0x40, 0x4F, 0x65):
+        frame[14] = version_ihl
+        frames.append(bytes(frame[:60]))
+    return frames
+
+
 @functools.lru_cache(maxsize=None)
 def _every_frame_kind():
     """Frames of every kind the parse meets, well-formed and not."""
@@ -1605,6 +1634,7 @@ def _every_frame_kind():
         longer = bytearray(_with_hop_by_hop(frame, inner, bytes(6)))
         longer[55] = 30  # the header claims 248 bytes
         frames.append(bytes(longer))
+    frames += _bad_version_ihl_frames()
     frames += [_llc_frame(), _llc_frame()[:16]]
     unknown = EthernetFrame(MACAddress(2), MACAddress(1), 0x88CC).to_bytes()
     frames += [unknown, unknown + b"\x01", unknown + bytes(50)]
@@ -1741,6 +1771,55 @@ class TestBlockPass:
             ]
             assert tokens(np.array(addresses)) == expected
         assert len(tokens.addresses) <= 4
+
+
+class TestCarryingRows:
+    """Frames handed over without a row (an :class:`IterableSource` over
+    frames, training captures) are parsed a run at a time."""
+
+    def test_runs_of_frames_carry_the_oracle_rows(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "READ_BLOCK", 300)  # runs of a few frames
+        frames = [
+            CapturedPacket(0.5 * index, frame, len(frame) + index % 3 if index % 2 else 0)
+            for index, frame in enumerate(_every_frame_kind())
+        ]
+        packets = _setup_packets()[:5]
+        items = frames[:40] + packets[:2] + frames[40:] + packets[2:]
+        handed = list(IterableSource(items).packets())
+        assert handed == items
+        for item, original in zip(handed, items):
+            if isinstance(original, Packet):
+                assert item is original
+                continue
+            try:
+                expected = oracle_stream_row(original)
+            except PacketDecodeError:
+                assert item.row is None
+                with pytest.raises(PacketDecodeError):
+                    stream_row(item)
+                continue
+            assert item.row == expected
+
+    def test_frames_that_carry_a_row_pass_as_they_are(self, tmp_path):
+        path = tmp_path / "kinds.pcap"
+        write_pcap(path, [CapturedPacket(0.0, frame) for frame in _every_frame_kind()[:30]])
+        replayed = list(PcapReplaySource(path).packets())
+        handed = list(IterableSource(replayed).packets())
+        assert all(item is frame for item, frame in zip(handed, replayed))
+
+    def test_frames_before_a_raise_are_handed_over_first(self):
+        frames = [CapturedPacket(float(index), _ipv4_frame("udp")) for index in range(3)]
+
+        def cut():
+            yield from frames
+            raise PcapFormatError("truncated pcap record body")
+
+        items = IterableSource(cut()).packets()
+        assert [stream_row(next(items)) for _ in frames] == [
+            oracle_stream_row(frame) for frame in frames
+        ]
+        with pytest.raises(PcapFormatError):
+            next(items)
 
 
 def _mutated_frame(frame, cut, flips, extra):
