@@ -1,4 +1,4 @@
-"""Fitted forests as flat node arrays, scored by one vectorised descent.
+"""Fitted forests as flat node arrays, scored by leaf bitmasks.
 
 A fitted Random Forest exists in one form only: every tree's nodes
 (feature index, threshold, child pointers and a per-node class-probability
@@ -6,11 +6,17 @@ matrix) stacked back to back in one array set, with ``offsets`` marking
 where each tree starts.  The trees grow straight into these rows
 (:mod:`repro.ml.tree`), the model store ships them
 (:meth:`CompiledForest.pack` / :meth:`CompiledForest.unpack`) and the
-gateway scores them.  :func:`_descend` advances *every* ``(sample, tree)``
-pair of a batch one level per Python iteration with a handful of
-vectorised gathers, so the loop count is the deepest descent, not
-``n x trees x depth``.  :class:`ForestStack` fuses a bank of forests into
-one array set, so a whole bank descends in one loop.
+gateway scores them.
+
+:class:`ForestStack` fuses a bank of forests and scores them without
+walking any tree, in the manner of QuickScorer (Lucchese et al., SIGIR
+2015).  Each inner node owns a bitmask of its tree's leaves, numbered left
+to right: the leaves of its left subtree, which a sample that goes right
+can never reach.  One comparison of the batch against every inner node's
+threshold, one OR of the masks of the nodes each sample goes right at, per
+tree, and the sample's exit leaf is the lowest leaf left unmasked.  A call
+costs the same handful of numpy operations at any batch size and tree
+depth.  A single forest scores as a stack of one.
 
 >>> import numpy as np
 >>> from repro.ml.forest import RandomForestClassifier
@@ -28,7 +34,8 @@ one array set, so a whole bank descends in one loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,32 +44,16 @@ from repro.exceptions import ModelError
 #: Sentinel feature index marking a leaf row in the node arrays.
 LEAF = -1
 
+#: Leaves per word of a tree's leaf bitmask; a tree with more leaves
+#: spreads its masks over several words.
+_WORD = 64
 
-def _descend(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    roots: np.ndarray,
-    X: np.ndarray,
-) -> np.ndarray:
-    """Leaf row of every ``(sample, root)`` descent, shape ``(n, len(roots))``.
+#: A word with every leaf masked.
+_FULL = np.uint64((1 << _WORD) - 1)
 
-    ``feature``/``threshold``/``left``/``right`` form one node array set
-    whose child pointers are global rows.  Every pair advances one level
-    per Python iteration, so the loop count is the deepest descent.
-    """
-    samples, width = len(X), len(roots)
-    positions = np.tile(roots, samples)
-    sample_of = np.repeat(np.arange(samples), width)
-    active = np.nonzero(feature[positions] != LEAF)[0]
-    while active.size:
-        current = positions[active]
-        go_left = X[sample_of[active], feature[current]] <= threshold[current]
-        advanced = np.where(go_left, left[current], right[current])
-        positions[active] = advanced
-        active = active[feature[advanced] != LEAF]
-    return positions.reshape(samples, width)
+#: Cells of the ``(words x samples x inner nodes)`` mask array built per
+#: chunk of samples; bounds the scoring scratch memory on huge batches.
+_SCORE_BLOCK_CELLS = 1 << 20
 
 
 def _tree_starts(offsets: np.ndarray) -> np.ndarray:
@@ -114,21 +105,19 @@ class CompiledForest:
     def node_count(self) -> int:
         return len(self.feature)
 
+    @cached_property
+    def _stack(self) -> "ForestStack":
+        return ForestStack(forests=(self,), classes_=self.classes_)
+
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Averaged class-probability estimates over all trees.
 
-        All ``(sample, tree)`` descents advance together, one tree level
-        per Python iteration; leaf probabilities are then accumulated in
-        tree order, so :class:`ForestStack` reproduces the result bitwise.
+        Scored as a :class:`ForestStack` of this forest alone (built on
+        the first call): leaf probabilities are summed in tree order and
+        divided by the tree count, the float operations a per-sample walk
+        performs.
         """
-        X = _checked_input(X, self.n_features_)
-        positions = _descend(
-            self.feature, self.threshold, self.left, self.right, self.offsets[:-1], X
-        )
-        accumulated = np.zeros((len(X), len(self.classes_)), dtype=np.float64)
-        for column in range(self.n_estimators):
-            accumulated += self.probabilities[positions[:, column]]
-        return accumulated / self.n_estimators
+        return self._stack.predict_proba(X)[:, 0]
 
     # ------------------------------------------------------------------ #
     # Serialisation (used by the model store).
@@ -214,20 +203,45 @@ class CompiledForest:
         )
 
 
+def _leaf_ranges(
+    feature: Sequence[int], left: Sequence[int], right: Sequence[int], root: int
+) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """One tree's leaf rows left to right, its inner rows, and their masks.
+
+    Each inner row's mask is the ``[low, high)`` range of leaf numbers in
+    its left subtree.  The walk is depth first with an explicit stack, so
+    a deep tree needs no recursion.
+    """
+    leaves: list[int] = []
+    inner: list[int] = []
+    first: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        first[node] = len(leaves)
+        if feature[node] == LEAF:
+            leaves.append(node)
+        else:
+            inner.append(node)
+            stack.append(right[node])
+            stack.append(left[node])
+    return leaves, inner, [(first[node], first[right[node]]) for node in inner]
+
+
 @dataclass(frozen=True)
 class ForestStack:
-    """Many forests fused into one node array set.
-
-    A bank of per-type forests scored forest by forest pays one Python
-    descent loop per forest.  The stack concatenates every forest's
-    nodes (child pointers rebased onto stack rows) and descends every
-    ``(sample, forest, tree)`` triple of a batch together.
+    """Many forests fused into one set of leaf-mask tables.
 
     Every forest must have the same tree and feature counts, and its
     classes must be a subset of ``classes_``, onto which its probability
-    columns are aligned.  Leaf probabilities are then accumulated one
-    tree position at a time, in tree order, so each forest's mean is
-    bitwise identical to its own :meth:`CompiledForest.predict_proba`.
+    columns are aligned.  Trees are held position-major (every forest's
+    first tree, then every forest's second, ...).  A sample's exit leaves
+    are found as the module docstring describes; their probabilities are
+    then accumulated one tree position at a time, in tree order, so each
+    forest's mean is bitwise identical to a per-sample walk of its trees.
+
+    A tree with no inner node gets one stand-in that masks nothing, so
+    every tree owns at least one entry of the inner-node tables.
     """
 
     forests: tuple[CompiledForest, ...]
@@ -239,44 +253,95 @@ class ForestStack:
         if len(shapes) > 1:
             raise ModelError(f"stacked forests disagree on (features, trees): {sorted(shapes)}")
         n_features, depth = shapes.pop() if shapes else (0, 0)
-        blocks: list[tuple[np.ndarray, ...]] = []
-        offset = 0
+        columns = []
         for forest in self.forests:
             unknown = np.setdiff1d(forest.classes_, classes)
             if len(unknown):
                 raise ModelError(f"stacked forest has classes outside the stack: {unknown}")
-            probabilities = np.zeros((forest.node_count, len(classes)), dtype=np.float64)
-            probabilities[:, np.searchsorted(classes, forest.classes_)] = forest.probabilities
-            blocks.append(
-                (
-                    forest.feature,
-                    forest.threshold,
-                    forest.left + offset,
-                    forest.right + offset,
-                    probabilities,
-                    forest.offsets[:-1] + offset,
+            columns.append(np.searchsorted(classes, forest.classes_))
+        nodes = [
+            (forest.feature.tolist(), forest.left.tolist(), forest.right.tolist())
+            for forest in self.forests
+        ]
+        features: list[int] = []
+        thresholds: list[float] = []
+        ranges: list[tuple[int, int]] = []
+        tree_slots: list[int] = []
+        leaf_base: list[int] = []
+        probabilities: list[np.ndarray] = []
+        leaf_count = 0
+        for position in range(depth):
+            for forest, column, (feature, left, right) in zip(self.forests, columns, nodes):
+                leaves, inner, masks = _leaf_ranges(
+                    feature, left, right, int(forest.offsets[position])
                 )
-            )
-            offset += forest.node_count
-        names = ("_feature", "_threshold", "_left", "_right", "_probabilities", "_roots")
-        for index, name in enumerate(names):
-            parts = [block[index] for block in blocks]
-            joined = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-            object.__setattr__(self, name, joined)
-        object.__setattr__(self, "_roots", self._roots.reshape(len(self.forests), depth))
-        object.__setattr__(self, "n_features_", n_features)
+                tree_slots.append(len(features))
+                leaf_base.append(leaf_count)
+                leaf_count += len(leaves)
+                if not inner:
+                    features.append(0)
+                    thresholds.append(np.inf)
+                    ranges.append((0, 0))
+                for row in inner:
+                    features.append(feature[row])
+                    thresholds.append(float(forest.threshold[row]))
+                ranges.extend(masks)
+                aligned = np.zeros((len(leaves), len(classes)), dtype=np.float64)
+                aligned[:, column] = forest.probabilities[leaves]
+                probabilities.append(aligned)
+        widest = max(np.diff([*leaf_base, leaf_count]), default=0)
+        words = max(1, -(-int(widest) // _WORD))
+        masks = [((1 << high) - (1 << low)) for low, high in ranges]
+        elimination = np.array(
+            [[(mask >> (word * _WORD)) & int(_FULL) for mask in masks] for word in range(words)],
+            dtype=np.uint64,
+        ).reshape(words, len(masks))
+        set_ = object.__setattr__
+        set_(self, "n_features_", n_features)
+        set_(self, "_shape", (len(self.forests), depth))
+        set_(self, "_feature", np.array(features, dtype=np.intp))
+        set_(self, "_threshold", np.array(thresholds, dtype=np.float64))
+        # (words, 1, inner nodes): broadcasts over a chunk's samples.
+        set_(self, "_elimination", elimination[:, None, :])
+        set_(self, "_tree_slots", np.array(tree_slots, dtype=np.intp))
+        # Minus one: the exit leaf is the tree's base plus the trailing
+        # masked leaves, which is the popcount of ``dead ^ (dead + 1)`` less one.
+        set_(self, "_leaf_base", np.array(leaf_base, dtype=np.intp) - 1)
+        set_(
+            self,
+            "_leaf_probabilities",
+            np.concatenate(probabilities) if probabilities else np.zeros((0, len(classes))),
+        )
+
+    def _score(self, X: np.ndarray) -> np.ndarray:
+        """Per-forest mean class probabilities of one chunk of samples."""
+        forests, depth = self._shape
+        # ``x <= t`` goes left, so a sample goes right where that is false
+        # (a NaN feature included).
+        right = ~(X.take(self._feature, axis=1) <= self._threshold)
+        dead = np.bitwise_or.reduceat(self._elimination * right, self._tree_slots, axis=2)
+        counts = np.bitwise_count(dead ^ (dead + np.uint64(1)))
+        leaf = self._leaf_base + counts[0]
+        spilled = dead[0] == _FULL
+        for word in range(1, len(dead)):
+            leaf = np.where(spilled, self._leaf_base + word * _WORD + counts[word], leaf)
+            spilled &= dead[word] == _FULL
+        leaves = self._leaf_probabilities.take(leaf, axis=0).reshape(
+            len(X), depth, forests, len(self.classes_)
+        )
+        accumulated = np.zeros((len(X), forests, len(self.classes_)), dtype=np.float64)
+        for position in range(depth):
+            accumulated += leaves[:, position]
+        accumulated /= depth
+        return accumulated
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Per-forest mean class probabilities, shape ``(n, n_forests, n_classes)``."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        forests, depth = self._roots.shape
-        accumulated = np.zeros((len(X), forests, len(self.classes_)), dtype=np.float64)
+        forests, _ = self._shape
         if not forests:
-            return accumulated
+            return np.zeros((len(np.atleast_2d(X)), 0, len(self.classes_)), dtype=np.float64)
         X = _checked_input(X, self.n_features_)
-        positions = _descend(
-            self._feature, self._threshold, self._left, self._right, self._roots.ravel(), X
-        ).reshape(len(X), forests, depth)
-        for column in range(depth):
-            accumulated += self._probabilities[positions[:, :, column]]
-        return accumulated / depth
+        chunk = max(1, _SCORE_BLOCK_CELLS // self._elimination.size)
+        return np.concatenate(
+            [self._score(X[start : start + chunk]) for start in range(0, max(len(X), 1), chunk)]
+        )

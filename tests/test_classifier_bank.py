@@ -84,7 +84,14 @@ class TestTraining:
             expected = second.compiled.pack()
             for key, array in first.compiled.pack().items():
                 assert array.tobytes() == expected[key].tobytes(), (device_type, key)
-        for name in ("_feature", "_threshold", "_left", "_right", "_probabilities", "_roots"):
+        for name in (
+            "_feature",
+            "_threshold",
+            "_elimination",
+            "_tree_slots",
+            "_leaf_base",
+            "_leaf_probabilities",
+        ):
             expected = getattr(per_type._stack, name)
             assert getattr(batched._stack, name).tobytes() == expected.tobytes(), name
         assert batched._rng.bit_generator.state == per_type._rng.bit_generator.state
