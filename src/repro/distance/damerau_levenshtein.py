@@ -71,9 +71,9 @@ class SymbolInterner:
         return len(self._codes)
 
     def encode(self, symbols: Sequence[Hashable]) -> np.ndarray:
-        """Encode a symbol sequence to an int64 code array."""
+        """Encode a symbol sequence to an int32 code array."""
         codes = self._codes
-        out = np.empty(len(symbols), dtype=np.int64)
+        out = np.empty(len(symbols), dtype=np.int32)
         for index, symbol in enumerate(symbols):
             code = codes.get(symbol)
             if code is None:
@@ -91,7 +91,7 @@ class SymbolInterner:
         symbol, so callers must not cache it.
         """
         get = self._codes.get
-        return np.array([get(symbol, UNSEEN_SYMBOL) for symbol in symbols], dtype=np.int64)
+        return np.array([get(symbol, UNSEEN_SYMBOL) for symbol in symbols], dtype=np.int32)
 
 
 #: The process-wide alphabet shared by every batch-kernel caller.
@@ -109,12 +109,81 @@ _STEP_PAD = -3
 _MATCH_BLOCK_CELLS = 1 << 22
 
 
-def _padded(words: Sequence[np.ndarray], lengths: list[int], width: int, fill: int) -> np.ndarray:
-    """``words`` left-aligned in a ``(len(words), width)`` matrix padded with ``fill``."""
-    out = np.full((len(words), width), fill, dtype=np.int64)
+def _distances(
+    queries: Sequence[np.ndarray], references: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[int]]:
+    """Distance and longer-side length of every pair: the kernel itself.
+
+    :func:`damerau_levenshtein_pairs` documents the method.  Lanes and
+    steps are padded in one matrix, whose integer type is the words' own
+    (the interner hands out int32 codes, which halves the match array's
+    memory traffic against int64).
+    """
+    count = len(queries)
+    if count != len(references):
+        raise ValueError("damerau_levenshtein_pairs needs one reference per query")
+    if count == 0:
+        return np.zeros(0, dtype=np.int64), []
+    longer: list[np.ndarray] = []
+    shorter: list[np.ndarray] = []
+    for query, reference in zip(queries, references):
+        if len(reference) < len(query):
+            longer.append(query)
+            shorter.append(reference)
+        else:
+            longer.append(reference)
+            shorter.append(query)
+    longest = [len(word) for word in longer]
+    short_lengths = [len(word) for word in shorter]
+    depth = max(short_lengths)
+    if depth == 0:
+        # Every pair has an empty side: the distance is the other side's length.
+        return np.array(longest, dtype=np.int64), longest
+    width = max(longest) + 1
+    # Rows: every lane, then every step word, left-aligned over lane pads.
     # A boolean mask assigns in row-major order: the concatenation's order.
-    out[np.arange(width) < np.asarray(lengths)[:, None]] = np.concatenate(words)
-    return out
+    symbols = np.concatenate(longer + shorter)
+    padded = np.full((2 * count, width), _LANE_PAD, dtype=symbols.dtype)
+    padded[np.arange(width) < np.array(longest + short_lengths)[:, None]] = symbols
+    lanes = padded[:count]
+    steps = padded[count:, :depth]
+    steps[steps == _LANE_PAD] = _STEP_PAD
+    steps = steps.T
+    block = max(1, _MATCH_BLOCK_CELLS // (count * width))
+    matches: list[int] = []
+    for start in range(0, depth, block):
+        hits = steps[start : start + block, :, None] == lanes
+        packed = np.packbits(hits.reshape(len(hits), -1), axis=1, bitorder="little")
+        data, size = packed.tobytes(), packed.shape[1]
+        matches.extend(
+            int.from_bytes(data[offset : offset + size], "little")
+            for offset in range(0, len(data), size)
+        )
+
+    # Bit 0 of every lane, and every lane's rows (guard bits clear).
+    low = ((1 << (count * width)) - 1) // ((1 << width) - 1)
+    rows_mask = low * ((1 << (width - 1)) - 1)
+    finishing: list[list[int]] = [[] for _ in range(depth + 1)]
+    for pair, length in enumerate(short_lengths):
+        finishing[length].append(pair)
+    distances = list(longest)
+    vp, vn, d0, previous = rows_mask, 0, 0, 0
+    for step, match in enumerate(matches, 1):
+        transposed = (((d0 ^ rows_mask) & match) << 1) & previous
+        d0 = (((match & vp) + vp) ^ vp) | match | vn | transposed
+        hp = vn | (rows_mask ^ (d0 | vp))
+        hn = vp & d0
+        hp = (hp << 1) | low
+        vp = ((hn << 1) | (rows_mask ^ (d0 | hp))) & rows_mask
+        vn = hp & d0
+        previous = match
+        for pair in finishing[step]:
+            shift = pair * width
+            rows = (1 << distances[pair]) - 1
+            distances[pair] = (
+                step + ((vp >> shift) & rows).bit_count() - ((vn >> shift) & rows).bit_count()
+            )
+    return np.array(distances, dtype=np.int64), longest
 
 
 def damerau_levenshtein_pairs(
@@ -162,59 +231,7 @@ def damerau_levenshtein_pairs(
     kept as the oracle in ``tests/conftest.py`` (the differential
     property suite asserts this).
     """
-    count = len(queries)
-    if count != len(references):
-        raise ValueError("damerau_levenshtein_pairs needs one reference per query")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    longer: list[np.ndarray] = []
-    shorter: list[np.ndarray] = []
-    for query, reference in zip(queries, references):
-        if len(reference) < len(query):
-            longer.append(query)
-            shorter.append(reference)
-        else:
-            longer.append(reference)
-            shorter.append(query)
-    distances = [len(word) for word in longer]
-    short_lengths = [len(word) for word in shorter]
-    depth = max(short_lengths)
-    if depth == 0:
-        # Every pair has an empty side: the distance is the other side's length.
-        return np.array(distances, dtype=np.int64)
-    width = max(distances) + 1
-    lanes = _padded(longer, distances, width, _LANE_PAD)
-    steps = _padded(shorter, short_lengths, depth, _STEP_PAD).T
-    block = max(1, _MATCH_BLOCK_CELLS // (count * width))
-    matches: list[int] = []
-    for start in range(0, depth, block):
-        hits = steps[start : start + block, :, None] == lanes
-        packed = np.packbits(hits.reshape(len(hits), -1), axis=1, bitorder="little")
-        matches.extend(int.from_bytes(row, "little") for row in packed)
-
-    # Bit 0 of every lane, and every lane's rows (guard bits clear).
-    low = ((1 << (count * width)) - 1) // ((1 << width) - 1)
-    rows_mask = low * ((1 << (width - 1)) - 1)
-    finishing: list[list[int]] = [[] for _ in range(depth + 1)]
-    for pair, length in enumerate(short_lengths):
-        finishing[length].append(pair)
-    vp, vn, d0, previous = rows_mask, 0, 0, 0
-    for step, match in enumerate(matches, 1):
-        transposed = (((d0 ^ rows_mask) & match) << 1) & previous
-        d0 = (((match & vp) + vp) ^ vp) | match | vn | transposed
-        hp = vn | (rows_mask ^ (d0 | vp))
-        hn = vp & d0
-        hp = (hp << 1) | low
-        vp = ((hn << 1) | (rows_mask ^ (d0 | hp))) & rows_mask
-        vn = hp & d0
-        previous = match
-        for pair in finishing[step]:
-            shift = pair * width
-            rows = (1 << distances[pair]) - 1
-            distances[pair] = (
-                step + ((vp >> shift) & rows).bit_count() - ((vn >> shift) & rows).bit_count()
-            )
-    return np.array(distances, dtype=np.int64)
+    return _distances(queries, references)[0]
 
 
 def normalized_pair_distances(
@@ -230,13 +247,10 @@ def normalized_pair_distances(
     scalar oracle in ``tests/conftest.py`` divides, so the float64 values
     are bitwise identical.
     """
-    longest = np.array(
-        [max(len(query), len(reference)) for query, reference in zip(queries, references)],
-        dtype=np.int64,
-    )
-    if np.any(longest == 0):
+    distances, longest = _distances(queries, references)
+    if 0 in longest:
         raise FingerprintError("cannot normalise the distance of two empty sequences")
-    return damerau_levenshtein_pairs(queries, references) / longest
+    return distances / np.array(longest, dtype=np.int64)
 
 
 # --------------------------------------------------------------------- #

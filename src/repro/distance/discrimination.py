@@ -242,17 +242,15 @@ class EditDistanceDiscriminator:
         if len(references) <= self.references_per_type:
             return list(references), tuple(range(len(references))), None
         if self.selection == RANDOM_SELECTION:
-            indices = self.rng.choice(
-                len(references), size=self.references_per_type, replace=False
-            )
+            drawn = self.rng.choice(len(references), size=self.references_per_type, replace=False)
+            indices = tuple(sorted(int(index) for index in drawn))
             seed: Optional[int] = None
         else:
             seed = selection_seed_from_key(
                 content_key, device_type, len(references), self.references_per_type, salt
             )
             indices = splitmix_subset(seed, len(references), self.references_per_type)
-        chosen_indices = tuple(sorted(int(index) for index in indices))
-        return [references[index] for index in chosen_indices], chosen_indices, seed
+        return [references[index] for index in indices], indices, seed
 
     def score_many(
         self,
@@ -276,7 +274,8 @@ class EditDistanceDiscriminator:
         given, holds each request fingerprint's
         :meth:`~repro.features.fingerprint.Fingerprint.as_symbol_sequence`.
         """
-        plan: list[list[tuple[str, list[Fingerprint], tuple[int, ...], Optional[int]]]] = []
+        plan: list[list[tuple[str, int, tuple[int, ...], Optional[int]]]] = []
+        reference_words: list[np.ndarray] = []
         for fingerprint, candidates in requests:
             if not candidates:
                 raise IdentificationError("discrimination requires at least one candidate type")
@@ -297,38 +296,33 @@ class EditDistanceDiscriminator:
                 chosen, indices, seed = self._select_references(
                     content_key, device_type, references, salt
                 )
-                selections.append((device_type, chosen, indices, seed))
+                reference_words.extend(map(_encoded_word, chosen))
+                selections.append((device_type, len(chosen), indices, seed))
             plan.append(selections)
 
-        # References are encoded first: they intern their symbols, so the
-        # lookup-only query encoding below already sees every one of them.
-        reference_words = [
-            _encoded_word(reference)
-            for selections in plan
-            for _, chosen, _, _ in selections
-            for reference in chosen
-        ]
-        query_words = []
+        # References are encoded first (above): they intern their symbols,
+        # so the lookup-only query encoding below already sees every one.
+        query_words: list[np.ndarray] = []
         query_symbols = symbols if symbols is not None else [None] * len(requests)
         for (fingerprint, _), selections, rows in zip(requests, plan, query_symbols):
             word = _query_word(fingerprint, rows)
-            query_words.extend(word for _, chosen, _, _ in selections for _ in chosen)
+            query_words.extend([word] * sum(compared for _, compared, _, _ in selections))
         values = normalized_pair_distances(query_words, reference_words).tolist()
 
         results = []
         cursor = 0
         for selections in plan:
             scores = []
-            for device_type, chosen, indices, seed in selections:
+            for device_type, compared, indices, seed in selections:
                 total = 0.0
-                for value in values[cursor : cursor + len(chosen)]:
+                for value in values[cursor : cursor + compared]:
                     total += value
-                cursor += len(chosen)
+                cursor += compared
                 scores.append(
                     DissimilarityScore(
                         device_type=device_type,
                         score=total,
-                        comparisons=len(chosen),
+                        comparisons=compared,
                         reference_indices=indices,
                         selection_seed=seed,
                     )

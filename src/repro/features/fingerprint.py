@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +35,9 @@ FIXED_VECTOR_SIZE = FIXED_PACKET_COUNT * FEATURE_COUNT
 #: One int64 feature row seen as a single opaque value: the dtype of a
 #: row's symbol (:meth:`Fingerprint.as_symbol_sequence`).
 _ROW_SYMBOL = np.dtype((np.void, FEATURE_COUNT * np.dtype(np.int64).itemsize))
+
+#: The symbol of an all-zero row: the padding of a short F'.
+_ZERO_ROW = bytes(_ROW_SYMBOL.itemsize)
 
 
 @dataclass
@@ -127,7 +131,7 @@ class Fingerprint:
 
     def unique_vectors(self) -> np.ndarray:
         """The unique packet vectors of F, in order of first appearance."""
-        return self.vectors[_first_unique_rows(self.as_symbol_sequence())]
+        return _rows_of(b"".join(dict.fromkeys(self.as_symbol_sequence())), np.int64)
 
     def to_fixed_vector(self, packet_count: int = FIXED_PACKET_COUNT) -> np.ndarray:
         """Produce the fixed-length fingerprint F'.
@@ -180,53 +184,43 @@ class Fingerprint:
         return f"Fingerprint(type={label!r}, packets={self.packet_count})"
 
 
-def _first_unique_rows(symbols: Sequence[bytes], limit: Optional[int] = None) -> list[int]:
-    """Row indices of each distinct symbol's first appearance, ascending.
-
-    With ``limit`` the scan stops once that many distinct symbols are found.
-    """
-    first: dict[bytes, int] = {}
-    for index, symbol in enumerate(symbols):
-        if symbol not in first:
-            first[symbol] = index
-            if len(first) == limit:
-                break
-    return list(first.values())
+def _rows_of(joined: bytes, dtype: np.dtype) -> np.ndarray:
+    """The feature rows whose symbols ``joined`` concatenates, as ``dtype``."""
+    rows = np.frombuffer(joined, dtype=np.int64).reshape(-1, FEATURE_COUNT)
+    # astype copies: the result owns writable memory, not the joined bytes.
+    return rows.astype(dtype)
 
 
 def fixed_vectors(
     fingerprints: Sequence[Fingerprint],
     packet_count: int = FIXED_PACKET_COUNT,
     symbols: Optional[Sequence[Sequence[bytes]]] = None,
+    dtype: np.dtype = np.int64,
 ) -> np.ndarray:
     """The fixed-length fingerprints F' of many fingerprints, one row each.
 
-    Returns an ``(n, packet_count * 23)`` int64 matrix whose row ``i`` is
-    ``fingerprints[i].to_fixed_vector(packet_count)``.  Each fingerprint's
-    symbols are scanned only until its first ``packet_count`` unique rows
-    are found.  ``symbols[i]``,
-    when given, must be ``fingerprints[i].as_symbol_sequence()``: the
-    identifier turns each query into symbols once per batch and feeds
-    them both here and to the discrimination stage's alphabet lookup.
+    Returns an ``(n, packet_count * 23)`` matrix of ``dtype`` (int64 by
+    default; the classifier bank asks for float64, so the one conversion
+    happens here) whose row ``i`` is
+    ``fingerprints[i].to_fixed_vector(packet_count)``.  A symbol is its
+    row's raw bytes, so each F' is its fingerprint's first
+    ``packet_count`` distinct symbols joined, then zero rows: one
+    ``dict.fromkeys`` and one join per fingerprint, one buffer per batch.
+    ``symbols[i]``, when given, must be
+    ``fingerprints[i].as_symbol_sequence()``: the identifier turns each
+    query into symbols once per batch and feeds them both here and to the
+    discrimination stage's alphabet lookup.
     """
     if packet_count <= 0:
         raise FingerprintError(f"packet_count must be positive, got {packet_count}")
     if symbols is None:
         symbols = [fingerprint.as_symbol_sequence() for fingerprint in fingerprints]
-    chosen: list[int] = []
-    counts = []
-    base = 0
+    parts: list[bytes] = []
     for rows in symbols:
-        first = _first_unique_rows(rows, packet_count)
-        chosen.extend(base + index for index in first)
-        counts.append(len(first))
-        base += len(rows)
-    fixed = np.zeros((len(counts), packet_count, FEATURE_COUNT), dtype=np.int64)
-    if chosen:
-        stacked = np.concatenate([fingerprint.vectors for fingerprint in fingerprints])
-        # A boolean mask assigns in row-major order: fingerprint by fingerprint.
-        fixed[np.arange(packet_count) < np.array(counts)[:, None]] = stacked[chosen]
-    return fixed.reshape(len(counts), packet_count * FEATURE_COUNT)
+        unique = list(islice(dict.fromkeys(rows), packet_count))
+        parts.extend(unique)
+        parts.append(_ZERO_ROW * (packet_count - len(unique)))
+    return _rows_of(b"".join(parts), dtype).reshape(len(symbols), packet_count * FEATURE_COUNT)
 
 
 #: ``str(dtype)`` per dtype: numpy formats a dtype's name in Python code,

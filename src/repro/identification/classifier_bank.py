@@ -11,6 +11,7 @@ added without retraining the existing classifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,11 +64,7 @@ class BankScores:
 
     def matched_types(self, row: int) -> list[str]:
         """The accepted device-types of one sample, in sorted type order."""
-        return [
-            device_type
-            for device_type, accepted in zip(self.device_types, self.accepted[row])
-            if accepted
-        ]
+        return list(compress(self.device_types, self.accepted[row].tolist()))
 
     def probabilities_of(self, row: int) -> dict[str, float]:
         """Per-type acceptance probabilities of one sample."""
@@ -173,7 +170,7 @@ class ClassifierBank:
 
     def _fixed_matrix(self, fingerprints: Sequence[Fingerprint]) -> np.ndarray:
         """The fixed vectors F' of ``fingerprints``, one row each."""
-        return fixed_vectors(fingerprints, self.fixed_packet_count).astype(np.float64)
+        return fixed_vectors(fingerprints, self.fixed_packet_count, dtype=np.float64)
 
     def _choose_negatives(
         self, device_type: str, positive_count: int, negative_count: int
@@ -246,7 +243,6 @@ class ClassifierBank:
         each type's compiled forest on its own.  A sample is accepted iff
         the argmax lands on the positive class (ties reject).
         """
-        fixed_matrix = np.atleast_2d(np.asarray(fixed_matrix, dtype=np.float64))
         # Stack columns are (NEGATIVE_LABEL, POSITIVE_LABEL) = (0, 1), so a
         # label doubles as its column index.
         probabilities = self._stack.predict_proba(fixed_matrix)
@@ -273,7 +269,9 @@ class ClassifierBank:
                 positive=np.zeros((0, len(self._classifiers))),
                 accepted=np.zeros((0, len(self._classifiers)), dtype=bool),
             )
-        return self.score_batch(fixed_vectors(fingerprints, self.fixed_packet_count, symbols))
+        return self.score_batch(
+            fixed_vectors(fingerprints, self.fixed_packet_count, symbols, dtype=np.float64)
+        )
 
     def matching_types(self, fingerprint: Fingerprint) -> list[str]:
         """Every device-type whose classifier accepts the fingerprint."""
