@@ -322,16 +322,20 @@ class ForestStack:
         dead = np.bitwise_or.reduceat(self._elimination * right, self._tree_slots, axis=2)
         counts = np.bitwise_count(dead ^ (dead + np.uint64(1)))
         leaf = self._leaf_base + counts[0]
-        spilled = dead[0] == _FULL
+        spilled = None
         for word in range(1, len(dead)):
+            # A tree whose leaves so far were all masked exits in this word.
+            full = dead[word - 1] == _FULL
+            spilled = full if spilled is None else spilled & full
             leaf = np.where(spilled, self._leaf_base + word * _WORD + counts[word], leaf)
-            spilled &= dead[word] == _FULL
-        leaves = self._leaf_probabilities.take(leaf, axis=0).reshape(
-            len(X), depth, forests, len(self.classes_)
+        # (depth, samples, forests, classes): summed along its slow first
+        # axis, numpy adds tree position by tree position -- a per-sample
+        # walk's additions, in its order (pairwise summation only ever
+        # runs along the fast axis).
+        leaves = self._leaf_probabilities.take(
+            leaf.reshape(len(X), depth, forests).transpose(1, 0, 2), axis=0
         )
-        accumulated = np.zeros((len(X), forests, len(self.classes_)), dtype=np.float64)
-        for position in range(depth):
-            accumulated += leaves[:, position]
+        accumulated = np.add.reduce(leaves, axis=0)
         accumulated /= depth
         return accumulated
 

@@ -55,7 +55,7 @@ fingerprint_cache_key = fingerprint_key
 
 #: Stream-seconds a queued fingerprint may wait before
 #: :meth:`BatchDispatcher.poll` forces a partial batch.
-MAX_LINGER_SECONDS = 5.0
+MAX_LINGER_SECONDS = 1.0
 
 
 class IdentificationCache:

@@ -11,6 +11,7 @@ import doctest
 
 import pytest
 
+import repro.distance.damerau_levenshtein
 import repro.features.fingerprint
 import repro.identification.autopilot
 import repro.identification.lifecycle
@@ -26,6 +27,7 @@ import repro.streaming.assembler
 import repro.streaming.dispatcher
 
 DOCTESTED_MODULES = [
+    repro.distance.damerau_levenshtein,
     repro.features.fingerprint,
     repro.identification.autopilot,
     repro.identification.lifecycle,
