@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -91,6 +92,18 @@ def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
     return codes
 
 
+#: A reference's cached codes; AttributeError when it was never interned.
+_cached_codes = attrgetter("_symbol_codes")
+
+
+def _encoded_words(references: Sequence[Fingerprint]) -> list[np.ndarray]:
+    """:func:`_encoded_word` of each reference; interned ones are read in one pass."""
+    try:
+        return list(map(_cached_codes, references))
+    except AttributeError:
+        return [_encoded_word(reference) for reference in references]
+
+
 def intern_references(references: Iterable[Fingerprint]) -> None:
     """Intern every reference's symbols now, not on its first discrimination."""
     for reference in references:
@@ -130,10 +143,8 @@ def selection_seed_from_key(
     key across every candidate type, so a multi-match identification does
     not re-hash the same matrix per candidate on the hot path.
     """
-    digest = hashlib.sha256()
-    digest.update(content_key)
-    digest.update(device_type.encode("utf-8"))
-    digest.update(f":{salt}:{reference_count}:{references_per_type}".encode("ascii"))
+    suffix = f":{salt}:{reference_count}:{references_per_type}".encode("ascii")
+    digest = hashlib.sha256(b"".join((content_key, device_type.encode("utf-8"), suffix)))
     return int.from_bytes(digest.digest()[:8], "big")
 
 
@@ -296,7 +307,7 @@ class EditDistanceDiscriminator:
                 chosen, indices, seed = self._select_references(
                     content_key, device_type, references, salt
                 )
-                reference_words.extend(map(_encoded_word, chosen))
+                reference_words.extend(_encoded_words(chosen))
                 selections.append((device_type, len(chosen), indices, seed))
             plan.append(selections)
 

@@ -184,11 +184,10 @@ class Fingerprint:
         return f"Fingerprint(type={label!r}, packets={self.packet_count})"
 
 
-def _rows_of(joined: bytes, dtype: np.dtype) -> np.ndarray:
-    """The feature rows whose symbols ``joined`` concatenates, as ``dtype``."""
-    rows = np.frombuffer(joined, dtype=np.int64).reshape(-1, FEATURE_COUNT)
+def _rows_of(joined: bytes, dtype: np.dtype, width: int = FEATURE_COUNT) -> np.ndarray:
+    """``joined`` (row symbols, concatenated) as a ``dtype`` matrix ``width`` wide."""
     # astype copies: the result owns writable memory, not the joined bytes.
-    return rows.astype(dtype)
+    return np.frombuffer(joined, dtype=np.int64).astype(dtype).reshape(-1, width)
 
 
 def fixed_vectors(
@@ -220,7 +219,7 @@ def fixed_vectors(
         unique = list(islice(dict.fromkeys(rows), packet_count))
         parts.extend(unique)
         parts.append(_ZERO_ROW * (packet_count - len(unique)))
-    return _rows_of(b"".join(parts), dtype).reshape(len(symbols), packet_count * FEATURE_COUNT)
+    return _rows_of(b"".join(parts), dtype, packet_count * FEATURE_COUNT)
 
 
 #: ``str(dtype)`` per dtype: numpy formats a dtype's name in Python code,

@@ -66,6 +66,10 @@ class BankScores:
         """The accepted device-types of one sample, in sorted type order."""
         return list(compress(self.device_types, self.accepted[row].tolist()))
 
+    def matched_rows(self) -> list[list[str]]:
+        """:meth:`matched_types` of every sample, in row order."""
+        return [list(compress(self.device_types, row)) for row in self.accepted.tolist()]
+
     def probabilities_of(self, row: int) -> dict[str, float]:
         """Per-type acceptance probabilities of one sample."""
         return {
@@ -244,12 +248,14 @@ class ClassifierBank:
         the argmax lands on the positive class (ties reject).
         """
         # Stack columns are (NEGATIVE_LABEL, POSITIVE_LABEL) = (0, 1), so a
-        # label doubles as its column index.
+        # label doubles as its column index; the argmax of two columns lands
+        # on the positive one iff it is strictly larger.
         probabilities = self._stack.predict_proba(fixed_matrix)
+        positive = probabilities[:, :, POSITIVE_LABEL]
         return BankScores(
             device_types=self._stack_types,
-            positive=np.ascontiguousarray(probabilities[:, :, POSITIVE_LABEL]),
-            accepted=np.argmax(probabilities, axis=2) == POSITIVE_LABEL,
+            positive=positive,
+            accepted=positive > probabilities[:, :, NEGATIVE_LABEL],
         )
 
     def score_fingerprints(

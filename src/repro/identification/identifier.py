@@ -209,17 +209,18 @@ class DeviceTypeIdentifier:
         classification_seconds = (time.perf_counter() - start) / len(fingerprints)
 
         start = time.perf_counter()
-        matched_rows = [scores.matched_types(row) for row in range(len(fingerprints))]
+        matched_rows = scores.matched_rows()
+        guarded = self.novelty_threshold is not None
         scored_rows: list[int] = []
         requests = []
+        references: dict[str, list[Fingerprint]] = {}
         for row, (fingerprint, matched) in enumerate(zip(fingerprints, matched_rows)):
-            guarded = len(matched) == 1 and self.novelty_threshold is not None
-            discriminated = len(matched) > 1 and use_discrimination
-            if guarded or discriminated:
+            if (len(matched) == 1 and guarded) or (len(matched) > 1 and use_discrimination):
+                for name in matched:
+                    if name not in references:
+                        references[name] = self.registry.fingerprints_of(name)
                 scored_rows.append(row)
-                requests.append(
-                    (fingerprint, {name: self.registry.fingerprints_of(name) for name in matched})
-                )
+                requests.append((fingerprint, {name: references[name] for name in matched}))
         scored = self.discriminator.score_many(
             requests, salt=self.revision, symbols=[symbols[row] for row in scored_rows]
         )

@@ -253,54 +253,58 @@ class ForestStack:
         if len(shapes) > 1:
             raise ModelError(f"stacked forests disagree on (features, trees): {sorted(shapes)}")
         n_features, depth = shapes.pop() if shapes else (0, 0)
-        columns = []
+        # Every forest's nodes in one array set, child pointers rebased
+        # onto it, probability columns aligned onto the stack's classes.
+        offsets = np.cumsum([0] + [forest.node_count for forest in self.forests])
+        aligned = []
         for forest in self.forests:
             unknown = np.setdiff1d(forest.classes_, classes)
             if len(unknown):
                 raise ModelError(f"stacked forest has classes outside the stack: {unknown}")
-            columns.append(np.searchsorted(classes, forest.classes_))
-        nodes = [
-            (forest.feature.tolist(), forest.left.tolist(), forest.right.tolist())
-            for forest in self.forests
-        ]
-        features: list[int] = []
-        thresholds: list[float] = []
+            probabilities = np.zeros((forest.node_count, len(classes)), dtype=np.float64)
+            probabilities[:, np.searchsorted(classes, forest.classes_)] = forest.probabilities
+            aligned.append(probabilities)
+
+        def joined(parts: list[np.ndarray], dtype: type) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+        feature = joined([forest.feature for forest in self.forests], np.int32)
+        threshold = joined([forest.threshold for forest in self.forests], np.float64)
+        left = joined([f.left + o for f, o in zip(self.forests, offsets)], np.int64).tolist()
+        right = joined([f.right + o for f, o in zip(self.forests, offsets)], np.int64).tolist()
+        rows: list[int] = []  # each inner-node entry's node row (-1: a stand-in)
         ranges: list[tuple[int, int]] = []
         tree_slots: list[int] = []
         leaf_base: list[int] = []
-        probabilities: list[np.ndarray] = []
-        leaf_count = 0
+        leaf_rows: list[int] = []
+        kinds = feature.tolist()
         for position in range(depth):
-            for forest, column, (feature, left, right) in zip(self.forests, columns, nodes):
+            for forest, offset in zip(self.forests, offsets.tolist()):
                 leaves, inner, masks = _leaf_ranges(
-                    feature, left, right, int(forest.offsets[position])
+                    kinds, left, right, offset + int(forest.offsets[position])
                 )
-                tree_slots.append(len(features))
-                leaf_base.append(leaf_count)
-                leaf_count += len(leaves)
+                tree_slots.append(len(rows))
+                leaf_base.append(len(leaf_rows))
+                leaf_rows.extend(leaves)
                 if not inner:
-                    features.append(0)
-                    thresholds.append(np.inf)
+                    rows.append(-1)
                     ranges.append((0, 0))
-                for row in inner:
-                    features.append(feature[row])
-                    thresholds.append(float(forest.threshold[row]))
+                rows.extend(inner)
                 ranges.extend(masks)
-                aligned = np.zeros((len(leaves), len(classes)), dtype=np.float64)
-                aligned[:, column] = forest.probabilities[leaves]
-                probabilities.append(aligned)
-        widest = max(np.diff([*leaf_base, leaf_count]), default=0)
+        widest = max(np.diff([*leaf_base, len(leaf_rows)]), default=0)
         words = max(1, -(-int(widest) // _WORD))
         masks = [((1 << high) - (1 << low)) for low, high in ranges]
         elimination = np.array(
             [[(mask >> (word * _WORD)) & int(_FULL) for mask in masks] for word in range(words)],
             dtype=np.uint64,
         ).reshape(words, len(masks))
+        slot_rows = np.array(rows, dtype=np.intp)
+        stand_in = slot_rows < 0
         set_ = object.__setattr__
         set_(self, "n_features_", n_features)
         set_(self, "_shape", (len(self.forests), depth))
-        set_(self, "_feature", np.array(features, dtype=np.intp))
-        set_(self, "_threshold", np.array(thresholds, dtype=np.float64))
+        set_(self, "_feature", np.where(stand_in, 0, feature[slot_rows]).astype(np.intp))
+        set_(self, "_threshold", np.where(stand_in, np.inf, threshold[slot_rows]))
         # (words, 1, inner nodes): broadcasts over a chunk's samples.
         set_(self, "_elimination", elimination[:, None, :])
         set_(self, "_tree_slots", np.array(tree_slots, dtype=np.intp))
@@ -310,7 +314,7 @@ class ForestStack:
         set_(
             self,
             "_leaf_probabilities",
-            np.concatenate(probabilities) if probabilities else np.zeros((0, len(classes))),
+            joined(aligned, np.float64).reshape(-1, len(classes)).take(leaf_rows, axis=0),
         )
 
     def _score(self, X: np.ndarray) -> np.ndarray:

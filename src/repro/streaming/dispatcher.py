@@ -18,6 +18,15 @@ and it is worth being precise about which buys what:
   repeat work outright: a second device of an identical model skips
   classification and discrimination entirely -- the dominant cost of the
   paper's Table IV.
+
+A queued fingerprint waits at most :data:`MAX_LINGER_SECONDS` of stream
+time for its batch to fill; then :meth:`BatchDispatcher.poll` runs the
+partial batch.  It is a constant, not a knob.  One second trades more,
+smaller identify calls for sooner verdicts: an identify call's fixed
+cost is small enough that the extra calls cost no throughput, and no
+verdict depends on where a batch boundary falls.  A batch starts only
+on stream content (a full queue, or a window end past the linger
+deadline), never on wall time, so ledgers stay deterministic.
 """
 
 from __future__ import annotations

@@ -18,14 +18,18 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.identification.identifier import DeviceTypeIdentifier
 from repro.identification.model_store import load_identifier, save_identifier
 from tests.conftest import (
+    SMALL_DEVICE_SET,
     PerPacketAssembler,
     assert_scores_match_scalar_oracle,
     chatter_stream,
@@ -599,3 +603,154 @@ class TestColumnarDriveParity:
             {"facade": self._facade, "stream": self._stream},
             config=config,
         )
+
+
+# --------------------------------------------------------------------- #
+# Batch boundaries are verdict-neutral: how a probe list is cut into
+# identify_many calls -- which the dispatcher's linger and max_batch
+# decide -- moves no verdict, score or draw.  The edit-distance kernel's
+# lane width and step count depend on what else shares the call, so this
+# is a property of the kernel, not only of the bookkeeping around it.
+# --------------------------------------------------------------------- #
+PARTITION_PROBES = 14
+
+
+@pytest.fixture(scope="module")
+def partition_probes():
+    """Fresh captures of the trained models (confusable families among
+    them), two models the identifier never saw, two setups run back to
+    back (longer than every reference) and a one-packet capture."""
+    from repro.datasets.builder import DatasetBuilder
+    from repro.devices.catalog import DEVICE_CATALOG
+    from repro.features.fingerprint import Fingerprint
+
+    def one_run_each(names):
+        runs = DatasetBuilder(runs_per_type=2, seed=4321).build_synthetic(names)
+        return list({run.device_type: run for run in runs.fingerprints}.values())
+
+    unseen = [name for name in sorted(DEVICE_CATALOG) if name not in SMALL_DEVICE_SET][:2]
+    captures = one_run_each(SMALL_DEVICE_SET) + one_run_each(unseen)
+    long_runs = [
+        Fingerprint(vectors=np.vstack([first.vectors, second.vectors]))
+        for first, second in zip(captures[:2], captures[2:4])
+    ]
+    probes = captures + long_runs + [Fingerprint(vectors=captures[0].vectors[:1])]
+    assert len(probes) == PARTITION_PROBES
+    return probes
+
+
+def _field_for_field(result):
+    """A verdict's observable fields, timings excluded."""
+    return (
+        result.device_type,
+        result.matched_types,
+        [
+            (
+                score.device_type,
+                score.score,
+                score.comparisons,
+                score.reference_indices,
+                score.selection_seed,
+            )
+            for score in result.discrimination_scores
+        ],
+    )
+
+
+class TestBatchBoundaries:
+    @given(cuts=st.sets(st.integers(min_value=1, max_value=PARTITION_PROBES - 1)))
+    @example(cuts=set())
+    @example(cuts=set(range(1, PARTITION_PROBES)))
+    @settings(max_examples=25, deadline=None)
+    def test_identify_many_over_any_partition_equals_one_call(
+        self, trained_identifier, partition_probes, cuts
+    ):
+        whole = trained_identifier.identify_many(partition_probes)
+        kinds = [len(result.matched_types) for result in whole]
+        # The list covers every stage-2 shape: unknown, guarded, discriminated.
+        assert 0 in kinds and 1 in kinds and max(kinds) > 1
+        bounds = [0, *sorted(cuts), PARTITION_PROBES]
+        parts = [
+            result
+            for start, stop in zip(bounds, bounds[1:])
+            for result in trained_identifier.identify_many(partition_probes[start:stop])
+        ]
+        assert [_field_for_field(result) for result in parts] == [
+            _field_for_field(result) for result in whole
+        ]
+
+
+#: Seconds between device arrivals, cycled; and the offsets at which
+#: clones of the first devices re-run their setups under new MACs.
+ARRIVAL_GAPS = (6.0, 9.0, 12.0, 7.0)
+CLONE_OFFSETS = (3.0, 16.0, 33.0, 90.0)
+
+
+class TestLingerInvariance:
+    """The dispatcher's linger moves batch boundaries and verdict timing,
+    never a verdict: the facade's verdict records are the same multiset
+    at a 5 s and a 1 s linger (``sequence``, ``stream_time`` and
+    ``from_cache`` may differ)."""
+
+    @staticmethod
+    def _verdict_records(identifier, directory, linger, monkeypatch):
+        from repro.api import GatewayConfig, build_gateway
+        from repro.devices.catalog import DEVICE_CATALOG
+        from repro.devices.simulator import SetupTrafficSimulator
+        from repro.net.addresses import MACAddress
+        from repro.obs.evidence import KIND_VERDICT
+        from repro.obs.ledger import replay_ledger
+        from repro.streaming import SimulatedSource, dispatcher, pipeline, replay_trace
+
+        monkeypatch.setattr(dispatcher, "MAX_LINGER_SECONDS", linger)
+        monkeypatch.setattr(pipeline, "MAX_LINGER_SECONDS", linger)
+        # Devices join 6-12 s apart, so their captures end over a minute of
+        # stream time: a 5 s linger gathers some of them into one batch
+        # that a 1 s linger flushes as two, and a clone meets the cache
+        # at one linger and its still-queued original at the other.
+        simulator = SetupTrafficSimulator(seed=11)
+        unseen = [name for name in sorted(DEVICE_CATALOG) if name not in SMALL_DEVICE_SET][:2]
+        names = [*SMALL_DEVICE_SET, *unseen]
+        gaps = [ARRIVAL_GAPS[index % len(ARRIVAL_GAPS)] for index in range(len(names) - 1)]
+        traces = [
+            simulator.simulate(DEVICE_CATALOG[name], start_time=float(start))
+            for name, start in zip(names, np.cumsum([0.0, *gaps]))
+        ]
+        traces += [
+            replay_trace(trace, MACAddress.from_string(f"02:11:00:00:00:{index:02x}"), offset)
+            for index, (trace, offset) in enumerate(zip(traces, CLONE_OFFSETS))
+        ]
+        path = directory / "ledger.ndjson"
+        handle = build_gateway(GatewayConfig(identifier=identifier, ledger_path=path))
+        handle.run_until_idle(SimulatedSource(traces=traces))
+        stats = handle.dispatcher.stats
+        handle.close()
+        verdicts = [
+            record for record in replay_ledger(path).records if record.kind == KIND_VERDICT
+        ]
+        records = Counter(
+            (
+                record.mac,
+                record.verdict,
+                tuple(record.matched_types),
+                json.dumps(record.provenance, sort_keys=True),
+            )
+            for record in verdicts
+        )
+        cached = sum(record.from_cache for record in verdicts)
+        return records, (stats.batches, stats.linger_flushes, cached)
+
+    def test_verdict_records_do_not_depend_on_the_linger(
+        self, trained_identifier, tmp_path, monkeypatch
+    ):
+        slow, (slow_batches, slow_flushes, slow_cached) = self._verdict_records(
+            trained_identifier, tmp_path / "five", 5.0, monkeypatch
+        )
+        fast, (fast_batches, fast_flushes, fast_cached) = self._verdict_records(
+            trained_identifier, tmp_path / "one", 1.0, monkeypatch
+        )
+        assert sum(slow.values()) == 15
+        # The two lingers really cut the stream differently.
+        assert fast_batches > slow_batches and fast_flushes > slow_flushes
+        assert fast_cached != slow_cached
+        assert fast == slow
