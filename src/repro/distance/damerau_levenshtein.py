@@ -115,9 +115,9 @@ def _distances(
     """Distance and longer-side length of every pair: the kernel itself.
 
     :func:`damerau_levenshtein_pairs` documents the method.  Lanes and
-    steps are padded in one matrix, whose integer type is the words' own
-    (the interner hands out int32 codes, which halves the match array's
-    memory traffic against int64).
+    steps are padded in one matrix of the words' own integer type, at
+    least int32: interner codes are int32, half the bytes for the match
+    comparison to read that int64 codes would be.
     """
     count = len(queries)
     if count != len(references):
@@ -143,7 +143,7 @@ def _distances(
     # Rows: every lane, then every step word, left-aligned over lane pads.
     # A boolean mask assigns in row-major order: the concatenation's order.
     symbols = np.concatenate(longer + shorter)
-    padded = np.full((2 * count, width), _LANE_PAD, dtype=symbols.dtype)
+    padded = np.full((2 * count, width), _LANE_PAD, dtype=np.promote_types(symbols.dtype, np.int32))
     padded[np.arange(width) < np.array(longest + short_lengths)[:, None]] = symbols
     lanes = padded[:count]
     steps = padded[count:, :depth]

@@ -182,7 +182,9 @@ class CompiledForest:
 
         # Rows are preorder, so every inner node's children lie after it
         # and inside its own tree; requiring that here also rules out
-        # cyclic pointer graphs that would spin the descent forever.
+        # cyclic pointer graphs.  Every row but a root is the child of
+        # exactly one inner row, so each tree's rows are one tree (the
+        # leaf masks number its leaves by one walk from the root).
         starts = _tree_starts(offsets)
         own = np.arange(total, dtype=np.int64) - starts
         counts = np.diff(offsets)
@@ -191,6 +193,11 @@ class CompiledForest:
         for child in (left, right):
             if np.any((child[inner] <= own[inner]) | (child[inner] >= sizes[inner])):
                 raise ModelError("packed forest child pointers are out of range")
+        children = np.concatenate([left[inner], right[inner]]) + np.tile(starts[inner], 2)
+        expected = np.ones(total, dtype=np.int64)
+        expected[offsets[:-1]] = 0
+        if np.any(np.bincount(children, minlength=total) != expected):
+            raise ModelError("packed forest rows do not form one tree per root")
         return cls(
             offsets=offsets,
             feature=feature,
@@ -277,11 +284,11 @@ class ForestStack:
         tree_slots: list[int] = []
         leaf_base: list[int] = []
         leaf_rows: list[int] = []
-        kinds = feature.tolist()
+        features = feature.tolist()
         for position in range(depth):
             for forest, offset in zip(self.forests, offsets.tolist()):
                 leaves, inner, masks = _leaf_ranges(
-                    kinds, left, right, offset + int(forest.offsets[position])
+                    features, left, right, offset + int(forest.offsets[position])
                 )
                 tree_slots.append(len(rows))
                 leaf_base.append(len(leaf_rows))

@@ -180,6 +180,18 @@ class TestPackUnpack:
             with pytest.raises(ModelError):
                 CompiledForest.unpack(packed)
 
+    def test_rows_shared_by_two_parents_rejected(self):
+        # In range and after their parent, but not a tree: the root's two
+        # children are one row, and its right subtree hangs from nothing.
+        X, y = _dataset(80, seed=16)
+        packed = RandomForestClassifier(n_estimators=2, random_state=16).fit(X, y).pack()
+        assert packed["feature"][0] != LEAF
+        right = packed["right"].copy()
+        right[0] = packed["left"][0]
+        packed["right"] = right
+        with pytest.raises(ModelError, match="one tree per root"):
+            CompiledForest.unpack(packed)
+
 
 class TestDeepTrees:
     def test_depth_and_importances_survive_deep_trees(self):
