@@ -265,11 +265,6 @@ def normalized_pair_distances(
 # --------------------------------------------------------------------- #
 _MASK64 = (1 << 64) - 1
 
-#: splitmix64's state increment and its two output-mixing multipliers.
-_GAMMA = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One step of the splitmix64 generator: ``(next_state, output)``.
@@ -278,21 +273,20 @@ def splitmix64(state: int) -> tuple[int, int]:
     plain Python integers so the output stream depends on nothing but the
     seed -- not the numpy version, not the platform word size.
     """
-    state = (state + _GAMMA) & _MASK64
-    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return state, z ^ (z >> 31)
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, (z ^ (z >> 31)) & _MASK64
 
 
 def splitmix_subset(seed: int, population: int, size: int) -> tuple[int, ...]:
     """Draw ``size`` distinct indices from ``range(population)``, sorted.
 
-    A partial Fisher-Yates shuffle driven by :func:`splitmix64` (its step
-    is written out in the loop: this runs once per discriminated candidate),
-    with modulo bias removed by rejection sampling.  This is the
-    discrimination stage's reference draw: self-contained, so the verdict
-    stream survives numpy upgrades that change ``Generator.choice``
-    internals.
+    A partial Fisher-Yates shuffle driven by :func:`splitmix64`, with
+    modulo bias removed by rejection sampling.  This is the discrimination
+    stage's reference draw: self-contained, so the verdict stream survives
+    numpy upgrades that change ``Generator.choice`` internals.
 
     >>> splitmix_subset(12345, 10, 5)
     (1, 2, 3, 4, 7)
@@ -308,14 +302,9 @@ def splitmix_subset(seed: int, population: int, size: int) -> tuple[int, ...]:
         # Rejection bound: the largest multiple of `remaining` below 2^64.
         bound = _MASK64 + 1 - ((_MASK64 + 1) % remaining)
         while True:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            value = z ^ (z >> 31)
+            state, value = splitmix64(state)
             if value < bound:
                 break
         swap = position + (value % remaining)
         pool[position], pool[swap] = pool[swap], pool[position]
-    chosen = pool[:size]
-    chosen.sort()
-    return tuple(chosen)
+    return tuple(sorted(pool[:size]))

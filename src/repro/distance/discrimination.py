@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -90,18 +89,6 @@ def _encoded_word(fingerprint: Fingerprint) -> np.ndarray:
         codes = GLOBAL_INTERNER.encode(fingerprint.as_symbol_sequence())
         fingerprint._symbol_codes = codes
     return codes
-
-
-#: A reference's cached codes; AttributeError when it was never interned.
-_cached_codes = attrgetter("_symbol_codes")
-
-
-def _encoded_words(references: Sequence[Fingerprint]) -> list[np.ndarray]:
-    """:func:`_encoded_word` of each reference; interned ones are read in one pass."""
-    try:
-        return list(map(_cached_codes, references))
-    except AttributeError:
-        return [_encoded_word(reference) for reference in references]
 
 
 def intern_references(references: Iterable[Fingerprint]) -> None:
@@ -307,7 +294,7 @@ class EditDistanceDiscriminator:
                 chosen, indices, seed = self._select_references(
                     content_key, device_type, references, salt
                 )
-                reference_words.extend(_encoded_words(chosen))
+                reference_words.extend(map(_encoded_word, chosen))
                 selections.append((device_type, len(chosen), indices, seed))
             plan.append(selections)
 

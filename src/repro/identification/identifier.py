@@ -210,17 +210,16 @@ class DeviceTypeIdentifier:
 
         start = time.perf_counter()
         matched_rows = scores.matched_rows()
-        guarded = self.novelty_threshold is not None
         scored_rows: list[int] = []
         requests = []
-        references: dict[str, list[Fingerprint]] = {}
         for row, (fingerprint, matched) in enumerate(zip(fingerprints, matched_rows)):
-            if (len(matched) == 1 and guarded) or (len(matched) > 1 and use_discrimination):
-                for name in matched:
-                    if name not in references:
-                        references[name] = self.registry.fingerprints_of(name)
+            guarded = len(matched) == 1 and self.novelty_threshold is not None
+            discriminated = len(matched) > 1 and use_discrimination
+            if guarded or discriminated:
                 scored_rows.append(row)
-                requests.append((fingerprint, {name: references[name] for name in matched}))
+                requests.append(
+                    (fingerprint, {name: self.registry.fingerprints_of(name) for name in matched})
+                )
         scored = self.discriminator.score_many(
             requests, salt=self.revision, symbols=[symbols[row] for row in scored_rows]
         )
