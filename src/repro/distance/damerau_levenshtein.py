@@ -116,8 +116,8 @@ def _distances(
 
     :func:`damerau_levenshtein_pairs` documents the method.  Lanes and
     steps are padded in one matrix of the words' own integer type, at
-    least int32: interner codes are int32, half the bytes for the match
-    comparison to read that int64 codes would be.
+    least int32.  Interner codes are int32, so the match comparison reads
+    half the bytes that int64 codes would need.
     """
     count = len(queries)
     if count != len(references):

@@ -62,12 +62,8 @@ class BankScores:
     positive: np.ndarray
     accepted: np.ndarray
 
-    def matched_types(self, row: int) -> list[str]:
-        """The accepted device-types of one sample, in sorted type order."""
-        return list(compress(self.device_types, self.accepted[row].tolist()))
-
     def matched_rows(self) -> list[list[str]]:
-        """:meth:`matched_types` of every sample, in row order."""
+        """Each sample's accepted device-types, in sorted type order."""
         return [list(compress(self.device_types, row)) for row in self.accepted.tolist()]
 
     def probabilities_of(self, row: int) -> dict[str, float]:
@@ -281,7 +277,7 @@ class ClassifierBank:
 
     def matching_types(self, fingerprint: Fingerprint) -> list[str]:
         """Every device-type whose classifier accepts the fingerprint."""
-        return self.score_fingerprints([fingerprint]).matched_types(0)
+        return self.score_fingerprints([fingerprint]).matched_rows()[0]
 
     def acceptance_probabilities(self, fingerprint: Fingerprint) -> dict[str, float]:
         """Per-type acceptance probabilities (useful for diagnostics)."""
