@@ -75,7 +75,7 @@ def build_fleet(tmp_path):
 
     fleet = FleetCoordinator()
     fleet.push(bundle_v1, note="initial rollout")
-    template = GatewayConfig(max_batch=4, shards=4)
+    template = GatewayConfig(max_batch=4)
     handles = [
         fleet.spawn_gateway(f"gw-{index}", template) for index in range(FLEET_SIZE)
     ]

@@ -3,7 +3,7 @@
 A fleet of devices joins the network at staggered times; a third of them
 are duplicate models (identical setup behaviour, different MACs), the
 workload the dispatcher's LRU result cache targets.  The whole stream is
-pushed through source -> sharded assembler -> batch dispatcher and three
+pushed through source -> assembler -> batch dispatcher and three
 properties are checked:
 
 * the stream is identified end to end (every device gets a verdict and the
@@ -35,7 +35,7 @@ from repro.streaming import (
     BatchDispatcher,
     IdentificationCache,
     IterableSource,
-    ShardedFingerprintAssembler,
+    FingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
     replay_trace,
@@ -96,7 +96,7 @@ def run_stream(identifier, source: SimulatedSource, observability=None):
     pipeline = StreamingPipeline(
         source=source,
         dispatcher=dispatcher,
-        assembler=ShardedFingerprintAssembler(shards=8),
+        assembler=FingerprintAssembler(),
     )
     identified = []
     pipeline.on_identified = identified.append
@@ -212,7 +212,7 @@ def test_columnar_datapath_speedup(bench_identifier, bench_report):
         pipeline = StreamingPipeline(
             source=IterableSource(list(packets)),
             dispatcher=dispatcher,
-            assembler=(ShardedFingerprintAssembler if driven else PerPacketAssembler)(shards=8),
+            assembler=(FingerprintAssembler if driven else PerPacketAssembler)(),
         )
         identified = []
         pipeline.on_identified = identified.append

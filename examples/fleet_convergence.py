@@ -92,7 +92,7 @@ def main() -> None:
     print(f"   pushed {record.bundle_path} @ epoch {record.epoch} rev {record.revision}")
 
     print(f"== 2. Spawn {FLEET_SIZE} gateways from the watermark; stream the fleet ==")
-    template = GatewayConfig(max_batch=4, shards=4)
+    template = GatewayConfig(max_batch=4)
     handles = [
         fleet.spawn_gateway(f"gw-{index}", template) for index in range(FLEET_SIZE)
     ]

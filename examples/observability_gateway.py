@@ -74,7 +74,6 @@ def main() -> None:
         GatewayConfig(
             identifier=identifier,
             max_batch=4,
-            shards=4,
             autopilot=True,
             trigger_policy=TriggerPolicy(min_cluster_size=3),
             ledger_path=args.out / "ledger.ndjson",

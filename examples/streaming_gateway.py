@@ -47,7 +47,7 @@ def main() -> None:
     print(f"   {len(traces)} devices, {len(source)} packets on the wire")
 
     print("== 3. One config, one call: the assembled serving stack ==")
-    handle = build_gateway(GatewayConfig(identifier=identifier, max_batch=4, shards=4))
+    handle = build_gateway(GatewayConfig(identifier=identifier, max_batch=4))
     for identified in handle.stream(source):
         origin = "cache " if identified.from_cache else "forest"
         record = handle.gateway.device_record(identified.mac)

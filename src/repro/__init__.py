@@ -22,7 +22,7 @@ The package is organised in layers that mirror the paper's system design:
   for the 27 device-types of Table II.
 * :mod:`repro.datasets` -- fingerprint dataset construction and persistence.
 * :mod:`repro.streaming` -- the online identification pipeline: packet
-  sources, sharded incremental fingerprint assembly, batched/cached
+  sources, incremental fingerprint assembly, batched/cached
   dispatch and the bridge into gateway enforcement.
 * :mod:`repro.sdn`, :mod:`repro.gateway`, :mod:`repro.security_service` --
   the enforcement half of the paper: OpenFlow-like switch, Security
@@ -98,12 +98,12 @@ from repro.obs import (
 from repro.security_service.service import IoTSecurityService, SecurityAssessment
 from repro.streaming import (
     BatchDispatcher,
+    FingerprintAssembler,
     GatewayEnforcementSink,
     IdentificationCache,
     IdentifiedDevice,
     PacketSource,
     PcapReplaySource,
-    ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
 )
@@ -150,12 +150,12 @@ __all__ = [
     "IoTSecurityService",
     "SecurityAssessment",
     "BatchDispatcher",
+    "FingerprintAssembler",
     "GatewayEnforcementSink",
     "IdentificationCache",
     "IdentifiedDevice",
     "PacketSource",
     "PcapReplaySource",
-    "ShardedFingerprintAssembler",
     "SimulatedSource",
     "StreamingPipeline",
 ]

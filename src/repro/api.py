@@ -1,7 +1,7 @@
 """The gateway-construction facade: one config, one call, one handle.
 
 Standing up a gateway used to mean hand-wiring seven constructors --
-``PacketSource`` -> :class:`~repro.streaming.assembler.ShardedFingerprintAssembler`
+``PacketSource`` -> :class:`~repro.streaming.assembler.FingerprintAssembler`
 -> :class:`~repro.streaming.dispatcher.BatchDispatcher`
 -> :class:`~repro.streaming.pipeline.StreamingPipeline`
 -> :class:`~repro.streaming.pipeline.GatewayEnforcementSink`
@@ -47,7 +47,7 @@ from repro.obs.hub import Observability
 from repro.obs.ledger import VerdictLedger
 from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
-from repro.streaming.assembler import ReadyFingerprint, ShardedFingerprintAssembler
+from repro.streaming.assembler import FingerprintAssembler, ReadyFingerprint
 from repro.streaming.backpressure import BackpressurePolicy
 from repro.streaming.dispatcher import BatchDispatcher, IdentificationCache, IdentifiedDevice
 from repro.streaming.pipeline import GatewayEnforcementSink, PipelineStats, StreamingPipeline
@@ -77,7 +77,6 @@ class GatewayConfig:
         backpressure: ``"block"`` or ``"drop"`` (or a
             :class:`~repro.streaming.backpressure.BackpressurePolicy`).
         cache_capacity: LRU verdict-cache entries (positive).
-        shards: fingerprint-assembler shard count.
         store_path: model snapshots land here after every learn (and
             ``resume`` reads from here).
         quarantine_path: write-through quarantine persistence.
@@ -103,8 +102,6 @@ class GatewayConfig:
     queue_capacity: int = 64
     backpressure: Union[str, BackpressurePolicy] = BackpressurePolicy.BLOCK
     cache_capacity: int = 512
-    # Assembly stage.
-    shards: int = 4
     # Lifecycle.
     store_path: Optional[Union[str, Path]] = None
     quarantine_path: Optional[Union[str, Path]] = None
@@ -156,8 +153,6 @@ class GatewayConfig:
             problems.append(f"queue_capacity: must be positive, got {self.queue_capacity}")
         if self.cache_capacity <= 0:
             problems.append(f"cache_capacity: must be positive, got {self.cache_capacity}")
-        if self.shards <= 0:
-            problems.append(f"shards: must be positive, got {self.shards}")
         if self.trigger_policy is not None and not self.autopilot:
             problems.append("trigger_policy: set autopilot=True to use it")
         if self.ledger_max_bytes <= 0:
@@ -202,7 +197,7 @@ class GatewayHandle:
     security_service: IoTSecurityService
     sink: GatewayEnforcementSink
     dispatcher: BatchDispatcher
-    assembler: ShardedFingerprintAssembler
+    assembler: FingerprintAssembler
     clock: SimulatedClock
     cache: IdentificationCache
     lifecycle: LifecycleCoordinator
@@ -462,7 +457,7 @@ def build_gateway(config: GatewayConfig) -> GatewayHandle:
         cache=cache,
         observability=hub,
     )
-    assembler = ShardedFingerprintAssembler(shards=config.shards)
+    assembler = FingerprintAssembler()
 
     autopilot: Optional[LifecycleAutopilot] = None
     if config.autopilot:

@@ -27,7 +27,7 @@ from repro.identification.lifecycle import QuarantineLog
 from repro.identification.model_store import save_identifier
 from repro.net.addresses import MACAddress
 from repro.simulation.clock import SimulatedClock
-from repro.streaming.assembler import ShardedFingerprintAssembler
+from repro.streaming.assembler import FingerprintAssembler
 from repro.streaming.sources import IterableSource, interleave_traces, replay_trace
 
 from .base import (
@@ -256,7 +256,7 @@ class FirmwareDriftCampaign(Campaign):
             self.retype_device: self.retype_behavior,
         }
         fresh: dict[MACAddress, object] = {}
-        assembler = ShardedFingerprintAssembler(shards=4)
+        assembler = FingerprintAssembler()
         for device_type in self.trained_types:
             profile = profile_of(behavior.get(device_type, device_type))
             trace = simulator.simulate(profile, device_mac=macs[device_type], start_time=200.0)

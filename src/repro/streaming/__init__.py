@@ -8,7 +8,7 @@ operates:
 * :mod:`repro.streaming.sources` -- the :class:`PacketSource` protocol with
   pcap-replay and simulator adapters;
 * :mod:`repro.streaming.assembler` -- per-device incremental fingerprint
-  assembly, sharded by ``hash((mac_value,)) % shards``, with idle eviction;
+  assembly in one capture index, with idle eviction;
 * :mod:`repro.streaming.dispatcher` -- batched classifier-bank invocation
   with an LRU cache of identification results;
 * :mod:`repro.streaming.backpressure` -- bounded queues with drop/block
@@ -19,8 +19,8 @@ operates:
 
 from repro.streaming.assembler import (
     AssemblerStats,
+    FingerprintAssembler,
     ReadyFingerprint,
-    ShardedFingerprintAssembler,
 )
 from repro.streaming.backpressure import (
     BackpressurePolicy,
@@ -51,8 +51,8 @@ from repro.streaming.sources import (
 
 __all__ = [
     "AssemblerStats",
+    "FingerprintAssembler",
     "ReadyFingerprint",
-    "ShardedFingerprintAssembler",
     "BackpressurePolicy",
     "BoundedQueue",
     "Offer",

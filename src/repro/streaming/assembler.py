@@ -1,4 +1,4 @@
-"""Sharded, incremental assembly of device fingerprints from a packet stream.
+"""Incremental assembly of device fingerprints from a packet stream.
 
 The offline path buffers a device's whole setup capture, cuts it with
 :class:`~repro.features.session.SetupPhaseDetector` and only then extracts
@@ -9,14 +9,14 @@ it arrives: a frame comes in as one packed Table-I key
 stream order applies the stateful destination counter,
 consecutive-duplicate suppression and the emission decision.  The frames
 come from a :class:`PreparedFrames` stream, parsed lazily from stream
-items (:meth:`ShardedFingerprintAssembler.prepare_items`), and
-:meth:`ShardedFingerprintAssembler.observe_prepared` folds them until a
+items (:meth:`FingerprintAssembler.prepare_items`), and
+:meth:`FingerprintAssembler.observe_prepared` folds them until a
 window must end.  A capture equal row for row to a recent one (a clone
 re-running its model's setup) shares that one's matrix when it is
-emitted.  Captures sit in one index keyed by the MAC's integer
-value; each records its shard, ``hash((mac_value,)) % shards``, when it
-opens, so that the pipeline's idle-eviction sweeps visit one shard at a
-time, round robin.
+emitted.  Captures sit in one index keyed by the MAC's integer value,
+in capture-start order: a capture enters it when it opens and leaves it
+when it ends, so idle-eviction sweeps and the flush emit oldest first
+without a sort.
 
 A fingerprint is emitted when
 
@@ -26,9 +26,9 @@ A fingerprint is emitted when
   :class:`~repro.features.session.SetupPhaseDetector` applies offline: a
   gap exceeding ``max(min_idle_seconds, idle_factor * median gap)`` cuts
   the capture when the device's own next packet reveals it, and an
-  explicit :meth:`ShardedFingerprintAssembler.evict_idle` sweep driven by
+  explicit :meth:`FingerprintAssembler.evict_idle` sweep driven by
   the pipeline clock catches devices that never speak again, or
-* the stream ends and :meth:`ShardedFingerprintAssembler.flush` drains the
+* the stream ends and :meth:`FingerprintAssembler.flush` drains the
   partial captures (``reason="flush"``).
 """
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from repro.exceptions import SimulationError
@@ -51,9 +50,6 @@ from repro.net.packet import Packet
 # ``features.extract`` layer; nothing calls it.  Delete it once the
 # benchmark reads its layer times from the hub (ROADMAP.md).
 batch_feature_matrix = unpack_rows
-
-#: Sweeps and flushes emit shard by shard, in capture-start order.
-_SHARD_STARTED = attrgetter("shard", "started")
 
 EMIT_BUDGET = "budget"
 EMIT_IDLE = "idle"
@@ -91,7 +87,6 @@ class AssemblerStats:
     budget_emissions: int = 0
     idle_emissions: int = 0
     flush_emissions: int = 0
-    min_signal_drops: int = 0
 
 
 @dataclass
@@ -99,7 +94,7 @@ class PreparedFrames:
     """Frames waiting to be folded, as rows in stream order.
 
     Each row is ``(timestamp, source MAC value, packed Table-I key,
-    destination token)``.  :meth:`ShardedFingerprintAssembler.observe_prepared`
+    destination token)``.  :meth:`FingerprintAssembler.observe_prepared`
     folds rows until a window must end and can be called again to go on
     where it stopped: ``latest`` is the stream time so far (the running
     maximum of the folded timestamps, which a caller may raise),
@@ -122,15 +117,11 @@ class _Capture:
     the last kept pair is ever compared (Eq. (1)), so it is kept beside
     them.  ``gaps`` holds the gap before each frame after the first.
     ``destinations`` maps each destination token to its
-    first-contact counter, with ``None`` (no IP layer) at 0.  ``shard`` is
-    fixed when the capture opens; ``started`` is the stream ordinal of the
-    frame that opened it.  ``reason`` and ``completed_at`` are set when
-    the capture ends.
+    first-contact counter, with ``None`` (no IP layer) at 0.  ``reason``
+    and ``completed_at`` are set when the capture ends.
     """
 
     mac: MACAddress
-    shard: int
-    started: int
     last_seen: float
     destinations: dict = field(default_factory=lambda: {None: 0})
     keys: list[int] = field(default_factory=list)
@@ -148,23 +139,15 @@ class _Capture:
         )
 
 
-class ShardedFingerprintAssembler:
-    """Per-device incremental fingerprint assembly over N shards.
+class FingerprintAssembler:
+    """Per-device incremental fingerprint assembly.
 
     Attributes:
-        shards: number of idle-eviction shards; each capture records
-            ``hash((mac_value,)) % shards`` when it opens.
         packet_budget: raw packets per device after which the fingerprint
             is emitted (250 by default).
         min_packets: the cut guard of the end-of-setup rule -- a capture is
             never cut before this many raw packets, exactly as in the
             offline detector.
-        min_rows: captures whose deduplicated fingerprint matrix has fewer
-            rows than this are discarded instead of emitted.  With the
-            default of 1 every non-empty capture is assessed (low-signal
-            ones simply come back "unknown"/strict); raise it to shed
-            e.g. beacon-only devices that collapse to a single repeated row, at the cost of those
-            devices never receiving a verdict.
         idle_timeout: silence, in stream-time seconds, after which an
             :meth:`evict_idle` sweep considers a device's capture complete
             (the device may never speak again, so this needs no median).
@@ -179,24 +162,18 @@ class ShardedFingerprintAssembler:
 
     def __init__(
         self,
-        shards: int = 8,
         packet_budget: int = 250,
         min_packets: Optional[int] = None,
-        min_rows: int = 1,
         idle_timeout: float = 15.0,
         min_idle_seconds: Optional[float] = None,
         idle_factor: Optional[float] = None,
     ):
-        if shards <= 0:
-            raise SimulationError(f"shard count must be positive, got {shards}")
         if packet_budget <= 0:
             raise SimulationError(f"packet budget must be positive, got {packet_budget}")
-        self.shards = shards
         self.packet_budget = packet_budget
         self.min_packets = (
             SetupPhaseDetector.min_packets if min_packets is None else min_packets
         )
-        self.min_rows = min_rows
         self.idle_timeout = idle_timeout
         self.min_idle_seconds = (
             SetupPhaseDetector.min_idle_seconds if min_idle_seconds is None else min_idle_seconds
@@ -204,41 +181,16 @@ class ShardedFingerprintAssembler:
         self.idle_factor = SetupPhaseDetector.idle_factor if idle_factor is None else idle_factor
         self.stats = AssemblerStats()
         # Every open capture, keyed by the MAC's integer value, the form
-        # stream_row reads.
+        # stream_row reads, in capture-start order: a capture is inserted
+        # when it opens and deleted when it ends.
         self._captures: dict[int, _Capture] = {}
         # (kept keys, kept counters) -> the first fingerprint emitted with
         # them; see RECENT_CAPTURES.
         self._recent: dict[tuple[tuple[int, ...], tuple[int, ...]], Fingerprint] = {}
-        # Stream ordinal of the next frame to be folded.
-        self._ordinal = 0
-
-    # ------------------------------------------------------------------ #
-    # Routing.
-    # ------------------------------------------------------------------ #
-    def shard_of(self, mac: MACAddress) -> int:
-        """The shard a device's captures record (stable across calls)."""
-        return self._shard(mac.value)
-
-    def _shard(self, mac_value: int) -> int:
-        # The one-tuple's hash, not the int's: the shard a capture lands
-        # in orders its eviction, which ledgers record, so the mapping
-        # stays what it has always been.
-        return hash((mac_value,)) % self.shards
-
-    def _by_shard(self) -> list[_Capture]:
-        """Every open capture, shard by shard in capture-start order."""
-        return sorted(self._captures.values(), key=_SHARD_STARTED)
 
     @property
     def active_devices(self) -> int:
         return len(self._captures)
-
-    def shard_sizes(self) -> list[int]:
-        """Devices currently assembling, per shard (for load inspection)."""
-        sizes = [0] * self.shards
-        for capture in self._captures.values():
-            sizes[capture.shard] += 1
-        return sizes
 
     def is_assembling(self, mac: MACAddress) -> bool:
         return mac.value in self._captures
@@ -278,7 +230,7 @@ class ShardedFingerprintAssembler:
         ...     "020000000001" "c0a80002" "000000000000" "c0a80001"
         ... )
         >>> frames = [CapturedPacket(t, arp_request) for t in (0.0, 0.1, 0.2)]
-        >>> assembler = ShardedFingerprintAssembler(packet_budget=3)
+        >>> assembler = FingerprintAssembler(packet_budget=3)
         >>> ended = assembler.observe_prepared(assembler.prepare_items(frames))
         >>> [(str(ready.mac), ready.reason, ready.fingerprint.vectors.shape)
         ...  for ready in assembler.emit(ended)]
@@ -325,7 +277,7 @@ class ShardedFingerprintAssembler:
         exceeds = gap_exceeds_setup_threshold
         ended: list[_Capture] = []
         latest = prepared.latest
-        ordinal = start = self._ordinal
+        folded = 0
         try:
             for timestamp, mac_value, key, dst_ip in prepared.rows:
                 capture = captures.get(mac_value)
@@ -340,19 +292,19 @@ class ShardedFingerprintAssembler:
                         and exceeds(gap, gaps, min_idle, idle_factor)
                     ):
                         capture.reason, capture.completed_at = EMIT_IDLE, timestamp
+                        # Deleted before the fresh capture is inserted, so
+                        # that one goes to the end of the index.
+                        del captures[mac_value]
                         ended.append(capture)
                         gaps = None
                     else:
                         gaps.append(gap if gap > 0.0 else 0.0)
                 if gaps is None:
                     capture = captures[mac_value] = _Capture(
-                        mac=MACAddress(mac_value),
-                        shard=self._shard(mac_value),
-                        started=ordinal,
-                        last_seen=timestamp,
+                        mac=MACAddress(mac_value), last_seen=timestamp
                     )
                     gaps = capture.gaps
-                ordinal += 1
+                folded += 1
                 destinations = capture.destinations
                 counter = destinations.get(dst_ip)
                 if counter is None:
@@ -378,27 +330,15 @@ class ShardedFingerprintAssembler:
             # Also when the rows raise (a truncated capture): the frames
             # folded so far stay counted.
             prepared.latest = latest
-            prepared.frames += ordinal - start
-            self.stats.packets_observed += ordinal - start
-            self._ordinal = ordinal
+            prepared.frames += folded
+            self.stats.packets_observed += folded
         return ended
 
     def emit(self, ended: list[_Capture]) -> list[ReadyFingerprint]:
-        """The fingerprints of captures that ended, in order.
-
-        Captures whose deduplicated matrix has fewer than ``min_rows``
-        rows are counted and dropped.
-        """
+        """The fingerprints of captures that ended, in order."""
         ready: list[ReadyFingerprint] = []
         stats = self.stats
         for capture in ended:
-            # Signal is measured after consecutive-duplicate suppression:
-            # 250 identical beacons collapse to one fingerprint row and
-            # classify no better than a single packet would, whichever way
-            # the capture ended.
-            if len(capture.keys) < self.min_rows:
-                stats.min_signal_drops += 1
-                continue
             stats.fingerprints_emitted += 1
             if capture.reason == EMIT_BUDGET:
                 stats.budget_emissions += 1
@@ -436,31 +376,20 @@ class ShardedFingerprintAssembler:
     # ------------------------------------------------------------------ #
     # Eviction and flushing.
     # ------------------------------------------------------------------ #
-    def evict_idle(self, now: float, shard: Optional[int] = None) -> list[ReadyFingerprint]:
-        """Complete every capture that has been quiet for ``idle_timeout``.
+    def evict_idle(self, now: float, limit: Optional[int] = None) -> list[ReadyFingerprint]:
+        """Complete the captures that have been quiet for ``idle_timeout``,
+        oldest capture first, at most ``limit`` of them (all if None).
 
-        With ``shard`` given only that shard's captures are swept, letting
-        a caller amortise eviction cost round-robin across shards.  Each
-        shard emits in capture-start order.
+        The rest stay in the index for the next sweep.
         """
         timeout = self.idle_timeout
-        captures = self._captures.values()
-        if shard is None:
-            idle = [capture for capture in captures if now - capture.last_seen > timeout]
-        else:
-            shard %= self.shards
-            idle = [
-                capture
-                for capture in captures
-                if capture.shard == shard and now - capture.last_seen > timeout
-            ]
-        return self._end(sorted(idle, key=_SHARD_STARTED), EMIT_IDLE, now)
+        idle = [capture for capture in self._captures.values() if now - capture.last_seen > timeout]
+        return self._end(idle[:limit], EMIT_IDLE, now)
 
     def flush(self, now: float = 0.0) -> list[ReadyFingerprint]:
-        """Emit every in-progress capture (stream ended), shard by shard
-        in capture-start order; ``now`` of 0 stamps each with its own
-        last packet."""
-        return self._end(self._by_shard(), EMIT_FLUSH, now or None)
+        """Emit every in-progress capture (stream ended), oldest first;
+        ``now`` of 0 stamps each with its own last packet."""
+        return self._end(list(self._captures.values()), EMIT_FLUSH, now or None)
 
     def _end(
         self, captures: list[_Capture], reason: str, now: Optional[float]
@@ -474,5 +403,5 @@ class ShardedFingerprintAssembler:
         return self.emit(captures)
 
     def __iter__(self) -> Iterator[MACAddress]:
-        for capture in self._by_shard():
+        for capture in list(self._captures.values()):
             yield capture.mac

@@ -10,8 +10,10 @@ into an enforcement rule on a
 Stream time (packet timestamps) drives a shared
 :class:`~repro.simulation.clock.SimulatedClock`, which in turn drives the
 assembler's idle eviction: every :data:`EVICTION_INTERVAL_SECONDS`
-stream-seconds one shard is swept round-robin, so eviction cost is
-amortised instead of scanning every device on every packet.
+stream-seconds one sweep ends the idle captures, oldest first, but no
+more than the dispatcher's pending batch has room for, so a fleet that
+goes quiet together leaves over several sweeps instead of stacking
+identify batches into one window.
 
 One drive entry, :meth:`StreamingPipeline.results` (which ``run`` and
 the facade consume), feeds the source's items, parsed lazily, to one
@@ -19,7 +21,7 @@ per-frame step (:meth:`StreamingPipeline._drive`).  Each frame is parsed
 into one packed Table-I key and folded into its capture immediately.  A window ends only at a frame
 that ended a capture, where the due eviction sweep evicted a capture, or
 where the dispatcher's linger deadline passed; a due sweep that evicts
-nothing only moves the eviction deadline and the shard cursor.  Each
+nothing only moves the eviction deadline.  Each
 window end runs the stages in the per-packet order (clock, sweep, then
 each submit and the poll), and every dispatcher call's verdicts are
 delivered before the next call runs, so verdicts, clock stamps and ledger
@@ -40,9 +42,9 @@ from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
 from repro.streaming.assembler import (
     AssemblerStats,
+    FingerprintAssembler,
     PreparedFrames,
     ReadyFingerprint,
-    ShardedFingerprintAssembler,
 )
 from repro.streaming.dispatcher import (
     MAX_LINGER_SECONDS,
@@ -56,7 +58,7 @@ from repro.streaming.sources import PacketSource
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.hub import Observability
 
-#: Stream-seconds between idle-eviction sweeps (one shard per sweep).
+#: Stream-seconds between idle-eviction sweeps.
 EVICTION_INTERVAL_SECONDS = 1.0
 
 
@@ -105,7 +107,7 @@ class StreamingPipeline:
 
     Attributes:
         source: where packets come from (pcap replay, simulation, ...).
-        assembler: the sharded incremental fingerprint stage.
+        assembler: the incremental fingerprint stage.
         dispatcher: the batching/caching identification stage.
         on_identified: invoked once per identified device, in the order
             verdicts become available -- with caching/batching enabled this
@@ -123,12 +125,12 @@ class StreamingPipeline:
         self,
         source: PacketSource,
         dispatcher: BatchDispatcher,
-        assembler: Optional[ShardedFingerprintAssembler] = None,
+        assembler: Optional[FingerprintAssembler] = None,
         on_identified: Optional[Callable[[IdentifiedDevice], None]] = None,
         clock: Optional[SimulatedClock] = None,
     ):
         self.source = source
-        self.assembler = assembler or ShardedFingerprintAssembler()
+        self.assembler = assembler or FingerprintAssembler()
         self.dispatcher = dispatcher
         self.on_identified = on_identified
         self.clock = clock or SimulatedClock()
@@ -137,7 +139,6 @@ class StreamingPipeline:
             self.observability.register_pipeline(self)
         self.stats = PipelineStats()
         self._next_eviction = self.clock.now() + EVICTION_INTERVAL_SECONDS
-        self._eviction_shard = 0
         # A dispatcher (and its cache) may be shared across pipeline runs
         # (warm start); snapshot their lifetime counters so this run's
         # top-level stats report only its own work.  The embedded
@@ -183,7 +184,7 @@ class StreamingPipeline:
     def _drive(self, prepared: PreparedFrames) -> Iterator[list[IdentifiedDevice]]:
         """Fold ``prepared`` frame by frame, ending a window wherever one ends.
 
-        :meth:`~repro.streaming.assembler.ShardedFingerprintAssembler.observe_prepared`
+        :meth:`~repro.streaming.assembler.FingerprintAssembler.observe_prepared`
         folds frames until one ends a capture or the stream time reaches
         :meth:`_horizon`.  There the clock moves to the stream time -- the
         running maximum of the timestamps, as folding one packet at a time
@@ -194,7 +195,7 @@ class StreamingPipeline:
         call's verdicts delivered before the next call runs
         (:meth:`_dispatch`).  Anywhere else nothing is submitted, polled or
         delivered: a sweep that evicted nothing has only moved the
-        eviction deadline and the shard cursor, and the fold goes on.
+        eviction deadline, and the fold goes on.
         Yields each window's verdicts, in delivery order.
 
         The hub observes once per window: ``parse`` (the frame loop:
@@ -358,10 +359,17 @@ class StreamingPipeline:
         return identified
 
     def _sweep_if_due(self, now: float, completed: list[ReadyFingerprint]) -> None:
-        """Sweep one shard for idle captures once the eviction deadline passes."""
+        """Sweep for idle captures once the eviction deadline passes.
+
+        The sweep ends at most what the dispatcher's pending batch has
+        room for beside ``completed`` (at least one capture), so it never
+        stacks a second identify batch into this window; idle captures
+        left over wait for the next sweep.
+        """
         if now >= self._next_eviction:
-            completed.extend(self.assembler.evict_idle(now, shard=self._eviction_shard))
-            self._eviction_shard = (self._eviction_shard + 1) % self.assembler.shards
+            dispatcher = self.dispatcher
+            room = dispatcher.max_batch - len(dispatcher.queue) - len(completed)
+            completed.extend(self.assembler.evict_idle(now, max(1, room)))
             self._next_eviction = now + EVICTION_INTERVAL_SECONDS
 
     def _deliver(self, identified: list[IdentifiedDevice]) -> None:

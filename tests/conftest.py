@@ -71,8 +71,8 @@ from repro.streaming.assembler import (
     EMIT_BUDGET,
     EMIT_FLUSH,
     EMIT_IDLE,
+    FingerprintAssembler,
     ReadyFingerprint,
-    ShardedFingerprintAssembler,
 )
 from repro.streaming.dispatcher import BatchDispatcher
 from repro.streaming.pipeline import GatewayEnforcementSink, StreamingPipeline
@@ -779,63 +779,53 @@ class OracleDevice:
         return Fingerprint(vectors=matrix, device_mac=str(self.mac))
 
 
-class PerPacketAssembler(ShardedFingerprintAssembler):
-    """The assembler folding one packet at a time into its own per-shard
-    buckets; sweeps and flushes emit in bucket insertion order.  Only the
-    knobs, ``shard_of`` and the stats come from the production class."""
+class PerPacketAssembler(FingerprintAssembler):
+    """The assembler folding one packet at a time into its own dict of
+    devices in capture-start order; a sweep ends the idle devices oldest
+    first, at most ``limit`` of them, and the flush ends every device
+    oldest first.  Only the knobs and the stats come from the production
+    class."""
 
     def __init__(self, **knobs):
         super().__init__(**knobs)
-        self._oracle_buckets = [{} for _ in range(self.shards)]
+        self._oracle_devices = {}
 
     @property
     def active_devices(self) -> int:
-        return sum(map(len, self._oracle_buckets))
+        return len(self._oracle_devices)
 
     def observe(self, packet: Packet):
         self.stats.packets_observed += 1
         mac = packet.src_mac
-        bucket = self._oracle_buckets[self.shard_of(mac)]
-        device = bucket.get(mac.value)
+        device = self._oracle_devices.get(mac.value)
         completed = None
         if device is not None and device.gap_ends_setup(packet.timestamp - device.last_seen, self):
             completed = self._complete(device, EMIT_IDLE, packet.timestamp)
             device = None
         if device is None:
             device = OracleDevice(mac=mac, last_seen=packet.timestamp)
-            bucket[mac.value] = device
+            self._oracle_devices[mac.value] = device
         device.observe(packet)
         if device.raw_packets >= self.packet_budget:
             return completed or self._complete(device, EMIT_BUDGET, packet.timestamp)
         return completed
 
-    def evict_idle(self, now, shard=None):
-        buckets = (
-            self._oracle_buckets if shard is None else [self._oracle_buckets[shard % self.shards]]
-        )
-        ready = []
-        for bucket in buckets:
-            expired = [d for d in bucket.values() if now - d.last_seen > self.idle_timeout]
-            for device in expired:
-                emitted = self._complete(device, EMIT_IDLE, now)
-                if emitted is not None:
-                    ready.append(emitted)
-        return ready
+    def evict_idle(self, now, limit=None):
+        expired = [
+            device
+            for device in self._oracle_devices.values()
+            if now - device.last_seen > self.idle_timeout
+        ]
+        return [self._complete(device, EMIT_IDLE, now) for device in expired[:limit]]
 
     def flush(self, now=0.0):
-        ready = []
-        for bucket in self._oracle_buckets:
-            for device in list(bucket.values()):
-                emitted = self._complete(device, EMIT_FLUSH, now or device.last_seen)
-                if emitted is not None:
-                    ready.append(emitted)
-        return ready
+        return [
+            self._complete(device, EMIT_FLUSH, now or device.last_seen)
+            for device in list(self._oracle_devices.values())
+        ]
 
     def _complete(self, device: OracleDevice, reason: str, completed_at: float):
-        del self._oracle_buckets[self.shard_of(device.mac)][device.mac.value]
-        if device.row_count < self.min_rows:
-            self.stats.min_signal_drops += 1
-            return None
+        del self._oracle_devices[device.mac.value]
         self.stats.fingerprints_emitted += 1
         if reason == EMIT_BUDGET:
             self.stats.budget_emissions += 1
@@ -886,10 +876,8 @@ def per_packet_gateway_run(handle, source):
     """``handle.run_until_idle(source)`` by the per-packet oracle walk."""
     knobs = handle.assembler
     handle.assembler = PerPacketAssembler(
-        shards=knobs.shards,
         packet_budget=knobs.packet_budget,
         min_packets=knobs.min_packets,
-        min_rows=knobs.min_rows,
         idle_timeout=knobs.idle_timeout,
         min_idle_seconds=knobs.min_idle_seconds,
         idle_factor=knobs.idle_factor,
@@ -917,12 +905,15 @@ def rerun_stream(seed):
 
 
 def multi_delivery_stream(seed):
-    """A stream whose windows deliver more than once at ``max_batch`` 4 on
-    one shard.  Nine known models go quiet together, so one sweep evicts
-    them all.  Then a clone of the longest known setup (a cache hit, the
-    first capture the sweep emits) goes quiet together with six shorter
-    models, and a device re-running a short setup keeps the stream going
-    past their idle timeout.  At the end a second clone and six more
+    """A stream whose windows deliver more than once at ``max_batch`` 4.
+    Nine known models go quiet together, more than a pending batch has
+    room for, so the first sweeps end four each and leave the rest to the
+    next.  Later three shorter models go quiet, and a second after them a
+    clone of the longest known setup (a cache hit, the oldest of its
+    group) and three more: the sweep after the first three are queued has
+    room for the clone alone, delivers its hit, and the poll then flushes
+    the three lingering misses.  A device re-running a short setup keeps
+    the stream going in between.  At the end a second clone and six more
     models are still talking: the flush, its submits and the drain."""
     simulator = SetupTrafficSimulator(seed=seed)
     known = [simulator.simulate(DEVICE_CATALOG[name]) for name in SMALL_DEVICE_SET]
@@ -946,7 +937,8 @@ def multi_delivery_stream(seed):
 
     ticker = min(known, key=length)
     traces = [ending_at(trace, 100.0) for trace in known]
-    traces += [ending_at(trace, 300.0) for trace in [longest, *shorter[:6]]]
+    traces += [ending_at(trace, 357.0) for trace in shorter[:3]]
+    traces += [ending_at(trace, 358.0) for trace in [longest, *shorter[3:6]]]
     traces += [ending_at(ticker, 330.0 + 6.0 * run, ticker.device_mac) for run in range(8)]
     traces += [ending_at(trace, 379.0) for trace in [longest, *shorter[6:12]]]
     return list(interleave_traces(traces))

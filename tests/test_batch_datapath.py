@@ -74,10 +74,10 @@ from repro.net.pcap import CapturedPacket, PcapReader, PcapWriter, read_pcap, wr
 from repro.obs.hub import Observability
 from repro.streaming import (
     BatchDispatcher,
+    FingerprintAssembler,
     IdentificationCache,
     IterableSource,
     PcapReplaySource,
-    ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
 )
@@ -392,7 +392,7 @@ class TestStreamRows:
 
     def test_simulator_stream_rows_match_source_packets(self):
         packets = list(SimulatedSource(devices=6, seed=3).packets())
-        prepared = ShardedFingerprintAssembler.prepare_items(
+        prepared = FingerprintAssembler.prepare_items(
             SimulatedSource(devices=6, seed=3).packets()
         )
         rows = list(prepared.rows)
@@ -403,7 +403,7 @@ class TestStreamRows:
 
     def test_empty_and_one_item_streams(self):
         packets = _setup_packets(seed=4, names=("Aria",))
-        assembler = ShardedFingerprintAssembler()
+        assembler = FingerprintAssembler()
         assert _fold_all(assembler, assembler.prepare_items([])) == []
         assert assembler.active_devices == 0 and assembler.stats.packets_observed == 0
         assert _rows([]).shape == (0, 23)
@@ -423,15 +423,15 @@ class TestStreamRows:
 
     def test_device_runs_preserve_stream_order(self):
         """Each device's kept rows come out in its stream order, and devices
-        open (hence flush, within one shard) in order of first appearance."""
+        open (hence flush) in order of first appearance."""
         packets = _setup_packets(seed=8, names=("Aria", "HueBridge"))
         macs = [stream_row(packet)[1] for packet in packets]
         assert sum(a != b for a, b in zip(macs, macs[1:])) > 2  # interleaved
-        assembler = ShardedFingerprintAssembler(shards=1, packet_budget=100_000)
+        assembler = FingerprintAssembler(packet_budget=100_000)
         assert _fold_all(assembler, assembler.prepare_items(packets)) == []
         assert assembler.stats.packets_observed == len(packets)
         emitted = assembler.flush(10_000.0)
-        oracle = PerPacketAssembler(shards=1, packet_budget=100_000)
+        oracle = PerPacketAssembler(packet_budget=100_000)
         for packet in packets:
             assert oracle.observe(packet) is None
         expected = oracle.flush(10_000.0)
@@ -455,7 +455,7 @@ def _emission_map(emissions):
 
 
 def _drive_per_packet(source):
-    assembler = PerPacketAssembler(shards=4)
+    assembler = PerPacketAssembler()
     emissions = [
         ready for packet in source.packets() if (ready := assembler.observe(packet))
     ]
@@ -603,7 +603,7 @@ class TestFoldingAssembler:
         """The fold carries its state from one prepared stream to the next:
         the stream cut into ``chunk``-item pieces folds like the oracle."""
         baseline, base_stats = _drive_per_packet(SimulatedSource(devices=12, seed=5))
-        assembler = ShardedFingerprintAssembler(shards=4)
+        assembler = FingerprintAssembler()
         emissions = []
         for items in _chunks(SimulatedSource(devices=12, seed=5).packets(), chunk):
             emissions.extend(_fold_all(assembler, assembler.prepare_items(items)))
@@ -616,7 +616,7 @@ class TestFoldingAssembler:
         """Two devices running the same setup emit equal fingerprints; the
         second shares the first one's matrix, which nothing may write,
         while a different setup gets its own."""
-        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=3)
+        assembler = FingerprintAssembler(packet_budget=3)
         first, clone, other = (make_device_mac(index) for index in (1, 2, 3))
         setups = ((first, 0.0, (53, 80, 123)), (clone, 1.0, (53, 80, 123)), (other, 2.0, (53, 123, 80)))
         packets = [
@@ -638,7 +638,7 @@ class TestFoldingAssembler:
     def test_equal_keys_to_other_destinations_are_not_shared(self):
         """Equal packed keys with another destination-counter sequence are
         a different capture."""
-        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=3)
+        assembler = FingerprintAssembler(packet_budget=3)
         packets = []
         for index, destinations in enumerate((("10.0.0.1", "10.0.0.2", "10.0.0.1"),
                                               ("10.0.0.1", "10.0.0.2", "10.0.0.3"))):
@@ -660,7 +660,7 @@ class TestFoldingAssembler:
     def test_only_recent_captures_are_shared(self, others):
         """A capture is shared while fewer than ``RECENT_CAPTURES`` other
         setups ended after the last capture with its rows."""
-        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=1)
+        assembler = FingerprintAssembler(packet_budget=1)
         # One-frame captures, told apart by their packet size (payloads
         # past the Ethernet minimum frame).
         sizes = [64, *range(65, others + 65), 64]
@@ -688,22 +688,10 @@ def _chatter_packet(mac, timestamp, port=53):
 
 
 class TestIdleSweep:
-    """``evict_idle`` ends exactly the captures of the swept shard whose
-    device has been quiet for more than ``idle_timeout``, once every frame
-    before the sweep is folded."""
-
-    @staticmethod
-    def _macs_by_shard(assembler, count=2):
-        """``count`` device MACs in each shard."""
-        by_shard = {shard: [] for shard in range(assembler.shards)}
-        index = 1
-        while any(len(macs) < count for macs in by_shard.values()):
-            mac = make_device_mac(index)
-            macs = by_shard[assembler.shard_of(mac)]
-            if len(macs) < count:
-                macs.append(mac)
-            index += 1
-        return by_shard
+    """``evict_idle`` ends the captures whose device has been quiet for
+    more than ``idle_timeout``, once every frame before the sweep is
+    folded: oldest capture first, at most ``limit`` of them, and the rest
+    stay for the next sweep."""
 
     @staticmethod
     def _fold(assembler, packets):
@@ -711,51 +699,107 @@ class TestIdleSweep:
 
     def test_exactly_idle_timeout_of_silence_does_not_evict(self):
         for now, expected in ((25.0, False), (25.000001, True)):
-            assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+            assembler = FingerprintAssembler(idle_timeout=15.0)
             mac = make_device_mac(1)
             self._fold(assembler, [_chatter_packet(mac, 10.0)])
-            evicted = assembler.evict_idle(now, shard=assembler.shard_of(mac))
+            evicted = assembler.evict_idle(now)
             assert [item.mac for item in evicted] == ([mac] if expected else [])
             assert assembler.is_assembling(mac) is not expected
 
     def test_a_folded_frame_refreshes_a_stale_capture(self):
-        assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
+        assembler = FingerprintAssembler(idle_timeout=15.0)
         mac = make_device_mac(1)
         self._fold(assembler, [_chatter_packet(mac, 0.0), _chatter_packet(mac, 1.0)])
         # Quiet for 19 s at the sweep, had the last two frames not arrived.
         self._fold(assembler, [_chatter_packet(mac, 2.0), _chatter_packet(mac, 9.0, port=80)])
-        assert assembler.evict_idle(20.0, shard=assembler.shard_of(mac)) == []
-        (ready,) = assembler.evict_idle(24.5, shard=assembler.shard_of(mac))
+        assert assembler.evict_idle(20.0) == []
+        (ready,) = assembler.evict_idle(24.5)
         assert (ready.reason, ready.completed_at, ready.packet_count) == ("idle", 24.5, 2)
 
-    def test_devices_in_other_shards_never_count(self):
-        probe = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
-        by_shard = self._macs_by_shard(probe)
-        for quiet_shard in range(probe.shards):
-            # One shard holds two stale devices; every device elsewhere
-            # keeps talking.
-            stale = by_shard[quiet_shard]
-            talking = [mac for other, macs in by_shard.items() if other != quiet_shard for mac in macs]
-            for shard in range(probe.shards):
-                assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
-                self._fold(
-                    assembler,
-                    [_chatter_packet(stale[0], 0.0), _chatter_packet(stale[1], 1.0)]
-                    + [_chatter_packet(mac, 20.0) for mac in talking],
-                )
-                evicted = [item.mac for item in assembler.evict_idle(30.0, shard=shard)]
-                # A shard emits in capture-start order.
-                assert evicted == (stale if shard == quiet_shard else [])
+    def test_talking_devices_never_count_against_the_limit(self):
+        """Stale captures interleaved with talking ones: a sweep limited to
+        the stale count ends exactly the stale ones, oldest first."""
+        macs = [make_device_mac(index) for index in (7, 2, 9, 4, 1, 8)]
+        stale, talking = macs[::2], macs[1::2]
+        assembler = FingerprintAssembler(idle_timeout=15.0)
+        self._fold(
+            assembler,
+            [_chatter_packet(mac, 0.1 * index) for index, mac in enumerate(macs)]
+            + [_chatter_packet(mac, 20.0) for mac in talking],
+        )
+        evicted = [item.mac for item in assembler.evict_idle(30.0, limit=len(stale))]
+        assert evicted == stale
+        assert list(assembler) == talking
 
-    def test_sweep_of_every_shard_emits_shard_by_shard(self):
-        assembler = ShardedFingerprintAssembler(shards=4, idle_timeout=15.0)
-        by_shard = self._macs_by_shard(assembler)
-        macs = [mac for index in (3, 1, 0, 2) for mac in by_shard[index]]
-        self._fold(assembler, [_chatter_packet(mac, float(i)) for i, mac in enumerate(macs)])
-        evicted = [item.mac for item in assembler.evict_idle(100.0)]
-        assert evicted == [mac for shard in range(4) for mac in by_shard[shard]]
+    def test_the_limit_leaves_the_rest_to_the_next_sweep(self):
+        """Ten devices go quiet together: sweeps of limit 4 end them four,
+        four and two at a time, in the order their captures opened --
+        which a capture the idle rule cut and re-opened joins at the end."""
+        macs = [make_device_mac(index) for index in (12, 3, 17, 5, 9, 1, 14, 6, 11, 2)]
+        assembler = FingerprintAssembler(min_packets=1, idle_timeout=15.0)
+        self._fold(
+            assembler,
+            [
+                _chatter_packet(mac, 0.1 * index + step)
+                for step in (0, 1)
+                for index, mac in enumerate(macs)
+            ],
+        )
+        # The first device's capture is cut by its own silence and opens
+        # again: now the youngest capture.
+        first = _chatter_packet(macs[0], 40.0)
+        assert [item.mac for item in _fold_all(assembler, assembler.prepare_items([first]))] == [
+            macs[0]
+        ]
+        order = [*macs[1:], macs[0]]
+        swept = [
+            [item.mac for item in assembler.evict_idle(now, limit=4)]
+            for now in (60.0, 61.0, 62.0, 63.0)
+        ]
+        assert swept == [order[:4], order[4:8], order[8:], []]
         assert assembler.active_devices == 0
 
+    def test_the_pipeline_sweep_hands_over_at_most_the_batch_room(self, trained_identifier):
+        """The drive's sweep ends at most ``max(1, max_batch - queued -
+        completed)`` captures: a fleet that goes quiet together leaves over
+        successive sweeps, oldest capture first, and the queue is never
+        handed a second batch in one window."""
+        # Eleven devices fall quiet at 2 s, three more at 5 s.
+        quiet = [
+            make_device_mac(index) for index in (12, 3, 17, 5, 9, 1, 14, 6, 11, 2, 8, 4, 7, 15)
+        ]
+        ticker = make_device_mac(40)
+        packets = sorted(
+            [_chatter_packet(mac, 0.05 * index) for index, mac in enumerate(quiet)]
+            + [
+                _chatter_packet(mac, (2.0 if index < 11 else 5.0) + 0.05 * index, port=80)
+                for index, mac in enumerate(quiet)
+            ]
+            + [_chatter_packet(ticker, 0.3 * step, port=53 + step % 3) for step in range(100)],
+            key=lambda packet: packet.timestamp,
+        )
+        pipeline = StreamingPipeline(
+            source=IterableSource(packets),
+            dispatcher=BatchDispatcher(trained_identifier, max_batch=4),
+            assembler=FingerprintAssembler(packet_budget=100_000),
+        )
+        sweeps = []  # (room, captures ended)
+        sweep_if_due = pipeline._sweep_if_due
+
+        def recorded(now, completed):
+            room = pipeline.dispatcher.max_batch - len(pipeline.dispatcher.queue) - len(completed)
+            before = len(completed)
+            sweep_if_due(now, completed)
+            sweeps.append((room, [item.mac for item in completed[before:]]))
+
+        pipeline._sweep_if_due = recorded
+        pipeline.run()
+        assert all(len(ended) <= max(1, room) for room, ended in sweeps)
+        evicting = [(room, ended) for room, ended in sweeps if ended]
+        assert [mac for _, ended in evicting for mac in ended] == quiet
+        assert len(evicting) >= 3
+        # A sweep whose room the queue had narrowed.
+        assert any(room < 4 and ended for room, ended in evicting)
 
 def _window_ends(pipeline):
     """Record where ``pipeline`` ends its windows: the stream position
@@ -814,9 +858,7 @@ class TestPipelineDrive:
             dispatcher=BatchDispatcher(
                 identifier, max_batch=4, cache=IdentificationCache(capacity=64)
             ),
-            assembler=(PerPacketAssembler if drive == "oracle" else ShardedFingerprintAssembler)(
-                shards=4
-            ),
+            assembler=(PerPacketAssembler if drive == "oracle" else FingerprintAssembler)(),
             on_identified=delivered.append,
         )
         if drive == "oracle":
@@ -852,11 +894,11 @@ class TestPipelineDrive:
             assert stats.identified == base_stats.identified
 
     @staticmethod
-    def _pipeline(identifier, packets, knobs, assembler=ShardedFingerprintAssembler):
+    def _pipeline(identifier, packets, knobs, assembler=FingerprintAssembler):
         return StreamingPipeline(
             source=IterableSource(packets),
             dispatcher=BatchDispatcher(identifier, max_batch=4),
-            assembler=assembler(shards=4, **knobs),
+            assembler=assembler(**knobs),
         )
 
     @pytest.mark.parametrize(
@@ -898,9 +940,9 @@ class TestPipelineDrive:
         sweeps = []
         evict_idle = pipeline.assembler.evict_idle
 
-        def recorded(now, shard=None):
+        def recorded(now, limit=None):
             sweeps.append(now)
-            return evict_idle(now, shard=shard)
+            return evict_idle(now, limit)
 
         pipeline.assembler.evict_idle = recorded
         assert list(pipeline.results()) == []
@@ -956,14 +998,14 @@ class TestPipelineDrive:
         pipeline = StreamingPipeline(
             source=IterableSource(packets),
             dispatcher=BatchDispatcher(trained_identifier, max_batch=1),
-            assembler=ShardedFingerprintAssembler(shards=4, packet_budget=100_000),
+            assembler=FingerprintAssembler(packet_budget=100_000),
         )
         ends = _window_ends(pipeline)
         sweeps = []  # (stream position, captures evicted)
         evict_idle = pipeline.assembler.evict_idle
 
-        def recorded_sweep(now, shard=None):
-            ready = evict_idle(now, shard=shard)
+        def recorded_sweep(now, limit=None):
+            ready = evict_idle(now, limit)
             sweeps.append((pipeline.stats.packets, len(ready)))
             return ready
 

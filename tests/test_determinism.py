@@ -314,8 +314,8 @@ class TestBatchKernelDeterminism:
     def test_batched_pipeline_replays_byte_identical(self, trained_identifier):
         from repro.streaming import (
             BatchDispatcher,
+            FingerprintAssembler,
             IdentificationCache,
-            ShardedFingerprintAssembler,
             SimulatedSource,
             StreamingPipeline,
         )
@@ -327,7 +327,7 @@ class TestBatchKernelDeterminism:
                 dispatcher=BatchDispatcher(
                     trained_identifier, max_batch=4, cache=IdentificationCache(capacity=64)
                 ),
-                assembler=ShardedFingerprintAssembler(shards=4),
+                assembler=FingerprintAssembler(),
                 on_identified=delivered.append,
             ).run()
             return [
@@ -352,8 +352,8 @@ class TestObservabilityDeterminism:
         from repro.obs import Observability, VerdictLedger
         from repro.streaming import (
             BatchDispatcher,
+            FingerprintAssembler,
             IdentificationCache,
-            ShardedFingerprintAssembler,
             SimulatedSource,
             StreamingPipeline,
             replay_trace,
@@ -374,7 +374,7 @@ class TestObservabilityDeterminism:
             source=SimulatedSource(traces=traces),
             # max_batch=1: each fingerprint is identified (and cached) the
             # moment it emits, so the clone's lookup always finds the
-            # original regardless of shard emission order -- the cache-hit
+            # original regardless of emission order -- the cache-hit
             # path (from_cache verdict records) is part of the compared
             # bytes.
             dispatcher=BatchDispatcher(
@@ -383,7 +383,7 @@ class TestObservabilityDeterminism:
                 cache=IdentificationCache(capacity=32),
                 observability=hub,
             ),
-            assembler=ShardedFingerprintAssembler(shards=4),
+            assembler=FingerprintAssembler(),
             on_identified=lambda item: None,
         )
         pipeline.run()
@@ -423,14 +423,14 @@ class TestColumnarDriveParity:
         """The ledger bytes of one drive, and each fingerprint submission
         with the stream clock it saw."""
         from repro.api import GatewayConfig, build_gateway
-        from repro.streaming import ShardedFingerprintAssembler
+        from repro.streaming import FingerprintAssembler
 
         path = directory / "ledger.ndjson"
         handle = build_gateway(
             GatewayConfig(identifier=identifier, ledger_path=path, **(config or {}))
         )
         if knobs:
-            handle.assembler = ShardedFingerprintAssembler(shards=handle.assembler.shards, **knobs)
+            handle.assembler = FingerprintAssembler(**knobs)
         submits = []
         submit = handle.dispatcher.submit
 
@@ -538,9 +538,9 @@ class TestColumnarDriveParity:
         sweeps = []
         evict_idle = PerPacketAssembler.evict_idle
 
-        def recorded(assembler, now, shard=None):
+        def recorded(assembler, now, limit=None):
             before = assembler.active_devices
-            ready = evict_idle(assembler, now, shard)
+            ready = evict_idle(assembler, now, limit)
             sweeps.append(assembler.active_devices < before)
             return ready
 
@@ -555,13 +555,14 @@ class TestColumnarDriveParity:
         """Each dispatcher call's verdicts reach the ledger and the sink
         before the next call runs, so a window that identifies twice
         records ``V(A) E(A) V(B) E(B)``.  The stream has such windows: a
-        cache hit followed by a miss batch, a sweep that evicts more than
-        ``max_batch`` captures, and the end-of-stream flush plus drain.
+        cache hit followed by a miss batch, and the end-of-stream flush
+        plus drain; and more captures go quiet together than a pending
+        batch has room for, so a sweep leaves idle captures to the next.
         The facade and ``stream`` ledgers equal the per-packet walk's."""
         from repro.api import GatewayConfig, build_gateway
         from repro.streaming import IterableSource
 
-        config = {"max_batch": 4, "shards": 1}
+        config = {"max_batch": 4}
         packets = multi_delivery_stream(seed=3)
 
         handle = build_gateway(GatewayConfig(identifier=trained_identifier, **config))
@@ -570,6 +571,9 @@ class TestColumnarDriveParity:
         windows: dict[tuple[int, bool], list[list]] = {}
         finishing = []
         deliver, flush = pipeline._deliver, pipeline.assembler.flush
+        evict_idle = pipeline.assembler.evict_idle
+        # Per sweep: how many it ended, and how many idle captures it left.
+        sweeps = []
 
         def recorded_deliver(identified):
             windows.setdefault((pipeline.stats.packets, bool(finishing)), []).append(identified)
@@ -579,8 +583,16 @@ class TestColumnarDriveParity:
             finishing.append(now)
             return flush(now)
 
+        def recorded_sweep(now, limit=None):
+            ready = evict_idle(now, limit)
+            timeout = pipeline.assembler.idle_timeout
+            left = pipeline.assembler._captures.values()
+            sweeps.append((len(ready), sum(now - c.last_seen > timeout for c in left)))
+            return ready
+
         pipeline._deliver = recorded_deliver
         pipeline.assembler.flush = recorded_flush
+        pipeline.assembler.evict_idle = recorded_sweep
         pipeline.run()
         streamed = [calls for (_, flushed), calls in windows.items() if not flushed]
         assert any(
@@ -589,11 +601,9 @@ class TestColumnarDriveParity:
             for calls in streamed
         ), "a cache hit followed by a miss batch"
         assert any(
-            len(calls) > 1
-            and sum(map(len, calls)) > config["max_batch"]
-            and all(item.completion_reason == "idle" for batch in calls for item in batch)
-            for calls in streamed
-        ), "a sweep evicting more than max_batch captures"
+            ended == config["max_batch"] and left and following == left
+            for (ended, left), (following, _) in zip(sweeps, sweeps[1:])
+        ), "a full sweep leaving idle captures that the next sweep ends"
         flush = [calls for (_, flushed), calls in windows.items() if flushed]
         assert len(flush) == 1 and len(flush[0]) >= 3, "the flush, a submit batch and the drain"
         assert flush[0][0][0].from_cache
@@ -603,6 +613,99 @@ class TestColumnarDriveParity:
             {"facade": self._facade, "stream": self._stream},
             config=config,
         )
+
+
+# --------------------------------------------------------------------- #
+# Lumps: many devices go quiet together, and the stream resumes after more
+# than the idle timeout.  Each sweep ends at most what the dispatcher's
+# pending batch has room for, so the lump leaves over several sweeps; the
+# facade still matches the per-packet walk record for record.
+# --------------------------------------------------------------------- #
+def _lump_stream(counts, ports, resuming, silence, talk):
+    """Device ``i`` sends ``counts[i]`` packets to ``ports[i]``-derived
+    ports from ``0.05 * i`` on; then nothing for ``silence`` seconds after
+    the last of them, after which the devices in ``resuming`` (and a fresh
+    one) talk every 0.3 s for ``talk`` seconds."""
+    from repro.net.addresses import MACAddress
+    from tests.conftest import make_device_mac, make_udp_packet
+
+    def packet(mac, timestamp, port):
+        built = make_udp_packet(
+            mac, MACAddress.broadcast(), "192.168.0.50", "192.168.0.1", dst_port=port
+        )
+        built.timestamp = timestamp
+        return built
+
+    macs = [make_device_mac(index + 1) for index in range(len(counts))]
+    packets = [
+        packet(mac, 0.05 * index + 0.4 * step, ports[index] + step % 2)
+        for index, (mac, count) in enumerate(zip(macs, counts))
+        for step in range(count)
+    ]
+    resume = max(item.timestamp for item in packets) + silence
+    talkers = [macs[index] for index in sorted(resuming)] + [make_device_mac(200)]
+    steps = int(talk / 0.3)
+    packets += [
+        packet(mac, resume + 0.3 * step + 0.01 * index, 53 + step % 3)
+        for step in range(steps)
+        for index, mac in enumerate(talkers)
+    ]
+    return sorted(packets, key=lambda item: item.timestamp)
+
+
+class TestQuietLumps:
+    @given(
+        counts=st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=16),
+        ports=st.data(),
+        max_batch=st.integers(min_value=1, max_value=6),
+        silence=st.floats(min_value=15.5, max_value=60.0),
+        talk=st.floats(min_value=0.3, max_value=8.0),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_lumps_match_the_per_packet_walk_and_fit_the_batch(
+        self, trained_identifier, counts, ports, max_batch, silence, talk
+    ):
+        import tempfile
+        from unittest import mock
+
+        from repro.streaming import IterableSource, StreamingPipeline
+
+        device_ports = ports.draw(
+            st.lists(
+                st.sampled_from((53, 80, 123, 443, 1900)),
+                min_size=len(counts),
+                max_size=len(counts),
+            )
+        )
+        resuming = ports.draw(st.sets(st.integers(min_value=0, max_value=len(counts) - 1)))
+        packets = _lump_stream(counts, device_ports, resuming, silence, talk)
+        sweeps = []  # (room, captures the sweep ended)
+        sweep_if_due = StreamingPipeline._sweep_if_due
+
+        def recorded(pipeline, now, completed):
+            dispatcher = pipeline.dispatcher
+            room = dispatcher.max_batch - len(dispatcher.queue) - len(completed)
+            before = len(completed)
+            sweep_if_due(pipeline, now, completed)
+            sweeps.append((room, len(completed) - before))
+
+        config = {"max_batch": max_batch}
+        ledger = TestColumnarDriveParity._ledger
+        with tempfile.TemporaryDirectory() as scratch, mock.patch.object(
+            StreamingPipeline, "_sweep_if_due", recorded
+        ):
+            directory = Path(scratch)
+            oracle = ledger(
+                trained_identifier, directory / "oracle", IterableSource(packets),
+                per_packet_gateway_run, {}, config,
+            )
+            facade = ledger(
+                trained_identifier, directory / "facade", IterableSource(packets),
+                TestColumnarDriveParity._facade, {}, config,
+            )
+        assert facade == oracle
+        assert oracle[0].count(b'"kind":"verdict"') >= len(counts)
+        assert all(ended <= max(1, room) for room, ended in sweeps)
 
 
 # --------------------------------------------------------------------- #

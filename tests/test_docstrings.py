@@ -1,18 +1,23 @@
 """Docstring examples are executable documentation; they must not rot.
 
 Runs doctest over the public-API modules that carry runnable examples.
-CI mirrors this with ``pytest --doctest-modules`` on the same list, so
-the examples are exercised both in the tier-1 suite and the docs job.
+CI mirrors this with ``pytest --doctest-modules`` on the same list (a test
+below holds the two lists equal), so the examples are exercised both in
+the tier-1 suite and the docs job.
 """
 
 from __future__ import annotations
 
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
 import repro.distance.damerau_levenshtein
 import repro.features.fingerprint
+import repro.features.packet_features
+import repro.gateway.enforcement
 import repro.identification.autopilot
 import repro.identification.lifecycle
 import repro.ml.compiled
@@ -29,6 +34,8 @@ import repro.streaming.dispatcher
 DOCTESTED_MODULES = [
     repro.distance.damerau_levenshtein,
     repro.features.fingerprint,
+    repro.features.packet_features,
+    repro.gateway.enforcement,
     repro.identification.autopilot,
     repro.identification.lifecycle,
     repro.ml.compiled,
@@ -51,6 +58,16 @@ def test_module_doctests_pass(module):
     result = doctest.testmod(module, verbose=False)
     assert result.attempted > 0, f"{module.__name__} lost its runnable examples"
     assert result.failed == 0
+
+
+def test_ci_doctests_the_same_modules():
+    """The docs job's ``--doctest-modules`` paths are this file's list."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+    command = workflow.read_text().split("--doctest-modules", 1)[1].split("- name:", 1)[0]
+    ci_modules = re.findall(r"src/(\S+)\.py", command)
+    assert sorted(path.replace("/", ".") for path in ci_modules) == sorted(
+        module.__name__ for module in DOCTESTED_MODULES
+    )
 
 
 def test_public_api_is_documented():

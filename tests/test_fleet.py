@@ -107,7 +107,6 @@ class TestGatewayConfig:
                 queue_capacity=32,
                 backpressure="drop",
                 cache_capacity=128,
-                shards=2,
                 store_path=tmp_path / "store.json",
                 quarantine_path=tmp_path / "quarantine.json",
                 autopilot=True,
@@ -154,11 +153,10 @@ class TestGatewayConfig:
                         max_batch=0,
                         queue_capacity=-1,
                         cache_capacity=cache_capacity,
-                        shards=0,
                     )
                 )
             message = str(excinfo.value)
-            for field in ("max_batch", "queue_capacity", "cache_capacity", "shards"):
+            for field in ("max_batch", "queue_capacity", "cache_capacity"):
                 assert field in message
 
     def test_docstring_documents_every_field(self):

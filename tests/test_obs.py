@@ -36,9 +36,9 @@ from repro.security_service.service import IoTSecurityService
 from repro.simulation.clock import SimulatedClock
 from repro.streaming import (
     BatchDispatcher,
+    FingerprintAssembler,
     GatewayEnforcementSink,
     IterableSource,
-    ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
     replay_trace,
@@ -349,7 +349,7 @@ def build_wired_gateway(identifier, tmp_path, seed=42):
         dispatcher=BatchDispatcher(
             identifier, max_batch=4, cache=coordinator.make_cache(), observability=hub
         ),
-        assembler=ShardedFingerprintAssembler(shards=4),
+        assembler=FingerprintAssembler(),
         on_identified=sink,
         clock=clock,
     )
@@ -361,8 +361,7 @@ def build_wired_gateway(identifier, tmp_path, seed=42):
 #: dropping a field shows up here.
 FACADE_SNAPSHOT_KEYS = [
     "assembler.budget_emissions", "assembler.fingerprints_emitted",
-    "assembler.flush_emissions", "assembler.idle_emissions", "assembler.min_signal_drops",
-    "assembler.packets_observed",
+    "assembler.flush_emissions", "assembler.idle_emissions", "assembler.packets_observed",
     "cache_epoch.generation", "cache_epoch.invalidations",
     "dispatcher.batched", "dispatcher.batches", "dispatcher.dropped",
     "dispatcher.identified", "dispatcher.largest_batch", "dispatcher.linger_flushes",

@@ -16,6 +16,7 @@ from repro.streaming import (
     BackpressurePolicy,
     BatchDispatcher,
     BoundedQueue,
+    FingerprintAssembler,
     GatewayEnforcementSink,
     IdentificationCache,
     IdentifiedDevice,
@@ -24,7 +25,6 @@ from repro.streaming import (
     PacketSource,
     PcapReplaySource,
     ReadyFingerprint,
-    ShardedFingerprintAssembler,
     SimulatedSource,
     StreamingPipeline,
     fingerprint_cache_key,
@@ -48,33 +48,24 @@ def make_stream_packet(
 
 
 # --------------------------------------------------------------------- #
-# Assembler: shard routing, budget emission, idle eviction.
+# Assembler: one capture index, budget emission, idle eviction.
 # --------------------------------------------------------------------- #
-class TestShardedAssembler:
-    def test_shard_routing_is_stable_and_in_range(self):
-        assembler = ShardedFingerprintAssembler(shards=4)
-        for index in range(64):
-            mac = make_device_mac(index)
-            shard = assembler.shard_of(mac)
-            assert 0 <= shard < 4
-            assert shard == assembler.shard_of(mac)
-
-    def test_devices_land_in_their_shard_bucket(self):
-        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=100)
-        macs = [make_device_mac(index) for index in range(16)]
+class TestAssembler:
+    def test_devices_are_indexed_in_capture_start_order(self):
+        assembler = FingerprintAssembler(packet_budget=100)
+        macs = [make_device_mac(index) for index in (9, 3, 12, 1, 7)]
         for index, mac in enumerate(macs):
             assembler.observe(make_stream_packet(mac, timestamp=0.1 * index))
+        # Later packets of the first devices do not move them.
+        for mac in macs[:2]:
+            assembler.observe(make_stream_packet(mac, timestamp=1.0))
         assert assembler.active_devices == len(macs)
-        sizes = assembler.shard_sizes()
-        assert sum(sizes) == len(macs)
-        # 16 sequential MACs spread over 4 buckets must use more than one.
-        assert sum(1 for size in sizes if size) > 1
+        assert list(assembler) == macs
         for mac in macs:
             assert assembler.is_assembling(mac)
-            assert mac in list(assembler)
 
     def test_budget_reached_emits_fingerprint(self):
-        assembler = ShardedFingerprintAssembler(shards=2, packet_budget=5)
+        assembler = FingerprintAssembler(packet_budget=5)
         mac = make_device_mac(1)
         ready = None
         for index in range(5):
@@ -87,10 +78,8 @@ class TestShardedAssembler:
         assert not assembler.is_assembling(mac)
         assert assembler.stats.budget_emissions == 1
 
-    def test_idle_eviction_emits_and_short_captures_are_dropped(self):
-        assembler = ShardedFingerprintAssembler(
-            shards=2, packet_budget=100, min_rows=4, idle_timeout=10.0
-        )
+    def test_idle_eviction_emits_every_quiet_capture(self):
+        assembler = FingerprintAssembler(packet_budget=100, idle_timeout=10.0)
         chatty, quiet = make_device_mac(1), make_device_mac(2)
         for index in range(6):
             # Payload growth past the 60-byte Ethernet minimum frame, so
@@ -98,45 +87,22 @@ class TestShardedAssembler:
             assembler.observe(
                 make_stream_packet(chatty, 0.1 * index, payload=b"x" * (index * 30))
             )
-        assembler.observe(make_stream_packet(quiet, 0.0))  # below min_rows
+        assembler.observe(make_stream_packet(quiet, 0.0))  # a one-row capture
 
         assert assembler.evict_idle(now=5.0) == []  # nobody idle yet
         ready = assembler.evict_idle(now=60.0)
-        assert [item.mac for item in ready] == [chatty]
-        assert ready[0].reason == "idle"
-        assert assembler.stats.min_signal_drops == 1  # the quiet device
+        assert [item.mac for item in ready] == [chatty, quiet]
+        assert [item.reason for item in ready] == ["idle", "idle"]
+        assert [len(item.fingerprint.vectors) for item in ready] == [6, 1]
+        assert assembler.stats.idle_emissions == 2
         assert assembler.active_devices == 0
-
-    def test_per_shard_eviction_only_sweeps_one_bucket(self):
-        assembler = ShardedFingerprintAssembler(shards=4, packet_budget=100, min_packets=1)
-        macs = [make_device_mac(index) for index in range(8)]
-        for mac in macs:
-            assembler.observe(make_stream_packet(mac, 0.0))
-        swept = assembler.evict_idle(now=100.0, shard=0)
-        expected = [mac for mac in macs if assembler.shard_of(mac) == 0]
-        assert sorted(str(item.mac) for item in swept) == sorted(str(mac) for mac in expected)
-        assert assembler.active_devices == len(macs) - len(expected)
-
-    def test_budget_capture_without_signal_is_dropped_too(self):
-        # 250 identical beacons reach the budget but collapse to one row:
-        # the min-signal guard applies regardless of how the capture ended.
-        assembler = ShardedFingerprintAssembler(shards=1, packet_budget=6, min_rows=4)
-        beacon = make_device_mac(6)
-        ready = None
-        for index in range(6):
-            ready = assembler.observe(make_stream_packet(beacon, 0.1 * index))
-        assert ready is None
-        assert assembler.stats.min_signal_drops == 1
-        assert assembler.stats.fingerprints_emitted == 0
 
     def test_adaptive_rate_drop_cuts_before_fixed_timeout(self):
         # The paper's end-of-setup criterion: a 12 s gap after dense setup
         # traffic (median gap 0.1 s) ends the capture even though the fixed
         # eviction timeout (15 s) has not elapsed -- matching what
         # SetupPhaseDetector would do offline.
-        assembler = ShardedFingerprintAssembler(
-            shards=1, packet_budget=100, min_packets=2, idle_timeout=15.0
-        )
+        assembler = FingerprintAssembler(packet_budget=100, min_packets=2, idle_timeout=15.0)
         mac = make_device_mac(4)
         for index in range(8):
             assembler.observe(
@@ -151,9 +117,7 @@ class TestShardedAssembler:
         # online rule must match: a DHCP-retry-style 12 s pause after two
         # packets stays inside one capture instead of shearing off the
         # leading packets.
-        assembler = ShardedFingerprintAssembler(
-            shards=1, packet_budget=100, min_packets=4, idle_timeout=30.0
-        )
+        assembler = FingerprintAssembler(packet_budget=100, min_packets=4, idle_timeout=30.0)
         mac = make_device_mac(8)
         assembler.observe(make_stream_packet(mac, 0.0, payload=b"x" * 30))
         assembler.observe(make_stream_packet(mac, 0.1, payload=b"x" * 60))
@@ -165,26 +129,9 @@ class TestShardedAssembler:
         ready = assembler.evict_idle(now=100.0)
         assert len(ready) == 1
         assert ready[0].fingerprint.packet_count == 6  # pause did not split it
-        assert assembler.stats.min_signal_drops == 0
-
-    def test_repetitive_beacons_collapse_below_min_signal(self):
-        # Ten identical packets dedupe to one fingerprint row: too little
-        # signal to classify, so idle eviction drops the capture instead of
-        # dispatching a near-empty fingerprint.
-        assembler = ShardedFingerprintAssembler(
-            shards=1, packet_budget=100, min_rows=4, idle_timeout=10.0
-        )
-        beacon = make_device_mac(5)
-        for index in range(10):
-            assembler.observe(make_stream_packet(beacon, 0.5 * index))
-        assert assembler.evict_idle(now=60.0) == []
-        assert assembler.stats.min_signal_drops == 1
-        assert assembler.stats.fingerprints_emitted == 0
 
     def test_idle_gap_within_stream_restarts_capture(self):
-        assembler = ShardedFingerprintAssembler(
-            shards=1, packet_budget=100, min_packets=1, idle_timeout=10.0
-        )
+        assembler = FingerprintAssembler(packet_budget=100, min_packets=1, idle_timeout=10.0)
         mac = make_device_mac(3)
         for index in range(5):
             assert assembler.observe(make_stream_packet(mac, 0.1 * index)) is None
@@ -196,9 +143,7 @@ class TestShardedAssembler:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedFingerprintAssembler(shards=0)
-        with pytest.raises(SimulationError):
-            ShardedFingerprintAssembler(packet_budget=0)
+            FingerprintAssembler(packet_budget=0)
 
 
 # --------------------------------------------------------------------- #
@@ -571,7 +516,7 @@ class TestSourcesAndPipeline:
         pipeline = StreamingPipeline(
             source=source,
             dispatcher=BatchDispatcher(trained_identifier, max_batch=4),
-            assembler=ShardedFingerprintAssembler(shards=4),
+            assembler=FingerprintAssembler(),
         )
         verdicts = {}
         pipeline.on_identified = lambda item: verdicts.setdefault(item.mac, item)
